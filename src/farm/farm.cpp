@@ -5,12 +5,10 @@
 #include <cstdio>
 #include <filesystem>
 
-#include "core/pipeline.h"
 #include "graph/graph.h"
 #include "os/snapshot.h"
 #include "sa/analyzer.h"
 #include "vm/btcache.h"
-#include "vm/trace_ring.h"
 
 namespace faros::farm {
 
@@ -236,38 +234,10 @@ JobResult Farm::run_once(const JobSpec& spec, u32 attempt) const {
   r.record_instructions = rec_stats.instructions;
 
   // --- replay under the FAROS engine ---
-  // Async (default): a DiftPipeline attaches in place of the engine — the
-  // interpreter thread produces the event trace and one consumer thread
-  // per policy set replays it through its own engine (record-once/
-  // analyze-many tees extra_policies onto the same trace). Sync
-  // (--sync-dift): the historical inline engine, with extra policy sets
-  // replayed sequentially below. Verdicts are byte-identical either way.
-  // The pipeline's destructor finishes (drains + joins) on every exit
-  // path, including the watchdog aborts; `rep` is declared first so the
-  // consumers join before the machine they trace is torn down.
   os::Machine rep(mcfg);
-  std::unique_ptr<core::FarosEngine> sync_engine;
-  std::unique_ptr<core::DiftPipeline> pipe;
-  if (cfg_.async_dift) {
-    std::vector<core::Options> eoptss;
-    eoptss.push_back(eopts);
-    for (const PolicySet& ps : cfg_.extra_policies) {
-      core::Options o = eopts;
-      o.rules = ps.rules;
-      o.collect_metrics = false;  // only the primary feeds the metrics row
-      eoptss.push_back(std::move(o));
-    }
-    pipe = std::make_unique<core::DiftPipeline>(
-        rep.kernel(), std::move(eoptss),
-        cfg_.ring_capacity ? cfg_.ring_capacity
-                           : vm::TraceRing::kDefaultCapacity);
-    rep.attach_cpu_plugin(pipe.get());
-    rep.add_monitor(pipe.get());
-  } else {
-    sync_engine = std::make_unique<core::FarosEngine>(rep.kernel(), eopts);
-    rep.attach_cpu_plugin(sync_engine.get());
-    rep.add_monitor(sync_engine.get());
-  }
+  core::FarosEngine engine(rep.kernel(), eopts);
+  rep.attach_cpu_plugin(&engine);
+  rep.add_monitor(&engine);
   if (auto b = rep.boot(); !b.ok())
     return fail("replay boot: " + b.error().message);
   if (auto s = sc->setup(rep); !s.ok())
@@ -278,44 +248,37 @@ JobResult Farm::run_once(const JobSpec& spec, u32 attempt) const {
     obs::ScopedTimer t(tsink, obs::Tmr::kReplay);
     rep_stats = rep.run(budget, &dog);
   }
-  if (pipe) pipe->finish();
   if (rep_stats.aborted) return stopped();
-  core::FarosEngine& engine = pipe ? pipe->engine(0) : *sync_engine;
 
-  // Extra policy sets. Async already consumed them from the teed trace;
-  // sync replays the same recording once per set (the result-equivalence
-  // of the two paths is what the fan-out test checks).
-  if (pipe) {
-    for (size_t i = 0; i < cfg_.extra_policies.size(); ++i) {
-      r.policy_runs.push_back(
-          policy_run_of(cfg_.extra_policies[i].name, pipe->engine(i + 1)));
+  // Record-once/analyze-many: replay the same recording once per extra
+  // policy set, each on its own machine under its own engine. Their COW
+  // stats are kept for the metrics fold below.
+  std::vector<vm::PhysMem::CowStats> clone_stats;
+  for (const PolicySet& ps : cfg_.extra_policies) {
+    os::Machine m2(mcfg);
+    core::Options o = eopts;
+    o.rules = ps.rules;
+    o.collect_metrics = false;  // only the primary feeds the metrics row
+    core::FarosEngine e2(m2.kernel(), o);
+    m2.attach_cpu_plugin(&e2);
+    m2.add_monitor(&e2);
+    if (auto b = m2.boot(); !b.ok())
+      return fail("policy replay boot: " + b.error().message);
+    if (auto s = sc->setup(m2); !s.ok())
+      return fail("policy replay setup: " + s.error().message);
+    m2.load_replay(rec.recording());
+    os::RunStats s2;
+    {
+      obs::ScopedTimer t(tsink, obs::Tmr::kReplay);
+      s2 = m2.run(budget, &dog);
     }
-  } else {
-    for (const PolicySet& ps : cfg_.extra_policies) {
-      os::Machine m2(mcfg);
-      core::Options o = eopts;
-      o.rules = ps.rules;
-      o.collect_metrics = false;
-      core::FarosEngine e2(m2.kernel(), o);
-      m2.attach_cpu_plugin(&e2);
-      m2.add_monitor(&e2);
-      if (auto b = m2.boot(); !b.ok())
-        return fail("policy replay boot: " + b.error().message);
-      if (auto s = sc->setup(m2); !s.ok())
-        return fail("policy replay setup: " + s.error().message);
-      m2.load_replay(rec.recording());
-      os::RunStats s2;
-      {
-        obs::ScopedTimer t(tsink, obs::Tmr::kReplay);
-        s2 = m2.run(budget, &dog);
-      }
-      if (s2.aborted) return stopped();
-      r.policy_runs.push_back(policy_run_of(ps.name, e2));
-    }
+    if (s2.aborted) return stopped();
+    r.policy_runs.push_back(policy_run_of(ps.name, e2));
+    clone_stats.push_back(m2.kernel().phys_mem().cow_stats());
   }
 
   r.status = JobStatus::kOk;
-  r.metrics = pipe ? pipe->metrics_snapshot() : engine.metrics_snapshot();
+  r.metrics = engine.metrics_snapshot();
   if (r.metrics.collected) {
     // The run_once-local sink carries the phase timers plus the static-
     // prefilter counters (the engine never touches those cells, so the
@@ -339,11 +302,13 @@ JobResult Farm::run_once(const JobSpec& spec, u32 attempt) const {
           bs.evict_cr3;
     }
     // COW clone stats are plain u64s on PhysMem, like the block cache.
-    // Both machines count: record and replay each boot one clone, and both
-    // fault streams are pure functions of the spec (the replay retires the
-    // identical instruction sequence), so the fold stays deterministic.
-    for (os::Machine* m : {&rec, &rep}) {
-      const vm::PhysMem::CowStats& cs = m->kernel().phys_mem().cow_stats();
+    // Every machine the job booted counts: record, replay and one replay
+    // per extra policy set. Each fault stream is a pure function of the
+    // spec (every replay retires the identical instruction sequence), so
+    // the fold stays deterministic.
+    clone_stats.push_back(rec.kernel().phys_mem().cow_stats());
+    clone_stats.push_back(rep.kernel().phys_mem().cow_stats());
+    for (const vm::PhysMem::CowStats& cs : clone_stats) {
       if (!cs.cow) continue;
       r.metrics.counters[static_cast<u32>(obs::Ctr::kSnapClone)] += 1;
       r.metrics.counters[static_cast<u32>(obs::Ctr::kCowFault)] +=

@@ -76,21 +76,10 @@ struct FarmConfig {
   /// The snapshot is captured lazily on the first job and shared read-only
   /// across workers.
   bool snapshot = true;
-  /// Run taint propagation on decoupled consumer threads (the event-trace
-  /// producer/consumer pipeline, core/pipeline.h) instead of inline in the
-  /// interpreter. Verdicts, per-rule eval counters, provenance stats and
-  /// graph artifacts are byte-identical either way — the async-vs-sync CI
-  /// gate pins this over the full corpus. Off (--sync-dift) keeps the
-  /// historical synchronous engine for A/B comparison.
-  bool async_dift = true;
-  /// Trace-ring slots per consumer (rounded up to a power of two by the
-  /// ring; 0 = vm::TraceRing::kDefaultCapacity). Small rings exercise
-  /// backpressure; the default trades ~1 MiB per consumer for slack.
-  size_t ring_capacity = 0;
   /// Record-once/analyze-many: extra rule sets evaluated against the same
-  /// replay. Async mode tees the one event trace to one consumer engine
-  /// per set; sync mode replays the recording once per set. Results land
-  /// in JobResult::policy_runs in this order.
+  /// recording. The job replays the recording once more per set, on its
+  /// own machine under its own engine. Results land in
+  /// JobResult::policy_runs in this order.
   std::vector<PolicySet> extra_policies;
   /// Engine options applied to every job's replay.
   core::Options engine_opts;

@@ -69,11 +69,10 @@ struct JobResult {
   std::string error;             // message for kError
 
   /// Record-once/analyze-many (FarmConfig::extra_policies): one extra
-  /// verdict per additional policy set evaluated against the same replay.
-  /// In async mode the event trace is teed to one consumer engine per set
-  /// (a single execution); in sync mode each set replays the recording
-  /// sequentially — the results are byte-identical, which the fan-out
-  /// equivalence test pins. Order follows FarmConfig::extra_policies.
+  /// verdict per additional policy set, each from its own replay of the
+  /// job's recording. Each matches a separate run with that set as the
+  /// primary ruleset, which the fan-out test pins. Order follows
+  /// FarmConfig::extra_policies.
   struct PolicyRun {
     std::string name;
     bool flagged = false;

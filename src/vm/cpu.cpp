@@ -81,7 +81,6 @@ StepInfo Interpreter::run(CpuState& cpu, const AddressSpace& as,
   // Kernel work (map/unmap/protect/process switch) happens between run()
   // calls; translations cached within one quantum are safe.
   flush_tlb();
-  if (hooks_) hooks_->on_run_begin();
   if (btc_) return run_blocks(cpu, as, max_insns);
   StepInfo info;
   for (u64 i = 0; i < max_insns; ++i) {

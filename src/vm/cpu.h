@@ -88,13 +88,6 @@ struct InsnEvent {
 class ExecHooks {
  public:
   virtual ~ExecHooks() = default;
-  /// A run() quantum is starting. Fired once per Interpreter::run call,
-  /// after the TLB flush and before any instruction executes. Everything
-  /// that happens between quanta — syscall service, monitor events, page
-  /// remaps, process lifecycle — is therefore fenced by this callback,
-  /// which is what lets the async pipeline invalidate its producer-side
-  /// caches at one well-defined point instead of per kernel event.
-  virtual void on_run_begin() {}
   /// A new basic block begins at `pc` in the space identified by `cr3`.
   virtual void on_block_begin(PAddr cr3, VAddr pc) {
     (void)cr3;

@@ -1,23 +1,15 @@
-// src/vm/tracer.cpp + src/vm/trace_ring.h: the execution tracer's
-// deterministic-replay property (two replays of one recording see
-// byte-identical event streams), plugin chaining, and the SPSC trace
-// ring's wrap / backpressure / drain behavior at tiny capacities.
+// src/vm/tracer.cpp: the execution tracer's deterministic-replay property
+// (two replays of one recording see byte-identical event streams) and
+// plugin chaining.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
-#include <thread>
-
 #include "attacks/scenarios.h"
-#include "vm/trace_ring.h"
 #include "vm/tracer.h"
 
 namespace faros {
 namespace {
 
-using vm::DiftEvent;
 using vm::Tracer;
-using vm::TraceRing;
 
 // --- Tracer: deterministic replay -----------------------------------------
 
@@ -94,145 +86,6 @@ TEST(TracerReplay, CapacityBoundsRingAndDumpDisassembles) {
   EXPECT_EQ(t.total(), 0u);
   EXPECT_EQ(t.blocks(), 0u);
   EXPECT_TRUE(t.entries().empty());
-}
-
-// --- TraceRing: wrap, backpressure, drain ----------------------------------
-
-DiftEvent insn_event(u64 index) {
-  DiftEvent e;
-  e.kind = DiftEvent::kInsn;
-  e.instr_index = index;
-  e.pc = static_cast<u32>(index * 8);
-  return e;
-}
-
-TEST(TraceRing8, CapacityRoundsUpToPowerOfTwoMinimumEight) {
-  EXPECT_EQ(TraceRing(0).capacity(), 8u);
-  EXPECT_EQ(TraceRing(8).capacity(), 8u);
-  EXPECT_EQ(TraceRing(9).capacity(), 16u);
-  EXPECT_EQ(TraceRing(16).capacity(), 16u);
-  EXPECT_EQ(TraceRing().capacity(), TraceRing::kDefaultCapacity);
-}
-
-TEST(TraceRing8, FifoOrderSurvivesWrapAround) {
-  TraceRing ring(8);
-  u64 next_push = 0, next_pop = 0;
-  // Fill, half-drain, refill — the ring wraps twice.
-  for (int round = 0; round < 3; ++round) {
-    while (next_push - next_pop < ring.capacity()) {
-      ring.push(insn_event(next_push++));
-    }
-    for (size_t i = 0; i < ring.capacity() / 2; ++i) {
-      const DiftEvent* e = ring.front();
-      ASSERT_NE(e, nullptr);
-      EXPECT_EQ(e->instr_index, next_pop);
-      EXPECT_EQ(e->pc, next_pop * 8);
-      ++next_pop;
-      ring.pop_front();
-    }
-  }
-  while (next_pop < next_push) {
-    const DiftEvent* e = ring.front();
-    ASSERT_NE(e, nullptr);
-    EXPECT_EQ(e->instr_index, next_pop++);
-    ring.pop_front();
-  }
-  EXPECT_EQ(ring.front(), nullptr);
-  EXPECT_EQ(ring.stats().records, next_push);
-  EXPECT_EQ(ring.stats().max_depth, ring.capacity());
-}
-
-// Producer floods a tiny ring while the consumer starts late and pops
-// one-by-one: exercises the full/empty edges, the producer stall path and
-// the cached-counter refresh on both sides.
-void backpressure_stress(size_t capacity) {
-  constexpr u64 kRecords = 20'000;
-  TraceRing ring(capacity);
-
-  std::thread producer([&] {
-    for (u64 i = 0; i < kRecords; ++i) ring.push(insn_event(i));
-    DiftEvent end;
-    end.kind = DiftEvent::kEnd;
-    ring.push(end);
-  });
-
-  // Let the producer hit a full ring before consuming anything.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-
-  u64 expect = 0;
-  bool in_order = true;
-  for (;;) {
-    const DiftEvent* e = ring.front_wait();
-    if (e->kind == DiftEvent::kEnd) { ring.pop_front(); break; }
-    in_order = in_order && e->instr_index == expect;
-    ++expect;
-    ring.pop_front();
-  }
-  producer.join();
-
-  EXPECT_TRUE(in_order);
-  EXPECT_EQ(expect, kRecords);
-  vm::TraceRingStats s = ring.stats();
-  EXPECT_EQ(s.records, kRecords + 1);
-  EXPECT_GT(s.producer_stalls, 0u);  // the 20 ms head start guarantees a stall
-  EXPECT_LE(s.max_depth, capacity);
-  EXPECT_EQ(s.max_depth, capacity);  // and the ring really did fill
-}
-
-TEST(TraceRingStress, BackpressureAtEightSlots) { backpressure_stress(8); }
-TEST(TraceRingStress, BackpressureAtSixteenSlots) { backpressure_stress(16); }
-
-TEST(TraceRingDrain, DrainReturnsOnlyAfterRecordsAreFullyProcessed) {
-  constexpr u64 kRecords = 1'000;
-  TraceRing ring(16);
-  std::atomic<u64> processed{0};
-  std::atomic<bool> stop{false};
-
-  std::thread consumer([&] {
-    while (!stop.load(std::memory_order_acquire)) {
-      const DiftEvent* e = ring.front();
-      if (!e) { std::this_thread::yield(); continue; }
-      // Side effects land *before* pop_front — the drain() contract.
-      processed.fetch_add(1, std::memory_order_release);
-      ring.pop_front();
-    }
-  });
-
-  for (u64 i = 0; i < kRecords; ++i) ring.push(insn_event(i));
-  ring.drain();
-  // drain() returned: every record is processed, none half-held.
-  EXPECT_EQ(processed.load(std::memory_order_acquire), kRecords);
-
-  // The ring is reusable after a drain.
-  ring.push(insn_event(kRecords));
-  ring.drain();
-  EXPECT_EQ(processed.load(std::memory_order_acquire), kRecords + 1);
-
-  stop.store(true, std::memory_order_release);
-  consumer.join();
-}
-
-TEST(TraceRingDescribe, KindNamesAndDumpsAreHumanReadable) {
-  EXPECT_STREQ(vm::dift_event_kind_name(DiftEvent::kInsn), "insn");
-  EXPECT_STREQ(vm::dift_event_kind_name(DiftEvent::kBulk), "bulk");
-  EXPECT_STREQ(vm::dift_event_kind_name(DiftEvent::kWindow), "window");
-  EXPECT_STREQ(vm::dift_event_kind_name(DiftEvent::kEnd), "end");
-  EXPECT_STREQ(vm::dift_event_kind_name(0xff), "?");
-
-  DiftEvent e = insn_event(7);
-  e.flags = DiftEvent::kHasMem | DiftEvent::kIsWrite;
-  e.mem_va = 0x1000;
-  e.mem_pa = 0x2000;
-  std::string d = vm::describe(e);
-  EXPECT_NE(d.find("insn"), std::string::npos);
-  EXPECT_NE(d.find("#7"), std::string::npos);
-  EXPECT_NE(d.find("st@"), std::string::npos);
-
-  DiftEvent bulk;
-  bulk.kind = DiftEvent::kBulk;
-  bulk.mem_pa = 4096;
-  bulk.imm = 12;
-  EXPECT_NE(vm::describe(bulk).find("insns=12"), std::string::npos);
 }
 
 }  // namespace

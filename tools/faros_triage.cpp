@@ -13,7 +13,6 @@
 //   faros_triage --policies a.json,b.json
 //                                        # record once, analyze under every
 //                                        # set (policy_runs JSONL field)
-//   faros_triage --sync-dift             # historical inline engine (A/B)
 //   faros_triage --list-policies         # print the effective ruleset JSON
 //   faros_triage --graph-out graphs/     # one .fpg provenance graph per job
 //
