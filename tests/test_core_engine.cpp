@@ -687,5 +687,79 @@ TEST_F(FindingTest, UnknownProcessCanBeWhitelistedBySentinel) {
   EXPECT_FALSE(engine_->flagged());
 }
 
+TEST_F(FindingTest, FindingResolvesEachProcessThroughOsi) {
+  // Process identity comes from the OSI query on the event's cr3: two live
+  // processes flagging the same va each carry their own pid, name and cr3.
+  Options opts = quiet_options();
+  opts.rules = {always_rule("strict")};
+  arm(opts);
+  os::Pid other = spawn_suspended("other.exe", [](ImageBuilder& ib) {
+    auto& a = ib.asm_();
+    a.label("_start");
+    end_spin(a);
+    scaffold_data(a);
+  });
+  os::Process* other_proc = machine_->kernel().find(other);
+  ASSERT_NE(other_proc, nullptr);
+  ASSERT_NE(other_proc->as.cr3(), proc_->as.cr3());
+
+  retire_tainted_load(proc_->as.cr3(), kUserImageBase);
+  retire_tainted_load(other_proc->as.cr3(), kUserImageBase);
+  const std::vector<Finding>& fs = engine_->findings();
+  ASSERT_EQ(fs.size(), 2u);
+  EXPECT_EQ(fs[0].proc.pid, pid_);
+  EXPECT_EQ(fs[0].proc.name, "victim.exe");
+  EXPECT_EQ(fs[0].proc.cr3, proc_->as.cr3());
+  EXPECT_EQ(fs[1].proc.pid, other);
+  EXPECT_EQ(fs[1].proc.name, "other.exe");
+  EXPECT_EQ(fs[1].proc.cr3, other_proc->as.cr3());
+}
+
+TEST_F(FindingTest, FindingRecordsSiteAndProvenanceFromInsnEvent) {
+  Options opts = quiet_options();
+  opts.rules = {always_rule("strict")};
+  arm(opts);
+  const VAddr pc = kUserImageBase + 4 * vm::kInsnSize;
+  retire_tainted_load(proc_->as.cr3(), pc);
+  ASSERT_EQ(engine_->findings().size(), 1u);
+  const Finding& f = engine_->findings()[0];
+  EXPECT_EQ(f.policy, "strict");
+  EXPECT_EQ(f.instr_index, instr_index_);
+  EXPECT_EQ(f.insn_va, pc);
+  EXPECT_EQ(f.insn_pa,
+            proc_->as.translate(pc, vm::AccessType::kExec, true).value());
+  EXPECT_EQ(f.target_va, src_);
+  EXPECT_EQ(f.disasm.rfind("ld32", 0), 0u) << f.disasm;
+  // Untainted code (images are not tainted here), netflow-tainted target.
+  EXPECT_EQ(f.fetch_prov, kEmptyProv);
+  EXPECT_NE(f.target_prov, kEmptyProv);
+  EXPECT_TRUE(engine_->store().contains_type(f.target_prov, TagType::kNetflow));
+}
+
+TEST_F(FindingTest, CodeWindowSnapshotsLiveBytesAtFindingTime) {
+  // The window is copied from the live address space when the finding is
+  // recorded, so a payload that later wipes itself leaves the analyst the
+  // bytes that actually ran.
+  Options opts = quiet_options();
+  opts.rules = {always_rule("strict")};
+  arm(opts);
+  const VAddr pc = kUserImageBase + 4 * vm::kInsnSize;
+  Bytes before(12 * vm::kInsnSize);
+  ASSERT_TRUE(proc_->as.copy_out(kUserImageBase, before, false).ok());
+
+  retire_tainted_load(proc_->as.cr3(), pc);
+  ASSERT_EQ(engine_->findings().size(), 1u);
+  const Finding& f = engine_->findings()[0];
+  EXPECT_EQ(f.code_base, kUserImageBase);
+  EXPECT_EQ(f.code_window, before);
+
+  Bytes wiped(before.size(), 0);
+  ASSERT_TRUE(proc_->as.copy_in(kUserImageBase, wiped, false).ok());
+  Bytes after(before.size());
+  ASSERT_TRUE(proc_->as.copy_out(kUserImageBase, after, false).ok());
+  EXPECT_EQ(after, wiped);
+  EXPECT_EQ(engine_->findings()[0].code_window, before);
+}
+
 }  // namespace
 }  // namespace faros::core
