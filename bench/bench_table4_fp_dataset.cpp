@@ -27,7 +27,7 @@ int run_battery(const std::vector<attacks::SampleSpec>& samples,
       ++*false_positives;
       ++failures;
     }
-    if (!run.replayed.stats.all_exited) ++failures;  // sample must finish
+    if (!run.recorded.stats.all_exited) ++failures;  // sample must finish
     std::printf("%-28s %-44s %s\n", s.name.c_str(), behaviours.c_str(),
                 run.flagged ? "YES (FP!)" : "no");
   }

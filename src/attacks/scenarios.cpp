@@ -56,24 +56,22 @@ Result<ReplayedRun> replay_run(Scenario& sc, const vm::ReplayLog& log,
 
 Result<AnalyzedRun> analyze(Scenario& sc, const core::Options& opts,
                             const os::MachineConfig& cfg) {
-  auto rec = record_run(sc, cfg);
-  if (!rec.ok()) return Err<AnalyzedRun>(rec.error().message);
-
   os::Machine m(cfg);
   core::FarosEngine engine(m.kernel(), opts);
   m.attach_cpu_plugin(&engine);
   m.add_monitor(&engine);
   auto r = m.boot();
   if (!r.ok()) return Err<AnalyzedRun>(r.error().message);
+  auto source = sc.make_source();
+  if (source) m.set_event_source(source.get());
   r = sc.setup(m);
   if (!r.ok()) return Err<AnalyzedRun>(r.error().message);
-  m.load_replay(rec.value().log);
 
   AnalyzedRun out;
-  out.recorded = std::move(rec).take();
-  out.replayed.stats = m.run(sc.budget());
-  out.replayed.console = m.kernel().console();
-  out.replayed.traps = m.kernel().trap_log();
+  out.recorded.stats = m.run(sc.budget());
+  out.recorded.log = m.recording();
+  out.recorded.console = m.kernel().console();
+  out.recorded.traps = m.kernel().trap_log();
   out.findings = engine.findings();
   out.flagged = engine.flagged();
   out.report = engine.report();

@@ -1,6 +1,8 @@
-// Scenario catalogue + the record/replay analysis harness (the paper's
-// Section V-C usage workflow: record the malware run live, then replay it
-// under the FAROS plugin).
+// Scenario catalogue + the analysis harness. The paper's Section V-C
+// workflow records the malware run live and replays it under the FAROS
+// plugin; here analyze() attaches FAROS to the live run itself and keeps
+// the ReplayLog it records, and record_run()/replay_run() remain for
+// replaying a log under further analyses (DESIGN.md §1 deviations).
 //
 // A Scenario installs guest images into the VFS, spawns the initial
 // processes, preloads device input, and supplies the scripted remote peer.
@@ -55,10 +57,11 @@ Result<ReplayedRun> replay_run(Scenario& sc, const vm::ReplayLog& log,
                                const std::vector<osi::GuestMonitor*>& monitors,
                                const os::MachineConfig& cfg = {});
 
-/// record + replay-under-FAROS in one step.
+/// One live run under FAROS. `recorded` holds that run's log, stats,
+/// console and traps; replaying the log under a fresh engine reproduces
+/// the analysis (the live-vs-replay oracle test pins this).
 struct AnalyzedRun {
   RecordedRun recorded;
-  ReplayedRun replayed;
   std::vector<core::Finding> findings;       // all, including whitelisted
   bool flagged = false;                      // any non-whitelisted finding
   std::string report;                        // Table II-style text

@@ -72,7 +72,7 @@ double percentile(std::vector<double>& sorted, double p) {
   return sorted[idx];
 }
 
-/// Extra-policy verdict summary from the engine that evaluated the set.
+/// Verdict summary from the engine that evaluated one policy set.
 JobResult::PolicyRun policy_run_of(const std::string& name,
                                    const core::FarosEngine& e) {
   JobResult::PolicyRun pr;
@@ -157,8 +157,8 @@ JobResult Farm::run_once(const JobSpec& spec, u32 attempt) const {
     return r;
   };
 
-  // Phase timers live in a run_once-local sink (the engine does not exist
-  // during the record phase); null when metrics are off so no clock is read.
+  // Phase timers live in a run_once-local sink (the static pass runs before
+  // the engine exists); null when metrics are off so no clock is read.
   obs::MetricSink timers;
   obs::MetricSink* tsink =
       cfg_.engine_opts.collect_metrics ? &timers : nullptr;
@@ -218,41 +218,26 @@ JobResult Farm::run_once(const JobSpec& spec, u32 attempt) const {
     }
   }
 
-  // --- record (live run, no analysis plugins) ---
-  os::Machine rec(mcfg);
-  if (auto b = rec.boot(); !b.ok()) return fail("boot: " + b.error().message);
+  // --- live run under the FAROS engine (it also records the ReplayLog) ---
+  os::Machine m(mcfg);
+  core::FarosEngine engine(m.kernel(), eopts);
+  m.attach_cpu_plugin(&engine);
+  m.add_monitor(&engine);
+  if (auto b = m.boot(); !b.ok()) return fail("boot: " + b.error().message);
   auto source = sc->make_source();
-  if (source) rec.set_event_source(source.get());
-  if (auto s = sc->setup(rec); !s.ok())
+  if (source) m.set_event_source(source.get());
+  if (auto s = sc->setup(m); !s.ok())
     return fail("setup: " + s.error().message);
-  os::RunStats rec_stats;
+  os::RunStats stats;
   {
     obs::ScopedTimer t(tsink, obs::Tmr::kRecord);
-    rec_stats = rec.run(budget, &dog);
+    stats = m.run(budget, &dog);
   }
-  if (rec_stats.aborted) return stopped();
-  r.record_instructions = rec_stats.instructions;
+  if (stats.aborted) return stopped();
 
-  // --- replay under the FAROS engine ---
-  os::Machine rep(mcfg);
-  core::FarosEngine engine(rep.kernel(), eopts);
-  rep.attach_cpu_plugin(&engine);
-  rep.add_monitor(&engine);
-  if (auto b = rep.boot(); !b.ok())
-    return fail("replay boot: " + b.error().message);
-  if (auto s = sc->setup(rep); !s.ok())
-    return fail("replay setup: " + s.error().message);
-  rep.load_replay(rec.recording());
-  os::RunStats rep_stats;
-  {
-    obs::ScopedTimer t(tsink, obs::Tmr::kReplay);
-    rep_stats = rep.run(budget, &dog);
-  }
-  if (rep_stats.aborted) return stopped();
-
-  // Record-once/analyze-many: replay the same recording once per extra
-  // policy set, each on its own machine under its own engine. Their COW
-  // stats are kept for the metrics fold below.
+  // Record-once/analyze-many: replay the live run's recording once per
+  // extra policy set, each on its own machine under its own engine. Their
+  // COW stats are kept for the metrics fold below.
   std::vector<vm::PhysMem::CowStats> clone_stats;
   for (const PolicySet& ps : cfg_.extra_policies) {
     os::Machine m2(mcfg);
@@ -266,7 +251,7 @@ JobResult Farm::run_once(const JobSpec& spec, u32 attempt) const {
       return fail("policy replay boot: " + b.error().message);
     if (auto s = sc->setup(m2); !s.ok())
       return fail("policy replay setup: " + s.error().message);
-    m2.load_replay(rec.recording());
+    m2.load_replay(m.recording());
     os::RunStats s2;
     {
       obs::ScopedTimer t(tsink, obs::Tmr::kReplay);
@@ -288,10 +273,10 @@ JobResult Farm::run_once(const JobSpec& spec, u32 attempt) const {
     for (u32 i = 0; i < obs::kCtrCount; ++i) {
       r.metrics.counters[i] += local.counters[i];
     }
-    // The block cache lives in the replay interpreter (src/vm keeps no obs
-    // dependency, so its stats are plain u64s surfaced here). Counting only
-    // the replay machine keeps these deterministic per job.
-    if (const vm::BlockCache* btc = rep.kernel().interp().block_cache()) {
+    // The block cache lives in the analyzed machine's interpreter (src/vm
+    // keeps no obs dependency, so its stats are plain u64s surfaced here).
+    // Counting only that machine keeps these deterministic per job.
+    if (const vm::BlockCache* btc = m.kernel().interp().block_cache()) {
       const vm::BlockCacheStats& bs = btc->stats();
       r.metrics.counters[static_cast<u32>(obs::Ctr::kBtTranslate)] +=
           bs.translated;
@@ -302,12 +287,11 @@ JobResult Farm::run_once(const JobSpec& spec, u32 attempt) const {
           bs.evict_cr3;
     }
     // COW clone stats are plain u64s on PhysMem, like the block cache.
-    // Every machine the job booted counts: record, replay and one replay
-    // per extra policy set. Each fault stream is a pure function of the
-    // spec (every replay retires the identical instruction sequence), so
-    // the fold stays deterministic.
-    clone_stats.push_back(rec.kernel().phys_mem().cow_stats());
-    clone_stats.push_back(rep.kernel().phys_mem().cow_stats());
+    // Every machine the job booted counts: the live run plus one replay per
+    // extra policy set (snap_clone = 1 + N). Each fault stream is a pure
+    // function of the spec (replays retire the live run's instructions),
+    // so the fold stays deterministic.
+    clone_stats.push_back(m.kernel().phys_mem().cow_stats());
     for (const vm::PhysMem::CowStats& cs : clone_stats) {
       if (!cs.cow) continue;
       r.metrics.counters[static_cast<u32>(obs::Ctr::kSnapClone)] += 1;
@@ -317,19 +301,15 @@ JobResult Farm::run_once(const JobSpec& spec, u32 attempt) const {
           cs.shared_frames;
     }
   }
-  r.replay_instructions = rep_stats.instructions;
-  r.all_exited = rep_stats.all_exited;
-  r.budget_exhausted = !rep_stats.all_exited && !rep_stats.deadlocked &&
-                       rep_stats.instructions >= budget;
-  r.flagged = engine.flagged();
-  r.findings = static_cast<u32>(engine.findings().size());
-  for (const auto& f : engine.findings()) {
-    if (f.whitelisted) ++r.suppressed;
-    r.policies.push_back(f.policy);
-  }
-  std::sort(r.policies.begin(), r.policies.end());
-  r.policies.erase(std::unique(r.policies.begin(), r.policies.end()),
-                   r.policies.end());
+  r.instructions = stats.instructions;
+  r.all_exited = stats.all_exited;
+  r.budget_exhausted = !stats.all_exited && !stats.deadlocked &&
+                       stats.instructions >= budget;
+  JobResult::PolicyRun primary = policy_run_of("", engine);
+  r.flagged = primary.flagged;
+  r.findings = primary.findings;
+  r.suppressed = primary.suppressed;
+  r.policies = std::move(primary.policies);
   r.prov_lists = engine.store().size();
   r.tainted_bytes = engine.shadow().tainted_bytes();
   const core::RuleEngine& re = engine.rule_engine();
@@ -339,9 +319,9 @@ JobResult Farm::run_once(const JobSpec& spec, u32 attempt) const {
                        re.rule_stats(i).hits});
   }
 
-  // --- provenance graph export (engine + replay kernel still alive) ---
+  // --- provenance graph export (engine + analyzed kernel still alive) ---
   if (!cfg_.graph_out.empty()) {
-    graph::ProvGraph pg = graph::build_graph(engine, rep.kernel());
+    graph::ProvGraph pg = graph::build_graph(engine, m.kernel());
     Bytes blob = graph::serialize(pg);
     std::error_code ec;
     std::filesystem::create_directories(cfg_.graph_out, ec);
@@ -367,8 +347,8 @@ JobResult Farm::run_job(const JobSpec& spec) const {
   // timeouts would time out again and cancellations must stay cancelled.
   //
   // Retry hygiene (audited for --metrics determinism): every attempt is a
-  // whole-cloth re-run — run_once builds a fresh JobResult, fresh record/
-  // replay machines, a fresh engine and a fresh local timer sink, and the
+  // whole-cloth re-run — run_once builds a fresh JobResult, fresh
+  // machines, a fresh engine and a fresh local timer sink, and the
   // assignment below discards the aborted attempt's object entirely. No
   // counter or timer from a failed attempt can leak into the result the
   // farm emits; only `retries` (set here) and wall_ms (deliberately wall-
@@ -466,7 +446,7 @@ TriageReport Farm::run(std::vector<JobSpec> jobs) {
       case JobStatus::kTimeout: ++m.timeouts; break;
       case JobStatus::kCancelled: ++m.cancelled; break;
     }
-    m.instructions += r.record_instructions + r.replay_instructions;
+    m.instructions += r.instructions;
     if (r.sa_analyzed) {
       ++m.sa_analyzed;
       if (r.sa_flagged) ++m.sa_flagged;

@@ -38,8 +38,8 @@ struct JobSpec {
 /// What terminated the job. `kOk` covers both clean and flagged runs —
 /// detection verdicts live in JobResult::flagged, not the status.
 enum class JobStatus {
-  kOk,         // record + replay completed within budget and deadline
-  kError,      // harness error (boot/setup/record failure), after retries
+  kOk,         // every run completed within budget and deadline
+  kError,      // harness error (boot/setup failure), after retries
   kTimeout,    // wall-clock deadline hit; partial run discarded
   kCancelled,  // farm shut down before/while the job ran
 };
@@ -59,8 +59,7 @@ struct JobResult {
   std::vector<std::string> policies;  // sorted unique policy names that fired
   u32 findings = 0;                   // all findings, incl. whitelisted
   u32 suppressed = 0;                 // whitelisted findings
-  u64 record_instructions = 0;
-  u64 replay_instructions = 0;
+  u64 instructions = 0;          // retired by the analyzed live run
   bool all_exited = false;       // every guest process terminated
   bool budget_exhausted = false; // hit the instruction budget still running
   size_t prov_lists = 0;
@@ -70,7 +69,7 @@ struct JobResult {
 
   /// Record-once/analyze-many (FarmConfig::extra_policies): one extra
   /// verdict per additional policy set, each from its own replay of the
-  /// job's recording. Each matches a separate run with that set as the
+  /// live run's recording. Each matches a separate run with that set as the
   /// primary ruleset, which the fan-out test pins. Order follows
   /// FarmConfig::extra_policies.
   struct PolicyRun {
@@ -82,7 +81,7 @@ struct JobResult {
   };
   std::vector<PolicyRun> policy_runs;
 
-  /// Per-rule evaluation/hit counts from the replay engine's RuleEngine,
+  /// Per-rule evaluation/hit counts from the primary engine's RuleEngine,
   /// in engine rule order (deterministic given the spec + ruleset, and
   /// identical whether the rules came from the built-ins or a policy file
   /// — the property the CI byte-diff pins).
@@ -96,7 +95,7 @@ struct JobResult {
   // --- static prefilter (FarmConfig::static_prefilter; deterministic) ---
   // Filled by the zero-execution sa::analyze pass over the job's extracted
   // images. The static verdict is an analyst oracle next to the dynamic
-  // one: it never gates or alters record/replay.
+  // one: it never gates or alters the dynamic run.
   bool sa_analyzed = false;
   bool sa_flagged = false;      // risk >= sa::kStaticRiskThreshold
   u32 sa_images = 0;            // SX32 images extracted and analyzed
@@ -116,8 +115,8 @@ struct JobResult {
   u64 graph_bytes = 0;  // serialized .fpg size
 
   // --- observability (counters deterministic; timers wall-clock) ---
-  // Engine counter snapshot for the replay (collected=false when the
-  // engine ran without metrics or the job never reached the replay).
+  // Engine counter snapshot for the analyzed live run (collected=false
+  // when the engine ran without metrics or the job did not complete).
   // Counters are a pure function of the spec; timer_ns is not and stays
   // out of the deterministic JSONL, like wall_ms.
   obs::MetricSnapshot metrics;

@@ -65,8 +65,9 @@ std::string job_jsonl(const JobResult& r) {
       .field("findings", r.findings)
       .field("suppressed", r.suppressed)
       .raw_field("policies", policies_json(r.policies))
-      .field("record_insns", r.record_instructions)
-      .field("replay_insns", r.replay_instructions)
+      // Both keys carry the one live run (kept for stream compatibility).
+      .field("record_insns", r.instructions)
+      .field("replay_insns", r.instructions)
       .field("all_exited", r.all_exited)
       .field("budget_exhausted", r.budget_exhausted)
       .field("prov_lists", static_cast<u64>(r.prov_lists))

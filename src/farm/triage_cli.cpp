@@ -1,8 +1,9 @@
 #include "farm/triage_cli.h"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <limits>
 
 #include "core/rules.h"
 
@@ -63,13 +64,13 @@ constexpr BoolFlag kBoolFlags[] = {
      [](const TriageCliOptions& o) { return o.quiet; }},
 };
 
+/// Decimal digits only. from_chars rejects what strtoull would let
+/// through: a sign ("-1" wrapping to 2^64-1), leading whitespace, and
+/// overflow.
 bool parse_u64(const std::string& s, u64* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (!end || *end != '\0') return false;
-  *out = v;
-  return true;
+  const char* end = s.data() + s.size();
+  auto [p, ec] = std::from_chars(s.data(), end, *out);
+  return ec == std::errc() && p == end;
 }
 
 std::vector<std::string> split_csv(const std::string& s) {
@@ -124,7 +125,14 @@ TriageCliResult parse_triage_cli(const std::vector<std::string>& args) {
     if (arg == "--help" || arg == "-h") { o.help = true; continue; }
     if (arg == "--list") { o.list_only = true; continue; }
     if (arg == "--list-policies") { o.list_policies = true; continue; }
-    if (arg == "--workers") { next_u64(&workers); continue; }
+    if (arg == "--workers") {
+      next_u64(&workers);
+      // Truncating to u32 would turn 2^32 into 0 (= hardware threads).
+      if (r.ok() && workers > std::numeric_limits<u32>::max()) {
+        r.error = "--workers is out of range";
+      }
+      continue;
+    }
     if (arg == "--jobs") { next_u64(&o.max_jobs); continue; }
     if (arg == "--timeout-ms") { next_u64(&o.farm.timeout_ms); continue; }
     if (arg == "--budget") { next_u64(&o.budget); continue; }

@@ -127,8 +127,8 @@ const char* ctr_name(Ctr c);
 
 /// Timer taxonomy (wall-clock accumulators; nondeterministic by nature).
 enum class Tmr : u32 {
-  kRecord = 0,  // live record phase of a farm job
-  kReplay,      // replay-under-FAROS phase of a farm job
+  kRecord = 0,  // analyzed live run of a farm job (it also records)
+  kReplay,      // extra-policy replays of a farm job's recording
   kStatic,      // static-prefilter phase (image extraction + sa::analyze)
   kCount,
 };

@@ -1,12 +1,15 @@
 // Machine: the whole sandbox VM — kernel + scheduler driver + record/replay.
 //
-// Usage mirrors the paper's Section V-C workflow:
-//   1. RECORD: boot a machine, attach an EventSource (the scripted attacker
+// Two run modes, either one with or without plugins attached:
+//   * RECORD: boot a machine, attach an EventSource (the scripted attacker
 //      C2 / device input), run the workload. All nondeterministic inputs
-//      are captured in a ReplayLog.
-//   2. REPLAY: boot an identical machine, load the log, attach the FAROS
-//      plugin (vm::ExecHooks + osi::GuestMonitor), run. Execution is
-//      bit-identical, and the expensive taint analysis happens here.
+//      are captured in a ReplayLog. The farm and attacks::analyze() attach
+//      the FAROS plugin (vm::ExecHooks + osi::GuestMonitor) before boot, so
+//      the live run is analyzed while it records.
+//   * REPLAY: boot an identical machine, load the log, run. Execution is
+//      bit-identical to the recorded run; the farm replays once per extra
+//      policy set, and the paper's offline Section V-C workflow (record
+//      bare, analyze on replay) remains available.
 #pragma once
 
 #include <memory>

@@ -15,9 +15,10 @@
 // Determinism contract: boot executes no guest instructions and the only
 // monitor events it publishes are one on_module_loaded per runtime module,
 // in load order. boot-from-snapshot re-publishes exactly that sequence, so
-// an engine attached before boot() (the farm's replay setup) reconstructs
-// the identical shadow/provenance base state — export-table tags and all —
-// and every downstream verdict is byte-identical to a cold boot. The CI
+// an engine attached before boot() (how the farm sets up its analyzed live
+// run and every extra-policy replay) reconstructs the identical
+// shadow/provenance base state — export-table tags and all — and every
+// downstream verdict is byte-identical to a cold boot. The CI
 // snapshot-equivalence gate pins this over the full corpus.
 #pragma once
 

@@ -105,7 +105,7 @@ TEST(AtomBombing, FlaggedWithFullChainAndNoCrossProcessWrite) {
   const auto& r = run.value();
 
   bool announced = false;
-  for (const auto& line : r.replayed.console) {
+  for (const auto& line : r.recorded.console) {
     if (line.find("atom-bombed payload in winlogon.exe") !=
         std::string::npos) {
       announced = true;

@@ -121,7 +121,7 @@ TEST(DropperChain, ProvenanceSurvivesDiskRoundTrip) {
 
   // Stage 2 actually ran.
   bool announced = false;
-  for (const auto& line : r.replayed.console) {
+  for (const auto& line : r.recorded.console) {
     if (line.find("stage two alive!") != std::string::npos) announced = true;
   }
   EXPECT_TRUE(announced);

@@ -480,9 +480,10 @@ TEST(Farm, MultiPolicyFanOutMatchesSeparateRuns) {
 }
 
 TEST(Farm, ExtraPolicyReplaysCountTheirClones) {
-  // Every machine a job boots from the snapshot is counted: record,
-  // replay, and the re-replay per extra policy set. The fold stays a pure
-  // function of the spec, so the metrics stream is worker-count invariant.
+  // Every machine a job boots from the snapshot is counted: the analyzed
+  // live run and one replay per extra policy set, so 1 + N clones. The
+  // fold stays a pure function of the spec, so the metrics stream is
+  // worker-count invariant.
   auto jobs = corpus_jobs(attacks::injection_corpus());
   jobs.resize(4);
   auto run = [&](u32 workers, bool extra) {
@@ -502,8 +503,8 @@ TEST(Farm, ExtraPolicyReplaysCountTheirClones) {
   for (size_t i = 0; i < fan1.results.size(); ++i) {
     const obs::MetricSnapshot& m = fan1.results[i].metrics;
     ASSERT_TRUE(m.collected);
-    EXPECT_EQ(m[obs::Ctr::kSnapClone], 3u) << fan1.results[i].name;
-    EXPECT_EQ(plain.results[i].metrics[obs::Ctr::kSnapClone], 2u);
+    EXPECT_EQ(m[obs::Ctr::kSnapClone], 2u) << fan1.results[i].name;
+    EXPECT_EQ(plain.results[i].metrics[obs::Ctr::kSnapClone], 1u);
     EXPECT_GT(m[obs::Ctr::kCowFault],
               plain.results[i].metrics[obs::Ctr::kCowFault]);
   }
@@ -657,6 +658,22 @@ TEST(TriageCli, PairedFlagsParseAndRoundTrip) {
   EXPECT_FALSE(parse_triage_cli({"--workers"}).ok());
   EXPECT_FALSE(parse_triage_cli({"--workers", "many"}).ok());
   EXPECT_FALSE(parse_triage_cli({"--filter"}).ok());
+
+  // Numbers are plain decimal digits: no sign, no whitespace, no overflow,
+  // and --workers must fit the u32 it is stored in.
+  for (const char* bad : {"-1", "+3", " 7", "7 ", "", "0x10",
+                          "18446744073709551616", "4294967296"}) {
+    EXPECT_FALSE(parse_triage_cli({"--workers", bad}).ok()) << bad;
+  }
+  EXPECT_FALSE(parse_triage_cli({"--budget", "-5"}).ok());
+  EXPECT_FALSE(
+      parse_triage_cli({"--timeout-ms", "99999999999999999999"}).ok());
+  farm::TriageCliResult max_workers =
+      parse_triage_cli({"--workers", "4294967295", "--budget",
+                        "18446744073709551615"});
+  ASSERT_TRUE(max_workers.ok()) << max_workers.error;
+  EXPECT_EQ(max_workers.opts.farm.workers, 4294967295u);
+  EXPECT_EQ(max_workers.opts.budget, 18446744073709551615ull);
 
   // The grouped help names every paired feature.
   std::string usage = farm::triage_usage();

@@ -28,7 +28,7 @@ TEST(ReflectiveDllInjection, MeterpreterVariantIsFlagged) {
   const AnalyzedRun& r = run.value();
 
   // The injection actually happened: the victim popped the message.
-  EXPECT_TRUE(console_contains(r.replayed.console,
+  EXPECT_TRUE(console_contains(r.recorded.console,
                                "reflective payload in notepad.exe"))
       << "console:\n";
   EXPECT_TRUE(r.flagged) << r.report;
@@ -51,7 +51,7 @@ TEST(ReflectiveDllInjection, ReverseTcpDnsSelfInjectionIsFlagged) {
   auto run = attacks::analyze(sc);
   ASSERT_TRUE(run.ok()) << run.error().message;
   EXPECT_TRUE(run.value().flagged) << run.value().report;
-  EXPECT_TRUE(console_contains(run.value().replayed.console,
+  EXPECT_TRUE(console_contains(run.value().recorded.console,
                                "reflective payload in inject_client.exe"));
   EXPECT_TRUE(run.value().recorded.traps.empty())
       << run.value().recorded.traps[0];
@@ -74,7 +74,7 @@ TEST(ProcessHollowing, IsFlaggedViaCrossProcessPolicy) {
   auto run = attacks::analyze(sc);
   ASSERT_TRUE(run.ok()) << run.error().message;
   EXPECT_TRUE(run.value().flagged) << run.value().report;
-  EXPECT_TRUE(console_contains(run.value().replayed.console,
+  EXPECT_TRUE(console_contains(run.value().recorded.console,
                                "svchost hollowed"));
   bool cross_policy_in_svchost = false;
   for (const auto& f : run.value().findings) {
@@ -99,7 +99,7 @@ TEST(CodeInjection, DarkCometAnalogueIsFlagged) {
   }
   EXPECT_TRUE(in_explorer);
   // The RAT also exercised the benign command paths.
-  EXPECT_TRUE(console_contains(run.value().replayed.console, "helper done"));
+  EXPECT_TRUE(console_contains(run.value().recorded.console, "helper done"));
 }
 
 TEST(Workloads, BenignBehaviorSampleIsNotFlagged) {
@@ -112,7 +112,7 @@ TEST(Workloads, BenignBehaviorSampleIsNotFlagged) {
   EXPECT_FALSE(run.value().flagged) << run.value().report;
   EXPECT_TRUE(run.value().recorded.traps.empty())
       << run.value().recorded.traps[0];
-  EXPECT_TRUE(run.value().replayed.stats.all_exited);
+  EXPECT_TRUE(run.value().recorded.stats.all_exited);
 }
 
 TEST(Workloads, LinkingJitWorkloadIsAFalsePositive) {

@@ -66,7 +66,7 @@ TEST(IpcRelay, ProvenanceSurvivesTheRelayAndAttackIsFlagged) {
 
   // The relayed payload actually ran in the backend.
   bool announced = false;
-  for (const auto& line : r.replayed.console) {
+  for (const auto& line : r.recorded.console) {
     if (line.find("relayed payload in backend.exe") != std::string::npos) {
       announced = true;
     }

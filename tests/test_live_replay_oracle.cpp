@@ -1,0 +1,219 @@
+// Live-vs-replay oracle: the farm and attacks::analyze() run FAROS on the
+// live run while it records. Replaying that run's log on a fresh machine
+// under a fresh engine with the same options must reproduce the analysis
+// exactly — findings, per-rule counts, provenance state, counters and the
+// exported graph bytes. This pins that attaching the engine never perturbs
+// the guest, for every job of the full and policy corpora.
+#include <gtest/gtest.h>
+
+#include <memory>
+#include <ostream>
+#include <string>
+#include <vector>
+
+#include "attacks/corpus.h"
+#include "attacks/scenarios.h"
+#include "core/engine.h"
+#include "core/rules.h"
+#include "graph/graph.h"
+#include "os/machine.h"
+#include "os/snapshot.h"
+#include "sa/analyzer.h"
+#include "vm/btcache.h"
+
+namespace faros {
+namespace {
+
+struct OracleJob {
+  attacks::CorpusEntry entry;
+  bool policy_rules = false;  // policy corpus: run under multistage rules
+};
+
+// Test names and GetParam() printouts show the job name, not the bytes.
+void PrintTo(const OracleJob& job, std::ostream* os) { *os << job.entry.name; }
+
+std::vector<OracleJob> oracle_jobs() {
+  std::vector<OracleJob> out;
+  for (auto& e : attacks::full_corpus()) out.push_back({std::move(e), false});
+  for (auto& e : attacks::policy_corpus()) out.push_back({std::move(e), true});
+  return out;
+}
+
+/// policies/multistage.json: the two built-in confluences plus the
+/// config-only multi-stage-c2 rule the policy corpus is scored against.
+std::vector<core::RuleSpec> multistage_rules() {
+  auto rules = core::parse_ruleset_json(R"({"rules":[
+    {"id":"netflow-export-confluence","trigger":"tainted-load","action":"flag",
+     "when":["target has-type:export-table","fetch has-type:netflow"]},
+    {"id":"cross-process-export-confluence","trigger":"tainted-load",
+     "action":"flag",
+     "when":["target has-type:export-table","fetch process-count>=2"]},
+    {"id":"multi-stage-c2","trigger":"tainted-load","action":"flag",
+     "when":["fetch distinct-netflows>=2"]}]})");
+  EXPECT_TRUE(rules.ok()) << rules.error().message;
+  return rules.ok() ? std::move(rules).take() : std::vector<core::RuleSpec>{};
+}
+
+/// Snapshot-cloned machines, as the farm runs them (captured once).
+const os::MachineConfig& machine_config() {
+  static const os::MachineConfig cfg = [] {
+    os::MachineConfig c;
+    auto snap = os::capture_snapshot(c.kernel);
+    EXPECT_TRUE(snap.ok()) << snap.error().message;
+    if (snap.ok()) c.kernel.snapshot = snap.value();
+    return c;
+  }();
+  return cfg;
+}
+
+/// The job's engine options as the farm builds them by default, summary
+/// elide hints from the static analyzer included.
+core::Options job_options(attacks::Scenario& sc, const std::string& name,
+                          const os::MachineConfig& mcfg) {
+  core::Options o;
+  auto extracted = attacks::extract_images(sc, mcfg);
+  EXPECT_TRUE(extracted.ok()) << extracted.error().message;
+  if (!extracted.ok()) return o;
+  std::vector<os::Image> images;
+  for (auto& e : extracted.value()) images.push_back(std::move(e.image));
+  sa::ProgramReport rep = sa::analyze_images(name, images);
+  for (const sa::ImageReport& ir : rep.per_image) {
+    for (const sa::ElideHint& h : ir.elide_hints) {
+      o.elide_hints[h.va].emplace_back(h.insns, h.hash);
+    }
+  }
+  return o;
+}
+
+/// One analyzed run: the machine and engine stay alive for the comparison.
+struct Analyzed {
+  std::unique_ptr<os::Machine> machine;
+  std::unique_ptr<core::FarosEngine> engine;  // destroyed before machine
+  os::RunStats stats;
+};
+
+/// Runs the scenario under a fresh engine: live from its event source when
+/// `log` is null, else replaying `log`.
+Analyzed run_analyzed(attacks::Scenario& sc, const core::Options& opts,
+                     const vm::ReplayLog* log) {
+  Analyzed a;
+  a.machine = std::make_unique<os::Machine>(machine_config());
+  a.engine =
+      std::make_unique<core::FarosEngine>(a.machine->kernel(), opts);
+  a.machine->attach_cpu_plugin(a.engine.get());
+  a.machine->add_monitor(a.engine.get());
+  auto b = a.machine->boot();
+  EXPECT_TRUE(b.ok()) << b.error().message;
+  std::unique_ptr<os::EventSource> source = log ? nullptr : sc.make_source();
+  if (source) a.machine->set_event_source(source.get());
+  auto s = sc.setup(*a.machine);
+  EXPECT_TRUE(s.ok()) << s.error().message;
+  if (log) a.machine->load_replay(*log);
+  a.stats = a.machine->run(sc.budget());
+  return a;
+}
+
+class LiveReplayOracle : public ::testing::TestWithParam<OracleJob> {};
+
+TEST_P(LiveReplayOracle, ReplayReproducesLiveAnalysis) {
+  const OracleJob& job = GetParam();
+  std::unique_ptr<attacks::Scenario> sc = job.entry.make();
+  ASSERT_TRUE(sc);
+  const os::MachineConfig& mcfg = machine_config();
+  core::Options opts = job_options(*sc, job.entry.name, mcfg);
+  if (job.policy_rules) opts.rules = multistage_rules();
+
+  Analyzed live = run_analyzed(*sc, opts, nullptr);
+  const vm::ReplayLog log = live.machine->recording();
+  Analyzed replay = run_analyzed(*sc, opts, &log);
+  const core::FarosEngine& le = *live.engine;
+  const core::FarosEngine& re = *replay.engine;
+
+  // The guest ran the same course.
+  EXPECT_EQ(live.stats.instructions, replay.stats.instructions);
+  EXPECT_EQ(live.stats.all_exited, replay.stats.all_exited);
+  EXPECT_EQ(live.machine->kernel().console(),
+            replay.machine->kernel().console());
+  EXPECT_EQ(live.machine->kernel().trap_log(),
+            replay.machine->kernel().trap_log());
+
+  // Findings, field by field, and the verdict.
+  EXPECT_EQ(le.flagged(), job.entry.expect_flagged);
+  EXPECT_EQ(le.flagged(), re.flagged());
+  ASSERT_EQ(le.findings().size(), re.findings().size());
+  for (size_t i = 0; i < le.findings().size(); ++i) {
+    const core::Finding& a = le.findings()[i];
+    const core::Finding& b = re.findings()[i];
+    SCOPED_TRACE("finding " + std::to_string(i));
+    EXPECT_EQ(a.policy, b.policy);
+    EXPECT_EQ(a.instr_index, b.instr_index);
+    EXPECT_EQ(a.proc.pid, b.proc.pid);
+    EXPECT_EQ(a.proc.cr3, b.proc.cr3);
+    EXPECT_EQ(a.proc.name, b.proc.name);
+    EXPECT_EQ(a.insn_va, b.insn_va);
+    EXPECT_EQ(a.insn_pa, b.insn_pa);
+    EXPECT_EQ(a.disasm, b.disasm);
+    EXPECT_EQ(a.target_va, b.target_va);
+    EXPECT_EQ(a.fetch_prov, b.fetch_prov);
+    EXPECT_EQ(a.target_prov, b.target_prov);
+    EXPECT_EQ(a.whitelisted, b.whitelisted);
+    EXPECT_EQ(a.warn_only, b.warn_only);
+    EXPECT_EQ(a.code_base, b.code_base);
+    EXPECT_EQ(a.code_window, b.code_window);
+  }
+  EXPECT_EQ(le.report(), re.report());
+
+  // Per-rule evaluations and hits.
+  const core::RuleEngine& lr = le.rule_engine();
+  const core::RuleEngine& rr = re.rule_engine();
+  ASSERT_EQ(lr.rule_count(), rr.rule_count());
+  for (u32 i = 0; i < lr.rule_count(); ++i) {
+    EXPECT_EQ(lr.rule_id(i), rr.rule_id(i));
+    SCOPED_TRACE(lr.rule_id(i));
+    EXPECT_EQ(lr.rule_stats(i).evals, rr.rule_stats(i).evals);
+    EXPECT_EQ(lr.rule_stats(i).hits, rr.rule_stats(i).hits);
+  }
+
+  // Provenance state.
+  EXPECT_EQ(le.store().size(), re.store().size());
+  EXPECT_EQ(le.shadow().tainted_bytes(), re.shadow().tainted_bytes());
+
+  // The whole engine counter array, plus the block-cache stats the farm
+  // folds into it. The clone counters are not in the engine's array: the
+  // farm adds them per machine, so they count machines, not analysis.
+  obs::MetricSnapshot lm = le.metrics_snapshot();
+  obs::MetricSnapshot rm = re.metrics_snapshot();
+  ASSERT_TRUE(lm.collected && rm.collected);
+  for (u32 c = 0; c < obs::kCtrCount; ++c) {
+    EXPECT_EQ(lm.counters[c], rm.counters[c])
+        << obs::ctr_name(static_cast<obs::Ctr>(c));
+  }
+  const vm::BlockCache* lb = live.machine->kernel().interp().block_cache();
+  const vm::BlockCache* rb = replay.machine->kernel().interp().block_cache();
+  ASSERT_EQ(lb == nullptr, rb == nullptr);
+  if (lb) {
+    EXPECT_EQ(lb->stats().translated, rb->stats().translated);
+    EXPECT_EQ(lb->stats().hits, rb->stats().hits);
+    EXPECT_EQ(lb->stats().evict_smc, rb->stats().evict_smc);
+    EXPECT_EQ(lb->stats().evict_cr3, rb->stats().evict_cr3);
+  }
+
+  // The exported provenance graph, byte for byte.
+  EXPECT_EQ(graph::serialize(graph::build_graph(le, live.machine->kernel())),
+            graph::serialize(graph::build_graph(re, replay.machine->kernel())));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Corpus, LiveReplayOracle, ::testing::ValuesIn(oracle_jobs()),
+    [](const ::testing::TestParamInfo<OracleJob>& info) {
+      std::string name = info.param.entry.name;
+      for (char& c : name) {
+        bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                  (c >= '0' && c <= '9');
+        if (!ok) c = '_';
+      }
+      return name;
+    });
+
+}  // namespace
+}  // namespace faros

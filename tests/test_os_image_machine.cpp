@@ -104,8 +104,8 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(MachineDeterminism, AttachingPluginsDoesNotPerturbExecution) {
-  // FAROS attached at replay must observe the identical run: instruction
-  // counts match a plugin-free replay.
+  // FAROS attached to the live run must observe the identical run:
+  // instruction counts and console match a plugin-free replay.
   attacks::HollowingScenario sc;
   auto rec = attacks::record_run(sc);
   ASSERT_TRUE(rec.ok());
@@ -114,9 +114,9 @@ TEST(MachineDeterminism, AttachingPluginsDoesNotPerturbExecution) {
 
   auto analyzed = attacks::analyze(sc);
   ASSERT_TRUE(analyzed.ok());
-  EXPECT_EQ(analyzed.value().replayed.stats.instructions,
+  EXPECT_EQ(analyzed.value().recorded.stats.instructions,
             plain.value().stats.instructions);
-  EXPECT_EQ(analyzed.value().replayed.console, plain.value().console);
+  EXPECT_EQ(analyzed.value().recorded.console, plain.value().console);
 }
 
 TEST(MachineDeterminism, ReplayLogSurvivesSerialization) {

@@ -397,8 +397,7 @@ TEST(FarmPrefilter, NeverChangesDynamicVerdicts) {
     EXPECT_EQ(a.flagged, b.flagged) << a.name;
     EXPECT_EQ(a.policies, b.policies) << a.name;
     EXPECT_EQ(a.findings, b.findings) << a.name;
-    EXPECT_EQ(a.record_instructions, b.record_instructions) << a.name;
-    EXPECT_EQ(a.replay_instructions, b.replay_instructions) << a.name;
+    EXPECT_EQ(a.instructions, b.instructions) << a.name;
     EXPECT_STREQ(a.verdict(), b.verdict()) << a.name;
     EXPECT_FALSE(a.sa_analyzed);
     EXPECT_TRUE(b.sa_analyzed) << b.name << ": " << b.sa_error;
