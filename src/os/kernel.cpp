@@ -19,9 +19,10 @@ using vm::kPteWrite;
 namespace {
 constexpr u32 kDefaultGuestIp = 0xa9fe39a8;  // 169.254.57.168 (Table II)
 
-/// A snapshot clone runs copy-on-write over the frozen RAM image; a cold
-/// kernel owns flat zeroed RAM (guaranteed copy elision constructs mem_
-/// in place either way).
+/// Guest RAM is always copy-on-write: a snapshot clone runs over the
+/// frozen post-boot image, a cold kernel over the all-zero image, so fresh
+/// RAM is a pointer table rather than 64 MiB of zeroing (guaranteed copy
+/// elision constructs mem_ in place either way).
 vm::PhysMem make_phys(const KernelConfig& cfg) {
   if (cfg.snapshot) return vm::PhysMem(cfg.snapshot->ram);
   return vm::PhysMem(cfg.ram_bytes);
@@ -98,7 +99,7 @@ Result<void> Kernel::boot_from_snapshot(const Snapshot& snap) {
   modules_ = snap.modules;
   booted_ = true;
   // Re-publish the boot-time module events in load order: monitors attach
-  // before boot() (the farm's replay setup), and a cold boot is exactly
+  // before boot() (the farm's analyzed live run), and a cold boot is exactly
   // "no guest instructions + one on_module_loaded per runtime module", so
   // replaying that sequence reconstructs identical monitor state (export-
   // table tags included).

@@ -1,16 +1,22 @@
 // Booted-guest snapshots: freeze a freshly booted WinSim image once and
 // clone it per farm job instead of re-running boot.
 //
-// Boot is the expensive, job-invariant prefix of every run — allocating and
-// zeroing 64 MiB of guest RAM, pre-creating the kernel page tables, and
-// assembling + loading the runtime modules (ntdll/user32/kernel32). A
-// Snapshot captures everything that prefix produced: the physical-memory
-// image (frozen as an immutable vm::MemImage), the frame-allocator state,
-// the kernel address-space root (CR3 — the tables themselves live inside
-// the RAM image), and the module registry. Kernel::boot() with
-// KernelConfig::snapshot set restores that state instead of rebuilding it;
-// the clone's PhysMem runs copy-on-write over the shared image, so the
-// per-job cost is a handful of pointer tables, not 64 MiB of zeroing.
+// Boot is the job-invariant prefix of every run: pre-creating the kernel
+// page tables and assembling + loading the runtime modules
+// (ntdll/user32/kernel32). A Snapshot captures everything that prefix
+// produced: the physical-memory image (frozen as an immutable, sparse
+// vm::MemImage), the frame-allocator state, the kernel address-space root
+// (CR3 — the tables themselves live inside the RAM image), and the module
+// registry. Kernel::boot() with KernelConfig::snapshot set restores that
+// state instead of rebuilding it; the clone's PhysMem runs copy-on-write
+// over the shared image.
+//
+// Cost: guest RAM is copy-on-write in every machine (a cold kernel clones
+// the all-zero image), so neither a cold boot nor a capture touches the
+// 64 MiB guest beyond the frames boot writes. Capture is one cold boot
+// plus a freeze that copies only the handful of frames holding a non-zero
+// byte, well under a millisecond; a clone costs a copy of the per-frame
+// pointer table.
 //
 // Determinism contract: boot executes no guest instructions and the only
 // monitor events it publishes are one on_module_loaded per runtime module,

@@ -7,31 +7,30 @@
 
 namespace faros::vm {
 
-PhysMem::PhysMem(u32 size_bytes) : ram_(page_ceil(size_bytes), 0) {
+namespace {
+// The one frame every all-zero frame of every image aliases. Never written
+// through: a frame aliasing it has a null wtab_ entry until its COW fault.
+alignas(kPageSize) constexpr u8 kZeroFrame[kPageSize] = {};
+}  // namespace
+
+std::shared_ptr<const MemImage> MemImage::zeros(u32 size_bytes) {
   assert(size_bytes > 0);
-  size_ = static_cast<u32>(ram_.size());
-  const u32 nf = num_frames();
-  rtab_.resize(nf);
-  wtab_.resize(nf);
-  for (u32 f = 0; f < nf; ++f) {
-    u8* p = ram_.data() + (static_cast<size_t>(f) << kPageShift);
-    rtab_[f] = p;
-    wtab_[f] = p;
-  }
-  watched_.assign(nf, 0);
+  auto img = std::make_shared<MemImage>();
+  img->frames_.assign(page_ceil(size_bytes) >> kPageShift, kZeroFrame);
+  return img;
+}
+
+PhysMem::PhysMem(u32 size_bytes) : PhysMem(MemImage::zeros(size_bytes)) {
+  stats_.cow = false;
 }
 
 PhysMem::PhysMem(std::shared_ptr<const MemImage> base)
     : base_(std::move(base)) {
-  assert(base_ && !base_->ram.empty() &&
-         base_->ram.size() % kPageSize == 0);
+  assert(base_ && base_->num_frames() > 0);
   size_ = base_->size();
   const u32 nf = num_frames();
-  rtab_.resize(nf);
+  rtab_ = base_->frames_;
   wtab_.assign(nf, nullptr);
-  for (u32 f = 0; f < nf; ++f) {
-    rtab_[f] = base_->ram.data() + (static_cast<size_t>(f) << kPageShift);
-  }
   watched_.assign(nf, 0);
   stats_.cow = true;
   stats_.shared_frames = nf;
@@ -39,9 +38,9 @@ PhysMem::PhysMem(std::shared_ptr<const MemImage> base)
 
 u8* PhysMem::arena_alloc() {
   if (arena_used_ == kFramesPerChunk) {
-    arena_.push_back(
-        std::make_unique<u8[]>(static_cast<size_t>(kFramesPerChunk) *
-                               kPageSize));
+    // cow_fault overwrites every frame it hands out, so skip the zeroing.
+    arena_.push_back(std::make_unique_for_overwrite<u8[]>(
+        static_cast<size_t>(kFramesPerChunk) * kPageSize));
     arena_used_ = 0;
   }
   return arena_.back().get() +
@@ -172,11 +171,25 @@ ByteSpan PhysMem::span(PAddr pa, u32 len) const {
 }
 
 std::shared_ptr<const MemImage> PhysMem::freeze() const {
-  auto img = std::make_shared<MemImage>();
-  img->ram.resize(size_);
+  // Frames still aliasing the zero frame were never written. Written
+  // frames that hold only zeros (fresh page tables, zeroed allocations)
+  // rejoin the zero frame too, so the image owns non-zero frames only.
+  std::vector<u32> live;
   for (u32 f = 0; f < num_frames(); ++f) {
-    std::memcpy(img->ram.data() + (static_cast<size_t>(f) << kPageShift),
-                rtab_[f], kPageSize);
+    if (rtab_[f] != kZeroFrame &&
+        std::memcmp(rtab_[f], kZeroFrame, kPageSize) != 0) {
+      live.push_back(f);
+    }
+  }
+  auto img = std::make_shared<MemImage>();
+  img->frames_.assign(num_frames(), kZeroFrame);
+  img->storage_ = std::make_unique_for_overwrite<u8[]>(
+      live.size() * static_cast<size_t>(kPageSize));
+  img->owned_frames_ = static_cast<u32>(live.size());
+  for (size_t i = 0; i < live.size(); ++i) {
+    u8* dst = img->storage_.get() + i * kPageSize;
+    std::memcpy(dst, rtab_[live[i]], kPageSize);
+    img->frames_[live[i]] = dst;
   }
   return img;
 }

@@ -2,18 +2,20 @@
 // are the canonical key for the DIFT shadow memory, exactly as in
 // PANDA's taint2.
 //
-// Two backing modes share one access path (a per-frame pointer table):
-//  * owned — flat zeroed RAM, as a cold-booted machine sees it;
-//  * copy-on-write clone — every frame initially aliases an immutable
-//    MemImage (a frozen post-boot snapshot, see os/snapshot.h); the first
-//    write to a frame faults it into private arena storage. Clones never
-//    touch the shared image, so any number of farm jobs can run against
-//    one booted-guest snapshot concurrently.
+// One backing mode: copy-on-write over an immutable, sparse MemImage.
+// Every frame initially aliases the image, and the first write to a frame
+// faults it into private arena storage. A cold-booted machine is a clone
+// of the all-zero image (every frame aliases one shared zero frame), so
+// fresh RAM costs a pointer table, not a zero-filled buffer; a snapshot
+// clone is a clone of a frozen post-boot image (see os/snapshot.h).
+// Clones never touch the shared image, so any number of farm jobs can run
+// against one booted-guest snapshot concurrently.
 #pragma once
 
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <vector>
 
 #include "common/result.h"
 #include "common/types.h"
@@ -30,11 +32,29 @@ constexpr u32 page_ceil(u32 addr) {
 }
 
 /// Immutable frozen RAM image, shared read-only between the snapshot and
-/// every clone built over it. Page-aligned; held alive by shared_ptr for
-/// as long as any clone exists.
-struct MemImage {
-  Bytes ram;
-  u32 size() const { return static_cast<u32>(ram.size()); }
+/// every clone built over it. Sparse: a per-frame pointer table plus owned
+/// storage for the frames holding a non-zero byte only; every all-zero
+/// frame aliases one shared, read-only zero frame. Held alive by
+/// shared_ptr for as long as any clone exists.
+class MemImage {
+ public:
+  /// The all-zero image of `size_bytes` (rounded up to whole frames): what
+  /// a cold-booted machine's RAM starts as.
+  static std::shared_ptr<const MemImage> zeros(u32 size_bytes);
+
+  u32 size() const { return num_frames() << kPageShift; }
+  u32 num_frames() const { return static_cast<u32>(frames_.size()); }
+  u8 read8(PAddr pa) const {
+    return frames_[pa >> kPageShift][page_offset(static_cast<u32>(pa))];
+  }
+  /// Frames with storage of their own (the rest alias the zero frame).
+  u32 owned_frames() const { return owned_frames_; }
+
+ private:
+  friend class PhysMem;
+  std::vector<const u8*> frames_;
+  std::unique_ptr<u8[]> storage_;  // owned_frames_ contiguous frames
+  u32 owned_frames_ = 0;
 };
 
 /// Guest RAM. All reads/writes are bounds checked; the VM never maps
@@ -55,17 +75,18 @@ class PhysMem {
   struct CowStats {
     bool cow = false;        // constructed as a snapshot clone
     u64 cow_faults = 0;      // private frame copies on first write
-    u64 shared_frames = 0;   // frames still backed by the snapshot image
+    u64 shared_frames = 0;   // frames still backed by the image
   };
 
-  /// Owned mode: flat zeroed RAM (cold boot).
+  /// Cold RAM: a clone of the all-zero image. Reports cow == false, since
+  /// its faults are first touches of fresh RAM, not snapshot sharing.
   explicit PhysMem(u32 size_bytes);
-  /// COW mode: every frame aliases `base` until first write.
+  /// Snapshot clone: every frame aliases `base` until first write.
   explicit PhysMem(std::shared_ptr<const MemImage> base);
 
-  // rtab_/wtab_ hold raw pointers into ram_ / the arena; a copy would
-  // alias another instance's storage. Moves are fine (vector buffers are
-  // stable across moves).
+  // rtab_/wtab_ hold raw pointers into the image / the arena; a copy
+  // would alias another instance's storage. Moves are fine (vector and
+  // chunk buffers are stable across moves).
   PhysMem(const PhysMem&) = delete;
   PhysMem& operator=(const PhysMem&) = delete;
   PhysMem(PhysMem&&) = default;
@@ -90,13 +111,14 @@ class PhysMem {
   }
 
   /// Zero-copy view of [pa, pa+len). The range must stay within one frame
-  /// (frames are not contiguous in COW mode); the only caller is the
-  /// instruction decoder, whose 8-byte-aligned fetches never cross.
+  /// (frames are not contiguous); the only caller is the instruction
+  /// decoder, whose 8-byte-aligned fetches never cross.
   ByteSpan span(PAddr pa, u32 len) const;
 
-  /// Materialises the full RAM contents as an immutable image (one copy).
-  /// Works in either mode; os::capture_snapshot uses it to freeze a
-  /// freshly booted guest.
+  /// Freezes the RAM contents as an immutable sparse image. Copies only the
+  /// frames that no longer alias the zero frame and hold a non-zero byte,
+  /// so the cost is O(written frames); os::capture_snapshot uses it to
+  /// freeze a freshly booted guest.
   std::shared_ptr<const MemImage> freeze() const;
 
   const CowStats& cow_stats() const { return stats_; }
@@ -147,12 +169,11 @@ class PhysMem {
   }
 
   u32 size_ = 0;
-  Bytes ram_;  // owned mode backing; empty for COW clones
-  std::shared_ptr<const MemImage> base_;  // COW mode backing; null when owned
-  // Per-frame pointers: rtab_ is where reads resolve (shared image or
-  // private copy); wtab_ is null while the frame is still shared — a write
-  // through a null entry takes the COW fault. Owned mode fills both with
-  // pointers into ram_, so the hot paths are mode-free.
+  std::shared_ptr<const MemImage> base_;  // the image unwritten frames alias
+  // Per-frame pointers: rtab_ is where reads resolve (shared image, zero
+  // frame or private copy); wtab_ is null while the frame is still shared
+  // — a write through a null entry takes the COW fault, so the shared
+  // image and the zero frame are never written through.
   std::vector<const u8*> rtab_;
   std::vector<u8*> wtab_;
   // Private frame storage for COW faults, bump-allocated in chunks.

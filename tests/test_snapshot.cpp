@@ -1,10 +1,12 @@
-// Snapshot/COW guest cloning (os/snapshot.h + vm/phys_mem.h COW mode):
-// clone isolation from the frozen image and from sibling clones, COW fault
-// accounting, FrameAllocator state round-trips, boot-from-snapshot
-// equivalence with a cold boot, config-mismatch rejection, interleaved
-// clone determinism, and farm verdict byte-equivalence snapshot-on vs off.
+// Snapshot/COW guest cloning (os/snapshot.h + vm/phys_mem.h): clone
+// isolation from the frozen image and from sibling clones, COW fault
+// accounting, the shared zero frame and sparse capture, FrameAllocator
+// state round-trips, boot-from-snapshot equivalence with a cold boot,
+// config-mismatch rejection, interleaved clone determinism, and farm
+// verdict byte-equivalence snapshot-on vs off.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <vector>
@@ -51,7 +53,7 @@ TEST(PhysMemCow, CloneReadsImageAndFaultsPrivatelyOnWrite) {
   EXPECT_EQ(c1.cow_stats().shared_frames, 15u);
   EXPECT_EQ(c1.read32(0x10), 0x11111111u);
   EXPECT_EQ(c2.read32(0x10), 0xdeadbeefu);
-  EXPECT_EQ(img->ram[0x10], 0xefu);
+  EXPECT_EQ(img->read8(0x10), 0xefu);
 
   // Later writes to an already-private frame take no further fault; the
   // rest of the frame keeps the image contents.
@@ -92,8 +94,46 @@ TEST(PhysMemCow, BulkOpsFaultPerFrameAndFreezeRoundTrips) {
 
   // The first-generation image stayed zero throughout.
   for (u32 pa = 0x800; pa < 0x800 + 64; ++pa) {
-    EXPECT_EQ(img->ram[pa], 0u);
+    EXPECT_EQ(img->read8(pa), 0u);
   }
+}
+
+TEST(PhysMemCow, FreshRamNeverWritesThroughTheSharedZeroFrame) {
+  // Every fresh PhysMem aliases one shared zero frame; writes to one
+  // instance must fault privately, never land in that frame.
+  PhysMem a{64u << 20};
+  PhysMem b{64u << 20};
+  EXPECT_FALSE(a.cow_stats().cow);
+  a.write8(0x1234, 0xaa);
+  a.write16(0x2fff, 0xbbcc);  // straddles two frames
+  a.write32(0x5000, 0xdeadbeefu);
+  // A bulk write starting mid-frame and spanning three frames.
+  std::vector<u8> buf(2 * kPageSize + 100, 0x5a);
+  a.write(0x8f00, ByteSpan(buf.data(), buf.size()));
+  EXPECT_EQ(a.read8(0x1234), 0xaau);
+  EXPECT_EQ(a.read16(0x2fff), 0xbbccu);
+  EXPECT_EQ(a.read32(0x5000), 0xdeadbeefu);
+  EXPECT_EQ(a.read8(0x8f00 + buf.size() - 1), 0x5au);
+
+  // The sibling instance, and every frame `a` never wrote, still read zero.
+  for (PAddr pa : {0x1234u, 0x2ffeu, 0x2fffu, 0x3000u, 0x5000u, 0x8f00u,
+                   0x9000u, 0xa000u, 0xafffu}) {
+    EXPECT_EQ(b.read8(pa), 0u) << std::hex << pa;
+  }
+  for (PAddr pa : {0x0u, 0x4000u, 0xb000u, (63u << 20) + 0x10u}) {
+    EXPECT_EQ(a.read32(pa), 0u) << std::hex << pa;
+    const ByteSpan s = a.span(pa, 8);
+    EXPECT_TRUE(std::all_of(s.begin(), s.end(), [](u8 v) { return v == 0; }))
+        << std::hex << pa;
+  }
+  const ByteSpan s = b.span(0x8f00, 8);
+  EXPECT_TRUE(std::all_of(s.begin(), s.end(), [](u8 v) { return v == 0; }));
+
+  // A frozen image of `a` owns exactly the frames holding non-zero bytes.
+  auto img = a.freeze();
+  EXPECT_EQ(img->owned_frames(), 7u);  // 0x1, 0x2, 0x3, 0x5, 0x8, 0x9, 0xa
+  EXPECT_EQ(img->read8(0x1234), 0xaau);
+  EXPECT_EQ(img->read8(0x4000), 0u);
 }
 
 TEST(PhysMemCow, WatchStateIsPerInstanceNotPartOfTheImage) {
@@ -158,6 +198,19 @@ TEST(Snapshot, BootFromSnapshotMatchesColdBoot) {
   // The clone has not written a single frame yet.
   EXPECT_TRUE(warm.phys_mem().cow_stats().cow);
   EXPECT_EQ(warm.phys_mem().cow_stats().cow_faults, 0u);
+}
+
+TEST(Snapshot, CaptureOwnsOnlyTheFramesBootFilled) {
+  // Boot writes module code, export tables and kernel page tables; only the
+  // frames holding a non-zero byte get storage in the image, the rest of
+  // the 64 MiB guest aliases the zero frame.
+  os::KernelConfig cfg;
+  auto snap = os::capture_snapshot(cfg);
+  ASSERT_TRUE(snap.ok()) << snap.error().message;
+  const vm::MemImage& img = *snap.value()->ram;
+  EXPECT_EQ(img.size(), cfg.ram_bytes);
+  EXPECT_GT(img.owned_frames(), 0u);
+  EXPECT_LT(img.owned_frames(), 64u);
 }
 
 TEST(Snapshot, ConfigMismatchIsRejectedAtBoot) {
