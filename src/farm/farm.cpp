@@ -17,8 +17,12 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 /// Per-job watchdog: aborts the run on farm cancellation or when the
-/// wall-clock deadline passes. Polled between scheduling rounds (~quantum
-/// instructions), so a runaway guest is stopped within one round.
+/// wall-clock deadline passes. Polled between scheduling rounds (at most
+/// one quantum of instructions each). Cancellation is seen on the next
+/// poll; the clock is read on the first poll and then on every 64th, since
+/// idle guests yield after a few instructions and a clock read per round
+/// would cost more than the round. A runaway guest is therefore stopped at
+/// most 63 rounds (63 x quantum instructions) after its deadline.
 ///
 /// The *first* reason to fire is latched: the job's terminal status must be
 /// decided by what actually stopped the run, not by re-reading cancel_
@@ -38,7 +42,8 @@ class Watchdog final : public os::RunGovernor {
       reason_ = Reason::kCancel;
       return true;
     }
-    if (has_deadline_ && Clock::now() >= deadline_) {
+    if (has_deadline_ && (polls_++ % kClockEvery) == 0 &&
+        Clock::now() >= deadline_) {
       reason_ = Reason::kDeadline;
       return true;
     }
@@ -48,9 +53,12 @@ class Watchdog final : public os::RunGovernor {
   bool cancelled() const { return reason_ == Reason::kCancel; }
 
  private:
+  static constexpr u32 kClockEvery = 64;
+
   const std::atomic<bool>& cancel_;
   Clock::time_point deadline_;
   bool has_deadline_;
+  u32 polls_ = 0;
   Reason reason_ = Reason::kNone;
 };
 
@@ -286,6 +294,12 @@ JobResult Farm::run_once(const JobSpec& spec, u32 attempt) const {
       r.metrics.counters[static_cast<u32>(obs::Ctr::kBtEvictCr3)] +=
           bs.evict_cr3;
     }
+    // Scheduling rounds and TLB misses, likewise from the live machine
+    // only: pure functions of the spec, so fan-out and plain runs agree.
+    r.metrics.counters[static_cast<u32>(obs::Ctr::kSchedRounds)] +=
+        stats.scheduling_rounds;
+    r.metrics.counters[static_cast<u32>(obs::Ctr::kTlbMiss)] +=
+        m.kernel().interp().tlb_misses();
     // COW clone stats are plain u64s on PhysMem, like the block cache.
     // Every machine the job booted counts: the live run plus one replay per
     // extra policy set (snap_clone = 1 + N). Each fault stream is a pure

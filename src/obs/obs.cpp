@@ -52,6 +52,8 @@ const char* ctr_name(Ctr c) {
     case Ctr::kSnapClone: return "snap_clone";
     case Ctr::kCowFault: return "cow_faults";
     case Ctr::kSnapSharedPages: return "snap_shared_pages";
+    case Ctr::kSchedRounds: return "sched_rounds";
+    case Ctr::kTlbMiss: return "tlb_misses";
     case Ctr::kCount: break;
   }
   return "?";

@@ -117,6 +117,11 @@ enum class Ctr : u32 {
   kCowFault,         // frames copied private on first write, all machines
   kSnapSharedPages,  // frames still snapshot-backed when the job finished
 
+  // --- scheduler and interpreter TLB (os/machine.h, vm/cpu.h; farm fold
+  //     from the analyzed live machine only) ---
+  kSchedRounds,  // scheduling rounds (one quantum or less each)
+  kTlbMiss,      // interpreter TLB misses (page walks)
+
   kCount,
 };
 

@@ -236,8 +236,9 @@ Result<Pid> Kernel::spawn(const std::string& path, bool suspended,
                                 kUserStackSize, kProtRead | kProtWrite, ""});
 
   auto [it, inserted] = procs_.emplace(pid, std::move(proc));
-  sched_order_.push_back(pid);
   Process& p = it->second;
+  sched_order_.push_back(&p);
+  ++live_count_;
 
   // The loader read the image file: bump its access version and publish
   // the mapping so FAROS can apply a file tag to the image bytes.
@@ -279,6 +280,7 @@ Process* Kernel::find_by_name(const std::string& name) {
 void Kernel::terminate(Process& p, u32 exit_code) {
   if (p.state == ProcState::kTerminated) return;
   p.state = ProcState::kTerminated;
+  --live_count_;
   p.exit_code = exit_code;
   p.wait = PendingWait{};
   net_.close_all_for(p.pid);
@@ -290,20 +292,12 @@ void Kernel::terminate(Process& p, u32 exit_code) {
   p.as.destroy(/*free_user_frames=*/true);
 }
 
-u32 Kernel::live_count() const {
-  u32 n = 0;
-  for (const auto& [pid, p] : procs_) {
-    if (p.alive()) ++n;
-  }
-  return n;
-}
-
 Process* Kernel::pick_next() {
   const size_t n = sched_order_.size();
-  for (size_t i = 0; i < n; ++i) {
-    size_t idx = (sched_cursor_ + i) % n;
-    Process* p = find(sched_order_[idx]);
-    if (!p) continue;
+  size_t idx = sched_cursor_;  // <= n: one past the last pick
+  for (size_t i = 0; i < n; ++i, ++idx) {
+    if (idx == n) idx = 0;
+    Process* p = sched_order_[idx];
     if (p->state == ProcState::kBlocked) {
       if (!try_complete_wait(*p)) continue;
     }

@@ -83,8 +83,9 @@ class Kernel : public OsiQuery {
   const Process* find(Pid pid) const;
   Process* find_by_name(const std::string& name);
   void terminate(Process& p, u32 exit_code);
-  /// Number of processes that are not terminated.
-  u32 live_count() const;
+  /// Number of processes that are not terminated (kept by spawn and
+  /// terminate, so the per-round exit check is O(1)).
+  u32 live_count() const { return live_count_; }
 
   // --- scheduling (driven by Machine) ---
   /// Next runnable process (round robin); completes satisfiable waits on
@@ -148,9 +149,12 @@ class Kernel : public OsiQuery {
   osi::MonitorBus monitors_;
   Rng rng_;
 
+  // Processes are never erased and std::map nodes never move, so the
+  // scheduler may hold plain pointers into procs_.
   std::map<Pid, Process> procs_;
   Pid next_pid_ = 100;
-  std::vector<Pid> sched_order_;
+  u32 live_count_ = 0;
+  std::vector<Process*> sched_order_;  // spawn order
   size_t sched_cursor_ = 0;
 
   std::vector<osi::ModuleInfo> modules_;

@@ -78,9 +78,14 @@ std::optional<PAddr> Interpreter::translate_cached(const AddressSpace& as,
 
 StepInfo Interpreter::run(CpuState& cpu, const AddressSpace& as,
                           u64 max_insns) {
-  // Kernel work (map/unmap/protect/process switch) happens between run()
-  // calls; translations cached within one quantum are safe.
-  flush_tlb();
+  // Page tables only change in kernel context, between quanta, and every
+  // change bumps the PhysMem page-table epoch. Entries are CR3-tagged, so a
+  // process switch alone needs no flush: an idle NtYield loop keeps its
+  // code-page translation across scheduling rounds.
+  if (mem_->pt_epoch() != tlb_epoch_) {
+    flush_tlb();
+    tlb_epoch_ = mem_->pt_epoch();
+  }
   if (btc_) return run_blocks(cpu, as, max_insns);
   StepInfo info;
   for (u64 i = 0; i < max_insns; ++i) {

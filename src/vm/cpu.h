@@ -198,8 +198,10 @@ class Interpreter {
   bool mem_write(const AddressSpace& as, VAddr va, unsigned size, u32 value,
                  PAddr* first_pa, Fault* fault);
 
-  /// TLB-backed user-mode translation. The TLB is flushed at every run()
-  /// entry: page tables only change in kernel context, between quanta.
+  /// TLB-backed user-mode translation. Entries are tagged with CR3 and
+  /// survive across run() calls; run() flushes the TLB only when the
+  /// PhysMem page-table epoch moved since the last run() (page tables only
+  /// change in kernel context, between quanta, and every write bumps it).
   std::optional<PAddr> translate_cached(const AddressSpace& as, VAddr va,
                                         AccessType type, Fault* fault);
   void flush_tlb();
@@ -218,6 +220,7 @@ class Interpreter {
   u64 block_count_ = 0;
   bool at_block_start_ = true;
   TlbEntry tlb_[kTlbSize];
+  u64 tlb_epoch_ = 0;  // PhysMem::pt_epoch() the TLB contents reflect
   u64 tlb_hits_ = 0;
   u64 tlb_misses_ = 0;
 };

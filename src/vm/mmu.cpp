@@ -18,15 +18,23 @@ Result<AddressSpace> AddressSpace::create(PhysMem& mem,
                                           FrameAllocator& frames) {
   auto dir = frames.alloc();
   if (!dir.ok()) return Err<AddressSpace>("mmu: " + dir.error().message);
-  for (u32 i = 0; i < kEntriesPerTable; ++i) {
-    mem.write32(dir.value() + i * 4, 0);
-  }
-  return AddressSpace(&mem, &frames, dir.value());
+  AddressSpace as(&mem, &frames, dir.value());
+  as.zero_table(dir.value());
+  return as;
 }
 
 AddressSpace AddressSpace::adopt(PhysMem& mem, FrameAllocator& frames,
                                  PAddr cr3) {
   return AddressSpace(&mem, &frames, cr3);
+}
+
+void AddressSpace::write_pt(PAddr pa, u32 entry) {
+  mem_->write32(pa, entry);
+  mem_->bump_pt_epoch();
+}
+
+void AddressSpace::zero_table(PAddr table) {
+  for (u32 i = 0; i < kEntriesPerTable; ++i) write_pt(table + i * 4, 0);
 }
 
 Result<void> AddressSpace::ensure_table(VAddr va) {
@@ -35,10 +43,8 @@ Result<void> AddressSpace::ensure_table(VAddr va) {
   if (pde & kPtePresent) return Ok();
   auto t = frames_->alloc();
   if (!t.ok()) return Err<void>("mmu: " + t.error().message);
-  for (u32 i = 0; i < kEntriesPerTable; ++i) {
-    mem_->write32(t.value() + i * 4, 0);
-  }
-  mem_->write32(pde_addr, static_cast<u32>(t.value()) | kPtePresent);
+  zero_table(t.value());
+  write_pt(pde_addr, static_cast<u32>(t.value()) | kPtePresent);
   return Ok();
 }
 
@@ -53,14 +59,14 @@ Result<void> AddressSpace::map_page(VAddr va, PAddr pa, u32 flags) {
     auto t = frames_->alloc();
     if (!t.ok()) return Err<void>("mmu: " + t.error().message);
     table = t.value();
-    for (u32 i = 0; i < kEntriesPerTable; ++i) mem_->write32(table + i * 4, 0);
-    mem_->write32(pde_addr, static_cast<u32>(table) | kPtePresent);
+    zero_table(table);
+    write_pt(pde_addr, static_cast<u32>(table) | kPtePresent);
   } else {
     table = pde & ~kPteFlagMask;
   }
   PAddr pte_addr = table + pte_index(va) * 4;
-  mem_->write32(pte_addr,
-                static_cast<u32>(pa) | (flags & kPteFlagMask) | kPtePresent);
+  write_pt(pte_addr,
+           static_cast<u32>(pa) | (flags & kPteFlagMask) | kPtePresent);
   return Ok();
 }
 
@@ -91,7 +97,7 @@ Result<void> AddressSpace::unmap_page(VAddr va, bool free_frame) {
   u32 pte = mem_->read32(pte_addr);
   if (!(pte & kPtePresent)) return Err<void>("mmu: unmap of unmapped page");
   if (free_frame) frames_->free(pte & ~kPteFlagMask);
-  mem_->write32(pte_addr, 0);
+  write_pt(pte_addr, 0);
   return Ok();
 }
 
@@ -121,8 +127,8 @@ Result<void> AddressSpace::protect_range(VAddr va, u32 len, u32 flags) {
     PAddr pte_addr = table + pte_index(p) * 4;
     u32 pte = mem_->read32(pte_addr);
     if (!(pte & kPtePresent)) return Err<void>("mmu: protect of unmapped");
-    mem_->write32(pte_addr, (pte & ~kPteFlagMask) | (flags & kPteFlagMask) |
-                                kPtePresent);
+    write_pt(pte_addr,
+             (pte & ~kPteFlagMask) | (flags & kPteFlagMask) | kPtePresent);
     if (p + kPageSize < p) break;
   }
   return Ok();
@@ -131,8 +137,7 @@ Result<void> AddressSpace::protect_range(VAddr va, u32 len, u32 flags) {
 void AddressSpace::share_directory_range(const AddressSpace& other,
                                          VAddr va_lo, VAddr va_hi) {
   for (u32 idx = va_lo >> 22; idx <= ((va_hi - 1) >> 22); ++idx) {
-    u32 pde = mem_->read32(other.cr3_ + idx * 4);
-    mem_->write32(cr3_ + idx * 4, pde);
+    write_pt(cr3_ + idx * 4, mem_->read32(other.cr3_ + idx * 4));
   }
 }
 
@@ -199,7 +204,7 @@ void AddressSpace::destroy(bool free_user_frames) {
       }
     }
     frames_->free(table);
-    mem_->write32(cr3_ + idx * 4, 0);
+    write_pt(cr3_ + idx * 4, 0);
   }
   frames_->free(cr3_);
   mem_ = nullptr;

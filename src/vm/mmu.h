@@ -115,6 +115,11 @@ class AddressSpace {
   u32 pde_index(VAddr va) const { return va >> 22; }
   u32 pte_index(VAddr va) const { return (va >> 12) & 0x3ff; }
 
+  /// The only way page-table memory is written: stores `entry` and bumps
+  /// the PhysMem page-table epoch so interpreter TLBs drop stale entries.
+  void write_pt(PAddr pa, u32 entry);
+  void zero_table(PAddr table);
+
   PhysMem* mem_ = nullptr;
   FrameAllocator* frames_ = nullptr;
   PAddr cr3_ = 0;

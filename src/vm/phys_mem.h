@@ -150,6 +150,12 @@ class PhysMem {
     return watched_[frame_base >> kPageShift] != 0;
   }
 
+  /// Machine-wide page-table epoch: AddressSpace bumps it on every page-
+  /// table write, so an interpreter's TLB stays valid while it is unchanged
+  /// (CR3 recycling and shared second-level tables both imply a write).
+  u64 pt_epoch() const { return pt_epoch_; }
+  void bump_pt_epoch() { ++pt_epoch_; }
+
  private:
   /// Out-of-line slow path: fires the observer once with [pa, pa+len) when
   /// the write overlaps at least one frame's watched byte range.
@@ -186,6 +192,7 @@ class PhysMem {
   // bias keeps every real range distinct from the sentinel).
   std::vector<u32> watched_;
   CodeWriteObserver on_code_write_;
+  u64 pt_epoch_ = 0;
 };
 
 /// Bitmap frame allocator over guest RAM. Deterministic: always returns the

@@ -285,6 +285,27 @@ TEST(Farm, RunJobMatchesSerialAnalyze) {
   EXPECT_EQ(r.tainted_bytes, direct.value().tainted_bytes);
 }
 
+TEST(Farm, SchedulerAndTlbCountersComeFromTheLiveRun) {
+  // sched_rounds is the analyzed live run's RunStats::scheduling_rounds.
+  // The victim idles in a yield loop for most of those rounds without a
+  // page-table write in between, so TLB misses stay far below rounds.
+  attacks::HollowingScenario hollow;
+  auto direct = attacks::analyze(hollow);
+  ASSERT_TRUE(direct.ok());
+
+  JobSpec spec;
+  spec.name = "process_hollowing";
+  spec.make = [] { return std::make_unique<attacks::HollowingScenario>(); };
+  JobResult r = Farm(FarmConfig{}).run_job(spec);
+  ASSERT_EQ(r.status, JobStatus::kOk) << r.error;
+  ASSERT_TRUE(r.metrics.collected);
+  const u64 rounds = r.metrics[obs::Ctr::kSchedRounds];
+  EXPECT_EQ(rounds, direct.value().recorded.stats.scheduling_rounds);
+  EXPECT_GT(rounds, 1000u);
+  EXPECT_GT(r.metrics[obs::Ctr::kTlbMiss], 0u);
+  EXPECT_LT(r.metrics[obs::Ctr::kTlbMiss] * 100, rounds);
+}
+
 TEST(Farm, TimeoutReportedWithoutPoisoningPool) {
   FarmConfig cfg;
   cfg.workers = 2;
@@ -300,7 +321,12 @@ TEST(Farm, TimeoutReportedWithoutPoisoningPool) {
   jobs.push_back(std::move(runaway));
   for (int i = 0; i < 4; ++i) jobs.push_back(tiny_job("tiny" + std::to_string(i)));
 
+  // The runaway yields every third instruction, so the watchdog is polled
+  // about once per three instructions and reads the clock only on every
+  // 64th poll; the deadline must still end the job promptly.
+  const auto t0 = std::chrono::steady_clock::now();
   auto report = f.run(jobs);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(10));
   ASSERT_EQ(report.results.size(), 5u);
   EXPECT_EQ(report.results[0].status, JobStatus::kTimeout);
   EXPECT_EQ(report.results[0].retries, 0u);  // timeouts are not retried

@@ -43,6 +43,15 @@ class KernelTest : public ::testing::Test {
 
   RunStats run(u64 budget = 200000) { return machine_->run(budget); }
 
+  /// Yields forever: one scheduling round per three instructions.
+  static void idle_program(ImageBuilder& ib) {
+    auto& a = ib.asm_();
+    a.label("_start");
+    a.label("loop");
+    emit_sys(a, Sys::kNtYield);
+    a.jmp("loop");
+  }
+
   std::unique_ptr<Machine> machine_;
 };
 
@@ -530,6 +539,130 @@ TEST_F(KernelTest, TerminateFreesFramesAndFiresObservers) {
   // All user frames are back: a fresh spawn of the same size succeeds and
   // process_by_cr3 of the dead process fails (filtered to alive).
   EXPECT_EQ(kernel().live_count(), 0u);
+}
+
+TEST_F(KernelTest, RecycledCr3ProcessNeverSeesStaleTranslations) {
+  // `first` reads a word at kValueVa and exits with it, leaving that
+  // translation in the interpreter TLB. `second` is spawned next: it gets
+  // the dead process' CR3 frame but, having one more image page below, maps
+  // kValueVa onto another frame. It must read its own word.
+  constexpr VAddr kValueVa = kUserImageBase + vm::kPageSize;
+  auto install = [&](const std::string& name, VAddr base, u32 value) {
+    ImageBuilder ib(name, base);
+    auto& a = ib.asm_();
+    a.label("_start");
+    a.movi(Reg::R2, kValueVa);
+    a.ld32(Reg::R1, Reg::R2, 0);
+    emit_sys(a, Sys::kNtExit);
+    a.zeros(kValueVa - base - a.size());
+    a.data_u32(value);
+    auto img = ib.build();
+    EXPECT_TRUE(img.ok());
+    kernel().vfs().create("C:/test/" + name, img.value().serialize());
+    auto pid = kernel().spawn("C:/test/" + name);
+    EXPECT_TRUE(pid.ok());
+    return pid.ok() ? pid.value() : 0;
+  };
+
+  Pid first = install("first.exe", kUserImageBase, 0x1111);
+  ASSERT_NE(first, 0u);
+  const PAddr cr3 = kernel().find(first)->as.cr3();
+  const PAddr old_pa = *kernel().find(first)->as.translate(
+      kValueVa, vm::AccessType::kRead, /*user=*/true);
+  run();
+  ASSERT_EQ(kernel().find(first)->exit_code, 0x1111u);
+
+  Pid second = install("second.exe", kUserImageBase - vm::kPageSize, 0x2222);
+  ASSERT_NE(second, 0u);
+  ASSERT_EQ(kernel().find(second)->as.cr3(), cr3);
+  ASSERT_NE(*kernel().find(second)->as.translate(
+                kValueVa, vm::AccessType::kRead, /*user=*/true),
+            old_pa);
+  run();
+  EXPECT_EQ(kernel().find(second)->exit_code, 0x2222u);
+}
+
+TEST_F(KernelTest, LiveCountMatchesBruteForceThroughEveryExitPath) {
+  Pid exiter = spawn_program("exiter.exe", [](ImageBuilder& ib) {
+    auto& a = ib.asm_();
+    a.label("_start");
+    emit_sys(a, Sys::kNtYield);
+    emit_exit(a, 3);
+  });
+  Pid trapper = spawn_program("trapper.exe", [](ImageBuilder& ib) {
+    auto& a = ib.asm_();
+    a.label("_start");
+    emit_sys(a, Sys::kNtYield);
+    a.movi(Reg::R1, 0);
+    a.ld32(Reg::R2, Reg::R1, 0);  // page 0 is never mapped
+    emit_exit(a, 0);
+  });
+  Pid victim = spawn_program("victim.exe", idle_program);
+  Pid survivor = spawn_program("survivor.exe", idle_program);
+  // Terminates the victim across processes, twice (the second call finds
+  // it dead and must not count it again), then exits.
+  Pid killer = spawn_program("killer.exe", [&](ImageBuilder& ib) {
+    auto& a = ib.asm_();
+    a.label("_start");
+    emit_sys(a, Sys::kNtYield);
+    for (int i = 0; i < 2; ++i) {
+      a.movi(Reg::R1, victim);
+      a.movi(Reg::R2, 9);
+      emit_sys(a, Sys::kNtTerminateProcess);
+    }
+    emit_exit(a, 0);
+  });
+  const std::vector<Pid> pids{exiter, trapper, victim, survivor, killer};
+  for (Pid pid : pids) ASSERT_NE(pid, 0u);
+  auto brute = [&] {
+    u32 n = 0;
+    for (Pid pid : pids) n += kernel().find(pid)->alive() ? 1 : 0;
+    return n;
+  };
+  ASSERT_EQ(kernel().live_count(), 5u);
+
+  for (int round = 0; round < 40; ++round) {
+    Process* p = kernel().pick_next();
+    ASSERT_NE(p, nullptr);
+    kernel().run_process(*p, 256);
+    ASSERT_EQ(kernel().live_count(), brute()) << "round " << round;
+  }
+  EXPECT_EQ(kernel().find(exiter)->exit_code, 3u);
+  EXPECT_EQ(kernel().find(trapper)->exit_code, 0xdeadu);
+  EXPECT_EQ(kernel().find(victim)->exit_code, 9u);
+  EXPECT_EQ(kernel().live_count(), 1u);  // the survivor
+
+  // Host-side terminate: repeated on a dead process, then the last one.
+  kernel().terminate(*kernel().find(victim), 1);
+  EXPECT_EQ(kernel().live_count(), 1u);
+  kernel().terminate(*kernel().find(survivor), 0);
+  kernel().terminate(*kernel().find(survivor), 0);
+  EXPECT_EQ(kernel().live_count(), brute());
+  EXPECT_EQ(kernel().live_count(), 0u);
+  EXPECT_EQ(kernel().pick_next(), nullptr);
+}
+
+TEST_F(KernelTest, RoundRobinOrderUnchangedWhenMiddleProcessExits) {
+  // Each round is one NtYield, so the pick sequence is the scheduler's
+  // order alone. b exits on its second turn; a and c keep alternating
+  // from where the cursor stood.
+  Pid a = spawn_program("a.exe", idle_program);
+  Pid b = spawn_program("b.exe", [](ImageBuilder& ib) {
+    auto& as = ib.asm_();
+    as.label("_start");
+    emit_sys(as, Sys::kNtYield);
+    emit_exit(as, 0);
+  });
+  Pid c = spawn_program("c.exe", idle_program);
+  std::vector<Pid> order;
+  for (int round = 0; round < 10; ++round) {
+    Process* p = kernel().pick_next();
+    ASSERT_NE(p, nullptr);
+    order.push_back(p->pid);
+    kernel().run_process(*p, 256);
+  }
+  EXPECT_EQ(order, (std::vector<Pid>{a, b, c, a, b, c, a, c, a, c}));
+  EXPECT_FALSE(kernel().find(b)->alive());
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // FV32 interpreter semantics: every instruction class, flags, traps,
-// memory faults, stack ops, hooks and basic-block accounting.
+// memory faults, stack ops, hooks, basic-block accounting and TLB coherence
+// across quanta.
 #include <gtest/gtest.h>
 
 #include "vm/assembler.h"
@@ -494,7 +495,7 @@ TEST(CpuTlb, HitsDominateTightLoops) {
 
 TEST(CpuTlb, ProtectionChangesBetweenQuantaAreHonoured) {
   // A page readable in quantum 1 becomes read-only before quantum 2: the
-  // per-run TLB flush must pick up the new protection.
+  // protect bumps the page-table epoch, so the TLB picks up the new bits.
   CpuEnv env;
   Assembler a;
   a.movi(R1, kDataBase);
@@ -546,6 +547,122 @@ TEST(CpuTlb, DistinctAddressSpacesDoNotAlias) {
   env.interp.run(cpu2, other, 100);
   EXPECT_EQ(env.cpu.regs[R2], 0x11u);
   EXPECT_EQ(cpu2.regs[R2], 0x22u);
+}
+
+TEST(CpuTlb, UnmapBetweenQuantaFaultsNotMapped) {
+  // Quantum 1 caches the data-page translation; the kernel then unmaps the
+  // page. The page-table write moves the epoch, so quantum 2 must walk the
+  // tables again and fault instead of reading through a stale entry.
+  CpuEnv env;
+  Assembler a;
+  a.movi(R1, kDataBase);
+  a.ld32(R2, R1, 0);  // quantum 1: fills the TLB
+  a.syscall_();
+  a.ld32(R2, R1, 0);  // quantum 2: the page is gone
+  a.halt();
+  env.load(a);
+  ASSERT_EQ(env.run().result, StepResult::kSyscall);
+  ASSERT_TRUE(env.as.unmap_page(kDataBase, /*free_frame=*/false).ok());
+  auto info = env.run();
+  EXPECT_EQ(info.result, StepResult::kTrap);
+  EXPECT_EQ(info.trap, TrapKind::kMemFault);
+  EXPECT_EQ(info.fault.kind, FaultKind::kNotMapped);
+  EXPECT_EQ(info.fault.va, kDataBase);
+}
+
+TEST(CpuTlb, SharedTableRemappedThroughOtherSpaceIsSeen) {
+  // Like the kernel half: `owner` creates the second-level table
+  // (ensure_table) and env.as adopts its directory entry
+  // (share_directory_range). A remap written through the owner lands in
+  // the shared table, and the running space must see it next quantum even
+  // though its own directory never changed.
+  constexpr VAddr kSharedVa = 0x800000;  // own PDE, clear of code/data/stack
+  CpuEnv env;
+  AddressSpace owner = AddressSpace::create(env.mem, env.frames).value();
+  ASSERT_TRUE(owner.ensure_table(kSharedVa).ok());
+  env.as.share_directory_range(owner, kSharedVa, kSharedVa + 0x400000);
+  const PAddr f1 = env.frames.alloc().value();
+  const PAddr f2 = env.frames.alloc().value();
+  env.mem.write32(f1, 0x11);
+  env.mem.write32(f2, 0x22);
+  ASSERT_TRUE(owner.map_page(kSharedVa, f1, kPteUser).ok());
+
+  Assembler a;
+  a.movi(R1, kSharedVa);
+  a.ld32(R2, R1, 0);
+  a.syscall_();
+  a.ld32(R3, R1, 0);
+  a.halt();
+  env.load(a);
+  ASSERT_EQ(env.run().result, StepResult::kSyscall);
+  EXPECT_EQ(env.cpu.regs[R2], 0x11u);
+
+  ASSERT_TRUE(owner.unmap_page(kSharedVa, /*free_frame=*/false).ok());
+  ASSERT_TRUE(owner.map_page(kSharedVa, f2, kPteUser).ok());
+  ASSERT_EQ(env.run().result, StepResult::kHalt);
+  EXPECT_EQ(env.cpu.regs[R3], 0x22u);
+}
+
+TEST(CpuTlb, RecycledCr3NeverHitsStaleEntries) {
+  // Space `first` runs and caches (cr3, va) translations, then dies. The
+  // next space gets the same CR3 frame (lowest free) and maps the same VAs
+  // onto other frames; a TLB keyed on (cr3, vpn) alone would hand it the
+  // dead space's frames.
+  CpuEnv env;
+  Assembler a;
+  a.movi(R1, kDataBase);
+  a.ld32(R2, R1, 0);
+  a.halt();
+  auto blob = a.assemble(kCodeBase);
+  ASSERT_TRUE(blob.ok());
+  auto make_space = [&](u32 value) {
+    AddressSpace s = AddressSpace::create(env.mem, env.frames).value();
+    EXPECT_TRUE(s.map_alloc(kCodeBase, 0x1000, kPteUser | kPteExec).ok());
+    EXPECT_TRUE(s.copy_in(kCodeBase, blob.value(), false).ok());
+    EXPECT_TRUE(s.map_alloc(kDataBase, 0x1000, kPteUser).ok());
+    Bytes v{static_cast<u8>(value), 0, 0, 0};
+    EXPECT_TRUE(s.copy_in(kDataBase, v, false).ok());
+    return s;
+  };
+
+  AddressSpace first = make_space(0x11);
+  CpuState c1;
+  c1.set_pc(kCodeBase);
+  ASSERT_EQ(env.interp.run(c1, first, 100).result, StepResult::kHalt);
+  ASSERT_EQ(c1.regs[R2], 0x11u);
+  const PAddr cr3 = first.cr3();
+  const PAddr old_data = *first.translate(kDataBase, AccessType::kRead, true);
+  // Keep the user frames allocated so the successor cannot land on them.
+  first.destroy(/*free_user_frames=*/false);
+
+  AddressSpace second = make_space(0x22);
+  ASSERT_EQ(second.cr3(), cr3);
+  ASSERT_NE(*second.translate(kDataBase, AccessType::kRead, true), old_data);
+  CpuState c2;
+  c2.set_pc(kCodeBase);
+  ASSERT_EQ(env.interp.run(c2, second, 100).result, StepResult::kHalt);
+  EXPECT_EQ(c2.regs[R2], 0x22u);
+}
+
+TEST(CpuTlb, YieldLoopKeepsItsTranslationAcrossQuanta) {
+  // An idle guest yields every three instructions, so each scheduling round
+  // is one short run() call. No page table changes between the rounds, so
+  // the code page's translation must survive them: a per-run flush would
+  // take one miss per round (1000 here).
+  for (bool cache : {true, false}) {
+    CpuEnv env;
+    env.interp.set_block_cache_enabled(cache);
+    Assembler a;
+    a.label("loop");
+    a.movi(R0, 53);  // NtYield
+    a.syscall_();
+    a.jmp("loop");
+    env.load(a);
+    for (int round = 0; round < 1000; ++round) {
+      ASSERT_EQ(env.run(256).result, StepResult::kSyscall) << round;
+    }
+    EXPECT_LT(env.interp.tlb_misses(), 8u) << cache;
+  }
 }
 
 }  // namespace
