@@ -317,7 +317,6 @@ RegimeRun run_regime(const Regime& r, u64 insns) {
   mc.kernel.block_cache = r.block_cache;
   os::Machine m(mc);
   core::Options opts = r.clean ? clean_options() : core::Options{};
-  opts.block_cache = r.block_cache;
   opts.collect_metrics = r.metrics;
   if (r.rules_json) {
     auto rs = core::parse_ruleset_json(r.rules_json);

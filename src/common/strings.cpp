@@ -1,5 +1,6 @@
 #include "common/strings.h"
 
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 
@@ -61,6 +62,25 @@ std::string join(const std::vector<std::string>& parts, std::string_view sep) {
   }
   return out;
 }
+
+namespace {
+
+/// from_chars into the target width: out-of-range input is an error, and
+/// `*out` is only written on success.
+template <typename T>
+bool parse_decimal(std::string_view s, T* out) {
+  const char* end = s.data() + s.size();
+  T v{};
+  auto [p, ec] = std::from_chars(s.data(), end, v);
+  if (ec != std::errc() || p != end) return false;
+  *out = v;
+  return true;
+}
+
+}  // namespace
+
+bool parse_u64(std::string_view s, u64* out) { return parse_decimal(s, out); }
+bool parse_u32(std::string_view s, u32* out) { return parse_decimal(s, out); }
 
 bool starts_with(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;

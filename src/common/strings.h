@@ -25,6 +25,14 @@ u32 parse_ipv4(std::string_view s);
 std::vector<std::string> split(std::string_view s, char sep);
 std::string join(const std::vector<std::string>& parts, std::string_view sep);
 
+/// Strict unsigned decimal: digits only, the whole of `s`. Rejects what
+/// strtoull would let through: empty input, a sign ("-1" wrapping to
+/// 2^64-1), whitespace, a radix prefix, trailing junk, and overflow.
+/// parse_u32 also rejects values above UINT32_MAX instead of truncating
+/// them. `*out` is written only on success.
+bool parse_u64(std::string_view s, u64* out);
+bool parse_u32(std::string_view s, u32* out);
+
 bool starts_with(std::string_view s, std::string_view prefix);
 bool ends_with(std::string_view s, std::string_view suffix);
 

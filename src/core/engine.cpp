@@ -34,7 +34,6 @@ FarosEngine::FarosEngine(const os::OsiQuery& osi, Options opts)
   }
   // An explicit ruleset replaces the built-ins; otherwise the legacy
   // policy_* toggles select them (the historical default behaviour).
-  rule_engine_.set_static_mask(opts_.static_trigger_mask);
   rule_engine_.configure(opts_.rules.empty()
                              ? builtin_rules(opts_.policy_netflow_export,
                                              opts_.policy_cross_process_export,
@@ -443,7 +442,6 @@ bool FarosEngine::try_elide_block(PAddr cr3, VAddr pc, PAddr start_pa,
                                   const vm::Instruction* insns, u32 count) {
   (void)pc;
   (void)insns;
-  if (!opts_.block_cache) return false;
   if (!sregs(cr3).clean()) {
     bt_guard_fail_.inc();
     return false;
@@ -476,7 +474,7 @@ bool FarosEngine::try_elide_block(PAddr cr3, VAddr pc, PAddr start_pa,
 bool FarosEngine::block_elide_hint(PAddr cr3, VAddr pc,
                                    const vm::Instruction* insns, u32 count) {
   (void)cr3;
-  if (!opts_.summary_elide || opts_.elide_hints.empty()) return false;
+  if (opts_.elide_hints.empty()) return false;
   auto it = opts_.elide_hints.find(pc);
   if (it == opts_.elide_hints.end()) return false;
   for (const auto& [n, hash] : it->second) {

@@ -54,32 +54,17 @@ struct Options {
   /// default, as in the paper; enabling demonstrates overtainting.
   bool propagate_address_deps = false;
 
-  /// Approve uninstrumented execution of cached taint-inert blocks
-  /// (vm::ExecHooks::try_elide_block). Detection is bit-identical either
-  /// way; off forces the fully instrumented path (--no-block-cache sets
-  /// this and the machine-side cache toggle together).
-  bool block_cache = true;
-
-  /// Accept static summary elide hints (vm::ExecHooks::block_elide_hint):
-  /// blocks the analyzer proved safe beyond per-opcode inertness (e.g.
-  /// constant-divisor kDivu) become elision-eligible when their translated
-  /// bytes match a hint's content hash. Detection is bit-identical either
-  /// way (--no-summary-elide forces the per-opcode-inert-only baseline).
-  bool summary_elide = true;
-  /// The hints themselves, keyed by block start va: (insn count, content
-  /// hash) pairs from sa::ImageReport::elide_hints. Several images of one
-  /// job may alias a va; the hash picks the right proof or none. Empty
-  /// means no hint ever matches.
+  /// Static summary elide hints (vm::ExecHooks::block_elide_hint), keyed
+  /// by block start va: (insn count, content hash) pairs from
+  /// sa::ImageReport::elide_hints. A cached block the analyzer proved safe
+  /// beyond per-opcode inertness (e.g. constant-divisor kDivu) becomes
+  /// elision-eligible when its translated bytes match a hint's hash; the
+  /// dynamic guard in try_elide_block still runs per dispatch. Several
+  /// images of one job may alias a va; the hash picks the right proof or
+  /// none. Empty runs the engine unhinted, which is the reference the
+  /// hinted engine must match (test_live_replay_oracle). Elision itself
+  /// needs the machine's block cache (os::KernelConfig::block_cache).
   std::map<VAddr, std::vector<std::pair<u32, u64>>> elide_hints;
-
-  /// Statically-proven-unreachable rule triggers (policy-aware pruning),
-  /// bit `static_cast<u32>(Trigger)` per trigger — handed straight to
-  /// RuleEngine::set_static_mask (which refuses the kTaintedFetch bit).
-  /// 0 (the default) prunes nothing. The farm fills this from the
-  /// per-image sa trigger masks when --static-prune is on; detection and
-  /// the per-rule eval counters are bit-identical either way, which the
-  /// prune-on/off CI gate enforces.
-  u8 static_trigger_mask = 0;
 
   /// Built-in policies (ignored when `rules` is non-empty).
   bool policy_netflow_export = true;

@@ -333,12 +333,6 @@ void RuleEngine::add_native(std::unique_ptr<FlagPolicy> policy) {
   rebuild_index();
 }
 
-void RuleEngine::set_static_mask(u8 mask) {
-  static_mask_ =
-      mask & static_cast<u8>(
-                 ~(1u << static_cast<u32>(Trigger::kTaintedFetch)));
-}
-
 void RuleEngine::bind_obs(obs::MetricSink* sink) {
   eval_ctr_[static_cast<u32>(Trigger::kTaintedLoad)] = {
       sink, obs::Ctr::kRuleEvalsTaintedLoad};

@@ -150,21 +150,8 @@ class RuleEngine {
   /// Binds the per-trigger eval counters (null sink unbinds).
   void bind_obs(obs::MetricSink* sink);
 
-  /// Statically-proven-unreachable triggers (policy-aware pruning): bit
-  /// `static_cast<u32>(Trigger)` set makes has_rules() report the trigger
-  /// unbound, so the hot path skips its input computation entirely. Sound
-  /// only while the proof holds — if a masked trigger's site fires anyway
-  /// the dispatch it would have run is skipped, which skews the per-rule
-  /// eval counters, which is exactly what the farm's prune-on/off
-  /// byte-identical CI gate trips on. kTaintedFetch is never maskable
-  /// (fetch of injected code is the system's reason to exist): its bit is
-  /// cleared here unconditionally.
-  void set_static_mask(u8 mask);
-  u8 static_mask() const { return static_mask_; }
-
   bool has_rules(Trigger t) const {
-    const u32 i = static_cast<u32>(t);
-    return !(static_mask_ >> i & 1) && !index_[i].empty();
+    return !index_[static_cast<u32>(t)].empty();
   }
 
   /// True when any rule on `t` inspects the value subject — lets trigger
@@ -207,7 +194,6 @@ class RuleEngine {
   void rebuild_index();
 
   std::vector<CompiledRule> rules_;
-  u8 static_mask_ = 0;
   std::array<std::vector<u32>, kTriggerCount> index_;
   std::array<bool, kTriggerCount> needs_value_{};
   std::array<bool, kTriggerCount> needs_page_flags_{};

@@ -172,16 +172,14 @@ JobResult Farm::run_once(const JobSpec& spec, u32 attempt) const {
       cfg_.engine_opts.collect_metrics ? &timers : nullptr;
 
   // --- static analysis (zero-execution; never gates the dynamic run) ---
-  // One analyzer pass serves three consumers: the prefilter stamps the
-  // result fields, summary elision collects the per-image elide hints
-  // into this job's engine options, and static pruning intersects the
-  // per-image trigger masks. Extraction failure only surfaces as
-  // sa_error under the prefilter — with elision/pruning alone the job
-  // silently runs unhinted and unmasked, keeping the JSONL
-  // byte-identical to --no-summary-elide / no --static-prune.
+  // One analyzer pass per job. Its per-image elide hints always go into
+  // this job's engine options; under the prefilter it also stamps the sa_*
+  // result fields. Extraction failure surfaces only as sa_error under the
+  // prefilter; otherwise the job silently runs unhinted, which changes no
+  // verdict, finding or graph (the engine's hint oracle in
+  // test_live_replay_oracle pins that).
   core::Options eopts = cfg_.engine_opts;
-  const bool want_hints = eopts.summary_elide;
-  if (cfg_.static_prefilter || want_hints || cfg_.static_prune) {
+  {
     obs::ScopedTimer t(tsink, obs::Tmr::kStatic);
     auto extracted = attacks::extract_images(*sc, mcfg);
     if (!extracted.ok()) {
@@ -202,26 +200,10 @@ JobResult Farm::run_once(const JobSpec& spec, u32 attempt) const {
         r.sa_risk = rep.risk;
         r.sa_rules = std::move(rep.rules);
       }
-      if (want_hints) {
-        for (const sa::ImageReport& ir : rep.per_image) {
-          for (const sa::ElideHint& h : ir.elide_hints) {
-            eopts.elide_hints[h.va].emplace_back(h.insns, h.hash);
-          }
+      for (const sa::ImageReport& ir : rep.per_image) {
+        for (const sa::ElideHint& h : ir.elide_hints) {
+          eopts.elide_hints[h.va].emplace_back(h.insns, h.hash);
         }
-      }
-      if (cfg_.static_prune) {
-        // sa::TriggerMask bit -> core::Trigger bit (the sa encoding skips
-        // kTaintedFetch, which is never maskable).
-        u8 m = 0;
-        if (rep.trigger_mask & sa::kMaskTaintedLoad)
-          m |= 1u << static_cast<u32>(core::Trigger::kTaintedLoad);
-        if (rep.trigger_mask & sa::kMaskTaintedStore)
-          m |= 1u << static_cast<u32>(core::Trigger::kTaintedStore);
-        if (rep.trigger_mask & sa::kMaskExecPageWrite)
-          m |= 1u << static_cast<u32>(core::Trigger::kExecPageWrite);
-        if (rep.trigger_mask & sa::kMaskSyscallArg)
-          m |= 1u << static_cast<u32>(core::Trigger::kSyscallArg);
-        eopts.static_trigger_mask = m;
       }
     }
   }

@@ -50,18 +50,12 @@ struct FarmConfig {
   u64 timeout_ms = 60'000;
   /// Retries for kError jobs (transient harness failures).
   u32 retries = 1;
-  /// Run the zero-execution static analyzer (src/sa) over each job's
-  /// extracted images before the dynamic run and stamp the JobResult with
-  /// the static risk score / rule hits. Purely additive: dynamic verdicts
-  /// are untouched.
+  /// The zero-execution static analyzer (src/sa) runs over every job's
+  /// extracted images before the dynamic run, feeding the engine its
+  /// summary elide hints (core::Options::elide_hints). This switch also
+  /// stamps the JobResult with the static risk score / rule hits. Purely
+  /// additive: dynamic verdicts are untouched.
   bool static_prefilter = false;
-  /// Policy-aware static pruning: intersect the per-image sa trigger
-  /// masks of each job and hand the result to the job's engines
-  /// (core::Options::static_trigger_mask), so rule triggers statically
-  /// proven unreachable skip their hot-path input computation. Detection
-  /// and the per-rule eval counters are bit-identical on vs off (the
-  /// prune-on/off CI gate pins this over the full corpus).
-  bool static_prune = false;
   /// When non-empty: write one provenance-graph artifact per completed job
   /// to `<graph_out>/<job name>.fpg` (src/graph binary format; job names
   /// are sanitized to filesystem-safe characters). The graph is built from

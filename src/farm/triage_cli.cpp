@@ -1,10 +1,10 @@
 #include "farm/triage_cli.h"
 
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
 
+#include "common/strings.h"
 #include "core/rules.h"
 
 namespace faros::farm {
@@ -24,21 +24,14 @@ struct BoolFlag {
 
 constexpr BoolFlag kBoolFlags[] = {
     {"block-cache",
-     "per-CR3 block-translation cache in both machines plus the engine's\n"
-     "                   elision fast path (default: on; verdicts are\n"
-     "                   byte-identical either way; CI pins this)",
-     [](TriageCliOptions& o, bool v) {
-       o.farm.machine.kernel.block_cache = v;
-       o.farm.engine_opts.block_cache = v;
-     },
-     [](const TriageCliOptions& o) { return o.farm.engine_opts.block_cache; }},
-    {"summary-elide",
-     "static summary elide hints; off = only per-opcode taint-inert\n"
-     "                   blocks run the uninstrumented fast body (default:\n"
-     "                   on; byte-identical verdicts; CI pins this)",
-     [](TriageCliOptions& o, bool v) { o.farm.engine_opts.summary_elide = v; },
+     "per-CR3 block-translation cache, and with it the engine's\n"
+     "                   elision fast path, in every machine of a job (the\n"
+     "                   live run plus one replay per extra policy set)\n"
+     "                   (default: on; byte-identical verdicts; CI pins\n"
+     "                   this)",
+     [](TriageCliOptions& o, bool v) { o.farm.machine.kernel.block_cache = v; },
      [](const TriageCliOptions& o) {
-       return o.farm.engine_opts.summary_elide;
+       return o.farm.machine.kernel.block_cache;
      }},
     {"snapshot",
      "boot the guest once and run each job as a copy-on-write clone of\n"
@@ -47,31 +40,14 @@ constexpr BoolFlag kBoolFlags[] = {
      [](TriageCliOptions& o, bool v) { o.farm.snapshot = v; },
      [](const TriageCliOptions& o) { return o.farm.snapshot; }},
     {"static-prefilter",
-     "run the zero-execution static analyzer (src/sa) per job before\n"
-     "                   record/replay and score it next to the dynamic\n"
-     "                   verdicts (default: off)",
+     "score the static analyzer's (src/sa) per-job verdict next to\n"
+     "                   the dynamic one (default: off)",
      [](TriageCliOptions& o, bool v) { o.farm.static_prefilter = v; },
      [](const TriageCliOptions& o) { return o.farm.static_prefilter; }},
-    {"static-prune",
-     "mask rule triggers the static analyzer proved unreachable per\n"
-     "                   job, skipping their hot-path input computation\n"
-     "                   (default: off; byte-identical detection and\n"
-     "                   per-rule eval counts; CI pins this)",
-     [](TriageCliOptions& o, bool v) { o.farm.static_prune = v; },
-     [](const TriageCliOptions& o) { return o.farm.static_prune; }},
     {"quiet", "suppress the per-job console lines (default: off)",
      [](TriageCliOptions& o, bool v) { o.quiet = v; },
      [](const TriageCliOptions& o) { return o.quiet; }},
 };
-
-/// Decimal digits only. from_chars rejects what strtoull would let
-/// through: a sign ("-1" wrapping to 2^64-1), leading whitespace, and
-/// overflow.
-bool parse_u64(const std::string& s, u64* out) {
-  const char* end = s.data() + s.size();
-  auto [p, ec] = std::from_chars(s.data(), end, *out);
-  return ec == std::errc() && p == end;
-}
 
 std::vector<std::string> split_csv(const std::string& s) {
   std::vector<std::string> out;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/json.h"
-#include "os/syscalls.h"
 #include "vm/phys_mem.h"
 
 namespace faros::sa {
@@ -49,171 +48,7 @@ void prove_run(const os::Image& img, u32 va, std::vector<ElideHint>& out) {
                           vm::insn_seq_hash(run.data(), run.size())});
 }
 
-/// True when the syscall at `va` provably cannot mint executable code,
-/// spawn a process, or touch another process's memory — the conditions
-/// under which masking a trigger on "no such opcode in the recovered
-/// blocks" stays sound (nothing the syscall does can put new opcodes in
-/// front of the fetch unit). Requires a constant service number; kernel
-/// copy-in services additionally need a constant destination window that
-/// misses every recovered block (overwriting data or even dead code is
-/// fine — under a closed CFG neither can ever execute).
-bool code_silent_syscall(const Cfg& cfg, const DataflowResult& df, u32 va) {
-  auto it = df.syscall_args.find(va);
-  if (it == df.syscall_args.end()) return false;
-  const std::array<AbsVal, 5>& args = it->second;
-  if (args[0].kind != ValKind::kConst) return false;
-
-  // Whitelisted copy-ins: index of the destination-buffer and length args.
-  int dst = -1, len = -1;
-  switch (static_cast<os::Sys>(args[0].c)) {
-    // No guest-memory writes, own process only, no code minting.
-    case os::Sys::kNtCreateFile:
-    case os::Sys::kNtOpenFile:
-    case os::Sys::kNtWriteFile:
-    case os::Sys::kNtCloseHandle:
-    case os::Sys::kNtDeleteFile:
-    case os::Sys::kNtSeekFile:
-    case os::Sys::kNtQueryFileSize:
-    case os::Sys::kNtRenameFile:
-    case os::Sys::kNtTruncateFile:
-    case os::Sys::kNtFlushFile:
-    case os::Sys::kNtQueryFileVersion:
-    case os::Sys::kNtWriteFileAt:
-    case os::Sys::kNtQueryFileExists:
-    case os::Sys::kNtGetCurrentPid:
-    case os::Sys::kNtWaitProcess:
-    case os::Sys::kNtOpenProcessByName:
-    case os::Sys::kNtSocket:
-    case os::Sys::kNtConnect:
-    case os::Sys::kNtBind:
-    case os::Sys::kNtSend:
-    case os::Sys::kNtPollRecv:
-    case os::Sys::kNtResolveHost:
-    case os::Sys::kNtDebugPrint:
-    case os::Sys::kNtGetTick:
-    case os::Sys::kNtYield:
-    case os::Sys::kNtExit:
-    case os::Sys::kNtGetModuleDirectory:
-    case os::Sys::kNtAddAtom:
-      return true;
-    // Kernel copy-ins into the caller: sound when the written window is
-    // a compile-time constant that cannot overlap recovered code.
-    case os::Sys::kNtReadFile:
-    case os::Sys::kNtRecv:
-    case os::Sys::kNtReadDevice:
-    case os::Sys::kNtGetAtom:
-      dst = 2; len = 3;
-      break;
-    case os::Sys::kNtReadFileAt:
-      dst = 3; len = 4;
-      break;
-    case os::Sys::kNtGetRandom:
-      dst = 1; len = 2;
-      break;
-    // Everything else (alloc/protect/free, remote read/write, unmap,
-    // create/suspend/resume/terminate process, set entry point, process
-    // list, load library) can change what code runs where: never silent.
-    default:
-      return false;
-  }
-  if (args[dst].kind != ValKind::kConst || args[len].kind != ValKind::kConst) {
-    return false;
-  }
-  const u32 lo = args[dst].c;
-  const u32 hi = lo + args[len].c;
-  if (hi < lo) return false;  // wrapped window: give up
-  for (const auto& [bva, bb] : cfg.blocks) {
-    if (bb.start < hi && lo < bb.end) return false;
-  }
-  return true;
-}
-
-/// Trigger-reachability bound for one image (see TriggerMask in the
-/// header). Returns 0 unless the CFG is closed-world: converged, every
-/// indirect resolved, no escaping direct targets, no decode failures.
-u8 compute_trigger_mask(const Cfg& cfg, const DataflowResult& df,
-                        bool converged) {
-  if (!converged || !cfg.escaping_targets.empty()) return 0;
-  for (const IndirectSite& site : cfg.indirects) {
-    if (!site.resolved) return 0;
-  }
-  // One invalid-site shape is tolerable in a closed world: the fall edge
-  // of a proven-noreturn NtExit syscall running into trailing data (every
-  // program ends that way, and the edge can never be taken). Any other
-  // undecodable site — a misaligned root, a branch into data — means code
-  // we cannot see could run, and no bit survives.
-  auto only_exit_falls_into = [&](u32 va) {
-    bool found = false;
-    for (const auto& [bva, bb] : cfg.blocks) {
-      for (const Edge& e : bb.succs) {
-        if (e.target != va) continue;
-        if (bb.insns.empty() ||
-            bb.terminator().op != vm::Opcode::kSyscall) {
-          return false;
-        }
-        auto sit = df.syscall_args.find(bb.end - vm::kInsnSize);
-        if (sit == df.syscall_args.end()) return false;
-        const AbsVal& num = sit->second[0];
-        if (num.kind != ValKind::kConst ||
-            num.c != static_cast<u32>(os::Sys::kNtExit)) {
-          return false;
-        }
-        found = true;
-      }
-    }
-    return found;
-  };
-  for (u32 va : cfg.invalid_sites) {
-    if (!only_exit_falls_into(va)) return 0;
-  }
-
-  bool has_store = false, has_load = false, has_syscall = false;
-  bool syscalls_silent = true;
-  for (const auto& [va, bb] : cfg.blocks) {
-    for (size_t i = 0; i < bb.insns.size(); ++i) {
-      const vm::Opcode op = bb.insns[i].op;
-      if (vm::is_store(op)) has_store = true;
-      if (vm::is_load(op)) has_load = true;
-      if (op == vm::Opcode::kSyscall) {
-        has_syscall = true;
-        if (!code_silent_syscall(cfg, df, bb.insn_va(i))) {
-          syscalls_silent = false;
-        }
-      }
-    }
-  }
-  // No stores plus code-silent syscalls closes the world: the recovered
-  // blocks are all the code that can ever execute, so the opcode census
-  // is a sound per-trigger bound. With stores (or an opaque syscall) the
-  // program could rewrite its own text, and no census bit survives.
-  u8 mask = 0;
-  if (!has_store && syscalls_silent) {
-    mask |= kMaskTaintedStore | kMaskExecPageWrite;
-    if (!has_load) mask |= kMaskTaintedLoad;
-    if (!has_syscall) mask |= kMaskSyscallArg;
-  }
-  return mask;
-}
-
 }  // namespace
-
-std::string trigger_mask_json(u8 mask) {
-  std::string out = "[";
-  auto emit = [&](u8 bit, const char* name) {
-    if (!(mask & bit)) return;
-    if (out.size() > 1) out += ',';
-    out += '"';
-    out += name;
-    out += '"';
-  };
-  // core::Trigger order (tainted-fetch is never maskable).
-  emit(kMaskTaintedLoad, "tainted-load");
-  emit(kMaskTaintedStore, "tainted-store");
-  emit(kMaskExecPageWrite, "exec-page-write");
-  emit(kMaskSyscallArg, "syscall-arg");
-  out += ']';
-  return out;
-}
 
 ImageReport analyze_image(const os::Image& img, const SaOptions& opts) {
   ImageReport rep;
@@ -258,7 +93,7 @@ ImageReport analyze_image(const os::Image& img, const SaOptions& opts) {
     if (!progressed) break;
   }
   // Progress on the final round means resolution was still expanding the
-  // CFG when the pass budget ran out: report it, don't mask it.
+  // CFG when the pass budget ran out: report it, don't hide it.
   rep.converged = !progressed;
 
   rep.blocks = static_cast<u32>(cfg.blocks.size());
@@ -291,7 +126,6 @@ ImageReport analyze_image(const os::Image& img, const SaOptions& opts) {
   }
   rep.dead_regions = static_cast<u32>(cfg.dead_regions.size());
   rep.invalid_sites = static_cast<u32>(cfg.invalid_sites.size());
-  rep.trigger_mask = compute_trigger_mask(cfg, df, rep.converged);
 
   RuleContext ctx{img, cfg, df};
   rep.findings = run_rules(ctx);
@@ -317,10 +151,8 @@ ProgramReport analyze_images(const std::string& name,
   ProgramReport rep;
   rep.name = name;
   rep.risk_threshold = std::max(1u, opts.risk_threshold);
-  rep.trigger_mask = images.empty() ? 0 : 0xff;
   for (const os::Image& img : images) {
     ImageReport ir = analyze_image(img, opts);
-    rep.trigger_mask &= ir.trigger_mask;
     ++rep.images;
     rep.blocks += ir.blocks;
     rep.insns += ir.insns;
@@ -383,7 +215,6 @@ std::string image_jsonl(const std::string& program, const ImageReport& r) {
       .field("invalid_sites", r.invalid_sites)
       .field("passes", r.passes)
       .field("converged", r.converged)
-      .field("trigger_mask", static_cast<u32>(r.trigger_mask))
       .field("findings", static_cast<u32>(r.findings.size()))
       .field("risk", r.risk);
   return w.str();
@@ -402,18 +233,6 @@ std::string program_jsonl(const std::string& category,
       .field("risk", r.risk)
       .field("static_flagged", r.flagged())
       .raw_field("rules", rules_json(r.rules));
-  return w.str();
-}
-
-std::string policy_jsonl(const std::string& category,
-                         const ProgramReport& r) {
-  JsonWriter w;
-  w.field("type", "policy")
-      .field("program", r.name)
-      .field("category", category)
-      .field("images", r.images)
-      .field("mask", static_cast<u32>(r.trigger_mask))
-      .raw_field("pruned", trigger_mask_json(r.trigger_mask));
   return w.str();
 }
 

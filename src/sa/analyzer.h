@@ -42,33 +42,6 @@ struct ElideHint {
   bool operator==(const ElideHint&) const = default;
 };
 
-/// Statically-unreachable runtime rule triggers (policy-aware pruning).
-/// A set bit asserts "no DIFT event of this kind can occur while this
-/// image's code executes"; the farm intersects the per-image masks of a
-/// job and hands the result to core::RuleEngine::set_static_mask, which
-/// then reports the trigger unbound so the hot path skips its input
-/// computation. The bits are only claimed under a closed-world proof:
-/// the CFG converged with every indirect resolved, no escaping branches
-/// and no decode failures, AND every reachable syscall is a constant
-/// number from a code-silent set — services that cannot mint executable
-/// code, spawn processes, or touch another process's memory (kernel
-/// copy-ins additionally need a constant destination window that misses
-/// every recovered block). Under those conditions all code that can ever
-/// run is exactly the recovered blocks, so an opcode census is a sound
-/// trigger-reachability bound. tainted-fetch is deliberately absent:
-/// fetching injected code is the event the whole system exists to catch,
-/// so it is never maskable.
-enum TriggerMask : u8 {
-  kMaskTaintedLoad = 1u << 0,   // no load/pop opcode reachable
-  kMaskTaintedStore = 1u << 1,  // no store/push opcode reachable
-  kMaskExecPageWrite = 1u << 2, // ditto (both fire only on guest stores)
-  kMaskSyscallArg = 1u << 3,    // no syscall opcode reachable
-};
-
-/// JSON array of the pruned trigger names ('["tainted-store",...]'),
-/// in core::Trigger order. "[]" for mask 0.
-std::string trigger_mask_json(u8 mask);
-
 struct ImageReport {
   std::string image;
   u32 base = 0, entry = 0, size = 0;
@@ -91,9 +64,6 @@ struct ImageReport {
   /// False when max_passes ran out while indirect resolution was still
   /// making progress — the report may be based on an incomplete CFG.
   bool converged = true;
-  /// TriggerMask bits statically proven unreachable for this image
-  /// (0 whenever the closed-world proof fails).
-  u8 trigger_mask = 0;
   std::vector<SaFinding> findings;
   u32 risk = 0;  // summed severity weights
 
@@ -110,11 +80,6 @@ struct ProgramReport {
   std::string name;
   u32 images = 0, blocks = 0, insns = 0, findings = 0, risk = 0;
   u32 risk_threshold = kStaticRiskThreshold;  // from SaOptions
-  /// Intersection of the per-image trigger masks: a bit survives only
-  /// when every image of the program proves it (a job replays them all
-  /// under one engine, so the engine-level mask must hold everywhere).
-  /// 0 when the program has no images.
-  u8 trigger_mask = 0;
   std::vector<std::string> rules;  // sorted unique rule names that fired
   std::vector<ImageReport> per_image;
 
@@ -138,12 +103,6 @@ std::string image_jsonl(const std::string& program, const ImageReport& r);
 /// {"type":"program","name":...,"category":...,"risk":...,...}
 std::string program_jsonl(const std::string& category,
                           const ProgramReport& r);
-
-/// {"type":"policy","program":...,"mask":...,"pruned":[...],...} — the
-/// faros_lint --policies line: which rule triggers are statically
-/// unreachable for the whole program.
-std::string policy_jsonl(const std::string& category,
-                         const ProgramReport& r);
 
 /// Pre-rendered JSON array of the rule names, for embedding.
 std::string rules_json(const std::vector<std::string>& rules);

@@ -47,6 +47,35 @@ TEST(Strings, StartsEndsWith) {
   EXPECT_FALSE(ends_with(".dll", "x.dll"));
 }
 
+TEST(Strings, ParseU64AcceptsPlainDecimalOnly) {
+  u64 v = 7;
+  EXPECT_TRUE(parse_u64("0", &v));
+  EXPECT_EQ(v, 0u);
+  EXPECT_TRUE(parse_u64("18446744073709551615", &v));
+  EXPECT_EQ(v, 18446744073709551615ull);
+  // Sign, whitespace, empty input, radix prefixes, trailing junk and
+  // overflow are all rejected, and a rejected parse leaves `out` alone.
+  v = 7;
+  for (const char* bad : {"-1", "+3", " 7", "7 ", "\t7", "", "0x10", "12a",
+                          "18446744073709551616"}) {
+    EXPECT_FALSE(parse_u64(bad, &v)) << '"' << bad << '"';
+  }
+  EXPECT_EQ(v, 7u);
+}
+
+TEST(Strings, ParseU32RejectsValuesAboveU32Max) {
+  u32 v = 7;
+  EXPECT_TRUE(parse_u32("4294967295", &v));
+  EXPECT_EQ(v, 4294967295u);
+  v = 7;
+  // 2^32 must not truncate to 0; 2^64 must not wrap either.
+  for (const char* bad : {"4294967296", "18446744073709551616", "-1", "",
+                          " 1"}) {
+    EXPECT_FALSE(parse_u32(bad, &v)) << '"' << bad << '"';
+  }
+  EXPECT_EQ(v, 7u);
+}
+
 TEST(Strings, Hexdump) {
   Bytes data{'H', 'i', 0x00, 0xff};
   std::string dump = hexdump(data, 0x1000);

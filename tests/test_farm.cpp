@@ -615,12 +615,15 @@ TEST(Farm, MultiPolicyStreamDeterministicAcrossWorkerCounts) {
 }
 
 TEST(TriageCli, RemovedExecutionModeFlagsAreRejected) {
-  // The inline engine is the only DIFT mode: the old mode switches and the
-  // ring size are unknown options, not silently accepted no-ops.
+  // The inline engine is the only DIFT mode, summary elide hints are always
+  // used, and static trigger pruning is gone: the old switches and the ring
+  // size are unknown options, not silently accepted no-ops.
   using farm::parse_triage_cli;
   const std::vector<std::vector<std::string>> removed = {
-      {"--async-dift"}, {"--no-async-dift"}, {"--sync-dift"},
-      {"--ring-capacity", "16"}};
+      {"--async-dift"},    {"--no-async-dift"},
+      {"--sync-dift"},     {"--ring-capacity", "16"},
+      {"--static-prune"},  {"--no-static-prune"},
+      {"--summary-elide"}, {"--no-summary-elide"}};
   for (const auto& argv : removed) {
     farm::TriageCliResult r = parse_triage_cli(argv);
     EXPECT_FALSE(r.ok()) << argv[0];
@@ -630,6 +633,8 @@ TEST(TriageCli, RemovedExecutionModeFlagsAreRejected) {
   EXPECT_EQ(usage.find("async"), std::string::npos);
   EXPECT_EQ(usage.find("sync-dift"), std::string::npos);
   EXPECT_EQ(usage.find("ring-capacity"), std::string::npos);
+  EXPECT_EQ(usage.find("static-prune"), std::string::npos);
+  EXPECT_EQ(usage.find("summary-elide"), std::string::npos);
 }
 
 TEST(TriageCli, PairedFlagsParseAndRoundTrip) {
@@ -640,14 +645,12 @@ TEST(TriageCli, PairedFlagsParseAndRoundTrip) {
   farm::TriageCliResult def = parse_triage_cli({});
   ASSERT_TRUE(def.ok()) << def.error;
   EXPECT_TRUE(def.opts.farm.snapshot);
-  EXPECT_TRUE(def.opts.farm.engine_opts.block_cache);
-  EXPECT_TRUE(def.opts.farm.engine_opts.summary_elide);
+  EXPECT_TRUE(def.opts.farm.machine.kernel.block_cache);
   EXPECT_FALSE(def.opts.farm.static_prefilter);
-  EXPECT_FALSE(def.opts.farm.static_prune);
 
   // Every boolean feature has a working --X and --no-X spelling.
-  const char* features[] = {"block-cache", "summary-elide", "snapshot",
-                            "static-prefilter", "static-prune", "quiet"};
+  const char* features[] = {"block-cache", "snapshot", "static-prefilter",
+                            "quiet"};
   for (const char* f : features) {
     auto on = parse_triage_cli({std::string("--") + f});
     auto off = parse_triage_cli({std::string("--no-") + f});
@@ -664,14 +667,14 @@ TEST(TriageCli, PairedFlagsParseAndRoundTrip) {
       "injection", "--timeout-ms", "1234", "--budget", "99", "--out",
       "r.jsonl", "--metrics", "m.jsonl", "--graph-out", "graphs",
       "--policies", "a.json,b.json,c.json", "--no-block-cache",
-      "--no-summary-elide", "--no-snapshot", "--static-prefilter",
-      "--static-prune", "--quiet"};
+      "--no-snapshot", "--static-prefilter", "--quiet"};
   farm::TriageCliResult once = parse_triage_cli(argv);
   ASSERT_TRUE(once.ok()) << once.error;
   EXPECT_EQ(once.opts.farm.workers, 8u);
   EXPECT_EQ(once.opts.farm.timeout_ms, 1234u);
-  EXPECT_FALSE(once.opts.farm.engine_opts.block_cache);
   EXPECT_FALSE(once.opts.farm.machine.kernel.block_cache);
+  EXPECT_FALSE(once.opts.farm.snapshot);
+  EXPECT_TRUE(once.opts.farm.static_prefilter);
   ASSERT_EQ(once.opts.policy_paths.size(), 3u);
   EXPECT_EQ(once.opts.policy_paths[1], "b.json");
 

@@ -1,9 +1,16 @@
-// Live-vs-replay oracle: the farm and attacks::analyze() run FAROS on the
-// live run while it records. Replaying that run's log on a fresh machine
-// under a fresh engine with the same options must reproduce the analysis
-// exactly — findings, per-rule counts, provenance state, counters and the
-// exported graph bytes. This pins that attaching the engine never perturbs
-// the guest, for every job of the full and policy corpora.
+// Two oracles over every job of the full and policy corpora.
+//
+// Live vs replay: the farm and attacks::analyze() run FAROS on the live run
+// while it records. Replaying that run's log on a fresh machine under a
+// fresh engine with the same options must reproduce the analysis exactly —
+// findings, per-rule counts, provenance state, counters and the exported
+// graph bytes. This pins that attaching the engine never perturbs the guest.
+//
+// Hinted vs unhinted: the farm always hands the engine the static
+// analyzer's summary elide hints; attacks::analyze() and Table V run
+// without them. The unhinted engine is the reference: with hints the same
+// live run must reach the same analysis, and only the elision counters may
+// differ.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -113,37 +120,27 @@ Analyzed run_analyzed(attacks::Scenario& sc, const core::Options& opts,
   return a;
 }
 
-class LiveReplayOracle : public ::testing::TestWithParam<OracleJob> {};
-
-TEST_P(LiveReplayOracle, ReplayReproducesLiveAnalysis) {
-  const OracleJob& job = GetParam();
-  std::unique_ptr<attacks::Scenario> sc = job.entry.make();
-  ASSERT_TRUE(sc);
-  const os::MachineConfig& mcfg = machine_config();
-  core::Options opts = job_options(*sc, job.entry.name, mcfg);
-  if (job.policy_rules) opts.rules = multistage_rules();
-
-  Analyzed live = run_analyzed(*sc, opts, nullptr);
-  const vm::ReplayLog log = live.machine->recording();
-  Analyzed replay = run_analyzed(*sc, opts, &log);
-  const core::FarosEngine& le = *live.engine;
-  const core::FarosEngine& re = *replay.engine;
+/// The guest's course and everything the analysis produces: verdict,
+/// findings field by field, report, per-rule evals and hits, provenance
+/// state and the exported graph bytes. Counters are the caller's business.
+void expect_same_analysis(const Analyzed& a_run, const Analyzed& b_run) {
+  const core::FarosEngine& ae = *a_run.engine;
+  const core::FarosEngine& be = *b_run.engine;
 
   // The guest ran the same course.
-  EXPECT_EQ(live.stats.instructions, replay.stats.instructions);
-  EXPECT_EQ(live.stats.all_exited, replay.stats.all_exited);
-  EXPECT_EQ(live.machine->kernel().console(),
-            replay.machine->kernel().console());
-  EXPECT_EQ(live.machine->kernel().trap_log(),
-            replay.machine->kernel().trap_log());
+  EXPECT_EQ(a_run.stats.instructions, b_run.stats.instructions);
+  EXPECT_EQ(a_run.stats.all_exited, b_run.stats.all_exited);
+  EXPECT_EQ(a_run.machine->kernel().console(),
+            b_run.machine->kernel().console());
+  EXPECT_EQ(a_run.machine->kernel().trap_log(),
+            b_run.machine->kernel().trap_log());
 
   // Findings, field by field, and the verdict.
-  EXPECT_EQ(le.flagged(), job.entry.expect_flagged);
-  EXPECT_EQ(le.flagged(), re.flagged());
-  ASSERT_EQ(le.findings().size(), re.findings().size());
-  for (size_t i = 0; i < le.findings().size(); ++i) {
-    const core::Finding& a = le.findings()[i];
-    const core::Finding& b = re.findings()[i];
+  EXPECT_EQ(ae.flagged(), be.flagged());
+  ASSERT_EQ(ae.findings().size(), be.findings().size());
+  for (size_t i = 0; i < ae.findings().size(); ++i) {
+    const core::Finding& a = ae.findings()[i];
+    const core::Finding& b = be.findings()[i];
     SCOPED_TRACE("finding " + std::to_string(i));
     EXPECT_EQ(a.policy, b.policy);
     EXPECT_EQ(a.instr_index, b.instr_index);
@@ -161,28 +158,59 @@ TEST_P(LiveReplayOracle, ReplayReproducesLiveAnalysis) {
     EXPECT_EQ(a.code_base, b.code_base);
     EXPECT_EQ(a.code_window, b.code_window);
   }
-  EXPECT_EQ(le.report(), re.report());
+  EXPECT_EQ(ae.report(), be.report());
 
   // Per-rule evaluations and hits.
-  const core::RuleEngine& lr = le.rule_engine();
-  const core::RuleEngine& rr = re.rule_engine();
-  ASSERT_EQ(lr.rule_count(), rr.rule_count());
-  for (u32 i = 0; i < lr.rule_count(); ++i) {
-    EXPECT_EQ(lr.rule_id(i), rr.rule_id(i));
-    SCOPED_TRACE(lr.rule_id(i));
-    EXPECT_EQ(lr.rule_stats(i).evals, rr.rule_stats(i).evals);
-    EXPECT_EQ(lr.rule_stats(i).hits, rr.rule_stats(i).hits);
+  const core::RuleEngine& ar = ae.rule_engine();
+  const core::RuleEngine& br = be.rule_engine();
+  ASSERT_EQ(ar.rule_count(), br.rule_count());
+  for (u32 i = 0; i < ar.rule_count(); ++i) {
+    EXPECT_EQ(ar.rule_id(i), br.rule_id(i));
+    SCOPED_TRACE(ar.rule_id(i));
+    EXPECT_EQ(ar.rule_stats(i).evals, br.rule_stats(i).evals);
+    EXPECT_EQ(ar.rule_stats(i).hits, br.rule_stats(i).hits);
   }
 
   // Provenance state.
-  EXPECT_EQ(le.store().size(), re.store().size());
-  EXPECT_EQ(le.shadow().tainted_bytes(), re.shadow().tainted_bytes());
+  EXPECT_EQ(ae.store().size(), be.store().size());
+  EXPECT_EQ(ae.shadow().tainted_bytes(), be.shadow().tainted_bytes());
+
+  // The exported provenance graph, byte for byte.
+  EXPECT_EQ(graph::serialize(graph::build_graph(ae, a_run.machine->kernel())),
+            graph::serialize(graph::build_graph(be, b_run.machine->kernel())));
+}
+
+std::string job_test_name(const ::testing::TestParamInfo<OracleJob>& info) {
+  std::string name = info.param.entry.name;
+  for (char& c : name) {
+    bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+              (c >= '0' && c <= '9');
+    if (!ok) c = '_';
+  }
+  return name;
+}
+
+class LiveReplayOracle : public ::testing::TestWithParam<OracleJob> {};
+
+TEST_P(LiveReplayOracle, ReplayReproducesLiveAnalysis) {
+  const OracleJob& job = GetParam();
+  std::unique_ptr<attacks::Scenario> sc = job.entry.make();
+  ASSERT_TRUE(sc);
+  core::Options opts = job_options(*sc, job.entry.name, machine_config());
+  if (job.policy_rules) opts.rules = multistage_rules();
+
+  Analyzed live = run_analyzed(*sc, opts, nullptr);
+  const vm::ReplayLog log = live.machine->recording();
+  Analyzed replay = run_analyzed(*sc, opts, &log);
+
+  EXPECT_EQ(live.engine->flagged(), job.entry.expect_flagged);
+  expect_same_analysis(live, replay);
 
   // The whole engine counter array, plus the block-cache stats the farm
   // folds into it. The clone counters are not in the engine's array: the
   // farm adds them per machine, so they count machines, not analysis.
-  obs::MetricSnapshot lm = le.metrics_snapshot();
-  obs::MetricSnapshot rm = re.metrics_snapshot();
+  obs::MetricSnapshot lm = live.engine->metrics_snapshot();
+  obs::MetricSnapshot rm = replay.engine->metrics_snapshot();
   ASSERT_TRUE(lm.collected && rm.collected);
   for (u32 c = 0; c < obs::kCtrCount; ++c) {
     EXPECT_EQ(lm.counters[c], rm.counters[c])
@@ -197,23 +225,33 @@ TEST_P(LiveReplayOracle, ReplayReproducesLiveAnalysis) {
     EXPECT_EQ(lb->stats().evict_smc, rb->stats().evict_smc);
     EXPECT_EQ(lb->stats().evict_cr3, rb->stats().evict_cr3);
   }
-
-  // The exported provenance graph, byte for byte.
-  EXPECT_EQ(graph::serialize(graph::build_graph(le, live.machine->kernel())),
-            graph::serialize(graph::build_graph(re, replay.machine->kernel())));
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Corpus, LiveReplayOracle, ::testing::ValuesIn(oracle_jobs()),
-    [](const ::testing::TestParamInfo<OracleJob>& info) {
-      std::string name = info.param.entry.name;
-      for (char& c : name) {
-        bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                  (c >= '0' && c <= '9');
-        if (!ok) c = '_';
-      }
-      return name;
-    });
+INSTANTIATE_TEST_SUITE_P(Corpus, LiveReplayOracle,
+                         ::testing::ValuesIn(oracle_jobs()), job_test_name);
+
+class HintOracle : public ::testing::TestWithParam<OracleJob> {};
+
+TEST_P(HintOracle, HintsNeverChangeTheAnalysis) {
+  const OracleJob& job = GetParam();
+  std::unique_ptr<attacks::Scenario> sc = job.entry.make();
+  ASSERT_TRUE(sc);
+  core::Options hinted = job_options(*sc, job.entry.name, machine_config());
+  if (job.policy_rules) hinted.rules = multistage_rules();
+  core::Options unhinted = hinted;
+  unhinted.elide_hints.clear();
+
+  Analyzed ref = run_analyzed(*sc, unhinted, nullptr);
+  Analyzed fast = run_analyzed(*sc, hinted, nullptr);
+
+  EXPECT_EQ(ref.engine->flagged(), job.entry.expect_flagged);
+  expect_same_analysis(ref, fast);
+  EXPECT_EQ(ref.engine->metrics_snapshot()[obs::Ctr::kBtHintBlocks], 0u)
+      << "the reference run must not take a hint";
+}
+
+INSTANTIATE_TEST_SUITE_P(Corpus, HintOracle,
+                         ::testing::ValuesIn(oracle_jobs()), job_test_name);
 
 }  // namespace
 }  // namespace faros

@@ -284,26 +284,6 @@ TEST(RuleEngineUnit, HotPathMasksFollowBoundRules) {
   EXPECT_FALSE(re.needs_page_flags(Trigger::kExecPageWrite));
 }
 
-TEST(RuleEngineUnit, StaticMaskSuppressesTriggersButNeverFetch) {
-  RuleEngine re;
-  re.configure(builtin_rules(true, true, false));
-  ASSERT_TRUE(re.has_rules(Trigger::kTaintedLoad));
-
-  re.set_static_mask(1u << static_cast<u32>(Trigger::kTaintedLoad));
-  EXPECT_EQ(re.static_mask(), 1u << static_cast<u32>(Trigger::kTaintedLoad));
-  EXPECT_FALSE(re.has_rules(Trigger::kTaintedLoad))
-      << "a masked trigger must read as rule-free on the hot path";
-
-  // kTaintedFetch is the self-defense trigger: the engine refuses to let
-  // any static proof turn it off.
-  re.set_static_mask(0xff);
-  EXPECT_EQ(re.static_mask() >> static_cast<u32>(Trigger::kTaintedFetch) & 1,
-            0u);
-
-  re.set_static_mask(0);
-  EXPECT_TRUE(re.has_rules(Trigger::kTaintedLoad));
-}
-
 // ---------------------------------------------------------------------------
 // Engine-level semantics on real scenario runs.
 

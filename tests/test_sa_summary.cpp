@@ -2,21 +2,15 @@
 // ordering, bottom-up function summaries, the SummaryCallModel vs the
 // historical clobber-all call semantics, a soundness property test for
 // sa::transfer against the concrete interpreter, block splitting at
-// resolved indirect targets, multi-pass convergence, the policy trigger
-// mask (closed-world proof conditions), the static-prefilter confusion
-// matrix pinned over the full corpus, and the farm-level A/B contracts
-// (summary elision on/off, static pruning on/off: byte-identical streams).
+// resolved indirect targets, multi-pass convergence, and the
+// static-prefilter confusion matrix pinned over the full corpus.
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "attacks/corpus.h"
-#include "farm/farm.h"
-#include "farm/results.h"
-#include "os/syscalls.h"
 #include "sa/analyzer.h"
 #include "sa/callgraph.h"
 #include "sa/summary.h"
@@ -28,9 +22,6 @@
 namespace faros {
 namespace {
 
-using farm::Farm;
-using farm::FarmConfig;
-using farm::JobSpec;
 using sa::AbsVal;
 using sa::CallGraph;
 using sa::Cfg;
@@ -57,21 +48,6 @@ os::Image image_of(const vm::Assembler& a, u32 base = kBase) {
   return img;
 }
 
-os::Image make_image(const std::function<void(vm::Assembler&)>& emit,
-                     u32 base = kBase) {
-  vm::Assembler a;
-  emit(a);
-  return image_of(a, base);
-}
-
-/// Undecodable padding: 0xff is not a valid opcode, so descent that falls
-/// into it records an invalid site instead of inventing code.
-void pad_invalid(vm::Assembler& a) {
-  const u8 junk[vm::kInsnSize] = {0xff, 0xff, 0xff, 0xff,
-                                  0xff, 0xff, 0xff, 0xff};
-  a.data(ByteSpan(junk, sizeof junk));
-}
-
 u32 scc_index_of(const CallGraph& cg, u32 entry) {
   for (u32 i = 0; i < cg.sccs.size(); ++i) {
     for (u32 e : cg.sccs[i]) {
@@ -80,19 +56,6 @@ u32 scc_index_of(const CallGraph& cg, u32 entry) {
   }
   ADD_FAILURE() << "entry " << entry << " in no SCC";
   return ~0u;
-}
-
-std::vector<JobSpec> corpus_jobs(const std::vector<attacks::CorpusEntry>& es) {
-  std::vector<JobSpec> jobs;
-  for (const auto& e : es) {
-    JobSpec spec;
-    spec.name = e.name;
-    spec.category = e.category;
-    spec.expect_flagged = e.expect_flagged;
-    spec.make = e.make;
-    jobs.push_back(std::move(spec));
-  }
-  return jobs;
 }
 
 // --- call graph -------------------------------------------------------------
@@ -471,154 +434,16 @@ TEST(SaConvergence, PassBudgetExhaustionIsReportedNotMasked) {
   EXPECT_FALSE(two.converged) << "resolution still progressing on the "
                                  "final round must not report converged";
   EXPECT_EQ(two.passes, 2u);
-  EXPECT_EQ(two.trigger_mask, 0u) << "a non-converged image must never "
-                                     "offer a trigger mask";
 }
 
-// --- policy trigger mask ----------------------------------------------------
-
-void emit_exit_then_junk(vm::Assembler& a) {
-  a.movi(Reg::R1, 0);
-  a.movi(Reg::R0, static_cast<u32>(os::Sys::kNtExit));
-  a.syscall_();
-  pad_invalid(a);  // the exit's fall-through lands here: tolerated
-}
-
-TEST(SaTriggerMask, PureAluProgramMasksLoadStoreAndExecWrite) {
-  os::Image img = make_image([](vm::Assembler& a) {
-    a.movi(Reg::R2, 3);
-    a.mul(Reg::R2, Reg::R2, Reg::R2);
-    emit_exit_then_junk(a);
-  });
-  sa::ImageReport rep = sa::analyze_image(img);
-  EXPECT_TRUE(rep.converged);
-  EXPECT_EQ(rep.invalid_sites, 1u);  // the tolerated exit fall-through
-  EXPECT_EQ(rep.trigger_mask,
-            sa::kMaskTaintedLoad | sa::kMaskTaintedStore |
-                sa::kMaskExecPageWrite);
-}
-
-TEST(SaTriggerMask, LoadKeepsLoadTriggerStoreKillsEverything) {
-  os::Image with_load = make_image([](vm::Assembler& a) {
-    a.ld32(Reg::R2, Reg::R3);
-    emit_exit_then_junk(a);
-  });
-  EXPECT_EQ(sa::analyze_image(with_load).trigger_mask,
-            sa::kMaskTaintedStore | sa::kMaskExecPageWrite);
-
-  os::Image with_store = make_image([](vm::Assembler& a) {
-    a.st32(Reg::R3, 0, Reg::R2);
-    emit_exit_then_junk(a);
-  });
-  EXPECT_EQ(sa::analyze_image(with_store).trigger_mask, 0u);
-}
-
-TEST(SaTriggerMask, NonWhitelistedSyscallKillsTheMask) {
-  os::Image img = make_image([](vm::Assembler& a) {
-    a.movi(Reg::R1, 0x1000);
-    a.movi(Reg::R2, 7);
-    a.movi(Reg::R0, static_cast<u32>(os::Sys::kNtAllocateVirtualMemory));
-    a.syscall_();
-    emit_exit_then_junk(a);
-  });
-  sa::ImageReport rep = sa::analyze_image(img);
-  EXPECT_TRUE(rep.converged);
-  EXPECT_EQ(rep.trigger_mask, 0u)
-      << "NtAllocVirtualMemory can mint code pages; nothing is provable";
-}
-
-TEST(SaTriggerMask, UnresolvedIndirectKillsTheMask) {
-  os::Image img = make_image([](vm::Assembler& a) {
-    a.movi(Reg::R2, 5);
-    a.jr(Reg::R1);  // R1 is never defined: opaque target
-  });
-  sa::ImageReport rep = sa::analyze_image(img);
-  EXPECT_EQ(rep.resolved_indirects, 0u);
-  EXPECT_EQ(rep.trigger_mask, 0u)
-      << "an open-world CFG must not prove any trigger unreachable";
-}
-
-TEST(SaTriggerMask, InvalidFallThroughFromNonExitSyscallKillsTheMask) {
-  os::Image img = make_image([](vm::Assembler& a) {
-    a.movi(Reg::R0, static_cast<u32>(os::Sys::kNtYield));
-    a.syscall_();
-    pad_invalid(a);  // yield returns: falling into junk is a real hole
-  });
-  EXPECT_EQ(sa::analyze_image(img).trigger_mask, 0u);
-}
-
-TEST(SaTriggerMask, ConstBoundedCopyInOutsideCodeStaysSilent) {
-  // NtReadFile with a dataflow-proven constant destination window that
-  // does not overlap any recovered block: the kernel write-back cannot
-  // reach code, so the mask survives.
-  os::Image ok = make_image([](vm::Assembler& a) {
-    a.movi(Reg::R1, 3);             // fd
-    a.movi(Reg::R2, 0x00500000);    // dst: far from the image
-    a.movi(Reg::R3, 64);            // len
-    a.movi(Reg::R0, static_cast<u32>(os::Sys::kNtReadFile));
-    a.syscall_();
-    emit_exit_then_junk(a);
-  });
-  EXPECT_EQ(sa::analyze_image(ok).trigger_mask,
-            sa::kMaskTaintedLoad | sa::kMaskTaintedStore |
-                sa::kMaskExecPageWrite);
-
-  // Same syscall aimed at the entry block: the copy-in could rewrite
-  // code under our feet, so nothing is provable.
-  os::Image overlap = make_image([](vm::Assembler& a) {
-    a.movi(Reg::R1, 3);
-    a.movi(Reg::R2, kBase);  // dst: the entry block itself
-    a.movi(Reg::R3, 64);
-    a.movi(Reg::R0, static_cast<u32>(os::Sys::kNtReadFile));
-    a.syscall_();
-    emit_exit_then_junk(a);
-  });
-  EXPECT_EQ(sa::analyze_image(overlap).trigger_mask, 0u);
-}
-
-TEST(SaTriggerMask, ProgramMaskIsTheIntersectionAcrossImages) {
-  os::Image clean = make_image([](vm::Assembler& a) {
-    a.movi(Reg::R2, 3);
-    emit_exit_then_junk(a);
-  });
-  os::Image storing = make_image(
-      [](vm::Assembler& a) {
-        a.st32(Reg::R3, 0, Reg::R2);
-        emit_exit_then_junk(a);
-      },
-      kBase + 0x10000);
-
-  sa::ProgramReport both = sa::analyze_images("p", {clean, storing});
-  EXPECT_EQ(both.trigger_mask, 0u);
-  sa::ProgramReport solo = sa::analyze_images("p", {clean});
-  EXPECT_EQ(solo.trigger_mask,
-            sa::kMaskTaintedLoad | sa::kMaskTaintedStore |
-                sa::kMaskExecPageWrite);
-  sa::ProgramReport none = sa::analyze_images("p", {});
-  EXPECT_EQ(none.trigger_mask, 0u);
-}
-
-TEST(SaTriggerMask, JsonNamesFollowCoreTriggerOrder) {
-  EXPECT_EQ(sa::trigger_mask_json(0), "[]");
-  EXPECT_EQ(sa::trigger_mask_json(sa::kMaskTaintedLoad |
-                                  sa::kMaskTaintedStore |
-                                  sa::kMaskExecPageWrite),
-            "[\"tainted-load\",\"tainted-store\",\"exec-page-write\"]");
-  EXPECT_EQ(sa::trigger_mask_json(sa::kMaskSyscallArg),
-            "[\"syscall-arg\"]");
-}
-
-// --- full-corpus pins: prefilter matrix + policy aggregate ------------------
+// --- full-corpus pins: prefilter matrix -------------------------------------
 
 TEST(SaCorpusPins, PrefilterMatrixAndPolicyAggregate) {
-  // One sweep over all 135 corpus programs pins both acceptance numbers:
-  //  * static prefilter confusion matrix: 11 TP / 0 FP / 122 TN / 2 FN,
-  //    the two FNs being the known low-risk injectors;
-  //  * policy pruning aggregate: 7 programs (all benign) with mask 7,
-  //    21 pruned trigger bits in total.
+  // One sweep over all 135 corpus programs pins the static prefilter
+  // confusion matrix: 11 TP / 0 FP / 122 TN / 2 FN, the two FNs being the
+  // known low-risk injectors.
   u32 tp = 0, fp = 0, tn = 0, fn = 0;
   std::vector<std::string> fn_names;
-  u32 pruned_programs = 0, pruned_bits = 0;
   std::vector<os::Image> first_flagged;
 
   for (const auto& e : attacks::full_corpus()) {
@@ -639,16 +464,6 @@ TEST(SaCorpusPins, PrefilterMatrixAndPolicyAggregate) {
       if (rep.flagged()) ++fp;
       else ++tn;
     }
-    if (rep.trigger_mask) {
-      ++pruned_programs;
-      EXPECT_EQ(e.category, "benign")
-          << e.name << " pruned outside the benign set";
-      EXPECT_EQ(rep.trigger_mask,
-                sa::kMaskTaintedLoad | sa::kMaskTaintedStore |
-                    sa::kMaskExecPageWrite)
-          << e.name;
-    }
-    pruned_bits += static_cast<u32>(__builtin_popcount(rep.trigger_mask));
   }
 
   EXPECT_EQ(tp, 11u);
@@ -660,8 +475,6 @@ TEST(SaCorpusPins, PrefilterMatrixAndPolicyAggregate) {
                 n.find("collision") != std::string::npos)
         << "unexpected static FN: " << n;
   }
-  EXPECT_EQ(pruned_programs, 7u);
-  EXPECT_EQ(pruned_bits, 21u);
 
   // Satellite: the risk threshold is a real knob, not a constant.
   ASSERT_FALSE(first_flagged.empty());
@@ -671,61 +484,6 @@ TEST(SaCorpusPins, PrefilterMatrixAndPolicyAggregate) {
   sa::SaOptions loose;
   loose.risk_threshold = 1;
   EXPECT_TRUE(sa::analyze_images("p", first_flagged, loose).flagged());
-}
-
-// --- farm A/B contracts -----------------------------------------------------
-
-TEST(FarmSummaryElide, ResultStreamByteIdenticalOnVsOff) {
-  // Summary-inert elision is a pure throughput lever: the replay with
-  // hint-elided instruction bodies must produce the byte-identical result
-  // stream as the unelided replay (the full-corpus CI gate pins the same
-  // property at scale; this pins it in-tree on the injection corpus).
-  auto jobs = corpus_jobs(attacks::injection_corpus());
-
-  FarmConfig on;  // engine_opts.summary_elide defaults to true
-  on.workers = 4;
-  std::string with_elide = farm::results_jsonl(Farm(on).run(jobs));
-
-  FarmConfig off;
-  off.workers = 4;
-  off.engine_opts.summary_elide = false;
-  std::string without = farm::results_jsonl(Farm(off).run(jobs));
-
-  EXPECT_EQ(with_elide, without);
-  EXPECT_FALSE(with_elide.empty());
-}
-
-TEST(FarmStaticPrune, ResultStreamByteIdenticalOnVsOff) {
-  // --static-prune hands the replay engine the statically proven trigger
-  // mask. Soundness shows up as byte-identity: a wrongly masked trigger
-  // would change a per-rule eval counter or a verdict in the stream.
-  std::vector<attacks::CorpusEntry> entries = attacks::injection_corpus();
-  u32 benign_masked = 0;
-  for (auto& e : attacks::full_corpus()) {
-    if (e.category != "benign") continue;
-    // Confirm the subset actually engages the pruner before A/B-ing it.
-    auto sc = e.make();
-    auto extracted = attacks::extract_images(*sc);
-    ASSERT_TRUE(extracted.ok()) << e.name;
-    std::vector<os::Image> images;
-    for (auto& x : extracted.value()) images.push_back(std::move(x.image));
-    if (sa::analyze_images(e.name, images).trigger_mask) ++benign_masked;
-    entries.push_back(std::move(e));
-  }
-  ASSERT_GE(benign_masked, 1u) << "prune A/B would not exercise a mask";
-  auto jobs = corpus_jobs(entries);
-
-  FarmConfig on;
-  on.workers = 4;
-  on.static_prune = true;
-  std::string pruned = farm::results_jsonl(Farm(on).run(jobs));
-
-  FarmConfig off;
-  off.workers = 4;
-  std::string unpruned = farm::results_jsonl(Farm(off).run(jobs));
-
-  EXPECT_EQ(pruned, unpruned);
-  EXPECT_FALSE(pruned.empty());
 }
 
 }  // namespace

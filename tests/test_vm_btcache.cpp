@@ -15,6 +15,7 @@
 #include "farm/results.h"
 #include "os/machine.h"
 #include "os/runtime.h"
+#include "sa/analyzer.h"
 #include "vm/assembler.h"
 #include "vm/btcache.h"
 #include "vm/cpu.h"
@@ -398,7 +399,6 @@ obs::MetricSnapshot run_benign_with_engine(bool block_cache) {
   mc.kernel.block_cache = block_cache;
   os::Machine m(mc);
   core::Options opts;
-  opts.block_cache = block_cache;
   core::FarosEngine engine(m.kernel(), opts);
   m.attach_cpu_plugin(&engine);
   m.add_monitor(&engine);
@@ -422,6 +422,59 @@ TEST(BtCacheEngine, ElisionKeepsEngineCountersExact) {
   // with the cache on and never without it.
   EXPECT_GT(on[obs::Ctr::kBtElidedBlocks], 0u);
   EXPECT_EQ(off[obs::Ctr::kBtElidedBlocks], 0u);
+}
+
+/// Runs a program whose middle block carries an elide hint (a kDivu with a
+/// constant divisor) but is entered with a tainted register: r1 is loaded
+/// from the file-tagged image, the kDivu moves that taint into r2, and the
+/// push stores it. Returns the engine's counters and tainted byte count.
+std::pair<obs::MetricSnapshot, u64> run_tainted_divu(bool hints) {
+  os::ImageBuilder ib("taintdiv.exe", os::kUserImageBase);
+  Assembler& a = ib.asm_();
+  a.label("_start");
+  a.movi_label(R1, "data");
+  a.ld32(R1, R1);
+  a.jmp("body");
+  a.label("body");
+  a.movi(vm::R7, 9);
+  a.divu(R2, R1, vm::R7);
+  a.jmp("tail");
+  a.label("tail");
+  a.push(R2);
+  attacks::emit_exit(a, 0);
+  a.label("data");
+  a.data_u32(0x12345678);
+  auto img = ib.build();
+  EXPECT_TRUE(img.ok());
+
+  os::Machine m;
+  core::Options opts;
+  if (hints) {
+    for (const sa::ElideHint& h : sa::analyze_image(img.value()).elide_hints)
+      opts.elide_hints[h.va].emplace_back(h.insns, h.hash);
+    EXPECT_FALSE(opts.elide_hints.empty());
+  }
+  core::FarosEngine engine(m.kernel(), opts);
+  m.attach_cpu_plugin(&engine);
+  m.add_monitor(&engine);
+  EXPECT_TRUE(m.boot().ok());
+  m.kernel().vfs().create("C:/taintdiv.exe", img.value().serialize());
+  EXPECT_TRUE(m.kernel().spawn("C:/taintdiv.exe").ok());
+  m.run(200000);
+  return {engine.metrics_snapshot(), engine.shadow().tainted_bytes()};
+}
+
+TEST(BtCacheEngine, HintedBlockWithTaintedRegistersRunsInstrumented) {
+  // A hint only makes a block eligible; try_elide_block's clean-bank guard
+  // still decides. The corpus never enters a hinted block with a tainted
+  // register, so this pins the guard directly.
+  auto [plain, plain_bytes] = run_tainted_divu(false);
+  auto [hinted, hinted_bytes] = run_tainted_divu(true);
+  EXPECT_GE(hinted[obs::Ctr::kBtHintBlocks], 1u);
+  EXPECT_GE(hinted[obs::Ctr::kBtGuardFail], 1u);
+  EXPECT_GE(plain[obs::Ctr::kTaintedStores], 1u);
+  EXPECT_EQ(hinted[obs::Ctr::kTaintedStores], plain[obs::Ctr::kTaintedStores]);
+  EXPECT_EQ(hinted_bytes, plain_bytes);
 }
 
 // --- detection equivalence over a corpus slice ---------------------------
@@ -452,7 +505,6 @@ TEST(BtCacheFarm, VerdictStreamIsByteIdenticalCacheOnVsOff) {
   farm::FarmConfig off_cfg;
   off_cfg.workers = 1;
   off_cfg.machine.kernel.block_cache = false;
-  off_cfg.engine_opts.block_cache = false;
 
   auto on = farm::Farm(on_cfg).run(slice_jobs());
   auto off = farm::Farm(off_cfg).run(slice_jobs());

@@ -17,12 +17,12 @@
 // usage. Static findings do NOT affect the exit code — the analyzer is an
 // oracle, not a gate.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "attacks/corpus.h"
 #include "common/json.h"
+#include "common/strings.h"
 #include "sa/analyzer.h"
 
 using namespace faros;
@@ -41,20 +41,8 @@ void usage() {
                "  --risk-threshold N\n"
                "                   summed finding weight at which a program\n"
                "                   counts as static-flagged (default: 10)\n"
-               "  --policies       policy-aware pruning report: one line per\n"
-               "                   program naming the rule triggers statically\n"
-               "                   proven unreachable (what faros_triage\n"
-               "                   --static-prune masks), plus a summary\n"
                "  --list           print the catalogue and exit\n"
                "  --quiet          no per-program console lines\n");
-}
-
-bool parse_u64(const char* s, u64* out) {
-  char* end = nullptr;
-  unsigned long long v = std::strtoull(s, &end, 10);
-  if (!end || *end != '\0') return false;
-  *out = v;
-  return true;
 }
 
 }  // namespace
@@ -62,8 +50,8 @@ bool parse_u64(const char* s, u64* out) {
 int main(int argc, char** argv) {
   std::string filter, category, out_path;
   u64 max_jobs = 0;
-  u64 risk_threshold = sa::kStaticRiskThreshold;
-  bool list_only = false, quiet = false, policies = false;
+  u32 risk_threshold = sa::kStaticRiskThreshold;
+  bool list_only = false, quiet = false;
 
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -75,7 +63,7 @@ int main(int argc, char** argv) {
       }
     }
     else if (arg == "--risk-threshold") {
-      if (i + 1 >= argc || !parse_u64(argv[++i], &risk_threshold) ||
+      if (i + 1 >= argc || !parse_u32(argv[++i], &risk_threshold) ||
           risk_threshold == 0) {
         std::fprintf(stderr,
                      "faros_lint: --risk-threshold needs a number >= 1\n");
@@ -83,7 +71,6 @@ int main(int argc, char** argv) {
         return 1;
       }
     }
-    else if (arg == "--policies") policies = true;
     else if (arg == "--filter" && i + 1 < argc) filter = argv[++i];
     else if (arg == "--category" && i + 1 < argc) category = argv[++i];
     else if (arg == "--out" && i + 1 < argc) out_path = argv[++i];
@@ -129,9 +116,8 @@ int main(int argc, char** argv) {
 
   u32 programs = 0, flagged = 0, findings = 0, errors = 0;
   u64 blocks = 0, insns = 0;
-  u32 pruned_programs = 0, pruned_bits = 0;
   sa::SaOptions sopts;
-  sopts.risk_threshold = static_cast<u32>(risk_threshold);
+  sopts.risk_threshold = risk_threshold;
   for (const auto& e : entries) {
     auto sc = e.make();
     auto extracted = attacks::extract_images(*sc);
@@ -158,19 +144,6 @@ int main(int argc, char** argv) {
     findings += rep.findings;
     blocks += rep.blocks;
     insns += rep.insns;
-    if (rep.trigger_mask) ++pruned_programs;
-    pruned_bits += static_cast<u32>(__builtin_popcount(rep.trigger_mask));
-
-    if (policies) {
-      // Pruning report mode: one policy line per program, nothing else.
-      std::fprintf(out, "%s\n", sa::policy_jsonl(e.category, rep).c_str());
-      if (!quiet) {
-        std::fprintf(stderr, "%-36s %-10s mask %x %s\n", e.name.c_str(),
-                     e.category.c_str(), rep.trigger_mask,
-                     sa::trigger_mask_json(rep.trigger_mask).c_str());
-      }
-      continue;
-    }
 
     for (const auto& ir : rep.per_image) {
       for (const auto& f : ir.findings) {
@@ -189,21 +162,13 @@ int main(int argc, char** argv) {
   }
 
   JsonWriter w;
-  if (policies) {
-    w.field("type", "policy_summary")
-        .field("programs", programs)
-        .field("pruned_programs", pruned_programs)
-        .field("pruned_triggers", pruned_bits)
-        .field("errors", errors);
-  } else {
-    w.field("type", "lint_summary")
-        .field("programs", programs)
-        .field("flagged", flagged)
-        .field("findings", findings)
-        .field("blocks", blocks)
-        .field("insns", insns)
-        .field("errors", errors);
-  }
+  w.field("type", "lint_summary")
+      .field("programs", programs)
+      .field("flagged", flagged)
+      .field("findings", findings)
+      .field("blocks", blocks)
+      .field("insns", insns)
+      .field("errors", errors);
   std::fprintf(out, "%s\n", w.str().c_str());
   if (out != stdout) std::fclose(out);
 

@@ -15,10 +15,9 @@
 // Exit code: 0 on success, 1 on bad usage / unreadable graph / unknown
 // node reference.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
+#include "common/strings.h"
 #include "graph/graph.h"
 #include "graph/slice.h"
 
@@ -42,14 +41,6 @@ void usage() {
                "  --fanout N           neighbours expanded per node "
                "(default 64)\n"
                "  --dot | --jsonl      export format (default --jsonl)\n");
-}
-
-bool parse_u32(const char* s, u32* out) {
-  char* end = nullptr;
-  unsigned long v = std::strtoul(s, &end, 10);
-  if (!end || *end != '\0' || v > 0xfffffffful) return false;
-  *out = static_cast<u32>(v);
-  return true;
 }
 
 Result<graph::ProvGraph> load_graph(const std::string& path) {
