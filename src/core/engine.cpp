@@ -12,6 +12,7 @@ FarosEngine::FarosEngine(const os::OsiQuery& osi, Options opts)
     : osi_(osi),
       opts_(opts),
       store_(opts.prov_list_cap, opts.prov_store_max_lists) {
+  add_rule_set(opts_.rules);  // set 0, the primary
   if (opts_.collect_metrics) {
     metrics_ = std::make_unique<obs::MetricSink>();
     shadow_.bind_obs(metrics_.get());
@@ -30,19 +31,32 @@ FarosEngine::FarosEngine(const os::OsiQuery& osi, Options opts)
     bt_elided_ = {s, obs::Ctr::kBtElidedBlocks};
     bt_guard_fail_ = {s, obs::Ctr::kBtGuardFail};
     bt_hint_ = {s, obs::Ctr::kBtHintBlocks};
-    rule_engine_.bind_obs(s);
+    sets_[0].rules.bind_obs(s);
   }
+}
+
+u32 FarosEngine::add_rule_set(std::vector<RuleSpec> rules) {
   // An explicit ruleset replaces the built-ins; otherwise the legacy
   // policy_* toggles select them (the historical default behaviour).
-  rule_engine_.configure(opts_.rules.empty()
-                             ? builtin_rules(opts_.policy_netflow_export,
-                                             opts_.policy_cross_process_export,
-                                             opts_.policy_tainted_code_write)
-                             : opts_.rules);
+  if (rules.empty()) {
+    rules = builtin_rules(opts_.policy_netflow_export,
+                          opts_.policy_cross_process_export,
+                          opts_.policy_tainted_code_write);
+  }
+  RuleEngine& re = sets_.emplace_back().rules;
+  re.configure(rules);
+  for (u32 i = 0; i < kTriggerCount; ++i) {
+    const Trigger t = static_cast<Trigger>(i);
+    needs_[i].bound |= re.has_rules(t);
+    needs_[i].value |= re.needs_value(t);
+    needs_[i].page_flags |= re.needs_page_flags(t);
+  }
+  return static_cast<u32>(sets_.size() - 1);
 }
 
 void FarosEngine::add_policy(std::unique_ptr<FlagPolicy> policy) {
-  rule_engine_.add_native(std::move(policy));
+  sets_[0].rules.add_native(std::move(policy));  // fires at tainted-load
+  needs_[static_cast<u32>(Trigger::kTaintedLoad)].bound = true;
 }
 
 u16 FarosEngine::process_tag_index(PAddr cr3) {
@@ -130,7 +144,7 @@ void FarosEngine::on_insn_retired(const vm::InsnEvent& ev,
     ++stats_.tainted_fetches;
     // Guarded by the empty-list check: the image-tainted regime reaches
     // this every instruction, so an unbound trigger must stay one branch.
-    if (rule_engine_.has_rules(Trigger::kTaintedFetch)) {
+    if (needs(Trigger::kTaintedFetch).bound) {
       RuleInputs in;
       in.fetch = fetch;
       run_trigger(Trigger::kTaintedFetch, ev, as, in);
@@ -228,11 +242,11 @@ void FarosEngine::on_insn_retired(const vm::InsnEvent& ev,
       if (store_.contains_type(target_union, TagType::kExportTable)) {
         ++stats_.export_table_reads;
       }
-      if (rule_engine_.has_rules(Trigger::kTaintedLoad)) {
+      if (needs(Trigger::kTaintedLoad).bound) {
         RuleInputs in;
         in.fetch = fetch;
         in.target = target_union;
-        if (rule_engine_.needs_value(Trigger::kTaintedLoad)) {
+        if (needs(Trigger::kTaintedLoad).value) {
           // What the load moves into rd: the target bytes plus any address
           // dependency. Computed only when a rule will look at it.
           in.value = store_.merge(target_union, addr_u);
@@ -263,15 +277,12 @@ void FarosEngine::on_insn_retired(const vm::InsnEvent& ev,
       // check, now a built-in spec). Inputs are computed lazily: the value
       // merge only when some rule is bound, the page-flag probe and the
       // pre-write target union only when a bound rule will look at them.
-      const bool store_rules =
-          rule_engine_.has_rules(Trigger::kTaintedStore);
-      const bool exec_rules =
-          rule_engine_.has_rules(Trigger::kExecPageWrite);
+      const bool store_rules = needs(Trigger::kTaintedStore).bound;
+      const bool exec_rules = needs(Trigger::kExecPageWrite).bound;
       if (store_rules || exec_rules) {
         ProvListId val = store_.merge(sr.reg_union(src_reg, store_), addr_u);
         bool page_exec = false;
-        if (exec_rules ||
-            rule_engine_.needs_page_flags(Trigger::kTaintedStore)) {
+        if (exec_rules || needs(Trigger::kTaintedStore).page_flags) {
           page_exec = (as.page_flags(mem->va) & vm::kPteExec) != 0;
         }
         if (store_rules) {
@@ -366,7 +377,7 @@ void FarosEngine::on_insn_retired(const vm::InsnEvent& ev,
       // syscall-arg trigger: the ABI passes arguments in r1..r4; a bound
       // rule sees their combined provenance (e.g. tainted bytes handed to
       // the kernel). Unbound (the default), the cost is one branch.
-      if (rule_engine_.has_rules(Trigger::kSyscallArg)) {
+      if (needs(Trigger::kSyscallArg).bound) {
         ProvListId args = sr.reg_union(vm::R1, store_);
         args = store_.merge(args, sr.reg_union(vm::R2, store_));
         args = store_.merge(args, sr.reg_union(vm::R3, store_));
@@ -400,7 +411,7 @@ void FarosEngine::on_insn_retired(const vm::InsnEvent& ev,
 //    shadow), so a block-level memo replays its one-time writebacks and
 //    yields the tainted-fetch count for exact stats accounting;
 //  * triggers — inert opcodes can only fire kTaintedFetch, so elision is
-//    declined when tainted fetches exist and such rules are bound.
+//    declined when tainted fetches exist and any rule set binds it.
 u32 FarosEngine::block_tainted_fetches(PAddr cr3, PAddr start_pa, u32 count) {
   if (!shadow_.range_tainted(start_pa,
                              static_cast<u64>(count) * vm::kInsnSize)) {
@@ -447,7 +458,7 @@ bool FarosEngine::try_elide_block(PAddr cr3, VAddr pc, PAddr start_pa,
     return false;
   }
   u32 tainted_insns = block_tainted_fetches(cr3, start_pa, count);
-  if (tainted_insns != 0 && rule_engine_.has_rules(Trigger::kTaintedFetch)) {
+  if (tainted_insns != 0 && needs(Trigger::kTaintedFetch).bound) {
     // Bound fetch rules need per-instruction events; the writebacks the
     // walk just performed are idempotent, so the instrumented re-walk is
     // identical.
@@ -489,21 +500,26 @@ bool FarosEngine::block_elide_hint(PAddr cr3, VAddr pc,
 void FarosEngine::run_trigger(Trigger t, const vm::InsnEvent& ev,
                               const vm::AddressSpace& as,
                               const RuleInputs& in) {
-  stats_.policy_evals += rule_engine_.dispatch(t, store_, in, matched_);
-  for (u32 idx : matched_) record_finding(idx, ev, as, in);
+  for (RuleSet& rs : sets_) {
+    if (!rs.rules.has_rules(t)) continue;
+    const u32 evals = rs.rules.dispatch(t, store_, in, matched_);
+    if (&rs == &sets_[0]) stats_.policy_evals += evals;
+    for (u32 idx : matched_) record_finding(rs, idx, ev, as, in);
+  }
 }
 
-void FarosEngine::record_finding(u32 rule_idx, const vm::InsnEvent& ev,
+void FarosEngine::record_finding(RuleSet& set, u32 rule_idx,
+                                 const vm::InsnEvent& ev,
                                  const vm::AddressSpace& as,
                                  const RuleInputs& in) {
   auto site = std::make_tuple(ev.cr3, ev.pc, rule_idx);
-  if (flagged_sites_.count(site) != 0) return;
+  if (set.flagged_sites.count(site) != 0) return;
   // At the cap the site is deliberately NOT marked: the cap bounds what is
   // recorded, never which sites are eligible.
-  if (findings_.size() >= opts_.max_findings) return;
+  if (set.findings.size() >= opts_.max_findings) return;
 
   Finding f;
-  f.policy = rule_engine_.rule_id(rule_idx);
+  f.policy = set.rules.rule_id(rule_idx);
   f.instr_index = ev.instr_index;
   if (auto info = osi_.process_by_cr3(ev.cr3)) {
     f.proc = *info;
@@ -518,7 +534,7 @@ void FarosEngine::record_finding(u32 rule_idx, const vm::InsnEvent& ev,
   f.fetch_prov = in.fetch;
   f.target_prov = in.target;
   f.whitelisted = opts_.whitelist.count(f.proc.name) != 0;
-  f.warn_only = rule_engine_.rule_action(rule_idx) == RuleAction::kWarn;
+  f.warn_only = set.rules.rule_action(rule_idx) == RuleAction::kWarn;
   // Snapshot the code around the flagged pc now: a transient payload may
   // wipe itself before the analyst ever looks.
   constexpr u32 kBefore = 4 * vm::kInsnSize;
@@ -535,8 +551,8 @@ void FarosEngine::record_finding(u32 rule_idx, const vm::InsnEvent& ev,
       f.code_window = std::move(small);
     }
   }
-  findings_.push_back(std::move(f));
-  flagged_sites_.insert(site);
+  set.findings.push_back(std::move(f));
+  set.flagged_sites.insert(site);
 }
 
 // ---------------------------------------------------------------------------
@@ -772,21 +788,21 @@ void FarosEngine::on_frame_recycled(PAddr frame_base) {
 
 std::vector<Finding> FarosEngine::active_findings() const {
   std::vector<Finding> out;
-  for (const Finding& f : findings_) {
+  for (const Finding& f : findings()) {
     if (!f.whitelisted) out.push_back(f);
   }
   return out;
 }
 
-bool FarosEngine::flagged() const {
-  for (const Finding& f : findings_) {
+bool FarosEngine::flagged(u32 set) const {
+  for (const Finding& f : findings(set)) {
     if (!f.whitelisted && !f.warn_only) return true;
   }
   return false;
 }
 
 std::string FarosEngine::report() const {
-  return render_findings_table(findings_, store_, maps_);
+  return render_findings_table(findings(), store_, maps_);
 }
 
 ProvListId FarosEngine::prov_at(const vm::AddressSpace& as, VAddr va) const {

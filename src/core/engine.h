@@ -155,29 +155,36 @@ class FarosEngine : public vm::ExecHooks, public osi::GuestMonitor {
   void on_frame_recycled(PAddr frame_base) override;
 
   // --- policies ---
-  /// Host-code escape hatch: evaluated at tainted-load, action=flag (the
-  /// pre-rules contract). Prefer Options::rules for anything the predicate
-  /// grammar can express.
+  /// Host-code escape hatch on the primary set: evaluated at tainted-load,
+  /// action=flag (the pre-rules contract). Prefer Options::rules for
+  /// anything the predicate grammar can express.
   void add_policy(std::unique_ptr<FlagPolicy> policy);
-  size_t policy_count() const { return rule_engine_.rule_count(); }
-  /// The compiled ruleset (ids, per-rule eval/hit counts) — what the farm
-  /// serialises per job and --list-policies prints.
-  const RuleEngine& rule_engine() const { return rule_engine_; }
+  /// Rules never write shadow state, so one propagation pass serves many
+  /// rule sets. Set 0 is the primary (Options::rules); this adds another
+  /// (empty `rules`: the built-ins) with its own findings, dedup and
+  /// max_findings cap, and returns its index. Only set 0 feeds the obs
+  /// counters. Call before the run; DESIGN.md §3j has what sets share.
+  u32 add_rule_set(std::vector<RuleSpec> rules);
+  u32 rule_set_count() const { return static_cast<u32>(sets_.size()); }
+  /// A set's compiled rules (ids, per-rule eval/hit counts); the farm
+  /// serialises set 0's per job.
+  const RuleEngine& rule_engine(u32 set = 0) const { return sets_[set].rules; }
 
-  // --- results ---
-  const std::vector<Finding>& findings() const { return findings_; }
-  /// Findings not suppressed by the whitelist.
+  // --- results (per rule set; set 0 is the primary) ---
+  const std::vector<Finding>& findings(u32 set = 0) const {
+    return sets_[set].findings;
+  }
+  /// Primary findings not suppressed by the whitelist.
   std::vector<Finding> active_findings() const;
-  bool flagged() const;
+  bool flagged(u32 set = 0) const;
 
-  /// Table II-style report over all findings.
+  /// Table II-style report over the primary set's findings.
   std::string report() const;
 
   // --- introspection for tests/benches ---
   const ProvStore& store() const { return store_; }
   const TagMaps& maps() const { return maps_; }
   const ShadowMemory& shadow() const { return shadow_; }
-  const FileShadow& file_shadow() const { return file_shadow_; }
   const EngineStats& stats() const { return stats_; }
   const Options& options() const { return opts_; }
 
@@ -215,11 +222,33 @@ class FarosEngine : public vm::ExecHooks, public osi::GuestMonitor {
 
   void clear_xfer(const osi::GuestXfer& xfer);
 
-  /// Evaluates the rules bound to `t` and records a Finding per matched
-  /// flag/warn rule (deduped on (cr3, pc, rule), capped by max_findings).
+  /// One policy set: its compiled rules and what they found.
+  struct RuleSet {
+    RuleEngine rules;
+    std::vector<Finding> findings;
+    /// Dedup on (cr3, insn va, rule index): CR3 keeps processes sharing an
+    /// image base apart. A site is marked only when its finding is
+    /// recorded, so hitting max_findings never poisons it.
+    std::set<std::tuple<PAddr, VAddr, u32>> flagged_sites;
+  };
+
+  /// Per-trigger unions over every set: a site tests `bound` (one branch
+  /// when no set binds it) and computes the value or page-flag input only
+  /// when some set needs it.
+  struct TriggerNeeds {
+    bool bound = false;
+    bool value = false;
+    bool page_flags = false;
+  };
+  const TriggerNeeds& needs(Trigger t) const {
+    return needs_[static_cast<u32>(t)];
+  }
+
+  /// Evaluates each set's rules bound to `t` and records a Finding per
+  /// matched flag/warn rule (deduped and capped per set).
   void run_trigger(Trigger t, const vm::InsnEvent& ev,
                    const vm::AddressSpace& as, const RuleInputs& in);
-  void record_finding(u32 rule_idx, const vm::InsnEvent& ev,
+  void record_finding(RuleSet& set, u32 rule_idx, const vm::InsnEvent& ev,
                       const vm::AddressSpace& as, const RuleInputs& in);
 
   /// Block-level fetch walk behind try_elide_block: memoized count of
@@ -274,14 +303,9 @@ class FarosEngine : public vm::ExecHooks, public osi::GuestMonitor {
   static constexpr u32 kBlockMemoMask = kBlockMemoSize - 1;
   std::vector<BlockMemoEntry> block_memo_ =
       std::vector<BlockMemoEntry>(kBlockMemoSize);
-  RuleEngine rule_engine_;
+  std::vector<RuleSet> sets_;  // [0] is the primary
+  std::array<TriggerNeeds, kTriggerCount> needs_{};
   std::vector<u32> matched_;  // dispatch scratch (avoids per-site allocs)
-  std::vector<Finding> findings_;
-  /// Finding dedup: one record per (cr3, insn va, rule index). CR3 is part
-  /// of the key so two processes flagging at the same VA (shared image
-  /// bases) each get their own finding. Inserted only when the finding is
-  /// actually recorded, so hitting max_findings never poisons a site.
-  std::set<std::tuple<PAddr, VAddr, u32>> flagged_sites_;
   EngineStats stats_;
 
   std::unique_ptr<obs::MetricSink> metrics_;  // null = metrics off

@@ -419,11 +419,4 @@ u32 RuleEngine::dispatch(Trigger t, const ProvStore& store,
   return static_cast<u32>(idx.size());
 }
 
-std::vector<RuleSpec> RuleEngine::specs() const {
-  std::vector<RuleSpec> out;
-  out.reserve(rules_.size());
-  for (const CompiledRule& r : rules_) out.push_back(r.spec);
-  return out;
-}
-
 }  // namespace faros::core

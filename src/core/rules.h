@@ -174,13 +174,8 @@ class RuleEngine {
 
   size_t rule_count() const { return rules_.size(); }
   const std::string& rule_id(u32 idx) const { return rules_[idx].spec.id; }
-  Trigger rule_trigger(u32 idx) const { return rules_[idx].spec.trigger; }
   RuleAction rule_action(u32 idx) const { return rules_[idx].spec.action; }
   const RuleStats& rule_stats(u32 idx) const { return rules_[idx].stats; }
-
-  /// The effective specs (native rules rendered as empty-conjunction
-  /// placeholders) — what --list-policies prints.
-  std::vector<RuleSpec> specs() const;
 
  private:
   struct CompiledRule {

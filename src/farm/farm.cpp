@@ -80,14 +80,14 @@ double percentile(std::vector<double>& sorted, double p) {
   return sorted[idx];
 }
 
-/// Verdict summary from the engine that evaluated one policy set.
+/// Verdict summary of one of the engine's policy sets.
 JobResult::PolicyRun policy_run_of(const std::string& name,
-                                   const core::FarosEngine& e) {
+                                   const core::FarosEngine& e, u32 set) {
   JobResult::PolicyRun pr;
   pr.name = name;
-  pr.flagged = e.flagged();
-  pr.findings = static_cast<u32>(e.findings().size());
-  for (const auto& f : e.findings()) {
+  pr.flagged = e.flagged(set);
+  pr.findings = static_cast<u32>(e.findings(set).size());
+  for (const auto& f : e.findings(set)) {
     if (f.whitelisted) ++pr.suppressed;
     pr.policies.push_back(f.policy);
   }
@@ -208,9 +208,10 @@ JobResult Farm::run_once(const JobSpec& spec, u32 attempt) const {
     }
   }
 
-  // --- live run under the FAROS engine (it also records the ReplayLog) ---
+  // --- live run under the FAROS engine, every policy set on one pass ---
   os::Machine m(mcfg);
   core::FarosEngine engine(m.kernel(), eopts);
+  for (const PolicySet& ps : cfg_.extra_policies) engine.add_rule_set(ps.rules);
   m.attach_cpu_plugin(&engine);
   m.add_monitor(&engine);
   if (auto b = m.boot(); !b.ok()) return fail("boot: " + b.error().message);
@@ -225,31 +226,9 @@ JobResult Farm::run_once(const JobSpec& spec, u32 attempt) const {
   }
   if (stats.aborted) return stopped();
 
-  // Record-once/analyze-many: replay the live run's recording once per
-  // extra policy set, each on its own machine under its own engine. Their
-  // COW stats are kept for the metrics fold below.
-  std::vector<vm::PhysMem::CowStats> clone_stats;
-  for (const PolicySet& ps : cfg_.extra_policies) {
-    os::Machine m2(mcfg);
-    core::Options o = eopts;
-    o.rules = ps.rules;
-    o.collect_metrics = false;  // only the primary feeds the metrics row
-    core::FarosEngine e2(m2.kernel(), o);
-    m2.attach_cpu_plugin(&e2);
-    m2.add_monitor(&e2);
-    if (auto b = m2.boot(); !b.ok())
-      return fail("policy replay boot: " + b.error().message);
-    if (auto s = sc->setup(m2); !s.ok())
-      return fail("policy replay setup: " + s.error().message);
-    m2.load_replay(m.recording());
-    os::RunStats s2;
-    {
-      obs::ScopedTimer t(tsink, obs::Tmr::kReplay);
-      s2 = m2.run(budget, &dog);
-    }
-    if (s2.aborted) return stopped();
-    r.policy_runs.push_back(policy_run_of(ps.name, e2));
-    clone_stats.push_back(m2.kernel().phys_mem().cow_stats());
+  for (u32 i = 0; i < cfg_.extra_policies.size(); ++i) {
+    r.policy_runs.push_back(
+        policy_run_of(cfg_.extra_policies[i].name, engine, i + 1));
   }
 
   r.status = JobStatus::kOk;
@@ -265,7 +244,6 @@ JobResult Farm::run_once(const JobSpec& spec, u32 attempt) const {
     }
     // The block cache lives in the analyzed machine's interpreter (src/vm
     // keeps no obs dependency, so its stats are plain u64s surfaced here).
-    // Counting only that machine keeps these deterministic per job.
     if (const vm::BlockCache* btc = m.kernel().interp().block_cache()) {
       const vm::BlockCacheStats& bs = btc->stats();
       r.metrics.counters[static_cast<u32>(obs::Ctr::kBtTranslate)] +=
@@ -276,20 +254,14 @@ JobResult Farm::run_once(const JobSpec& spec, u32 attempt) const {
       r.metrics.counters[static_cast<u32>(obs::Ctr::kBtEvictCr3)] +=
           bs.evict_cr3;
     }
-    // Scheduling rounds and TLB misses, likewise from the live machine
-    // only: pure functions of the spec, so fan-out and plain runs agree.
+    // Scheduling rounds and TLB misses: likewise plain stats of the machine.
     r.metrics.counters[static_cast<u32>(obs::Ctr::kSchedRounds)] +=
         stats.scheduling_rounds;
     r.metrics.counters[static_cast<u32>(obs::Ctr::kTlbMiss)] +=
         m.kernel().interp().tlb_misses();
     // COW clone stats are plain u64s on PhysMem, like the block cache.
-    // Every machine the job booted counts: the live run plus one replay per
-    // extra policy set (snap_clone = 1 + N). Each fault stream is a pure
-    // function of the spec (replays retire the live run's instructions),
-    // so the fold stays deterministic.
-    clone_stats.push_back(m.kernel().phys_mem().cow_stats());
-    for (const vm::PhysMem::CowStats& cs : clone_stats) {
-      if (!cs.cow) continue;
+    const vm::PhysMem::CowStats cs = m.kernel().phys_mem().cow_stats();
+    if (cs.cow) {
       r.metrics.counters[static_cast<u32>(obs::Ctr::kSnapClone)] += 1;
       r.metrics.counters[static_cast<u32>(obs::Ctr::kCowFault)] +=
           cs.cow_faults;
@@ -301,7 +273,7 @@ JobResult Farm::run_once(const JobSpec& spec, u32 attempt) const {
   r.all_exited = stats.all_exited;
   r.budget_exhausted = !stats.all_exited && !stats.deadlocked &&
                        stats.instructions >= budget;
-  JobResult::PolicyRun primary = policy_run_of("", engine);
+  JobResult::PolicyRun primary = policy_run_of("", engine, 0);
   r.flagged = primary.flagged;
   r.findings = primary.findings;
   r.suppressed = primary.suppressed;
@@ -343,8 +315,8 @@ JobResult Farm::run_job(const JobSpec& spec) const {
   // timeouts would time out again and cancellations must stay cancelled.
   //
   // Retry hygiene (audited for --metrics determinism): every attempt is a
-  // whole-cloth re-run — run_once builds a fresh JobResult, fresh
-  // machines, a fresh engine and a fresh local timer sink, and the
+  // whole-cloth re-run — run_once builds a fresh JobResult, a fresh
+  // machine, a fresh engine and a fresh local timer sink, and the
   // assignment below discards the aborted attempt's object entirely. No
   // counter or timer from a failed attempt can leak into the result the
   // farm emits; only `retries` (set here) and wall_ms (deliberately wall-
@@ -455,10 +427,6 @@ TriageReport Farm::run(std::vector<JobSpec> jobs) {
       m.record_s +=
           static_cast<double>(
               r.metrics.timer_ns[static_cast<u32>(obs::Tmr::kRecord)]) /
-          1e9;
-      m.replay_s +=
-          static_cast<double>(
-              r.metrics.timer_ns[static_cast<u32>(obs::Tmr::kReplay)]) /
           1e9;
     }
   }

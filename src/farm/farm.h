@@ -2,7 +2,7 @@
 // jobs (src/attacks/corpus.h) across N worker threads; each worker owns a
 // private os::Machine + FarosEngine per job, so workers share no mutable
 // state and sharding is safe (scenarios are deterministic, and each job's
-// analyzed live run and any replays of its recording are job-private).
+// one analyzed live run is job-private).
 //
 // Determinism argument: a job's execution depends only on its JobSpec (the
 // scenario factory, budget and engine options) — never on which worker ran
@@ -36,7 +36,7 @@ struct Snapshot;  // os/snapshot.h
 
 namespace faros::farm {
 
-/// One named ruleset for record-once/analyze-many fan-out
+/// One named ruleset for multi-policy fan-out
 /// (FarmConfig::extra_policies; faros_triage --policies a.json,b.json).
 struct PolicySet {
   std::string name;  // label carried into JobResult::PolicyRun
@@ -46,7 +46,7 @@ struct PolicySet {
 struct FarmConfig {
   /// Worker threads; 0 = std::thread::hardware_concurrency() (min 1).
   u32 workers = 0;
-  /// Default per-job wall-clock deadline (all of a job's runs); 0 = none.
+  /// Default per-job wall-clock deadline (the job's one run); 0 = none.
   u64 timeout_ms = 60'000;
   /// Retries for kError jobs (transient harness failures).
   u32 retries = 1;
@@ -63,22 +63,20 @@ struct FarmConfig {
   /// the JobSpec — byte-identical for any worker count. The directory is
   /// created on demand.
   std::string graph_out;
-  /// Boot the guest once, freeze it, and run every machine a job boots
-  /// (the analyzed live run, one replay per extra policy set) as a
+  /// Boot the guest once, freeze it, and run each job's one machine as a
   /// copy-on-write clone of the frozen image (os/snapshot.h).
   /// Purely a throughput lever: verdicts are byte-identical to cold-boot
   /// (the CI snapshot-equivalence gate pins this over the full corpus).
   /// The snapshot is captured lazily on the first job and shared read-only
   /// across workers.
   bool snapshot = true;
-  /// Record-once/analyze-many: extra rule sets evaluated against the
-  /// recording the analyzed live run captured. The job replays it once per
-  /// set, on its own machine under its own engine. Results land in
-  /// JobResult::policy_runs in this order.
+  /// Extra rule sets the job's one engine evaluates beside the primary
+  /// (core::FarosEngine::add_rule_set): no further machine or pass.
+  /// Results land in JobResult::policy_runs in this order.
   std::vector<PolicySet> extra_policies;
   /// Engine options applied to every job's engines.
   core::Options engine_opts;
-  /// Per-machine config for the live run and every replay.
+  /// Machine config for each job's live run.
   os::MachineConfig machine;
   /// Called once per job in ascending job-id order (never concurrently).
   std::function<void(const JobResult&)> on_result;
@@ -100,7 +98,6 @@ struct FarmMetrics {
   double p50_ms = 0;  // per-job latency percentiles (completed jobs)
   double p95_ms = 0;
   double record_s = 0;  // summed per-job analyzed live-run wall time
-  double replay_s = 0;  // summed per-job extra-policy replay wall time
   u32 sa_analyzed = 0;        // jobs the static prefilter covered
   u32 sa_flagged = 0;         // of those, statically flagged
   double static_s = 0;        // summed static-prefilter wall time

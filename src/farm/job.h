@@ -67,11 +67,9 @@ struct JobResult {
   u32 retries = 0;               // transient-error retries consumed
   std::string error;             // message for kError
 
-  /// Record-once/analyze-many (FarmConfig::extra_policies): one extra
-  /// verdict per additional policy set, each from its own replay of the
-  /// live run's recording. Each matches a separate run with that set as the
-  /// primary ruleset, which the fan-out test pins. Order follows
-  /// FarmConfig::extra_policies.
+  /// One verdict per FarmConfig::extra_policies set (in that order), from
+  /// its rules evaluated on the job's one live run. Each matches a separate
+  /// run with that set as the primary ruleset (the fan-out tests pin it).
   struct PolicyRun {
     std::string name;
     bool flagged = false;

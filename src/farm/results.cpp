@@ -79,8 +79,8 @@ std::string job_jsonl(const JobResult& r) {
   // ruleset came from the built-ins or an equivalent policy file — the
   // CI default-vs-file byte-diff depends on that.
   if (!r.rules.empty()) w.raw_field("rules", rules_json(r.rules));
-  // Record-once/analyze-many verdicts, present only when extra policy sets
-  // were configured — streams from single-policy runs stay byte-identical.
+  // Per-policy-set verdicts, present only when extra policy sets were
+  // configured — streams from single-policy runs stay byte-identical.
   if (!r.policy_runs.empty()) {
     w.raw_field("policy_runs", policy_runs_json(r.policy_runs));
   }
@@ -123,8 +123,7 @@ std::string summary_jsonl(const FarmMetrics& m) {
       .field("insns_per_s", m.insns_per_s)
       .field("p50_ms", m.p50_ms)
       .field("p95_ms", m.p95_ms)
-      .field("record_s", m.record_s)
-      .field("replay_s", m.replay_s);
+      .field("record_s", m.record_s);
   if (m.sa_analyzed) {
     w.field("sa_analyzed", m.sa_analyzed)
         .field("sa_flagged", m.sa_flagged)

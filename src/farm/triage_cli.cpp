@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <map>
 
 #include "common/strings.h"
 #include "core/rules.h"
@@ -25,10 +26,8 @@ struct BoolFlag {
 constexpr BoolFlag kBoolFlags[] = {
     {"block-cache",
      "per-CR3 block-translation cache, and with it the engine's\n"
-     "                   elision fast path, in every machine of a job (the\n"
-     "                   live run plus one replay per extra policy set)\n"
-     "                   (default: on; byte-identical verdicts; CI pins\n"
-     "                   this)",
+     "                   elision fast path (default: on; byte-identical\n"
+     "                   verdicts; CI pins this)",
      [](TriageCliOptions& o, bool v) { o.farm.machine.kernel.block_cache = v; },
      [](const TriageCliOptions& o) {
        return o.farm.machine.kernel.block_cache;
@@ -121,6 +120,16 @@ TriageCliResult parse_triage_cli(const std::vector<std::string>& args) {
       std::string csv;
       next_str(&csv);
       if (r.ok()) o.policy_paths = split_csv(csv);
+      // Extra sets are named by stem, and policy_runs consumers key on it.
+      std::map<std::string, std::string> paths_by_stem;
+      for (size_t k = 1; k < o.policy_paths.size() && r.ok(); ++k) {
+        const std::string& p = o.policy_paths[k];
+        auto [it, fresh] = paths_by_stem.emplace(path_stem(p), p);
+        if (!fresh) {
+          r.error = "--policies: '" + it->second + "' and '" + p +
+                    "' share the set name '" + it->first + "'";
+        }
+      }
       continue;
     }
 
@@ -162,10 +171,10 @@ std::string triage_usage() {
       "  --policies A[,B,...]\n"
       "                   load confluence rulesets from JSON policy files.\n"
       "                   The first replaces the built-ins; each further\n"
-      "                   file runs record-once/analyze-many against the\n"
-      "                   same recording (one verdict per set in the\n"
-      "                   policy_runs JSONL field). Also adds the\n"
-      "                   policy-corpus jobs.\n"
+      "                   file is evaluated on the same analyzed run (one\n"
+      "                   verdict per set in the policy_runs JSONL field,\n"
+      "                   named by the file's stem, which must be unique).\n"
+      "                   Also adds the policy-corpus jobs.\n"
       "  --list-policies  print the effective primary ruleset as\n"
       "                   policy-file JSON and exit\n"
       "\n"

@@ -62,7 +62,6 @@ const char* ctr_name(Ctr c) {
 const char* tmr_name(Tmr t) {
   switch (t) {
     case Tmr::kRecord: return "record_ns";
-    case Tmr::kReplay: return "replay_ns";
     case Tmr::kStatic: return "static_ns";
     case Tmr::kCount: break;
   }

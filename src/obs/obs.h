@@ -111,10 +111,9 @@ enum class Ctr : u32 {
                     // (content-hash matched; beyond per-opcode inertness)
 
   // --- snapshot/COW guest cloning (os/snapshot.h; farm clone-per-job) ---
-  kSnapClone,        // machines booted from the shared snapshot (with
-                     // cloning on: record + replay + one per extra
-                     // policy set)
-  kCowFault,         // frames copied private on first write, all machines
+  kSnapClone,        // machines booted from the shared snapshot (1 per
+                     // farm job with cloning on)
+  kCowFault,         // frames copied private on first write
   kSnapSharedPages,  // frames still snapshot-backed when the job finished
 
   // --- scheduler and interpreter TLB (os/machine.h, vm/cpu.h; farm fold
@@ -133,7 +132,6 @@ const char* ctr_name(Ctr c);
 /// Timer taxonomy (wall-clock accumulators; nondeterministic by nature).
 enum class Tmr : u32 {
   kRecord = 0,  // analyzed live run of a farm job (it also records)
-  kReplay,      // extra-policy replays of a farm job's recording
   kStatic,      // static-prefilter phase (image extraction + sa::analyze)
   kCount,
 };

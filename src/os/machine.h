@@ -7,9 +7,9 @@
 //      the FAROS plugin (vm::ExecHooks + osi::GuestMonitor) before boot, so
 //      the live run is analyzed while it records.
 //   * REPLAY: boot an identical machine, load the log, run. Execution is
-//      bit-identical to the recorded run; the farm replays once per extra
-//      policy set, and the paper's offline Section V-C workflow (record
-//      bare, analyze on replay) remains available.
+//      bit-identical to the recorded run. The farm never replays; the
+//      paper's offline Section V-C workflow (record bare, analyze on
+//      replay), Table V and the live-vs-replay oracle test do.
 #pragma once
 
 #include <memory>

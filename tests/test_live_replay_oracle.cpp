@@ -1,4 +1,4 @@
-// Two oracles over every job of the full and policy corpora.
+// Three oracles over every job of the full and policy corpora.
 //
 // Live vs replay: the farm and attacks::analyze() run FAROS on the live run
 // while it records. Replaying that run's log on a fresh machine under a
@@ -11,6 +11,11 @@
 // without them. The unhinted engine is the reference: with hints the same
 // live run must reach the same analysis, and only the elision counters may
 // differ.
+//
+// Fan-out vs solo: the farm evaluates extra policy sets beside the primary
+// on the job's one engine. Each extra set must reach what a solo engine
+// with that set as primary reaches, and the primary must not notice them.
+// Live vs replay at corpus scale is what the first oracle keeps covering.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -61,6 +66,15 @@ std::vector<core::RuleSpec> multistage_rules() {
   return rules.ok() ? std::move(rules).take() : std::vector<core::RuleSpec>{};
 }
 
+/// The CI fan-out check's extra set: flag every tainted write into an
+/// executable page. No other set binds its trigger or its value subject.
+std::vector<core::RuleSpec> tcw_rules() {
+  core::RuleSpec r;
+  r.id = "tainted-code-write";
+  r.trigger = core::Trigger::kExecPageWrite;
+  return {r};
+}
+
 /// Snapshot-cloned machines, as the farm runs them (captured once).
 const os::MachineConfig& machine_config() {
   static const os::MachineConfig cfg = [] {
@@ -100,13 +114,16 @@ struct Analyzed {
 };
 
 /// Runs the scenario under a fresh engine: live from its event source when
-/// `log` is null, else replaying `log`.
+/// `log` is null, else replaying `log`. `extra` become further rule sets.
 Analyzed run_analyzed(attacks::Scenario& sc, const core::Options& opts,
-                     const vm::ReplayLog* log) {
+                     const vm::ReplayLog* log,
+                     const std::vector<std::vector<core::RuleSpec>>& extra =
+                         {}) {
   Analyzed a;
   a.machine = std::make_unique<os::Machine>(machine_config());
   a.engine =
       std::make_unique<core::FarosEngine>(a.machine->kernel(), opts);
+  for (const auto& rules : extra) a.engine->add_rule_set(rules);
   a.machine->attach_cpu_plugin(a.engine.get());
   a.machine->add_monitor(a.engine.get());
   auto b = a.machine->boot();
@@ -120,27 +137,15 @@ Analyzed run_analyzed(attacks::Scenario& sc, const core::Options& opts,
   return a;
 }
 
-/// The guest's course and everything the analysis produces: verdict,
-/// findings field by field, report, per-rule evals and hits, provenance
-/// state and the exported graph bytes. Counters are the caller's business.
-void expect_same_analysis(const Analyzed& a_run, const Analyzed& b_run) {
-  const core::FarosEngine& ae = *a_run.engine;
-  const core::FarosEngine& be = *b_run.engine;
-
-  // The guest ran the same course.
-  EXPECT_EQ(a_run.stats.instructions, b_run.stats.instructions);
-  EXPECT_EQ(a_run.stats.all_exited, b_run.stats.all_exited);
-  EXPECT_EQ(a_run.machine->kernel().console(),
-            b_run.machine->kernel().console());
-  EXPECT_EQ(a_run.machine->kernel().trap_log(),
-            b_run.machine->kernel().trap_log());
-
-  // Findings, field by field, and the verdict.
-  EXPECT_EQ(ae.flagged(), be.flagged());
-  ASSERT_EQ(ae.findings().size(), be.findings().size());
-  for (size_t i = 0; i < ae.findings().size(); ++i) {
-    const core::Finding& a = ae.findings()[i];
-    const core::Finding& b = be.findings()[i];
+/// One rule set's verdict, findings field by field, and per-rule evals
+/// and hits: set `as` of `ae` against set `bs` of `be`.
+void expect_same_rule_set(const core::FarosEngine& ae, u32 as,
+                          const core::FarosEngine& be, u32 bs) {
+  EXPECT_EQ(ae.flagged(as), be.flagged(bs));
+  ASSERT_EQ(ae.findings(as).size(), be.findings(bs).size());
+  for (size_t i = 0; i < ae.findings(as).size(); ++i) {
+    const core::Finding& a = ae.findings(as)[i];
+    const core::Finding& b = be.findings(bs)[i];
     SCOPED_TRACE("finding " + std::to_string(i));
     EXPECT_EQ(a.policy, b.policy);
     EXPECT_EQ(a.instr_index, b.instr_index);
@@ -158,11 +163,9 @@ void expect_same_analysis(const Analyzed& a_run, const Analyzed& b_run) {
     EXPECT_EQ(a.code_base, b.code_base);
     EXPECT_EQ(a.code_window, b.code_window);
   }
-  EXPECT_EQ(ae.report(), be.report());
 
-  // Per-rule evaluations and hits.
-  const core::RuleEngine& ar = ae.rule_engine();
-  const core::RuleEngine& br = be.rule_engine();
+  const core::RuleEngine& ar = ae.rule_engine(as);
+  const core::RuleEngine& br = be.rule_engine(bs);
   ASSERT_EQ(ar.rule_count(), br.rule_count());
   for (u32 i = 0; i < ar.rule_count(); ++i) {
     EXPECT_EQ(ar.rule_id(i), br.rule_id(i));
@@ -170,6 +173,25 @@ void expect_same_analysis(const Analyzed& a_run, const Analyzed& b_run) {
     EXPECT_EQ(ar.rule_stats(i).evals, br.rule_stats(i).evals);
     EXPECT_EQ(ar.rule_stats(i).hits, br.rule_stats(i).hits);
   }
+}
+
+/// The guest's course and everything the analysis produces: the primary
+/// set's verdict, findings and per-rule counts, the report, provenance
+/// state and the exported graph bytes. Counters are the caller's business.
+void expect_same_analysis(const Analyzed& a_run, const Analyzed& b_run) {
+  const core::FarosEngine& ae = *a_run.engine;
+  const core::FarosEngine& be = *b_run.engine;
+
+  // The guest ran the same course.
+  EXPECT_EQ(a_run.stats.instructions, b_run.stats.instructions);
+  EXPECT_EQ(a_run.stats.all_exited, b_run.stats.all_exited);
+  EXPECT_EQ(a_run.machine->kernel().console(),
+            b_run.machine->kernel().console());
+  EXPECT_EQ(a_run.machine->kernel().trap_log(),
+            b_run.machine->kernel().trap_log());
+
+  expect_same_rule_set(ae, 0, be, 0);
+  EXPECT_EQ(ae.report(), be.report());
 
   // Provenance state.
   EXPECT_EQ(ae.store().size(), be.store().size());
@@ -178,6 +200,28 @@ void expect_same_analysis(const Analyzed& a_run, const Analyzed& b_run) {
   // The exported provenance graph, byte for byte.
   EXPECT_EQ(graph::serialize(graph::build_graph(ae, a_run.machine->kernel())),
             graph::serialize(graph::build_graph(be, b_run.machine->kernel())));
+}
+
+/// The whole engine counter array, plus the block-cache stats the farm
+/// folds into it. The clone counters are not in the engine's array: the
+/// farm adds them per machine, so they count machines, not analysis.
+void expect_same_counters(const Analyzed& a_run, const Analyzed& b_run) {
+  obs::MetricSnapshot am = a_run.engine->metrics_snapshot();
+  obs::MetricSnapshot bm = b_run.engine->metrics_snapshot();
+  ASSERT_TRUE(am.collected && bm.collected);
+  for (u32 c = 0; c < obs::kCtrCount; ++c) {
+    EXPECT_EQ(am.counters[c], bm.counters[c])
+        << obs::ctr_name(static_cast<obs::Ctr>(c));
+  }
+  const vm::BlockCache* ab = a_run.machine->kernel().interp().block_cache();
+  const vm::BlockCache* bb = b_run.machine->kernel().interp().block_cache();
+  ASSERT_EQ(ab == nullptr, bb == nullptr);
+  if (ab) {
+    EXPECT_EQ(ab->stats().translated, bb->stats().translated);
+    EXPECT_EQ(ab->stats().hits, bb->stats().hits);
+    EXPECT_EQ(ab->stats().evict_smc, bb->stats().evict_smc);
+    EXPECT_EQ(ab->stats().evict_cr3, bb->stats().evict_cr3);
+  }
 }
 
 std::string job_test_name(const ::testing::TestParamInfo<OracleJob>& info) {
@@ -206,25 +250,7 @@ TEST_P(LiveReplayOracle, ReplayReproducesLiveAnalysis) {
   EXPECT_EQ(live.engine->flagged(), job.entry.expect_flagged);
   expect_same_analysis(live, replay);
 
-  // The whole engine counter array, plus the block-cache stats the farm
-  // folds into it. The clone counters are not in the engine's array: the
-  // farm adds them per machine, so they count machines, not analysis.
-  obs::MetricSnapshot lm = live.engine->metrics_snapshot();
-  obs::MetricSnapshot rm = replay.engine->metrics_snapshot();
-  ASSERT_TRUE(lm.collected && rm.collected);
-  for (u32 c = 0; c < obs::kCtrCount; ++c) {
-    EXPECT_EQ(lm.counters[c], rm.counters[c])
-        << obs::ctr_name(static_cast<obs::Ctr>(c));
-  }
-  const vm::BlockCache* lb = live.machine->kernel().interp().block_cache();
-  const vm::BlockCache* rb = replay.machine->kernel().interp().block_cache();
-  ASSERT_EQ(lb == nullptr, rb == nullptr);
-  if (lb) {
-    EXPECT_EQ(lb->stats().translated, rb->stats().translated);
-    EXPECT_EQ(lb->stats().hits, rb->stats().hits);
-    EXPECT_EQ(lb->stats().evict_smc, rb->stats().evict_smc);
-    EXPECT_EQ(lb->stats().evict_cr3, rb->stats().evict_cr3);
-  }
+  expect_same_counters(live, replay);
 }
 
 INSTANTIATE_TEST_SUITE_P(Corpus, LiveReplayOracle,
@@ -251,6 +277,37 @@ TEST_P(HintOracle, HintsNeverChangeTheAnalysis) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Corpus, HintOracle,
+                         ::testing::ValuesIn(oracle_jobs()), job_test_name);
+
+class FanOutOracle : public ::testing::TestWithParam<OracleJob> {};
+
+TEST_P(FanOutOracle, ExtraSetsMatchSoloRunsAndLeaveThePrimaryAlone) {
+  // The built-ins as primary, with multistage and tcw beside them the way
+  // the farm runs --policies default.json,multistage.json,tcw.json.
+  const OracleJob& job = GetParam();
+  std::unique_ptr<attacks::Scenario> sc = job.entry.make();
+  ASSERT_TRUE(sc);
+  const core::Options opts =
+      job_options(*sc, job.entry.name, machine_config());
+  const std::vector<std::vector<core::RuleSpec>> extra = {multistage_rules(),
+                                                          tcw_rules()};
+
+  Analyzed plain = run_analyzed(*sc, opts, nullptr);
+  Analyzed fan = run_analyzed(*sc, opts, nullptr, extra);
+  ASSERT_EQ(fan.engine->rule_set_count(), 1 + extra.size());
+  expect_same_analysis(plain, fan);
+  expect_same_counters(plain, fan);
+
+  for (u32 i = 0; i < extra.size(); ++i) {
+    SCOPED_TRACE("extra set " + std::to_string(i + 1));
+    core::Options solo_opts = opts;
+    solo_opts.rules = extra[i];
+    Analyzed solo = run_analyzed(*sc, solo_opts, nullptr);
+    expect_same_rule_set(*fan.engine, i + 1, *solo.engine, 0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Corpus, FanOutOracle,
                          ::testing::ValuesIn(oracle_jobs()), job_test_name);
 
 }  // namespace

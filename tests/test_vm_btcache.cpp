@@ -1,8 +1,9 @@
 // Block-translation cache: translate/hit accounting, self-modifying code
 // (guest stores into the executing block, host writes, randomized write
 // fuzzing against the uncached interpreter), CR3 recycling across process
-// lifetimes, engine elision accounting, and detection equivalence over a
-// corpus slice with the cache on vs off.
+// lifetimes, engine elision accounting (also with extra policy sets on one
+// engine), and detection equivalence over a corpus slice with the cache on
+// vs off.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -424,11 +425,11 @@ TEST(BtCacheEngine, ElisionKeepsEngineCountersExact) {
   EXPECT_EQ(off[obs::Ctr::kBtElidedBlocks], 0u);
 }
 
-/// Runs a program whose middle block carries an elide hint (a kDivu with a
+/// A program whose middle block carries an elide hint (a kDivu with a
 /// constant divisor) but is entered with a tainted register: r1 is loaded
 /// from the file-tagged image, the kDivu moves that taint into r2, and the
-/// push stores it. Returns the engine's counters and tainted byte count.
-std::pair<obs::MetricSnapshot, u64> run_tainted_divu(bool hints) {
+/// push stores it.
+os::Image build_tainted_divu() {
   os::ImageBuilder ib("taintdiv.exe", os::kUserImageBase);
   Assembler& a = ib.asm_();
   a.label("_start");
@@ -446,19 +447,29 @@ std::pair<obs::MetricSnapshot, u64> run_tainted_divu(bool hints) {
   a.data_u32(0x12345678);
   auto img = ib.build();
   EXPECT_TRUE(img.ok());
+  return img.value();
+}
 
-  os::Machine m;
+/// The static analyzer's summary elide hints for `img`, as engine options.
+core::Options hinted_options(const os::Image& img) {
   core::Options opts;
-  if (hints) {
-    for (const sa::ElideHint& h : sa::analyze_image(img.value()).elide_hints)
-      opts.elide_hints[h.va].emplace_back(h.insns, h.hash);
-    EXPECT_FALSE(opts.elide_hints.empty());
-  }
+  for (const sa::ElideHint& h : sa::analyze_image(img).elide_hints)
+    opts.elide_hints[h.va].emplace_back(h.insns, h.hash);
+  EXPECT_FALSE(opts.elide_hints.empty());
+  return opts;
+}
+
+/// Returns the engine's counters and tainted byte count after running
+/// build_tainted_divu().
+std::pair<obs::MetricSnapshot, u64> run_tainted_divu(bool hints) {
+  os::Image img = build_tainted_divu();
+  os::Machine m;
+  core::Options opts = hints ? hinted_options(img) : core::Options{};
   core::FarosEngine engine(m.kernel(), opts);
   m.attach_cpu_plugin(&engine);
   m.add_monitor(&engine);
   EXPECT_TRUE(m.boot().ok());
-  m.kernel().vfs().create("C:/taintdiv.exe", img.value().serialize());
+  m.kernel().vfs().create("C:/taintdiv.exe", img.serialize());
   EXPECT_TRUE(m.kernel().spawn("C:/taintdiv.exe").ok());
   m.run(200000);
   return {engine.metrics_snapshot(), engine.shadow().tainted_bytes()};
@@ -475,6 +486,150 @@ TEST(BtCacheEngine, HintedBlockWithTaintedRegistersRunsInstrumented) {
   EXPECT_GE(plain[obs::Ctr::kTaintedStores], 1u);
   EXPECT_EQ(hinted[obs::Ctr::kTaintedStores], plain[obs::Ctr::kTaintedStores]);
   EXPECT_EQ(hinted_bytes, plain_bytes);
+}
+
+// --- extra policy sets on one engine --------------------------------------
+
+core::RuleSpec rule(const char* id, core::Trigger t,
+                    std::vector<core::Predicate> when) {
+  core::RuleSpec r;
+  r.id = id;
+  r.trigger = t;
+  r.when = std::move(when);
+  return r;
+}
+
+/// A clean-register loop whose body divides by a constant: elidable only
+/// through its summary hint (kDivu is not taint-inert on its own).
+os::Image build_divu_loop() {
+  os::ImageBuilder ib("divloop.exe", os::kUserImageBase);
+  Assembler& a = ib.asm_();
+  a.label("_start");
+  a.movi(R1, 0);
+  a.movi(R2, 2000);
+  a.label("loop");
+  a.addi(R1, R1, 1);
+  a.movi(vm::R7, 9);
+  a.divu(R3, R1, vm::R7);
+  a.cmp(R1, R2);
+  a.bne("loop");
+  attacks::emit_exit(a, 0);
+  auto img = ib.build();
+  EXPECT_TRUE(img.ok());
+  return img.value();
+}
+
+/// Fires at every instruction fetched from a file-tagged (mapped) image.
+core::RuleSpec file_fetch_rule() {
+  return rule("file-fetch", core::Trigger::kTaintedFetch,
+              {core::Predicate{core::Predicate::Kind::kHasType,
+                               core::Subject::kFetch, core::TagType::kFile,
+                               0}});
+}
+
+/// What each rule set of one engine produced, and the engine's counters.
+struct SetsRun {
+  std::vector<std::vector<core::Finding>> findings;      // per set
+  std::vector<std::vector<core::RuleStats>> rule_stats;  // per set
+  obs::MetricSnapshot metrics;
+};
+
+/// Runs `img` with block cache and summary hints under `primary` plus each
+/// of `extra` as further sets.
+SetsRun run_sets(const os::Image& img, std::vector<core::RuleSpec> primary,
+                 const std::vector<std::vector<core::RuleSpec>>& extra,
+                 u32 max_findings = 256) {
+  os::Machine m;
+  core::Options opts = hinted_options(img);
+  opts.rules = std::move(primary);
+  opts.max_findings = max_findings;
+  core::FarosEngine engine(m.kernel(), opts);
+  for (const auto& rules : extra) engine.add_rule_set(rules);
+  m.attach_cpu_plugin(&engine);
+  m.add_monitor(&engine);
+  EXPECT_TRUE(m.boot().ok());
+  m.kernel().vfs().create("C:/" + img.name, img.serialize());
+  EXPECT_TRUE(m.kernel().spawn("C:/" + img.name).ok());
+  m.run(500000);
+  SetsRun out;
+  for (u32 set = 0; set < engine.rule_set_count(); ++set) {
+    out.findings.push_back(engine.findings(set));
+    const core::RuleEngine& re = engine.rule_engine(set);
+    out.rule_stats.emplace_back();
+    for (u32 i = 0; i < re.rule_count(); ++i) {
+      out.rule_stats.back().push_back(re.rule_stats(i));
+    }
+  }
+  out.metrics = engine.metrics_snapshot();
+  return out;
+}
+
+void expect_same_findings(const std::vector<core::Finding>& a,
+                          const std::vector<core::Finding>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].policy, b[i].policy) << i;
+    EXPECT_EQ(a[i].instr_index, b[i].instr_index) << i;
+    EXPECT_EQ(a[i].insn_va, b[i].insn_va) << i;
+    EXPECT_EQ(a[i].target_va, b[i].target_va) << i;
+    EXPECT_EQ(a[i].fetch_prov, b[i].fetch_prov) << i;
+    EXPECT_EQ(a[i].target_prov, b[i].target_prov) << i;
+  }
+}
+
+void expect_same_rule_stats(const std::vector<core::RuleStats>& a,
+                            const std::vector<core::RuleStats>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].evals, b[i].evals) << i;
+    EXPECT_EQ(a[i].hits, b[i].hits) << i;
+  }
+}
+
+TEST(BtCacheEngine, ExtraSetFetchRuleDisablesElisionForTheEngine) {
+  // The primary binds no fetch rule, so on its own it elides the
+  // hint-proven loop running from the file-tagged image. An extra set with
+  // a tainted-fetch rule needs every fetch: the elision guard must look at
+  // all sets, so the extra set sees exactly what it sees as a solo primary.
+  const os::Image img = build_divu_loop();
+  const std::vector<core::RuleSpec> builtins =
+      core::builtin_rules(true, true, false);
+  SetsRun plain = run_sets(img, builtins, {});
+  ASSERT_GT(plain.metrics[obs::Ctr::kBtHintBlocks], 0u);
+  ASSERT_GT(plain.metrics[obs::Ctr::kBtElidedInsns], 1000u);
+
+  SetsRun fan = run_sets(img, builtins, {{file_fetch_rule()}});
+  SetsRun solo = run_sets(img, {file_fetch_rule()}, {});
+  ASSERT_EQ(fan.findings.size(), 2u);
+  ASSERT_FALSE(solo.findings[0].empty());
+  ASSERT_GT(solo.rule_stats[0].at(0).evals, 0u);
+  expect_same_findings(fan.findings[1], solo.findings[0]);
+  expect_same_rule_stats(fan.rule_stats[1], solo.rule_stats[0]);
+  EXPECT_EQ(fan.metrics[obs::Ctr::kBtElidedBlocks], 0u);
+}
+
+TEST(BtCacheEngine, ExtraSetAtMaxFindingsLeavesPrimaryUntouched) {
+  // Each set has its own max_findings cap. The extra set flags every
+  // fetched instruction and fills its cap before the primary's one
+  // finding (the tainted load of the image's data word) comes up.
+  const os::Image img = build_tainted_divu();
+  const std::vector<core::RuleSpec> primary = {
+      rule("file-load", core::Trigger::kTaintedLoad,
+           {core::Predicate{core::Predicate::Kind::kHasType,
+                            core::Subject::kTarget, core::TagType::kFile,
+                            0}})};
+  constexpr u32 kCap = 2;
+  SetsRun solo = run_sets(img, primary, {}, kCap);
+  ASSERT_EQ(solo.findings[0].size(), 1u);
+
+  SetsRun fan = run_sets(
+      img, primary, {{rule("any-fetch", core::Trigger::kTaintedFetch, {})}},
+      kCap);
+  ASSERT_EQ(fan.findings.size(), 2u);
+  EXPECT_EQ(fan.findings[1].size(), kCap);
+  EXPECT_GT(fan.rule_stats[1].at(0).hits, kCap);
+  expect_same_findings(fan.findings[0], solo.findings[0]);
+  expect_same_rule_stats(fan.rule_stats[0], solo.rule_stats[0]);
 }
 
 // --- detection equivalence over a corpus slice ---------------------------

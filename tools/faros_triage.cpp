@@ -11,7 +11,7 @@
 //   faros_triage --list                  # print the catalogue and exit
 //   faros_triage --policies my.json      # replace the built-in ruleset
 //   faros_triage --policies a.json,b.json
-//                                        # record once, analyze under every
+//                                        # one run, a verdict per policy
 //                                        # set (policy_runs JSONL field)
 //   faros_triage --list-policies         # print the effective ruleset JSON
 //   faros_triage --graph-out graphs/     # one .fpg provenance graph per job
