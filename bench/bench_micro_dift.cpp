@@ -19,13 +19,17 @@
 //
 // The _btc variants rerun the core regimes with the block-translation
 // cache on (the production default): decode-once dispatch plus the
-// engine's taint-inert elision fast path.
+// engine's elision fast path. The idle _btc regimes are NtYield spinners
+// idling with a tainted register they never read (an injected payload's
+// shape), one process and three from one image; the gate requires them to
+// run almost entirely elided.
 //
 // With FAROS_BENCH_JSON=<path> set, main() appends one JSONL record per
 // regime (median of five fixed-work wall-clock samples, independent of
 // google-benchmark's timing machinery) — the format committed in
 // BENCH_shadow.json. With FAROS_BENCH_GATE set, the block-cache overhead
-// ceiling is enforced and gate failure exits nonzero.
+// ceiling and the elision coverage gates are enforced and gate failure
+// exits nonzero.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -33,6 +37,7 @@
 #include <map>
 
 #include "attacks/guest_common.h"
+#include "attacks/programs.h"
 #include "bench_util.h"
 #include "core/engine.h"
 #include "core/rules.h"
@@ -186,6 +191,19 @@ void setup_divspinner(os::Machine& m, const os::Image& img) {
   (void)m.kernel().spawn("C:/divspin.exe");
 }
 
+/// `n` NtYield spinners from one image, each idling with a tainted r5
+/// (attacks::build_dirty_idle_program).
+void setup_idlers(os::Machine& m, u32 n) {
+  auto img = attacks::build_dirty_idle_program("idle.exe");
+  if (!img.ok()) {
+    std::fprintf(stderr, "FATAL: build idle.exe: %s\n",
+                 img.error().message.c_str());
+    std::exit(1);
+  }
+  m.kernel().vfs().create("C:/idle.exe", img.value().serialize());
+  for (u32 i = 0; i < n; ++i) (void)m.kernel().spawn("C:/idle.exe");
+}
+
 constexpr FlowTuple kBenchFlow{attacks::kAttackerIp, attacks::kAttackerPort,
                                0xa9fe39a8, 49162};
 
@@ -289,6 +307,8 @@ struct Regime {
   // of the spinner; `hints` feeds the analyzer's elide hints to the engine.
   bool divspin = false;
   bool hints = false;
+  // Nonzero: that many setup_idlers() spinners instead of the spinner.
+  u32 idlers = 0;
 };
 
 /// A ruleset binding every trigger with predicates that evaluate but never
@@ -350,6 +370,8 @@ RegimeRun run_regime(const Regime& r, u64 insns) {
     if (engine) taint_copier_buf(m, *engine, copier);
   } else if (r.divspin) {
     setup_divspinner(m, divspin_img);
+  } else if (r.idlers != 0) {
+    setup_idlers(m, r.idlers);
   } else {
     setup_spinner(m);
   }
@@ -375,6 +397,8 @@ RegimeRun run_regime(const Regime& r, u64 insns) {
           bs.evict_smc;
       out.metrics.counters[static_cast<u32>(obs::Ctr::kBtEvictCr3)] +=
           bs.evict_cr3;
+      out.metrics.counters[static_cast<u32>(obs::Ctr::kBtNotOffered)] +=
+          bs.not_offered;
     }
   }
   return out;
@@ -434,9 +458,20 @@ bool emit_json_summary() {
       {"interp_faros_divspin_btc_hints", true, false, false,
        /*metrics=*/true, /*rules_json=*/nullptr, /*block_cache=*/true,
        /*divspin=*/true, /*hints=*/true},
+      // Footprint elision: idle loops entered with a dirty register bank.
+      // Every steady-state block (the `movi r0; syscall` tail block and the
+      // jmp) must run uninstrumented, also when processes of one image
+      // share its code.
+      {"interp_faros_idle_dirty_btc", true, false, false, /*metrics=*/true,
+       /*rules_json=*/nullptr, /*block_cache=*/true, /*divspin=*/false,
+       /*hints=*/false, /*idlers=*/1},
+      {"interp_faros_idle3_btc", true, false, false, /*metrics=*/true,
+       /*rules_json=*/nullptr, /*block_cache=*/true, /*divspin=*/false,
+       /*hints=*/false, /*idlers=*/3},
   };
   std::map<std::string, double> ns_by_case;
   std::map<std::string, u64> elided_by_case;
+  std::map<std::string, double> elided_share_by_case;
   for (const Regime& r : regimes) {
     RegimeRun run = run_regime(r, kInsns);
     const double s = run.seconds;
@@ -444,6 +479,11 @@ bool emit_json_summary() {
     if (run.metrics.collected) {
       elided_by_case[r.name] =
           run.metrics[obs::Ctr::kBtElidedInsns];
+      const u64 retired = run.metrics[obs::Ctr::kInsnsRetired];
+      elided_share_by_case[r.name] =
+          retired ? static_cast<double>(elided_by_case[r.name]) /
+                        static_cast<double>(retired)
+                  : 0;
     }
     JsonWriter rec;
     rec.field("case", r.name)
@@ -500,7 +540,22 @@ bool emit_json_summary() {
                  static_cast<unsigned long long>(inert_elided));
     return false;
   }
-  return true;
+  // Footprint-elision coverage gate (counters, not timing): idle loops
+  // with a dirty bank, alone and three to an image, run elided.
+  constexpr double kIdleShareFloor = 0.99;
+  bool idle_ok = true;
+  for (const char* name : {"interp_faros_idle_dirty_btc",
+                           "interp_faros_idle3_btc"}) {
+    const double share = elided_share_by_case[name];
+    std::printf("footprint-elide gate: %s elided share %.4f (floor %.2f)\n",
+                name, share, kIdleShareFloor);
+    if (share < kIdleShareFloor) {
+      std::fprintf(stderr, "FAIL: %s elided share %.4f < %.2f\n", name,
+                   share, kIdleShareFloor);
+      idle_ok = false;
+    }
+  }
+  return idle_ok;
 }
 
 }  // namespace

@@ -24,6 +24,20 @@ Result<os::Image> build_idle_program(const std::string& name) {
   return ib.build();
 }
 
+Result<os::Image> build_dirty_idle_program(const std::string& name) {
+  ImageBuilder ib(name, kUserImageBase);
+  Assembler& a = ib.asm_();
+  a.label("_start");
+  a.movi_label(Reg::R5, "word");
+  a.ld32(Reg::R5, Reg::R5);
+  a.label("forever");
+  emit_sys(a, Sys::kNtYield);
+  a.jmp("forever");
+  a.label("word");
+  a.data_u32(0x5eed);
+  return ib.build();
+}
+
 Result<os::Image> build_helper_program() {
   ImageBuilder ib("helper.exe", kUserImageBase);
   Assembler& a = ib.asm_();

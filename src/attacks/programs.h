@@ -26,6 +26,11 @@ inline constexpr const char* kReportDoc = "C:/Users/victim/report.txt";
 /// A benign long-running process: yields forever (until machine budget).
 Result<os::Image> build_idle_program(const std::string& name);
 
+/// build_idle_program's loop entered with a dirty register bank: it first
+/// loads a word of its own (file-tagged) image into r5, which the loop
+/// never reads — the shape of an injected payload idling in NtYield.
+Result<os::Image> build_dirty_idle_program(const std::string& name);
+
 /// Prints "helper done" and exits (spawned by Run / RemoteShell behaviours).
 Result<os::Image> build_helper_program();
 

@@ -1,6 +1,7 @@
 #include "core/engine.h"
 
 #include "common/strings.h"
+#include "vm/btcache.h"
 #include "vm/isa.h"
 
 namespace faros::core {
@@ -31,6 +32,9 @@ FarosEngine::FarosEngine(const os::OsiQuery& osi, Options opts)
     bt_elided_ = {s, obs::Ctr::kBtElidedBlocks};
     bt_guard_fail_ = {s, obs::Ctr::kBtGuardFail};
     bt_hint_ = {s, obs::Ctr::kBtHintBlocks};
+    bt_decline_read_ = {s, obs::Ctr::kBtDeclineTaintedRead};
+    bt_decline_sysarg_ = {s, obs::Ctr::kBtDeclineSyscallArg};
+    bt_decline_fetch_ = {s, obs::Ctr::kBtDeclineFetchRule};
     sets_[0].rules.bind_obs(s);
   }
 }
@@ -399,72 +403,87 @@ void FarosEngine::on_insn_retired(const vm::InsnEvent& ev,
   }
 }
 
-// Block-elision guard (vm/btcache.h). The interpreter offers a cached,
-// fully taint-inert block; approving means skipping the per-instruction
-// path above for its `count` instructions. That is sound exactly when every
-// per-instruction effect is provably a no-op or precomputable:
-//  * register propagation — with a fully clean bank, every inert opcode's
-//    register rule degenerates to clears/copies/unions of empty lists
-//    (and the bank stays clean, so the guard self-maintains);
+// Block-elision guard (vm/btcache.h). The interpreter offers a cached
+// block whose opcodes are all taint-inert, hint-approved kDivu, or a final
+// kSyscall; approving means skipping the per-instruction path above for
+// all of its instructions. That is exact — the engine ends in the state the
+// per-instruction path would reach — because every per-instruction effect
+// is provably a no-op or precomputable:
+//  * register propagation — if no register in `reads` (read before the
+//    block writes it) carries provenance, every value the block computes
+//    comes from clean sources, so Table I leaves each register in `writes`
+//    clean and every other register untouched. Approval clears `writes`
+//    (a no-op on a clean bank);
 //  * fetch provenance — on a clean code page there is none; on a tainted
 //    page the per-insn walk is a pure function of (block bytes, cr3, page
-//    shadow), so a block-level memo replays its one-time writebacks and
+//    shadow), so a memo on the block replays its one-time writebacks and
 //    yields the tainted-fetch count for exact stats accounting;
-//  * triggers — inert opcodes can only fire kTaintedFetch, so elision is
-//    declined when tainted fetches exist and any rule set binds it.
-u32 FarosEngine::block_tainted_fetches(PAddr cr3, PAddr start_pa, u32 count) {
-  if (!shadow_.range_tainted(start_pa,
+//  * triggers — the body has no memory ops, so it can fire only
+//    tainted-fetch (declined when tainted fetches exist and any rule set
+//    binds it) and, for a kSyscall tail, syscall-arg: r1..r4 hold
+//    provenance at the kSyscall only if tainted on entry and not written
+//    by the block, so that check runs on entry state.
+u32 FarosEngine::block_tainted_fetches(vm::TranslatedBlock& b) {
+  const u32 count = static_cast<u32>(b.insns.size());
+  if (!shadow_.range_tainted(b.start_pa,
                              static_cast<u64>(count) * vm::kInsnSize)) {
     return 0;
   }
-  BlockMemoEntry& e =
-      block_memo_[(start_pa / vm::kInsnSize) & kBlockMemoMask];
-  const u64 version = shadow_.page_version(start_pa);
-  if (!(e.start_pa == start_pa && e.cr3 == cr3 && e.version == version &&
-        version != 0 && e.count == count)) {
-    // First pass per (block, page state): run exactly the fetch loop the
-    // instrumented path runs per instruction — including the one-time
-    // process-tag writebacks, which are idempotent — then memoize
-    // against the post-writeback stamp.
-    u32 tainted = 0;
-    for (u32 i = 0; i < count; ++i) {
-      const PAddr ipa = start_pa + static_cast<u64>(i) * vm::kInsnSize;
-      ProvListId fetch = kEmptyProv;
-      for (u32 b = 0; b < vm::kInsnSize; ++b) {
-        ProvListId id = shadow_.get(ipa + b);
-        if (id != kEmptyProv) {
-          ProvListId id2 = with_process(id, cr3, false);
-          if (id2 != id) shadow_.set(ipa + b, id2);
-          fetch = store_.merge(fetch, id2);
-        }
+  // A tainted range means the page exists, so its stamp is nonzero and a
+  // fresh block (memo_version 0) always misses. A block's cr3, start_pa
+  // and length are fixed for its lifetime: SMC and process exit evict it.
+  if (b.memo_version == shadow_.page_version(b.start_pa)) return b.memo_count;
+  // First pass per (block, page state): run exactly the fetch loop the
+  // instrumented path runs per instruction — including the one-time
+  // process-tag writebacks, which are idempotent — then memoize against
+  // the post-writeback stamp.
+  u32 tainted = 0;
+  for (u32 i = 0; i < count; ++i) {
+    const PAddr ipa = b.start_pa + static_cast<u64>(i) * vm::kInsnSize;
+    ProvListId fetch = kEmptyProv;
+    for (u32 k = 0; k < vm::kInsnSize; ++k) {
+      ProvListId id = shadow_.get(ipa + k);
+      if (id != kEmptyProv) {
+        ProvListId id2 = with_process(id, b.cr3, false);
+        if (id2 != id) shadow_.set(ipa + k, id2);
+        fetch = store_.merge(fetch, id2);
       }
-      if (fetch != kEmptyProv) ++tainted;
     }
-    e.start_pa = start_pa;
-    e.cr3 = cr3;
-    e.version = shadow_.page_version(start_pa);
-    e.count = count;
-    e.tainted_insns = tainted;
+    if (fetch != kEmptyProv) ++tainted;
   }
-  return e.tainted_insns;
+  b.memo_version = shadow_.page_version(b.start_pa);
+  b.memo_count = tainted;
+  return tainted;
 }
 
-bool FarosEngine::try_elide_block(PAddr cr3, VAddr pc, PAddr start_pa,
-                                  const vm::Instruction* insns, u32 count) {
-  (void)pc;
-  (void)insns;
-  if (!sregs(cr3).clean()) {
+bool FarosEngine::try_elide_block(vm::TranslatedBlock& b) {
+  // One reason per decline, checked in this order; bt_guard_fail is their
+  // sum.
+  auto decline = [this](obs::Counter& reason) {
+    reason.inc();
     bt_guard_fail_.inc();
     return false;
+  };
+  ShadowRegisters& sr = sregs(b.cr3);
+  constexpr u16 kSyscallArgs = (1u << vm::R1) | (1u << vm::R2) |
+                               (1u << vm::R3) | (1u << vm::R4);
+  if (!sr.clean()) {
+    if (sr.any_tainted(b.reads)) return decline(bt_decline_read_);
+    if (b.insns.back().op == Opcode::kSyscall &&
+        needs(Trigger::kSyscallArg).bound &&
+        sr.any_tainted(kSyscallArgs & ~b.writes)) {
+      return decline(bt_decline_sysarg_);
+    }
   }
-  u32 tainted_insns = block_tainted_fetches(cr3, start_pa, count);
+  const u32 count = static_cast<u32>(b.insns.size());
+  const u32 tainted_insns = block_tainted_fetches(b);
   if (tainted_insns != 0 && needs(Trigger::kTaintedFetch).bound) {
     // Bound fetch rules need per-instruction events; the writebacks the
     // walk just performed are idempotent, so the instrumented re-walk is
     // identical.
-    bt_guard_fail_.inc();
-    return false;
+    return decline(bt_decline_fetch_);
   }
+  if (!sr.clean()) sr.clear_regs(b.writes);
   stats_.insns_seen += count;
   stats_.tainted_fetches += tainted_insns;
   stats_.elided_insns += count;
@@ -479,9 +498,9 @@ bool FarosEngine::try_elide_block(PAddr cr3, VAddr pc, PAddr start_pa,
 // *eligibility*; try_elide_block above still runs its dynamic guard per
 // dispatch, which is why hint-approved blocks keep detection bit-identical:
 // a hinted body runs only inert opcodes plus kDivu sites whose divisor the
-// analyzer proved a non-zero constant from the run's own prefix, so with a
-// clean bank it can neither move taint, trap, nor fire any trigger except
-// the tainted-fetch path try_elide_block already accounts for.
+// analyzer proved a non-zero constant from the run's own prefix, so it
+// cannot trap, and a kDivu's register effect is an ordinary union the
+// block's footprint already covers.
 bool FarosEngine::block_elide_hint(PAddr cr3, VAddr pc,
                                    const vm::Instruction* insns, u32 count) {
   (void)cr3;
@@ -586,9 +605,6 @@ void FarosEngine::on_process_exit(const osi::ProcessInfo& p, u32 exit_code) {
   // so the recycled identity never inherits the old process's results.
   for (FetchCacheEntry& e : fetch_cache_) {
     if (e.cr3 == p.cr3) e = FetchCacheEntry{};
-  }
-  for (BlockMemoEntry& e : block_memo_) {
-    if (e.cr3 == p.cr3) e = BlockMemoEntry{};
   }
 }
 

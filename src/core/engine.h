@@ -105,8 +105,8 @@ struct EngineStats {
   u64 tainted_fetches = 0;
   u64 export_table_reads = 0;  // loads that touched export-tagged bytes
   u64 policy_evals = 0;
-  /// Instructions covered by approved block elisions (inert and
-  /// hint-proven alike); subset of insns_seen.
+  /// Instructions covered by approved block elisions (opcode-offered and
+  /// hint-proven alike, kSyscall tails included); subset of insns_seen.
   u64 elided_insns = 0;
 };
 
@@ -121,8 +121,7 @@ class FarosEngine : public vm::ExecHooks, public osi::GuestMonitor {
   // vm::ExecHooks
   void on_insn_retired(const vm::InsnEvent& ev,
                        const vm::AddressSpace& as) override;
-  bool try_elide_block(PAddr cr3, VAddr pc, PAddr start_pa,
-                       const vm::Instruction* insns, u32 count) override;
+  bool try_elide_block(vm::TranslatedBlock& block) override;
   bool block_elide_hint(PAddr cr3, VAddr pc, const vm::Instruction* insns,
                         u32 count) override;
 
@@ -187,6 +186,12 @@ class FarosEngine : public vm::ExecHooks, public osi::GuestMonitor {
   const ShadowMemory& shadow() const { return shadow_; }
   const EngineStats& stats() const { return stats_; }
   const Options& options() const { return opts_; }
+  /// A process's register-shadow bank; nullptr before its first
+  /// instruction and after its exit.
+  const ShadowRegisters* registers(PAddr cr3) const {
+    auto it = regs_.find(cr3);
+    return it == regs_.end() ? nullptr : &it->second;
+  }
 
   /// The engine's metric sink (null when collect_metrics is off). Exposed
   /// so the farm can add job-phase timers to the same sink.
@@ -251,10 +256,10 @@ class FarosEngine : public vm::ExecHooks, public osi::GuestMonitor {
   void record_finding(RuleSet& set, u32 rule_idx, const vm::InsnEvent& ev,
                       const vm::AddressSpace& as, const RuleInputs& in);
 
-  /// Block-level fetch walk behind try_elide_block: memoized count of
+  /// Block-level fetch walk behind try_elide_block: the count of
   /// tainted-fetch instructions in the block, replaying the per-insn
-  /// walk's one-time writebacks on first pass.
-  u32 block_tainted_fetches(PAddr cr3, PAddr start_pa, u32 count);
+  /// walk's one-time writebacks on first pass and memoized on the block.
+  u32 block_tainted_fetches(vm::TranslatedBlock& block);
 
   const os::OsiQuery& osi_;
   Options opts_;
@@ -286,23 +291,6 @@ class FarosEngine : public vm::ExecHooks, public osi::GuestMonitor {
   static constexpr u32 kFetchCacheMask = kFetchCacheSize - 1;
   std::vector<FetchCacheEntry> fetch_cache_ =
       std::vector<FetchCacheEntry>(kFetchCacheSize);
-
-  /// Block-level analogue of FetchCacheEntry for elided blocks on *tainted*
-  /// code pages: caches the per-block count of tainted-fetch instructions
-  /// (what stats_.tainted_fetches needs) against the page's post-writeback
-  /// mutation stamp. `count` is part of the validity check because an SMC
-  /// retranslation can change the block length without a shadow mutation.
-  struct BlockMemoEntry {
-    PAddr start_pa = ~0ull;
-    PAddr cr3 = 0;
-    u64 version = 0;
-    u32 count = 0;
-    u32 tainted_insns = 0;
-  };
-  static constexpr u32 kBlockMemoSize = 1024;  // power of two
-  static constexpr u32 kBlockMemoMask = kBlockMemoSize - 1;
-  std::vector<BlockMemoEntry> block_memo_ =
-      std::vector<BlockMemoEntry>(kBlockMemoSize);
   std::vector<RuleSet> sets_;  // [0] is the primary
   std::array<TriggerNeeds, kTriggerCount> needs_{};
   std::vector<u32> matched_;  // dispatch scratch (avoids per-site allocs)
@@ -319,9 +307,12 @@ class FarosEngine : public vm::ExecHooks, public osi::GuestMonitor {
   obs::Counter file_write_src_bytes_;
   obs::Counter image_map_src_bytes_;
   obs::Counter export_tag_bytes_;
-  obs::Counter bt_elided_;      // inert blocks approved for the fast body
-  obs::Counter bt_guard_fail_;  // elision declined (dirty bank / fetch rules)
+  obs::Counter bt_elided_;      // offered blocks approved for the fast body
+  obs::Counter bt_guard_fail_;  // elision declined, any reason
   obs::Counter bt_hint_;        // blocks hint-approved beyond inertness
+  obs::Counter bt_decline_read_;     // ... because a read register is tainted
+  obs::Counter bt_decline_sysarg_;   // ... because of a syscall-arg rule
+  obs::Counter bt_decline_fetch_;    // ... because of a tainted-fetch rule
 };
 
 }  // namespace faros::core

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <memory>
 #include <unordered_map>
 
@@ -286,11 +287,24 @@ class ShadowRegisters {
     }
   }
 
-  /// O(1): no register byte carries provenance. The block-elision guard —
-  /// with a fully clean bank, every taint-inert instruction's register
-  /// effect is a no-op (clears of clean registers, copies/unions of empty
-  /// lists), so the whole bank check substitutes for per-insn propagation.
+  /// O(1): no register byte carries provenance. The block-elision guard's
+  /// fast accept: a clean bank has no tainted register for any footprint.
   bool clean() const { return tainted_ == 0; }
+
+  /// Does any register in `mask` (bit r = register r) carry provenance?
+  bool any_tainted(u16 mask) const {
+    for (; mask != 0; mask &= mask - 1) {
+      if (reg_tainted(static_cast<u8>(std::countr_zero(mask)))) return true;
+    }
+    return false;
+  }
+
+  /// clear_reg() on every register in `mask`.
+  void clear_regs(u16 mask) {
+    for (; mask != 0; mask &= mask - 1) {
+      clear_reg(static_cast<u8>(std::countr_zero(mask)));
+    }
+  }
 
   /// Union of all four byte lists of a register (for ALU operand taint).
   ProvListId reg_union(u8 reg, ProvStore& store) const {

@@ -253,6 +253,8 @@ JobResult Farm::run_once(const JobSpec& spec, u32 attempt) const {
           bs.evict_smc;
       r.metrics.counters[static_cast<u32>(obs::Ctr::kBtEvictCr3)] +=
           bs.evict_cr3;
+      r.metrics.counters[static_cast<u32>(obs::Ctr::kBtNotOffered)] +=
+          bs.not_offered;
     }
     // Scheduling rounds and TLB misses: likewise plain stats of the machine.
     r.metrics.counters[static_cast<u32>(obs::Ctr::kSchedRounds)] +=

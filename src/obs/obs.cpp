@@ -49,6 +49,10 @@ const char* ctr_name(Ctr c) {
     case Ctr::kBtGuardFail: return "bt_guard_fail";
     case Ctr::kBtElidedInsns: return "bt_elided_insns";
     case Ctr::kBtHintBlocks: return "bt_hint_blocks";
+    case Ctr::kBtDeclineTaintedRead: return "bt_decline_tainted_read";
+    case Ctr::kBtDeclineSyscallArg: return "bt_decline_syscall_arg";
+    case Ctr::kBtDeclineFetchRule: return "bt_decline_fetch_rule";
+    case Ctr::kBtNotOffered: return "bt_not_offered";
     case Ctr::kSnapClone: return "snap_clone";
     case Ctr::kCowFault: return "cow_faults";
     case Ctr::kSnapSharedPages: return "snap_shared_pages";

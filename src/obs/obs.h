@@ -104,11 +104,16 @@ enum class Ctr : u32 {
   kBtHit,           // block dispatches served from the cache
   kBtEvictSmc,      // blocks evicted by a write into their code frame
   kBtEvictCr3,      // blocks evicted by process-exit / frame recycling
-  kBtElidedBlocks,  // inert blocks the engine ran uninstrumented
-  kBtGuardFail,     // elision declined (tainted regs / bound fetch rules)
+  kBtElidedBlocks,  // offered blocks the engine ran uninstrumented
+  kBtGuardFail,     // elision declined: the sum of the three reasons below
   kBtElidedInsns,   // instructions covered by approved elisions
   kBtHintBlocks,    // blocks approved via a static summary elide hint
                     // (content-hash matched; beyond per-opcode inertness)
+  kBtDeclineTaintedRead,  // a register the block reads carries provenance
+  kBtDeclineSyscallArg,   // SYSCALL tail with tainted r1..r4, rule bound
+  kBtDeclineFetchRule,    // tainted fetches with a tainted-fetch rule bound
+  kBtNotOffered,    // full-length dispatches of blocks holding an opcode
+                    // no elision covers (vm::BlockCacheStats::not_offered)
 
   // --- snapshot/COW guest cloning (os/snapshot.h; farm clone-per-job) ---
   kSnapClone,        // machines booted from the shared snapshot (1 per

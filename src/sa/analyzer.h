@@ -47,9 +47,9 @@ struct ImageReport {
   u32 base = 0, entry = 0, size = 0;
   u32 blocks = 0, insns = 0;
   /// Blocks (and their instruction total) whose every opcode is
-  /// vm::taint_inert — the static upper bound on what the runtime
-  /// block-translation cache (vm/btcache.h) may run uninstrumented
-  /// without any summary facts.
+  /// vm::taint_inert — what the runtime block-translation cache
+  /// (vm/btcache.h) may run uninstrumented without any summary facts,
+  /// save blocks ending in a kSyscall, which the runtime also offers.
   u32 inert_blocks = 0, inert_insns = 0;
   /// Blocks provable inert with summary-level facts: every instruction is
   /// taint_inert *or* a kDivu whose divisor is a proven non-zero constant

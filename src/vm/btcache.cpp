@@ -37,7 +37,7 @@ TranslatedBlock* BlockCache::translate(PAddr cr3, VAddr va, PAddr pa) {
   b.cr3 = cr3;
   b.start_va = va;
   b.start_pa = pa;
-  b.inert = true;
+  b.elidable_ops = true;
   // Instructions are 8-byte aligned, so the body walks to the page end at
   // most; a block never crosses into the next frame.
   const PAddr page_end = page_floor(static_cast<u32>(pa)) + kPageSize;
@@ -45,7 +45,13 @@ TranslatedBlock* BlockCache::translate(PAddr cr3, VAddr va, PAddr pa) {
     auto d = decode(mem_->span(p, kInsnSize));
     if (!d) break;  // truncate: the fall-through traps exactly like per-insn
     b.insns.push_back(*d);
-    if (!taint_inert(d->op)) b.inert = false;
+    // kSyscall ends the block, so passing here makes it the final insn.
+    if (!taint_inert(d->op) && d->op != Opcode::kSyscall) {
+      b.elidable_ops = false;
+    }
+    const RegFootprint f = taint_footprint(*d);
+    b.reads |= f.reads & ~b.writes;
+    b.writes |= f.writes;
     if (ends_block(d->op)) break;
   }
   if (b.insns.empty()) return nullptr;
@@ -58,6 +64,16 @@ TranslatedBlock* BlockCache::translate(PAddr cr3, VAddr va, PAddr pa) {
   if (inserted) by_frame_[frame].push_back(key);
   mem_->watch_frame(frame << kPageShift, lo, hi);
   return &it->second;
+}
+
+void BlockCache::forget_plugin_state() {
+  for (auto& [key, b] : map_) {
+    (void)key;
+    b.hint_checked = false;
+    b.hint_elidable = false;
+    b.memo_version = 0;
+    b.memo_count = 0;
+  }
 }
 
 void BlockCache::evict_frame(PAddr frame_base, bool smc) {

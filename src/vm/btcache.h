@@ -21,9 +21,10 @@
 //    never execute stale code. The kernel additionally evicts a process's
 //    blocks at exit (evict_cr3) and on frame recycling (evict_frame).
 //
-// Blocks whose every opcode is taint_inert() are marked `inert`; the DIFT
-// engine may approve running those through an uninstrumented fast body
-// (see ExecHooks::try_elide_block in vm/cpu.h).
+// Blocks whose every opcode is taint_inert(), save a final kSyscall, are
+// marked `elidable_ops`; the DIFT engine may approve running those through
+// an uninstrumented fast body (see ExecHooks::try_elide_block in vm/cpu.h),
+// deciding from the block's register footprint (`reads`/`writes`).
 #pragma once
 
 #include <unordered_map>
@@ -39,13 +40,26 @@ struct TranslatedBlock {
   PAddr cr3 = 0;
   VAddr start_va = 0;
   PAddr start_pa = 0;
-  bool inert = false;  // every instruction satisfies taint_inert()
-  /// Lazily resolved ExecHooks::block_elide_hint verdict for non-inert
+  /// Every instruction satisfies taint_inert(), except possibly a final
+  /// kSyscall: offered for elision without a static proof.
+  bool elidable_ops = false;
+  /// Lazily resolved ExecHooks::block_elide_hint verdict for the other
   /// blocks (static summary proof, content-hash matched by the plugin).
   /// Reset naturally on retranslation: SMC evicts the block, and the fresh
   /// TranslatedBlock re-asks against the new bytes.
   bool hint_checked = false;
   bool hint_elidable = false;
+  /// Block register footprint, the composition of every instruction's
+  /// taint_footprint(): `reads` holds the registers read before the block
+  /// writes them, `writes` every register some instruction overwrites.
+  u16 reads = 0;
+  u16 writes = 0;
+  /// Memo owned by the attached plugin (the engine's tainted-fetch count
+  /// for this block and the shadow page stamp it is valid for). A fresh
+  /// block starts unset; Interpreter::set_hooks clears it when the plugin
+  /// changes.
+  u64 memo_version = 0;
+  u32 memo_count = 0;
   std::vector<Instruction> insns;
 };
 
@@ -57,6 +71,9 @@ struct BlockCacheStats {
   u64 hits = 0;         // block dispatches served from the cache
   u64 evict_smc = 0;    // blocks evicted by a write into their code frame
   u64 evict_cr3 = 0;    // blocks evicted by process-exit / frame recycling
+  /// Full-length dispatches, with a plugin attached, of blocks that hold an
+  /// opcode no elision covers (neither elidable_ops nor hint-approved).
+  u64 not_offered = 0;
 };
 
 class BlockCache {
@@ -105,6 +122,11 @@ class BlockCache {
 
   size_t size() const { return map_.size(); }
   const BlockCacheStats& stats() const { return stats_; }
+  void count_not_offered() { ++stats_.not_offered; }
+
+  /// Drops what a plugin cached on the blocks (hint verdicts, memos): the
+  /// interpreter's hooks changed, and another plugin must ask afresh.
+  void forget_plugin_state();
 
   /// Longest block body; one page of 8-byte instructions.
   static constexpr u32 kMaxBlockInsns = kPageSize / kInsnSize;

@@ -30,6 +30,11 @@ Interpreter::Interpreter(PhysMem& mem)
 
 Interpreter::~Interpreter() = default;
 
+void Interpreter::set_hooks(ExecHooks* hooks) {
+  if (hooks != hooks_ && btc_) btc_->forget_plugin_state();
+  hooks_ = hooks;
+}
+
 void Interpreter::set_block_cache_enabled(bool on) {
   if (on == (btc_ != nullptr)) return;
   btc_ = on ? std::make_unique<BlockCache>(*mem_) : nullptr;
@@ -146,13 +151,11 @@ StepInfo Interpreter::run_blocks(CpuState& cpu, const AddressSpace& as,
     StepInfo one;
     if (!hooks_) {
       one = exec_cached<false>(cpu, as, *b, take);
-    } else if (take == n && block_elidable(*b, as.cr3(), pc) &&
-               hooks_->try_elide_block(as.cr3(), pc, b->start_pa,
-                                       b->insns.data(), n)) {
+    } else if (take == n && offer_block(*b) && hooks_->try_elide_block(*b)) {
       // The plugin accounted for all n instructions itself; elidable
       // bodies cannot trap (inert opcodes by construction, hint-approved
       // kDivu by the plugin's constant-divisor proof), so all n retire
-      // through the fast body.
+      // through the fast body, a final kSyscall returning to the kernel.
       one = exec_cached<false>(cpu, as, *b, n);
     } else {
       one = exec_cached<true>(cpu, as, *b, take);
@@ -165,13 +168,14 @@ StepInfo Interpreter::run_blocks(CpuState& cpu, const AddressSpace& as,
   return info;
 }
 
-bool Interpreter::block_elidable(TranslatedBlock& b, PAddr cr3, VAddr pc) {
-  if (b.inert) return true;
+bool Interpreter::offer_block(TranslatedBlock& b) {
+  if (b.elidable_ops) return true;
   if (!b.hint_checked) {
     b.hint_checked = true;
     b.hint_elidable = hooks_->block_elide_hint(
-        cr3, pc, b.insns.data(), static_cast<u32>(b.insns.size()));
+        b.cr3, b.start_va, b.insns.data(), static_cast<u32>(b.insns.size()));
   }
+  if (!b.hint_elidable) btc_->count_not_offered();
   return b.hint_elidable;
 }
 

@@ -6,10 +6,11 @@
 // Execution has two gears. With the block-translation cache enabled (the
 // default, see vm/btcache.h) the run loop dispatches whole predecoded basic
 // blocks: fetch-translate + decode happen once per block instead of once per
-// instruction, and a plugin may approve running taint-inert blocks through
-// an uninstrumented fast body (ExecHooks::try_elide_block). With the cache
-// disabled the historical per-instruction loop runs unchanged. Both gears
-// retire bit-identical architectural state and event streams.
+// instruction, and a plugin may approve running register-only blocks
+// (optionally ending in a syscall) through an uninstrumented fast body
+// (ExecHooks::try_elide_block). With the cache disabled the historical
+// per-instruction loop runs unchanged. Both gears retire bit-identical
+// architectural state and event streams.
 #pragma once
 
 #include <memory>
@@ -98,23 +99,22 @@ class ExecHooks {
     (void)ev;
     (void)as;
   }
-  /// Asked once per dispatch of a cached, fully taint-inert basic block
-  /// (`count` predecoded instructions at pc/start_pa: no memory ops, no
-  /// syscalls, cannot trap). Returning true means the plugin has accounted
-  /// for all `count` instructions itself and the interpreter may execute
-  /// the block without per-instruction callbacks; on_block_begin still
-  /// fires. The default keeps every plugin on the instrumented path.
-  virtual bool try_elide_block(PAddr cr3, VAddr pc, PAddr start_pa,
-                               const Instruction* insns, u32 count) {
-    (void)cr3;
-    (void)pc;
-    (void)start_pa;
-    (void)insns;
-    (void)count;
+  /// Asked once per full-length dispatch of a cached block whose opcodes
+  /// are all elidable: taint_inert() ones, kDivu in a block the plugin's
+  /// block_elide_hint approved, and at most one kSyscall, always last. Such
+  /// a body has no memory ops and cannot trap; its register effect is
+  /// summed up by `block.reads`/`block.writes`. Returning true means the
+  /// plugin has accounted for all the block's instructions itself and the
+  /// interpreter may execute it without per-instruction callbacks;
+  /// on_block_begin still fires, and a final kSyscall still returns to the
+  /// kernel. The plugin may keep a memo in the block's memo_* fields. The
+  /// default keeps every plugin on the instrumented path.
+  virtual bool try_elide_block(TranslatedBlock& block) {
+    (void)block;
     return false;
   }
-  /// Asked at most once per translated block that is *not* fully
-  /// taint_inert: does the plugin hold a static proof that this exact
+  /// Asked at most once per translated block that is not elidable_ops
+  /// (vm/btcache.h): does the plugin hold a static proof that this exact
   /// instruction sequence may nevertheless be offered for elision (e.g. a
   /// kDivu whose divisor is a proven non-zero constant)? The verdict is
   /// cached on the TranslatedBlock; SMC evicts and retranslates, so a
@@ -142,7 +142,9 @@ class Interpreter {
   explicit Interpreter(PhysMem& mem);
   ~Interpreter();
 
-  void set_hooks(ExecHooks* hooks) { hooks_ = hooks; }
+  /// Attaches the analysis plugin. A different plugin than before drops
+  /// what the previous one cached on translated blocks.
+  void set_hooks(ExecHooks* hooks);
   ExecHooks* hooks() const { return hooks_; }
 
   /// Toggles the block-translation cache (enabled by default). Disabling
@@ -182,9 +184,10 @@ class Interpreter {
   /// Block-dispatch run loop (cache enabled).
   StepInfo run_blocks(CpuState& cpu, const AddressSpace& as, u64 max_insns);
 
-  /// Elision eligibility for a cached block: inert, or hint-approved by
-  /// the plugin (ExecHooks::block_elide_hint, asked once per translation).
-  bool block_elidable(TranslatedBlock& b, PAddr cr3, VAddr pc);
+  /// Elision eligibility for a cached block: elidable_ops, or
+  /// hint-approved by the plugin (ExecHooks::block_elide_hint, asked once
+  /// per translation). A block that is neither counts as not offered.
+  bool offer_block(TranslatedBlock& b);
 
   /// Executes up to `count` predecoded instructions of a cached block,
   /// stopping early on traps/halt/syscall or when an eviction epoch change

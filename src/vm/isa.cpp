@@ -166,6 +166,49 @@ bool taint_inert(Opcode op) {
   }
 }
 
+RegFootprint taint_footprint(const Instruction& insn) {
+  auto bit = [](u8 r) { return static_cast<u16>(1u << (r & 15)); };
+  const u16 rd = bit(insn.rd);
+  const u16 rs1 = bit(insn.rs1);
+  const u16 rs2 = bit(insn.rs2);
+  switch (insn.op) {
+    case Opcode::kMovi:
+    case Opcode::kAddPc: return {0, rd};
+    case Opcode::kMov: return {rs1, rd};
+    case Opcode::kXor:
+    case Opcode::kSub:
+      if (insn.rs1 == insn.rs2) return {0, rd};  // zero idiom: delete rule
+      return {static_cast<u16>(rs1 | rs2), rd};
+    case Opcode::kAdd:
+    case Opcode::kMul:
+    case Opcode::kDivu:
+    case Opcode::kAnd:
+    case Opcode::kOr:
+    case Opcode::kShl:
+    case Opcode::kShr: return {static_cast<u16>(rs1 | rs2), rd};
+    case Opcode::kAddi:
+    case Opcode::kSubi:
+    case Opcode::kMuli:
+    case Opcode::kAndi:
+    case Opcode::kOri:
+    case Opcode::kXori:
+    case Opcode::kShli:
+    case Opcode::kShri: return {rs1, rd};
+    case Opcode::kLd8:
+    case Opcode::kLd16:
+    case Opcode::kLd32: return {rs1, rd};
+    case Opcode::kSt8:
+    case Opcode::kSt16:
+    case Opcode::kSt32: return {static_cast<u16>(rs1 | rs2), 0};
+    case Opcode::kPush: return {static_cast<u16>(rs1 | bit(SP)), 0};
+    case Opcode::kPop: return {bit(SP), rd};
+    case Opcode::kCall:
+    case Opcode::kCallr: return {0, bit(LR)};
+    case Opcode::kSyscall: return {0, bit(R0)};
+    default: return {};
+  }
+}
+
 bool is_cond_branch(Opcode op) {
   switch (op) {
     case Opcode::kBeq:

@@ -130,15 +130,32 @@ unsigned mem_access_size(Opcode op);
 /// syscall, halt, brk).
 bool ends_block(Opcode op);
 
-/// True when `op`, executed with a fully clean register bank, can neither
-/// observe nor produce tainted state and cannot trap or leave user mode:
-/// no loads/stores/push/pop (shadow-memory traffic + memory faults), no
-/// syscall/halt/brk (kernel transitions), no divu (div-by-zero trap).
-/// The block-translation cache (src/vm/btcache.h) runs blocks made only of
-/// these opcodes through an uninstrumented fast body once the DIFT engine
-/// approves the elision; the static analyzer (src/sa) exports the same
-/// classification per basic block, so it must live beside the decoder.
+/// True when `op` touches no shadow memory, cannot trap and cannot leave
+/// user mode: no loads/stores/push/pop (shadow-memory traffic + memory
+/// faults), no syscall/halt/brk (kernel transitions), no divu (div-by-zero
+/// trap). Its only taint effect is on registers, which taint_footprint()
+/// describes. The block-translation cache (src/vm/btcache.h) offers blocks
+/// made of these opcodes, optionally ending in one kSyscall, for an
+/// uninstrumented fast body that the DIFT engine approves per dispatch; the
+/// static analyzer (src/sa) exports the same classification per basic
+/// block, so it must live beside the decoder.
 bool taint_inert(Opcode op);
+
+/// Register footprint of one instruction under the paper's Table-I
+/// register rules, as bit masks (bit r = register r). `reads`: registers
+/// whose provenance flows into a register the instruction overwrites.
+/// `writes`: registers whose provenance the instruction replaces. Compare
+/// operands and branch targets read nothing (control dependencies are not
+/// propagated), nor does the xor/sub zero idiom (`xor rd, rs, rs`), and
+/// kSyscall writes only r0 (the kernel's result; its r1..r4 arguments feed
+/// the syscall-arg trigger, not a register). Loads and stores count their
+/// address and data registers as reads (address dependencies are an engine
+/// option), and push/pop leave sp's provenance alone.
+struct RegFootprint {
+  u16 reads = 0;
+  u16 writes = 0;
+};
+RegFootprint taint_footprint(const Instruction& insn);
 
 // Control-flow classification for static analysis (src/sa). The static CFG
 // builder must agree with the interpreter about what transfers control and

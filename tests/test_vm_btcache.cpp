@@ -1,16 +1,19 @@
-// Block-translation cache: translate/hit accounting, self-modifying code
-// (guest stores into the executing block, host writes, randomized write
-// fuzzing against the uncached interpreter), CR3 recycling across process
-// lifetimes, engine elision accounting (also with extra policy sets on one
-// engine), and detection equivalence over a corpus slice with the cache on
-// vs off.
+// Block-translation cache: translate/hit accounting and block footprints,
+// self-modifying code (guest stores into the executing block, host writes,
+// randomized write fuzzing against the uncached interpreter), CR3 recycling
+// across process lifetimes, engine elision accounting (also with extra
+// policy sets on one engine), the footprint guard against the uncached
+// path on random blocks and random register taint, and detection
+// equivalence over a corpus slice with the cache on vs off.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <random>
 
 #include "attacks/corpus.h"
 #include "attacks/guest_common.h"
+#include "attacks/programs.h"
 #include "core/engine.h"
 #include "farm/farm.h"
 #include "farm/results.h"
@@ -95,6 +98,65 @@ TEST(BtCacheIsa, TaintInertClassificationIsPinned) {
                     Opcode::kRet}) {
     EXPECT_TRUE(vm::taint_inert(op)) << static_cast<u32>(op);
   }
+}
+
+TEST(BtCacheIsa, TranslateRecordsTheBlockFootprint) {
+  CpuEnv env(/*block_cache=*/false);
+  Assembler a;
+  a.addi(R1, R1, 1);        // reads r1 before writing it
+  a.mov(R2, R3);            // reads r3
+  a.xor_(R4, R4, R4);       // zero idiom: reads nothing
+  a.add(R5, R4, vm::R6);    // r4 already written: reads only r6
+  a.movi(vm::R7, 3);
+  a.divu(R5, R5, vm::R7);   // r5 and r7 written earlier: no new reads
+  a.cmp(vm::R8, vm::R9);    // compares read no provenance
+  a.movi(vm::R0, 7);
+  a.syscall_();             // writes r0
+  a.movi(R1, 0);            // next block
+  a.ld32(R2, R3);
+  a.call("next");
+  a.label("next");
+  a.halt();
+  env.load(a);
+  auto pa = env.as.translate(kCodeBase, vm::AccessType::kExec, true);
+  ASSERT_TRUE(pa.has_value());
+  auto bit = [](u8 r) { return static_cast<u16>(1u << r); };
+
+  vm::BlockCache btc(env.mem);
+  const vm::TranslatedBlock* b = btc.translate(env.as.cr3(), kCodeBase, *pa);
+  ASSERT_NE(b, nullptr);
+  ASSERT_EQ(b->insns.size(), 9u);
+  EXPECT_EQ(b->reads, bit(1) | bit(3) | bit(6));
+  EXPECT_EQ(b->writes, bit(0) | bit(1) | bit(2) | bit(4) | bit(5) | bit(7));
+  // The kDivu keeps the block off the opcode-only offer (a hint may still
+  // approve it); a final kSyscall alone would not.
+  EXPECT_FALSE(b->elidable_ops);
+
+  const VAddr second = kCodeBase + 9 * vm::kInsnSize;
+  const vm::TranslatedBlock* c =
+      btc.translate(env.as.cr3(), second, *pa + 9 * vm::kInsnSize);
+  ASSERT_NE(c, nullptr);
+  EXPECT_EQ(c->insns.size(), 3u);
+  EXPECT_EQ(c->reads, bit(3));  // the ld32 address register
+  EXPECT_EQ(c->writes, bit(1) | bit(2) | bit(vm::LR));
+  EXPECT_FALSE(c->elidable_ops);
+}
+
+TEST(BtCacheIsa, SyscallTailBlocksAreOffered) {
+  CpuEnv env(/*block_cache=*/false);
+  Assembler a;
+  a.movi(vm::R0, 7);
+  a.mov(R1, R2);
+  a.syscall_();
+  env.load(a);
+  auto pa = env.as.translate(kCodeBase, vm::AccessType::kExec, true);
+  ASSERT_TRUE(pa.has_value());
+  vm::BlockCache btc(env.mem);
+  const vm::TranslatedBlock* b = btc.translate(env.as.cr3(), kCodeBase, *pa);
+  ASSERT_NE(b, nullptr);
+  EXPECT_TRUE(b->elidable_ops);
+  EXPECT_EQ(b->reads, 1u << R2);
+  EXPECT_EQ(b->writes, (1u << vm::R0) | (1u << R1));
 }
 
 TEST(BtCache, LoopTranslatesOnceAndHitsThereafter) {
@@ -630,6 +692,367 @@ TEST(BtCacheEngine, ExtraSetAtMaxFindingsLeavesPrimaryUntouched) {
   EXPECT_GT(fan.rule_stats[1].at(0).hits, kCap);
   expect_same_findings(fan.findings[0], solo.findings[0]);
   expect_same_rule_stats(fan.rule_stats[0], solo.rule_stats[0]);
+}
+
+// --- footprint guard: seeded differential against the uncached path ------
+
+/// OSI stand-in for an engine driven without a kernel: one process.
+struct OneProcessOsi : os::OsiQuery {
+  osi::ProcessInfo proc;
+  std::optional<osi::ProcessInfo> process_by_cr3(PAddr cr3) const override {
+    if (cr3 == proc.cr3) return proc;
+    return std::nullopt;
+  }
+  std::vector<osi::ProcessInfo> process_list() const override {
+    return {proc};
+  }
+};
+
+constexpr u32 kTaintBufBytes = 64;
+
+/// A random straight-line program: an entry block that loads random bytes
+/// of a randomly tainted buffer into random registers, then blocks of
+/// elidable opcodes (some with a constant-divisor kDivu), each ending in a
+/// kSyscall, jmp, call or conditional branch to the next, then halt.
+struct FootprintProgram {
+  Assembler code;
+  std::vector<std::string> divu_blocks;  // labels of blocks with a kDivu
+  u8 buf_flow[kTaintBufBytes] = {};      // per byte: 0 clean, else a flow
+  u32 code_taint = 0;  // 0 clean code, 1 all of it, 2 its first half
+};
+
+FootprintProgram random_footprint_program(u32 seed) {
+  std::mt19937 rng(seed);
+  auto pick = [&](u32 n) { return static_cast<u32>(rng() % n); };
+  auto reg = [&]() { return static_cast<vm::Reg>(pick(vm::LR + 1)); };
+  FootprintProgram p;
+  for (u8& f : p.buf_flow) f = static_cast<u8>(pick(4));
+  p.code_taint = pick(3);
+  Assembler& a = p.code;
+
+  // Entry: r12 is the buffer base, so it is loaded (if at all) last.
+  a.movi(vm::R12, kDataBase);
+  std::vector<u8> order;
+  for (u8 r = 0; r <= vm::LR; ++r) {
+    if (r != vm::R12) order.push_back(r);
+  }
+  order.push_back(vm::R12);
+  for (u8 r : order) {
+    const vm::Reg rd = static_cast<vm::Reg>(r);
+    switch (pick(5)) {
+      case 0: a.movi(rd, rng()); break;
+      case 1: a.ld8(rd, vm::R12, static_cast<i32>(pick(kTaintBufBytes))); break;
+      case 2:
+        a.ld16(rd, vm::R12, static_cast<i32>(pick(kTaintBufBytes - 1)));
+        break;
+      case 3:
+        a.ld32(rd, vm::R12, static_cast<i32>(pick(kTaintBufBytes - 3)));
+        break;
+      default: break;  // keep what the previous pass left there
+    }
+  }
+  a.jmp("b0");
+
+  const u32 blocks = 3 + pick(6);
+  for (u32 i = 0; i < blocks; ++i) {
+    const std::string name = "b" + std::to_string(i);
+    const std::string next =
+        i + 1 < blocks ? "b" + std::to_string(i + 1) : "end";
+    a.label(name);
+    const u32 body = 1 + pick(6);
+    const u32 divu_at = pick(4) == 0 ? pick(body) : body;
+    if (divu_at < body) p.divu_blocks.push_back(name);
+    for (u32 k = 0; k < body; ++k) {
+      if (k == divu_at) {
+        const vm::Reg d = reg();
+        a.movi(d, 1 + pick(100));
+        a.divu(reg(), reg(), d);
+        continue;
+      }
+      const vm::Reg rd = reg();
+      const vm::Reg r1 = reg();
+      const vm::Reg r2 = reg();
+      switch (pick(14)) {
+        case 0: a.movi(rd, rng()); break;
+        case 1: a.mov(rd, r1); break;
+        case 2: a.addpc_label(rd, name); break;
+        case 3: a.add(rd, r1, r2); break;
+        case 4: a.sub(rd, r1, pick(2) ? r1 : r2); break;  // zero idiom too
+        case 5: a.xor_(rd, r1, pick(2) ? r1 : r2); break;
+        case 6: a.mul(rd, r1, r2); break;
+        case 7: a.and_(rd, r1, r2); break;
+        case 8: a.shr(rd, r1, r2); break;
+        case 9: a.addi(rd, r1, static_cast<i32>(pick(50))); break;
+        case 10: a.xori(rd, r1, rng()); break;
+        case 11: a.shli(rd, r1, pick(32)); break;
+        case 12: a.cmp(r1, r2); break;
+        default: a.nop(); break;
+      }
+    }
+    switch (pick(4)) {
+      case 0: a.syscall_(); break;  // the harness resumes at the next insn
+      case 1: a.jmp(next); break;
+      case 2: a.call(next); break;
+      default:
+        a.cmp(reg(), reg());
+        a.beq(next);
+        break;
+    }
+  }
+  a.label("end");
+  a.halt();
+  return p;
+}
+
+/// The analysis state both runs must agree on: register and memory
+/// provenance, store size, engine stats, findings and per-rule tallies.
+/// Provenance is compared by content: the two runs intern the same lists
+/// but need not intern them in the same order.
+struct FootprintOutcome {
+  std::vector<std::vector<core::ProvTag>> regs;  // 16 registers x 4 bytes
+  std::vector<std::pair<PAddr, std::vector<core::ProvTag>>> mem;
+  size_t store_size = 0;
+  core::EngineStats stats;
+  std::vector<std::string> findings;
+  std::vector<core::RuleStats> rule_stats;
+  obs::MetricSnapshot metrics;
+};
+
+std::string tags_str(const core::ProvStore& store, core::ProvListId id) {
+  std::string out;
+  for (const core::ProvTag& t : store.get(id)) {
+    out += std::to_string(t.key()) + ",";
+  }
+  return out;
+}
+
+FootprintOutcome run_footprint(const FootprintProgram& p, u32 seed,
+                               bool block_cache, bool bind_rules) {
+  CpuEnv env(block_cache);
+  env.load(p.code);
+  OneProcessOsi osi;
+  osi.proc = {1, 0, env.as.cr3(), "fuzz.exe"};
+
+  core::Options opts;
+  opts.rules = core::builtin_rules(true, true, false);
+  if (bind_rules) {
+    opts.rules.push_back(rule("sys", core::Trigger::kSyscallArg, {}));
+    opts.rules.push_back(rule("fetch", core::Trigger::kTaintedFetch, {}));
+  }
+  // Hints for the kDivu blocks: their divisor is a nonzero constant set
+  // right before, as the static analyzer would prove.
+  auto blob = p.code.assemble(kCodeBase);
+  EXPECT_TRUE(blob.ok());
+  for (const std::string& label : p.divu_blocks) {
+    const u32 off = p.code.label_offset(label).value();
+    std::vector<Instruction> run;
+    for (u32 o = off; o + vm::kInsnSize <= blob.value().size();
+         o += vm::kInsnSize) {
+      run.push_back(
+          *vm::decode(ByteSpan(blob.value().data() + o, vm::kInsnSize)));
+      if (vm::ends_block(run.back().op)) break;
+    }
+    opts.elide_hints[kCodeBase + off].emplace_back(
+        static_cast<u32>(run.size()),
+        vm::insn_seq_hash(run.data(), run.size()));
+  }
+  core::FarosEngine engine(osi, opts);
+  env.interp.set_hooks(&engine);
+
+  const FlowTuple flows[3] = {{0x0a000001, 4444, 0x0a000002, 5000},
+                              {0x0a000003, 4445, 0x0a000002, 5001},
+                              {0x0a000004, 4446, 0x0a000002, 5002}};
+  for (u32 i = 0; i < kTaintBufBytes; ++i) {
+    if (p.buf_flow[i] == 0) continue;
+    engine.on_packet_to_guest(
+        osi::GuestXfer{osi.proc, &env.as, kDataBase + i, 1},
+        flows[p.buf_flow[i] - 1]);
+  }
+  if (p.code_taint != 0) {
+    const u32 len = static_cast<u32>(blob.value().size());
+    engine.on_packet_to_guest(
+        osi::GuestXfer{osi.proc, &env.as, kCodeBase,
+                       p.code_taint == 1 ? len : len / 2},
+        flows[0]);
+  }
+
+  // Three passes under one seeded sequence of budget slices, so blocks
+  // are also cut short and re-entered mid-way.
+  std::mt19937 slices(seed * 7919u + 1);
+  for (int pass = 0; pass < 3; ++pass) {
+    env.cpu.set_pc(kCodeBase);
+    for (;;) {
+      StepInfo info = env.run(1 + slices() % 40);
+      if (info.result == StepResult::kHalt) break;
+      if (info.result == StepResult::kTrap) {
+        ADD_FAILURE() << "seed " << seed << " trapped at " << info.pc;
+        break;
+      }
+    }
+  }
+
+  FootprintOutcome out;
+  const core::ShadowRegisters* sr = engine.registers(env.as.cr3());
+  EXPECT_NE(sr, nullptr);
+  for (u8 r = 0; r < vm::kNumRegs && sr; ++r) {
+    for (u8 b = 0; b < 4; ++b) {
+      out.regs.push_back(engine.store().get(sr->get(r, b)));
+    }
+  }
+  engine.shadow().for_each_tainted([&](PAddr pa, core::ProvListId id) {
+    out.mem.emplace_back(pa, engine.store().get(id));
+  });
+  std::sort(out.mem.begin(), out.mem.end(),
+            [](const auto& x, const auto& y) { return x.first < y.first; });
+  out.store_size = engine.store().size();
+  out.stats = engine.stats();
+  for (const core::Finding& f : engine.findings()) {
+    out.findings.push_back(f.policy + "@" + std::to_string(f.instr_index) +
+                           ":" + std::to_string(f.insn_va) + " fetch=" +
+                           tags_str(engine.store(), f.fetch_prov) +
+                           " target=" +
+                           tags_str(engine.store(), f.target_prov));
+  }
+  const core::RuleEngine& re = engine.rule_engine();
+  for (u32 i = 0; i < re.rule_count(); ++i) {
+    out.rule_stats.push_back(re.rule_stats(i));
+  }
+  out.metrics = engine.metrics_snapshot();
+  return out;
+}
+
+TEST(BtCacheEngine, FootprintGuardMatchesUncachedPathOnRandomBlocks) {
+  // Block cache on (footprint-guarded elision) and off (every instruction
+  // through Table I) must end in the same analysis state, with the
+  // syscall-arg and tainted-fetch rules unbound and bound.
+  constexpr u32 kSeeds = 48;
+  for (bool bind : {false, true}) {
+    u64 elided = 0;
+    obs::MetricSnapshot sum;
+    for (u32 seed = 0; seed < kSeeds; ++seed) {
+      SCOPED_TRACE(::testing::Message() << "seed " << seed << " bind "
+                                        << bind);
+      const FootprintProgram p = random_footprint_program(seed);
+      FootprintOutcome on = run_footprint(p, seed, true, bind);
+      FootprintOutcome off = run_footprint(p, seed, false, bind);
+      ASSERT_EQ(on.regs.size(), vm::kNumRegs * 4u);
+      ASSERT_EQ(on.regs.size(), off.regs.size());
+      for (size_t i = 0; i < on.regs.size(); ++i) {
+        EXPECT_EQ(on.regs[i], off.regs[i])
+            << "register r" << i / 4 << " byte " << i % 4;
+      }
+      EXPECT_EQ(on.mem, off.mem);
+      EXPECT_EQ(on.store_size, off.store_size);
+      EXPECT_EQ(on.stats.insns_seen, off.stats.insns_seen);
+      EXPECT_EQ(on.stats.tainted_fetches, off.stats.tainted_fetches);
+      EXPECT_EQ(on.stats.policy_evals, off.stats.policy_evals);
+      EXPECT_EQ(on.findings, off.findings);
+      expect_same_rule_stats(on.rule_stats, off.rule_stats);
+      EXPECT_EQ(off.stats.elided_insns, 0u);
+      elided += on.stats.elided_insns;
+      for (u32 c = 0; c < obs::kCtrCount; ++c) {
+        sum.counters[c] += on.metrics.counters[c];
+      }
+    }
+    using obs::Ctr;
+    // The workload must exercise every guard outcome, and the decline
+    // reasons must add up to bt_guard_fail.
+    EXPECT_GT(elided, 0u);
+    EXPECT_GT(sum[Ctr::kBtDeclineTaintedRead], 0u);
+    EXPECT_GT(sum[Ctr::kBtHintBlocks], 0u);
+    EXPECT_EQ(sum[Ctr::kBtGuardFail], sum[Ctr::kBtDeclineTaintedRead] +
+                                          sum[Ctr::kBtDeclineSyscallArg] +
+                                          sum[Ctr::kBtDeclineFetchRule]);
+    if (bind) {
+      EXPECT_GT(sum[Ctr::kBtDeclineSyscallArg], 0u);
+      EXPECT_GT(sum[Ctr::kBtDeclineFetchRule], 0u);
+    } else {
+      EXPECT_EQ(sum[Ctr::kBtDeclineSyscallArg], 0u);
+      EXPECT_EQ(sum[Ctr::kBtDeclineFetchRule], 0u);
+    }
+  }
+}
+
+TEST(BtCacheEngine, SwappingPluginsForgetsWhatTheOldOneCachedOnBlocks) {
+  // Hint verdicts and fetch memos on a TranslatedBlock belong to the
+  // plugin that made them: an engine without hints attached to the same
+  // interpreter must not elide the kDivu block its predecessor's hint
+  // approved.
+  CpuEnv env;
+  Assembler a;
+  a.movi(R1, 0);
+  a.jmp("loop");
+  a.label("loop");
+  a.addi(R1, R1, 1);
+  a.movi(vm::R7, 9);
+  a.divu(R3, R1, vm::R7);
+  a.jmp("loop");
+  env.load(a);
+  OneProcessOsi osi;
+  osi.proc = {1, 0, env.as.cr3(), "loop.exe"};
+  const VAddr loop = kCodeBase + a.label_offset("loop").value();
+  std::vector<Instruction> body;
+  for (u32 i = 0; i < 4; ++i) {
+    body.push_back(*vm::decode(env.mem.span(
+        *env.as.translate(loop + i * vm::kInsnSize, vm::AccessType::kExec,
+                          true),
+        vm::kInsnSize)));
+  }
+  core::Options hinted;
+  hinted.elide_hints[loop].emplace_back(4, vm::insn_seq_hash(body.data(), 4));
+
+  core::FarosEngine first(osi, hinted);
+  env.interp.set_hooks(&first);
+  env.run(4000);
+  EXPECT_GT(first.stats().elided_insns, 3000u);
+
+  core::FarosEngine second(osi, core::Options{});
+  env.interp.set_hooks(&second);
+  env.run(4000);
+  EXPECT_EQ(second.stats().insns_seen, 4000u);
+  EXPECT_EQ(second.stats().elided_insns, 0u);
+  EXPECT_GT(env.interp.block_cache()->stats().not_offered, 900u);
+}
+
+TEST(BtCacheEngine, TwoProcessesOfOneIdleImageBothElideInSteadyState) {
+  // Two NtYield spinners from one image, each idling with a tainted r5 it
+  // never reads (an injected payload's shape). Every steady-state block —
+  // the `movi r0; syscall` tail block and the jmp — must be elided in both
+  // processes, with the tainted-fetch count answered from each block's own
+  // memo: no per-instruction fetch work at all.
+  os::Machine m;
+  core::FarosEngine engine(m.kernel(), core::Options{});
+  m.attach_cpu_plugin(&engine);
+  m.add_monitor(&engine);
+  ASSERT_TRUE(m.boot().ok());
+  auto img = attacks::build_dirty_idle_program("idle.exe");
+  ASSERT_TRUE(img.ok());
+  m.kernel().vfs().create("C:/idle.exe", img.value().serialize());
+  std::vector<PAddr> cr3s;
+  for (int i = 0; i < 2; ++i) {
+    auto pid = m.kernel().spawn("C:/idle.exe");
+    ASSERT_TRUE(pid.ok());
+    cr3s.push_back(m.kernel().find(pid.value())->as.cr3());
+  }
+  m.run(20000);
+  const obs::MetricSnapshot before = engine.metrics_snapshot();
+  m.run(100000);
+  const obs::MetricSnapshot after = engine.metrics_snapshot();
+  auto delta = [&](obs::Ctr c) { return after[c] - before[c]; };
+
+  using obs::Ctr;
+  for (PAddr cr3 : cr3s) {
+    const core::ShadowRegisters* sr = engine.registers(cr3);
+    ASSERT_NE(sr, nullptr);
+    EXPECT_FALSE(sr->clean());
+  }
+  ASSERT_GT(delta(Ctr::kInsnsRetired), 50000u);
+  EXPECT_GT(delta(Ctr::kTaintedFetches), 0u);  // the image is file-tagged
+  EXPECT_GE(static_cast<double>(delta(Ctr::kBtElidedInsns)),
+            0.99 * static_cast<double>(delta(Ctr::kInsnsRetired)));
+  EXPECT_EQ(delta(Ctr::kBtGuardFail), 0u);
+  EXPECT_EQ(delta(Ctr::kFetchCacheHit) + delta(Ctr::kFetchCacheMiss), 0u);
+  EXPECT_EQ(delta(Ctr::kAppendMemoHit) + delta(Ctr::kAppendMemoMiss), 0u);
 }
 
 // --- detection equivalence over a corpus slice ---------------------------

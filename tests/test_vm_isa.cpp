@@ -128,6 +128,42 @@ TEST(IsaClassify, BlockEnders) {
   EXPECT_FALSE(ends_block(Opcode::kCmp));
 }
 
+TEST(IsaClassify, TaintFootprintFollowsTableI) {
+  auto fp = [](Opcode op, u8 rd, u8 rs1, u8 rs2) {
+    return taint_footprint(Instruction{op, rd, rs1, rs2, 0});
+  };
+  auto bits = [](std::initializer_list<u8> regs) {
+    u16 m = 0;
+    for (u8 r : regs) m |= static_cast<u16>(1u << r);
+    return m;
+  };
+  auto expect = [](RegFootprint f, u16 reads, u16 writes, const char* what) {
+    EXPECT_EQ(f.reads, reads) << what;
+    EXPECT_EQ(f.writes, writes) << what;
+  };
+  expect(fp(Opcode::kMovi, 3, 7, 9), 0, bits({3}), "movi");
+  expect(fp(Opcode::kAddPc, 3, 7, 9), 0, bits({3}), "addpc");
+  expect(fp(Opcode::kMov, 3, 7, 9), bits({7}), bits({3}), "mov");
+  expect(fp(Opcode::kAdd, 3, 7, 9), bits({7, 9}), bits({3}), "add");
+  expect(fp(Opcode::kDivu, 3, 7, 9), bits({7, 9}), bits({3}), "divu");
+  expect(fp(Opcode::kXor, 3, 7, 9), bits({7, 9}), bits({3}), "xor");
+  expect(fp(Opcode::kXor, 3, 7, 7), 0, bits({3}), "xor zero idiom");
+  expect(fp(Opcode::kSub, 3, 7, 7), 0, bits({3}), "sub zero idiom");
+  expect(fp(Opcode::kAnd, 3, 7, 7), bits({7}), bits({3}), "and is no idiom");
+  expect(fp(Opcode::kShli, 3, 7, 9), bits({7}), bits({3}), "shli");
+  expect(fp(Opcode::kCmp, 3, 7, 9), 0, 0, "cmp");
+  expect(fp(Opcode::kJr, 3, 7, 9), 0, 0, "jr");
+  expect(fp(Opcode::kRet, 3, 7, 9), 0, 0, "ret");
+  expect(fp(Opcode::kCallr, 3, 7, 9), 0, bits({LR}), "callr");
+  expect(fp(Opcode::kCall, 3, 7, 9), 0, bits({LR}), "call");
+  expect(fp(Opcode::kSyscall, 3, 7, 9), 0, bits({R0}), "syscall");
+  expect(fp(Opcode::kLd32, 3, 7, 9), bits({7}), bits({3}), "ld32");
+  expect(fp(Opcode::kSt8, 3, 7, 9), bits({7, 9}), 0, "st8");
+  expect(fp(Opcode::kPush, 3, 7, 9), bits({7, SP}), 0, "push");
+  expect(fp(Opcode::kPop, 3, 7, 9), bits({SP}), bits({3}), "pop");
+  expect(fp(Opcode::kHalt, 3, 7, 9), 0, 0, "halt");
+}
+
 TEST(IsaRegs, Names) {
   EXPECT_STREQ(reg_name(0), "r0");
   EXPECT_STREQ(reg_name(12), "r12");
