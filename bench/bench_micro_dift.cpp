@@ -21,8 +21,9 @@
 // cache on (the production default): decode-once dispatch plus the
 // engine's elision fast path. The idle _btc regimes are NtYield spinners
 // idling with a tainted register they never read (an injected payload's
-// shape), one process and three from one image; the gate requires them to
-// run almost entirely elided.
+// shape), one process and three from one image; the divspin regime's hot
+// block divides by a constant. The gate requires all three to run almost
+// entirely elided.
 //
 // With FAROS_BENCH_JSON=<path> set, main() appends one JSONL record per
 // regime (median of five fixed-work wall-clock samples, independent of
@@ -42,7 +43,6 @@
 #include "core/engine.h"
 #include "core/rules.h"
 #include "os/machine.h"
-#include "sa/analyzer.h"
 #include "vm/btcache.h"
 
 using namespace faros;
@@ -159,11 +159,9 @@ CopierInfo setup_copier(os::Machine& m) {
 }
 
 /// A compute workload whose hot block carries a constant-divisor kDivu:
-/// kDivu is excluded from vm::taint_inert (a zero divisor traps), so the
-/// block cache's per-opcode elision can never fast-path this loop — only
-/// the analyzer's context-free divisor proof (summary elide hints) can.
-/// The movi feeding the divisor sits in the same block, so the proof holds
-/// from any entry state.
+/// kDivu is excluded from vm::taint_inert (a zero divisor traps), yet the
+/// block cache offers its blocks and the fast body stops exactly at a
+/// trap, so this loop runs elided.
 os::Image build_divspin_image() {
   os::ImageBuilder ib("divspin.exe", os::kUserImageBase);
   auto& a = ib.asm_();
@@ -301,12 +299,11 @@ struct Regime {
   const char* rules_json = nullptr;  // non-null: replace the built-in rules
   // Block-translation cache (vm/btcache.h). Off for the legacy regimes so
   // their numbers stay comparable across releases; the _btc regimes measure
-  // the cached interpreter with SA-guided elision.
+  // the cached interpreter with elision.
   bool block_cache = false;
   // The divspin workload (hot block with a constant-divisor kDivu) instead
-  // of the spinner; `hints` feeds the analyzer's elide hints to the engine.
+  // of the spinner.
   bool divspin = false;
-  bool hints = false;
   // Nonzero: that many setup_idlers() spinners instead of the spinner.
   u32 idlers = 0;
 };
@@ -347,16 +344,6 @@ RegimeRun run_regime(const Regime& r, u64 insns) {
     }
     opts.rules = std::move(rs).take();
   }
-  os::Image divspin_img;
-  if (r.divspin) {
-    divspin_img = build_divspin_image();
-    if (r.hints) {
-      sa::ImageReport ir = sa::analyze_image(divspin_img);
-      for (const sa::ElideHint& h : ir.elide_hints) {
-        opts.elide_hints[h.va].emplace_back(h.insns, h.hash);
-      }
-    }
-  }
   std::unique_ptr<core::FarosEngine> engine;
   if (r.attach_engine) {
     engine = std::make_unique<core::FarosEngine>(m.kernel(), opts);
@@ -369,7 +356,7 @@ RegimeRun run_regime(const Regime& r, u64 insns) {
     m.run(1000);
     if (engine) taint_copier_buf(m, *engine, copier);
   } else if (r.divspin) {
-    setup_divspinner(m, divspin_img);
+    setup_divspinner(m, build_divspin_image());
   } else if (r.idlers != 0) {
     setup_idlers(m, r.idlers);
   } else {
@@ -446,43 +433,32 @@ bool emit_json_summary() {
        /*metrics=*/true, /*rules_json=*/nullptr, /*block_cache=*/true},
       {"interp_faros_tainted_copy_btc", true, false, true, /*metrics=*/true,
        /*rules_json=*/nullptr, /*block_cache=*/true},
-      // Summary elision: a hot block with a constant-divisor kDivu. The
-      // _inert row is the per-opcode-elision ceiling (the block can never
-      // be elided without summary facts); _hints feeds the analyzer's
-      // proof to the engine, so the same block runs uninstrumented. The
-      // gate requires strictly more elided-instruction coverage with
-      // hints than without.
-      {"interp_faros_divspin_btc_inert", true, false, false,
-       /*metrics=*/true, /*rules_json=*/nullptr, /*block_cache=*/true,
-       /*divspin=*/true, /*hints=*/false},
-      {"interp_faros_divspin_btc_hints", true, false, false,
-       /*metrics=*/true, /*rules_json=*/nullptr, /*block_cache=*/true,
-       /*divspin=*/true, /*hints=*/true},
+      // A hot block with a constant-divisor kDivu: offered like any
+      // register-only block, so it must run uninstrumented.
+      {"interp_faros_divspin_btc", true, false, false, /*metrics=*/true,
+       /*rules_json=*/nullptr, /*block_cache=*/true, /*divspin=*/true},
       // Footprint elision: idle loops entered with a dirty register bank.
       // Every steady-state block (the `movi r0; syscall` tail block and the
       // jmp) must run uninstrumented, also when processes of one image
       // share its code.
       {"interp_faros_idle_dirty_btc", true, false, false, /*metrics=*/true,
        /*rules_json=*/nullptr, /*block_cache=*/true, /*divspin=*/false,
-       /*hints=*/false, /*idlers=*/1},
+       /*idlers=*/1},
       {"interp_faros_idle3_btc", true, false, false, /*metrics=*/true,
        /*rules_json=*/nullptr, /*block_cache=*/true, /*divspin=*/false,
-       /*hints=*/false, /*idlers=*/3},
+       /*idlers=*/3},
   };
   std::map<std::string, double> ns_by_case;
-  std::map<std::string, u64> elided_by_case;
   std::map<std::string, double> elided_share_by_case;
   for (const Regime& r : regimes) {
     RegimeRun run = run_regime(r, kInsns);
     const double s = run.seconds;
     ns_by_case[r.name] = s / static_cast<double>(kInsns) * 1e9;
     if (run.metrics.collected) {
-      elided_by_case[r.name] =
-          run.metrics[obs::Ctr::kBtElidedInsns];
       const u64 retired = run.metrics[obs::Ctr::kInsnsRetired];
+      const u64 elided = run.metrics[obs::Ctr::kBtElidedInsns];
       elided_share_by_case[r.name] =
-          retired ? static_cast<double>(elided_by_case[r.name]) /
-                        static_cast<double>(retired)
+          retired ? static_cast<double>(elided) / static_cast<double>(retired)
                   : 0;
     }
     JsonWriter rec;
@@ -523,39 +499,24 @@ bool emit_json_summary() {
                  clean_x, image_x, kCeiling);
     return false;
   }
-  // Summary-elision coverage gate: the divisor-proof hints must elide
-  // strictly more instructions than the per-opcode-inert baseline can on
-  // the same workload (the baseline cannot touch the divu block at all).
-  const u64 inert_elided = elided_by_case["interp_faros_divspin_btc_inert"];
-  const u64 hint_elided = elided_by_case["interp_faros_divspin_btc_hints"];
-  std::printf(
-      "summary-elide gate: %llu elided insns with hints vs %llu without\n",
-      static_cast<unsigned long long>(hint_elided),
-      static_cast<unsigned long long>(inert_elided));
-  if (hint_elided <= inert_elided) {
-    std::fprintf(stderr,
-                 "FAIL: summary elide hints added no coverage "
-                 "(%llu <= %llu elided insns)\n",
-                 static_cast<unsigned long long>(hint_elided),
-                 static_cast<unsigned long long>(inert_elided));
-    return false;
-  }
-  // Footprint-elision coverage gate (counters, not timing): idle loops
-  // with a dirty bank, alone and three to an image, run elided.
-  constexpr double kIdleShareFloor = 0.99;
-  bool idle_ok = true;
+  // Elision coverage gate (counters, not timing): idle loops with a dirty
+  // bank, alone and three to an image, and the constant-divisor loop run
+  // elided.
+  constexpr double kElidedShareFloor = 0.99;
+  bool elided_ok = true;
   for (const char* name : {"interp_faros_idle_dirty_btc",
-                           "interp_faros_idle3_btc"}) {
+                           "interp_faros_idle3_btc",
+                           "interp_faros_divspin_btc"}) {
     const double share = elided_share_by_case[name];
-    std::printf("footprint-elide gate: %s elided share %.4f (floor %.2f)\n",
-                name, share, kIdleShareFloor);
-    if (share < kIdleShareFloor) {
+    std::printf("elide gate: %s elided share %.4f (floor %.2f)\n", name,
+                share, kElidedShareFloor);
+    if (share < kElidedShareFloor) {
       std::fprintf(stderr, "FAIL: %s elided share %.4f < %.2f\n", name,
-                   share, kIdleShareFloor);
-      idle_ok = false;
+                   share, kElidedShareFloor);
+      elided_ok = false;
     }
   }
-  return idle_ok;
+  return elided_ok;
 }
 
 }  // namespace

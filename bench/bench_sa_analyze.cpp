@@ -1,9 +1,8 @@
 // bench_sa_analyze — throughput of the static FV32 analyzer (src/sa) over
 // the full scenario corpus: images/sec and basic blocks/sec for the whole
 // pipeline (image extraction excluded; decode + CFG recovery + dataflow
-// fixpoint + rules included). The static prefilter has to be cheap next to
-// record/replay for "pre-triage" to mean anything — this bench puts the
-// number next to the farm's jobs/sec.
+// fixpoint + rules included). faros_lint runs this pipeline over the
+// corpus; the CI gate catches an accidentally superlinear pass.
 #include "attacks/corpus.h"
 #include "bench_util.h"
 #include "sa/analyzer.h"

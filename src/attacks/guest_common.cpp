@@ -117,10 +117,9 @@ void emit_busy_loop(Assembler& a, const std::string& prefix,
   a.shri(Reg::R6, Reg::R5, 16);
   a.xor_(Reg::R5, Reg::R5, Reg::R6);
   // A divu with an in-block constant divisor: not taint_inert (divide by
-  // zero would trap), so this keeps the hot block off the per-opcode
-  // elision fast path — only a static constant-divisor proof (sa elide
-  // hints) can reclaim it. Models real compiler output, where hot loops
-  // rarely stay free of every excluded opcode.
+  // zero would trap), but offered for elision anyway, since the fast body
+  // stops exactly at a trap. Models real compiler output, where hot loops
+  // rarely stay free of every trapping opcode.
   a.movi(Reg::R7, 7);
   a.divu(Reg::R6, Reg::R5, Reg::R7);
   a.addi(Reg::R11, Reg::R11, 1);

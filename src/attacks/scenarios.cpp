@@ -73,6 +73,10 @@ Result<AnalyzedRun> analyze(Scenario& sc, const core::Options& opts,
   out.recorded.console = m.kernel().console();
   out.recorded.traps = m.kernel().trap_log();
   out.findings = engine.findings();
+  for (const core::Finding& f : out.findings) {
+    out.fetch_chains.push_back(
+        core::render_chain(engine.store(), engine.maps(), f.fetch_prov));
+  }
   out.flagged = engine.flagged();
   out.report = engine.report();
   out.engine_stats = engine.stats();

@@ -63,6 +63,8 @@ Result<ReplayedRun> replay_run(Scenario& sc, const vm::ReplayLog& log,
 struct AnalyzedRun {
   RecordedRun recorded;
   std::vector<core::Finding> findings;       // all, including whitelisted
+  /// core::render_chain of each finding's fetch_prov, parallel to findings.
+  std::vector<std::string> fetch_chains;
   bool flagged = false;                      // any non-whitelisted finding
   std::string report;                        // Table II-style text
   core::EngineStats engine_stats;

@@ -31,7 +31,6 @@ FarosEngine::FarosEngine(const os::OsiQuery& osi, Options opts)
     export_tag_bytes_ = {s, obs::Ctr::kExportTagBytes};
     bt_elided_ = {s, obs::Ctr::kBtElidedBlocks};
     bt_guard_fail_ = {s, obs::Ctr::kBtGuardFail};
-    bt_hint_ = {s, obs::Ctr::kBtHintBlocks};
     bt_decline_read_ = {s, obs::Ctr::kBtDeclineTaintedRead};
     bt_decline_sysarg_ = {s, obs::Ctr::kBtDeclineSyscallArg};
     bt_decline_fetch_ = {s, obs::Ctr::kBtDeclineFetchRule};
@@ -403,40 +402,107 @@ void FarosEngine::on_insn_retired(const vm::InsnEvent& ev,
   }
 }
 
-// Block-elision guard (vm/btcache.h). The interpreter offers a cached
-// block whose opcodes are all taint-inert, hint-approved kDivu, or a final
-// kSyscall; approving means skipping the per-instruction path above for
-// all of its instructions. That is exact — the engine ends in the state the
-// per-instruction path would reach — because every per-instruction effect
-// is provably a no-op or precomputable:
+// Block elision (vm/btcache.h). The interpreter offers a cached block whose
+// opcodes are all taint-inert or kDivu, save a final kSyscall; approving
+// means skipping the per-instruction path above for the instructions the
+// body retires: all of them, or the prefix before a kDivu that divides by
+// zero (a trapping instruction never reaches on_insn_retired). That is
+// exact — the engine ends in the state the per-instruction path would
+// reach at that point — because every per-instruction effect is provably a
+// no-op or precomputable:
 //  * register propagation — if no register in `reads` (read before the
 //    block writes it) carries provenance, every value the block computes
-//    comes from clean sources, so Table I leaves each register in `writes`
-//    clean and every other register untouched. Approval clears `writes`
-//    (a no-op on a clean bank);
+//    comes from clean sources, so Table I leaves each register the retired
+//    instructions write clean and every other register untouched. A
+//    prefix reads no register the whole block does not, so clearing the
+//    prefix's writes is exact too (a no-op on a clean bank);
 //  * fetch provenance — on a clean code page there is none; on a tainted
 //    page the per-insn walk is a pure function of (block bytes, cr3, page
-//    shadow), so a memo on the block replays its one-time writebacks and
-//    yields the tainted-fetch count for exact stats accounting;
+//    shadow), so on_block_elided replays it over the retired instructions,
+//    one-time writebacks included, and a memo on the block answers
+//    whole-block repeats;
 //  * triggers — the body has no memory ops, so it can fire only
-//    tainted-fetch (declined when tainted fetches exist and any rule set
-//    binds it) and, for a kSyscall tail, syscall-arg: r1..r4 hold
-//    provenance at the kSyscall only if tainted on entry and not written
-//    by the block, so that check runs on entry state.
-u32 FarosEngine::block_tainted_fetches(vm::TranslatedBlock& b) {
-  const u32 count = static_cast<u32>(b.insns.size());
+//    tainted-fetch (declined when the block holds a tainted instruction
+//    byte and any rule set binds it) and, for a kSyscall tail,
+//    syscall-arg: r1..r4 hold provenance at the kSyscall only if tainted
+//    on entry and not written by the block, so that check runs on entry
+//    state.
+// The guard decides before the body runs and changes nothing; all
+// accounting happens in on_block_elided, once the retired count is known.
+bool FarosEngine::try_elide_block(const vm::TranslatedBlock& b) {
+  // One reason per decline, checked in this order; bt_guard_fail is their
+  // sum.
+  auto decline = [this](obs::Counter& reason) {
+    reason.inc();
+    bt_guard_fail_.inc();
+    return false;
+  };
+  const ShadowRegisters& sr = sregs(b.cr3);
+  constexpr u16 kSyscallArgs = (1u << vm::R1) | (1u << vm::R2) |
+                               (1u << vm::R3) | (1u << vm::R4);
+  if (!sr.clean()) {
+    if (sr.any_tainted(b.reads)) return decline(bt_decline_read_);
+    if (b.insns.back().op == Opcode::kSyscall &&
+        needs(Trigger::kSyscallArg).bound &&
+        sr.any_tainted(kSyscallArgs & ~b.writes)) {
+      return decline(bt_decline_sysarg_);
+    }
+  }
+  if (needs(Trigger::kTaintedFetch).bound) {
+    // Bound fetch rules need per-instruction events. A fetch carries
+    // provenance exactly when one of its bytes does, so reading the shadow
+    // (or a still-valid memo) answers without the walk's writebacks.
+    const u64 len = b.insns.size() * vm::kInsnSize;
+    if (shadow_.range_tainted(b.start_pa, len)) {
+      if (b.memo_version == shadow_.page_version(b.start_pa)) {
+        if (b.memo_count != 0) return decline(bt_decline_fetch_);
+      } else {
+        for (u64 i = 0; i < len; ++i) {
+          if (shadow_.get(b.start_pa + i) != kEmptyProv) {
+            return decline(bt_decline_fetch_);
+          }
+        }
+      }
+    }
+  }
+  return true;
+}
+
+void FarosEngine::on_block_elided(vm::TranslatedBlock& b, u32 retired) {
+  ShadowRegisters& sr = sregs(b.cr3);
+  if (!sr.clean()) {
+    u16 writes = b.writes;
+    if (retired < b.insns.size()) {
+      writes = 0;
+      for (u32 i = 0; i < retired; ++i) {
+        writes |= vm::taint_footprint(b.insns[i]).writes;
+      }
+    }
+    sr.clear_regs(writes);
+  }
+  stats_.insns_seen += retired;
+  stats_.tainted_fetches += block_tainted_fetches(b, retired);
+  stats_.elided_insns += retired;
+  bt_elided_.inc();
+}
+
+u32 FarosEngine::block_tainted_fetches(vm::TranslatedBlock& b, u32 count) {
+  // The memo holds the whole block's count, stamped with its page's
+  // post-walk mutation stamp: nonzero (the page existed), and equal only
+  // while the page is unchanged. A block's cr3, start_pa and length are
+  // fixed for its lifetime: SMC and process exit evict it.
+  const bool whole = count == b.insns.size();
+  if (whole && b.memo_version != 0 &&
+      b.memo_version == shadow_.page_version(b.start_pa)) {
+    return b.memo_count;
+  }
   if (!shadow_.range_tainted(b.start_pa,
                              static_cast<u64>(count) * vm::kInsnSize)) {
     return 0;
   }
-  // A tainted range means the page exists, so its stamp is nonzero and a
-  // fresh block (memo_version 0) always misses. A block's cr3, start_pa
-  // and length are fixed for its lifetime: SMC and process exit evict it.
-  if (b.memo_version == shadow_.page_version(b.start_pa)) return b.memo_count;
-  // First pass per (block, page state): run exactly the fetch loop the
-  // instrumented path runs per instruction — including the one-time
-  // process-tag writebacks, which are idempotent — then memoize against
-  // the post-writeback stamp.
+  // Run exactly the fetch loop the instrumented path runs per instruction
+  // — including the one-time process-tag writebacks, which are idempotent
+  // — then memoize a whole-block result against the post-writeback stamp.
   u32 tainted = 0;
   for (u32 i = 0; i < count; ++i) {
     const PAddr ipa = b.start_pa + static_cast<u64>(i) * vm::kInsnSize;
@@ -451,69 +517,11 @@ u32 FarosEngine::block_tainted_fetches(vm::TranslatedBlock& b) {
     }
     if (fetch != kEmptyProv) ++tainted;
   }
-  b.memo_version = shadow_.page_version(b.start_pa);
-  b.memo_count = tainted;
+  if (whole) {
+    b.memo_version = shadow_.page_version(b.start_pa);
+    b.memo_count = tainted;
+  }
   return tainted;
-}
-
-bool FarosEngine::try_elide_block(vm::TranslatedBlock& b) {
-  // One reason per decline, checked in this order; bt_guard_fail is their
-  // sum.
-  auto decline = [this](obs::Counter& reason) {
-    reason.inc();
-    bt_guard_fail_.inc();
-    return false;
-  };
-  ShadowRegisters& sr = sregs(b.cr3);
-  constexpr u16 kSyscallArgs = (1u << vm::R1) | (1u << vm::R2) |
-                               (1u << vm::R3) | (1u << vm::R4);
-  if (!sr.clean()) {
-    if (sr.any_tainted(b.reads)) return decline(bt_decline_read_);
-    if (b.insns.back().op == Opcode::kSyscall &&
-        needs(Trigger::kSyscallArg).bound &&
-        sr.any_tainted(kSyscallArgs & ~b.writes)) {
-      return decline(bt_decline_sysarg_);
-    }
-  }
-  const u32 count = static_cast<u32>(b.insns.size());
-  const u32 tainted_insns = block_tainted_fetches(b);
-  if (tainted_insns != 0 && needs(Trigger::kTaintedFetch).bound) {
-    // Bound fetch rules need per-instruction events; the writebacks the
-    // walk just performed are idempotent, so the instrumented re-walk is
-    // identical.
-    return decline(bt_decline_fetch_);
-  }
-  if (!sr.clean()) sr.clear_regs(b.writes);
-  stats_.insns_seen += count;
-  stats_.tainted_fetches += tainted_insns;
-  stats_.elided_insns += count;
-  bt_elided_.inc();
-  return true;
-}
-
-// Static summary hint check (vm/cpu.h). A hint is trusted only when the
-// freshly translated instruction sequence matches its recorded length and
-// content hash, so a proof can never be applied to bytes that changed
-// since analysis (SMC, image aliasing across processes). This only grants
-// *eligibility*; try_elide_block above still runs its dynamic guard per
-// dispatch, which is why hint-approved blocks keep detection bit-identical:
-// a hinted body runs only inert opcodes plus kDivu sites whose divisor the
-// analyzer proved a non-zero constant from the run's own prefix, so it
-// cannot trap, and a kDivu's register effect is an ordinary union the
-// block's footprint already covers.
-bool FarosEngine::block_elide_hint(PAddr cr3, VAddr pc,
-                                   const vm::Instruction* insns, u32 count) {
-  (void)cr3;
-  if (opts_.elide_hints.empty()) return false;
-  auto it = opts_.elide_hints.find(pc);
-  if (it == opts_.elide_hints.end()) return false;
-  for (const auto& [n, hash] : it->second) {
-    if (n == count && vm::insn_seq_hash(insns, count) == hash) {
-      bt_hint_.inc();
-      return true;
-    }
-  }
-  return false;
 }
 
 void FarosEngine::run_trigger(Trigger t, const vm::InsnEvent& ev,

@@ -54,16 +54,7 @@ struct Options {
   /// default, as in the paper; enabling demonstrates overtainting.
   bool propagate_address_deps = false;
 
-  /// Static summary elide hints (vm::ExecHooks::block_elide_hint), keyed
-  /// by block start va: (insn count, content hash) pairs from
-  /// sa::ImageReport::elide_hints. A cached block the analyzer proved safe
-  /// beyond per-opcode inertness (e.g. constant-divisor kDivu) becomes
-  /// elision-eligible when its translated bytes match a hint's hash; the
-  /// dynamic guard in try_elide_block still runs per dispatch. Several
-  /// images of one job may alias a va; the hash picks the right proof or
-  /// none. Empty runs the engine unhinted, which is the reference the
-  /// hinted engine must match (test_live_replay_oracle). Elision itself
-  /// needs the machine's block cache (os::KernelConfig::block_cache).
+  /// No product reader; goes with triagebench's traced-pass rewrite (ROADMAP).
   std::map<VAddr, std::vector<std::pair<u32, u64>>> elide_hints;
 
   /// Built-in policies (ignored when `rules` is non-empty).
@@ -105,8 +96,9 @@ struct EngineStats {
   u64 tainted_fetches = 0;
   u64 export_table_reads = 0;  // loads that touched export-tagged bytes
   u64 policy_evals = 0;
-  /// Instructions covered by approved block elisions (opcode-offered and
-  /// hint-proven alike, kSyscall tails included); subset of insns_seen.
+  /// Instructions retired by approved block elisions (kSyscall tails
+  /// included; a trapped body counts its retired prefix); subset of
+  /// insns_seen.
   u64 elided_insns = 0;
 };
 
@@ -121,9 +113,8 @@ class FarosEngine : public vm::ExecHooks, public osi::GuestMonitor {
   // vm::ExecHooks
   void on_insn_retired(const vm::InsnEvent& ev,
                        const vm::AddressSpace& as) override;
-  bool try_elide_block(vm::TranslatedBlock& block) override;
-  bool block_elide_hint(PAddr cr3, VAddr pc, const vm::Instruction* insns,
-                        u32 count) override;
+  bool try_elide_block(const vm::TranslatedBlock& block) override;
+  void on_block_elided(vm::TranslatedBlock& block, u32 retired) override;
 
   // osi::GuestMonitor
   void on_process_start(const osi::ProcessInfo& p) override;
@@ -256,10 +247,11 @@ class FarosEngine : public vm::ExecHooks, public osi::GuestMonitor {
   void record_finding(RuleSet& set, u32 rule_idx, const vm::InsnEvent& ev,
                       const vm::AddressSpace& as, const RuleInputs& in);
 
-  /// Block-level fetch walk behind try_elide_block: the count of
-  /// tainted-fetch instructions in the block, replaying the per-insn
-  /// walk's one-time writebacks on first pass and memoized on the block.
-  u32 block_tainted_fetches(vm::TranslatedBlock& block);
+  /// Block-level fetch walk behind on_block_elided: the count of
+  /// tainted-fetch instructions among the block's first `count`, with the
+  /// per-insn walk's one-time writebacks. A whole-block result is
+  /// memoized on the block.
+  u32 block_tainted_fetches(vm::TranslatedBlock& block, u32 count);
 
   const os::OsiQuery& osi_;
   Options opts_;
@@ -309,7 +301,6 @@ class FarosEngine : public vm::ExecHooks, public osi::GuestMonitor {
   obs::Counter export_tag_bytes_;
   obs::Counter bt_elided_;      // offered blocks approved for the fast body
   obs::Counter bt_guard_fail_;  // elision declined, any reason
-  obs::Counter bt_hint_;        // blocks hint-approved beyond inertness
   obs::Counter bt_decline_read_;     // ... because a read register is tainted
   obs::Counter bt_decline_sysarg_;   // ... because of a syscall-arg rule
   obs::Counter bt_decline_fetch_;    // ... because of a tainted-fetch rule

@@ -7,7 +7,6 @@
 
 #include "graph/graph.h"
 #include "os/snapshot.h"
-#include "sa/analyzer.h"
 #include "vm/btcache.h"
 
 namespace faros::farm {
@@ -165,52 +164,9 @@ JobResult Farm::run_once(const JobSpec& spec, u32 attempt) const {
     return r;
   };
 
-  // Phase timers live in a run_once-local sink (the static pass runs before
-  // the engine exists); null when metrics are off so no clock is read.
-  obs::MetricSink timers;
-  obs::MetricSink* tsink =
-      cfg_.engine_opts.collect_metrics ? &timers : nullptr;
-
-  // --- static analysis (zero-execution; never gates the dynamic run) ---
-  // One analyzer pass per job. Its per-image elide hints always go into
-  // this job's engine options; under the prefilter it also stamps the sa_*
-  // result fields. Extraction failure surfaces only as sa_error under the
-  // prefilter; otherwise the job silently runs unhinted, which changes no
-  // verdict, finding or graph (the engine's hint oracle in
-  // test_live_replay_oracle pins that).
-  core::Options eopts = cfg_.engine_opts;
-  {
-    obs::ScopedTimer t(tsink, obs::Tmr::kStatic);
-    auto extracted = attacks::extract_images(*sc, mcfg);
-    if (!extracted.ok()) {
-      if (cfg_.static_prefilter) r.sa_error = extracted.error().message;
-    } else {
-      std::vector<os::Image> images;
-      images.reserve(extracted.value().size());
-      for (auto& e : extracted.value()) images.push_back(std::move(e.image));
-      sa::SaOptions sopts;
-      sopts.metrics = tsink;
-      sa::ProgramReport rep = sa::analyze_images(spec.name, images, sopts);
-      if (cfg_.static_prefilter) {
-        r.sa_analyzed = true;
-        r.sa_flagged = rep.flagged();
-        r.sa_images = rep.images;
-        r.sa_blocks = rep.blocks;
-        r.sa_findings = rep.findings;
-        r.sa_risk = rep.risk;
-        r.sa_rules = std::move(rep.rules);
-      }
-      for (const sa::ImageReport& ir : rep.per_image) {
-        for (const sa::ElideHint& h : ir.elide_hints) {
-          eopts.elide_hints[h.va].emplace_back(h.insns, h.hash);
-        }
-      }
-    }
-  }
-
   // --- live run under the FAROS engine, every policy set on one pass ---
   os::Machine m(mcfg);
-  core::FarosEngine engine(m.kernel(), eopts);
+  core::FarosEngine engine(m.kernel(), cfg_.engine_opts);
   for (const PolicySet& ps : cfg_.extra_policies) engine.add_rule_set(ps.rules);
   m.attach_cpu_plugin(&engine);
   m.add_monitor(&engine);
@@ -221,7 +177,8 @@ JobResult Farm::run_once(const JobSpec& spec, u32 attempt) const {
     return fail("setup: " + s.error().message);
   os::RunStats stats;
   {
-    obs::ScopedTimer t(tsink, obs::Tmr::kRecord);
+    // The phase timer shares the engine's sink (null with metrics off).
+    obs::ScopedTimer t(engine.metrics(), obs::Tmr::kRecord);
     stats = m.run(budget, &dog);
   }
   if (stats.aborted) return stopped();
@@ -234,14 +191,6 @@ JobResult Farm::run_once(const JobSpec& spec, u32 attempt) const {
   r.status = JobStatus::kOk;
   r.metrics = engine.metrics_snapshot();
   if (r.metrics.collected) {
-    // The run_once-local sink carries the phase timers plus the static-
-    // prefilter counters (the engine never touches those cells, so the
-    // element-wise add cannot double-count).
-    obs::MetricSnapshot local = timers.snapshot();
-    r.metrics.timer_ns = local.timer_ns;
-    for (u32 i = 0; i < obs::kCtrCount; ++i) {
-      r.metrics.counters[i] += local.counters[i];
-    }
     // The block cache lives in the analyzed machine's interpreter (src/vm
     // keeps no obs dependency, so its stats are plain u64s surfaced here).
     if (const vm::BlockCache* btc = m.kernel().interp().block_cache()) {
@@ -417,15 +366,7 @@ TriageReport Farm::run(std::vector<JobSpec> jobs) {
       case JobStatus::kCancelled: ++m.cancelled; break;
     }
     m.instructions += r.instructions;
-    if (r.sa_analyzed) {
-      ++m.sa_analyzed;
-      if (r.sa_flagged) ++m.sa_flagged;
-    }
     if (r.metrics.collected) {
-      m.static_s +=
-          static_cast<double>(
-              r.metrics.timer_ns[static_cast<u32>(obs::Tmr::kStatic)]) /
-          1e9;
       m.record_s +=
           static_cast<double>(
               r.metrics.timer_ns[static_cast<u32>(obs::Tmr::kRecord)]) /

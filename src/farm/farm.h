@@ -50,12 +50,6 @@ struct FarmConfig {
   u64 timeout_ms = 60'000;
   /// Retries for kError jobs (transient harness failures).
   u32 retries = 1;
-  /// The zero-execution static analyzer (src/sa) runs over every job's
-  /// extracted images before the dynamic run, feeding the engine its
-  /// summary elide hints (core::Options::elide_hints). This switch also
-  /// stamps the JobResult with the static risk score / rule hits. Purely
-  /// additive: dynamic verdicts are untouched.
-  bool static_prefilter = false;
   /// When non-empty: write one provenance-graph artifact per completed job
   /// to `<graph_out>/<job name>.fpg` (src/graph binary format; job names
   /// are sanitized to filesystem-safe characters). The graph is built from
@@ -74,7 +68,7 @@ struct FarmConfig {
   /// (core::FarosEngine::add_rule_set): no further machine or pass.
   /// Results land in JobResult::policy_runs in this order.
   std::vector<PolicySet> extra_policies;
-  /// Engine options applied to every job's engines.
+  /// Engine options applied to every job's one engine.
   core::Options engine_opts;
   /// Machine config for each job's live run.
   os::MachineConfig machine;
@@ -98,9 +92,6 @@ struct FarmMetrics {
   double p50_ms = 0;  // per-job latency percentiles (completed jobs)
   double p95_ms = 0;
   double record_s = 0;  // summed per-job analyzed live-run wall time
-  u32 sa_analyzed = 0;        // jobs the static prefilter covered
-  u32 sa_flagged = 0;         // of those, statically flagged
-  double static_s = 0;        // summed static-prefilter wall time
 };
 
 struct TriageReport {

@@ -90,19 +90,6 @@ struct JobResult {
   };
   std::vector<RuleCount> rules;
 
-  // --- static prefilter (FarmConfig::static_prefilter; deterministic) ---
-  // Filled by the zero-execution sa::analyze pass over the job's extracted
-  // images. The static verdict is an analyst oracle next to the dynamic
-  // one: it never gates or alters the dynamic run.
-  bool sa_analyzed = false;
-  bool sa_flagged = false;      // risk >= sa::kStaticRiskThreshold
-  u32 sa_images = 0;            // SX32 images extracted and analyzed
-  u32 sa_blocks = 0;            // basic blocks recovered
-  u32 sa_findings = 0;          // lint findings across all images
-  u32 sa_risk = 0;              // summed severity weights
-  std::vector<std::string> sa_rules;  // sorted unique rule names that fired
-  std::string sa_error;         // extraction failure (job still runs)
-
   // --- provenance graph export (FarmConfig::graph_out; deterministic) ---
   // Stamped when the farm wrote this job's .fpg graph artifact. The graph
   // is a pure function of the spec, so nodes/edges/bytes are too — they
@@ -126,15 +113,6 @@ struct JobResult {
   const char* verdict() const {
     if (status != JobStatus::kOk) return "-";
     if (flagged) return expect_flagged ? "TP" : "FP";
-    return expect_flagged ? "FN" : "TN";
-  }
-
-  /// Static-prefilter verdict against the same ground truth ("-" when the
-  /// prefilter did not run). Independent of the dynamic status: the static
-  /// pass needs no execution, so even a timed-out job has one.
-  const char* static_verdict() const {
-    if (!sa_analyzed) return "-";
-    if (sa_flagged) return expect_flagged ? "TP" : "FP";
     return expect_flagged ? "FN" : "TN";
   }
 };

@@ -91,19 +91,6 @@ std::string job_jsonl(const JobResult& r) {
         .field("graph_edges", r.graph_edges)
         .field("graph_bytes", r.graph_bytes);
   }
-  // Static-prefilter fields are appended only when the prefilter ran, so
-  // streams from runs without --static-prefilter are byte-for-byte what
-  // they were before the prefilter existed.
-  if (r.sa_analyzed) {
-    w.field("sa_images", r.sa_images)
-        .field("sa_blocks", r.sa_blocks)
-        .field("sa_findings", r.sa_findings)
-        .field("sa_risk", r.sa_risk)
-        .field("sa_flagged", r.sa_flagged)
-        .raw_field("sa_rules", policies_json(r.sa_rules))
-        .field("sa_verdict", r.static_verdict());
-  }
-  if (!r.sa_error.empty()) w.field("sa_error", r.sa_error);
   return w.str();
 }
 
@@ -124,11 +111,6 @@ std::string summary_jsonl(const FarmMetrics& m) {
       .field("p50_ms", m.p50_ms)
       .field("p95_ms", m.p95_ms)
       .field("record_s", m.record_s);
-  if (m.sa_analyzed) {
-    w.field("sa_analyzed", m.sa_analyzed)
-        .field("sa_flagged", m.sa_flagged)
-        .field("static_s", m.static_s);
-  }
   return w.str();
 }
 

@@ -38,11 +38,6 @@ constexpr BoolFlag kBoolFlags[] = {
      "                   verdicts; CI pins this)",
      [](TriageCliOptions& o, bool v) { o.farm.snapshot = v; },
      [](const TriageCliOptions& o) { return o.farm.snapshot; }},
-    {"static-prefilter",
-     "score the static analyzer's (src/sa) per-job verdict next to\n"
-     "                   the dynamic one (default: off)",
-     [](TriageCliOptions& o, bool v) { o.farm.static_prefilter = v; },
-     [](const TriageCliOptions& o) { return o.farm.static_prefilter; }},
     {"quiet", "suppress the per-job console lines (default: off)",
      [](TriageCliOptions& o, bool v) { o.quiet = v; },
      [](const TriageCliOptions& o) { return o.quiet; }},

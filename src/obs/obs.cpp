@@ -30,11 +30,6 @@ const char* ctr_name(Ctr c) {
     case Ctr::kFileWriteSrcBytes: return "file_write_src_bytes";
     case Ctr::kImageMapSrcBytes: return "image_map_src_bytes";
     case Ctr::kExportTagBytes: return "export_tag_bytes";
-    case Ctr::kSaImagesAnalyzed: return "sa_images_analyzed";
-    case Ctr::kSaBlocksRecovered: return "sa_blocks_recovered";
-    case Ctr::kSaInsnsDecoded: return "sa_insns_decoded";
-    case Ctr::kSaIndirectsResolved: return "sa_indirects_resolved";
-    case Ctr::kSaRulesFired: return "sa_rules_fired";
     case Ctr::kRuleEvalsTaintedLoad: return "rule_evals_tainted_load";
     case Ctr::kRuleEvalsTaintedStore: return "rule_evals_tainted_store";
     case Ctr::kRuleEvalsExecPageWrite: return "rule_evals_exec_page_write";
@@ -48,7 +43,6 @@ const char* ctr_name(Ctr c) {
     case Ctr::kBtElidedBlocks: return "bt_elided_blocks";
     case Ctr::kBtGuardFail: return "bt_guard_fail";
     case Ctr::kBtElidedInsns: return "bt_elided_insns";
-    case Ctr::kBtHintBlocks: return "bt_hint_blocks";
     case Ctr::kBtDeclineTaintedRead: return "bt_decline_tainted_read";
     case Ctr::kBtDeclineSyscallArg: return "bt_decline_syscall_arg";
     case Ctr::kBtDeclineFetchRule: return "bt_decline_fetch_rule";
@@ -66,7 +60,6 @@ const char* ctr_name(Ctr c) {
 const char* tmr_name(Tmr t) {
   switch (t) {
     case Tmr::kRecord: return "record_ns";
-    case Tmr::kStatic: return "static_ns";
     case Tmr::kCount: break;
   }
   return "?";

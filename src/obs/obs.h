@@ -84,13 +84,6 @@ enum class Ctr : u32 {
   kImageMapSrcBytes,      // image bytes tainted at map time
   kExportTagBytes,        // export-table / IAT bytes tagged
 
-  // --- static analyzer (src/sa; farm --static-prefilter) ---
-  kSaImagesAnalyzed,      // images run through sa::analyze_image
-  kSaBlocksRecovered,     // basic blocks recovered across those images
-  kSaInsnsDecoded,        // instructions inside recovered blocks
-  kSaIndirectsResolved,   // kJr/kCallr sites resolved by the dataflow pass
-  kSaRulesFired,          // lint findings emitted
-
   // --- rule engine (src/core/rules.h), one eval counter per trigger ---
   kRuleEvalsTaintedLoad,    // rule evaluations at tainted-load sites
   kRuleEvalsTaintedStore,   // ... at tainted-store sites
@@ -106,14 +99,12 @@ enum class Ctr : u32 {
   kBtEvictCr3,      // blocks evicted by process-exit / frame recycling
   kBtElidedBlocks,  // offered blocks the engine ran uninstrumented
   kBtGuardFail,     // elision declined: the sum of the three reasons below
-  kBtElidedInsns,   // instructions covered by approved elisions
-  kBtHintBlocks,    // blocks approved via a static summary elide hint
-                    // (content-hash matched; beyond per-opcode inertness)
+  kBtElidedInsns,   // instructions retired by approved elisions
   kBtDeclineTaintedRead,  // a register the block reads carries provenance
   kBtDeclineSyscallArg,   // SYSCALL tail with tainted r1..r4, rule bound
   kBtDeclineFetchRule,    // tainted fetches with a tainted-fetch rule bound
-  kBtNotOffered,    // full-length dispatches of blocks holding an opcode
-                    // no elision covers (vm::BlockCacheStats::not_offered)
+  kBtNotOffered,    // full-length dispatches of blocks that are not
+                    // elidable_ops (vm::BlockCacheStats::not_offered)
 
   // --- snapshot/COW guest cloning (os/snapshot.h; farm clone-per-job) ---
   kSnapClone,        // machines booted from the shared snapshot (1 per
@@ -137,7 +128,6 @@ const char* ctr_name(Ctr c);
 /// Timer taxonomy (wall-clock accumulators; nondeterministic by nature).
 enum class Tmr : u32 {
   kRecord = 0,  // analyzed live run of a farm job (it also records)
-  kStatic,      // static-prefilter phase (image extraction + sa::analyze)
   kCount,
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/json.h"
-#include "vm/phys_mem.h"
 
 namespace faros::sa {
 
@@ -17,35 +16,6 @@ bool inert_under(const vm::Instruction& insn, const RegState& st) {
   if (insn.op != vm::Opcode::kDivu) return false;
   const AbsVal& d = st.regs[insn.rs2];
   return d.kind == ValKind::kConst && d.c != 0;
-}
-
-/// Reconstructs the exact instruction run the block-translation cache
-/// would decode starting at `va` (vm/btcache.h translate(): stop at the
-/// first block-ending opcode, the page boundary, or an undecodable slot)
-/// and proves it elidable from the all-kVaries entry state — i.e. for any
-/// runtime entry. Appends a hint only when the proof needed more than the
-/// per-opcode inert bit (some proven kDivu), since plainly inert runs are
-/// already elided by the block cache's own flag.
-void prove_run(const os::Image& img, u32 va, std::vector<ElideHint>& out) {
-  std::vector<vm::Instruction> run;
-  const u32 page_end = vm::page_floor(va) + vm::kPageSize;
-  const u32 img_end = img.base_va + static_cast<u32>(img.blob.size());
-  RegState st = RegState::all_varies();
-  bool beyond_inert = false;
-  for (u32 p = va; p + vm::kInsnSize <= std::min(page_end, img_end);
-       p += vm::kInsnSize) {
-    auto d = vm::decode(
-        ByteSpan(img.blob.data() + (p - img.base_va), vm::kInsnSize));
-    if (!d) break;  // truncated run, exactly like translate()
-    if (!inert_under(*d, st)) return;  // unprovable instruction: no hint
-    if (!vm::taint_inert(d->op)) beyond_inert = true;
-    transfer(*d, p, st);
-    run.push_back(*d);
-    if (vm::ends_block(d->op)) break;
-  }
-  if (run.empty() || !beyond_inert) return;
-  out.push_back(ElideHint{va, static_cast<u32>(run.size()),
-                          vm::insn_seq_hash(run.data(), run.size())});
 }
 
 }  // namespace
@@ -118,7 +88,6 @@ ImageReport analyze_image(const os::Image& img, const SaOptions& opts) {
       ++rep.summary_inert_blocks;
       rep.summary_inert_insns += static_cast<u32>(bb.insns.size());
     }
-    prove_run(img, va, rep.elide_hints);
   }
   rep.indirect_sites = static_cast<u32>(cfg.indirects.size());
   for (const IndirectSite& site : cfg.indirects) {
@@ -135,13 +104,6 @@ ImageReport analyze_image(const os::Image& img, const SaOptions& opts) {
   rep.summaries = std::move(summaries);
   rep.cfg = std::move(cfg);
 
-  if (opts.metrics) {
-    opts.metrics->add(obs::Ctr::kSaImagesAnalyzed);
-    opts.metrics->add(obs::Ctr::kSaBlocksRecovered, rep.blocks);
-    opts.metrics->add(obs::Ctr::kSaInsnsDecoded, rep.insns);
-    opts.metrics->add(obs::Ctr::kSaIndirectsResolved, rep.resolved_indirects);
-    opts.metrics->add(obs::Ctr::kSaRulesFired, rep.findings.size());
-  }
   return rep;
 }
 
@@ -208,7 +170,6 @@ std::string image_jsonl(const std::string& program, const ImageReport& r) {
       .field("summary_inert_blocks", r.summary_inert_blocks)
       .field("summary_inert_insns", r.summary_inert_insns)
       .field("functions", r.functions)
-      .field("elide_hints", static_cast<u32>(r.elide_hints.size()))
       .field("indirect_sites", r.indirect_sites)
       .field("resolved_indirects", r.resolved_indirects)
       .field("dead_regions", r.dead_regions)

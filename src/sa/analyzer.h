@@ -2,11 +2,10 @@
 // dataflow pass to a fixpoint (each pass may resolve more indirect-branch
 // targets, which can expose more code), runs the lint rules, and folds the
 // results into a per-image and per-program report with a deterministic
-// JSONL serialisation — the zero-execution pre-triage stage in front of
-// the farm's record/replay pipeline.
+// JSONL serialisation — the zero-execution lint that faros_lint runs over
+// the corpus and scores against its ground truth.
 #pragma once
 
-#include "obs/obs.h"
 #include "sa/rules.h"
 #include "sa/summary.h"
 
@@ -24,22 +23,13 @@ struct SaOptions {
   /// Summed finding weight at which a program counts as static-flagged
   /// (faros_lint --risk-threshold).
   u32 risk_threshold = kStaticRiskThreshold;
-  /// Counter sink (sa_* counters); null = no metrics.
-  obs::MetricSink* metrics = nullptr;
 };
 
-/// One proven-elidable runtime block: starting at `va`, the exact
-/// instruction sequence the block-translation cache would decode there
-/// (`insns` of them, content-stamped by vm::insn_seq_hash) runs only
-/// vm::taint_inert opcodes plus kDivu sites whose divisor is a non-zero
-/// constant re-derivable from *any* entry state — so the engine may run it
-/// uninstrumented under the usual clean-bank guard even though the plain
-/// per-opcode inert bit says no.
+/// No product reader; goes with triagebench's traced-pass rewrite (ROADMAP).
 struct ElideHint {
   u32 va = 0;
   u32 insns = 0;
   u64 hash = 0;
-  bool operator==(const ElideHint&) const = default;
 };
 
 struct ImageReport {
@@ -47,15 +37,12 @@ struct ImageReport {
   u32 base = 0, entry = 0, size = 0;
   u32 blocks = 0, insns = 0;
   /// Blocks (and their instruction total) whose every opcode is
-  /// vm::taint_inert — what the runtime block-translation cache
-  /// (vm/btcache.h) may run uninstrumented without any summary facts,
-  /// save blocks ending in a kSyscall, which the runtime also offers.
+  /// vm::taint_inert.
   u32 inert_blocks = 0, inert_insns = 0;
   /// Blocks provable inert with summary-level facts: every instruction is
   /// taint_inert *or* a kDivu whose divisor is a proven non-zero constant
   /// from the block's own prefix (context-free, so the proof holds for
-  /// any runtime entry). Superset of inert_blocks; the delta is what the
-  /// elide hints export to the engine.
+  /// any runtime entry). Superset of inert_blocks.
   u32 summary_inert_blocks = 0, summary_inert_insns = 0;
   u32 functions = 0;  // call-graph functions discovered
   u32 indirect_sites = 0, resolved_indirects = 0;
@@ -67,8 +54,9 @@ struct ImageReport {
   std::vector<SaFinding> findings;
   u32 risk = 0;  // summed severity weights
 
-  std::vector<ElideHint> elide_hints;  // ascending va
-  SummaryTable summaries;              // final-pass function summaries
+  /// No product reader; goes with triagebench's traced-pass rewrite (ROADMAP).
+  std::vector<ElideHint> elide_hints;
+  SummaryTable summaries;  // final-pass function summaries
   Cfg cfg;  // final-pass CFG, for tooling and the golden tests
 };
 

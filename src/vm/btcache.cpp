@@ -46,7 +46,8 @@ TranslatedBlock* BlockCache::translate(PAddr cr3, VAddr va, PAddr pa) {
     if (!d) break;  // truncate: the fall-through traps exactly like per-insn
     b.insns.push_back(*d);
     // kSyscall ends the block, so passing here makes it the final insn.
-    if (!taint_inert(d->op) && d->op != Opcode::kSyscall) {
+    if (!taint_inert(d->op) && d->op != Opcode::kDivu &&
+        d->op != Opcode::kSyscall) {
       b.elidable_ops = false;
     }
     const RegFootprint f = taint_footprint(*d);
@@ -69,8 +70,6 @@ TranslatedBlock* BlockCache::translate(PAddr cr3, VAddr va, PAddr pa) {
 void BlockCache::forget_plugin_state() {
   for (auto& [key, b] : map_) {
     (void)key;
-    b.hint_checked = false;
-    b.hint_elidable = false;
     b.memo_version = 0;
     b.memo_count = 0;
   }

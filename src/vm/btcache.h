@@ -21,10 +21,13 @@
 //    never execute stale code. The kernel additionally evicts a process's
 //    blocks at exit (evict_cr3) and on frame recycling (evict_frame).
 //
-// Blocks whose every opcode is taint_inert(), save a final kSyscall, are
-// marked `elidable_ops`; the DIFT engine may approve running those through
-// an uninstrumented fast body (see ExecHooks::try_elide_block in vm/cpu.h),
-// deciding from the block's register footprint (`reads`/`writes`).
+// Blocks whose every opcode is taint_inert() or kDivu, save a final
+// kSyscall, are marked `elidable_ops`; the DIFT engine may approve running
+// those through an uninstrumented fast body (see ExecHooks::try_elide_block
+// in vm/cpu.h), deciding from the block's register footprint
+// (`reads`/`writes`). A kDivu may trap on a zero divisor, so the fast body
+// reports how many instructions it retired and the engine accounts for
+// exactly that prefix (ExecHooks::on_block_elided).
 #pragma once
 
 #include <unordered_map>
@@ -40,24 +43,18 @@ struct TranslatedBlock {
   PAddr cr3 = 0;
   VAddr start_va = 0;
   PAddr start_pa = 0;
-  /// Every instruction satisfies taint_inert(), except possibly a final
-  /// kSyscall: offered for elision without a static proof.
+  /// Every instruction satisfies taint_inert() or is a kDivu, except
+  /// possibly a final kSyscall: offered for elision.
   bool elidable_ops = false;
-  /// Lazily resolved ExecHooks::block_elide_hint verdict for the other
-  /// blocks (static summary proof, content-hash matched by the plugin).
-  /// Reset naturally on retranslation: SMC evicts the block, and the fresh
-  /// TranslatedBlock re-asks against the new bytes.
-  bool hint_checked = false;
-  bool hint_elidable = false;
   /// Block register footprint, the composition of every instruction's
   /// taint_footprint(): `reads` holds the registers read before the block
   /// writes them, `writes` every register some instruction overwrites.
   u16 reads = 0;
   u16 writes = 0;
   /// Memo owned by the attached plugin (the engine's tainted-fetch count
-  /// for this block and the shadow page stamp it is valid for). A fresh
-  /// block starts unset; Interpreter::set_hooks clears it when the plugin
-  /// changes.
+  /// for the whole block and the shadow page stamp it is valid for). A
+  /// fresh block starts unset; Interpreter::set_hooks clears it when the
+  /// plugin changes.
   u64 memo_version = 0;
   u32 memo_count = 0;
   std::vector<Instruction> insns;
@@ -71,8 +68,8 @@ struct BlockCacheStats {
   u64 hits = 0;         // block dispatches served from the cache
   u64 evict_smc = 0;    // blocks evicted by a write into their code frame
   u64 evict_cr3 = 0;    // blocks evicted by process-exit / frame recycling
-  /// Full-length dispatches, with a plugin attached, of blocks that hold an
-  /// opcode no elision covers (neither elidable_ops nor hint-approved).
+  /// Full-length dispatches, with a plugin attached, of blocks that are
+  /// not elidable_ops.
   u64 not_offered = 0;
 };
 
@@ -124,8 +121,8 @@ class BlockCache {
   const BlockCacheStats& stats() const { return stats_; }
   void count_not_offered() { ++stats_.not_offered; }
 
-  /// Drops what a plugin cached on the blocks (hint verdicts, memos): the
-  /// interpreter's hooks changed, and another plugin must ask afresh.
+  /// Drops what a plugin cached on the blocks (the memos): the
+  /// interpreter's hooks changed, and another plugin must start afresh.
   void forget_plugin_state();
 
   /// Longest block body; one page of 8-byte instructions.

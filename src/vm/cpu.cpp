@@ -151,13 +151,15 @@ StepInfo Interpreter::run_blocks(CpuState& cpu, const AddressSpace& as,
     StepInfo one;
     if (!hooks_) {
       one = exec_cached<false>(cpu, as, *b, take);
-    } else if (take == n && offer_block(*b) && hooks_->try_elide_block(*b)) {
-      // The plugin accounted for all n instructions itself; elidable
-      // bodies cannot trap (inert opcodes by construction, hint-approved
-      // kDivu by the plugin's constant-divisor proof), so all n retire
-      // through the fast body, a final kSyscall returning to the kernel.
+    } else if (take == n && b->elidable_ops && hooks_->try_elide_block(*b)) {
+      // A register-only body cannot evict *b. It retires all n
+      // instructions, a final kSyscall returning to the kernel, or stops
+      // at a kDivu dividing by zero; the plugin accounts for the prefix
+      // that retired.
       one = exec_cached<false>(cpu, as, *b, n);
+      hooks_->on_block_elided(*b, static_cast<u32>(one.executed));
     } else {
+      if (take == n && !b->elidable_ops) btc_->count_not_offered();
       one = exec_cached<true>(cpu, as, *b, take);
     }
     executed += one.executed;
@@ -166,17 +168,6 @@ StepInfo Interpreter::run_blocks(CpuState& cpu, const AddressSpace& as,
   info.result = StepResult::kBudget;
   info.executed = executed;
   return info;
-}
-
-bool Interpreter::offer_block(TranslatedBlock& b) {
-  if (b.elidable_ops) return true;
-  if (!b.hint_checked) {
-    b.hint_checked = true;
-    b.hint_elidable = hooks_->block_elide_hint(
-        b.cr3, b.start_va, b.insns.data(), static_cast<u32>(b.insns.size()));
-  }
-  if (!b.hint_elidable) btc_->count_not_offered();
-  return b.hint_elidable;
 }
 
 template <bool kInstrumented>

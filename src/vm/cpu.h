@@ -100,34 +100,26 @@ class ExecHooks {
     (void)as;
   }
   /// Asked once per full-length dispatch of a cached block whose opcodes
-  /// are all elidable: taint_inert() ones, kDivu in a block the plugin's
-  /// block_elide_hint approved, and at most one kSyscall, always last. Such
-  /// a body has no memory ops and cannot trap; its register effect is
-  /// summed up by `block.reads`/`block.writes`. Returning true means the
-  /// plugin has accounted for all the block's instructions itself and the
-  /// interpreter may execute it without per-instruction callbacks;
-  /// on_block_begin still fires, and a final kSyscall still returns to the
-  /// kernel. The plugin may keep a memo in the block's memo_* fields. The
-  /// default keeps every plugin on the instrumented path.
-  virtual bool try_elide_block(TranslatedBlock& block) {
+  /// are all elidable: taint_inert() ones, kDivu, and at most one
+  /// kSyscall, always last. Such a body has no memory ops; its register
+  /// effect is summed up by `block.reads`/`block.writes`, and it can stop
+  /// early only at a kDivu dividing by zero. Returning true lets the
+  /// interpreter execute it without per-instruction callbacks, and then
+  /// report what retired through on_block_elided; on_block_begin still
+  /// fires, and a final kSyscall still returns to the kernel. The guard
+  /// must leave the plugin's analysis state untouched: the body has not
+  /// run yet. The default keeps every plugin on the instrumented path.
+  virtual bool try_elide_block(const TranslatedBlock& block) {
     (void)block;
     return false;
   }
-  /// Asked at most once per translated block that is not elidable_ops
-  /// (vm/btcache.h): does the plugin hold a static proof that this exact
-  /// instruction sequence may nevertheless be offered for elision (e.g. a
-  /// kDivu whose divisor is a proven non-zero constant)? The verdict is
-  /// cached on the TranslatedBlock; SMC evicts and retranslates, so a
-  /// changed body is re-asked against its new bytes. Returning true only
-  /// makes the block *eligible* — try_elide_block still runs its dynamic
-  /// guard on every dispatch.
-  virtual bool block_elide_hint(PAddr cr3, VAddr pc,
-                                const Instruction* insns, u32 count) {
-    (void)cr3;
-    (void)pc;
-    (void)insns;
-    (void)count;
-    return false;
+  /// The approved body ran: its first `retired` instructions retired (all
+  /// of them, or the prefix before a trapping kDivu). The plugin accounts
+  /// for exactly those, as the instrumented path would have. It may keep
+  /// a memo in the block's memo_* fields.
+  virtual void on_block_elided(TranslatedBlock& block, u32 retired) {
+    (void)block;
+    (void)retired;
   }
 };
 
@@ -183,11 +175,6 @@ class Interpreter {
 
   /// Block-dispatch run loop (cache enabled).
   StepInfo run_blocks(CpuState& cpu, const AddressSpace& as, u64 max_insns);
-
-  /// Elision eligibility for a cached block: elidable_ops, or
-  /// hint-approved by the plugin (ExecHooks::block_elide_hint, asked once
-  /// per translation). A block that is neither counts as not offered.
-  bool offer_block(TranslatedBlock& b);
 
   /// Executes up to `count` predecoded instructions of a cached block,
   /// stopping early on traps/halt/syscall or when an eviction epoch change

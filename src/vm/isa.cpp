@@ -297,24 +297,4 @@ std::string disassemble(const Instruction& insn) {
   return op;
 }
 
-u64 insn_seq_hash(const Instruction* insns, size_t count) {
-  u64 h = 0xcbf29ce484222325ull;  // FNV-1a offset basis
-  auto mix = [&h](u8 byte) {
-    h ^= byte;
-    h *= 0x100000001b3ull;  // FNV prime
-  };
-  for (size_t i = 0; i < count; ++i) {
-    const Instruction& insn = insns[i];
-    mix(static_cast<u8>(insn.op));
-    mix(insn.rd);
-    mix(insn.rs1);
-    mix(insn.rs2);
-    mix(static_cast<u8>(insn.imm));
-    mix(static_cast<u8>(insn.imm >> 8));
-    mix(static_cast<u8>(insn.imm >> 16));
-    mix(static_cast<u8>(insn.imm >> 24));
-  }
-  return h;
-}
-
 }  // namespace faros::vm

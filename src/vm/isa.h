@@ -135,10 +135,11 @@ bool ends_block(Opcode op);
 /// faults), no syscall/halt/brk (kernel transitions), no divu (div-by-zero
 /// trap). Its only taint effect is on registers, which taint_footprint()
 /// describes. The block-translation cache (src/vm/btcache.h) offers blocks
-/// made of these opcodes, optionally ending in one kSyscall, for an
-/// uninstrumented fast body that the DIFT engine approves per dispatch; the
-/// static analyzer (src/sa) exports the same classification per basic
-/// block, so it must live beside the decoder.
+/// made of these opcodes and kDivu, optionally ending in one kSyscall, for
+/// an uninstrumented fast body that the DIFT engine approves per dispatch
+/// (a trapping kDivu stops that body exactly where the instrumented path
+/// stops); the static analyzer (src/sa) exports the same classification
+/// per basic block, so it must live beside the decoder.
 bool taint_inert(Opcode op);
 
 /// Register footprint of one instruction under the paper's Table-I
@@ -175,11 +176,5 @@ std::optional<u32> direct_target(const Instruction& insn, u32 va);
 
 /// Human-readable disassembly, e.g. "ld8 r1, [r2+16]".
 std::string disassemble(const Instruction& insn);
-
-/// FNV-1a over the decoded fields of an instruction sequence. The static
-/// analyzer stamps its block-level elision proofs with this (sa elide
-/// hints) and the engine recomputes it over a freshly translated block, so
-/// a proof can never be applied to bytes that changed since analysis.
-u64 insn_seq_hash(const Instruction* insns, size_t count);
 
 }  // namespace faros::vm

@@ -610,9 +610,9 @@ TEST(Farm, MultiPolicyStreamDeterministicAcrossWorkerCounts) {
 }
 
 TEST(TriageCli, RemovedExecutionModeFlagsAreRejected) {
-  // The inline engine is the only DIFT mode, summary elide hints are always
-  // used, and static trigger pruning is gone: the old switches and the ring
-  // size are unknown options, not silently accepted no-ops.
+  // The inline engine is the only DIFT mode, elision needs no summary
+  // hints, and static trigger pruning is gone: the old switches and the
+  // ring size are unknown options, not silently accepted no-ops.
   using farm::parse_triage_cli;
   const std::vector<std::vector<std::string>> removed = {
       {"--async-dift"},    {"--no-async-dift"},
@@ -659,11 +659,9 @@ TEST(TriageCli, PairedFlagsParseAndRoundTrip) {
   ASSERT_TRUE(def.ok()) << def.error;
   EXPECT_TRUE(def.opts.farm.snapshot);
   EXPECT_TRUE(def.opts.farm.machine.kernel.block_cache);
-  EXPECT_FALSE(def.opts.farm.static_prefilter);
 
   // Every boolean feature has a working --X and --no-X spelling.
-  const char* features[] = {"block-cache", "snapshot", "static-prefilter",
-                            "quiet"};
+  const char* features[] = {"block-cache", "snapshot", "quiet"};
   for (const char* f : features) {
     auto on = parse_triage_cli({std::string("--") + f});
     auto off = parse_triage_cli({std::string("--no-") + f});
@@ -680,14 +678,13 @@ TEST(TriageCli, PairedFlagsParseAndRoundTrip) {
       "injection", "--timeout-ms", "1234", "--budget", "99", "--out",
       "r.jsonl", "--metrics", "m.jsonl", "--graph-out", "graphs",
       "--policies", "a.json,b.json,c.json", "--no-block-cache",
-      "--no-snapshot", "--static-prefilter", "--quiet"};
+      "--no-snapshot", "--quiet"};
   farm::TriageCliResult once = parse_triage_cli(argv);
   ASSERT_TRUE(once.ok()) << once.error;
   EXPECT_EQ(once.opts.farm.workers, 8u);
   EXPECT_EQ(once.opts.farm.timeout_ms, 1234u);
   EXPECT_FALSE(once.opts.farm.machine.kernel.block_cache);
   EXPECT_FALSE(once.opts.farm.snapshot);
-  EXPECT_TRUE(once.opts.farm.static_prefilter);
   ASSERT_EQ(once.opts.policy_paths.size(), 3u);
   EXPECT_EQ(once.opts.policy_paths[1], "b.json");
 
@@ -697,6 +694,14 @@ TEST(TriageCli, PairedFlagsParseAndRoundTrip) {
 
   // Errors: unknown flags and missing values are reported, not swallowed.
   EXPECT_FALSE(parse_triage_cli({"--bogus"}).ok());
+  // The farm runs no static pass any more (faros_lint scores the
+  // analyzer), so the static verdict flag is an unknown option.
+  for (const char* no : {"", "no-"}) {
+    const std::string gone = std::string("--") + no + "static-" + "prefilter";
+    farm::TriageCliResult r = parse_triage_cli({gone});
+    EXPECT_FALSE(r.ok()) << gone;
+    EXPECT_NE(r.error.find(gone), std::string::npos) << r.error;
+  }
   EXPECT_FALSE(parse_triage_cli({"--workers"}).ok());
   EXPECT_FALSE(parse_triage_cli({"--workers", "many"}).ok());
   EXPECT_FALSE(parse_triage_cli({"--filter"}).ok());

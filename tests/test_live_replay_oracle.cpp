@@ -6,11 +6,11 @@
 // findings, per-rule counts, provenance state, counters and the exported
 // graph bytes. This pins that attaching the engine never perturbs the guest.
 //
-// Hinted vs unhinted: the farm always hands the engine the static
-// analyzer's summary elide hints; attacks::analyze() and Table V run
-// without them. The unhinted engine is the reference: with hints the same
-// live run must reach the same analysis, and only the elision counters may
-// differ.
+// Block cache on vs off: with the cache on, the engine runs offered blocks
+// through uninstrumented fast bodies (including kDivu blocks that may trap
+// mid-way). The cache-off run, every instruction through Table I, is the
+// reference: the same live run must reach the same analysis and the same
+// engine totals; only the elision and cache counters may differ.
 //
 // Fan-out vs solo: the farm evaluates extra policy sets beside the primary
 // on the job's one engine. Each extra set must reach what a solo engine
@@ -30,7 +30,6 @@
 #include "graph/graph.h"
 #include "os/machine.h"
 #include "os/snapshot.h"
-#include "sa/analyzer.h"
 #include "vm/btcache.h"
 
 namespace faros {
@@ -75,35 +74,20 @@ std::vector<core::RuleSpec> tcw_rules() {
   return {r};
 }
 
-/// Snapshot-cloned machines, as the farm runs them (captured once).
-const os::MachineConfig& machine_config() {
-  static const os::MachineConfig cfg = [] {
+/// Snapshot-cloned machines, as the farm runs them (captured once per
+/// block-cache setting).
+const os::MachineConfig& machine_config(bool block_cache = true) {
+  auto make = [](bool btc) {
     os::MachineConfig c;
+    c.kernel.block_cache = btc;
     auto snap = os::capture_snapshot(c.kernel);
     EXPECT_TRUE(snap.ok()) << snap.error().message;
     if (snap.ok()) c.kernel.snapshot = snap.value();
     return c;
-  }();
-  return cfg;
-}
-
-/// The job's engine options as the farm builds them by default, summary
-/// elide hints from the static analyzer included.
-core::Options job_options(attacks::Scenario& sc, const std::string& name,
-                          const os::MachineConfig& mcfg) {
-  core::Options o;
-  auto extracted = attacks::extract_images(sc, mcfg);
-  EXPECT_TRUE(extracted.ok()) << extracted.error().message;
-  if (!extracted.ok()) return o;
-  std::vector<os::Image> images;
-  for (auto& e : extracted.value()) images.push_back(std::move(e.image));
-  sa::ProgramReport rep = sa::analyze_images(name, images);
-  for (const sa::ImageReport& ir : rep.per_image) {
-    for (const sa::ElideHint& h : ir.elide_hints) {
-      o.elide_hints[h.va].emplace_back(h.insns, h.hash);
-    }
-  }
-  return o;
+  };
+  static const os::MachineConfig on = make(true);
+  static const os::MachineConfig off = make(false);
+  return block_cache ? on : off;
 }
 
 /// One analyzed run: the machine and engine stay alive for the comparison.
@@ -118,9 +102,10 @@ struct Analyzed {
 Analyzed run_analyzed(attacks::Scenario& sc, const core::Options& opts,
                      const vm::ReplayLog* log,
                      const std::vector<std::vector<core::RuleSpec>>& extra =
-                         {}) {
+                         {},
+                     const os::MachineConfig& mcfg = machine_config()) {
   Analyzed a;
-  a.machine = std::make_unique<os::Machine>(machine_config());
+  a.machine = std::make_unique<os::Machine>(mcfg);
   a.engine =
       std::make_unique<core::FarosEngine>(a.machine->kernel(), opts);
   for (const auto& rules : extra) a.engine->add_rule_set(rules);
@@ -240,7 +225,7 @@ TEST_P(LiveReplayOracle, ReplayReproducesLiveAnalysis) {
   const OracleJob& job = GetParam();
   std::unique_ptr<attacks::Scenario> sc = job.entry.make();
   ASSERT_TRUE(sc);
-  core::Options opts = job_options(*sc, job.entry.name, machine_config());
+  core::Options opts;
   if (job.policy_rules) opts.rules = multistage_rules();
 
   Analyzed live = run_analyzed(*sc, opts, nullptr);
@@ -256,24 +241,32 @@ TEST_P(LiveReplayOracle, ReplayReproducesLiveAnalysis) {
 INSTANTIATE_TEST_SUITE_P(Corpus, LiveReplayOracle,
                          ::testing::ValuesIn(oracle_jobs()), job_test_name);
 
+// Named for the static elide hints it once compared; the name stays so the
+// per-job test ids stay stable. It now checks block elision itself.
 class HintOracle : public ::testing::TestWithParam<OracleJob> {};
 
 TEST_P(HintOracle, HintsNeverChangeTheAnalysis) {
   const OracleJob& job = GetParam();
   std::unique_ptr<attacks::Scenario> sc = job.entry.make();
   ASSERT_TRUE(sc);
-  core::Options hinted = job_options(*sc, job.entry.name, machine_config());
-  if (job.policy_rules) hinted.rules = multistage_rules();
-  core::Options unhinted = hinted;
-  unhinted.elide_hints.clear();
+  core::Options opts;
+  if (job.policy_rules) opts.rules = multistage_rules();
 
-  Analyzed ref = run_analyzed(*sc, unhinted, nullptr);
-  Analyzed fast = run_analyzed(*sc, hinted, nullptr);
+  Analyzed ref = run_analyzed(*sc, opts, nullptr, {}, machine_config(false));
+  Analyzed fast = run_analyzed(*sc, opts, nullptr);
+  ASSERT_EQ(ref.machine->kernel().interp().block_cache(), nullptr);
 
   EXPECT_EQ(ref.engine->flagged(), job.entry.expect_flagged);
   expect_same_analysis(ref, fast);
-  EXPECT_EQ(ref.engine->metrics_snapshot()[obs::Ctr::kBtHintBlocks], 0u)
-      << "the reference run must not take a hint";
+  const core::EngineStats& r = ref.engine->stats();
+  const core::EngineStats& f = fast.engine->stats();
+  EXPECT_EQ(r.insns_seen, f.insns_seen);
+  EXPECT_EQ(r.loads, f.loads);
+  EXPECT_EQ(r.stores, f.stores);
+  EXPECT_EQ(r.tainted_fetches, f.tainted_fetches);
+  EXPECT_EQ(r.export_table_reads, f.export_table_reads);
+  EXPECT_EQ(r.policy_evals, f.policy_evals);
+  EXPECT_EQ(r.elided_insns, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Corpus, HintOracle,
@@ -287,8 +280,7 @@ TEST_P(FanOutOracle, ExtraSetsMatchSoloRunsAndLeaveThePrimaryAlone) {
   const OracleJob& job = GetParam();
   std::unique_ptr<attacks::Scenario> sc = job.entry.make();
   ASSERT_TRUE(sc);
-  const core::Options opts =
-      job_options(*sc, job.entry.name, machine_config());
+  core::Options opts;
   const std::vector<std::vector<core::RuleSpec>> extra = {multistage_rules(),
                                                           tcw_rules()};
 

@@ -51,10 +51,10 @@ TEST(ObsSink, AddSetValueAndReset) {
   EXPECT_EQ(sink.value(Ctr::kStores), 6u);
   sink.set(Ctr::kStores, 3);
   EXPECT_EQ(sink.value(Ctr::kStores), 3u);
-  sink.add_timer_ns(Tmr::kStatic, 100);
+  sink.add_timer_ns(Tmr::kRecord, 100);
   sink.reset();
   EXPECT_EQ(sink.value(Ctr::kStores), 0u);
-  EXPECT_EQ(sink.timer_ns(Tmr::kStatic), 0u);
+  EXPECT_EQ(sink.timer_ns(Tmr::kRecord), 0u);
 }
 
 TEST(ObsSnapshot, MergeAccumulatesAndTracksCollected) {
@@ -78,13 +78,14 @@ TEST(ObsSnapshot, MergeAccumulatesAndTracksCollected) {
 
 TEST(ObsScopedTimer, AccumulatesOnlyWhenBound) {
   MetricSink sink;
+  sink.add_timer_ns(Tmr::kRecord, 7);
+  { obs::ScopedTimer t(nullptr, Tmr::kRecord); }
+  EXPECT_EQ(sink.timer_ns(Tmr::kRecord), 7u);
   { obs::ScopedTimer t(&sink, Tmr::kRecord); }
-  { obs::ScopedTimer t(nullptr, Tmr::kStatic); }
 #ifndef FAROS_OBS_DISABLED
   // steady_clock may be coarse, but a completed scope never subtracts.
-  EXPECT_GE(sink.timer_ns(Tmr::kRecord), 0u);
+  EXPECT_GE(sink.timer_ns(Tmr::kRecord), 7u);
 #endif
-  EXPECT_EQ(sink.timer_ns(Tmr::kStatic), 0u);
 }
 
 TEST(ObsNames, UniqueNonEmptyAndStable) {

@@ -1,9 +1,7 @@
 // The static analyzer (src/sa): CFG recovery goldens (diamond, loop
 // splitting, dead regions, escaping branches), the constant/taint-shape
 // dataflow, indirect-target resolution via the analyzer fixpoint, the lint
-// rules, deterministic JSONL, the corpus-wide decode property, and the
-// farm's --static-prefilter contract (dynamic verdicts untouched, streams
-// byte-identical across worker counts).
+// rules, deterministic JSONL, and the corpus-wide decode property.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -11,18 +9,12 @@
 #include <vector>
 
 #include "attacks/corpus.h"
-#include "farm/farm.h"
-#include "farm/results.h"
 #include "os/syscalls.h"
 #include "sa/analyzer.h"
 
 namespace faros {
 namespace {
 
-using farm::Farm;
-using farm::FarmConfig;
-using farm::JobSpec;
-using farm::JobStatus;
 using sa::Cfg;
 using sa::EdgeKind;
 using vm::Reg;
@@ -55,19 +47,6 @@ bool has_rule(const std::vector<sa::SaFinding>& fs, const std::string& rule) {
     if (f.rule == rule) return true;
   }
   return false;
-}
-
-std::vector<JobSpec> corpus_jobs(const std::vector<attacks::CorpusEntry>& es) {
-  std::vector<JobSpec> jobs;
-  for (const auto& e : es) {
-    JobSpec spec;
-    spec.name = e.name;
-    spec.category = e.category;
-    spec.expect_flagged = e.expect_flagged;
-    spec.make = e.make;
-    jobs.push_back(std::move(spec));
-  }
-  return jobs;
 }
 
 // --- CFG recovery goldens ---------------------------------------------------
@@ -372,72 +351,6 @@ TEST(SaCorpus, EveryProgramExtractsAndEveryReachedInsnDecodes) {
   }
   EXPECT_EQ(programs, 135u);
   EXPECT_GE(images, programs);
-}
-
-// --- farm --static-prefilter ------------------------------------------------
-
-TEST(FarmPrefilter, NeverChangesDynamicVerdicts) {
-  auto jobs = corpus_jobs(attacks::injection_corpus());
-
-  FarmConfig off_cfg;
-  off_cfg.workers = 2;
-  Farm off(off_cfg);
-  auto off_report = off.run(jobs);
-
-  FarmConfig on_cfg;
-  on_cfg.workers = 2;
-  on_cfg.static_prefilter = true;
-  Farm on(on_cfg);
-  auto on_report = on.run(jobs);
-
-  ASSERT_EQ(off_report.results.size(), on_report.results.size());
-  for (size_t i = 0; i < off_report.results.size(); ++i) {
-    const auto& a = off_report.results[i];
-    const auto& b = on_report.results[i];
-    EXPECT_EQ(a.flagged, b.flagged) << a.name;
-    EXPECT_EQ(a.policies, b.policies) << a.name;
-    EXPECT_EQ(a.findings, b.findings) << a.name;
-    EXPECT_EQ(a.instructions, b.instructions) << a.name;
-    EXPECT_STREQ(a.verdict(), b.verdict()) << a.name;
-    EXPECT_FALSE(a.sa_analyzed);
-    EXPECT_TRUE(b.sa_analyzed) << b.name << ": " << b.sa_error;
-    EXPECT_TRUE(b.sa_error.empty()) << b.name << ": " << b.sa_error;
-    // Injection ground truth is expect_flagged, so the static verdict can
-    // only be TP (caught) or FN (statically invisible channel).
-    EXPECT_TRUE(std::string(b.static_verdict()) == "TP" ||
-                std::string(b.static_verdict()) == "FN")
-        << b.name << ": " << b.static_verdict();
-  }
-  EXPECT_EQ(on_report.metrics.sa_analyzed, on_report.results.size());
-  EXPECT_EQ(off_report.metrics.sa_analyzed, 0u);
-}
-
-TEST(FarmPrefilter, ResultsStreamDeterministicAcrossWorkerCounts) {
-  auto jobs = corpus_jobs(attacks::injection_corpus());
-  for (auto& e : attacks::jit_corpus()) {
-    JobSpec spec;
-    spec.name = e.name;
-    spec.category = e.category;
-    spec.expect_flagged = e.expect_flagged;
-    spec.make = e.make;
-    jobs.push_back(std::move(spec));
-    if (jobs.size() >= 15) break;
-  }
-
-  FarmConfig serial_cfg;
-  serial_cfg.workers = 1;
-  serial_cfg.static_prefilter = true;
-  Farm serial(serial_cfg);
-  std::string serial_out = farm::results_jsonl(serial.run(jobs));
-
-  FarmConfig wide_cfg;
-  wide_cfg.workers = 8;
-  wide_cfg.static_prefilter = true;
-  Farm wide(wide_cfg);
-  std::string wide_out = farm::results_jsonl(wide.run(jobs));
-
-  EXPECT_EQ(serial_out, wide_out);
-  EXPECT_NE(serial_out.find("\"sa_verdict\""), std::string::npos);
 }
 
 }  // namespace

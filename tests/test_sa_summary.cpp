@@ -2,8 +2,9 @@
 // ordering, bottom-up function summaries, the SummaryCallModel vs the
 // historical clobber-all call semantics, a soundness property test for
 // sa::transfer against the concrete interpreter, block splitting at
-// resolved indirect targets, multi-pass convergence, and the
-// static-prefilter confusion matrix pinned over the full corpus.
+// resolved indirect targets, multi-pass convergence, and the static
+// verdict's confusion matrix pinned over the full corpus (faros_lint's
+// lint_summary scores the same matrix).
 #include <gtest/gtest.h>
 
 #include <random>
@@ -436,10 +437,10 @@ TEST(SaConvergence, PassBudgetExhaustionIsReportedNotMasked) {
   EXPECT_EQ(two.passes, 2u);
 }
 
-// --- full-corpus pins: prefilter matrix -------------------------------------
+// --- full-corpus pins: static verdict matrix -------------------------------
 
 TEST(SaCorpusPins, PrefilterMatrixAndPolicyAggregate) {
-  // One sweep over all 135 corpus programs pins the static prefilter
+  // One sweep over all 135 corpus programs pins the static verdict's
   // confusion matrix: 11 TP / 0 FP / 122 TN / 2 FN, the two FNs being the
   // known low-risk injectors.
   u32 tp = 0, fp = 0, tn = 0, fn = 0;

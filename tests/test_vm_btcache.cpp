@@ -19,7 +19,6 @@
 #include "farm/results.h"
 #include "os/machine.h"
 #include "os/runtime.h"
-#include "sa/analyzer.h"
 #include "vm/assembler.h"
 #include "vm/btcache.h"
 #include "vm/cpu.h"
@@ -128,9 +127,9 @@ TEST(BtCacheIsa, TranslateRecordsTheBlockFootprint) {
   ASSERT_EQ(b->insns.size(), 9u);
   EXPECT_EQ(b->reads, bit(1) | bit(3) | bit(6));
   EXPECT_EQ(b->writes, bit(0) | bit(1) | bit(2) | bit(4) | bit(5) | bit(7));
-  // The kDivu keeps the block off the opcode-only offer (a hint may still
-  // approve it); a final kSyscall alone would not.
-  EXPECT_FALSE(b->elidable_ops);
+  // A kDivu (its trap stops the fast body exactly) and a final kSyscall
+  // keep the block offered.
+  EXPECT_TRUE(b->elidable_ops);
 
   const VAddr second = kCodeBase + 9 * vm::kInsnSize;
   const vm::TranslatedBlock* c =
@@ -487,10 +486,9 @@ TEST(BtCacheEngine, ElisionKeepsEngineCountersExact) {
   EXPECT_EQ(off[obs::Ctr::kBtElidedBlocks], 0u);
 }
 
-/// A program whose middle block carries an elide hint (a kDivu with a
-/// constant divisor) but is entered with a tainted register: r1 is loaded
-/// from the file-tagged image, the kDivu moves that taint into r2, and the
-/// push stores it.
+/// A program whose middle block holds a constant-divisor kDivu but is
+/// entered with a tainted register: r1 is loaded from the file-tagged
+/// image, the kDivu moves that taint into r2, and the push stores it.
 os::Image build_tainted_divu() {
   os::ImageBuilder ib("taintdiv.exe", os::kUserImageBase);
   Assembler& a = ib.asm_();
@@ -512,22 +510,14 @@ os::Image build_tainted_divu() {
   return img.value();
 }
 
-/// The static analyzer's summary elide hints for `img`, as engine options.
-core::Options hinted_options(const os::Image& img) {
-  core::Options opts;
-  for (const sa::ElideHint& h : sa::analyze_image(img).elide_hints)
-    opts.elide_hints[h.va].emplace_back(h.insns, h.hash);
-  EXPECT_FALSE(opts.elide_hints.empty());
-  return opts;
-}
-
 /// Returns the engine's counters and tainted byte count after running
 /// build_tainted_divu().
-std::pair<obs::MetricSnapshot, u64> run_tainted_divu(bool hints) {
+std::pair<obs::MetricSnapshot, u64> run_tainted_divu(bool block_cache) {
   os::Image img = build_tainted_divu();
-  os::Machine m;
-  core::Options opts = hints ? hinted_options(img) : core::Options{};
-  core::FarosEngine engine(m.kernel(), opts);
+  os::MachineConfig mc;
+  mc.kernel.block_cache = block_cache;
+  os::Machine m(mc);
+  core::FarosEngine engine(m.kernel(), core::Options{});
   m.attach_cpu_plugin(&engine);
   m.add_monitor(&engine);
   EXPECT_TRUE(m.boot().ok());
@@ -537,17 +527,16 @@ std::pair<obs::MetricSnapshot, u64> run_tainted_divu(bool hints) {
   return {engine.metrics_snapshot(), engine.shadow().tainted_bytes()};
 }
 
-TEST(BtCacheEngine, HintedBlockWithTaintedRegistersRunsInstrumented) {
-  // A hint only makes a block eligible; try_elide_block's clean-bank guard
-  // still decides. The corpus never enters a hinted block with a tainted
-  // register, so this pins the guard directly.
+TEST(BtCacheEngine, KDivuBlockWithTaintedRegistersRunsInstrumented) {
+  // An offered block is only eligible; try_elide_block's footprint guard
+  // still decides. The kDivu block reads the tainted r1, so it must run
+  // instrumented and move the taint exactly as the uncached path does.
   auto [plain, plain_bytes] = run_tainted_divu(false);
-  auto [hinted, hinted_bytes] = run_tainted_divu(true);
-  EXPECT_GE(hinted[obs::Ctr::kBtHintBlocks], 1u);
-  EXPECT_GE(hinted[obs::Ctr::kBtGuardFail], 1u);
+  auto [cached, cached_bytes] = run_tainted_divu(true);
+  EXPECT_GE(cached[obs::Ctr::kBtDeclineTaintedRead], 1u);
   EXPECT_GE(plain[obs::Ctr::kTaintedStores], 1u);
-  EXPECT_EQ(hinted[obs::Ctr::kTaintedStores], plain[obs::Ctr::kTaintedStores]);
-  EXPECT_EQ(hinted_bytes, plain_bytes);
+  EXPECT_EQ(cached[obs::Ctr::kTaintedStores], plain[obs::Ctr::kTaintedStores]);
+  EXPECT_EQ(cached_bytes, plain_bytes);
 }
 
 // --- extra policy sets on one engine --------------------------------------
@@ -561,8 +550,8 @@ core::RuleSpec rule(const char* id, core::Trigger t,
   return r;
 }
 
-/// A clean-register loop whose body divides by a constant: elidable only
-/// through its summary hint (kDivu is not taint-inert on its own).
+/// A clean-register loop whose body divides by a constant (kDivu is not
+/// taint-inert, but its blocks are offered for elision).
 os::Image build_divu_loop() {
   os::ImageBuilder ib("divloop.exe", os::kUserImageBase);
   Assembler& a = ib.asm_();
@@ -596,13 +585,13 @@ struct SetsRun {
   obs::MetricSnapshot metrics;
 };
 
-/// Runs `img` with block cache and summary hints under `primary` plus each
-/// of `extra` as further sets.
+/// Runs `img` with the block cache under `primary` plus each of `extra` as
+/// further sets.
 SetsRun run_sets(const os::Image& img, std::vector<core::RuleSpec> primary,
                  const std::vector<std::vector<core::RuleSpec>>& extra,
                  u32 max_findings = 256) {
   os::Machine m;
-  core::Options opts = hinted_options(img);
+  core::Options opts;
   opts.rules = std::move(primary);
   opts.max_findings = max_findings;
   core::FarosEngine engine(m.kernel(), opts);
@@ -649,15 +638,14 @@ void expect_same_rule_stats(const std::vector<core::RuleStats>& a,
 }
 
 TEST(BtCacheEngine, ExtraSetFetchRuleDisablesElisionForTheEngine) {
-  // The primary binds no fetch rule, so on its own it elides the
-  // hint-proven loop running from the file-tagged image. An extra set with
+  // The primary binds no fetch rule, so on its own it elides the kDivu
+  // loop running from the file-tagged image. An extra set with
   // a tainted-fetch rule needs every fetch: the elision guard must look at
   // all sets, so the extra set sees exactly what it sees as a solo primary.
   const os::Image img = build_divu_loop();
   const std::vector<core::RuleSpec> builtins =
       core::builtin_rules(true, true, false);
   SetsRun plain = run_sets(img, builtins, {});
-  ASSERT_GT(plain.metrics[obs::Ctr::kBtHintBlocks], 0u);
   ASSERT_GT(plain.metrics[obs::Ctr::kBtElidedInsns], 1000u);
 
   SetsRun fan = run_sets(img, builtins, {{file_fetch_rule()}});
@@ -712,12 +700,13 @@ constexpr u32 kTaintBufBytes = 64;
 
 /// A random straight-line program: an entry block that loads random bytes
 /// of a randomly tainted buffer into random registers, then blocks of
-/// elidable opcodes (some with a constant-divisor kDivu), each ending in a
-/// kSyscall, jmp, call or conditional branch to the next, then halt.
+/// elidable opcodes, each ending in a kSyscall, jmp, call or conditional
+/// branch to the next, then halt. About one body slot in five is a kDivu,
+/// dividing by whatever a random register holds or by a constant set right
+/// before it — zero one time in three, so blocks trap mid-way.
 struct FootprintProgram {
   Assembler code;
-  std::vector<std::string> divu_blocks;  // labels of blocks with a kDivu
-  u8 buf_flow[kTaintBufBytes] = {};      // per byte: 0 clean, else a flow
+  u8 buf_flow[kTaintBufBytes] = {};  // per byte: 0 clean, else a flow
   u32 code_taint = 0;  // 0 clean code, 1 all of it, 2 its first half
 };
 
@@ -760,18 +749,15 @@ FootprintProgram random_footprint_program(u32 seed) {
         i + 1 < blocks ? "b" + std::to_string(i + 1) : "end";
     a.label(name);
     const u32 body = 1 + pick(6);
-    const u32 divu_at = pick(4) == 0 ? pick(body) : body;
-    if (divu_at < body) p.divu_blocks.push_back(name);
     for (u32 k = 0; k < body; ++k) {
-      if (k == divu_at) {
-        const vm::Reg d = reg();
-        a.movi(d, 1 + pick(100));
-        a.divu(reg(), reg(), d);
-        continue;
-      }
       const vm::Reg rd = reg();
       const vm::Reg r1 = reg();
       const vm::Reg r2 = reg();
+      if (pick(5) == 0) {
+        if (pick(2)) a.movi(r2, pick(3) == 0 ? 0 : 1 + pick(100));
+        a.divu(rd, r1, r2);
+        continue;
+      }
       switch (pick(14)) {
         case 0: a.movi(rd, rng()); break;
         case 1: a.mov(rd, r1); break;
@@ -804,10 +790,35 @@ FootprintProgram random_footprint_program(u32 seed) {
   return p;
 }
 
+/// Forwards every hook to the engine, counting the instructions that reach
+/// it one by one and the approved bodies a kDivu trap cut short.
+struct CountingHooks : vm::ExecHooks {
+  vm::ExecHooks* inner = nullptr;
+  u64 instrumented = 0;
+  u64 trapped_bodies = 0;
+
+  void on_block_begin(PAddr cr3, VAddr pc) override {
+    inner->on_block_begin(cr3, pc);
+  }
+  void on_insn_retired(const vm::InsnEvent& ev,
+                       const AddressSpace& as) override {
+    ++instrumented;
+    inner->on_insn_retired(ev, as);
+  }
+  bool try_elide_block(const vm::TranslatedBlock& b) override {
+    return inner->try_elide_block(b);
+  }
+  void on_block_elided(vm::TranslatedBlock& b, u32 retired) override {
+    if (retired < b.insns.size()) ++trapped_bodies;
+    inner->on_block_elided(b, retired);
+  }
+};
+
 /// The analysis state both runs must agree on: register and memory
-/// provenance, store size, engine stats, findings and per-rule tallies.
-/// Provenance is compared by content: the two runs intern the same lists
-/// but need not intern them in the same order.
+/// provenance (every tainted shadow byte: the buffer, and the code page
+/// with its process-tag writebacks), store size, engine stats, findings
+/// and per-rule tallies. Provenance is compared by content: the two runs
+/// intern the same lists but need not intern them in the same order.
 struct FootprintOutcome {
   std::vector<std::vector<core::ProvTag>> regs;  // 16 registers x 4 bytes
   std::vector<std::pair<PAddr, std::vector<core::ProvTag>>> mem;
@@ -816,6 +827,9 @@ struct FootprintOutcome {
   std::vector<std::string> findings;
   std::vector<core::RuleStats> rule_stats;
   obs::MetricSnapshot metrics;
+  u64 instrumented = 0;    // instructions the engine saw one by one
+  u64 trapped_bodies = 0;  // approved bodies stopped by a kDivu trap
+  u64 traps = 0;           // divide-by-zero traps, resumed past
 };
 
 std::string tags_str(const core::ProvStore& store, core::ProvListId id) {
@@ -839,25 +853,10 @@ FootprintOutcome run_footprint(const FootprintProgram& p, u32 seed,
     opts.rules.push_back(rule("sys", core::Trigger::kSyscallArg, {}));
     opts.rules.push_back(rule("fetch", core::Trigger::kTaintedFetch, {}));
   }
-  // Hints for the kDivu blocks: their divisor is a nonzero constant set
-  // right before, as the static analyzer would prove.
-  auto blob = p.code.assemble(kCodeBase);
-  EXPECT_TRUE(blob.ok());
-  for (const std::string& label : p.divu_blocks) {
-    const u32 off = p.code.label_offset(label).value();
-    std::vector<Instruction> run;
-    for (u32 o = off; o + vm::kInsnSize <= blob.value().size();
-         o += vm::kInsnSize) {
-      run.push_back(
-          *vm::decode(ByteSpan(blob.value().data() + o, vm::kInsnSize)));
-      if (vm::ends_block(run.back().op)) break;
-    }
-    opts.elide_hints[kCodeBase + off].emplace_back(
-        static_cast<u32>(run.size()),
-        vm::insn_seq_hash(run.data(), run.size()));
-  }
   core::FarosEngine engine(osi, opts);
-  env.interp.set_hooks(&engine);
+  CountingHooks hooks;
+  hooks.inner = &engine;
+  env.interp.set_hooks(&hooks);
 
   const FlowTuple flows[3] = {{0x0a000001, 4444, 0x0a000002, 5000},
                               {0x0a000003, 4445, 0x0a000002, 5001},
@@ -869,6 +868,8 @@ FootprintOutcome run_footprint(const FootprintProgram& p, u32 seed,
         flows[p.buf_flow[i] - 1]);
   }
   if (p.code_taint != 0) {
+    auto blob = p.code.assemble(kCodeBase);
+    EXPECT_TRUE(blob.ok());
     const u32 len = static_cast<u32>(blob.value().size());
     engine.on_packet_to_guest(
         osi::GuestXfer{osi.proc, &env.as, kCodeBase,
@@ -877,7 +878,9 @@ FootprintOutcome run_footprint(const FootprintProgram& p, u32 seed,
   }
 
   // Three passes under one seeded sequence of budget slices, so blocks
-  // are also cut short and re-entered mid-way.
+  // are also cut short and re-entered mid-way. A divide by zero resumes
+  // at the next instruction, as a kernel handler would.
+  FootprintOutcome out;
   std::mt19937 slices(seed * 7919u + 1);
   for (int pass = 0; pass < 3; ++pass) {
     env.cpu.set_pc(kCodeBase);
@@ -885,13 +888,16 @@ FootprintOutcome run_footprint(const FootprintProgram& p, u32 seed,
       StepInfo info = env.run(1 + slices() % 40);
       if (info.result == StepResult::kHalt) break;
       if (info.result == StepResult::kTrap) {
-        ADD_FAILURE() << "seed " << seed << " trapped at " << info.pc;
-        break;
+        if (info.trap != vm::TrapKind::kDivZero) {
+          ADD_FAILURE() << "seed " << seed << " trapped at " << info.pc;
+          break;
+        }
+        ++out.traps;
+        env.cpu.set_pc(info.pc + vm::kInsnSize);
       }
     }
   }
 
-  FootprintOutcome out;
   const core::ShadowRegisters* sr = engine.registers(env.as.cr3());
   EXPECT_NE(sr, nullptr);
   for (u8 r = 0; r < vm::kNumRegs && sr; ++r) {
@@ -918,16 +924,19 @@ FootprintOutcome run_footprint(const FootprintProgram& p, u32 seed,
     out.rule_stats.push_back(re.rule_stats(i));
   }
   out.metrics = engine.metrics_snapshot();
+  out.instrumented = hooks.instrumented;
+  out.trapped_bodies = hooks.trapped_bodies;
   return out;
 }
 
 TEST(BtCacheEngine, FootprintGuardMatchesUncachedPathOnRandomBlocks) {
   // Block cache on (footprint-guarded elision) and off (every instruction
   // through Table I) must end in the same analysis state, with the
-  // syscall-arg and tainted-fetch rules unbound and bound.
+  // syscall-arg and tainted-fetch rules unbound and bound — also where a
+  // kDivu traps inside an approved body, on clean and tainted code pages.
   constexpr u32 kSeeds = 48;
   for (bool bind : {false, true}) {
-    u64 elided = 0;
+    u64 elided = 0, trapped = 0, trapped_on_tainted_code = 0;
     obs::MetricSnapshot sum;
     for (u32 seed = 0; seed < kSeeds; ++seed) {
       SCOPED_TRACE(::testing::Message() << "seed " << seed << " bind "
@@ -943,13 +952,20 @@ TEST(BtCacheEngine, FootprintGuardMatchesUncachedPathOnRandomBlocks) {
       }
       EXPECT_EQ(on.mem, off.mem);
       EXPECT_EQ(on.store_size, off.store_size);
+      EXPECT_EQ(on.traps, off.traps);
       EXPECT_EQ(on.stats.insns_seen, off.stats.insns_seen);
       EXPECT_EQ(on.stats.tainted_fetches, off.stats.tainted_fetches);
       EXPECT_EQ(on.stats.policy_evals, off.stats.policy_evals);
       EXPECT_EQ(on.findings, off.findings);
       expect_same_rule_stats(on.rule_stats, off.rule_stats);
+      // Uncached, every instruction reaches the engine one by one; cached,
+      // the elided count is exactly what did not.
       EXPECT_EQ(off.stats.elided_insns, 0u);
+      EXPECT_EQ(off.instrumented, off.stats.insns_seen);
+      EXPECT_EQ(on.stats.elided_insns, off.stats.insns_seen - on.instrumented);
       elided += on.stats.elided_insns;
+      trapped += on.trapped_bodies;
+      if (p.code_taint != 0) trapped_on_tainted_code += on.trapped_bodies;
       for (u32 c = 0; c < obs::kCtrCount; ++c) {
         sum.counters[c] += on.metrics.counters[c];
       }
@@ -958,8 +974,8 @@ TEST(BtCacheEngine, FootprintGuardMatchesUncachedPathOnRandomBlocks) {
     // The workload must exercise every guard outcome, and the decline
     // reasons must add up to bt_guard_fail.
     EXPECT_GT(elided, 0u);
+    EXPECT_GT(trapped, 0u);
     EXPECT_GT(sum[Ctr::kBtDeclineTaintedRead], 0u);
-    EXPECT_GT(sum[Ctr::kBtHintBlocks], 0u);
     EXPECT_EQ(sum[Ctr::kBtGuardFail], sum[Ctr::kBtDeclineTaintedRead] +
                                           sum[Ctr::kBtDeclineSyscallArg] +
                                           sum[Ctr::kBtDeclineFetchRule]);
@@ -967,18 +983,22 @@ TEST(BtCacheEngine, FootprintGuardMatchesUncachedPathOnRandomBlocks) {
       EXPECT_GT(sum[Ctr::kBtDeclineSyscallArg], 0u);
       EXPECT_GT(sum[Ctr::kBtDeclineFetchRule], 0u);
     } else {
+      // Unbound, tainted code pages still elide, prefix walk included.
+      EXPECT_GT(trapped_on_tainted_code, 0u);
       EXPECT_EQ(sum[Ctr::kBtDeclineSyscallArg], 0u);
       EXPECT_EQ(sum[Ctr::kBtDeclineFetchRule], 0u);
     }
   }
 }
 
-TEST(BtCacheEngine, SwappingPluginsForgetsWhatTheOldOneCachedOnBlocks) {
-  // Hint verdicts and fetch memos on a TranslatedBlock belong to the
-  // plugin that made them: an engine without hints attached to the same
-  // interpreter must not elide the kDivu block its predecessor's hint
-  // approved.
-  CpuEnv env;
+/// A kDivu loop run under one engine, then under a second one attached to
+/// the same interpreter; returns the second engine's stats. The first
+/// engine taints the loop block's 32 code bytes, the second 32 bytes
+/// starting half-way into it: the same number of shadow writes, so both
+/// shadows stamp the code page alike, but only half the block's fetches
+/// are tainted for the second.
+core::EngineStats run_after_plugin_swap(bool block_cache) {
+  CpuEnv env(block_cache);
   Assembler a;
   a.movi(R1, 0);
   a.jmp("loop");
@@ -991,27 +1011,35 @@ TEST(BtCacheEngine, SwappingPluginsForgetsWhatTheOldOneCachedOnBlocks) {
   OneProcessOsi osi;
   osi.proc = {1, 0, env.as.cr3(), "loop.exe"};
   const VAddr loop = kCodeBase + a.label_offset("loop").value();
-  std::vector<Instruction> body;
-  for (u32 i = 0; i < 4; ++i) {
-    body.push_back(*vm::decode(env.mem.span(
-        *env.as.translate(loop + i * vm::kInsnSize, vm::AccessType::kExec,
-                          true),
-        vm::kInsnSize)));
-  }
-  core::Options hinted;
-  hinted.elide_hints[loop].emplace_back(4, vm::insn_seq_hash(body.data(), 4));
+  auto taint = [&](core::FarosEngine& e, VAddr va) {
+    e.on_packet_to_guest(osi::GuestXfer{osi.proc, &env.as, va,
+                                        4 * vm::kInsnSize},
+                         FlowTuple{0x0a000001, 4444, 0x0a000002, 5000});
+  };
 
-  core::FarosEngine first(osi, hinted);
+  core::FarosEngine first(osi, core::Options{});
+  taint(first, loop);
   env.interp.set_hooks(&first);
   env.run(4000);
-  EXPECT_GT(first.stats().elided_insns, 3000u);
+  EXPECT_EQ(first.stats().insns_seen, 4000u);
 
   core::FarosEngine second(osi, core::Options{});
+  taint(second, loop + 2 * vm::kInsnSize);
   env.interp.set_hooks(&second);
   env.run(4000);
-  EXPECT_EQ(second.stats().insns_seen, 4000u);
-  EXPECT_EQ(second.stats().elided_insns, 0u);
-  EXPECT_GT(env.interp.block_cache()->stats().not_offered, 900u);
+  return second.stats();
+}
+
+TEST(BtCacheEngine, SwappingPluginsForgetsWhatTheOldOneCachedOnBlocks) {
+  // Fetch memos on a TranslatedBlock belong to the plugin that made them.
+  // A memo kept across the swap would match the second engine's page stamp
+  // and hand it the first engine's tainted-fetch count.
+  const core::EngineStats cached = run_after_plugin_swap(true);
+  const core::EngineStats plain = run_after_plugin_swap(false);
+  EXPECT_GT(cached.elided_insns, 3000u);
+  EXPECT_EQ(cached.insns_seen, plain.insns_seen);
+  EXPECT_GT(plain.tainted_fetches, 0u);
+  EXPECT_EQ(cached.tainted_fetches, plain.tainted_fetches);
 }
 
 TEST(BtCacheEngine, TwoProcessesOfOneIdleImageBothElideInSteadyState) {

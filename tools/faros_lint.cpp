@@ -5,8 +5,9 @@
 // runs the src/sa analyzer — CFG recovery, constant-propagation dataflow,
 // and the injection-shaped lint rules. Emits deterministic JSONL: one
 // "finding" line per lint hit, one "image" line per analyzed image, one
-// "program" line per corpus entry, then a "lint_summary" line. The stream
-// is a pure function of the corpus, so CI can diff it across runs.
+// "program" line per corpus entry, then a "lint_summary" line that scores
+// the static verdicts against the corpus ground truth (tp/fp/tn/fn). The
+// stream is a pure function of the corpus, so CI can diff it across runs.
 //
 //   faros_lint                            # full corpus to stdout
 //   faros_lint --category injection
@@ -115,6 +116,7 @@ int main(int argc, char** argv) {
   }
 
   u32 programs = 0, flagged = 0, findings = 0, errors = 0;
+  u32 tp = 0, fp = 0, tn = 0, fn = 0;  // static verdict vs expect_flagged
   u64 blocks = 0, insns = 0;
   sa::SaOptions sopts;
   sopts.risk_threshold = risk_threshold;
@@ -141,6 +143,8 @@ int main(int argc, char** argv) {
     sa::ProgramReport rep = sa::analyze_images(e.name, images, sopts);
     ++programs;
     if (rep.flagged()) ++flagged;
+    if (e.expect_flagged) rep.flagged() ? ++tp : ++fn;
+    else rep.flagged() ? ++fp : ++tn;
     findings += rep.findings;
     blocks += rep.blocks;
     insns += rep.insns;
@@ -168,14 +172,19 @@ int main(int argc, char** argv) {
       .field("findings", findings)
       .field("blocks", blocks)
       .field("insns", insns)
-      .field("errors", errors);
+      .field("errors", errors)
+      .field("tp", tp)
+      .field("fp", fp)
+      .field("tn", tn)
+      .field("fn", fn);
   std::fprintf(out, "%s\n", w.str().c_str());
   if (out != stdout) std::fclose(out);
 
   if (!quiet) {
     std::fprintf(stderr,
-                 "%u programs: %u static-flagged, %u findings, %u errors\n",
-                 programs, flagged, findings, errors);
+                 "%u programs: %u static-flagged, %u findings, %u errors\n"
+                 "static vs ground truth: %u TP, %u FP, %u TN, %u FN\n",
+                 programs, flagged, findings, errors, tp, fp, tn, fn);
   }
   return errors == 0 ? 0 : 1;
 }

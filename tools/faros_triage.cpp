@@ -178,35 +178,6 @@ int main(int argc, char** argv) {
   std::printf("scoring vs paper ground truth: %u TP, %u FP, %u TN, %u FN\n",
               tp, fp, tn, fn);
 
-  if (cfg.static_prefilter) {
-    // Score the static oracle against the same ground truth, then show how
-    // static and dynamic verdicts line up per job. The static pass never
-    // changes dynamic results; these tables are purely diagnostic.
-    u32 stp = 0, sfp = 0, stn = 0, sfn = 0, serr = 0;
-    u32 both = 0, dyn_only = 0, sta_only = 0, neither = 0;
-    for (const auto& r : report.results) {
-      std::string sv = r.static_verdict();
-      if (sv == "TP") ++stp;
-      else if (sv == "FP") ++sfp;
-      else if (sv == "TN") ++stn;
-      else if (sv == "FN") ++sfn;
-      else ++serr;
-      if (r.status == farm::JobStatus::kOk && r.sa_analyzed) {
-        if (r.flagged && r.sa_flagged) ++both;
-        else if (r.flagged) ++dyn_only;
-        else if (r.sa_flagged) ++sta_only;
-        else ++neither;
-      }
-    }
-    std::printf("static prefilter vs ground truth: %u TP, %u FP, %u TN, "
-                "%u FN%s\n",
-                stp, sfp, stn, sfn,
-                serr ? " (+ unanalyzed jobs)" : "");
-    std::printf("static vs dynamic agreement: %u both-flag, %u dynamic-only, "
-                "%u static-only, %u both-clean\n",
-                both, dyn_only, sta_only, neither);
-  }
-
   bool clean_run = report.metrics.errors == 0 && report.metrics.timeouts == 0 &&
                    report.metrics.cancelled == 0;
   return clean_run ? 0 : 1;
