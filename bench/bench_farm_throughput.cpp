@@ -1,14 +1,17 @@
 // Farm scaling bench: triages the full Table IV corpus (90 non-injecting
-// malware samples + 14 benign applications) through the farm, first with
-// cold per-job boots (snapshot off — the pre-snapshot baseline), then with
-// snapshot/COW cloning at worker counts 1 -> hardware_concurrency.
+// malware samples + 14 benign applications). The cold arm runs the jobs
+// serially, each as its own attacks::Analysis on a cold-booted machine (no
+// snapshot, no farm). Then the farm, which runs every job on a
+// copy-on-write clone of a guest booted once, sweeps worker counts
+// 1 -> hardware_concurrency.
 //
 // Shapes to check:
-//  * snapshot cloning beats the cold baseline by > 2x jobs/s at equal
-//    worker count (in practice it is >10x: the cold farm spends nearly all
-//    of its time zeroing and re-booting 64 MiB guests);
-//  * the verdict JSONL is byte-identical at every sweep point AND against
-//    the cold baseline — cloning is purely a throughput lever.
+//  * the farm at one worker beats the cold arm by > 2x jobs/s. The target
+//    dates from snapshot captures of ~100 ms; since cold RAM became a
+//    copy-on-write clone of the all-zero image, cold boots are cheap and
+//    this reads about 1.0-1.5x, reported as a THROUGHPUT FAILURE;
+//  * every job's verdict fields (flagged, findings, instructions) agree
+//    at every sweep point and with the cold arm.
 //
 // With FAROS_BENCH_JSON=<path> each sweep point also lands as a JSONL
 // record, so the before/after trajectory is machine-readable.
@@ -19,7 +22,6 @@
 #include "attacks/corpus.h"
 #include "bench_util.h"
 #include "farm/farm.h"
-#include "farm/results.h"
 
 using namespace faros;
 
@@ -40,28 +42,67 @@ std::vector<farm::JobSpec> corpus_jobs() {
 
 struct Sweep {
   farm::FarmMetrics metrics;
-  std::string verdicts;
+  std::string verdicts;  // verdict_line() per job, in corpus order
   bool failed = false;
 };
 
-Sweep run_point(u32 workers, bool snapshot) {
+std::string verdict_line(const std::string& name, bool flagged,
+                         size_t findings, u64 instructions) {
+  return name + " " + (flagged ? "flagged" : "clean") + " " +
+         std::to_string(findings) + " " + std::to_string(instructions) + "\n";
+}
+
+Sweep run_point(u32 workers) {
   Sweep out;
   farm::FarmConfig cfg;
   cfg.workers = workers;
-  cfg.snapshot = snapshot;
   farm::Farm f(cfg);
   farm::TriageReport rep = f.run(corpus_jobs());
   out.metrics = rep.metrics;
-  out.verdicts = farm::results_jsonl(rep);
+  for (const farm::JobResult& r : rep.results) {
+    out.verdicts += verdict_line(r.name, r.flagged, r.findings, r.instructions);
+  }
   out.failed = rep.metrics.errors || rep.metrics.timeouts ||
                rep.metrics.cancelled;
   if (out.failed) {
     std::fprintf(stderr,
-                 "FATAL: %u errors, %u timeouts, %u cancelled at %u workers "
-                 "(snapshot %s)\n",
+                 "FATAL: %u errors, %u timeouts, %u cancelled at %u workers\n",
                  rep.metrics.errors, rep.metrics.timeouts,
-                 rep.metrics.cancelled, workers, snapshot ? "on" : "off");
+                 rep.metrics.cancelled, workers);
   }
+  return out;
+}
+
+/// The cold arm: every job serially through its own attacks::Analysis on a
+/// cold-booted machine.
+Sweep run_cold() {
+  Sweep out;
+  farm::FarmMetrics& m = out.metrics;
+  std::vector<double> ms;
+  for (const farm::JobSpec& spec : corpus_jobs()) {
+    ms.push_back(1e3 * bench::time_s([&] {
+      auto sc = spec.make();
+      attacks::Analysis a;
+      if (!a.start(*sc).ok()) {
+        out.failed = true;
+        return;
+      }
+      os::RunStats st = a.run(sc->budget());
+      const core::FarosEngine& e = a.engine();
+      out.verdicts += verdict_line(spec.name, e.flagged(),
+                                   e.findings().size(), st.instructions);
+      e.flagged() ? ++m.flagged : ++m.clean;
+      m.instructions += st.instructions;
+    }));
+    m.wall_s += ms.back() / 1e3;
+  }
+  m.jobs = m.ok = static_cast<u32>(ms.size());
+  m.jobs_per_s = m.ok / m.wall_s;
+  m.insns_per_s = static_cast<double>(m.instructions) / m.wall_s;
+  std::sort(ms.begin(), ms.end());
+  m.p50_ms = ms[ms.size() / 2];
+  m.p95_ms = ms[ms.size() * 95 / 100];
+  if (out.failed) std::fprintf(stderr, "FATAL: a cold job failed to start\n");
   return out;
 }
 
@@ -107,19 +148,18 @@ int main() {
               "wall (s)", "jobs/s", "insns/s", "p50 (ms)", "p95 (ms)",
               "flagged");
 
-  // Before: the pre-snapshot farm — every job cold-boots (and zeroes) its
-  // own 64 MiB record and replay guests.
-  Sweep cold = run_point(1, /*snapshot=*/false);
+  // Before: every job cold-boots its own guest.
+  Sweep cold = run_cold();
   if (cold.failed) return 1;
   print_row("cold", 1, cold.metrics);
   const double cold_jps = cold.metrics.jobs_per_s;
   emit_record("cold", 1, cold.metrics, cold_jps);
 
-  // After: boot once, clone per job.
+  // After: the farm boots once and clones per job.
   bool deterministic = true;
   double snap_w1_jps = 0;
   for (u32 w : sweep) {
-    Sweep s = run_point(w, /*snapshot=*/true);
+    Sweep s = run_point(w);
     if (s.failed) return 1;
     print_row("snapshot", w, s.metrics);
     if (w == 1) snap_w1_jps = s.metrics.jobs_per_s;
@@ -128,7 +168,7 @@ int main() {
   }
 
   std::printf("\nverdicts (every sweep point vs cold baseline): %s\n",
-              deterministic ? "byte-identical JSONL" : "DIVERGED");
+              deterministic ? "identical per job" : "DIVERGED");
   if (!deterministic) {
     std::printf("result: REPRODUCTION FAILURE\n");
     return 1;

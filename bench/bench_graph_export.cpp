@@ -13,46 +13,22 @@
 
 using namespace faros;
 
-namespace {
-
-/// A replayed-under-FAROS scenario kept alive so build_graph can be timed
-/// against the real engine + kernel state repeatedly.
-struct LiveRun {
-  std::string name;
-  std::unique_ptr<os::Machine> machine;
-  std::unique_ptr<core::FarosEngine> engine;
-};
-
-}  // namespace
-
 int main() {
   bench::heading("Provenance graph export (src/graph) — injection corpus");
 
-  // Record + replay each scenario once, outside every timed region: the
-  // bench measures the graph layer, not the analysis pipeline.
-  std::vector<LiveRun> runs;
+  // Analyze each scenario once, outside every timed region, and keep the
+  // engine + kernel alive: the bench measures the graph layer, not the
+  // analysis pipeline.
+  std::vector<std::unique_ptr<attacks::Analysis>> runs;
   for (const auto& e : attacks::injection_corpus()) {
     auto sc = e.make();
-    auto rec = attacks::record_run(*sc);
-    if (!rec.ok()) {
-      std::fprintf(stderr, "FATAL: record '%s' failed: %s\n", e.name.c_str(),
-                   rec.error().message.c_str());
+    auto run = std::make_unique<attacks::Analysis>();
+    if (auto s = run->start(*sc); !s.ok()) {
+      std::fprintf(stderr, "FATAL: '%s': %s\n", e.name.c_str(),
+                   s.error().message.c_str());
       return 1;
     }
-    LiveRun run;
-    run.name = e.name;
-    run.machine = std::make_unique<os::Machine>();
-    run.engine = std::make_unique<core::FarosEngine>(run.machine->kernel(),
-                                                     core::Options{});
-    run.machine->attach_cpu_plugin(run.engine.get());
-    run.machine->add_monitor(run.engine.get());
-    if (!run.machine->boot().ok() || !sc->setup(*run.machine).ok()) {
-      std::fprintf(stderr, "FATAL: replay setup '%s' failed\n",
-                   e.name.c_str());
-      return 1;
-    }
-    run.machine->load_replay(rec.value().log);
-    run.machine->run(sc->budget());
+    run->run(sc->budget());
     runs.push_back(std::move(run));
   }
 
@@ -67,7 +43,7 @@ int main() {
       nodes = edges = 0;
       for (const auto& run : runs) {
         graphs.push_back(
-            graph::build_graph(*run.engine, run.machine->kernel()));
+            graph::build_graph(run->engine(), run->machine().kernel()));
         nodes += graphs.back().nodes.size();
         edges += graphs.back().edges.size();
       }

@@ -35,15 +35,14 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <functional>
 #include <map>
 
 #include "attacks/guest_common.h"
 #include "attacks/programs.h"
+#include "attacks/scenarios.h"
 #include "bench_util.h"
-#include "core/engine.h"
 #include "core/rules.h"
-#include "os/machine.h"
-#include "vm/btcache.h"
 
 using namespace faros;
 
@@ -227,6 +226,22 @@ core::Options clean_options() {
   return o;
 }
 
+/// A workload's setup as a Scenario, so every engine regime runs through
+/// attacks::Analysis like the farm's jobs.
+class MicroScenario final : public attacks::Scenario {
+ public:
+  explicit MicroScenario(std::function<void(os::Machine&)> setup)
+      : setup_(std::move(setup)) {}
+  std::string name() const override { return "micro"; }
+  Result<void> setup(os::Machine& m) override {
+    setup_(m);
+    return Ok();
+  }
+
+ private:
+  std::function<void(os::Machine&)> setup_;
+};
+
 void BM_InterpreterBare(benchmark::State& state) {
   os::Machine m;
   (void)m.boot();
@@ -241,14 +256,11 @@ BENCHMARK(BM_InterpreterBare)->Unit(benchmark::kMillisecond);
 /// Default options: code pages carry their image's file tag, so every
 /// fetch is from tainted memory (the Table V regime).
 void BM_InterpreterWithFaros(benchmark::State& state) {
-  os::Machine m;
-  core::FarosEngine engine(m.kernel(), core::Options{});
-  m.attach_cpu_plugin(&engine);
-  m.add_monitor(&engine);
-  (void)m.boot();
-  setup_spinner(m);
+  MicroScenario sc(setup_spinner);
+  attacks::Analysis a;
+  (void)a.start(sc);
   for (auto _ : state) {
-    m.run(100000);
+    a.run(100000);
   }
   state.SetItemsProcessed(state.iterations() * 100000);
 }
@@ -256,14 +268,11 @@ BENCHMARK(BM_InterpreterWithFaros)->Unit(benchmark::kMillisecond);
 
 /// Nothing tainted anywhere: the pure untainted-fast-path tax.
 void BM_InterpreterFarosClean(benchmark::State& state) {
-  os::Machine m;
-  core::FarosEngine engine(m.kernel(), clean_options());
-  m.attach_cpu_plugin(&engine);
-  m.add_monitor(&engine);
-  (void)m.boot();
-  setup_spinner(m);
+  MicroScenario sc(setup_spinner);
+  attacks::Analysis a(clean_options());
+  (void)a.start(sc);
   for (auto _ : state) {
-    m.run(100000);
+    a.run(100000);
   }
   state.SetItemsProcessed(state.iterations() * 100000);
 }
@@ -272,16 +281,14 @@ BENCHMARK(BM_InterpreterFarosClean)->Unit(benchmark::kMillisecond);
 /// Loads/stores streaming over a netflow-tainted buffer: the per-byte
 /// propagation path (merge/append memo hits, shadow writes).
 void BM_InterpreterFarosTaintedCopy(benchmark::State& state) {
-  os::Machine m;
-  core::FarosEngine engine(m.kernel(), core::Options{});
-  m.attach_cpu_plugin(&engine);
-  m.add_monitor(&engine);
-  (void)m.boot();
-  CopierInfo copier = setup_copier(m);
-  m.run(1000);  // map the image, schedule the copier
-  taint_copier_buf(m, engine, copier);
+  CopierInfo copier;
+  MicroScenario sc([&copier](os::Machine& m) { copier = setup_copier(m); });
+  attacks::Analysis a;
+  (void)a.start(sc);
+  a.run(1000);  // map the image, schedule the copier
+  taint_copier_buf(a.machine(), a.engine(), copier);
   for (auto _ : state) {
-    m.run(100000);
+    a.run(100000);
   }
   state.SetItemsProcessed(state.iterations() * 100000);
 }
@@ -332,7 +339,6 @@ struct RegimeRun {
 RegimeRun run_regime(const Regime& r, u64 insns) {
   os::MachineConfig mc;
   mc.kernel.block_cache = r.block_cache;
-  os::Machine m(mc);
   core::Options opts = r.clean ? clean_options() : core::Options{};
   opts.collect_metrics = r.metrics;
   if (r.rules_json) {
@@ -344,50 +350,46 @@ RegimeRun run_regime(const Regime& r, u64 insns) {
     }
     opts.rules = std::move(rs).take();
   }
-  std::unique_ptr<core::FarosEngine> engine;
+  CopierInfo copier;
+  MicroScenario sc([&](os::Machine& m) {
+    if (r.copier) {
+      copier = setup_copier(m);
+    } else if (r.divspin) {
+      setup_divspinner(m, build_divspin_image());
+    } else if (r.idlers != 0) {
+      setup_idlers(m, r.idlers);
+    } else {
+      setup_spinner(m);
+    }
+  });
+  // The engine regimes are analyzed runs; the bare ones a plain machine.
+  std::unique_ptr<attacks::Analysis> a;
+  std::unique_ptr<os::Machine> bare;
   if (r.attach_engine) {
-    engine = std::make_unique<core::FarosEngine>(m.kernel(), opts);
-    m.attach_cpu_plugin(engine.get());
-    m.add_monitor(engine.get());
-  }
-  (void)m.boot();
-  if (r.copier) {
-    CopierInfo copier = setup_copier(m);
-    m.run(1000);
-    if (engine) taint_copier_buf(m, *engine, copier);
-  } else if (r.divspin) {
-    setup_divspinner(m, build_divspin_image());
-  } else if (r.idlers != 0) {
-    setup_idlers(m, r.idlers);
+    a = std::make_unique<attacks::Analysis>(opts, mc);
+    (void)a->start(sc);
   } else {
-    setup_spinner(m);
+    bare = std::make_unique<os::Machine>(mc);
+    (void)bare->boot();
+    (void)sc.setup(*bare);
   }
-  m.run(insns / 10);  // warm-up
+  auto run = [&](u64 n) { a ? a->run(n) : bare->run(n); };
+  if (r.copier) {
+    run(1000);
+    if (a) taint_copier_buf(a->machine(), a->engine(), copier);
+  }
+  run(insns / 10);  // warm-up
   RegimeRun out;
   // Median of five fixed-work samples: each sample runs exactly `insns`
   // instructions of the steady-state loop, so one scheduler hiccup or page
   // of cold cache skews a single sample, not the reported figure.
   double samples[5];
   for (double& s : samples) {
-    s = bench::time_s([&] { m.run(insns); });
+    s = bench::time_s([&] { run(insns); });
   }
   std::sort(std::begin(samples), std::end(samples));
   out.seconds = samples[2];
-  if (r.attach_engine) {
-    out.metrics = engine->metrics_snapshot();
-    if (const vm::BlockCache* btc = m.kernel().interp().block_cache()) {
-      const vm::BlockCacheStats& bs = btc->stats();
-      out.metrics.counters[static_cast<u32>(obs::Ctr::kBtTranslate)] +=
-          bs.translated;
-      out.metrics.counters[static_cast<u32>(obs::Ctr::kBtHit)] += bs.hits;
-      out.metrics.counters[static_cast<u32>(obs::Ctr::kBtEvictSmc)] +=
-          bs.evict_smc;
-      out.metrics.counters[static_cast<u32>(obs::Ctr::kBtEvictCr3)] +=
-          bs.evict_cr3;
-      out.metrics.counters[static_cast<u32>(obs::Ctr::kBtNotOffered)] +=
-          bs.not_offered;
-    }
-  }
+  if (a) out.metrics = a->metrics();
   return out;
 }
 

@@ -7,7 +7,6 @@
 
 #include "attacks/datasets.h"
 #include "bench_util.h"
-#include "core/engine.h"
 
 using namespace faros;
 
@@ -52,7 +51,8 @@ AppResult measure(const attacks::SampleSpec& spec) {
   const vm::ReplayLog& log = rec.value().log;
 
   // Machine construction, boot and scenario setup are outside the timed
-  // region on both sides: Table V times the *replay* itself.
+  // region on both sides: Table V times the *replay* itself. The FAROS arm
+  // is the analyzed run every job makes (attacks::Analysis), replaying.
   auto bare = [&]() {
     os::Machine m;
     if (!m.boot().ok()) std::exit(1);
@@ -62,15 +62,10 @@ AppResult measure(const attacks::SampleSpec& spec) {
   };
   obs::MetricSnapshot last_metrics;
   auto with_faros = [&]() {
-    os::Machine m;
-    core::FarosEngine engine(m.kernel(), core::Options{});
-    m.attach_cpu_plugin(&engine);
-    m.add_monitor(&engine);
-    if (!m.boot().ok()) std::exit(1);
-    if (!sc.setup(m).ok()) std::exit(1);
-    m.load_replay(log);
-    double s = bench::time_s([&] { m.run(sc.budget()); });
-    last_metrics = engine.metrics_snapshot();
+    attacks::Analysis a;
+    if (!a.start(sc, &log).ok()) std::exit(1);
+    double s = bench::time_s([&] { a.run(sc.budget()); });
+    last_metrics = a.metrics();
     return s;
   };
 
@@ -135,11 +130,11 @@ int main() {
 
   std::printf("\npaper: 7.0x - 19.7x over PANDA replay (14x average; 56x vs "
               "bare QEMU). Absolute factors are substrate-specific: the\n"
-              "paper's per-byte shadow paid an order of magnitude, while our "
-              "paged shadow with untainted fast paths and a fetch-provenance\n"
-              "cache brings whole-system DIFT close to bare replay. The shape "
-              "to check is overhead > 1x (tracking is not free) with\n"
-              "identical detection results.\n");
+              "paper's per-byte shadow paid an order of magnitude, while here "
+              "block elision (register-only blocks that read no tainted\n"
+              "register run uninstrumented) brings whole-system DIFT close to "
+              "bare replay. The shape to check is overhead > 1x (tracking is\n"
+              "not free) with identical detection results.\n");
   // DIFT must still cost something over bare replay; the old >1.5x gate
   // encoded the per-byte-hash-map shadow and is obsolete. Gate on the
   // aggregate across all six apps — with overhead this close to 1x, a

@@ -10,18 +10,17 @@ function(faros_bench name)
     RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
 endfunction()
 
-faros_bench(bench_table2_provenance)
-# Table II checks the provenance chain it prints, so ctest runs it.
-add_test(NAME bench_table2_provenance COMMAND bench_table2_provenance)
-set_tests_properties(bench_table2_provenance PROPERTIES LABELS paper)
-faros_bench(bench_fig7_9_reflective)
-faros_bench(bench_fig10_hollowing)
-faros_bench(bench_table3_jit_fp)
-faros_bench(bench_table4_fp_dataset)
+# The paper benches check the results they print and exit 1 on a
+# REPRODUCTION FAILURE, so ctest runs them (label `paper`).
+foreach(name bench_table2_provenance bench_fig7_9_reflective
+    bench_fig10_hollowing bench_table3_jit_fp bench_table4_fp_dataset
+    bench_headline_detection bench_cuckoo_comparison
+    bench_ablation_indirect_flows bench_evasion)
+  faros_bench(${name})
+  add_test(NAME ${name} COMMAND ${name})
+  set_tests_properties(${name} PROPERTIES LABELS paper)
+endforeach()
 faros_bench(bench_table5_performance)
-faros_bench(bench_headline_detection)
-faros_bench(bench_cuckoo_comparison)
-faros_bench(bench_ablation_indirect_flows)
 
 add_executable(bench_micro_dift ${CMAKE_SOURCE_DIR}/bench/bench_micro_dift.cpp)
 target_link_libraries(bench_micro_dift PRIVATE
@@ -29,7 +28,6 @@ target_link_libraries(bench_micro_dift PRIVATE
   benchmark::benchmark)
 set_target_properties(bench_micro_dift PROPERTIES
   RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
-faros_bench(bench_evasion)
 faros_bench(bench_farm_throughput)
 faros_bench(bench_sa_analyze)
 faros_bench(bench_graph_export)

@@ -170,21 +170,21 @@ int main(int argc, char** argv) {
               rec.value().log.size());
 
   // Replay under FAROS (+ optional tracer + optional Cuckoo baseline).
-  os::Machine m;
   baselines::CuckooSandboxSim cuckoo;
-  core::FarosEngine engine(m.kernel(), opts);
   vm::Tracer tracer(trace_n ? trace_n : 16);
-  tracer.chain(&engine);
-  m.attach_cpu_plugin(trace_n ? static_cast<vm::ExecHooks*>(&tracer)
-                              : &engine);
-  m.add_monitor(&engine);
+  attacks::Analysis analysis(opts);
+  os::Machine& m = analysis.machine();
+  const core::FarosEngine& engine = analysis.engine();
+  if (trace_n) {
+    tracer.chain(&analysis.engine());
+    m.attach_cpu_plugin(&tracer);
+  }
   if (want_cuckoo) m.add_monitor(&cuckoo);
-  if (!m.boot().ok() || !scenario->setup(m).ok()) {
-    std::fprintf(stderr, "replay setup failed\n");
+  if (auto s = analysis.start(*scenario, &rec.value().log); !s.ok()) {
+    std::fprintf(stderr, "replay %s\n", s.error().message.c_str());
     return 1;
   }
-  m.load_replay(rec.value().log);
-  m.run(scenario->budget());
+  analysis.run(scenario->budget());
 
   for (const auto& line : m.kernel().console()) {
     std::printf("guest| %s\n", line.c_str());

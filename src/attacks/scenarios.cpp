@@ -1,6 +1,7 @@
 #include "attacks/scenarios.h"
 
 #include "os/runtime.h"
+#include "vm/btcache.h"
 
 namespace faros::attacks {
 
@@ -54,24 +55,77 @@ Result<ReplayedRun> replay_run(Scenario& sc, const vm::ReplayLog& log,
   return out;
 }
 
+Analysis::Analysis(const core::Options& opts, const os::MachineConfig& cfg)
+    : machine_(cfg), engine_(machine_.kernel(), opts) {
+  machine_.attach_cpu_plugin(&engine_);
+  machine_.add_monitor(&engine_);
+}
+
+Result<void> Analysis::start(Scenario& sc, const vm::ReplayLog* replay) {
+  if (auto b = machine_.boot(); !b.ok()) {
+    return Err<void>("boot: " + b.error().message);
+  }
+  if (!replay) {
+    source_ = sc.make_source();
+    if (source_) machine_.set_event_source(source_.get());
+  }
+  if (auto s = sc.setup(machine_); !s.ok()) {
+    return Err<void>("setup: " + s.error().message);
+  }
+  if (replay) machine_.load_replay(*replay);
+  return Ok();
+}
+
+os::RunStats Analysis::run(u64 budget, os::RunGovernor* gov) {
+  // The phase timer shares the engine's sink (null with metrics off).
+  obs::ScopedTimer t(engine_.metrics(), obs::Tmr::kRecord);
+  os::RunStats stats = machine_.run(budget, gov);
+  sched_rounds_ += stats.scheduling_rounds;
+  return stats;
+}
+
+obs::MetricSnapshot Analysis::metrics() const {
+  obs::MetricSnapshot s = engine_.metrics_snapshot();
+  if (!s.collected) return s;
+  auto add = [&s](obs::Ctr c, u64 v) {
+    s.counters[static_cast<u32>(c)] += v;
+  };
+  // src/vm and src/os keep no obs dependency, so the block cache, the
+  // interpreter and PhysMem keep plain u64 stats, surfaced here.
+  const os::Kernel& k = machine_.kernel();
+  if (const vm::BlockCache* btc = k.interp().block_cache()) {
+    const vm::BlockCacheStats& bs = btc->stats();
+    add(obs::Ctr::kBtTranslate, bs.translated);
+    add(obs::Ctr::kBtHit, bs.hits);
+    add(obs::Ctr::kBtEvictSmc, bs.evict_smc);
+    add(obs::Ctr::kBtEvictCr3, bs.evict_cr3);
+    add(obs::Ctr::kBtNotOffered, bs.not_offered);
+  }
+  add(obs::Ctr::kSchedRounds, sched_rounds_);
+  add(obs::Ctr::kTlbMiss, k.interp().tlb_misses());
+  const vm::PhysMem::CowStats& cs = k.phys_mem().cow_stats();
+  if (cs.cow) {
+    add(obs::Ctr::kSnapClone, 1);
+    add(obs::Ctr::kCowFault, cs.cow_faults);
+    add(obs::Ctr::kSnapSharedPages, cs.shared_frames);
+  }
+  return s;
+}
+
 Result<AnalyzedRun> analyze(Scenario& sc, const core::Options& opts,
                             const os::MachineConfig& cfg) {
-  os::Machine m(cfg);
-  core::FarosEngine engine(m.kernel(), opts);
-  m.attach_cpu_plugin(&engine);
-  m.add_monitor(&engine);
-  auto r = m.boot();
-  if (!r.ok()) return Err<AnalyzedRun>(r.error().message);
-  auto source = sc.make_source();
-  if (source) m.set_event_source(source.get());
-  r = sc.setup(m);
-  if (!r.ok()) return Err<AnalyzedRun>(r.error().message);
+  Analysis a(opts, cfg);
+  if (auto r = a.start(sc); !r.ok()) {
+    return Err<AnalyzedRun>(r.error().message);
+  }
 
   AnalyzedRun out;
-  out.recorded.stats = m.run(sc.budget());
-  out.recorded.log = m.recording();
-  out.recorded.console = m.kernel().console();
-  out.recorded.traps = m.kernel().trap_log();
+  out.recorded.stats = a.run(sc.budget());
+  const os::Kernel& k = a.machine().kernel();
+  const core::FarosEngine& engine = a.engine();
+  out.recorded.log = a.machine().recording();
+  out.recorded.console = k.console();
+  out.recorded.traps = k.trap_log();
   out.findings = engine.findings();
   for (const core::Finding& f : out.findings) {
     out.fetch_chains.push_back(

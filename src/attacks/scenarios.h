@@ -1,6 +1,6 @@
 // Scenario catalogue + the analysis harness. The paper's Section V-C
 // workflow records the malware run live and replays it under the FAROS
-// plugin; here analyze() attaches FAROS to the live run itself and keeps
+// plugin; here Analysis attaches FAROS to the live run itself and keeps
 // the ReplayLog it records, and record_run()/replay_run() remain for
 // replaying a log under further analyses (DESIGN.md §1 deviations).
 //
@@ -18,6 +18,7 @@
 #include "attacks/payloads.h"
 #include "attacks/programs.h"
 #include "core/engine.h"
+#include "obs/obs.h"
 #include "os/machine.h"
 
 namespace faros::attacks {
@@ -56,6 +57,44 @@ Result<ReplayedRun> replay_run(Scenario& sc, const vm::ReplayLog& log,
                                vm::ExecHooks* cpu_plugin,
                                const std::vector<osi::GuestMonitor*>& monitors,
                                const os::MachineConfig& cfg = {});
+
+/// One scenario run under FAROS: the farm's job, the paper benches and the
+/// examples all analyze through this body. The machine and engine stay
+/// alive after the run for inspection (findings, graph export, taint map).
+///
+/// Before start(), engine() and machine() take further wiring: extra rule
+/// sets, a vm::Tracer chained in front of the engine, more monitors.
+class Analysis {
+ public:
+  explicit Analysis(const core::Options& opts = {},
+                    const os::MachineConfig& cfg = {});
+  Analysis(const Analysis&) = delete;
+  Analysis& operator=(const Analysis&) = delete;
+
+  /// Boots, attaches the scenario's event source (live runs only), runs
+  /// setup() and, when `replay` is set, loads that log instead. Errors
+  /// are prefixed "boot: " or "setup: ".
+  Result<void> start(Scenario& sc, const vm::ReplayLog* replay = nullptr);
+  /// Runs up to `budget` instructions under the Tmr::kRecord phase timer.
+  os::RunStats run(u64 budget, os::RunGovernor* gov = nullptr);
+
+  /// The engine's metric snapshot with the machine's own counters folded
+  /// in: block-cache stats, scheduling rounds, TLB misses and, on a
+  /// snapshot clone, the copy-on-write counters. Not collected when the
+  /// engine collects no metrics.
+  obs::MetricSnapshot metrics() const;
+
+  core::FarosEngine& engine() { return engine_; }
+  os::Machine& machine() { return machine_; }
+
+ private:
+  // Declaration order is destruction order reversed: the engine goes
+  // first, then the event source, then the machine both point into.
+  os::Machine machine_;
+  std::unique_ptr<os::EventSource> source_;
+  core::FarosEngine engine_;
+  u64 sched_rounds_ = 0;  // summed over run() calls
+};
 
 /// One live run under FAROS. `recorded` holds that run's log, stats,
 /// console and traps; replaying the log under a fresh engine reproduces

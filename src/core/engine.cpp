@@ -57,11 +57,6 @@ u32 FarosEngine::add_rule_set(std::vector<RuleSpec> rules) {
   return static_cast<u32>(sets_.size() - 1);
 }
 
-void FarosEngine::add_policy(std::unique_ptr<FlagPolicy> policy) {
-  sets_[0].rules.add_native(std::move(policy));  // fires at tainted-load
-  needs_[static_cast<u32>(Trigger::kTaintedLoad)].bound = true;
-}
-
 u16 FarosEngine::process_tag_index(PAddr cr3) {
   if (last_ptag_valid_ && last_ptag_cr3_ == cr3) return last_ptag_;
   u16 idx;

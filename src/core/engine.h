@@ -30,7 +30,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/policy.h"
 #include "core/report.h"
 #include "core/rules.h"
 #include "core/shadow.h"
@@ -145,10 +144,6 @@ class FarosEngine : public vm::ExecHooks, public osi::GuestMonitor {
   void on_frame_recycled(PAddr frame_base) override;
 
   // --- policies ---
-  /// Host-code escape hatch on the primary set: evaluated at tainted-load,
-  /// action=flag (the pre-rules contract). Prefer Options::rules for
-  /// anything the predicate grammar can express.
-  void add_policy(std::unique_ptr<FlagPolicy> policy);
   /// Rules never write shadow state, so one propagation pass serves many
   /// rule sets. Set 0 is the primary (Options::rules); this adds another
   /// (empty `rules`: the built-ins) with its own findings, dedup and

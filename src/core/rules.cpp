@@ -309,27 +309,12 @@ std::string ruleset_json(const std::vector<RuleSpec>& rules) {
 // ---------------------------------------------------------------------------
 
 void RuleEngine::configure(const std::vector<RuleSpec>& specs) {
-  std::vector<CompiledRule> kept;
-  for (CompiledRule& r : rules_) {
-    if (r.native) kept.push_back(std::move(r));
-  }
   rules_.clear();
   for (const RuleSpec& s : specs) {
     CompiledRule r;
     r.spec = s;
     rules_.push_back(std::move(r));
   }
-  for (CompiledRule& r : kept) rules_.push_back(std::move(r));
-  rebuild_index();
-}
-
-void RuleEngine::add_native(std::unique_ptr<FlagPolicy> policy) {
-  CompiledRule r;
-  r.spec.id = policy->name();
-  r.spec.trigger = Trigger::kTaintedLoad;
-  r.spec.action = RuleAction::kFlag;
-  r.native = std::move(policy);
-  rules_.push_back(std::move(r));
   rebuild_index();
 }
 
@@ -355,7 +340,6 @@ void RuleEngine::rebuild_index() {
     const CompiledRule& r = rules_[i];
     u32 t = static_cast<u32>(r.spec.trigger);
     index_[t].push_back(i);
-    if (r.native) continue;
     for (const Predicate& p : r.spec.when) {
       if (p.kind == Predicate::Kind::kPageFlagExec) {
         // exec-page-write implies the flag by construction.
@@ -371,7 +355,6 @@ void RuleEngine::rebuild_index() {
 
 bool RuleEngine::matches(const CompiledRule& r, const ProvStore& store,
                          const RuleInputs& in) const {
-  if (r.native) return r.native->matches(store, in.fetch, in.target);
   for (const Predicate& p : r.spec.when) {
     ProvListId subj = kEmptyProv;
     switch (p.subject) {

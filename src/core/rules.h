@@ -36,13 +36,11 @@
 #pragma once
 
 #include <array>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/result.h"
-#include "core/policy.h"
 #include "core/provenance.h"
 #include "obs/obs.h"
 
@@ -139,13 +137,8 @@ class RuleEngine {
  public:
   RuleEngine() = default;
 
-  /// Replaces the spec-defined rules (native add_policy rules survive).
+  /// Replaces the rules.
   void configure(const std::vector<RuleSpec>& specs);
-
-  /// Host-code escape hatch: a FlagPolicy subclass evaluated at
-  /// tainted-load with action=flag, exactly the pre-rules add_policy
-  /// contract. Appended after the spec rules.
-  void add_native(std::unique_ptr<FlagPolicy> policy);
 
   /// Binds the per-trigger eval counters (null sink unbinds).
   void bind_obs(obs::MetricSink* sink);
@@ -180,7 +173,6 @@ class RuleEngine {
  private:
   struct CompiledRule {
     RuleSpec spec;
-    std::unique_ptr<FlagPolicy> native;  // set: spec.when is ignored
     RuleStats stats;
   };
 

@@ -4,10 +4,10 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <optional>
 
 #include "graph/graph.h"
 #include "os/snapshot.h"
-#include "vm/btcache.h"
 
 namespace faros::farm {
 
@@ -31,9 +31,9 @@ class Watchdog final : public os::RunGovernor {
  public:
   enum class Reason { kNone, kCancel, kDeadline };
 
-  Watchdog(const std::atomic<bool>& cancel, Clock::time_point deadline,
-           bool has_deadline)
-      : cancel_(cancel), deadline_(deadline), has_deadline_(has_deadline) {}
+  Watchdog(const std::atomic<bool>& cancel,
+           std::optional<Clock::time_point> deadline)
+      : cancel_(cancel), deadline_(deadline) {}
 
   bool should_stop() override {
     if (reason_ != Reason::kNone) return true;
@@ -41,8 +41,8 @@ class Watchdog final : public os::RunGovernor {
       reason_ = Reason::kCancel;
       return true;
     }
-    if (has_deadline_ && (polls_++ % kClockEvery) == 0 &&
-        Clock::now() >= deadline_) {
+    if (deadline_ && (polls_++ % kClockEvery) == 0 &&
+        Clock::now() >= *deadline_) {
       reason_ = Reason::kDeadline;
       return true;
     }
@@ -55,11 +55,21 @@ class Watchdog final : public os::RunGovernor {
   static constexpr u32 kClockEvery = 64;
 
   const std::atomic<bool>& cancel_;
-  Clock::time_point deadline_;
-  bool has_deadline_;
+  std::optional<Clock::time_point> deadline_;
   u32 polls_ = 0;
   Reason reason_ = Reason::kNone;
 };
+
+/// The deadline `timeout_ms` from now; none for 0 and for a timeout the
+/// clock cannot represent (adding it would overflow into the past).
+std::optional<Clock::time_point> deadline_after(u64 timeout_ms) {
+  if (timeout_ms == 0) return std::nullopt;
+  const Clock::time_point now = Clock::now();
+  const auto room = std::chrono::duration_cast<std::chrono::milliseconds>(
+      Clock::time_point::max() - now);
+  if (timeout_ms >= static_cast<u64>(room.count())) return std::nullopt;
+  return now + std::chrono::milliseconds(timeout_ms);
+}
 
 /// Filesystem-safe artifact name: job names can carry '/' and other
 /// separators; anything outside [A-Za-z0-9._-] becomes '_'.
@@ -111,7 +121,6 @@ void Farm::request_cancel() {
 
 Result<os::MachineConfig> Farm::machine_config() const {
   os::MachineConfig mcfg = cfg_.machine;
-  if (!cfg_.snapshot) return mcfg;
   std::call_once(snap_once_, [this] {
     auto s = os::capture_snapshot(cfg_.machine.kernel);
     if (s.ok()) {
@@ -150,76 +159,33 @@ JobResult Farm::run_once(const JobSpec& spec, u32 attempt) const {
 
   auto mc = machine_config();
   if (!mc.ok()) return fail("snapshot: " + mc.error().message);
-  const os::MachineConfig& mcfg = mc.value();
 
   u64 budget = spec.budget_override ? spec.budget_override : sc->budget();
-  u64 timeout_ms = spec.timeout_ms ? spec.timeout_ms : cfg_.timeout_ms;
-  Watchdog dog(cancel_,
-               Clock::now() + std::chrono::milliseconds(timeout_ms),
-               timeout_ms != 0);
-  auto stopped = [&] {
+  Watchdog dog(cancel_, deadline_after(spec.timeout_ms ? spec.timeout_ms
+                                                       : cfg_.timeout_ms));
+
+  // --- live run under the FAROS engine, every policy set on one pass ---
+  attacks::Analysis a(cfg_.engine_opts, mc.value());
+  for (const PolicySet& ps : cfg_.extra_policies) {
+    a.engine().add_rule_set(ps.rules);
+  }
+  if (auto s = a.start(*sc); !s.ok()) return fail(s.error().message);
+  os::RunStats stats = a.run(budget, &dog);
+  if (stats.aborted) {
     // The watchdog latched what fired first; a cancel arriving after a
     // deadline abort must not relabel the timeout.
     r.status = dog.cancelled() ? JobStatus::kCancelled : JobStatus::kTimeout;
     return r;
-  };
-
-  // --- live run under the FAROS engine, every policy set on one pass ---
-  os::Machine m(mcfg);
-  core::FarosEngine engine(m.kernel(), cfg_.engine_opts);
-  for (const PolicySet& ps : cfg_.extra_policies) engine.add_rule_set(ps.rules);
-  m.attach_cpu_plugin(&engine);
-  m.add_monitor(&engine);
-  if (auto b = m.boot(); !b.ok()) return fail("boot: " + b.error().message);
-  auto source = sc->make_source();
-  if (source) m.set_event_source(source.get());
-  if (auto s = sc->setup(m); !s.ok())
-    return fail("setup: " + s.error().message);
-  os::RunStats stats;
-  {
-    // The phase timer shares the engine's sink (null with metrics off).
-    obs::ScopedTimer t(engine.metrics(), obs::Tmr::kRecord);
-    stats = m.run(budget, &dog);
   }
-  if (stats.aborted) return stopped();
 
+  const core::FarosEngine& engine = a.engine();
   for (u32 i = 0; i < cfg_.extra_policies.size(); ++i) {
     r.policy_runs.push_back(
         policy_run_of(cfg_.extra_policies[i].name, engine, i + 1));
   }
 
   r.status = JobStatus::kOk;
-  r.metrics = engine.metrics_snapshot();
-  if (r.metrics.collected) {
-    // The block cache lives in the analyzed machine's interpreter (src/vm
-    // keeps no obs dependency, so its stats are plain u64s surfaced here).
-    if (const vm::BlockCache* btc = m.kernel().interp().block_cache()) {
-      const vm::BlockCacheStats& bs = btc->stats();
-      r.metrics.counters[static_cast<u32>(obs::Ctr::kBtTranslate)] +=
-          bs.translated;
-      r.metrics.counters[static_cast<u32>(obs::Ctr::kBtHit)] += bs.hits;
-      r.metrics.counters[static_cast<u32>(obs::Ctr::kBtEvictSmc)] +=
-          bs.evict_smc;
-      r.metrics.counters[static_cast<u32>(obs::Ctr::kBtEvictCr3)] +=
-          bs.evict_cr3;
-      r.metrics.counters[static_cast<u32>(obs::Ctr::kBtNotOffered)] +=
-          bs.not_offered;
-    }
-    // Scheduling rounds and TLB misses: likewise plain stats of the machine.
-    r.metrics.counters[static_cast<u32>(obs::Ctr::kSchedRounds)] +=
-        stats.scheduling_rounds;
-    r.metrics.counters[static_cast<u32>(obs::Ctr::kTlbMiss)] +=
-        m.kernel().interp().tlb_misses();
-    // COW clone stats are plain u64s on PhysMem, like the block cache.
-    const vm::PhysMem::CowStats cs = m.kernel().phys_mem().cow_stats();
-    if (cs.cow) {
-      r.metrics.counters[static_cast<u32>(obs::Ctr::kSnapClone)] += 1;
-      r.metrics.counters[static_cast<u32>(obs::Ctr::kCowFault)] +=
-          cs.cow_faults;
-      r.metrics.counters[static_cast<u32>(obs::Ctr::kSnapSharedPages)] +=
-          cs.shared_frames;
-    }
-  }
+  r.metrics = a.metrics();
   r.instructions = stats.instructions;
   r.all_exited = stats.all_exited;
   r.budget_exhausted = !stats.all_exited && !stats.deadlocked &&
@@ -240,7 +206,7 @@ JobResult Farm::run_once(const JobSpec& spec, u32 attempt) const {
 
   // --- provenance graph export (engine + analyzed kernel still alive) ---
   if (!cfg_.graph_out.empty()) {
-    graph::ProvGraph pg = graph::build_graph(engine, m.kernel());
+    graph::ProvGraph pg = graph::build_graph(engine, a.machine().kernel());
     Bytes blob = graph::serialize(pg);
     std::error_code ec;
     std::filesystem::create_directories(cfg_.graph_out, ec);

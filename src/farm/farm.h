@@ -1,8 +1,9 @@
 // Farm — the concurrent corpus-triage service. Fans a catalogue of analysis
-// jobs (src/attacks/corpus.h) across N worker threads; each worker owns a
-// private os::Machine + FarosEngine per job, so workers share no mutable
-// state and sharding is safe (scenarios are deterministic, and each job's
-// one analyzed live run is job-private).
+// jobs (src/attacks/corpus.h) across N worker threads; each job is one
+// private attacks::Analysis (machine + engine) on a copy-on-write clone of
+// a guest booted once per farm, so workers share no mutable state and
+// sharding is safe (scenarios are deterministic, and each job's one
+// analyzed live run is job-private).
 //
 // Determinism argument: a job's execution depends only on its JobSpec (the
 // scenario factory, budget and engine options) — never on which worker ran
@@ -57,20 +58,16 @@ struct FarmConfig {
   /// the JobSpec — byte-identical for any worker count. The directory is
   /// created on demand.
   std::string graph_out;
-  /// Boot the guest once, freeze it, and run each job's one machine as a
-  /// copy-on-write clone of the frozen image (os/snapshot.h).
-  /// Purely a throughput lever: verdicts are byte-identical to cold-boot
-  /// (the CI snapshot-equivalence gate pins this over the full corpus).
-  /// The snapshot is captured lazily on the first job and shared read-only
-  /// across workers.
-  bool snapshot = true;
   /// Extra rule sets the job's one engine evaluates beside the primary
   /// (core::FarosEngine::add_rule_set): no further machine or pass.
   /// Results land in JobResult::policy_runs in this order.
   std::vector<PolicySet> extra_policies;
   /// Engine options applied to every job's one engine.
   core::Options engine_opts;
-  /// Machine config for each job's live run.
+  /// Machine config for each job's live run. The farm boots it once,
+  /// freezes it (os/snapshot.h) on the first job, and runs every job as a
+  /// copy-on-write clone of that image, shared read-only across workers.
+  /// Verdicts equal a cold boot's (test_live_replay_oracle pins this).
   os::MachineConfig machine;
   /// Called once per job in ascending job-id order (never concurrently).
   std::function<void(const JobResult&)> on_result;
@@ -113,9 +110,8 @@ class Farm {
   /// Thread-safe; idempotent.
   void request_cancel();
 
-  /// Runs a single job inline (no pool) — the farm's job runner is also
-  /// the canonical serial path, so "serial vs farmed" comparisons exercise
-  /// identical code.
+  /// Runs a single job inline (no pool): the job's attacks::Analysis plus
+  /// the farm's watchdog, retries, JobResult and graph export.
   JobResult run_job(const JobSpec& spec) const;
 
   const FarmConfig& config() const { return cfg_; }
@@ -125,8 +121,8 @@ class Farm {
   /// One attempt at a job (`attempt` is 0 for the first run, >0 for
   /// retries — used only by the deterministic failure-injection hook).
   JobResult run_once(const JobSpec& spec, u32 attempt) const;
-  /// Machine config for this run: cfg_.machine, plus the shared booted-
-  /// guest snapshot when cloning is on (captured once, under snap_once_).
+  /// Machine config for this run: cfg_.machine plus the shared booted-
+  /// guest snapshot (captured once, under snap_once_).
   Result<os::MachineConfig> machine_config() const;
   void deliver(JobResult r);
 

@@ -32,12 +32,6 @@ constexpr BoolFlag kBoolFlags[] = {
      [](const TriageCliOptions& o) {
        return o.farm.machine.kernel.block_cache;
      }},
-    {"snapshot",
-     "boot the guest once and run each job as a copy-on-write clone of\n"
-     "                   the frozen image (default: on; byte-identical\n"
-     "                   verdicts; CI pins this)",
-     [](TriageCliOptions& o, bool v) { o.farm.snapshot = v; },
-     [](const TriageCliOptions& o) { return o.farm.snapshot; }},
     {"quiet", "suppress the per-job console lines (default: off)",
      [](TriageCliOptions& o, bool v) { o.quiet = v; },
      [](const TriageCliOptions& o) { return o.quiet; }},

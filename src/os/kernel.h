@@ -69,6 +69,7 @@ class Kernel : public OsiQuery {
   NetStack& net() { return net_; }
   osi::MonitorBus& monitors() { return monitors_; }
   vm::Interpreter& interp() { return interp_; }
+  const vm::Interpreter& interp() const { return interp_; }
   vm::PhysMem& phys_mem() { return mem_; }
   const vm::PhysMem& phys_mem() const { return mem_; }
   const vm::FrameAllocator& frame_alloc() const { return frames_; }

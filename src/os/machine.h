@@ -3,9 +3,10 @@
 // Two run modes, either one with or without plugins attached:
 //   * RECORD: boot a machine, attach an EventSource (the scripted attacker
 //      C2 / device input), run the workload. All nondeterministic inputs
-//      are captured in a ReplayLog. The farm and attacks::analyze() attach
-//      the FAROS plugin (vm::ExecHooks + osi::GuestMonitor) before boot, so
-//      the live run is analyzed while it records.
+//      are captured in a ReplayLog. attacks::Analysis (the farm's job,
+//      the benches, the examples) attaches the FAROS plugin
+//      (vm::ExecHooks + osi::GuestMonitor) before boot, so the live run is
+//      analyzed while it records.
 //   * REPLAY: boot an identical machine, load the log, run. Execution is
 //      bit-identical to the recorded run. The farm never replays; the
 //      paper's offline Section V-C workflow (record bare, analyze on
@@ -60,6 +61,7 @@ class Machine {
   Result<void> boot() { return kernel_.boot(); }
 
   Kernel& kernel() { return kernel_; }
+  const Kernel& kernel() const { return kernel_; }
   const MachineConfig& config() const { return cfg_; }
 
   /// Attaches an instruction-level plugin (the FAROS taint engine).

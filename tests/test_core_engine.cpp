@@ -400,19 +400,18 @@ TEST_F(EngineTest, NetflowTrackingCanBeDisabled) {
 }
 
 TEST_F(EngineTest, CustomPolicyAndWhitelist) {
-  struct AnyTaintedExportRead final : FlagPolicy {
-    const char* name() const override { return "any-export-read"; }
-    bool matches(const ProvStore& store, ProvListId,
-                 ProvListId target) const override {
-      return store.contains_type(target, TagType::kExportTable);
-    }
-  };
+  auto pred = parse_predicate("target has-type:export-table");
+  ASSERT_TRUE(pred.ok()) << pred.error().message;
+  RuleSpec any_export_read;
+  any_export_read.id = "any-export-read";
+  any_export_read.trigger = Trigger::kTaintedLoad;
+  any_export_read.when = {pred.value()};
   Options opts = quiet_options();
+  opts.rules = {any_export_read};
   opts.whitelist.insert("white.exe");
   init(opts);
-  engine_->add_policy(std::make_unique<AnyTaintedExportRead>());
   // A benign program that reads the export table directly (via guest
-  // GetProcAddress) now matches the custom policy, but is whitelisted.
+  // GetProcAddress) now matches the custom rule, but is whitelisted.
   os::Pid pid = spawn_suspended("white.exe", [](ImageBuilder& ib) {
     auto& a = ib.asm_();
     a.label("_start");
@@ -424,6 +423,7 @@ TEST_F(EngineTest, CustomPolicyAndWhitelist) {
   });
   resume_and_run(pid);
   ASSERT_FALSE(engine_->findings().empty());
+  EXPECT_EQ(engine_->findings()[0].policy, "any-export-read");
   EXPECT_TRUE(engine_->findings()[0].whitelisted);
   EXPECT_FALSE(engine_->flagged());  // suppressed
   EXPECT_TRUE(engine_->active_findings().empty());

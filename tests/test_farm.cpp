@@ -338,6 +338,32 @@ TEST(Farm, TimeoutReportedWithoutPoisoningPool) {
   EXPECT_EQ(report.metrics.ok, 4u);
 }
 
+TEST(Farm, TimeoutBeyondTheClockRangeMeansNoDeadline) {
+  // now() + timeout overflowed steady_clock into the past, so each of
+  // these jobs used to time out on its first clock read. A deadline the
+  // clock cannot represent is no deadline, for the job's own timeout and
+  // for the farm's default alike.
+  FarmConfig cfg;
+  cfg.workers = 1;
+  cfg.timeout_ms = 10'000'000'000'000;  // past the nanosecond clock's range
+  auto spin = [](const char* name, u64 timeout_ms) {
+    JobSpec spec;
+    spec.name = name;
+    spec.category = "test";
+    spec.make = [] { return std::make_unique<SpinScenario>(); };
+    spec.budget_override = 100'000;  // thousands of watchdog polls
+    spec.timeout_ms = timeout_ms;
+    return spec;
+  };
+  auto report = Farm(cfg).run({spin("job_timeout_max", UINT64_MAX),
+                               spin("farm_timeout", 0)});
+  ASSERT_EQ(report.results.size(), 2u);
+  for (const JobResult& r : report.results) {
+    EXPECT_EQ(r.status, JobStatus::kOk) << r.name << ": " << r.error;
+    EXPECT_TRUE(r.budget_exhausted) << r.name;
+  }
+}
+
 TEST(Farm, HarnessErrorRetriedOnceAndIsolated) {
   FarmConfig cfg;
   cfg.workers = 2;
@@ -611,14 +637,16 @@ TEST(Farm, MultiPolicyStreamDeterministicAcrossWorkerCounts) {
 
 TEST(TriageCli, RemovedExecutionModeFlagsAreRejected) {
   // The inline engine is the only DIFT mode, elision needs no summary
-  // hints, and static trigger pruning is gone: the old switches and the
-  // ring size are unknown options, not silently accepted no-ops.
+  // hints, static trigger pruning is gone and the farm always clones: the
+  // old switches and the ring size are unknown options, not silently
+  // accepted no-ops.
   using farm::parse_triage_cli;
   const std::vector<std::vector<std::string>> removed = {
       {"--async-dift"},    {"--no-async-dift"},
       {"--sync-dift"},     {"--ring-capacity", "16"},
       {"--static-prune"},  {"--no-static-prune"},
-      {"--summary-elide"}, {"--no-summary-elide"}};
+      {"--summary-elide"}, {"--no-summary-elide"},
+      {"--snapshot"},      {"--no-snapshot"}};
   for (const auto& argv : removed) {
     farm::TriageCliResult r = parse_triage_cli(argv);
     EXPECT_FALSE(r.ok()) << argv[0];
@@ -630,6 +658,7 @@ TEST(TriageCli, RemovedExecutionModeFlagsAreRejected) {
   EXPECT_EQ(usage.find("ring-capacity"), std::string::npos);
   EXPECT_EQ(usage.find("static-prune"), std::string::npos);
   EXPECT_EQ(usage.find("summary-elide"), std::string::npos);
+  EXPECT_EQ(usage.find("snapshot"), std::string::npos);
 }
 
 TEST(TriageCli, DuplicatePolicyStemsAreRejected) {
@@ -657,11 +686,10 @@ TEST(TriageCli, PairedFlagsParseAndRoundTrip) {
   // Defaults.
   farm::TriageCliResult def = parse_triage_cli({});
   ASSERT_TRUE(def.ok()) << def.error;
-  EXPECT_TRUE(def.opts.farm.snapshot);
   EXPECT_TRUE(def.opts.farm.machine.kernel.block_cache);
 
   // Every boolean feature has a working --X and --no-X spelling.
-  const char* features[] = {"block-cache", "snapshot", "quiet"};
+  const char* features[] = {"block-cache", "quiet"};
   for (const char* f : features) {
     auto on = parse_triage_cli({std::string("--") + f});
     auto off = parse_triage_cli({std::string("--no-") + f});
@@ -677,14 +705,12 @@ TEST(TriageCli, PairedFlagsParseAndRoundTrip) {
       "--workers", "8", "--jobs", "20", "--filter", "jit", "--category",
       "injection", "--timeout-ms", "1234", "--budget", "99", "--out",
       "r.jsonl", "--metrics", "m.jsonl", "--graph-out", "graphs",
-      "--policies", "a.json,b.json,c.json", "--no-block-cache",
-      "--no-snapshot", "--quiet"};
+      "--policies", "a.json,b.json,c.json", "--no-block-cache", "--quiet"};
   farm::TriageCliResult once = parse_triage_cli(argv);
   ASSERT_TRUE(once.ok()) << once.error;
   EXPECT_EQ(once.opts.farm.workers, 8u);
   EXPECT_EQ(once.opts.farm.timeout_ms, 1234u);
   EXPECT_FALSE(once.opts.farm.machine.kernel.block_cache);
-  EXPECT_FALSE(once.opts.farm.snapshot);
   ASSERT_EQ(once.opts.policy_paths.size(), 3u);
   EXPECT_EQ(once.opts.policy_paths[1], "b.json");
 

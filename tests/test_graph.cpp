@@ -25,8 +25,8 @@ namespace {
 
 using graph::NodeType;
 
-/// Record + replay-under-FAROS, then snapshot everything the graph tests
-/// compare: the graph itself plus the analyst text it must cross-link to.
+/// One analyzed run, then a copy of everything the graph tests compare: the
+/// graph itself plus the analyst text it must cross-link to.
 struct Analyzed {
   graph::ProvGraph g;
   std::vector<core::Finding> findings;
@@ -38,20 +38,16 @@ struct Analyzed {
 Analyzed analyze_graph(attacks::Scenario& sc,
                        const core::Options& opts = {}) {
   Analyzed out;
-  auto rec = attacks::record_run(sc);
-  EXPECT_TRUE(rec.ok()) << sc.name();
-  if (!rec.ok()) return out;
-  os::Machine m;
-  core::FarosEngine engine(m.kernel(), opts);
-  m.attach_cpu_plugin(&engine);
-  m.add_monitor(&engine);
-  EXPECT_TRUE(m.boot().ok());
-  EXPECT_TRUE(sc.setup(m).ok());
-  m.load_replay(rec.value().log);
-  m.run(sc.budget());
-  out.g = graph::build_graph(engine, m.kernel());
+  attacks::Analysis a(opts);
+  auto s = a.start(sc);
+  EXPECT_TRUE(s.ok()) << sc.name() << ": " << s.error().message;
+  if (!s.ok()) return out;
+  a.run(sc.budget());
+  const core::FarosEngine& engine = a.engine();
+  os::Kernel& k = a.machine().kernel();
+  out.g = graph::build_graph(engine, k);
   out.findings = engine.findings();
-  out.taint_map_text = core::taint_map(engine, m.kernel());
+  out.taint_map_text = core::taint_map(engine, k);
   out.summary = core::summarize_findings(engine.findings());
   out.ok = true;
   return out;

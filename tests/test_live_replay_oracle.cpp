@@ -1,10 +1,13 @@
-// Three oracles over every job of the full and policy corpora.
+// Three oracles over every job of the full and policy corpora, each run
+// through attacks::Analysis, the body of every farm job.
 //
-// Live vs replay: the farm and attacks::analyze() run FAROS on the live run
-// while it records. Replaying that run's log on a fresh machine under a
-// fresh engine with the same options must reproduce the analysis exactly —
-// findings, per-rule counts, provenance state, counters and the exported
-// graph bytes. This pins that attaching the engine never perturbs the guest.
+// Live vs replay, cold boot vs clone: the farm runs FAROS on the live run
+// while it records, on a copy-on-write clone of a booted guest. The live
+// run here cold-boots; replaying its log on a clone under a fresh engine
+// with the same options must reproduce the analysis exactly — findings,
+// per-rule counts, provenance state, counters and the exported graph
+// bytes. This pins that attaching the engine never perturbs the guest and
+// that a clone analyzes like a cold boot.
 //
 // Block cache on vs off: with the cache on, the engine runs offered blocks
 // through uninstrumented fast bodies (including kDivu blocks that may trap
@@ -30,7 +33,6 @@
 #include "graph/graph.h"
 #include "os/machine.h"
 #include "os/snapshot.h"
-#include "vm/btcache.h"
 
 namespace faros {
 namespace {
@@ -92,8 +94,7 @@ const os::MachineConfig& machine_config(bool block_cache = true) {
 
 /// One analyzed run: the machine and engine stay alive for the comparison.
 struct Analyzed {
-  std::unique_ptr<os::Machine> machine;
-  std::unique_ptr<core::FarosEngine> engine;  // destroyed before machine
+  std::unique_ptr<attacks::Analysis> a;
   os::RunStats stats;
 };
 
@@ -104,22 +105,13 @@ Analyzed run_analyzed(attacks::Scenario& sc, const core::Options& opts,
                      const std::vector<std::vector<core::RuleSpec>>& extra =
                          {},
                      const os::MachineConfig& mcfg = machine_config()) {
-  Analyzed a;
-  a.machine = std::make_unique<os::Machine>(mcfg);
-  a.engine =
-      std::make_unique<core::FarosEngine>(a.machine->kernel(), opts);
-  for (const auto& rules : extra) a.engine->add_rule_set(rules);
-  a.machine->attach_cpu_plugin(a.engine.get());
-  a.machine->add_monitor(a.engine.get());
-  auto b = a.machine->boot();
-  EXPECT_TRUE(b.ok()) << b.error().message;
-  std::unique_ptr<os::EventSource> source = log ? nullptr : sc.make_source();
-  if (source) a.machine->set_event_source(source.get());
-  auto s = sc.setup(*a.machine);
+  Analyzed out;
+  out.a = std::make_unique<attacks::Analysis>(opts, mcfg);
+  for (const auto& rules : extra) out.a->engine().add_rule_set(rules);
+  auto s = out.a->start(sc, log);
   EXPECT_TRUE(s.ok()) << s.error().message;
-  if (log) a.machine->load_replay(*log);
-  a.stats = a.machine->run(sc.budget());
-  return a;
+  out.stats = out.a->run(sc.budget());
+  return out;
 }
 
 /// One rule set's verdict, findings field by field, and per-rule evals
@@ -164,16 +156,16 @@ void expect_same_rule_set(const core::FarosEngine& ae, u32 as,
 /// set's verdict, findings and per-rule counts, the report, provenance
 /// state and the exported graph bytes. Counters are the caller's business.
 void expect_same_analysis(const Analyzed& a_run, const Analyzed& b_run) {
-  const core::FarosEngine& ae = *a_run.engine;
-  const core::FarosEngine& be = *b_run.engine;
+  const core::FarosEngine& ae = a_run.a->engine();
+  const core::FarosEngine& be = b_run.a->engine();
+  const os::Kernel& ak = a_run.a->machine().kernel();
+  const os::Kernel& bk = b_run.a->machine().kernel();
 
   // The guest ran the same course.
   EXPECT_EQ(a_run.stats.instructions, b_run.stats.instructions);
   EXPECT_EQ(a_run.stats.all_exited, b_run.stats.all_exited);
-  EXPECT_EQ(a_run.machine->kernel().console(),
-            b_run.machine->kernel().console());
-  EXPECT_EQ(a_run.machine->kernel().trap_log(),
-            b_run.machine->kernel().trap_log());
+  EXPECT_EQ(ak.console(), bk.console());
+  EXPECT_EQ(ak.trap_log(), bk.trap_log());
 
   expect_same_rule_set(ae, 0, be, 0);
   EXPECT_EQ(ae.report(), be.report());
@@ -183,29 +175,24 @@ void expect_same_analysis(const Analyzed& a_run, const Analyzed& b_run) {
   EXPECT_EQ(ae.shadow().tainted_bytes(), be.shadow().tainted_bytes());
 
   // The exported provenance graph, byte for byte.
-  EXPECT_EQ(graph::serialize(graph::build_graph(ae, a_run.machine->kernel())),
-            graph::serialize(graph::build_graph(be, b_run.machine->kernel())));
+  EXPECT_EQ(graph::serialize(graph::build_graph(ae, ak)),
+            graph::serialize(graph::build_graph(be, bk)));
 }
 
-/// The whole engine counter array, plus the block-cache stats the farm
-/// folds into it. The clone counters are not in the engine's array: the
-/// farm adds them per machine, so they count machines, not analysis.
-void expect_same_counters(const Analyzed& a_run, const Analyzed& b_run) {
-  obs::MetricSnapshot am = a_run.engine->metrics_snapshot();
-  obs::MetricSnapshot bm = b_run.engine->metrics_snapshot();
+/// Every counter of the job's metrics (the engine's plus the machine
+/// counters Analysis folds in) but the three clone counters, which count
+/// how the machine was made, not what ran on it.
+void expect_same_metrics(const Analyzed& a_run, const Analyzed& b_run) {
+  obs::MetricSnapshot am = a_run.a->metrics();
+  obs::MetricSnapshot bm = b_run.a->metrics();
   ASSERT_TRUE(am.collected && bm.collected);
   for (u32 c = 0; c < obs::kCtrCount; ++c) {
-    EXPECT_EQ(am.counters[c], bm.counters[c])
-        << obs::ctr_name(static_cast<obs::Ctr>(c));
-  }
-  const vm::BlockCache* ab = a_run.machine->kernel().interp().block_cache();
-  const vm::BlockCache* bb = b_run.machine->kernel().interp().block_cache();
-  ASSERT_EQ(ab == nullptr, bb == nullptr);
-  if (ab) {
-    EXPECT_EQ(ab->stats().translated, bb->stats().translated);
-    EXPECT_EQ(ab->stats().hits, bb->stats().hits);
-    EXPECT_EQ(ab->stats().evict_smc, bb->stats().evict_smc);
-    EXPECT_EQ(ab->stats().evict_cr3, bb->stats().evict_cr3);
+    const auto ctr = static_cast<obs::Ctr>(c);
+    if (ctr == obs::Ctr::kSnapClone || ctr == obs::Ctr::kCowFault ||
+        ctr == obs::Ctr::kSnapSharedPages) {
+      continue;
+    }
+    EXPECT_EQ(am.counters[c], bm.counters[c]) << obs::ctr_name(ctr);
   }
 }
 
@@ -228,14 +215,15 @@ TEST_P(LiveReplayOracle, ReplayReproducesLiveAnalysis) {
   core::Options opts;
   if (job.policy_rules) opts.rules = multistage_rules();
 
-  Analyzed live = run_analyzed(*sc, opts, nullptr);
-  const vm::ReplayLog log = live.machine->recording();
+  Analyzed live = run_analyzed(*sc, opts, nullptr, {}, os::MachineConfig{});
+  ASSERT_FALSE(live.a->machine().kernel().phys_mem().cow_stats().cow);
+  const vm::ReplayLog log = live.a->machine().recording();
   Analyzed replay = run_analyzed(*sc, opts, &log);
+  ASSERT_TRUE(replay.a->machine().kernel().phys_mem().cow_stats().cow);
 
-  EXPECT_EQ(live.engine->flagged(), job.entry.expect_flagged);
+  EXPECT_EQ(live.a->engine().flagged(), job.entry.expect_flagged);
   expect_same_analysis(live, replay);
-
-  expect_same_counters(live, replay);
+  expect_same_metrics(live, replay);
 }
 
 INSTANTIATE_TEST_SUITE_P(Corpus, LiveReplayOracle,
@@ -254,12 +242,12 @@ TEST_P(HintOracle, HintsNeverChangeTheAnalysis) {
 
   Analyzed ref = run_analyzed(*sc, opts, nullptr, {}, machine_config(false));
   Analyzed fast = run_analyzed(*sc, opts, nullptr);
-  ASSERT_EQ(ref.machine->kernel().interp().block_cache(), nullptr);
+  ASSERT_EQ(ref.a->machine().kernel().interp().block_cache(), nullptr);
 
-  EXPECT_EQ(ref.engine->flagged(), job.entry.expect_flagged);
+  EXPECT_EQ(ref.a->engine().flagged(), job.entry.expect_flagged);
   expect_same_analysis(ref, fast);
-  const core::EngineStats& r = ref.engine->stats();
-  const core::EngineStats& f = fast.engine->stats();
+  const core::EngineStats& r = ref.a->engine().stats();
+  const core::EngineStats& f = fast.a->engine().stats();
   EXPECT_EQ(r.insns_seen, f.insns_seen);
   EXPECT_EQ(r.loads, f.loads);
   EXPECT_EQ(r.stores, f.stores);
@@ -286,16 +274,16 @@ TEST_P(FanOutOracle, ExtraSetsMatchSoloRunsAndLeaveThePrimaryAlone) {
 
   Analyzed plain = run_analyzed(*sc, opts, nullptr);
   Analyzed fan = run_analyzed(*sc, opts, nullptr, extra);
-  ASSERT_EQ(fan.engine->rule_set_count(), 1 + extra.size());
+  ASSERT_EQ(fan.a->engine().rule_set_count(), 1 + extra.size());
   expect_same_analysis(plain, fan);
-  expect_same_counters(plain, fan);
+  expect_same_metrics(plain, fan);
 
   for (u32 i = 0; i < extra.size(); ++i) {
     SCOPED_TRACE("extra set " + std::to_string(i + 1));
     core::Options solo_opts = opts;
     solo_opts.rules = extra[i];
     Analyzed solo = run_analyzed(*sc, solo_opts, nullptr);
-    expect_same_rule_set(*fan.engine, i + 1, *solo.engine, 0);
+    expect_same_rule_set(fan.a->engine(), i + 1, solo.a->engine(), 0);
   }
 }
 

@@ -178,18 +178,12 @@ TEST(ObsEngine, SnapshotFoldsEngineStatsAndRespectsToggle) {
   ASSERT_TRUE(run.ok());
 
   auto replay = [&](bool collect) {
-    os::Machine m;
     core::Options opts;
     opts.collect_metrics = collect;
-    auto engine = std::make_unique<core::FarosEngine>(m.kernel(), opts);
-    m.attach_cpu_plugin(engine.get());
-    m.add_monitor(engine.get());
-    EXPECT_TRUE(m.boot().ok());
-    EXPECT_TRUE(sc.setup(m).ok());
-    m.load_replay(run.value().log);
-    m.run(sc.budget());
-    return std::make_pair(engine->metrics_snapshot(),
-                          engine->stats().insns_seen);
+    attacks::Analysis a(opts);
+    EXPECT_TRUE(a.start(sc, &run.value().log).ok());
+    a.run(sc.budget());
+    return std::make_pair(a.metrics(), a.engine().stats().insns_seen);
   };
 
   auto [off, off_insns] = replay(false);

@@ -2,8 +2,8 @@
 // isolation from the frozen image and from sibling clones, COW fault
 // accounting, the shared zero frame and sparse capture, FrameAllocator
 // state round-trips, boot-from-snapshot equivalence with a cold boot,
-// config-mismatch rejection, interleaved clone determinism, and farm
-// verdict byte-equivalence snapshot-on vs off.
+// config-mismatch rejection, interleaved clone determinism, and the farm's
+// cloned jobs against cold-booted analyses.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,7 +16,6 @@
 #include "core/analyst.h"
 #include "core/engine.h"
 #include "farm/farm.h"
-#include "farm/results.h"
 #include "os/machine.h"
 #include "os/snapshot.h"
 #include "vm/phys_mem.h"
@@ -311,23 +310,29 @@ std::vector<farm::JobSpec> injection_jobs() {
   return jobs;
 }
 
-TEST(SnapshotFarm, VerdictStreamIsByteIdenticalSnapshotOnVsOff) {
-  farm::FarmConfig on_cfg;
-  on_cfg.workers = 4;
-  on_cfg.snapshot = true;
-
-  farm::FarmConfig off_cfg;
-  off_cfg.workers = 1;
-  off_cfg.snapshot = false;
-
-  auto on = farm::Farm(on_cfg).run(injection_jobs());
-  auto off = farm::Farm(off_cfg).run(injection_jobs());
-  ASSERT_EQ(on.results.size(), off.results.size());
-  for (size_t i = 0; i < on.results.size(); ++i) {
-    EXPECT_EQ(on.results[i].status, farm::JobStatus::kOk)
-        << on.results[i].name;
-    EXPECT_EQ(farm::job_jsonl(on.results[i]), farm::job_jsonl(off.results[i]))
-        << on.results[i].name;
+// The farm always clones; each job must reach what attacks::analyze()
+// reaches on a cold-booted machine. test_live_replay_oracle compares the
+// whole analysis, clone against cold boot, on every corpus job.
+TEST(SnapshotFarm, ClonedJobsMatchColdBootAnalysis) {
+  farm::FarmConfig cfg;
+  cfg.workers = 4;
+  std::vector<farm::JobSpec> jobs = injection_jobs();
+  auto report = farm::Farm(cfg).run(jobs);
+  ASSERT_EQ(report.results.size(), jobs.size());
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    const farm::JobResult& r = report.results[i];
+    SCOPED_TRACE(r.name);
+    ASSERT_EQ(r.status, farm::JobStatus::kOk) << r.error;
+    EXPECT_EQ(r.metrics[obs::Ctr::kSnapClone], 1u);
+    auto sc = jobs[i].make();
+    auto cold = attacks::analyze(*sc);
+    ASSERT_TRUE(cold.ok()) << cold.error().message;
+    EXPECT_EQ(r.flagged, cold.value().flagged);
+    EXPECT_EQ(r.findings, cold.value().findings.size());
+    EXPECT_EQ(r.instructions, cold.value().recorded.stats.instructions);
+    EXPECT_EQ(r.all_exited, cold.value().recorded.stats.all_exited);
+    EXPECT_EQ(r.prov_lists, cold.value().prov_lists);
+    EXPECT_EQ(r.tainted_bytes, cold.value().tainted_bytes);
   }
 }
 

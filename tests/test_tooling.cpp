@@ -81,14 +81,12 @@ TEST(Analyst, TaintedRegionsCoalesceByProvenance) {
   auto rec = attacks::record_run(sc);
   ASSERT_TRUE(rec.ok());
 
-  os::Machine m;
-  core::FarosEngine engine(m.kernel(), core::Options{});
-  m.attach_cpu_plugin(&engine);
-  m.add_monitor(&engine);
-  ASSERT_TRUE(m.boot().ok());
-  ASSERT_TRUE(sc.setup(m).ok());
-  m.load_replay(rec.value().log);
-  m.run(sc.budget());
+  // Replayed under FAROS, the paper's offline workflow.
+  attacks::Analysis a;
+  ASSERT_TRUE(a.start(sc, &rec.value().log).ok());
+  a.run(sc.budget());
+  os::Machine& m = a.machine();
+  const core::FarosEngine& engine = a.engine();
 
   // The victim holds a tainted injected region.
   os::Process* victim = m.kernel().find_by_name("notepad.exe");
