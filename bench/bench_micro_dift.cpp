@@ -22,8 +22,10 @@
 // engine's elision fast path. The idle _btc regimes are NtYield spinners
 // idling with a tainted register they never read (an injected payload's
 // shape), one process and three from one image; the divspin regime's hot
-// block divides by a constant. The gate requires all three to run almost
-// entirely elided.
+// block divides by a constant. The gates require all three to run almost
+// entirely elided (divspin exactly: budget-cut prefixes elide too), the
+// idle loops to dispatch one block per scheduling round, and three
+// processes of one image to keep their own TLB entries.
 //
 // With FAROS_BENCH_JSON=<path> set, main() appends one JSONL record per
 // regime (median of five fixed-work wall-clock samples, independent of
@@ -401,7 +403,8 @@ double rate(u64 hit, u64 miss) {
 /// Runs the fixed-work regime sweep; emits JSONL when FAROS_BENCH_JSON is
 /// set and, when FAROS_BENCH_GATE is set, enforces the block-cache overhead
 /// ceiling (clean and image-tainted ≤ 1.6× cache-on bare — CI's tripwire
-/// for regressions in the elision fast path). Returns false on gate failure.
+/// for regressions in the elision fast path) and the counter gates.
+/// Returns false on any gate failure.
 bool emit_json_summary() {
   const bool gate = std::getenv("FAROS_BENCH_GATE") != nullptr;
   if (!std::getenv("FAROS_BENCH_JSON") && !gate) return true;
@@ -451,18 +454,12 @@ bool emit_json_summary() {
        /*idlers=*/3},
   };
   std::map<std::string, double> ns_by_case;
-  std::map<std::string, double> elided_share_by_case;
+  std::map<std::string, obs::MetricSnapshot> metrics_by_case;
   for (const Regime& r : regimes) {
     RegimeRun run = run_regime(r, kInsns);
     const double s = run.seconds;
     ns_by_case[r.name] = s / static_cast<double>(kInsns) * 1e9;
-    if (run.metrics.collected) {
-      const u64 retired = run.metrics[obs::Ctr::kInsnsRetired];
-      const u64 elided = run.metrics[obs::Ctr::kBtElidedInsns];
-      elided_share_by_case[r.name] =
-          retired ? static_cast<double>(elided) / static_cast<double>(retired)
-                  : 0;
-    }
+    metrics_by_case[r.name] = run.metrics;
     JsonWriter rec;
     rec.field("case", r.name)
         .field("insns", kInsns)
@@ -494,31 +491,69 @@ bool emit_json_summary() {
       "block-cache gate: clean %.2fx, image-tainted %.2fx of bare "
       "(ceiling %.1fx)\n",
       clean_x, image_x, kCeiling);
+  bool ok = true;
   if (clean_x > kCeiling || image_x > kCeiling) {
     std::fprintf(stderr,
                  "FAIL: block-cache overhead ceiling exceeded "
                  "(clean %.2fx, image-tainted %.2fx > %.1fx)\n",
                  clean_x, image_x, kCeiling);
-    return false;
+    ok = false;
   }
-  // Elision coverage gate (counters, not timing): idle loops with a dirty
-  // bank, alone and three to an image, and the constant-divisor loop run
-  // elided.
+  // Counter gates (counters, not timing, so never flaky), checked also
+  // when the timing ceiling failed.
+  using obs::Ctr;
+  auto check = [&](const char* gate, const char* name, u64 got, u64 bound,
+                   bool exact) {
+    const bool pass = exact ? got == bound : got <= bound;
+    std::printf("%s gate: %s %llu (%s %llu)\n", gate, name,
+                static_cast<unsigned long long>(got), exact ? "==" : "<=",
+                static_cast<unsigned long long>(bound));
+    if (!pass) {
+      std::fprintf(stderr, "FAIL: %s gate: %s %llu, want %s %llu\n", gate,
+                   name, static_cast<unsigned long long>(got),
+                   exact ? "==" : "<=", static_cast<unsigned long long>(bound));
+      ok = false;
+    }
+  };
+  // Elision coverage: idle loops with a dirty bank, alone and three to an
+  // image, and the constant-divisor loop run elided.
   constexpr double kElidedShareFloor = 0.99;
-  bool elided_ok = true;
   for (const char* name : {"interp_faros_idle_dirty_btc",
                            "interp_faros_idle3_btc",
                            "interp_faros_divspin_btc"}) {
-    const double share = elided_share_by_case[name];
+    const obs::MetricSnapshot& m = metrics_by_case[name];
+    const u64 retired = m[Ctr::kInsnsRetired];
+    const double share =
+        retired ? static_cast<double>(m[Ctr::kBtElidedInsns]) /
+                      static_cast<double>(retired)
+                : 0;
     std::printf("elide gate: %s elided share %.4f (floor %.2f)\n", name,
                 share, kElidedShareFloor);
     if (share < kElidedShareFloor) {
       std::fprintf(stderr, "FAIL: %s elided share %.4f < %.2f\n", name,
                    share, kElidedShareFloor);
-      elided_ok = false;
+      ok = false;
     }
   }
-  return elided_ok;
+  // One block dispatch per NtYield iteration: the `jmp` block chains the
+  // `movi r0; syscall` block into one superblock (vm/btcache.h).
+  constexpr u64 kSlack = 16;
+  for (const char* name :
+       {"interp_faros_idle_dirty_btc", "interp_faros_idle3_btc"}) {
+    const obs::MetricSnapshot& m = metrics_by_case[name];
+    check("dispatch", name, m[Ctr::kBtHit], m[Ctr::kSchedRounds] + kSlack,
+          false);
+  }
+  // Three processes of one image at one virtual address keep their own
+  // TLB slots: misses stay at about one per process, not one per round.
+  check("tlb", "interp_faros_idle3_btc",
+        metrics_by_case["interp_faros_idle3_btc"][Ctr::kTlbMiss], 3 + kSlack,
+        false);
+  // Budget-cut prefixes of the divspin superblock are elided too.
+  const obs::MetricSnapshot& div = metrics_by_case["interp_faros_divspin_btc"];
+  check("prefix", "interp_faros_divspin_btc bt_elided_insns",
+        div[Ctr::kBtElidedInsns], div[Ctr::kInsnsRetired], true);
+  return ok;
 }
 
 }  // namespace

@@ -68,9 +68,10 @@ struct MalfindHit {
   u32 live_bytes = 0;  // non-zero bytes found in the region
 };
 
-class CuckooSandboxSim : public osi::GuestMonitor {
+class CuckooSandboxSim : public osi::GuestMonitor,
+                         public osi::SyscallObserver {
  public:
-  // --- GuestMonitor (the API-hook surface) ---
+  // --- GuestMonitor + SyscallObserver (the API-hook surface) ---
   void on_syscall(const osi::SyscallEvent& ev) override;
   void on_process_start(const osi::ProcessInfo& p) override;
   void on_process_exit(const osi::ProcessInfo& p, u32 code) override;

@@ -1,5 +1,7 @@
 #include "core/engine.h"
 
+#include <algorithm>
+
 #include "common/strings.h"
 #include "vm/btcache.h"
 #include "vm/isa.h"
@@ -447,20 +449,35 @@ bool FarosEngine::try_elide_block(const vm::TranslatedBlock& b) {
     // Bound fetch rules need per-instruction events. A fetch carries
     // provenance exactly when one of its bytes does, so reading the shadow
     // (or a still-valid memo) answers without the walk's writebacks.
-    const u64 len = b.insns.size() * vm::kInsnSize;
-    if (shadow_.range_tainted(b.start_pa, len)) {
+    const u32 n = static_cast<u32>(b.insns.size());
+    if (code_tainted(b, n)) {
       if (b.memo_version == shadow_.page_version(b.start_pa)) {
         if (b.memo_count != 0) return decline(bt_decline_fetch_);
       } else {
-        for (u64 i = 0; i < len; ++i) {
-          if (shadow_.get(b.start_pa + i) != kEmptyProv) {
-            return decline(bt_decline_fetch_);
+        for (u32 i = 0; i < n; ++i) {
+          for (u32 k = 0; k < vm::kInsnSize; ++k) {
+            if (shadow_.get(b.pa_of(i) + k) != kEmptyProv) {
+              return decline(bt_decline_fetch_);
+            }
           }
         }
       }
     }
   }
   return true;
+}
+
+bool FarosEngine::code_tainted(const vm::TranslatedBlock& b, u32 count) {
+  // One probe over the span of both segments: they share the block's page,
+  // and every caller walks the bytes exactly behind a hit.
+  const u32 head = std::min(count, b.split);
+  PAddr lo = b.start_pa;
+  PAddr hi = b.start_pa + u64{head} * vm::kInsnSize;
+  if (count > head) {
+    lo = std::min(lo, b.split_pa);
+    hi = std::max(hi, b.split_pa + u64{count - head} * vm::kInsnSize);
+  }
+  return shadow_.range_tainted(lo, hi - lo);
 }
 
 void FarosEngine::on_block_elided(vm::TranslatedBlock& b, u32 retired) {
@@ -484,23 +501,24 @@ void FarosEngine::on_block_elided(vm::TranslatedBlock& b, u32 retired) {
 u32 FarosEngine::block_tainted_fetches(vm::TranslatedBlock& b, u32 count) {
   // The memo holds the whole block's count, stamped with its page's
   // post-walk mutation stamp: nonzero (the page existed), and equal only
-  // while the page is unchanged. A block's cr3, start_pa and length are
-  // fixed for its lifetime: SMC and process exit evict it.
-  const bool whole = count == b.insns.size();
-  if (whole && b.memo_version != 0 &&
+  // while the page is unchanged. A block's cr3, code bytes and length are
+  // fixed for its lifetime: SMC and process exit evict it. Both segments
+  // of a superblock live on the one page the stamp covers. A valid memo
+  // also answers a prefix when it says none or all of the block is
+  // tainted.
+  const u32 n = static_cast<u32>(b.insns.size());
+  if (b.memo_version != 0 &&
       b.memo_version == shadow_.page_version(b.start_pa)) {
-    return b.memo_count;
+    if (count == n || b.memo_count == 0) return b.memo_count;
+    if (b.memo_count == n) return count;
   }
-  if (!shadow_.range_tainted(b.start_pa,
-                             static_cast<u64>(count) * vm::kInsnSize)) {
-    return 0;
-  }
+  if (!code_tainted(b, count)) return 0;
   // Run exactly the fetch loop the instrumented path runs per instruction
   // — including the one-time process-tag writebacks, which are idempotent
   // — then memoize a whole-block result against the post-writeback stamp.
   u32 tainted = 0;
   for (u32 i = 0; i < count; ++i) {
-    const PAddr ipa = b.start_pa + static_cast<u64>(i) * vm::kInsnSize;
+    const PAddr ipa = b.pa_of(i);
     ProvListId fetch = kEmptyProv;
     for (u32 k = 0; k < vm::kInsnSize; ++k) {
       ProvListId id = shadow_.get(ipa + k);
@@ -512,7 +530,7 @@ u32 FarosEngine::block_tainted_fetches(vm::TranslatedBlock& b, u32 count) {
     }
     if (fetch != kEmptyProv) ++tainted;
   }
-  if (whole) {
+  if (count == n) {
     b.memo_version = shadow_.page_version(b.start_pa);
     b.memo_count = tainted;
   }

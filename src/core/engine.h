@@ -247,6 +247,10 @@ class FarosEngine : public vm::ExecHooks, public osi::GuestMonitor {
   /// per-insn walk's one-time writebacks. A whole-block result is
   /// memoized on the block.
   u32 block_tainted_fetches(vm::TranslatedBlock& block, u32 count);
+  /// Shadow probe over the code bytes of the block's first `count`
+  /// instructions (both segments of a superblock): false means none of
+  /// them carries provenance.
+  bool code_tainted(const vm::TranslatedBlock& block, u32 count);
 
   const os::OsiQuery& osi_;
   Options opts_;

@@ -4,9 +4,18 @@
 
 namespace faros::osi {
 
+void MonitorBus::attach(GuestMonitor* m) {
+  monitors_.push_back(m);
+  if (auto* o = dynamic_cast<SyscallObserver*>(m)) observers_.push_back(o);
+}
+
 void MonitorBus::detach(GuestMonitor* m) {
   monitors_.erase(std::remove(monitors_.begin(), monitors_.end(), m),
                   monitors_.end());
+  if (auto* o = dynamic_cast<SyscallObserver*>(m)) {
+    observers_.erase(std::remove(observers_.begin(), observers_.end(), o),
+                     observers_.end());
+  }
 }
 
 void MonitorBus::on_process_start(const ProcessInfo& p) {
@@ -20,7 +29,7 @@ void MonitorBus::on_module_loaded(const ModuleInfo& mod,
   for (auto* m : monitors_) m->on_module_loaded(mod, as);
 }
 void MonitorBus::on_syscall(const SyscallEvent& ev) {
-  for (auto* m : monitors_) m->on_syscall(ev);
+  for (auto* o : observers_) o->on_syscall(ev);
 }
 void MonitorBus::on_packet_to_guest(const GuestXfer& x, const FlowTuple& f,
                                     const PacketMeta& meta) {

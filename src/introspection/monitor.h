@@ -2,12 +2,13 @@
 // `syscalls2` and `OSI/Win7x86intro` plugins, which FAROS consumes.
 //
 // The kernel (src/os) publishes semantic events through a GuestMonitor:
-// syscall entry with dereferenced arguments, process lifecycle, module
-// loads (with guest-resident export tables), and — crucially for
-// whole-system taint — every byte the kernel moves on behalf of a process
-// (packet delivery, file I/O, cross-process writes). A MonitorBus fans the
-// stream out to any number of attached analysis plugins (FAROS itself, the
-// CuckooBox baseline, test probes).
+// process lifecycle, module loads (with guest-resident export tables), and
+// — crucially for whole-system taint — every byte the kernel moves on
+// behalf of a process (packet delivery, file I/O, cross-process writes). A
+// MonitorBus fans the stream out to any number of attached analysis
+// plugins (FAROS itself, the CuckooBox baseline, test probes). Raw syscall
+// entry is a separate SyscallObserver interface: the kernel builds a
+// SyscallEvent only when an attached monitor implements it.
 //
 // Events reference guest state (AddressSpace) that is only valid for the
 // duration of the callback.
@@ -88,9 +89,6 @@ class GuestMonitor {
     (void)mod;
     (void)kernel_as;
   }
-
-  // --- syscalls2-style raw syscall entry ---
-  virtual void on_syscall(const SyscallEvent& ev) { (void)ev; }
 
   // --- network ---
   /// Kernel copied `xfer.len` packet bytes into the guest buffer at
@@ -204,18 +202,34 @@ class GuestMonitor {
   }
 };
 
-/// Fans events out to registered monitors in registration order.
+/// syscalls2-style raw syscall entry, implemented beside GuestMonitor by
+/// the plugins that want every syscall (the CuckooBox trace). Building the
+/// event costs a ProcessInfo copy per syscall, so the kernel builds it
+/// only when some attached monitor is an observer; FAROS is not one, and
+/// an idle NtYield loop under it pays for no event.
+class SyscallObserver {
+ public:
+  virtual ~SyscallObserver() = default;
+  virtual void on_syscall(const SyscallEvent& ev) = 0;
+};
+
+/// Fans events out to registered monitors in registration order. A
+/// monitor that is also a SyscallObserver is registered for syscall entry
+/// by attach() and unregistered by detach().
 class MonitorBus : public GuestMonitor {
  public:
-  void attach(GuestMonitor* m) { monitors_.push_back(m); }
+  void attach(GuestMonitor* m);
   void detach(GuestMonitor* m);
   size_t count() const { return monitors_.size(); }
+
+  /// Whether any attached monitor observes syscall entry.
+  bool observes_syscalls() const { return !observers_.empty(); }
+  void on_syscall(const SyscallEvent& ev);
 
   void on_process_start(const ProcessInfo& p) override;
   void on_process_exit(const ProcessInfo& p, u32 code) override;
   void on_module_loaded(const ModuleInfo& m,
                         const vm::AddressSpace& as) override;
-  void on_syscall(const SyscallEvent& ev) override;
   void on_packet_to_guest(const GuestXfer& x, const FlowTuple& f,
                           const PacketMeta& meta = {}) override;
   void on_guest_send(const GuestXfer& x, const FlowTuple& f,
@@ -239,6 +253,7 @@ class MonitorBus : public GuestMonitor {
 
  private:
   std::vector<GuestMonitor*> monitors_;
+  std::vector<SyscallObserver*> observers_;
 };
 
 }  // namespace faros::osi

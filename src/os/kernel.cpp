@@ -399,15 +399,17 @@ void Kernel::dispatch_syscall(Process& p) {
   const u32 num = p.cpu.regs[vm::R0];
   ++syscall_count_;
 
-  osi::SyscallEvent ev;
-  ev.proc = p.info();
-  ev.number = num;
-  ev.name = syscall_name(num);
-  ev.args[0] = p.cpu.regs[vm::R1];
-  ev.args[1] = p.cpu.regs[vm::R2];
-  ev.args[2] = p.cpu.regs[vm::R3];
-  ev.args[3] = p.cpu.regs[vm::R4];
-  monitors_.on_syscall(ev);
+  if (monitors_.observes_syscalls()) {
+    osi::SyscallEvent ev;
+    ev.proc = p.info();
+    ev.number = num;
+    ev.name = syscall_name(num);
+    ev.args[0] = p.cpu.regs[vm::R1];
+    ev.args[1] = p.cpu.regs[vm::R2];
+    ev.args[2] = p.cpu.regs[vm::R3];
+    ev.args[3] = p.cpu.regs[vm::R4];
+    monitors_.on_syscall(ev);
+  }
 
   const Sys sys = static_cast<Sys>(num);
   if (num >= 1 && num <= 15) {

@@ -4,6 +4,17 @@
 
 namespace faros::vm {
 
+namespace {
+/// Whether either segment of `b` overlaps [pa, pa + len).
+bool overlaps(const TranslatedBlock& b, PAddr pa, u64 len) {
+  auto hit = [&](PAddr lo, u64 insns) {
+    return insns != 0 && lo < pa + len && pa < lo + insns * kInsnSize;
+  };
+  return hit(b.start_pa, b.split) ||
+         hit(b.split_pa, b.insns.size() - b.split);
+}
+}  // namespace
+
 BlockCache::BlockCache(PhysMem& mem) : mem_(&mem) {
   mem_->set_code_write_observer(
       [this](PAddr pa, u32 len) { on_code_write(pa, len); });
@@ -38,32 +49,50 @@ TranslatedBlock* BlockCache::translate(PAddr cr3, VAddr va, PAddr pa) {
   b.start_va = va;
   b.start_pa = pa;
   b.elidable_ops = true;
-  // Instructions are 8-byte aligned, so the body walks to the page end at
+  // Instructions are 8-byte aligned, so a segment walks to the page end at
   // most; a block never crosses into the next frame.
-  const PAddr page_end = page_floor(static_cast<u32>(pa)) + kPageSize;
-  for (PAddr p = pa; p + kInsnSize <= page_end; p += kInsnSize) {
-    auto d = decode(mem_->span(p, kInsnSize));
-    if (!d) break;  // truncate: the fall-through traps exactly like per-insn
-    b.insns.push_back(*d);
-    // kSyscall ends the block, so passing here makes it the final insn.
-    if (!taint_inert(d->op) && d->op != Opcode::kDivu &&
-        d->op != Opcode::kSyscall) {
-      b.elidable_ops = false;
+  const PAddr page = page_floor(static_cast<u32>(pa));
+  auto decode_segment = [&](PAddr from) {
+    for (PAddr p = from; p + kInsnSize <= page + kPageSize; p += kInsnSize) {
+      auto d = decode(mem_->span(p, kInsnSize));
+      if (!d) break;  // truncate: the fall-through traps like per-insn
+      b.insns.push_back(*d);
+      // kSyscall ends the block, so passing here makes it the final insn.
+      if (!taint_inert(d->op) && d->op != Opcode::kDivu &&
+          d->op != Opcode::kSyscall) {
+        b.elidable_ops = false;
+      }
+      const RegFootprint f = taint_footprint(*d);
+      b.reads |= f.reads & ~b.writes;
+      b.writes |= f.writes;
+      if (ends_block(d->op)) break;
     }
-    const RegFootprint f = taint_footprint(*d);
-    b.reads |= f.reads & ~b.writes;
-    b.writes |= f.writes;
-    if (ends_block(d->op)) break;
-  }
+  };
+  decode_segment(pa);
   if (b.insns.empty()) return nullptr;
+  b.split = static_cast<u32>(b.insns.size());
+  b.split_pa = pa + static_cast<u64>(b.split) * kInsnSize;
+  const Instruction& last = b.insns.back();
+  const VAddr target = va + b.split * kInsnSize + last.imm;  // next_pc + imm
+  if (b.elidable_ops && last.op == Opcode::kJmp && target % kInsnSize == 0 &&
+      page_floor(target) == page_floor(va)) {
+    // Chain the jump target; keep it only if the body stays elidable.
+    const TranslatedBlock head = b;
+    b.split_pa = page + page_offset(target);
+    decode_segment(b.split_pa);
+    if (!b.elidable_ops) b = head;
+  }
   ++stats_.translated;
+  // Watch both segments; repeated watches widen to their union.
+  auto watch = [&](PAddr from, u64 insns) {
+    const u32 lo = page_offset(static_cast<u32>(from));
+    mem_->watch_frame(page, lo, lo + static_cast<u32>(insns) * kInsnSize);
+  };
+  watch(pa, b.split);
+  if (b.split < b.insns.size()) watch(b.split_pa, b.insns.size() - b.split);
   const u64 key = key_of(cr3, va);
-  const u64 frame = pa >> kPageShift;
-  const u32 lo = page_offset(static_cast<u32>(pa));
-  const u32 hi = lo + static_cast<u32>(b.insns.size()) * kInsnSize;
   auto [it, inserted] = map_.insert_or_assign(key, std::move(b));
-  if (inserted) by_frame_[frame].push_back(key);
-  mem_->watch_frame(frame << kPageShift, lo, hi);
+  if (inserted) by_frame_[pa >> kPageShift].push_back(key);
   return &it->second;
 }
 
@@ -107,9 +136,7 @@ void BlockCache::on_code_write(PAddr pa, u32 len) {
         continue;
       }
       const TranslatedBlock& b = mit->second;
-      const PAddr b_end =
-          b.start_pa + static_cast<u64>(b.insns.size()) * kInsnSize;
-      if (b.start_pa < pa + len && pa < b_end) {
+      if (overlaps(b, pa, len)) {
         map_.erase(mit);
         ++stats_.evict_smc;
         any = true;

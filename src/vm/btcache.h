@@ -28,6 +28,18 @@
 // (`reads`/`writes`). A kDivu may trap on a zero divisor, so the fast body
 // reports how many instructions it retired and the engine accounts for
 // exactly that prefix (ExecHooks::on_block_elided).
+//
+// Superblocks (the analogue of QEMU's TB chaining, for elidable code only):
+// an elidable block that ends in a direct kJmp continues at the jump target
+// when the target is 8-byte aligned and on the block's own virtual page,
+// so the entry translation covers it too. One jump per block is chained,
+// and only while the whole body stays elidable: a tail that would make it
+// non-elidable is dropped, so instrumented blocks keep their shape. The
+// chained segment starts at instruction `split`, at physical `split_pa`
+// (pa_of() maps an index to its bytes); it lives on the head's frame, so
+// the frame watch covers both segments, and a code write evicts the block
+// when it overlaps either segment. An idle `movi r0; syscall | jmp` loop
+// thus dispatches one 3-instruction block per scheduling round.
 #pragma once
 
 #include <unordered_map>
@@ -57,7 +69,17 @@ struct TranslatedBlock {
   /// plugin changes.
   u64 memo_version = 0;
   u32 memo_count = 0;
+  /// Index of the first instruction of the chained segment, and its
+  /// physical address; split == insns.size() when nothing is chained.
+  u32 split = 0;
+  PAddr split_pa = 0;
   std::vector<Instruction> insns;
+
+  /// Physical address of instruction `i`'s bytes.
+  PAddr pa_of(u32 i) const {
+    return i < split ? start_pa + static_cast<u64>(i) * kInsnSize
+                     : split_pa + static_cast<u64>(i - split) * kInsnSize;
+  }
 };
 
 /// Cache-lifetime totals, exported into the obs metrics stream by whoever
@@ -88,8 +110,10 @@ class BlockCache {
   /// validated by the caller). Stops at the first block-ending instruction,
   /// the page boundary, or the first undecodable slot (truncating — the
   /// fall-through re-enters the interpreter which raises the same trap the
-  /// per-instruction path would). Returns nullptr when the *first* slot is
-  /// undecodable; nothing is cached in that case.
+  /// per-instruction path would); an elidable block ending in a same-page
+  /// kJmp chains one segment at its target (see the header). Returns
+  /// nullptr when the *first* slot is undecodable; nothing is cached in
+  /// that case.
   TranslatedBlock* translate(PAddr cr3, VAddr va, PAddr pa);
 
   /// Evicts every block whose bytes live in `frame_base`. `smc` selects the
@@ -125,8 +149,6 @@ class BlockCache {
   /// interpreter's hooks changed, and another plugin must start afresh.
   void forget_plugin_state();
 
-  /// Longest block body; one page of 8-byte instructions.
-  static constexpr u32 kMaxBlockInsns = kPageSize / kInsnSize;
   /// Whole-cache flush threshold (runaway JIT guests).
   static constexpr size_t kMaxBlocks = 1u << 16;
 

@@ -8,9 +8,92 @@
 namespace faros::vm {
 
 namespace {
-/// Zero-size stand-in for InsnEvent in the uninstrumented executor, so the
-/// fast body pays nothing for event plumbing.
+/// Zero-size stand-in for InsnEvent in the uninstrumented executor, so it
+/// pays nothing for event plumbing.
 struct NoEvent {};
+
+enum class RegOp : u8 { kRetired, kDivZero, kOther };
+
+/// Semantics of every register-only opcode (taint_inert() ones and kDivu),
+/// shared by exec_decoded and the fast body. `new_pc` enters as next_pc.
+/// kDivZero: a zero divisor, nothing changed. kOther: not a register-only
+/// opcode; the caller executes it.
+[[gnu::always_inline]] inline RegOp exec_reg_op(CpuState& cpu,
+                                                const Instruction& insn,
+                                                u32 next_pc, u32& new_pc) {
+  auto& r = cpu.regs;
+  const u32 a = r[insn.rs1];
+  const u32 b = r[insn.rs2];
+  auto set_flags = [&](u32 x, u32 y) {
+    cpu.flag_eq = x == y;
+    cpu.flag_lt_u = x < y;
+    cpu.flag_lt_s = static_cast<i32>(x) < static_cast<i32>(y);
+  };
+  switch (insn.op) {
+    case Opcode::kNop: break;
+    case Opcode::kMovi: r[insn.rd] = insn.imm; break;
+    case Opcode::kMov: r[insn.rd] = a; break;
+    case Opcode::kAddPc: r[insn.rd] = next_pc + insn.imm; break;
+
+    case Opcode::kAdd: r[insn.rd] = a + b; break;
+    case Opcode::kSub: r[insn.rd] = a - b; break;
+    case Opcode::kMul: r[insn.rd] = a * b; break;
+    case Opcode::kDivu:
+      if (b == 0) return RegOp::kDivZero;
+      r[insn.rd] = a / b;
+      break;
+    case Opcode::kAnd: r[insn.rd] = a & b; break;
+    case Opcode::kOr: r[insn.rd] = a | b; break;
+    case Opcode::kXor: r[insn.rd] = a ^ b; break;
+    case Opcode::kShl: r[insn.rd] = a << (b & 31); break;
+    case Opcode::kShr: r[insn.rd] = a >> (b & 31); break;
+
+    case Opcode::kAddi: r[insn.rd] = a + insn.imm; break;
+    case Opcode::kSubi: r[insn.rd] = a - insn.imm; break;
+    case Opcode::kMuli: r[insn.rd] = a * insn.imm; break;
+    case Opcode::kAndi: r[insn.rd] = a & insn.imm; break;
+    case Opcode::kOri: r[insn.rd] = a | insn.imm; break;
+    case Opcode::kXori: r[insn.rd] = a ^ insn.imm; break;
+    case Opcode::kShli: r[insn.rd] = a << (insn.imm & 31); break;
+    case Opcode::kShri: r[insn.rd] = a >> (insn.imm & 31); break;
+
+    case Opcode::kCmp: set_flags(a, b); break;
+    case Opcode::kCmpi: set_flags(a, insn.imm); break;
+
+    case Opcode::kJmp: new_pc = next_pc + insn.imm; break;
+    case Opcode::kJr: new_pc = a; break;
+    case Opcode::kBeq:
+      if (cpu.flag_eq) new_pc = next_pc + insn.imm;
+      break;
+    case Opcode::kBne:
+      if (!cpu.flag_eq) new_pc = next_pc + insn.imm;
+      break;
+    case Opcode::kBlt:
+      if (cpu.flag_lt_s) new_pc = next_pc + insn.imm;
+      break;
+    case Opcode::kBge:
+      if (!cpu.flag_lt_s) new_pc = next_pc + insn.imm;
+      break;
+    case Opcode::kBltu:
+      if (cpu.flag_lt_u) new_pc = next_pc + insn.imm;
+      break;
+    case Opcode::kBgeu:
+      if (!cpu.flag_lt_u) new_pc = next_pc + insn.imm;
+      break;
+    case Opcode::kCall:
+      r[LR] = next_pc;
+      new_pc = next_pc + insn.imm;
+      break;
+    case Opcode::kCallr:
+      r[LR] = next_pc;
+      new_pc = a;
+      break;
+    case Opcode::kRet: new_pc = r[LR]; break;
+
+    default: return RegOp::kOther;
+  }
+  return RegOp::kRetired;
+}
 }  // namespace
 
 const char* trap_kind_name(TrapKind kind) {
@@ -60,7 +143,7 @@ std::optional<PAddr> Interpreter::translate_cached(const AddressSpace& as,
     return std::nullopt;
   };
   const u32 vpn = va >> kPageShift;
-  TlbEntry& e = tlb_[vpn & (kTlbSize - 1)];
+  TlbEntry& e = tlb_[(vpn ^ (as.cr3() >> kPageShift)) & (kTlbSize - 1)];
   if (e.cr3 != as.cr3() || e.vpn != vpn) {
     ++tlb_misses_;
     auto pte = as.lookup_pte(va);
@@ -125,9 +208,9 @@ StepInfo Interpreter::run_blocks(CpuState& cpu, const AddressSpace& as,
   while (executed < max_insns) {
     const VAddr pc = cpu.pc();
     // Entry checks mirror the per-instruction path: within a block the pc
-    // advances by kInsnSize (alignment preserved) and the body stays on the
-    // start page (one fetch translation covers it), so checking here is
-    // checking every instruction.
+    // advances by kInsnSize or, into a chained segment, jumps to an aligned
+    // target, and the body stays on the start page (one fetch translation
+    // covers it), so checking here is checking every instruction.
     if (pc % kInsnSize != 0) {
       return entry_trap(pc, TrapKind::kPcMisaligned, nullptr);
     }
@@ -149,15 +232,15 @@ StepInfo Interpreter::run_blocks(CpuState& cpu, const AddressSpace& as,
     const u32 n = static_cast<u32>(b->insns.size());
     const u32 take = static_cast<u32>(std::min<u64>(n, max_insns - executed));
     StepInfo one;
-    if (!hooks_) {
-      one = exec_cached<false>(cpu, as, *b, take);
-    } else if (take == n && b->elidable_ops && hooks_->try_elide_block(*b)) {
-      // A register-only body cannot evict *b. It retires all n
+    if (b->elidable_ops && (!hooks_ || hooks_->try_elide_block(*b))) {
+      // A register-only body cannot evict *b. It retires all `take`
       // instructions, a final kSyscall returning to the kernel, or stops
       // at a kDivu dividing by zero; the plugin accounts for the prefix
       // that retired.
-      one = exec_cached<false>(cpu, as, *b, n);
-      hooks_->on_block_elided(*b, static_cast<u32>(one.executed));
+      one = exec_fast(cpu, as.cr3(), *b, take);
+      if (hooks_) hooks_->on_block_elided(*b, static_cast<u32>(one.executed));
+    } else if (!hooks_) {
+      one = exec_cached<false>(cpu, as, *b, take);
     } else {
       if (take == n && !b->elidable_ops) btc_->count_not_offered();
       one = exec_cached<true>(cpu, as, *b, take);
@@ -176,12 +259,11 @@ StepInfo Interpreter::exec_cached(CpuState& cpu, const AddressSpace& as,
   StepInfo info;
   const u64 epoch = btc_->evict_epoch();
   const Instruction* insns = block.insns.data();
-  PAddr pa = block.start_pa;
   for (u32 i = 0; i < count; ++i) {
     // Copy before executing: a self-modifying store inside the block may
     // evict `block` (freeing insns) as a side effect of this instruction.
     const Instruction insn = insns[i];
-    StepInfo one = exec_decoded<kInstrumented>(cpu, as, insn, pa);
+    StepInfo one = exec_decoded<kInstrumented>(cpu, as, insn, block.pa_of(i));
     info.executed += one.executed;
     if (one.result != StepResult::kBudget) {
       one.executed = info.executed;
@@ -193,9 +275,46 @@ StepInfo Interpreter::exec_cached(CpuState& cpu, const AddressSpace& as,
       // which re-fetches from live memory (per-instruction semantics).
       break;
     }
-    pa += kInsnSize;
   }
   info.result = StepResult::kBudget;
+  return info;
+}
+
+StepInfo Interpreter::exec_fast(CpuState& cpu, PAddr cr3,
+                                const TranslatedBlock& block, u32 count) {
+  StepInfo info;
+  const Instruction* insns = block.insns.data();
+  auto begin_block = [&] {
+    ++block_count_;
+    if (hooks_) hooks_->on_block_begin(cr3, cpu.pc());
+  };
+  // Only the first instruction and the chained segment's first one can
+  // begin a dynamic basic block: every other block-ending opcode is last.
+  if (at_block_start_) begin_block();
+  at_block_start_ = false;
+  u32 i = 0;
+  for (; i < count; ++i) {
+    if (i == block.split) begin_block();
+    const Instruction& insn = insns[i];
+    const u32 next_pc = cpu.pc() + kInsnSize;
+    u32 new_pc = next_pc;
+    const RegOp op = exec_reg_op(cpu, insn, next_pc, new_pc);
+    if (op == RegOp::kDivZero) {
+      info.result = StepResult::kTrap;
+      info.trap = TrapKind::kDivZero;
+      info.pc = cpu.pc();
+      at_block_start_ = true;
+      break;
+    }
+    if (op == RegOp::kOther) {  // the final kSyscall
+      info.result = StepResult::kSyscall;
+      info.pc = cpu.pc();
+    }
+    cpu.set_pc(new_pc);
+  }
+  if (i != 0 && ends_block(insns[i - 1].op)) at_block_start_ = true;
+  instr_count_ += i;
+  info.executed = i;
   return info;
 }
 
@@ -310,123 +429,68 @@ StepInfo Interpreter::exec_decoded(CpuState& cpu, const AddressSpace& as,
     }
     return true;
   };
-  auto set_flags = [&](u32 x, u32 y) {
-    cpu.flag_eq = x == y;
-    cpu.flag_lt_u = x < y;
-    cpu.flag_lt_s = static_cast<i32>(x) < static_cast<i32>(y);
-  };
   auto mem_trap = [&]() {
     info.fault = fault;
     return trap(TrapKind::kMemFault);
   };
 
-  switch (insn.op) {
-    case Opcode::kNop: break;
-    case Opcode::kHalt:
-      info.result = StepResult::kHalt;
-      break;
-    case Opcode::kMovi: r[insn.rd] = insn.imm; break;
-    case Opcode::kMov: r[insn.rd] = a; break;
-    case Opcode::kAddPc: r[insn.rd] = next_pc + insn.imm; break;
+  switch (exec_reg_op(cpu, insn, next_pc, new_pc)) {
+    case RegOp::kRetired: break;
+    case RegOp::kDivZero: return trap(TrapKind::kDivZero);
+    case RegOp::kOther:
+      switch (insn.op) {
+        case Opcode::kHalt:
+          info.result = StepResult::kHalt;
+          break;
 
-    case Opcode::kLd8:
-      if (!do_load(1)) return mem_trap();
-      break;
-    case Opcode::kLd16:
-      if (!do_load(2)) return mem_trap();
-      break;
-    case Opcode::kLd32:
-      if (!do_load(4)) return mem_trap();
-      break;
-    case Opcode::kSt8:
-      if (!do_store(1)) return mem_trap();
-      break;
-    case Opcode::kSt16:
-      if (!do_store(2)) return mem_trap();
-      break;
-    case Opcode::kSt32:
-      if (!do_store(4)) return mem_trap();
-      break;
+        case Opcode::kLd8:
+          if (!do_load(1)) return mem_trap();
+          break;
+        case Opcode::kLd16:
+          if (!do_load(2)) return mem_trap();
+          break;
+        case Opcode::kLd32:
+          if (!do_load(4)) return mem_trap();
+          break;
+        case Opcode::kSt8:
+          if (!do_store(1)) return mem_trap();
+          break;
+        case Opcode::kSt16:
+          if (!do_store(2)) return mem_trap();
+          break;
+        case Opcode::kSt32:
+          if (!do_store(4)) return mem_trap();
+          break;
 
-    case Opcode::kAdd: r[insn.rd] = a + b; break;
-    case Opcode::kSub: r[insn.rd] = a - b; break;
-    case Opcode::kMul: r[insn.rd] = a * b; break;
-    case Opcode::kDivu:
-      if (b == 0) return trap(TrapKind::kDivZero);
-      r[insn.rd] = a / b;
-      break;
-    case Opcode::kAnd: r[insn.rd] = a & b; break;
-    case Opcode::kOr: r[insn.rd] = a | b; break;
-    case Opcode::kXor: r[insn.rd] = a ^ b; break;
-    case Opcode::kShl: r[insn.rd] = a << (b & 31); break;
-    case Opcode::kShr: r[insn.rd] = a >> (b & 31); break;
+        case Opcode::kPush: {
+          u32 sp = r[SP] - 4;
+          PAddr pa = 0;
+          if (!mem_write(as, sp, 4, a, &pa, &fault)) return mem_trap();
+          r[SP] = sp;
+          if constexpr (kInstrumented) {
+            ev.mem = MemAccess{sp, pa, 4, /*is_write=*/true};
+          }
+          break;
+        }
+        case Opcode::kPop: {
+          u32 value = 0;
+          PAddr pa = 0;
+          if (!mem_read(as, r[SP], 4, &value, &pa, &fault)) {
+            return mem_trap();
+          }
+          if constexpr (kInstrumented) {
+            ev.mem = MemAccess{r[SP], pa, 4, /*is_write=*/false};
+          }
+          r[insn.rd] = value;
+          r[SP] += 4;
+          break;
+        }
 
-    case Opcode::kAddi: r[insn.rd] = a + insn.imm; break;
-    case Opcode::kSubi: r[insn.rd] = a - insn.imm; break;
-    case Opcode::kMuli: r[insn.rd] = a * insn.imm; break;
-    case Opcode::kAndi: r[insn.rd] = a & insn.imm; break;
-    case Opcode::kOri: r[insn.rd] = a | insn.imm; break;
-    case Opcode::kXori: r[insn.rd] = a ^ insn.imm; break;
-    case Opcode::kShli: r[insn.rd] = a << (insn.imm & 31); break;
-    case Opcode::kShri: r[insn.rd] = a >> (insn.imm & 31); break;
-
-    case Opcode::kCmp: set_flags(a, b); break;
-    case Opcode::kCmpi: set_flags(a, insn.imm); break;
-
-    case Opcode::kJmp: new_pc = next_pc + insn.imm; break;
-    case Opcode::kJr: new_pc = a; break;
-    case Opcode::kBeq:
-      if (cpu.flag_eq) new_pc = next_pc + insn.imm;
-      break;
-    case Opcode::kBne:
-      if (!cpu.flag_eq) new_pc = next_pc + insn.imm;
-      break;
-    case Opcode::kBlt:
-      if (cpu.flag_lt_s) new_pc = next_pc + insn.imm;
-      break;
-    case Opcode::kBge:
-      if (!cpu.flag_lt_s) new_pc = next_pc + insn.imm;
-      break;
-    case Opcode::kBltu:
-      if (cpu.flag_lt_u) new_pc = next_pc + insn.imm;
-      break;
-    case Opcode::kBgeu:
-      if (!cpu.flag_lt_u) new_pc = next_pc + insn.imm;
-      break;
-    case Opcode::kCall:
-      r[LR] = next_pc;
-      new_pc = next_pc + insn.imm;
-      break;
-    case Opcode::kCallr:
-      r[LR] = next_pc;
-      new_pc = a;
-      break;
-    case Opcode::kRet: new_pc = r[LR]; break;
-
-    case Opcode::kPush: {
-      u32 sp = r[SP] - 4;
-      PAddr pa = 0;
-      if (!mem_write(as, sp, 4, a, &pa, &fault)) return mem_trap();
-      r[SP] = sp;
-      if constexpr (kInstrumented) {
-        ev.mem = MemAccess{sp, pa, 4, /*is_write=*/true};
+        case Opcode::kSyscall: info.result = StepResult::kSyscall; break;
+        case Opcode::kBrk: return trap(TrapKind::kBreak);
+        default: break;  // register-only: handled above
       }
       break;
-    }
-    case Opcode::kPop: {
-      u32 value = 0;
-      PAddr pa = 0;
-      if (!mem_read(as, r[SP], 4, &value, &pa, &fault)) return mem_trap();
-      if constexpr (kInstrumented) {
-        ev.mem = MemAccess{r[SP], pa, 4, /*is_write=*/false};
-      }
-      r[insn.rd] = value;
-      r[SP] += 4;
-      break;
-    }
-
-    case Opcode::kSyscall: info.result = StepResult::kSyscall; break;
-    case Opcode::kBrk: return trap(TrapKind::kBreak);
   }
 
   cpu.set_pc(new_pc);

@@ -8,7 +8,10 @@
 // blocks: fetch-translate + decode happen once per block instead of once per
 // instruction, and a plugin may approve running register-only blocks
 // (optionally ending in a syscall) through an uninstrumented fast body
-// (ExecHooks::try_elide_block). With the cache disabled the historical
+// (ExecHooks::try_elide_block). The fast body is one tight register-only
+// loop: no InsnEvent, StepInfo or Fault per instruction, only the exact
+// instruction and dynamic-block counts; it also runs every elidable block
+// when no plugin is attached. With the cache disabled the historical
 // per-instruction loop runs unchanged. Both gears retire bit-identical
 // architectural state and event streams.
 #pragma once
@@ -99,24 +102,32 @@ class ExecHooks {
     (void)ev;
     (void)as;
   }
-  /// Asked once per full-length dispatch of a cached block whose opcodes
-  /// are all elidable: taint_inert() ones, kDivu, and at most one
-  /// kSyscall, always last. Such a body has no memory ops; its register
-  /// effect is summed up by `block.reads`/`block.writes`, and it can stop
-  /// early only at a kDivu dividing by zero. Returning true lets the
-  /// interpreter execute it without per-instruction callbacks, and then
-  /// report what retired through on_block_elided; on_block_begin still
-  /// fires, and a final kSyscall still returns to the kernel. The guard
-  /// must leave the plugin's analysis state untouched: the body has not
-  /// run yet. The default keeps every plugin on the instrumented path.
+  /// Asked once per dispatch of a cached block whose opcodes are all
+  /// elidable: taint_inert() ones, kDivu, and at most one kSyscall, always
+  /// last. Such a body has no memory ops; its register effect is summed up
+  /// by `block.reads`/`block.writes`, and it can stop early only at a kDivu
+  /// dividing by zero. The dispatch may cover only a prefix of the block
+  /// when the instruction budget ends inside it; `reads`, the syscall
+  /// tail and the block's code bytes all cover the whole block, so a guard
+  /// that approves the whole body is conservative for any prefix. A block
+  /// may be a superblock (vm/btcache.h): a chained segment after a direct
+  /// kJmp, whose bytes block.pa_of() locates. Returning true lets the
+  /// interpreter run the body through its register-only fast body, with no
+  /// per-instruction callbacks or events, and then report what retired
+  /// through on_block_elided; on_block_begin still fires once per dynamic
+  /// basic block (a chained segment begins one), and a final kSyscall
+  /// still returns to the kernel. The guard must leave the plugin's
+  /// analysis state untouched: the body has not run yet. The default keeps
+  /// every plugin on the instrumented path.
   virtual bool try_elide_block(const TranslatedBlock& block) {
     (void)block;
     return false;
   }
   /// The approved body ran: its first `retired` instructions retired (all
-  /// of them, or the prefix before a trapping kDivu). The plugin accounts
-  /// for exactly those, as the instrumented path would have. It may keep
-  /// a memo in the block's memo_* fields.
+  /// of them, the prefix the budget allowed, or the prefix before a
+  /// trapping kDivu). The plugin accounts for exactly those, as the
+  /// instrumented path would have. It may keep a memo in the block's
+  /// memo_* fields.
   virtual void on_block_elided(TranslatedBlock& block, u32 retired) {
     (void)block;
     (void)retired;
@@ -183,6 +194,12 @@ class Interpreter {
   StepInfo exec_cached(CpuState& cpu, const AddressSpace& as,
                        const TranslatedBlock& block, u32 count);
 
+  /// The register-only fast body: runs up to `count` instructions of an
+  /// elidable block, stopping after a final kSyscall or at a kDivu
+  /// dividing by zero (which does not retire).
+  StepInfo exec_fast(CpuState& cpu, PAddr cr3, const TranslatedBlock& block,
+                     u32 count);
+
   bool mem_read(const AddressSpace& as, VAddr va, unsigned size, u32* value,
                 PAddr* first_pa, Fault* fault);
   bool mem_write(const AddressSpace& as, VAddr va, unsigned size, u32 value,
@@ -201,7 +218,10 @@ class Interpreter {
     u32 vpn = 0;
     u32 pte = 0;
   };
-  static constexpr u32 kTlbSize = 64;  // direct mapped, power of two
+  /// Direct mapped, power of two. Indexed by vpn ^ (cr3 >> kPageShift):
+  /// processes running one image at one virtual address keep separate
+  /// slots for its pages instead of evicting each other every round.
+  static constexpr u32 kTlbSize = 64;
 
   PhysMem* mem_;
   ExecHooks* hooks_ = nullptr;

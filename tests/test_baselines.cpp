@@ -193,5 +193,71 @@ TEST(SandboxReport, NetscanDlllistHistogramAndFullReport) {
             std::string::npos);
 }
 
+/// A monitor that implements no SyscallObserver.
+struct PlainMonitor : osi::GuestMonitor {
+  int starts = 0;
+  void on_process_start(const osi::ProcessInfo&) override { ++starts; }
+};
+
+TEST(SyscallObserver, BusRegistersOnlyObserversAndDetachUnregisters) {
+  osi::MonitorBus bus;
+  PlainMonitor plain;
+  CuckooSandboxSim cuckoo;
+  bus.attach(&plain);
+  EXPECT_FALSE(bus.observes_syscalls());
+  bus.attach(&cuckoo);
+  EXPECT_TRUE(bus.observes_syscalls());
+
+  osi::SyscallEvent ev;
+  ev.proc = {7, 1, 0x1000, "x.exe"};
+  ev.number = 51;
+  ev.name = "NtYield";
+  bus.on_syscall(ev);
+  ASSERT_EQ(cuckoo.syscalls().size(), 1u);
+  EXPECT_EQ(cuckoo.syscalls()[0].pid, 7u);
+
+  bus.detach(&cuckoo);
+  EXPECT_FALSE(bus.observes_syscalls());
+  EXPECT_EQ(bus.count(), 1u);
+  bus.on_syscall(ev);
+  EXPECT_EQ(cuckoo.syscalls().size(), 1u);
+  bus.on_process_start(ev.proc);  // the plain monitor still gets the rest
+  EXPECT_EQ(plain.starts, 1);
+}
+
+TEST(SyscallObserver, CuckooBesideFarosRecordsTheFullSyscallTrace) {
+  // FAROS is no syscall observer: an analyzed run builds no syscall
+  // events. Cuckoo attached beside it still sees every syscall the
+  // sandboxed run sees.
+  attacks::ReflectiveDllScenario alone_sc(
+      attacks::ReflectiveVariant::kMeterpreter);
+  SandboxedRun alone;
+  sandbox(alone_sc, alone);
+
+  {
+    attacks::Analysis plain;
+    EXPECT_FALSE(plain.machine().kernel().monitors().observes_syscalls());
+  }
+  attacks::ReflectiveDllScenario sc(attacks::ReflectiveVariant::kMeterpreter);
+  CuckooSandboxSim beside;
+  attacks::Analysis a;
+  a.machine().add_monitor(&beside);
+  EXPECT_TRUE(a.machine().kernel().monitors().observes_syscalls());
+  ASSERT_TRUE(a.start(sc).ok());
+  a.run(sc.budget());
+  EXPECT_TRUE(a.engine().flagged());
+
+  const auto& want = alone.cuckoo.syscalls();
+  const auto& got = beside.syscalls();
+  ASSERT_GT(want.size(), 1000u);
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got[i].pid, want[i].pid) << i;
+    ASSERT_EQ(got[i].proc, want[i].proc) << i;
+    ASSERT_EQ(got[i].number, want[i].number) << i;
+    ASSERT_EQ(got[i].name, want[i].name) << i;
+  }
+}
+
 }  // namespace
 }  // namespace faros::baselines

@@ -158,6 +158,125 @@ TEST(BtCacheIsa, SyscallTailBlocksAreOffered) {
   EXPECT_EQ(b->writes, (1u << vm::R0) | (1u << R1));
 }
 
+/// Translates the block at `va` of `env`'s code into `btc`.
+const vm::TranslatedBlock* translate_at(CpuEnv& env, vm::BlockCache& btc,
+                                        VAddr va) {
+  auto pa = env.as.translate(va, vm::AccessType::kExec, true);
+  EXPECT_TRUE(pa.has_value());
+  return pa ? btc.translate(env.as.cr3(), va, *pa) : nullptr;
+}
+
+TEST(BtCacheIsa, ElidableBlockChainsItsSamePageJumpTarget) {
+  // The NtYield loop's shape: the jmp block continues at its target, one
+  // 3-instruction superblock per iteration.
+  CpuEnv env(/*block_cache=*/false);
+  Assembler a;
+  a.label("loop");
+  a.movi(vm::R0, 7);
+  a.syscall_();
+  a.jmp("loop");
+  env.load(a);
+  vm::BlockCache btc(env.mem);
+  const VAddr jmp_va = kCodeBase + 2 * vm::kInsnSize;
+  const vm::TranslatedBlock* b = translate_at(env, btc, jmp_va);
+  ASSERT_NE(b, nullptr);
+  ASSERT_EQ(b->insns.size(), 3u);
+  EXPECT_EQ(b->split, 1u);
+  EXPECT_TRUE(b->elidable_ops);
+  EXPECT_EQ(b->insns[0].op, Opcode::kJmp);
+  EXPECT_EQ(b->insns[2].op, Opcode::kSyscall);
+  EXPECT_EQ(b->pa_of(0), b->start_pa);
+  EXPECT_EQ(b->split_pa, b->start_pa - 2 * vm::kInsnSize);
+  EXPECT_EQ(b->pa_of(2), b->split_pa + vm::kInsnSize);
+  EXPECT_EQ(b->writes, 1u << vm::R0);
+
+  // Executed, the superblock retires exactly what the plain blocks do.
+  for (bool cache : {true, false}) {
+    CpuEnv run(cache);
+    run.load(a);
+    run.cpu.set_pc(jmp_va);
+    StepInfo info = run.run();
+    EXPECT_EQ(info.result, StepResult::kSyscall) << cache;
+    EXPECT_EQ(info.executed, 3u) << cache;
+    EXPECT_EQ(info.pc, kCodeBase + vm::kInsnSize) << cache;
+    EXPECT_EQ(run.cpu.pc(), jmp_va) << cache;
+    EXPECT_EQ(run.interp.block_count(), 2u) << cache;
+    if (cache) {
+      EXPECT_EQ(run.interp.block_cache()->stats().hits, 0u);
+    }
+  }
+}
+
+TEST(BtCacheIsa, OffPageMisalignedAndNonElidableTargetsAreNotChained) {
+  // Off-page: the jmp's (elidable) target sits on the next virtual page.
+  {
+    CpuEnv env(/*block_cache=*/false);
+    Assembler a;
+    a.movi(R1, 1);
+    a.jmp("far");
+    for (u32 i = 0; i < vm::kPageSize / vm::kInsnSize; ++i) a.nop();
+    a.label("far");
+    a.movi(R2, 2);
+    a.jmp("far");
+    env.load(a);
+    vm::BlockCache btc(env.mem);
+    const vm::TranslatedBlock* b = translate_at(env, btc, kCodeBase);
+    ASSERT_NE(b, nullptr);
+    EXPECT_EQ(b->insns.size(), 2u);
+    EXPECT_EQ(b->split, 2u);
+  }
+  // Misaligned: a raw jmp whose displacement is not a multiple of 8.
+  {
+    CpuEnv env(/*block_cache=*/false);
+    Assembler a;
+    a.movi(R1, 1);
+    Bytes raw;
+    vm::encode(Instruction{Opcode::kJmp, 0, 0, 0, 4}, raw);
+    a.data(raw);
+    a.movi(R2, 2);
+    a.halt();
+    env.load(a);
+    vm::BlockCache btc(env.mem);
+    const vm::TranslatedBlock* b = translate_at(env, btc, kCodeBase);
+    ASSERT_NE(b, nullptr);
+    EXPECT_EQ(b->insns.size(), 2u);
+    EXPECT_EQ(b->split, 2u);
+    EXPECT_TRUE(b->elidable_ops);
+    // Executed, the jump still traps at its misaligned target.
+    CpuEnv run;
+    run.load(a);
+    StepInfo info = run.run();
+    EXPECT_EQ(info.result, StepResult::kTrap);
+    EXPECT_EQ(info.trap, vm::TrapKind::kPcMisaligned);
+  }
+  // Non-elidable tail: the head stays an elidable block of its own, and a
+  // non-elidable head is never extended either.
+  {
+    CpuEnv env(/*block_cache=*/false);
+    Assembler a;
+    a.movi(R1, kDataBase);
+    a.jmp("load");
+    a.label("load");
+    a.ld32(R2, R1);
+    a.jmp("done");
+    a.label("done");
+    a.halt();
+    env.load(a);
+    vm::BlockCache btc(env.mem);
+    const vm::TranslatedBlock* head = translate_at(env, btc, kCodeBase);
+    ASSERT_NE(head, nullptr);
+    EXPECT_EQ(head->insns.size(), 2u);
+    EXPECT_EQ(head->split, 2u);
+    EXPECT_TRUE(head->elidable_ops);
+    const vm::TranslatedBlock* load =
+        translate_at(env, btc, kCodeBase + 2 * vm::kInsnSize);
+    ASSERT_NE(load, nullptr);
+    EXPECT_EQ(load->insns.size(), 2u);
+    EXPECT_EQ(load->split, 2u);
+    EXPECT_FALSE(load->elidable_ops);
+  }
+}
+
 TEST(BtCache, LoopTranslatesOnceAndHitsThereafter) {
   CpuEnv env;
   Assembler a;
@@ -791,25 +910,33 @@ FootprintProgram random_footprint_program(u32 seed) {
 }
 
 /// Forwards every hook to the engine, counting the instructions that reach
-/// it one by one and the approved bodies a kDivu trap cut short.
+/// it one by one and the approved bodies that retired less than the whole
+/// block. `short_body` says whether the last hook call of a run() reported
+/// such a body: when run() then returns a trap, a kDivu cut that body
+/// short (a budget cut returns kBudget).
 struct CountingHooks : vm::ExecHooks {
   vm::ExecHooks* inner = nullptr;
   u64 instrumented = 0;
-  u64 trapped_bodies = 0;
+  u64 short_bodies = 0;
+  bool short_body = false;
 
   void on_block_begin(PAddr cr3, VAddr pc) override {
+    short_body = false;
     inner->on_block_begin(cr3, pc);
   }
   void on_insn_retired(const vm::InsnEvent& ev,
                        const AddressSpace& as) override {
+    short_body = false;
     ++instrumented;
     inner->on_insn_retired(ev, as);
   }
   bool try_elide_block(const vm::TranslatedBlock& b) override {
+    short_body = false;
     return inner->try_elide_block(b);
   }
   void on_block_elided(vm::TranslatedBlock& b, u32 retired) override {
-    if (retired < b.insns.size()) ++trapped_bodies;
+    short_body = retired < b.insns.size();
+    if (short_body) ++short_bodies;
     inner->on_block_elided(b, retired);
   }
 };
@@ -885,6 +1012,7 @@ FootprintOutcome run_footprint(const FootprintProgram& p, u32 seed,
   for (int pass = 0; pass < 3; ++pass) {
     env.cpu.set_pc(kCodeBase);
     for (;;) {
+      hooks.short_body = false;
       StepInfo info = env.run(1 + slices() % 40);
       if (info.result == StepResult::kHalt) break;
       if (info.result == StepResult::kTrap) {
@@ -893,6 +1021,7 @@ FootprintOutcome run_footprint(const FootprintProgram& p, u32 seed,
           break;
         }
         ++out.traps;
+        if (hooks.short_body) ++out.trapped_bodies;
         env.cpu.set_pc(info.pc + vm::kInsnSize);
       }
     }
@@ -925,7 +1054,6 @@ FootprintOutcome run_footprint(const FootprintProgram& p, u32 seed,
   }
   out.metrics = engine.metrics_snapshot();
   out.instrumented = hooks.instrumented;
-  out.trapped_bodies = hooks.trapped_bodies;
   return out;
 }
 
@@ -1081,6 +1209,169 @@ TEST(BtCacheEngine, TwoProcessesOfOneIdleImageBothElideInSteadyState) {
   EXPECT_EQ(delta(Ctr::kBtGuardFail), 0u);
   EXPECT_EQ(delta(Ctr::kFetchCacheHit) + delta(Ctr::kFetchCacheMiss), 0u);
   EXPECT_EQ(delta(Ctr::kAppendMemoHit) + delta(Ctr::kAppendMemoMiss), 0u);
+}
+
+/// A loop whose superblock is `loop: addi r6; jmp tail` chained with
+/// `tail: movi r7, 1; add r9, r9, r7; cmpi r6, 3; beq patcher`. On the
+/// third iteration `patcher` rewrites the tail's movi immediate to 100, so
+/// six iterations sum 1+1+1+100+100+100; the program prints the sum and
+/// idles. Only the superblock ever holds the tail: entry is a conditional
+/// branch (never chained) into `loop`.
+os::Image build_tail_patcher() {
+  os::ImageBuilder ib("tailpatch.exe", os::kUserImageBase);
+  Assembler& a = ib.asm_();
+  a.label("_start");
+  a.movi(vm::R6, 0);
+  a.movi(vm::R9, 0);
+  a.cmp(vm::R6, vm::R6);
+  a.beq("loop");
+  a.label("loop");
+  a.addi(vm::R6, vm::R6, 1);
+  a.jmp("tail");
+  a.label("patcher");
+  a.movi_label(vm::R8, "tail");
+  a.movi(vm::R10, 100);
+  a.st32(vm::R8, 4, vm::R10);  // the movi's imm32 word
+  a.jmp("loop");
+  a.label("tail");
+  a.movi(vm::R7, 1);
+  a.add(vm::R9, vm::R9, vm::R7);
+  a.cmpi(vm::R6, 3);
+  a.beq("patcher");
+  a.cmpi(vm::R6, 6);
+  a.bne("loop");
+  a.movi_label(R1, "sum");
+  a.st32(R1, 0, vm::R9);
+  a.movi(R2, 4);
+  attacks::emit_sys(a, os::Sys::kNtDebugPrint);
+  a.label("idle");
+  attacks::emit_sys(a, os::Sys::kNtYield);
+  a.jmp("idle");
+  a.label("sum");
+  a.data_u32(0);
+  auto img = ib.build();
+  EXPECT_TRUE(img.ok());
+  return img.value();
+}
+
+TEST(BtCacheOs, StoreIntoChainedSegmentEvictsTheSuperblock) {
+  struct Outcome {
+    u32 regs[vm::kNumRegs] = {};
+    std::vector<std::string> console;
+    core::EngineStats stats;
+    u64 evict_smc = 0;
+  };
+  auto run = [](bool block_cache) {
+    os::MachineConfig mc;
+    mc.kernel.block_cache = block_cache;
+    os::Machine m(mc);
+    core::FarosEngine engine(m.kernel(), core::Options{});
+    m.attach_cpu_plugin(&engine);
+    m.add_monitor(&engine);
+    EXPECT_TRUE(m.boot().ok());
+    m.kernel().vfs().create("C:/tailpatch.exe",
+                            build_tail_patcher().serialize());
+    const vm::BlockCache* btc = m.kernel().interp().block_cache();
+    const u64 evict_before = btc ? btc->stats().evict_smc : 0;
+    auto pid = m.kernel().spawn("C:/tailpatch.exe");
+    EXPECT_TRUE(pid.ok());
+    m.run(5000);
+    Outcome out;
+    const os::Process* p = m.kernel().find(pid.value());
+    EXPECT_NE(p, nullptr);
+    if (p) std::copy(p->cpu.regs, p->cpu.regs + vm::kNumRegs, out.regs);
+    out.console = m.kernel().console();
+    out.stats = engine.stats();
+    if (btc) out.evict_smc = btc->stats().evict_smc - evict_before;
+    return out;
+  };
+  const Outcome on = run(true);
+  const Outcome off = run(false);
+  // The patch lands in the chained segment only: it evicts the one
+  // superblock holding it, and the next iteration runs the new bytes.
+  EXPECT_EQ(on.evict_smc, 1u);
+  EXPECT_EQ(on.regs[vm::R9], 303u);
+  for (u32 r = 0; r < vm::kNumRegs; ++r) {
+    EXPECT_EQ(on.regs[r], off.regs[r]) << "r" << r;
+  }
+  ASSERT_EQ(on.console.size(), 1u);
+  EXPECT_EQ(on.console, off.console);
+  EXPECT_EQ(on.stats.insns_seen, off.stats.insns_seen);
+  EXPECT_EQ(on.stats.tainted_fetches, off.stats.tainted_fetches);
+  EXPECT_GT(on.stats.elided_insns, 0u);
+}
+
+TEST(BtCacheEngine, BudgetCutInsideElidableSuperblockMatchesUncached) {
+  // A superblock on a netflow-tainted code page, entered with a tainted
+  // register it never reads, run in slices of 1..7 instructions so the
+  // budget ends at every offset of it, both segments and the split.
+  struct Outcome {
+    core::EngineStats stats;
+    std::vector<std::vector<core::ProvTag>> regs;
+    u64 short_bodies = 0;
+  };
+  auto run = [](bool block_cache) {
+    CpuEnv env(block_cache);
+    Assembler a;
+    a.label("loop");
+    a.addi(R1, R1, 1);
+    a.mov(R2, R1);
+    a.jmp("tail");
+    a.label("tail");
+    a.movi(R3, 5);
+    a.add(R4, R3, R2);
+    a.cmpi(R1, 200);
+    a.bne("loop");
+    a.halt();
+    env.load(a);
+    OneProcessOsi osi;
+    osi.proc = {1, 0, env.as.cr3(), "cut.exe"};
+    core::FarosEngine engine(osi, core::Options{});
+    CountingHooks hooks;
+    hooks.inner = &engine;
+    env.interp.set_hooks(&hooks);
+    const FlowTuple flow{0x0a000001, 4444, 0x0a000002, 5000};
+    // Taint the code bytes, and r5 through a tainted load.
+    engine.on_packet_to_guest(
+        osi::GuestXfer{osi.proc, &env.as, kCodeBase, 7 * vm::kInsnSize},
+        flow);
+    engine.on_packet_to_guest(
+        osi::GuestXfer{osi.proc, &env.as, kDataBase, 4}, flow);
+    Assembler pre;
+    pre.movi(R5, kDataBase);
+    pre.ld32(R5, R5);
+    pre.halt();
+    env.load(pre, kCodeBase + vm::kPageSize);
+    EXPECT_EQ(env.run().result, StepResult::kHalt);
+    env.cpu.set_pc(kCodeBase);
+    u32 slice = 0;
+    for (;;) {
+      StepInfo info = env.run(1 + slice++ % 7);
+      if (info.result == StepResult::kHalt) break;
+      EXPECT_EQ(info.result, StepResult::kBudget);
+    }
+    Outcome out;
+    out.stats = engine.stats();
+    const core::ShadowRegisters* sr = engine.registers(env.as.cr3());
+    EXPECT_NE(sr, nullptr);
+    for (u8 r = 0; r < vm::kNumRegs && sr; ++r) {
+      for (u8 b = 0; b < 4; ++b) {
+        out.regs.push_back(engine.store().get(sr->get(r, b)));
+      }
+    }
+    out.short_bodies = hooks.short_bodies;
+    return out;
+  };
+  const Outcome on = run(true);
+  const Outcome off = run(false);
+  EXPECT_EQ(on.stats.insns_seen, off.stats.insns_seen);
+  EXPECT_EQ(on.stats.tainted_fetches, off.stats.tainted_fetches);
+  EXPECT_GT(on.stats.tainted_fetches, 1000u);
+  EXPECT_EQ(on.regs, off.regs);
+  EXPECT_FALSE(on.regs[R5 * 4].empty());  // the bank stayed dirty
+  // Budget-cut prefixes ran elided (the loop has no kDivu to trap).
+  EXPECT_GT(on.short_bodies, 0u);
+  EXPECT_GT(on.stats.elided_insns, on.stats.insns_seen / 2);
 }
 
 // --- detection equivalence over a corpus slice ---------------------------
