@@ -17,9 +17,9 @@
 // binding every trigger (kDispatchRules below), isolating what the
 // declarative rule-dispatch layer costs over the built-in fast path.
 //
-// The _btc variants rerun the core regimes with the block-translation
-// cache on (the production default): decode-once dispatch plus the
-// engine's elision fast path. The idle _btc regimes are NtYield spinners
+// Every regime runs the product's interpreter gear, the block-translation
+// cache: decode-once dispatch plus the engine's elision fast path (the
+// _btc suffix is historical). The idle _btc regimes are NtYield spinners
 // idling with a tainted register they never read (an injected payload's
 // shape), one process and three from one image; the divspin regime's hot
 // block divides by a constant. The gates require all three to run almost
@@ -28,11 +28,11 @@
 // processes of one image to keep their own TLB entries.
 //
 // With FAROS_BENCH_JSON=<path> set, main() appends one JSONL record per
-// regime (median of five fixed-work wall-clock samples, independent of
-// google-benchmark's timing machinery) — the format committed in
-// BENCH_shadow.json. With FAROS_BENCH_GATE set, the block-cache overhead
-// ceiling and the elision coverage gates are enforced and gate failure
-// exits nonzero.
+// regime (median of five wall-clock samples of equal work, each lasting at
+// least kMinSampleS, independent of google-benchmark's timing machinery) —
+// the format committed in BENCH_shadow.json. With FAROS_BENCH_GATE set,
+// the block-cache overhead ceiling and the elision coverage gates are
+// enforced and gate failure exits nonzero.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -306,10 +306,6 @@ struct Regime {
   bool copier;
   bool metrics = true;  // Options::collect_metrics for this run
   const char* rules_json = nullptr;  // non-null: replace the built-in rules
-  // Block-translation cache (vm/btcache.h). Off for the legacy regimes so
-  // their numbers stay comparable across releases; the _btc regimes measure
-  // the cached interpreter with elision.
-  bool block_cache = false;
   // The divspin workload (hot block with a constant-divisor kDivu) instead
   // of the spinner.
   bool divspin = false;
@@ -334,13 +330,15 @@ constexpr const char* kDispatchRules = R"({"rules":[
    "when":["target has-type:netflow"]}]})";
 
 struct RegimeRun {
-  double seconds = 0;
+  u64 insns = 0;  // per sample
+  double seconds = 0;  // median sample
   obs::MetricSnapshot metrics;  // collected=false for bare / _noobs runs
 };
 
-RegimeRun run_regime(const Regime& r, u64 insns) {
-  os::MachineConfig mc;
-  mc.kernel.block_cache = r.block_cache;
+/// Shortest timed sample: shorter ones sit inside the host's noise.
+constexpr double kMinSampleS = 0.1;
+
+RegimeRun run_regime(const Regime& r) {
   core::Options opts = r.clean ? clean_options() : core::Options{};
   opts.collect_metrics = r.metrics;
   if (r.rules_json) {
@@ -368,10 +366,10 @@ RegimeRun run_regime(const Regime& r, u64 insns) {
   std::unique_ptr<attacks::Analysis> a;
   std::unique_ptr<os::Machine> bare;
   if (r.attach_engine) {
-    a = std::make_unique<attacks::Analysis>(opts, mc);
+    a = std::make_unique<attacks::Analysis>(opts);
     (void)a->start(sc);
   } else {
-    bare = std::make_unique<os::Machine>(mc);
+    bare = std::make_unique<os::Machine>();
     (void)bare->boot();
     (void)sc.setup(*bare);
   }
@@ -380,14 +378,19 @@ RegimeRun run_regime(const Regime& r, u64 insns) {
     run(1000);
     if (a) taint_copier_buf(a->machine(), a->engine(), copier);
   }
-  run(insns / 10);  // warm-up
   RegimeRun out;
-  // Median of five fixed-work samples: each sample runs exactly `insns`
-  // instructions of the steady-state loop, so one scheduler hiccup or page
-  // of cold cache skews a single sample, not the reported figure.
+  // Warm-up that sizes the work: double it until one run of the steady-
+  // state loop lasts kMinSampleS.
+  out.insns = 2'000'000;
+  while (bench::time_s([&] { run(out.insns); }) < kMinSampleS) {
+    out.insns *= 2;
+  }
+  // Median of five samples of `out.insns` instructions each, so one
+  // scheduler hiccup or page of cold cache skews a single sample, not the
+  // reported figure.
   double samples[5];
   for (double& s : samples) {
-    s = bench::time_s([&] { run(insns); });
+    s = bench::time_s([&] { run(out.insns); });
   }
   std::sort(std::begin(samples), std::end(samples));
   out.seconds = samples[2];
@@ -408,14 +411,9 @@ double rate(u64 hit, u64 miss) {
 bool emit_json_summary() {
   const bool gate = std::getenv("FAROS_BENCH_GATE") != nullptr;
   if (!std::getenv("FAROS_BENCH_JSON") && !gate) return true;
-  constexpr u64 kInsns = 2000000;
   // The _noobs pair isolates the observability tax: identical workloads
   // with collect_metrics off, so every counter handle is null.
   const Regime regimes[] = {
-      {"interp_bare", false, false, false},
-      {"interp_faros_clean", true, true, false},
-      {"interp_faros_image_tainted", true, false, false},
-      {"interp_faros_tainted_copy", true, false, true},
       {"interp_faros_clean_noobs", true, true, false, /*metrics=*/false},
       {"interp_faros_image_tainted_noobs", true, false, false,
        /*metrics=*/false},
@@ -427,44 +425,39 @@ bool emit_json_summary() {
        /*metrics=*/true, kDispatchRules},
       {"interp_faros_tainted_copy_rules", true, false, true,
        /*metrics=*/true, kDispatchRules},
-      // Block-translation cache on (the production default): same four core
-      // workloads. clean/image_tainted ride the elision fast path; the
-      // copier keeps its loads/stores instrumented but skips fetch+decode.
-      {"interp_bare_btc", false, false, false, /*metrics=*/true,
-       /*rules_json=*/nullptr, /*block_cache=*/true},
-      {"interp_faros_clean_btc", true, true, false, /*metrics=*/true,
-       /*rules_json=*/nullptr, /*block_cache=*/true},
-      {"interp_faros_image_tainted_btc", true, false, false,
-       /*metrics=*/true, /*rules_json=*/nullptr, /*block_cache=*/true},
-      {"interp_faros_tainted_copy_btc", true, false, true, /*metrics=*/true,
-       /*rules_json=*/nullptr, /*block_cache=*/true},
+      // The four core workloads. clean/image_tainted ride the elision fast
+      // path; the copier keeps its loads/stores instrumented but skips
+      // fetch+decode.
+      {"interp_bare_btc", false, false, false},
+      {"interp_faros_clean_btc", true, true, false},
+      {"interp_faros_image_tainted_btc", true, false, false},
+      {"interp_faros_tainted_copy_btc", true, false, true},
       // A hot block with a constant-divisor kDivu: offered like any
       // register-only block, so it must run uninstrumented.
       {"interp_faros_divspin_btc", true, false, false, /*metrics=*/true,
-       /*rules_json=*/nullptr, /*block_cache=*/true, /*divspin=*/true},
+       /*rules_json=*/nullptr, /*divspin=*/true},
       // Footprint elision: idle loops entered with a dirty register bank.
       // Every steady-state block (the `movi r0; syscall` tail block and the
       // jmp) must run uninstrumented, also when processes of one image
       // share its code.
       {"interp_faros_idle_dirty_btc", true, false, false, /*metrics=*/true,
-       /*rules_json=*/nullptr, /*block_cache=*/true, /*divspin=*/false,
-       /*idlers=*/1},
+       /*rules_json=*/nullptr, /*divspin=*/false, /*idlers=*/1},
       {"interp_faros_idle3_btc", true, false, false, /*metrics=*/true,
-       /*rules_json=*/nullptr, /*block_cache=*/true, /*divspin=*/false,
-       /*idlers=*/3},
+       /*rules_json=*/nullptr, /*divspin=*/false, /*idlers=*/3},
   };
   std::map<std::string, double> ns_by_case;
   std::map<std::string, obs::MetricSnapshot> metrics_by_case;
   for (const Regime& r : regimes) {
-    RegimeRun run = run_regime(r, kInsns);
+    RegimeRun run = run_regime(r);
     const double s = run.seconds;
-    ns_by_case[r.name] = s / static_cast<double>(kInsns) * 1e9;
+    const double insns = static_cast<double>(run.insns);
+    ns_by_case[r.name] = s / insns * 1e9;
     metrics_by_case[r.name] = run.metrics;
     JsonWriter rec;
     rec.field("case", r.name)
-        .field("insns", kInsns)
-        .field("ns_per_insn", s / static_cast<double>(kInsns) * 1e9)
-        .field("minsn_per_s", static_cast<double>(kInsns) / s / 1e6);
+        .field("insns", run.insns)
+        .field("ns_per_insn", s / insns * 1e9)
+        .field("minsn_per_s", insns / s / 1e6);
     if (run.metrics.collected) {
       const obs::MetricSnapshot& m = run.metrics;
       using obs::Ctr;

@@ -41,13 +41,8 @@ FarosEngine::FarosEngine(const os::OsiQuery& osi, Options opts)
 }
 
 u32 FarosEngine::add_rule_set(std::vector<RuleSpec> rules) {
-  // An explicit ruleset replaces the built-ins; otherwise the legacy
-  // policy_* toggles select them (the historical default behaviour).
-  if (rules.empty()) {
-    rules = builtin_rules(opts_.policy_netflow_export,
-                          opts_.policy_cross_process_export,
-                          opts_.policy_tainted_code_write);
-  }
+  // An explicit ruleset replaces the built-ins.
+  if (rules.empty()) rules = builtin_rules();
   RuleEngine& re = sets_.emplace_back().rules;
   re.configure(rules);
   for (u32 i = 0; i < kTriggerCount; ++i) {

@@ -56,20 +56,9 @@ struct Options {
   /// No product reader; goes with triagebench's traced-pass rewrite (ROADMAP).
   std::map<VAddr, std::vector<std::pair<u32, u64>>> elide_hints;
 
-  /// Built-in policies (ignored when `rules` is non-empty).
-  bool policy_netflow_export = true;
-  bool policy_cross_process_export = true;
-  /// Optional early-warning policy: flag when *netflow-tainted bytes are
-  /// written into an executable page* — fires at staging time, before the
-  /// payload ever runs. Off by default: it predates the paper's invariant
-  /// and would flag every JIT host (trading the 2% FP rate for earlier
-  /// alerts); see bench_evasion / tests for the trade-off.
-  bool policy_tainted_code_write = false;
-
   /// Declarative ruleset (core/rules.h). Empty: the engine runs the
-  /// built-ins selected by the policy_* toggles above — bit-identical to
-  /// the historical hardcoded behaviour. Non-empty (e.g. parsed from a
-  /// --policies file): these specs *replace* the built-ins entirely.
+  /// paper's two confluence rules (builtin_rules()). Non-empty (e.g.
+  /// parsed from a --policies file): these specs *replace* them entirely.
   std::vector<RuleSpec> rules;
 
   /// Analyst whitelist: findings in these processes are recorded but
@@ -257,9 +246,9 @@ class FarosEngine : public vm::ExecHooks, public osi::GuestMonitor {
   ProvStore store_;
   TagMaps maps_;
   ShadowMemory shadow_;
-  FileShadow file_shadow_;
-  SegmentShadow segment_shadow_;
-  SegmentShadow atom_shadow_;  // keyed by atom id
+  StorageShadow file_shadow_;     // keyed by file id
+  StorageShadow segment_shadow_;  // keyed by loopback segment id
+  StorageShadow atom_shadow_;     // keyed by atom id
   std::unordered_map<PAddr, ShadowRegisters> regs_;  // keyed by CR3
   PAddr sregs_cr3_ = 0;                     // sregs() one-entry cache
   ShadowRegisters* sregs_cached_ = nullptr;

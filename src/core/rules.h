@@ -99,13 +99,15 @@ struct RuleSpec {
   bool operator==(const RuleSpec&) const = default;
 };
 
-/// The built-in rules for a given set of legacy policy toggles, in the
-/// historical evaluation order. These are exactly the paper's invariants:
-/// netflow-export-confluence, cross-process-export-confluence, and the
-/// optional tainted-code-write early warning.
-std::vector<RuleSpec> builtin_rules(bool netflow_export,
-                                    bool cross_process_export,
-                                    bool tainted_code_write);
+/// The built-in rules, in the historical evaluation order. These are
+/// exactly the paper's invariants: netflow-export-confluence,
+/// cross-process-export-confluence, and the optional tainted-code-write
+/// early warning (off by default: it fires at staging time, before the
+/// payload runs, but flags every JIT host). The defaults are the engine's
+/// ruleset when Options::rules is empty.
+std::vector<RuleSpec> builtin_rules(bool netflow_export = true,
+                                    bool cross_process_export = true,
+                                    bool tainted_code_write = false);
 
 /// Parses a policy file: {"rules":[{"id":...,"trigger":...,"action":...,
 /// "when":[...]}]}. "action" defaults to "flag", "when" to []. Unknown

@@ -1,8 +1,8 @@
 // Shadow state: per-physical-byte provenance for guest RAM, a per-process
 // shadow register bank (byte-granular, 4 slots per 32-bit register), and a
-// per-file byte shadow so provenance survives a round trip through the
-// file system (paper Figure 4: ... -> written into File 1 -> read by
-// Process 3).
+// byte shadow of kernel-resident storage (files, loopback segments, atoms)
+// so provenance survives a round trip through the file system (paper
+// Figure 4: ... -> written into File 1 -> read by Process 3).
 #pragma once
 
 #include <array>
@@ -10,6 +10,7 @@
 #include <memory>
 #include <unordered_map>
 
+#include "common/hash.h"
 #include "core/provenance.h"
 #include "obs/obs.h"
 #include "vm/isa.h"
@@ -325,58 +326,40 @@ class ShadowRegisters {
   u32 tainted_ = 0;  // nonzero entries in regs_
 };
 
-/// Per-segment byte provenance keyed by (segment id, offset): carries
-/// provenance across the network stack for guest-to-guest (loopback)
-/// transfers, the socket analogue of the file shadow.
-class SegmentShadow {
+/// Byte provenance of kernel-resident storage, keyed exactly by (object
+/// id, offset): file contents by file id, so provenance survives a round
+/// trip through the file system; in-flight loopback segments by segment
+/// id, the socket analogue; global atoms by atom id.
+class StorageShadow {
  public:
-  ProvListId get(u64 segment_id, u32 offset) const {
-    auto it = map_.find(key(segment_id, offset));
+  ProvListId get(u64 id, u32 offset) const {
+    auto it = map_.find({id, offset});
     return it == map_.end() ? kEmptyProv : it->second;
   }
 
-  void set(u64 segment_id, u32 offset, ProvListId id) {
-    if (id == kEmptyProv) {
-      map_.erase(key(segment_id, offset));
+  void set(u64 id, u32 offset, ProvListId prov) {
+    if (prov == kEmptyProv) {
+      map_.erase({id, offset});
     } else {
-      map_[key(segment_id, offset)] = id;
+      map_[{id, offset}] = prov;
     }
   }
 
   u64 tainted_bytes() const { return map_.size(); }
 
  private:
-  static u64 key(u64 segment_id, u32 offset) {
-    return hash_combine(segment_id, offset);
-  }
-
-  std::unordered_map<u64, ProvListId> map_;
-};
-
-/// Per-file byte provenance keyed by (file id, offset).
-class FileShadow {
- public:
-  ProvListId get(u32 file_id, u32 offset) const {
-    auto it = map_.find(key(file_id, offset));
-    return it == map_.end() ? kEmptyProv : it->second;
-  }
-
-  void set(u32 file_id, u32 offset, ProvListId id) {
-    if (id == kEmptyProv) {
-      map_.erase(key(file_id, offset));
-    } else {
-      map_[key(file_id, offset)] = id;
+  struct Key {
+    u64 id = 0;
+    u32 offset = 0;
+    bool operator==(const Key&) const = default;
+  };
+  struct KeyHash {
+    size_t operator()(const Key& k) const {
+      return static_cast<size_t>(hash_combine(k.id, k.offset));
     }
-  }
+  };
 
-  u64 tainted_bytes() const { return map_.size(); }
-
- private:
-  static u64 key(u32 file_id, u32 offset) {
-    return (static_cast<u64>(file_id) << 32) | offset;
-  }
-
-  std::unordered_map<u64, ProvListId> map_;
+  std::unordered_map<Key, ProvListId, KeyHash> map_;
 };
 
 }  // namespace faros::core

@@ -20,22 +20,19 @@ std::optional<ProvTag> ProvTag::unpack(const u8 in[3]) {
                  static_cast<u16>(in[1] | (in[2] << 8)));
 }
 
-namespace {
-u64 flow_key(const FlowTuple& f) {
+size_t NetflowMap::FlowHash::operator()(const FlowTuple& f) const {
   u64 k = hash_combine(f.src_ip, f.dst_ip);
   k = hash_combine(k, (static_cast<u64>(f.src_port) << 16) | f.dst_port);
-  return k;
+  return static_cast<size_t>(k);
 }
-}  // namespace
 
 u16 NetflowMap::intern(const FlowTuple& flow) {
-  u64 key = flow_key(flow);
-  auto it = lookup_.find(key);
+  auto it = lookup_.find(flow);
   if (it != lookup_.end()) return it->second;
   assert(flows_.size() < 0x10000);
   u16 index = static_cast<u16>(flows_.size());
   flows_.push_back(flow);
-  lookup_[key] = index;
+  lookup_.emplace(flow, index);
   return index;
 }
 

@@ -65,7 +65,7 @@ class ProvTag {
   u16 index_ = 0;
 };
 
-/// Netflow hash map: index <-> flow tuple.
+/// Netflow hash map: index <-> flow tuple (the tag is the exact 4-tuple).
 class NetflowMap {
  public:
   /// Returns the tag index for `flow`, interning it if new.
@@ -74,8 +74,12 @@ class NetflowMap {
   size_t size() const { return flows_.size(); }
 
  private:
+  struct FlowHash {
+    size_t operator()(const FlowTuple& f) const;
+  };
+
   std::vector<FlowTuple> flows_;
-  std::unordered_map<u64, u16> lookup_;
+  std::unordered_map<FlowTuple, u16, FlowHash> lookup_;
 };
 
 /// Process hash map: index <-> CR3 (plus the image name for reports).

@@ -134,7 +134,7 @@ Result<os::MachineConfig> Farm::machine_config() const {
   return mcfg;
 }
 
-JobResult Farm::run_once(const JobSpec& spec, u32 attempt) const {
+JobResult Farm::run_once(const JobSpec& spec) const {
   JobResult r;
   r.id = spec.id;
   r.name = spec.name;
@@ -146,13 +146,6 @@ JobResult Farm::run_once(const JobSpec& spec, u32 attempt) const {
     r.error = std::move(msg);
     return r;
   };
-
-  // Deterministic failure injection (tests only): attempts below the
-  // threshold fail before any work, exercising the retry path identically
-  // on every worker.
-  if (attempt < spec.inject_failures) {
-    return fail("injected failure (attempt " + std::to_string(attempt) + ")");
-  }
 
   std::unique_ptr<attacks::Scenario> sc = spec.make ? spec.make() : nullptr;
   if (!sc) return fail("job has no scenario factory");
@@ -227,25 +220,7 @@ JobResult Farm::run_once(const JobSpec& spec, u32 attempt) const {
 
 JobResult Farm::run_job(const JobSpec& spec) const {
   auto t0 = Clock::now();
-  JobResult r = run_once(spec, 0);
-  // One bounded retry per configured attempt, only for harness errors —
-  // timeouts would time out again and cancellations must stay cancelled.
-  //
-  // Retry hygiene (audited for --metrics determinism): every attempt is a
-  // whole-cloth re-run — run_once builds a fresh JobResult, a fresh
-  // machine, a fresh engine and a fresh local timer sink, and the
-  // assignment below discards the aborted attempt's object entirely. No
-  // counter or timer from a failed attempt can leak into the result the
-  // farm emits; only `retries` (set here) and wall_ms (deliberately wall-
-  // clock, excluded from deterministic streams) reflect that a retry
-  // happened. The injected-retry test pins this across worker counts.
-  for (u32 attempt = 0;
-       attempt < cfg_.retries && r.status == JobStatus::kError &&
-       !cancel_.load(std::memory_order_relaxed);
-       ++attempt) {
-    r = run_once(spec, attempt + 1);
-    r.retries = attempt + 1;
-  }
+  JobResult r = run_once(spec);
   r.wall_ms =
       std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
   return r;

@@ -13,11 +13,13 @@
 // delivered to the callback in ascending job-id order via a reorder
 // buffer, so the JSONL stream is byte-identical for any worker count.
 //
-// Failure taxonomy per job: ok (clean or flagged), error (harness failure,
-// retried once on the assumption it is transient), timeout (wall-clock
-// deadline), cancelled (farm shut down first). A worker never dies with its
-// job: every failure is caught, boxed into the JobResult, and the worker
-// moves on — one pathological sample cannot poison the pool.
+// Failure taxonomy per job: ok (clean or flagged), error (harness failure:
+// no factory, snapshot capture, boot/setup, or an .fpg write; never
+// retried, since a re-run of a deterministic job fails the same way),
+// timeout (wall-clock deadline), cancelled (farm shut down first). A worker
+// never dies with its job: every failure is caught, boxed into the
+// JobResult, and the worker moves on — one pathological sample cannot
+// poison the pool.
 #pragma once
 
 #include <atomic>
@@ -49,8 +51,6 @@ struct FarmConfig {
   u32 workers = 0;
   /// Default per-job wall-clock deadline (the job's one run); 0 = none.
   u64 timeout_ms = 60'000;
-  /// Retries for kError jobs (transient harness failures).
-  u32 retries = 1;
   /// When non-empty: write one provenance-graph artifact per completed job
   /// to `<graph_out>/<job name>.fpg` (src/graph binary format; job names
   /// are sanitized to filesystem-safe characters). The graph is built from
@@ -111,16 +111,15 @@ class Farm {
   void request_cancel();
 
   /// Runs a single job inline (no pool): the job's attacks::Analysis plus
-  /// the farm's watchdog, retries, JobResult and graph export.
+  /// the farm's watchdog, JobResult and graph export.
   JobResult run_job(const JobSpec& spec) const;
 
   const FarmConfig& config() const { return cfg_; }
 
  private:
   void worker_main();
-  /// One attempt at a job (`attempt` is 0 for the first run, >0 for
-  /// retries — used only by the deterministic failure-injection hook).
-  JobResult run_once(const JobSpec& spec, u32 attempt) const;
+  /// The job itself; run_job adds its wall time.
+  JobResult run_once(const JobSpec& spec) const;
   /// Machine config for this run: cfg_.machine plus the shared booted-
   /// guest snapshot (captured once, under snap_once_).
   Result<os::MachineConfig> machine_config() const;
@@ -131,7 +130,7 @@ class Farm {
   std::atomic<bool> cancel_{false};
 
   // Lazily captured snapshot (shared read-only by every worker; mutable
-  // because run_once is const and the first job triggers the capture).
+  // because run_job is const and the first job triggers the capture).
   mutable std::once_flag snap_once_;
   mutable std::shared_ptr<const os::Snapshot> snap_;
   mutable std::string snap_error_;

@@ -1,6 +1,6 @@
 // Job model for the corpus-triage farm: a JobSpec names one scenario run
-// (via a factory, so retries and sharded workers each get a fresh
-// deterministic instance) and a JobResult captures everything the results
+// (via a factory, so sharded workers each get a fresh deterministic
+// instance) and a JobResult captures everything the results
 // layer needs — verdict, findings, counters, and the failure taxonomy
 // (ok / error / timeout / cancelled).
 #pragma once
@@ -27,19 +27,13 @@ struct JobSpec {
 
   u64 budget_override = 0;  // 0 = use Scenario::budget()
   u64 timeout_ms = 0;       // 0 = farm default
-
-  /// Testing hook: run attempts numbered below this fail deterministically
-  /// before any work ("injected failure"), so the retry path can be
-  /// exercised identically on every worker. 0 (the default) injects
-  /// nothing; 1 makes the first attempt fail and the first retry succeed.
-  u32 inject_failures = 0;
 };
 
 /// What terminated the job. `kOk` covers both clean and flagged runs —
 /// detection verdicts live in JobResult::flagged, not the status.
 enum class JobStatus {
   kOk,         // every run completed within budget and deadline
-  kError,      // harness error (boot/setup failure), after retries
+  kError,      // harness error (boot/setup failure); not retried
   kTimeout,    // wall-clock deadline hit; partial run discarded
   kCancelled,  // farm shut down before/while the job ran
 };
@@ -64,7 +58,6 @@ struct JobResult {
   bool budget_exhausted = false; // hit the instruction budget still running
   size_t prov_lists = 0;
   u64 tainted_bytes = 0;
-  u32 retries = 0;               // transient-error retries consumed
   std::string error;             // message for kError
 
   /// One verdict per FarmConfig::extra_policies set (in that order), from

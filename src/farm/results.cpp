@@ -65,14 +65,11 @@ std::string job_jsonl(const JobResult& r) {
       .field("findings", r.findings)
       .field("suppressed", r.suppressed)
       .raw_field("policies", policies_json(r.policies))
-      // Both keys carry the one live run (kept for stream compatibility).
       .field("record_insns", r.instructions)
-      .field("replay_insns", r.instructions)
       .field("all_exited", r.all_exited)
       .field("budget_exhausted", r.budget_exhausted)
       .field("prov_lists", static_cast<u64>(r.prov_lists))
       .field("tainted_bytes", r.tainted_bytes)
-      .field("retries", r.retries)
       .field("error", r.error);
   // Per-rule eval/hit counts, in engine rule order. Only present when the
   // replay ran (empty on error/timeout/cancel), and identical whether the

@@ -12,31 +12,6 @@ namespace faros::farm {
 
 namespace {
 
-// Every boolean feature goes through this table, which is what guarantees
-// the `--X` / `--no-X` pairing: the parser derives both spellings from
-// `name`, and render_triage_cli() walks the same table, so a flag cannot
-// gain a positive form without its negative (or vice versa).
-struct BoolFlag {
-  const char* name;  // "block-cache" → --block-cache / --no-block-cache
-  const char* help;
-  void (*set)(TriageCliOptions&, bool);
-  bool (*get)(const TriageCliOptions&);
-};
-
-constexpr BoolFlag kBoolFlags[] = {
-    {"block-cache",
-     "per-CR3 block-translation cache, and with it the engine's\n"
-     "                   elision fast path (default: on; byte-identical\n"
-     "                   verdicts; CI pins this)",
-     [](TriageCliOptions& o, bool v) { o.farm.machine.kernel.block_cache = v; },
-     [](const TriageCliOptions& o) {
-       return o.farm.machine.kernel.block_cache;
-     }},
-    {"quiet", "suppress the per-job console lines (default: off)",
-     [](TriageCliOptions& o, bool v) { o.quiet = v; },
-     [](const TriageCliOptions& o) { return o.quiet; }},
-};
-
 std::vector<std::string> split_csv(const std::string& s) {
   std::vector<std::string> out;
   size_t start = 0;
@@ -89,6 +64,7 @@ TriageCliResult parse_triage_cli(const std::vector<std::string>& args) {
     if (arg == "--help" || arg == "-h") { o.help = true; continue; }
     if (arg == "--list") { o.list_only = true; continue; }
     if (arg == "--list-policies") { o.list_policies = true; continue; }
+    if (arg == "--quiet") { o.quiet = true; continue; }
     if (arg == "--workers") {
       next_u64(&workers);
       // Truncating to u32 would turn 2^32 into 0 (= hardware threads).
@@ -121,119 +97,47 @@ TriageCliResult parse_triage_cli(const std::vector<std::string>& args) {
       }
       continue;
     }
-
-    bool matched = false;
-    for (const BoolFlag& f : kBoolFlags) {
-      if (arg == std::string("--") + f.name) {
-        f.set(o, true);
-        matched = true;
-      } else if (arg == std::string("--no-") + f.name) {
-        f.set(o, false);
-        matched = true;
-      }
-      if (matched) break;
-    }
-    if (!matched) r.error = "unknown option '" + arg + "'";
+    r.error = "unknown option '" + arg + "'";
   }
   if (r.ok()) o.farm.workers = static_cast<u32>(workers);
   return r;
 }
 
 std::string triage_usage() {
-  std::string out =
-      "usage: faros_triage [options]\n"
-      "\n"
-      "corpus selection:\n"
-      "  --jobs N         run at most N jobs (default: all)\n"
-      "  --filter STR     only jobs whose name contains STR\n"
-      "  --category STR   only jobs in this category\n"
-      "                   (injection | jit | malware | benign | policy)\n"
-      "  --list           print the job catalogue and exit\n"
-      "\n"
-      "execution:\n"
-      "  --workers N      worker threads (default: hardware)\n"
-      "  --timeout-ms N   per-job wall-clock deadline (default 60000;\n"
-      "                   0 = none)\n"
-      "  --budget N       per-job instruction budget override\n"
-      "\n"
-      "policies:\n"
-      "  --policies A[,B,...]\n"
-      "                   load confluence rulesets from JSON policy files.\n"
-      "                   The first replaces the built-ins; each further\n"
-      "                   file is evaluated on the same analyzed run (one\n"
-      "                   verdict per set in the policy_runs JSONL field,\n"
-      "                   named by the file's stem, which must be unique).\n"
-      "                   Also adds the policy-corpus jobs.\n"
-      "  --list-policies  print the effective primary ruleset as\n"
-      "                   policy-file JSON and exit\n"
-      "\n"
-      "output:\n"
-      "  --out PATH       write JSONL records + summary to PATH\n"
-      "  --metrics PATH   write per-job obs counter JSONL to PATH\n"
-      "                   (or set FAROS_METRICS_JSON)\n"
-      "  --graph-out DIR  write one provenance-graph artifact per job to\n"
-      "                   DIR/<job>.fpg (src/graph format; byte-identical\n"
-      "                   for any --workers)\n"
-      "\n"
-      "features (every switch has a paired --X / --no-X form):\n";
-  for (const BoolFlag& f : kBoolFlags) {
-    out += "  --";
-    out += f.name;
-    out += " / --no-";
-    out += f.name;
-    out += "\n                   ";
-    out += f.help;
-    out += "\n";
-  }
-  return out;
-}
-
-std::vector<std::string> render_triage_cli(const TriageCliOptions& o) {
-  const TriageCliOptions def;
-  std::vector<std::string> out;
-  auto num = [](u64 v) { return std::to_string(v); };
-
-  if (o.max_jobs) { out.push_back("--jobs"); out.push_back(num(o.max_jobs)); }
-  if (!o.filter.empty()) { out.push_back("--filter"); out.push_back(o.filter); }
-  if (!o.category.empty()) {
-    out.push_back("--category");
-    out.push_back(o.category);
-  }
-  if (o.farm.workers) {
-    out.push_back("--workers");
-    out.push_back(num(o.farm.workers));
-  }
-  if (o.farm.timeout_ms != def.farm.timeout_ms) {
-    out.push_back("--timeout-ms");
-    out.push_back(num(o.farm.timeout_ms));
-  }
-  if (o.budget) { out.push_back("--budget"); out.push_back(num(o.budget)); }
-  if (!o.policy_paths.empty()) {
-    std::string csv;
-    for (size_t i = 0; i < o.policy_paths.size(); ++i) {
-      if (i) csv += ',';
-      csv += o.policy_paths[i];
-    }
-    out.push_back("--policies");
-    out.push_back(csv);
-  }
-  if (!o.out_path.empty()) { out.push_back("--out"); out.push_back(o.out_path); }
-  if (!o.metrics_path.empty()) {
-    out.push_back("--metrics");
-    out.push_back(o.metrics_path);
-  }
-  if (!o.farm.graph_out.empty()) {
-    out.push_back("--graph-out");
-    out.push_back(o.farm.graph_out);
-  }
-  // Boolean features are always rendered explicitly — the canonical argv is
-  // self-describing even if a default flips later.
-  for (const BoolFlag& f : kBoolFlags) {
-    out.push_back(std::string(f.get(o) ? "--" : "--no-") + f.name);
-  }
-  if (o.list_only) out.push_back("--list");
-  if (o.list_policies) out.push_back("--list-policies");
-  return out;
+  return "usage: faros_triage [options]\n"
+         "\n"
+         "corpus selection:\n"
+         "  --jobs N         run at most N jobs (default: all)\n"
+         "  --filter STR     only jobs whose name contains STR\n"
+         "  --category STR   only jobs in this category\n"
+         "                   (injection | jit | malware | benign | policy)\n"
+         "  --list           print the job catalogue and exit\n"
+         "\n"
+         "execution:\n"
+         "  --workers N      worker threads (default: hardware)\n"
+         "  --timeout-ms N   per-job wall-clock deadline (default 60000;\n"
+         "                   0 = none)\n"
+         "  --budget N       per-job instruction budget override\n"
+         "\n"
+         "policies:\n"
+         "  --policies A[,B,...]\n"
+         "                   load confluence rulesets from JSON policy files.\n"
+         "                   The first replaces the built-ins; each further\n"
+         "                   file is evaluated on the same analyzed run (one\n"
+         "                   verdict per set in the policy_runs JSONL field,\n"
+         "                   named by the file's stem, which must be unique).\n"
+         "                   Also adds the policy-corpus jobs.\n"
+         "  --list-policies  print the effective primary ruleset as\n"
+         "                   policy-file JSON and exit\n"
+         "\n"
+         "output:\n"
+         "  --out PATH       write JSONL records + summary to PATH\n"
+         "  --metrics PATH   write per-job obs counter JSONL to PATH\n"
+         "                   (or set FAROS_METRICS_JSON)\n"
+         "  --graph-out DIR  write one provenance-graph artifact per job to\n"
+         "                   DIR/<job>.fpg (src/graph format; byte-identical\n"
+         "                   for any --workers)\n"
+         "  --quiet          suppress the per-job console lines\n";
 }
 
 std::string load_policy_files(TriageCliOptions& o) {

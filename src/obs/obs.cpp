@@ -57,6 +57,64 @@ const char* ctr_name(Ctr c) {
   return "?";
 }
 
+CtrKind ctr_kind(Ctr c) {
+  // No default: a new counter must be classified here (-Wswitch).
+  switch (c) {
+    case Ctr::kShadowPageAlloc:
+    case Ctr::kShadowPageDrop:
+    case Ctr::kInsnsRetired:
+    case Ctr::kLoads:
+    case Ctr::kStores:
+    case Ctr::kTaintedFetches:
+    case Ctr::kTaintedLoads:
+    case Ctr::kTaintedStores:
+    case Ctr::kPolicyEvals:
+    case Ctr::kTaintSrcEvents:
+    case Ctr::kNetflowSrcBytes:
+    case Ctr::kFileReadSrcBytes:
+    case Ctr::kFileWriteSrcBytes:
+    case Ctr::kImageMapSrcBytes:
+    case Ctr::kExportTagBytes:
+    case Ctr::kRuleEvalsTaintedLoad:
+    case Ctr::kRuleEvalsTaintedStore:
+    case Ctr::kRuleEvalsExecPageWrite:
+    case Ctr::kRuleEvalsTaintedFetch:
+    case Ctr::kRuleEvalsSyscallArg:
+    case Ctr::kRuleMatches:
+    case Ctr::kSchedRounds:
+      return CtrKind::kSemantic;
+    case Ctr::kShadowFrameCacheHit:
+    case Ctr::kShadowFrameCacheMiss:
+    // One probe per fetched instruction, but one per elided block.
+    case Ctr::kShadowCleanSkip:
+    case Ctr::kFetchCacheHit:
+    case Ctr::kFetchCacheMiss:
+    case Ctr::kMergeMemoHit:
+    case Ctr::kMergeMemoMiss:
+    case Ctr::kAppendMemoHit:
+    case Ctr::kAppendMemoMiss:
+    case Ctr::kBtTranslate:
+    case Ctr::kBtHit:
+    case Ctr::kBtEvictSmc:
+    case Ctr::kBtEvictCr3:
+    case Ctr::kBtElidedBlocks:
+    case Ctr::kBtGuardFail:
+    case Ctr::kBtElidedInsns:
+    case Ctr::kBtDeclineTaintedRead:
+    case Ctr::kBtDeclineSyscallArg:
+    case Ctr::kBtDeclineFetchRule:
+    case Ctr::kBtNotOffered:
+    case Ctr::kTlbMiss:
+      return CtrKind::kCacheStat;
+    case Ctr::kSnapClone:
+    case Ctr::kCowFault:
+    case Ctr::kSnapSharedPages:
+      return CtrKind::kClone;
+    case Ctr::kCount: break;
+  }
+  return CtrKind::kSemantic;
+}
+
 const char* tmr_name(Tmr t) {
   switch (t) {
     case Tmr::kRecord: return "record_ns";

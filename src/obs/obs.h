@@ -25,9 +25,6 @@
 //    nondeterministic: they are deliberately kept OUT of the deterministic
 //    metrics serialisation (farm/results) and only surface in summary
 //    records, mirroring how JobResult::wall_ms is handled.
-//  * Compile-time kill switch: building with -DFAROS_OBS_DISABLED compiles
-//    Counter::inc and ScopedTimer down to nothing (no branch, no clock
-//    reads) for substrates where even the null test is unwelcome.
 //
 // Determinism: every Ctr counts an event of the deterministic replay
 // (cache hits, page allocations, retired instructions, taint-source bytes),
@@ -125,6 +122,18 @@ inline constexpr u32 kCtrCount = static_cast<u32>(Ctr::kCount);
 /// Stable snake_case name for serialisation ("shadow_frame_cache_hit", ...).
 const char* ctr_name(Ctr c);
 
+/// What a counter counts, for comparing two runs of one job that take
+/// different paths to the same analysis:
+///  * kSemantic: a fact of the analyzed run (instructions, accesses, taint
+///    sources, shadow pages, rule evaluations, scheduling rounds); equal
+///    with the block cache on and off, on a clone and on a cold boot.
+///  * kCacheStat: how a cache or fast path served the run (shadow frame
+///    cache and clean-skip probes, fetch cache, ProvStore memos, block
+///    cache and elision, interpreter TLB); moves with the block cache.
+///  * kClone: how the machine was made (snapshot clone vs cold boot).
+enum class CtrKind : u8 { kSemantic, kCacheStat, kClone };
+CtrKind ctr_kind(Ctr c);
+
 /// Timer taxonomy (wall-clock accumulators; nondeterministic by nature).
 enum class Tmr : u32 {
   kRecord = 0,  // analyzed live run of a farm job (it also records)
@@ -199,64 +208,40 @@ class Counter {
  public:
   Counter() = default;
   Counter(MetricSink* sink, Ctr id)
-#ifndef FAROS_OBS_DISABLED
-      : cell_(sink ? sink->cell(id) : nullptr)
-#endif
-  {
-    (void)sink;
-    (void)id;
-  }
+      : cell_(sink ? sink->cell(id) : nullptr) {}
 
   void inc(u64 n = 1) {
-#ifndef FAROS_OBS_DISABLED
     if (cell_) *cell_ += n;
-#else
-    (void)n;
-#endif
   }
 
  private:
-#ifndef FAROS_OBS_DISABLED
   u64* cell_ = nullptr;
-#endif
 };
 
-/// RAII wall-clock timer; adds elapsed ns to `id` on scope exit. Null sink
-/// (or FAROS_OBS_DISABLED) means no clock is ever read.
+/// RAII wall-clock timer; adds elapsed ns to `id` on scope exit. A null
+/// sink means no clock is ever read.
 class ScopedTimer {
  public:
-  ScopedTimer(MetricSink* sink, Tmr id)
-#ifndef FAROS_OBS_DISABLED
-      : sink_(sink), id_(id) {
+  ScopedTimer(MetricSink* sink, Tmr id) : sink_(sink), id_(id) {
     if (sink_) start_ = std::chrono::steady_clock::now();
   }
-#else
-  {
-    (void)sink;
-    (void)id;
-  }
-#endif
 
   ScopedTimer(const ScopedTimer&) = delete;
   ScopedTimer& operator=(const ScopedTimer&) = delete;
 
   ~ScopedTimer() {
-#ifndef FAROS_OBS_DISABLED
     if (sink_) {
       auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                     std::chrono::steady_clock::now() - start_)
                     .count();
       sink_->add_timer_ns(id_, static_cast<u64>(ns));
     }
-#endif
   }
 
  private:
-#ifndef FAROS_OBS_DISABLED
   MetricSink* sink_ = nullptr;
   Tmr id_ = Tmr::kRecord;
   std::chrono::steady_clock::time_point start_{};
-#endif
 };
 
 }  // namespace faros::obs

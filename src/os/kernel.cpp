@@ -38,7 +38,6 @@ Kernel::Kernel(const KernelConfig& cfg)
       rng_(cfg.rng_seed) {
   // Frame 0 stays reserved so a zero CR3/frame is never valid.
   frames_.reserve(0);
-  interp_.set_block_cache_enabled(cfg.block_cache);
   frames_.set_free_observer([this](PAddr frame) {
     // Translated blocks must never outlive the frame holding their bytes:
     // the next owner of this frame gets fresh translations.

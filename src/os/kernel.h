@@ -34,8 +34,6 @@ struct KernelConfig {
   u32 ram_bytes = 64u << 20;
   u32 guest_ip = 0;     // 0 -> default 169.254.57.168
   u64 rng_seed = 1;     // NtGetRandom stream (deterministic)
-  u32 max_debug_lines = 4096;
-  bool block_cache = true;  // block-translation cache (vm/btcache.h)
   /// When set, boot() restores this frozen booted-guest image (COW over
   /// its RAM) instead of building the kernel state from scratch; see
   /// os/snapshot.h for the determinism contract. The config must match

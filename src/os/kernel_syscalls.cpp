@@ -15,6 +15,8 @@ using vm::kPteWrite;
 namespace {
 constexpr u32 kMaxIoLen = 1u << 20;
 constexpr u32 kMaxAllocLen = 16u << 20;
+/// Kernel::console() keeps the first this many NtDebugPrint lines.
+constexpr u32 kMaxConsoleLines = 4096;
 
 u32 prot_to_pte(u32 prot) {
   u32 flags = kPteUser;
@@ -462,7 +464,7 @@ void Kernel::sys_misc(Process& p, Sys num) {
       if (!data.ok()) return;
       std::string text(data.value().begin(), data.value().end());
       p.debug_output.push_back(text);
-      if (console_.size() < cfg_.max_debug_lines) {
+      if (console_.size() < kMaxConsoleLines) {
         console_.push_back(p.name + ": " + text);
       }
       monitors_.on_debug_print(p.info(), text);

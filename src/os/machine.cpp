@@ -2,7 +2,7 @@
 
 namespace faros::os {
 
-Machine::Machine(const MachineConfig& cfg) : cfg_(cfg), kernel_(cfg.kernel) {}
+Machine::Machine(const MachineConfig& cfg) : kernel_(cfg.kernel) {}
 
 void Machine::load_replay(const vm::ReplayLog& log) {
   replay_ = log;
@@ -90,7 +90,7 @@ RunStats Machine::run(u64 max_instructions, RunGovernor* gov) {
       stats.aborted = true;
       return stats;
     }
-    u64 quantum = std::min<u64>(cfg_.quantum,
+    u64 quantum = std::min<u64>(kQuantum,
                                 max_instructions - stats.instructions);
     stats.instructions += kernel_.run_process(*p, quantum);
     ++stats.scheduling_rounds;

@@ -30,9 +30,11 @@ class EventSource {
   virtual void poll(Machine& m) = 0;
 };
 
+/// Instructions per scheduling slice.
+inline constexpr u32 kQuantum = 256;
+
 struct MachineConfig {
   KernelConfig kernel;
-  u32 quantum = 256;  // instructions per scheduling slice
 };
 
 struct RunStats {
@@ -62,7 +64,6 @@ class Machine {
 
   Kernel& kernel() { return kernel_; }
   const Kernel& kernel() const { return kernel_; }
-  const MachineConfig& config() const { return cfg_; }
 
   /// Attaches an instruction-level plugin (the FAROS taint engine).
   void attach_cpu_plugin(vm::ExecHooks* hooks) {
@@ -93,7 +94,6 @@ class Machine {
  private:
   void pump_events();
 
-  MachineConfig cfg_;
   Kernel kernel_;
   EventSource* source_ = nullptr;
 

@@ -3,17 +3,17 @@
 // retired instruction (grouped into basic blocks) together with its memory
 // access, which is all the FAROS taint engine needs.
 //
-// Execution has two gears. With the block-translation cache enabled (the
-// default, see vm/btcache.h) the run loop dispatches whole predecoded basic
-// blocks: fetch-translate + decode happen once per block instead of once per
-// instruction, and a plugin may approve running register-only blocks
-// (optionally ending in a syscall) through an uninstrumented fast body
-// (ExecHooks::try_elide_block). The fast body is one tight register-only
-// loop: no InsnEvent, StepInfo or Fault per instruction, only the exact
-// instruction and dynamic-block counts; it also runs every elidable block
-// when no plugin is attached. With the cache disabled the historical
-// per-instruction loop runs unchanged. Both gears retire bit-identical
-// architectural state and event streams.
+// The run loop dispatches whole predecoded basic blocks through the
+// block-translation cache (vm/btcache.h): fetch-translate + decode happen
+// once per block instead of once per instruction, and a plugin may approve
+// running register-only blocks (optionally ending in a syscall) through an
+// uninstrumented fast body (ExecHooks::try_elide_block). The fast body is
+// one tight register-only loop: no InsnEvent, StepInfo or Fault per
+// instruction, only the exact instruction and dynamic-block counts; it
+// also runs every elidable block when no plugin is attached. The
+// historical per-instruction loop is kept only as the test reference
+// (set_block_cache_enabled(false)); it retires bit-identical architectural
+// state and event streams.
 #pragma once
 
 #include <memory>
@@ -151,9 +151,9 @@ class Interpreter {
   ExecHooks* hooks() const { return hooks_; }
 
   /// Toggles the block-translation cache (enabled by default). Disabling
-  /// restores the historical per-instruction fetch/decode/execute loop.
+  /// restores the historical per-instruction fetch/decode/execute loop,
+  /// the reference the tests compare the cache against.
   void set_block_cache_enabled(bool on);
-  bool block_cache_enabled() const { return btc_ != nullptr; }
   /// The live cache, or nullptr when disabled (stats, tests).
   const BlockCache* block_cache() const { return btc_.get(); }
 

@@ -49,6 +49,20 @@ TEST(NetflowMap, InternIsIdempotentAndOrdered) {
   EXPECT_EQ(map.size(), 2u);
 }
 
+TEST(NetflowMap, TuplesWithCollidingHashesInternApart) {
+  // These two tuples share one hash_combine key: interning by the hash
+  // gave them one tag, and the second rendered as the first.
+  NetflowMap map;
+  const FlowTuple a{0xa9fe39a8, 49152, 0xa9fe1aa1, 4444};
+  const FlowTuple b{0xa9fe39a8, 49152, 0xa9fe1aa2, 349};
+  const u16 ia = map.intern(a);
+  const u16 ib = map.intern(b);
+  EXPECT_NE(ia, ib);
+  EXPECT_EQ(map.get(ia), a);
+  EXPECT_EQ(map.get(ib), b);
+  EXPECT_EQ(map.size(), 2u);
+}
+
 TEST(ProcessMap, ReusedCr3GetsFreshEntryForNewPid) {
   ProcessMap map;
   u16 a = map.intern(0x1000, 100, "a.exe");
@@ -221,7 +235,7 @@ TEST(ShadowRegisters, ByteGranularityAndUnion) {
 }
 
 TEST(FileShadow, PerByteKeyedByFileAndOffset) {
-  FileShadow fs;
+  StorageShadow fs;
   fs.set(1, 0, 7);
   fs.set(1, 1, 8);
   fs.set(2, 0, 9);

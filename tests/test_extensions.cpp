@@ -223,7 +223,7 @@ TEST(EarlyWarning, TaintedCodeWritePolicyFiresAtStagingTime) {
   // executable memory — before the payload ever executes — at the cost of
   // also flagging JIT hosts (why it is off by default).
   core::Options opts;
-  opts.policy_tainted_code_write = true;
+  opts.rules = core::builtin_rules(true, true, /*tainted_code_write=*/true);
   attacks::ReflectiveDllScenario sc(
       attacks::ReflectiveVariant::kReverseTcpDns);
   auto run = attacks::analyze(sc, opts);

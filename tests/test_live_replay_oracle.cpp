@@ -9,11 +9,13 @@
 // bytes. This pins that attaching the engine never perturbs the guest and
 // that a clone analyzes like a cold boot.
 //
-// Block cache on vs off: with the cache on, the engine runs offered blocks
-// through uninstrumented fast bodies (including kDivu blocks that may trap
-// mid-way). The cache-off run, every instruction through Table I, is the
-// reference: the same live run must reach the same analysis and the same
-// engine totals; only the elision and cache counters may differ.
+// Block cache on vs off: with the cache on (the product's one gear), the
+// engine runs offered blocks through uninstrumented fast bodies (including
+// kDivu blocks that may trap mid-way). The cache-off run, every
+// instruction through Table I, is the reference semantics: with the
+// multistage and tcw sets beside the built-ins, the same live run must
+// reach the same analysis, the same verdict per set and the same semantic
+// counters; only cache statistics (obs::CtrKind::kCacheStat) may differ.
 //
 // Fan-out vs solo: the farm evaluates extra policy sets beside the primary
 // on the job's one engine. Each extra set must reach what a solo engine
@@ -76,20 +78,16 @@ std::vector<core::RuleSpec> tcw_rules() {
   return {r};
 }
 
-/// Snapshot-cloned machines, as the farm runs them (captured once per
-/// block-cache setting).
-const os::MachineConfig& machine_config(bool block_cache = true) {
-  auto make = [](bool btc) {
+/// Snapshot-cloned machines, as the farm runs them (captured once).
+const os::MachineConfig& machine_config() {
+  static const os::MachineConfig cfg = [] {
     os::MachineConfig c;
-    c.kernel.block_cache = btc;
     auto snap = os::capture_snapshot(c.kernel);
     EXPECT_TRUE(snap.ok()) << snap.error().message;
     if (snap.ok()) c.kernel.snapshot = snap.value();
     return c;
-  };
-  static const os::MachineConfig on = make(true);
-  static const os::MachineConfig off = make(false);
-  return block_cache ? on : off;
+  }();
+  return cfg;
 }
 
 /// One analyzed run: the machine and engine stay alive for the comparison.
@@ -100,13 +98,16 @@ struct Analyzed {
 
 /// Runs the scenario under a fresh engine: live from its event source when
 /// `log` is null, else replaying `log`. `extra` become further rule sets.
+/// `block_cache` false runs the uncached per-instruction reference loop.
 Analyzed run_analyzed(attacks::Scenario& sc, const core::Options& opts,
                      const vm::ReplayLog* log,
                      const std::vector<std::vector<core::RuleSpec>>& extra =
                          {},
-                     const os::MachineConfig& mcfg = machine_config()) {
+                     const os::MachineConfig& mcfg = machine_config(),
+                     bool block_cache = true) {
   Analyzed out;
   out.a = std::make_unique<attacks::Analysis>(opts, mcfg);
+  out.a->machine().kernel().interp().set_block_cache_enabled(block_cache);
   for (const auto& rules : extra) out.a->engine().add_rule_set(rules);
   auto s = out.a->start(sc, log);
   EXPECT_TRUE(s.ok()) << s.error().message;
@@ -164,6 +165,7 @@ void expect_same_analysis(const Analyzed& a_run, const Analyzed& b_run) {
   // The guest ran the same course.
   EXPECT_EQ(a_run.stats.instructions, b_run.stats.instructions);
   EXPECT_EQ(a_run.stats.all_exited, b_run.stats.all_exited);
+  EXPECT_EQ(a_run.stats.deadlocked, b_run.stats.deadlocked);
   EXPECT_EQ(ak.console(), bk.console());
   EXPECT_EQ(ak.trap_log(), bk.trap_log());
 
@@ -180,16 +182,19 @@ void expect_same_analysis(const Analyzed& a_run, const Analyzed& b_run) {
 }
 
 /// Every counter of the job's metrics (the engine's plus the machine
-/// counters Analysis folds in) but the three clone counters, which count
-/// how the machine was made, not what ran on it.
-void expect_same_metrics(const Analyzed& a_run, const Analyzed& b_run) {
+/// counters Analysis folds in) but the clone counters, which count how the
+/// machine was made, not what ran on it; the cache statistics too unless
+/// `cache_stats` is false (the two runs used the block cache differently).
+void expect_same_metrics(const Analyzed& a_run, const Analyzed& b_run,
+                         bool cache_stats = true) {
   obs::MetricSnapshot am = a_run.a->metrics();
   obs::MetricSnapshot bm = b_run.a->metrics();
   ASSERT_TRUE(am.collected && bm.collected);
   for (u32 c = 0; c < obs::kCtrCount; ++c) {
     const auto ctr = static_cast<obs::Ctr>(c);
-    if (ctr == obs::Ctr::kSnapClone || ctr == obs::Ctr::kCowFault ||
-        ctr == obs::Ctr::kSnapSharedPages) {
+    const obs::CtrKind kind = obs::ctr_kind(ctr);
+    if (kind == obs::CtrKind::kClone ||
+        (kind == obs::CtrKind::kCacheStat && !cache_stats)) {
       continue;
     }
     EXPECT_EQ(am.counters[c], bm.counters[c]) << obs::ctr_name(ctr);
@@ -229,32 +234,37 @@ TEST_P(LiveReplayOracle, ReplayReproducesLiveAnalysis) {
 INSTANTIATE_TEST_SUITE_P(Corpus, LiveReplayOracle,
                          ::testing::ValuesIn(oracle_jobs()), job_test_name);
 
-// Named for the static elide hints it once compared; the name stays so the
-// per-job test ids stay stable. It now checks block elision itself.
+// The block-cache oracle. The suite keeps the name it had when it compared
+// static elide hints, so the 136 per-job test ids stay stable.
 class HintOracle : public ::testing::TestWithParam<OracleJob> {};
 
 TEST_P(HintOracle, HintsNeverChangeTheAnalysis) {
+  // The built-ins as primary for every job, with multistage and tcw beside
+  // them: the policy corpus is scored by the multistage set.
   const OracleJob& job = GetParam();
   std::unique_ptr<attacks::Scenario> sc = job.entry.make();
   ASSERT_TRUE(sc);
-  core::Options opts;
-  if (job.policy_rules) opts.rules = multistage_rules();
+  const core::Options opts;
+  const std::vector<std::vector<core::RuleSpec>> extra = {multistage_rules(),
+                                                          tcw_rules()};
 
-  Analyzed ref = run_analyzed(*sc, opts, nullptr, {}, machine_config(false));
-  Analyzed fast = run_analyzed(*sc, opts, nullptr);
+  Analyzed ref = run_analyzed(*sc, opts, nullptr, extra, machine_config(),
+                              /*block_cache=*/false);
+  Analyzed fast = run_analyzed(*sc, opts, nullptr, extra);
   ASSERT_EQ(ref.a->machine().kernel().interp().block_cache(), nullptr);
+  ASSERT_NE(fast.a->machine().kernel().interp().block_cache(), nullptr);
 
-  EXPECT_EQ(ref.a->engine().flagged(), job.entry.expect_flagged);
+  EXPECT_EQ(ref.a->engine().flagged(job.policy_rules ? 1 : 0),
+            job.entry.expect_flagged);
   expect_same_analysis(ref, fast);
-  const core::EngineStats& r = ref.a->engine().stats();
-  const core::EngineStats& f = fast.a->engine().stats();
-  EXPECT_EQ(r.insns_seen, f.insns_seen);
-  EXPECT_EQ(r.loads, f.loads);
-  EXPECT_EQ(r.stores, f.stores);
-  EXPECT_EQ(r.tainted_fetches, f.tainted_fetches);
-  EXPECT_EQ(r.export_table_reads, f.export_table_reads);
-  EXPECT_EQ(r.policy_evals, f.policy_evals);
-  EXPECT_EQ(r.elided_insns, 0u);
+  for (u32 i = 1; i <= extra.size(); ++i) {
+    SCOPED_TRACE("extra set " + std::to_string(i));
+    expect_same_rule_set(ref.a->engine(), i, fast.a->engine(), i);
+  }
+  expect_same_metrics(ref, fast, /*cache_stats=*/false);
+  EXPECT_EQ(ref.a->engine().stats().export_table_reads,
+            fast.a->engine().stats().export_table_reads);
+  EXPECT_EQ(ref.a->engine().stats().elided_insns, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Corpus, HintOracle,

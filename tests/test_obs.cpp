@@ -36,11 +36,7 @@ TEST(ObsCounter, BoundIncrementsItsCell) {
   obs::Counter c(&sink, Ctr::kLoads);
   c.inc();
   c.inc(41);
-#ifndef FAROS_OBS_DISABLED
   EXPECT_EQ(sink.value(Ctr::kLoads), 42u);
-#else
-  EXPECT_EQ(sink.value(Ctr::kLoads), 0u);
-#endif
   EXPECT_EQ(sink.value(Ctr::kStores), 0u);
 }
 
@@ -82,10 +78,8 @@ TEST(ObsScopedTimer, AccumulatesOnlyWhenBound) {
   { obs::ScopedTimer t(nullptr, Tmr::kRecord); }
   EXPECT_EQ(sink.timer_ns(Tmr::kRecord), 7u);
   { obs::ScopedTimer t(&sink, Tmr::kRecord); }
-#ifndef FAROS_OBS_DISABLED
   // steady_clock may be coarse, but a completed scope never subtracts.
   EXPECT_GE(sink.timer_ns(Tmr::kRecord), 7u);
-#endif
 }
 
 TEST(ObsNames, UniqueNonEmptyAndStable) {
@@ -98,6 +92,19 @@ TEST(ObsNames, UniqueNonEmptyAndStable) {
   }
   EXPECT_STREQ(obs::ctr_name(Ctr::kInsnsRetired), "insns_retired");
   EXPECT_STREQ(obs::tmr_name(Tmr::kRecord), "record_ns");
+}
+
+TEST(ObsKinds, CacheProbeCountersAreCacheStatistics) {
+  // shadow_clean_skip counts range probes, and elision changes how many
+  // probes a run makes: a cache statistic, not a fact of the analysis.
+  EXPECT_EQ(obs::ctr_kind(Ctr::kShadowCleanSkip), obs::CtrKind::kCacheStat);
+  EXPECT_EQ(obs::ctr_kind(Ctr::kBtHit), obs::CtrKind::kCacheStat);
+  EXPECT_EQ(obs::ctr_kind(Ctr::kTlbMiss), obs::CtrKind::kCacheStat);
+  EXPECT_EQ(obs::ctr_kind(Ctr::kInsnsRetired), obs::CtrKind::kSemantic);
+  EXPECT_EQ(obs::ctr_kind(Ctr::kShadowPageAlloc), obs::CtrKind::kSemantic);
+  EXPECT_EQ(obs::ctr_kind(Ctr::kSchedRounds), obs::CtrKind::kSemantic);
+  EXPECT_EQ(obs::ctr_kind(Ctr::kSnapClone), obs::CtrKind::kClone);
+  EXPECT_EQ(obs::ctr_kind(Ctr::kCowFault), obs::CtrKind::kClone);
 }
 
 TEST(ObsNames, AppendCounterFieldsEmitsEveryCounterInOrder) {
@@ -118,8 +125,6 @@ TEST(ObsNames, AppendCounterFieldsEmitsEveryCounterInOrder) {
   EXPECT_NE(out.find("\"loads\":3"), std::string::npos);
   EXPECT_EQ(out.find("record_ns"), std::string::npos);  // no timers
 }
-
-#ifndef FAROS_OBS_DISABLED
 
 TEST(ObsShadow, CountsCacheTrafficAndPageLifecycle) {
   MetricSink sink;
@@ -170,8 +175,6 @@ TEST(ObsProvStore, CountsMemoHitsAndMisses) {
   EXPECT_EQ(sink.value(Ctr::kAppendMemoHit), 1u);
 }
 
-#endif  // FAROS_OBS_DISABLED
-
 TEST(ObsEngine, SnapshotFoldsEngineStatsAndRespectsToggle) {
   attacks::HollowingScenario sc;
   auto run = attacks::record_run(sc);
@@ -195,12 +198,8 @@ TEST(ObsEngine, SnapshotFoldsEngineStatsAndRespectsToggle) {
   EXPECT_EQ(on[Ctr::kInsnsRetired], on_insns);
   EXPECT_GT(on[Ctr::kInsnsRetired], 0u);
   EXPECT_EQ(on_insns, off_insns);  // metrics must not perturb the run
-#ifndef FAROS_OBS_DISABLED
-  // Counter-sourced metrics (unlike the EngineStats-folded ones above) read
-  // zero when the layer is compiled out.
   EXPECT_GT(on[Ctr::kTaintSrcEvents], 0u);
   EXPECT_GT(on[Ctr::kShadowPageAlloc], 0u);
-#endif
 }
 
 TEST(ObsDeterminism, TwoIdenticalReplaysProduceIdenticalCounters) {

@@ -5,13 +5,15 @@
 #include <gtest/gtest.h>
 
 #include "attacks/scenarios.h"
+#include "core/engine.h"
 #include "core/shadow.h"
+#include "os/machine.h"
 
 namespace faros {
 namespace {
 
 TEST(SegmentShadowUnit, PerByteKeyedBySegmentAndOffset) {
-  core::SegmentShadow shadow;
+  core::StorageShadow shadow;
   shadow.set(100, 0, 7);
   shadow.set(100, 1, 8);
   shadow.set(200, 0, 9);
@@ -23,6 +25,49 @@ TEST(SegmentShadowUnit, PerByteKeyedBySegmentAndOffset) {
   shadow.set(100, 0, core::kEmptyProv);
   EXPECT_EQ(shadow.get(100, 0), core::kEmptyProv);
   EXPECT_EQ(shadow.tainted_bytes(), 2u);
+}
+
+TEST(ShadowChannels, CleanSendOnOneSegmentKeepsAnotherSegmentsProvenance) {
+  // Segment bytes were keyed by hash_combine(segment, offset), and
+  // (1, 4097) shares that key with (2, 0): a clean one-byte loopback send
+  // on segment 2 erased byte 4097 of a tainted 4098-byte segment 1.
+  os::Machine m;
+  core::Options opts;
+  opts.taint_mapped_images = false;  // only the packet below taints
+  core::FarosEngine engine(m.kernel(), opts);
+  m.attach_cpu_plugin(&engine);
+  m.add_monitor(&engine);
+  ASSERT_TRUE(m.boot().ok());
+  os::ImageBuilder ib("relay.exe", os::kUserImageBase);
+  ib.asm_().label("_start");
+  ib.asm_().halt();
+  ib.asm_().label("buf");
+  ib.asm_().zeros(8192);
+  auto img = ib.build();
+  ASSERT_TRUE(img.ok());
+  m.kernel().vfs().create("C:/relay.exe", img.value().serialize());
+  auto pid = m.kernel().spawn("C:/relay.exe", /*suspended=*/true);
+  ASSERT_TRUE(pid.ok());
+  const os::Process& p = *m.kernel().find(pid.value());
+  auto xfer = [&](VAddr va, u32 len) {
+    return osi::GuestXfer{p.info(), &p.as, va, len};
+  };
+
+  constexpr u32 kLen = 4098;
+  const VAddr payload =
+      os::kUserImageBase + ib.asm_().label_offset("buf").value();
+  const VAddr clean = payload + kLen;
+  const VAddr dst = clean + 1;
+  const FlowTuple c2{0xa9fe1aa1, 4444, 0xa9fe39a8, 49162};
+  const FlowTuple loopback{0x7f000001, 5000, 0x7f000001, 5001};
+  engine.on_packet_to_guest(xfer(payload, kLen), c2);
+  engine.on_guest_send(xfer(payload, kLen), loopback, {1, 0, true});
+  engine.on_guest_send(xfer(clean, 1), loopback, {2, 0, true});
+  engine.on_packet_to_guest(xfer(dst, 1), loopback, {1, kLen - 1, true});
+
+  const core::ProvTag c2_tag = core::ProvTag::netflow(0);
+  ASSERT_EQ(engine.maps().netflow.get(c2_tag.index()), c2);
+  EXPECT_TRUE(engine.store().contains(engine.prov_at(p.as, dst), c2_tag));
 }
 
 TEST(ShadowChannels, NetworkBorneChannelsNeedTheNetflowOrigin) {

@@ -2,21 +2,19 @@
 // self-modifying code (guest stores into the executing block, host writes,
 // randomized write fuzzing against the uncached interpreter), CR3 recycling
 // across process lifetimes, engine elision accounting (also with extra
-// policy sets on one engine), the footprint guard against the uncached
-// path on random blocks and random register taint, and detection
-// equivalence over a corpus slice with the cache on vs off.
+// policy sets on one engine), and the footprint guard against the
+// uncached path on random blocks and random register taint. Detection
+// equivalence over the whole corpus with the cache on vs off is
+// test_live_replay_oracle's block-cache oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
 #include <random>
 
-#include "attacks/corpus.h"
 #include "attacks/guest_common.h"
 #include "attacks/programs.h"
 #include "core/engine.h"
-#include "farm/farm.h"
-#include "farm/results.h"
 #include "os/machine.h"
 #include "os/runtime.h"
 #include "vm/assembler.h"
@@ -576,9 +574,8 @@ u32 spawn_benign_loop(os::Machine& m) {
 }
 
 obs::MetricSnapshot run_benign_with_engine(bool block_cache) {
-  os::MachineConfig mc;
-  mc.kernel.block_cache = block_cache;
-  os::Machine m(mc);
+  os::Machine m;
+  m.kernel().interp().set_block_cache_enabled(block_cache);
   core::Options opts;
   core::FarosEngine engine(m.kernel(), opts);
   m.attach_cpu_plugin(&engine);
@@ -633,9 +630,8 @@ os::Image build_tainted_divu() {
 /// build_tainted_divu().
 std::pair<obs::MetricSnapshot, u64> run_tainted_divu(bool block_cache) {
   os::Image img = build_tainted_divu();
-  os::MachineConfig mc;
-  mc.kernel.block_cache = block_cache;
-  os::Machine m(mc);
+  os::Machine m;
+  m.kernel().interp().set_block_cache_enabled(block_cache);
   core::FarosEngine engine(m.kernel(), core::Options{});
   m.attach_cpu_plugin(&engine);
   m.add_monitor(&engine);
@@ -1262,9 +1258,8 @@ TEST(BtCacheOs, StoreIntoChainedSegmentEvictsTheSuperblock) {
     u64 evict_smc = 0;
   };
   auto run = [](bool block_cache) {
-    os::MachineConfig mc;
-    mc.kernel.block_cache = block_cache;
-    os::Machine m(mc);
+    os::Machine m;
+    m.kernel().interp().set_block_cache_enabled(block_cache);
     core::FarosEngine engine(m.kernel(), core::Options{});
     m.attach_cpu_plugin(&engine);
     m.add_monitor(&engine);
@@ -1372,46 +1367,6 @@ TEST(BtCacheEngine, BudgetCutInsideElidableSuperblockMatchesUncached) {
   // Budget-cut prefixes ran elided (the loop has no kDivu to trap).
   EXPECT_GT(on.short_bodies, 0u);
   EXPECT_GT(on.stats.elided_insns, on.stats.insns_seen / 2);
-}
-
-// --- detection equivalence over a corpus slice ---------------------------
-
-std::vector<farm::JobSpec> slice_jobs() {
-  std::vector<farm::JobSpec> jobs;
-  auto add = [&](const std::vector<attacks::CorpusEntry>& es, size_t max_n) {
-    for (size_t i = 0; i < es.size() && i < max_n; ++i) {
-      farm::JobSpec spec;
-      spec.name = es[i].name;
-      spec.category = es[i].category;
-      spec.expect_flagged = es[i].expect_flagged;
-      spec.make = es[i].make;
-      jobs.push_back(std::move(spec));
-    }
-  };
-  // All injections (the attacks the cache must not hide) plus JIT/SMC
-  // workloads (the payloads most hostile to the cache).
-  add(attacks::injection_corpus(), ~size_t{0});
-  add(attacks::jit_corpus(), 5);
-  return jobs;
-}
-
-TEST(BtCacheFarm, VerdictStreamIsByteIdenticalCacheOnVsOff) {
-  farm::FarmConfig on_cfg;
-  on_cfg.workers = 2;
-
-  farm::FarmConfig off_cfg;
-  off_cfg.workers = 1;
-  off_cfg.machine.kernel.block_cache = false;
-
-  auto on = farm::Farm(on_cfg).run(slice_jobs());
-  auto off = farm::Farm(off_cfg).run(slice_jobs());
-  ASSERT_EQ(on.results.size(), off.results.size());
-  for (size_t i = 0; i < on.results.size(); ++i) {
-    EXPECT_EQ(on.results[i].status, farm::JobStatus::kOk)
-        << on.results[i].name;
-    EXPECT_EQ(farm::job_jsonl(on.results[i]), farm::job_jsonl(off.results[i]))
-        << on.results[i].name;
-  }
 }
 
 }  // namespace

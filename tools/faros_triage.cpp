@@ -66,15 +66,10 @@ int main(int argc, char** argv) {
 
   if (opt.list_policies) {
     // Print the ruleset the engine would actually run — the policy file if
-    // one was loaded, otherwise the built-ins selected by the (default)
-    // engine option toggles — in policy-file JSON, so the output can be
-    // saved and fed back through --policies unchanged.
+    // one was loaded, otherwise the built-ins — in policy-file JSON, so the
+    // output can be saved and fed back through --policies unchanged.
     std::vector<core::RuleSpec> specs = cfg.engine_opts.rules;
-    if (specs.empty()) {
-      specs = core::builtin_rules(cfg.engine_opts.policy_netflow_export,
-                                  cfg.engine_opts.policy_cross_process_export,
-                                  cfg.engine_opts.policy_tainted_code_write);
-    }
+    if (specs.empty()) specs = core::builtin_rules();
     std::printf("%s\n", core::ruleset_json(specs).c_str());
     return 0;
   }
