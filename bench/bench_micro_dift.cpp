@@ -28,10 +28,14 @@
 // processes of one image to keep their own TLB entries.
 //
 // With FAROS_BENCH_JSON=<path> set, main() appends one JSONL record per
-// regime (median of five wall-clock samples of equal work, each lasting at
+// regime (median of wall-clock samples of equal work, each lasting at
 // least kMinSampleS, independent of google-benchmark's timing machinery) —
-// the format committed in BENCH_shadow.json. With FAROS_BENCH_GATE set,
-// the block-cache overhead ceiling and the elision coverage gates are
+// the format committed in BENCH_shadow.json. Bare, clean and image-tainted
+// are sampled in alternation, kGateRounds rounds in one process, so a
+// shift in host load hits all three alike. The proc_lifecycle record
+// times process spawn + exit (reported, not gated; BENCH_lifecycle.json).
+// With FAROS_BENCH_GATE set, the block-cache overhead ceiling (on the
+// median of the per-round ratios) and the elision coverage gates are
 // enforced and gate failure exits nonzero.
 #include <benchmark/benchmark.h>
 
@@ -39,12 +43,16 @@
 #include <cstdlib>
 #include <functional>
 #include <map>
+#include <string_view>
+#include <vector>
 
+#include "attacks/corpus.h"
 #include "attacks/guest_common.h"
 #include "attacks/programs.h"
 #include "attacks/scenarios.h"
 #include "bench_util.h"
 #include "core/rules.h"
+#include "os/snapshot.h"
 
 using namespace faros;
 
@@ -204,7 +212,7 @@ void setup_idlers(os::Machine& m, u32 n) {
 }
 
 constexpr FlowTuple kBenchFlow{attacks::kAttackerIp, attacks::kAttackerPort,
-                               0xa9fe39a8, 49162};
+                               os::kGuestIp, 49162};
 
 /// Taints the copier's source buffer with a netflow tag (the packet-delivery
 /// insertion point, bypassing the socket plumbing the bench doesn't need).
@@ -337,8 +345,37 @@ struct RegimeRun {
 
 /// Shortest timed sample: shorter ones sit inside the host's noise.
 constexpr double kMinSampleS = 0.1;
+/// Samples per regime, rounds of the interleaved gate trio, and samples
+/// of the lifecycle record.
+constexpr int kSamples = 5;
+constexpr int kGateRounds = 7;
+constexpr int kLifecycleSamples = 9;
 
-RegimeRun run_regime(const Regime& r) {
+double median_of(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const size_t n = v.size();
+  return n % 2 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
+}
+
+/// One regime's workload, booted and sized: every sample() runs the same
+/// `insns` instructions of its steady-state loop.
+struct PreparedRegime {
+  std::unique_ptr<attacks::Analysis> a;  // engine regimes
+  std::unique_ptr<os::Machine> bare;     // bare regimes
+  u64 insns = 0;
+
+  void run(u64 n) { a ? (void)a->run(n) : (void)bare->run(n); }
+  double sample() { return bench::time_s([&] { run(insns); }); }
+  RegimeRun result(std::vector<double> samples) const {
+    RegimeRun out;
+    out.insns = insns;
+    out.seconds = median_of(std::move(samples));
+    if (a) out.metrics = a->metrics();
+    return out;
+  }
+};
+
+PreparedRegime prepare_regime(const Regime& r) {
   core::Options opts = r.clean ? clean_options() : core::Options{};
   opts.collect_metrics = r.metrics;
   if (r.rules_json) {
@@ -363,38 +400,124 @@ RegimeRun run_regime(const Regime& r) {
     }
   });
   // The engine regimes are analyzed runs; the bare ones a plain machine.
-  std::unique_ptr<attacks::Analysis> a;
-  std::unique_ptr<os::Machine> bare;
+  // MicroScenario has no event source, so nothing outlives `sc`.
+  PreparedRegime p;
   if (r.attach_engine) {
-    a = std::make_unique<attacks::Analysis>(opts);
-    (void)a->start(sc);
+    p.a = std::make_unique<attacks::Analysis>(opts);
+    (void)p.a->start(sc);
   } else {
-    bare = std::make_unique<os::Machine>();
-    (void)bare->boot();
-    (void)sc.setup(*bare);
+    p.bare = std::make_unique<os::Machine>();
+    (void)p.bare->boot();
+    (void)sc.setup(*p.bare);
   }
-  auto run = [&](u64 n) { a ? a->run(n) : bare->run(n); };
   if (r.copier) {
-    run(1000);
-    if (a) taint_copier_buf(a->machine(), a->engine(), copier);
+    p.run(1000);
+    if (p.a) taint_copier_buf(p.a->machine(), p.a->engine(), copier);
   }
-  RegimeRun out;
   // Warm-up that sizes the work: double it until one run of the steady-
   // state loop lasts kMinSampleS.
-  out.insns = 2'000'000;
-  while (bench::time_s([&] { run(out.insns); }) < kMinSampleS) {
-    out.insns *= 2;
+  p.insns = 2'000'000;
+  while (p.sample() < kMinSampleS) p.insns *= 2;
+  return p;
+}
+
+/// Median of kSamples samples, so one scheduler hiccup or page of cold
+/// cache skews a single sample, not the reported figure.
+RegimeRun run_regime(const Regime& r) {
+  PreparedRegime p = prepare_regime(r);
+  std::vector<double> samples;
+  for (int i = 0; i < kSamples; ++i) samples.push_back(p.sample());
+  return p.result(std::move(samples));
+}
+
+/// The ceiling's three regimes, sampled in alternation: one round times
+/// bare, clean and image-tainted once each, back to back. Returns their
+/// runs (median samples) and the per-round clean/bare and image/bare
+/// ratios.
+struct GateTrio {
+  std::map<std::string, RegimeRun> runs;
+  std::vector<double> clean_x, image_x;
+};
+
+GateTrio run_gate_trio(const Regime (&trio)[3]) {
+  PreparedRegime p[3];
+  for (int i = 0; i < 3; ++i) p[i] = prepare_regime(trio[i]);
+  std::vector<double> secs[3];
+  auto per_insn = [&](int i) {
+    return secs[i].back() / static_cast<double>(p[i].insns);
+  };
+  GateTrio out;
+  for (int round = 0; round < kGateRounds; ++round) {
+    for (int i = 0; i < 3; ++i) secs[i].push_back(p[i].sample());
+    out.clean_x.push_back(per_insn(1) / per_insn(0));
+    out.image_x.push_back(per_insn(2) / per_insn(0));
   }
-  // Median of five samples of `out.insns` instructions each, so one
-  // scheduler hiccup or page of cold cache skews a single sample, not the
-  // reported figure.
-  double samples[5];
-  for (double& s : samples) {
-    s = bench::time_s([&] { run(out.insns); });
+  for (int i = 0; i < 3; ++i) {
+    out.runs[trio[i].name] = p[i].result(std::move(secs[i]));
   }
-  std::sort(std::begin(samples), std::end(samples));
-  out.seconds = samples[2];
-  if (a) out.metrics = a->metrics();
+  return out;
+}
+
+/// Process lifecycle: host microseconds per spawn + exit of a corpus image
+/// on a snapshot clone with the engine attached — what a clean farm job
+/// pays for each of its processes. Each batch runs on a fresh clone (the
+/// process table only grows); only the spawn/terminate calls are timed.
+struct LifecycleRun {
+  std::vector<double> us;  // one figure per sample, sorted
+  u64 pairs_per_sample = 0;
+};
+
+LifecycleRun run_lifecycle() {
+  // The first benign Table IV application: its setup installs its image.
+  attacks::CorpusEntry entry;
+  for (auto& e : attacks::behavior_corpus()) {
+    if (e.category == "benign") {
+      entry = std::move(e);
+      break;
+    }
+  }
+  os::MachineConfig mc;
+  auto snap = os::capture_snapshot(mc.kernel);
+  if (!entry.make || !snap.ok()) {
+    std::fprintf(stderr, "FATAL: lifecycle setup\n");
+    std::exit(1);
+  }
+  mc.kernel.snapshot = snap.value();
+  constexpr u32 kBatch = 200;
+  auto batch = [&]() -> double {
+    auto sc = entry.make();
+    attacks::Analysis a(core::Options{}, mc);
+    if (auto r = a.start(*sc); !r.ok()) {
+      std::fprintf(stderr, "FATAL: lifecycle start: %s\n",
+                   r.error().message.c_str());
+      std::exit(1);
+    }
+    os::Kernel& k = a.machine().kernel();
+    const std::string path = k.find(k.process_list().at(0).pid)->image_path;
+    return bench::time_s([&] {
+      for (u32 i = 0; i < kBatch; ++i) {
+        auto pid = k.spawn(path);
+        if (!pid.ok()) {
+          std::fprintf(stderr, "FATAL: lifecycle spawn: %s\n",
+                       pid.error().message.c_str());
+          std::exit(1);
+        }
+        k.terminate(*k.find(pid.value()), 0);
+      }
+    });
+  };
+  (void)batch();  // warm-up
+  // Size a sample in whole batches so it lasts at least kMinSampleS.
+  u32 batches = 1;
+  while (batch() * batches < kMinSampleS) batches *= 2;
+  LifecycleRun out;
+  out.pairs_per_sample = static_cast<u64>(batches) * kBatch;
+  for (int i = 0; i < kLifecycleSamples; ++i) {
+    double s = 0;
+    for (u32 b = 0; b < batches; ++b) s += batch();
+    out.us.push_back(s / static_cast<double>(out.pairs_per_sample) * 1e6);
+  }
+  std::sort(out.us.begin(), out.us.end());
   return out;
 }
 
@@ -403,10 +526,11 @@ double rate(u64 hit, u64 miss) {
   return total ? static_cast<double>(hit) / static_cast<double>(total) : 0;
 }
 
-/// Runs the fixed-work regime sweep; emits JSONL when FAROS_BENCH_JSON is
-/// set and, when FAROS_BENCH_GATE is set, enforces the block-cache overhead
-/// ceiling (clean and image-tainted ≤ 1.6× cache-on bare — CI's tripwire
-/// for regressions in the elision fast path) and the counter gates.
+/// Runs the fixed-work regime sweep and the lifecycle record; emits JSONL
+/// when FAROS_BENCH_JSON is set and, when FAROS_BENCH_GATE is set, enforces
+/// the block-cache overhead ceiling (median per-round clean and image-
+/// tainted ratio ≤ 1.6× cache-on bare — CI's tripwire for regressions in
+/// the elision fast path) and the counter gates.
 /// Returns false on any gate failure.
 bool emit_json_summary() {
   const bool gate = std::getenv("FAROS_BENCH_GATE") != nullptr;
@@ -445,13 +569,21 @@ bool emit_json_summary() {
       {"interp_faros_idle3_btc", true, false, false, /*metrics=*/true,
        /*rules_json=*/nullptr, /*divspin=*/false, /*idlers=*/3},
   };
-  std::map<std::string, double> ns_by_case;
+  auto regime = [&regimes](std::string_view name) {
+    return *std::find_if(std::begin(regimes), std::end(regimes),
+                         [&](const Regime& r) { return name == r.name; });
+  };
+  const Regime trio[3] = {regime("interp_bare_btc"),
+                          regime("interp_faros_clean_btc"),
+                          regime("interp_faros_image_tainted_btc")};
+  GateTrio gate_trio = run_gate_trio(trio);
   std::map<std::string, obs::MetricSnapshot> metrics_by_case;
   for (const Regime& r : regimes) {
-    RegimeRun run = run_regime(r);
+    auto trio_run = gate_trio.runs.find(r.name);
+    RegimeRun run = trio_run != gate_trio.runs.end() ? trio_run->second
+                                                     : run_regime(r);
     const double s = run.seconds;
     const double insns = static_cast<double>(run.insns);
-    ns_by_case[r.name] = s / insns * 1e9;
     metrics_by_case[r.name] = run.metrics;
     JsonWriter rec;
     rec.field("case", r.name)
@@ -475,15 +607,41 @@ bool emit_json_summary() {
     bench::json_record("micro_dift", rec);
   }
 
+  const LifecycleRun life = run_lifecycle();
+  const double life_q1 = life.us[life.us.size() / 4];
+  const double life_q3 = life.us[life.us.size() * 3 / 4];
+  const double life_med = median_of(life.us);
+  std::printf("proc_lifecycle: %.2f us per spawn+exit (IQR %.2f-%.2f, %zu "
+              "samples of %llu)\n",
+              life_med, life_q1, life_q3, life.us.size(),
+              static_cast<unsigned long long>(life.pairs_per_sample));
+  JsonWriter life_rec;
+  life_rec.field("case", "proc_lifecycle")
+      .field("us_per_spawn_exit", life_med)
+      .field("q1_us", life_q1)
+      .field("q3_us", life_q3)
+      .field("samples", static_cast<u64>(life.us.size()))
+      .field("pairs_per_sample", life.pairs_per_sample);
+  bench::json_record("micro_dift", life_rec);
+
   if (!gate) return true;
-  const double bare = ns_by_case["interp_bare_btc"];
-  const double clean_x = ns_by_case["interp_faros_clean_btc"] / bare;
-  const double image_x = ns_by_case["interp_faros_image_tainted_btc"] / bare;
+  // Gate on the median of the per-round ratios: each round's three samples
+  // ran back to back, so host load common to a round cancels out.
+  const double clean_x = median_of(gate_trio.clean_x);
+  const double image_x = median_of(gate_trio.image_x);
   constexpr double kCeiling = 1.6;
+  auto spread = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return std::pair(v.front(), v.back());
+  };
+  const auto [clean_lo, clean_hi] = spread(gate_trio.clean_x);
+  const auto [image_lo, image_hi] = spread(gate_trio.image_x);
   std::printf(
-      "block-cache gate: clean %.2fx, image-tainted %.2fx of bare "
+      "block-cache gate: clean %.2fx (rounds %.2f-%.2f), image-tainted "
+      "%.2fx (rounds %.2f-%.2f) of bare, median of %d interleaved rounds "
       "(ceiling %.1fx)\n",
-      clean_x, image_x, kCeiling);
+      clean_x, clean_lo, clean_hi, image_x, image_lo, image_hi, kGateRounds,
+      kCeiling);
   bool ok = true;
   if (clean_x > kCeiling || image_x > kCeiling) {
     std::fprintf(stderr,

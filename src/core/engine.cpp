@@ -14,7 +14,7 @@ using vm::Opcode;
 FarosEngine::FarosEngine(const os::OsiQuery& osi, Options opts)
     : osi_(osi),
       opts_(opts),
-      store_(opts.prov_list_cap, opts.prov_store_max_lists) {
+      store_(opts.prov_list_cap, kProvStoreMaxLists) {
   add_rule_set(opts_.rules);  // set 0, the primary
   if (opts_.collect_metrics) {
     metrics_ = std::make_unique<obs::MetricSink>();
@@ -81,6 +81,16 @@ ProvListId FarosEngine::with_process(ProvListId id, PAddr cr3,
   return store_.append(id, process_tag(cr3));
 }
 
+ShadowRegisters& FarosEngine::sregs_miss(PAddr cr3) {
+  auto it = regs_.find(cr3);
+  if (it == regs_.end()) {
+    it = regs_.emplace(cr3, ShadowRegisters(++bank_lives_)).first;
+  }
+  sregs_cr3_ = cr3;
+  sregs_cached_ = &it->second;
+  return it->second;
+}
+
 // ---------------------------------------------------------------------------
 // Instruction-level propagation (Table I).
 
@@ -113,7 +123,7 @@ void FarosEngine::on_insn_retired(const vm::InsnEvent& ev,
     FetchCacheEntry& entry =
         fetch_cache_[(ev.pc_pa / vm::kInsnSize) & kFetchCacheMask];
     u64 version = cacheable ? shadow_.page_version(ev.pc_pa) : 0;
-    if (cacheable && entry.pc_pa == ev.pc_pa && entry.cr3 == ev.cr3 &&
+    if (cacheable && entry.pc_pa == ev.pc_pa && entry.life == sr.life() &&
         entry.version == version && version != 0) {
       fetch = entry.result;
       fetch_hit_.inc();
@@ -129,7 +139,7 @@ void FarosEngine::on_insn_retired(const vm::InsnEvent& ev,
       }
       if (cacheable) {
         entry.pc_pa = ev.pc_pa;
-        entry.cr3 = ev.cr3;
+        entry.life = sr.life();
         entry.version = shadow_.page_version(ev.pc_pa);  // post-writeback
         entry.result = fetch;
       }
@@ -617,11 +627,8 @@ void FarosEngine::on_process_exit(const osi::ProcessInfo& p, u32 exit_code) {
   // (ProcessMap keeps the historical entry for report rendering).
   ptag_cache_.erase(p.cr3);
   if (last_ptag_cr3_ == p.cr3) last_ptag_valid_ = false;
-  // A later process may reuse this CR3: drop its fetch-provenance entries
-  // so the recycled identity never inherits the old process's results.
-  for (FetchCacheEntry& e : fetch_cache_) {
-    if (e.cr3 == p.cr3) e = FetchCacheEntry{};
-  }
+  // No fetch-cache sweep: entries are keyed by the erased bank's life(),
+  // which no later process on this CR3 shares.
 }
 
 void FarosEngine::on_module_loaded(const osi::ModuleInfo& mod,
@@ -735,19 +742,30 @@ void FarosEngine::on_image_mapped(const osi::ProcessInfo& proc,
   ProvTag ftag = ProvTag::file(maps_.file.intern(file_id, version, path));
   ProvListId plain = store_.intern({ftag});
   plain = with_process(plain, proc.cr3, true);
-  for (u32 i = 0; i < len; ++i) {
+  // Bytes that reached this file from elsewhere (e.g. a dropper writing a
+  // downloaded stage-2 binary) keep their history: merge the file shadow
+  // so a netflow origin survives the round trip through disk. A file with
+  // no shadow bytes (the common case) gives every byte `plain`.
+  const bool merge = file_shadow_.any(file_id);
+  // One translation per page: the bytes of a page run are contiguous.
+  for (u32 i = 0; i < len;) {
+    const u32 run =
+        std::min(len - i, vm::kPageSize - vm::page_offset(base + i));
     auto pa = as.translate(base + i, AccessType::kRead, false);
-    if (!pa) continue;
-    // Bytes that reached this file from elsewhere (e.g. a dropper writing
-    // a downloaded stage-2 binary) keep their history: merge the file
-    // shadow so a netflow origin survives the round trip through disk.
-    ProvListId base_prov = file_shadow_.get(file_id, i);
-    ProvListId id = plain;
-    if (base_prov != kEmptyProv) {
-      id = store_.append(base_prov, ftag);
-      id = with_process(id, proc.cr3, true);
+    if (pa && !merge) {
+      shadow_.fill(*pa, run, plain);
+    } else if (pa) {
+      for (u32 k = 0; k < run; ++k) {
+        ProvListId base_prov = file_shadow_.get(file_id, i + k);
+        ProvListId id = plain;
+        if (base_prov != kEmptyProv) {
+          id = store_.append(base_prov, ftag);
+          id = with_process(id, proc.cr3, true);
+        }
+        shadow_.set(*pa + k, id);
+      }
     }
-    shadow_.set(*pa, id);
+    i += run;
   }
 }
 

@@ -40,6 +40,10 @@
 
 namespace faros::core {
 
+/// Exhaustion-attack guard: bound on distinct interned provenance lists
+/// (Section VI-D); past it the store degrades gracefully.
+inline constexpr u32 kProvStoreMaxLists = 1u << 22;
+
 struct Options {
   // Tag-type toggles (ablation bench disables one at a time).
   bool track_netflow = true;
@@ -66,9 +70,6 @@ struct Options {
   std::set<std::string> whitelist;
 
   u32 prov_list_cap = 64;
-  /// Exhaustion-attack guard: bound on distinct interned provenance lists
-  /// (Section VI-D); past it the store degrades gracefully.
-  u32 prov_store_max_lists = 1u << 22;
   u32 max_findings = 256;
 
   /// Own a MetricSink and bind the shadow/store/engine counters to it.
@@ -190,11 +191,10 @@ class FarosEngine : public vm::ExecHooks, public osi::GuestMonitor {
   /// exit invalidates it explicitly.
   ShadowRegisters& sregs(PAddr cr3) {
     if (sregs_cached_ && sregs_cr3_ == cr3) return *sregs_cached_;
-    ShadowRegisters& r = regs_[cr3];
-    sregs_cr3_ = cr3;
-    sregs_cached_ = &r;
-    return r;
+    return sregs_miss(cr3);
   }
+  /// sregs() behind a cache miss: finds or creates the bank and caches it.
+  ShadowRegisters& sregs_miss(PAddr cr3);
 
   /// Appends the process tag to a (tainted) list when process tracking is
   /// on; returns the list unchanged otherwise.
@@ -250,6 +250,7 @@ class FarosEngine : public vm::ExecHooks, public osi::GuestMonitor {
   StorageShadow segment_shadow_;  // keyed by loopback segment id
   StorageShadow atom_shadow_;     // keyed by atom id
   std::unordered_map<PAddr, ShadowRegisters> regs_;  // keyed by CR3
+  u64 bank_lives_ = 0;  // ShadowRegisters::life() of the newest bank
   PAddr sregs_cr3_ = 0;                     // sregs() one-entry cache
   ShadowRegisters* sregs_cached_ = nullptr;
   std::unordered_map<PAddr, u16> ptag_cache_;
@@ -257,13 +258,15 @@ class FarosEngine : public vm::ExecHooks, public osi::GuestMonitor {
   u16 last_ptag_ = 0;
   bool last_ptag_valid_ = false;
 
-  /// Direct-mapped memo for the fetch-provenance of a (pc_pa, cr3) site,
-  /// valid while the containing shadow page's mutation stamp is unchanged.
-  /// Steady-state execution from tainted code pages (mapped images) hits
-  /// here instead of walking the eight instruction bytes.
+  /// Direct-mapped memo for the fetch-provenance of a (pc_pa, process)
+  /// site, valid while the containing shadow page's mutation stamp is
+  /// unchanged. Steady-state execution from tainted code pages (mapped
+  /// images) hits here instead of walking the eight instruction bytes. The
+  /// process is named by its register bank's life rather than its CR3, so
+  /// an exit needs no sweep: a recycled CR3 gets a new bank and a new life.
   struct FetchCacheEntry {
     PAddr pc_pa = ~0ull;
-    PAddr cr3 = 0;
+    u64 life = 0;  // ShadowRegisters::life() of the filling process
     u64 version = 0;
     ProvListId result = kEmptyProv;
   };

@@ -7,6 +7,7 @@
 
 #include <array>
 #include <bit>
+#include <cassert>
 #include <memory>
 #include <unordered_map>
 
@@ -91,6 +92,33 @@ class ShadowMemory {
     }
     slot = id;
     p->version = ++epoch_;
+  }
+
+  /// set(pa + i, id) for every i < n, for a run inside one page and a
+  /// non-empty `id`: the same final state, counters and mutation stamps as
+  /// the n single-byte sets, with one directory probe.
+  void fill(PAddr pa, u32 n, ProvListId id) {
+    if (n == 0) return;
+    const u64 frame = pa >> kPageShift;
+    const u32 off = static_cast<u32>(pa & kPageMask);
+    assert(id != kEmptyProv && off + n <= kPageBytes);
+    Page* p = lookup(frame);
+    frame_hit_.inc(n - 1);  // the n-1 later probes would hit the cache
+    if (!p) p = add_page(frame);
+    u32 changed = 0;
+    u32 fresh = 0;  // previously empty bytes
+    for (u32 o = off; o < off + n; ++o) {
+      ProvListId& slot = p->prov[o];
+      if (slot == id) continue;
+      fresh += slot == kEmptyProv;
+      slot = id;
+      ++changed;
+    }
+    p->tainted += fresh;
+    total_tainted_ += fresh;
+    if (changed == 0) return;
+    epoch_ += changed;  // one stamp per changed byte, as set() draws
+    p->version = epoch_;
   }
 
   /// O(1): does the page containing `pa` hold any tainted byte?
@@ -265,6 +293,12 @@ class ShadowMemory {
 /// Byte-granular register shadow for one CPU context (one process).
 class ShadowRegisters {
  public:
+  /// `life` names this bank among every bank its engine ever made (the
+  /// engine numbers them 1, 2, ...), so a cache keyed by it cannot confuse
+  /// a dead process with a later one on the same CR3.
+  explicit ShadowRegisters(u64 life = 0) : life_(life) {}
+  u64 life() const { return life_; }
+
   ProvListId get(u8 reg, u8 byte) const { return regs_[reg][byte]; }
   void set(u8 reg, u8 byte, ProvListId id) {
     ProvListId& slot = regs_[reg][byte];
@@ -324,6 +358,7 @@ class ShadowRegisters {
  private:
   ProvListId regs_[vm::kNumRegs][4] = {};
   u32 tainted_ = 0;  // nonzero entries in regs_
+  u64 life_ = 0;
 };
 
 /// Byte provenance of kernel-resident storage, keyed exactly by (object
@@ -339,13 +374,19 @@ class StorageShadow {
 
   void set(u64 id, u32 offset, ProvListId prov) {
     if (prov == kEmptyProv) {
-      map_.erase({id, offset});
-    } else {
-      map_[{id, offset}] = prov;
+      if (map_.erase({id, offset}) && --per_id_[id] == 0) per_id_.erase(id);
+    } else if (map_.insert_or_assign({id, offset}, prov).second) {
+      ++per_id_[id];
     }
   }
 
   u64 tainted_bytes() const { return map_.size(); }
+
+  /// O(1): does object `id` hold any byte with provenance? When it holds
+  /// none, every get(id, ·) is kEmptyProv and a caller may skip the
+  /// per-byte lookups (image mapping does, for the common never-written
+  /// file).
+  bool any(u64 id) const { return per_id_.contains(id); }
 
  private:
   struct Key {
@@ -360,6 +401,7 @@ class StorageShadow {
   };
 
   std::unordered_map<Key, ProvListId, KeyHash> map_;
+  std::unordered_map<u64, u32> per_id_;  // non-empty bytes per id, no zeros
 };
 
 }  // namespace faros::core

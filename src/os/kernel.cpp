@@ -17,15 +17,13 @@ using vm::kPteUser;
 using vm::kPteWrite;
 
 namespace {
-constexpr u32 kDefaultGuestIp = 0xa9fe39a8;  // 169.254.57.168 (Table II)
-
 /// Guest RAM is always copy-on-write: a snapshot clone runs over the
 /// frozen post-boot image, a cold kernel over the all-zero image, so fresh
 /// RAM is a pointer table rather than 64 MiB of zeroing (guaranteed copy
 /// elision constructs mem_ in place either way).
 vm::PhysMem make_phys(const KernelConfig& cfg) {
   if (cfg.snapshot) return vm::PhysMem(cfg.snapshot->ram);
-  return vm::PhysMem(cfg.ram_bytes);
+  return vm::PhysMem(kRamBytes);
 }
 }  // namespace
 
@@ -34,7 +32,7 @@ Kernel::Kernel(const KernelConfig& cfg)
       mem_(make_phys(cfg)),
       frames_(mem_.num_frames()),
       interp_(mem_),
-      net_(cfg.guest_ip ? cfg.guest_ip : kDefaultGuestIp),
+      net_(kGuestIp),
       rng_(cfg.rng_seed) {
   // Frame 0 stays reserved so a zero CR3/frame is never valid.
   frames_.reserve(0);
@@ -89,8 +87,7 @@ Result<void> Kernel::boot() {
 Result<void> Kernel::boot_from_snapshot(const Snapshot& snap) {
   // The image is only valid for the exact config it was captured from; a
   // mismatched clone would run against silently wrong memory contents.
-  if (snap.ram_bytes != cfg_.ram_bytes || snap.guest_ip != cfg_.guest_ip ||
-      snap.rng_seed != cfg_.rng_seed) {
+  if (snap.rng_seed != cfg_.rng_seed) {
     return Err<void>("snapshot: config mismatch with captured image");
   }
   frames_.restore(snap.frames);

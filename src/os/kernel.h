@@ -30,9 +30,12 @@ namespace faros::os {
 
 struct Snapshot;  // os/snapshot.h
 
+/// Guest RAM size and the guest's own IP address (169.254.57.168, paper
+/// Table II): the same in every machine.
+inline constexpr u32 kRamBytes = 64u << 20;
+inline constexpr u32 kGuestIp = 0xa9fe39a8;
+
 struct KernelConfig {
-  u32 ram_bytes = 64u << 20;
-  u32 guest_ip = 0;     // 0 -> default 169.254.57.168
   u64 rng_seed = 1;     // NtGetRandom stream (deterministic)
   /// When set, boot() restores this frozen booted-guest image (COW over
   /// its RAM) instead of building the kernel state from scratch; see

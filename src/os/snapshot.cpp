@@ -16,8 +16,6 @@ Result<SnapshotPtr> capture_snapshot(const KernelConfig& cfg) {
   s->frames = k.frame_alloc().state();
   s->kernel_cr3 = k.kernel_as().cr3();
   s->modules = k.modules();
-  s->ram_bytes = base.ram_bytes;
-  s->guest_ip = base.guest_ip;
   s->rng_seed = base.rng_seed;
   return SnapshotPtr(std::move(s));
 }

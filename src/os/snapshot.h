@@ -47,10 +47,9 @@ struct Snapshot {
   vm::FrameAllocator::State frames;
   PAddr kernel_cr3 = 0;
   std::vector<osi::ModuleInfo> modules;
-  // Config the image was built from; boot-from-snapshot refuses a clone
-  // whose config diverges (the image would silently not match).
-  u32 ram_bytes = 0;
-  u32 guest_ip = 0;
+  // Seed the image was built with; boot-from-snapshot refuses a clone
+  // whose seed diverges (the image would silently not match). RAM size and
+  // guest IP are constants (os::kRamBytes, os::kGuestIp).
   u64 rng_seed = 0;
 };
 

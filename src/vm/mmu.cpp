@@ -4,6 +4,16 @@
 
 namespace faros::vm {
 
+namespace {
+/// Entry `i` of a page-table page viewed through PhysMem::span: page
+/// walks read a whole table through one span instead of one read32 each.
+u32 entry_at(ByteSpan table, u32 i) {
+  const u8* p = table.data() + i * 4;
+  return static_cast<u32>(p[0]) | (static_cast<u32>(p[1]) << 8) |
+         (static_cast<u32>(p[2]) << 16) | (static_cast<u32>(p[3]) << 24);
+}
+}  // namespace
+
 const char* fault_kind_name(FaultKind kind) {
   switch (kind) {
     case FaultKind::kNotMapped: return "not-mapped";
@@ -34,7 +44,8 @@ void AddressSpace::write_pt(PAddr pa, u32 entry) {
 }
 
 void AddressSpace::zero_table(PAddr table) {
-  for (u32 i = 0; i < kEntriesPerTable; ++i) write_pt(table + i * 4, 0);
+  mem_->zero_frame(table);
+  mem_->bump_pt_epoch();
 }
 
 Result<void> AddressSpace::ensure_table(VAddr va) {
@@ -79,8 +90,7 @@ Result<void> AddressSpace::map_alloc(VAddr va, u32 len, u32 flags) {
     auto frame = frames_->alloc();
     if (!frame.ok()) return Err<void>("mmu: " + frame.error().message);
     // Fresh frames are zeroed so processes never observe stale data.
-    Bytes zero(kPageSize, 0);
-    mem_->write(frame.value(), zero);
+    mem_->zero_frame(frame.value());
     auto r = map_page(p, frame.value(), flags);
     if (!r.ok()) return r;
     if (p + kPageSize < p) break;  // wrapped at top of address space
@@ -136,9 +146,11 @@ Result<void> AddressSpace::protect_range(VAddr va, u32 len, u32 flags) {
 
 void AddressSpace::share_directory_range(const AddressSpace& other,
                                          VAddr va_lo, VAddr va_hi) {
-  for (u32 idx = va_lo >> 22; idx <= ((va_hi - 1) >> 22); ++idx) {
-    write_pt(cr3_ + idx * 4, mem_->read32(other.cr3_ + idx * 4));
-  }
+  // One run of directory entries: one bulk copy, one epoch bump.
+  const u32 lo = (va_lo >> 22) * 4;
+  const u32 len = (((va_hi - 1) >> 22) + 1) * 4 - lo;
+  mem_->write(cr3_ + lo, mem_->span(other.cr3_ + lo, len));
+  mem_->bump_pt_epoch();
 }
 
 std::optional<PAddr> AddressSpace::translate(VAddr va, AccessType type,
@@ -193,19 +205,29 @@ u32 AddressSpace::page_flags(VAddr va) const {
 void AddressSpace::destroy(bool free_user_frames) {
   if (!valid()) return;
   // Walk only the user half: kernel-half tables are shared across spaces.
+  // The directory and each table are read through one page span. Each
+  // entry is read before it is cleared and clearing it touches no other,
+  // so the walk sees the directory as it was (a copy-on-write fault on the
+  // first clear moves PhysMem to a private copy; the span keeps pointing
+  // at the old, still-live storage).
+  const ByteSpan dir = mem_->span(cr3_, kPageSize);
+  bool cleared = false;
   for (u32 idx = 0; idx < (kKernelBase >> 22); ++idx) {
-    u32 pde = mem_->read32(cr3_ + idx * 4);
+    const u32 pde = entry_at(dir, idx);
     if (!(pde & kPtePresent)) continue;
     PAddr table = pde & ~kPteFlagMask;
     if (free_user_frames) {
+      const ByteSpan ptes = mem_->span(table, kPageSize);
       for (u32 t = 0; t < kEntriesPerTable; ++t) {
-        u32 pte = mem_->read32(table + t * 4);
+        const u32 pte = entry_at(ptes, t);
         if (pte & kPtePresent) frames_->free(pte & ~kPteFlagMask);
       }
     }
     frames_->free(table);
-    write_pt(cr3_ + idx * 4, 0);
+    mem_->write32(cr3_ + idx * 4, 0);
+    cleared = true;
   }
+  if (cleared) mem_->bump_pt_epoch();
   frames_->free(cr3_);
   mem_ = nullptr;
 }

@@ -115,8 +115,10 @@ class AddressSpace {
   u32 pde_index(VAddr va) const { return va >> 22; }
   u32 pte_index(VAddr va) const { return (va >> 12) & 0x3ff; }
 
-  /// The only way page-table memory is written: stores `entry` and bumps
-  /// the PhysMem page-table epoch so interpreter TLBs drop stale entries.
+  /// Stores one page-table entry and bumps the PhysMem page-table epoch so
+  /// interpreter TLBs drop stale entries. The bulk table operations
+  /// (zero_table, share_directory_range, destroy) write their entries in
+  /// one go and bump once.
   void write_pt(PAddr pa, u32 entry);
   void zero_table(PAddr table);
 

@@ -47,9 +47,9 @@ u8* PhysMem::arena_alloc() {
          static_cast<size_t>(arena_used_++) * kPageSize;
 }
 
-u8* PhysMem::cow_fault(u64 frame) {
+u8* PhysMem::cow_fault(u64 frame, bool copy) {
   u8* p = arena_alloc();
-  std::memcpy(p, rtab_[frame], kPageSize);
+  if (copy) std::memcpy(p, rtab_[frame], kPageSize);
   rtab_[frame] = p;
   wtab_[frame] = p;
   ++stats_.cow_faults;
@@ -161,6 +161,16 @@ void PhysMem::write(PAddr pa, ByteSpan data) {
     std::memcpy(p + off, data.data() + done, n);
     done += n;
   }
+}
+
+void PhysMem::zero_frame(PAddr frame_base) {
+  assert(page_offset(static_cast<u32>(frame_base)) == 0 &&
+         contains(frame_base, kPageSize));
+  notify_code_write(frame_base, kPageSize);
+  const u64 f = frame_base >> kPageShift;
+  u8* p = wtab_[f];
+  if (!p) p = cow_fault(f, /*copy=*/false);
+  std::memset(p, 0, kPageSize);
 }
 
 ByteSpan PhysMem::span(PAddr pa, u32 len) const {

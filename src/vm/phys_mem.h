@@ -106,13 +106,21 @@ class PhysMem {
   void read(PAddr pa, MutByteSpan out) const;
   void write(PAddr pa, ByteSpan data);
 
+  /// Zeroes the whole frame at `frame_base`: exactly write(frame_base,
+  /// 4096 zero bytes) — the observer sees one [frame_base, +4096) write, and
+  /// a still-shared frame takes its COW fault (counted as one) — but one
+  /// memset, with no copy of the bytes it is about to overwrite.
+  void zero_frame(PAddr frame_base);
+
   bool contains(PAddr pa, u32 len = 1) const {
     return pa + len <= size_ && pa + len >= pa;
   }
 
   /// Zero-copy view of [pa, pa+len). The range must stay within one frame
-  /// (frames are not contiguous); the only caller is the instruction
-  /// decoder, whose 8-byte-aligned fetches never cross.
+  /// (frames are not contiguous): the instruction decoder's 8-byte-aligned
+  /// fetches never cross, and page-table walks read one table per span.
+  /// The storage behind a view lives as long as this PhysMem, also across
+  /// a copy-on-write fault of its frame (the fault copies away from it).
   ByteSpan span(PAddr pa, u32 len) const;
 
   /// Freezes the RAM contents as an immutable sparse image. Copies only the
@@ -150,9 +158,12 @@ class PhysMem {
     return watched_[frame_base >> kPageShift] != 0;
   }
 
-  /// Machine-wide page-table epoch: AddressSpace bumps it on every page-
-  /// table write, so an interpreter's TLB stays valid while it is unchanged
-  /// (CR3 recycling and shared second-level tables both imply a write).
+  /// Machine-wide page-table epoch: AddressSpace bumps it at least once per
+  /// page-table operation that writes an entry, so an interpreter's TLB
+  /// stays valid while it is unchanged (CR3 recycling and shared second-
+  /// level tables both imply a write). Interpreters compare it only at the
+  /// start of a run, so one bump per operation decides exactly as one bump
+  /// per entry would.
   u64 pt_epoch() const { return pt_epoch_; }
   void bump_pt_epoch() { ++pt_epoch_; }
 
@@ -161,8 +172,9 @@ class PhysMem {
   /// the write overlaps at least one frame's watched byte range.
   void notify_code_write(PAddr pa, u32 len);
 
-  /// First write to a shared frame: copy it into private arena storage.
-  u8* cow_fault(u64 frame);
+  /// First write to a shared frame: give it private arena storage, copied
+  /// from the shared frame unless the caller overwrites all of it.
+  u8* cow_fault(u64 frame, bool copy = true);
   u8* arena_alloc();
 
   /// Store one byte without the watch check (callers notify once for the

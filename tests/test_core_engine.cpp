@@ -4,6 +4,9 @@
 // property test against an independent boolean-taint reference.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
 #include "attacks/guest_common.h"
 #include "common/rng.h"
 #include "core/engine.h"
@@ -342,6 +345,117 @@ TEST_F(EngineTest, ImageMappingAppliesFileTag) {
   ASSERT_NE(id, kEmptyProv);
   EXPECT_TRUE(engine_->store().contains_type(id, TagType::kFile));
   EXPECT_TRUE(engine_->store().contains_type(id, TagType::kProcess));
+}
+
+// on_image_mapped tags by page. Reference, byte by byte: a byte of an
+// unmapped page gets nothing; a byte whose file offset carries shadow gets
+// that list + the image's file tag + the process tag; every other byte the
+// plain [file, process] list. The image starts mid-page, spans three pages
+// with the middle one unmapped, and the shadowed file ranges straddle the
+// unmapped page's both edges.
+TEST_F(EngineTest, ImageTaggingByPageMatchesPerByteReference) {
+  init(Options{});
+  os::Pid pid = spawn_suspended("mapper.exe", [](ImageBuilder& ib) {
+    auto& a = ib.asm_();
+    a.label("_start");
+    end_spin(a);
+    scaffold_data(a);
+  });
+  os::Process* p = machine_->kernel().find(pid);
+  const std::string path = "C:/test/stage2.bin";
+  machine_->kernel().vfs().create(path, Bytes(3 * vm::kPageSize, 0x90));
+  const u32 file_id = machine_->kernel().vfs().stat(path).value().file_id;
+
+  constexpr VAddr kPage0 = 0x10000000;
+  constexpr VAddr kBase = kPage0 + 0x100;
+  constexpr u32 kLen = 3 * vm::kPageSize - 0x200;
+  ASSERT_TRUE(p->as.map_alloc(kPage0, 3 * vm::kPageSize, vm::kPteUser).ok());
+  ASSERT_TRUE(p->as.unmap_page(kPage0 + vm::kPageSize, true).ok());
+
+  // The process writes 16 network-borne bytes into the file twice: file
+  // offsets straddling the end of page 0 and the start of page 2.
+  taint_packet(*p, src_, 16);
+  std::map<u32, ProvListId> file_prov;  // file offset -> shadow list
+  for (u32 off : {vm::kPageSize - 0x108, 2 * vm::kPageSize - 0x104}) {
+    osi::GuestXfer xfer{p->info(), &p->as, src_, 16};
+    engine_->on_file_write(xfer, file_id, path, 1, off);
+    for (u32 k = 0; k < 16; ++k) file_prov[off + k] = prov(pid, src_ + k);
+  }
+  engine_->on_image_mapped(p->info(), p->as, kBase, kLen, file_id, path, 2);
+
+  const ProvStore& store = engine_->store();
+  const ProvListId plain = prov(pid, kBase);
+  ASSERT_NE(plain, kEmptyProv);
+  const std::vector<ProvTag> plain_tags = store.get(plain);
+  ASSERT_EQ(plain_tags.size(), 2u);
+  EXPECT_EQ(plain_tags[0].type(), TagType::kFile);
+  EXPECT_EQ(plain_tags[1].type(), TagType::kProcess);
+  u32 merged = 0;
+  for (u32 i = 0; i < kLen; ++i) {
+    if (!p->as.is_mapped(kBase + i)) continue;
+    const ProvListId got = prov(pid, kBase + i);
+    auto it = file_prov.find(i);
+    if (it == file_prov.end()) {
+      ASSERT_EQ(got, plain) << "byte " << i;
+      continue;
+    }
+    std::vector<ProvTag> want = store.get(it->second);
+    for (const ProvTag& t : plain_tags) {
+      if (std::find(want.begin(), want.end(), t) == want.end()) {
+        want.push_back(t);
+      }
+    }
+    ASSERT_EQ(store.get(got), want) << "byte " << i;
+    ++merged;
+  }
+  EXPECT_EQ(merged, 8u + 12u);  // the shadowed bytes on mapped pages
+  // Bytes of the mapped pages outside the image stay untagged.
+  EXPECT_EQ(prov(pid, kPage0), kEmptyProv);
+  EXPECT_EQ(prov(pid, kBase - 1), kEmptyProv);
+  EXPECT_EQ(prov(pid, kBase + kLen), kEmptyProv);
+}
+
+// The fetch-provenance cache must not outlive a process: a later process
+// on the recycled CR3 fetching the same tainted shared code (kernel32's
+// Sleep) walks the bytes again and appends its own process tag.
+TEST_F(EngineTest, RecycledCr3NeverReadsTheDeadProcessFetchProvenance) {
+  init(quiet_options());
+  // Instrument every instruction: the fetch cache serves on_insn_retired,
+  // which an elided block does not call.
+  machine_->kernel().interp().set_block_cache_enabled(false);
+  const std::string path = "C:/test/sleeper.exe";
+  os::Pid first = spawn_suspended("sleeper.exe", [](ImageBuilder& ib) {
+    // The IAT slot is labelled "src" so spawn_suspended records its VA.
+    ib.import_symbol(os::sym::kKernel32, os::sym::kSleep, "src");
+    auto& a = ib.asm_();
+    a.label("_start");
+    a.movi_label(Reg::R4, "src");
+    a.ld32(Reg::R4, Reg::R4, 0);
+    a.movi(Reg::R1, 1);
+    a.callr(Reg::R4);
+    a.movi(Reg::R1, 0);
+    emit_sys(a, Sys::kNtExit);
+    a.align(8);
+    a.label("src");
+    a.data_u32(0);
+  });
+  os::Process* p1 = machine_->kernel().find(first);
+  const PAddr cr3 = p1->as.cr3();
+  const VAddr sleep_va = p1->as.read32_or(src_, 0);
+  ASSERT_NE(sleep_va, 0u);
+  taint_packet(*p1, sleep_va, vm::kInsnSize);
+  resume_and_run(first);
+  ASSERT_EQ(p1->state, os::ProcState::kTerminated);
+  const vm::AddressSpace& kas = machine_->kernel().kernel_as();
+  EXPECT_EQ(engine_->store().process_count(engine_->prov_at(kas, sleep_va)),
+            1u);
+
+  auto second = machine_->kernel().spawn(path, /*suspended=*/true);
+  ASSERT_TRUE(second.ok());
+  ASSERT_EQ(machine_->kernel().find(second.value())->as.cr3(), cr3);
+  resume_and_run(second.value());
+  EXPECT_EQ(engine_->store().process_count(engine_->prov_at(kas, sleep_va)),
+            2u);
 }
 
 TEST_F(EngineTest, KernelWriteClearsStaleTaint) {

@@ -265,6 +265,62 @@ TEST(PagedShadow, TopOfPhysicalMemoryRangesDoNotOverflow) {
   EXPECT_EQ(s.get(kLastFrame - 1), 11u);
 }
 
+// fill() is a bulk set(): same bytes, counts, stamps and probe counters
+// as the single-byte sets it replaces, over a page that is absent, one
+// already holding some bytes (equal and different ids), and a run ending
+// at the page's last byte.
+TEST(PagedShadow, FillMatchesSingleByteSets) {
+  obs::MetricSink fill_sink, set_sink;
+  ShadowMemory filled, reference;
+  filled.bind_obs(&fill_sink);
+  reference.bind_obs(&set_sink);
+  for (ShadowMemory* s : {&filled, &reference}) {
+    s->set(0x3010, 5);
+    s->set(0x3011, 9);
+    s->set(0x5000, 2);  // another page, so the frame cache moves
+  }
+  struct Run {
+    PAddr pa;
+    u32 n;
+    ProvListId id;
+  };
+  const Run runs[] = {{0x3008, 16, 9}, {0x4f00, 0x100, 7}, {0x3ffc, 4, 9},
+                      {0x3008, 16, 9}};
+  for (const Run& r : runs) {
+    filled.fill(r.pa, r.n, r.id);
+    for (u32 i = 0; i < r.n; ++i) reference.set(r.pa + i, r.id);
+    EXPECT_EQ(filled.tainted_bytes(), reference.tainted_bytes());
+    EXPECT_EQ(filled.pages(), reference.pages());
+    for (PAddr page : {0x3000u, 0x4000u, 0x5000u}) {
+      EXPECT_EQ(filled.page_version(page), reference.page_version(page))
+          << std::hex << page;
+      for (u32 o = 0; o < ShadowMemory::kPageBytes; ++o) {
+        ASSERT_EQ(filled.get(page + o), reference.get(page + o))
+            << std::hex << page + o;
+      }
+    }
+  }
+  EXPECT_EQ(fill_sink.snapshot().counters, set_sink.snapshot().counters);
+}
+
+// StorageShadow::any(id) follows the bytes of one id exactly: set, reset
+// to another list, clear, and ids whose keys could share a hash.
+TEST(StorageShadowUnit, AnyTracksTheBytesOfEachId) {
+  StorageShadow s;
+  EXPECT_FALSE(s.any(1));
+  s.set(1, 4097, 3);
+  s.set(1, 4097, 4);  // overwrite: still one byte
+  s.set(2, 0, 5);
+  EXPECT_TRUE(s.any(1));
+  EXPECT_TRUE(s.any(2));
+  s.set(1, 4097, kEmptyProv);
+  EXPECT_FALSE(s.any(1));
+  EXPECT_TRUE(s.any(2));
+  s.set(1, 12, kEmptyProv);  // clearing an absent byte changes nothing
+  EXPECT_FALSE(s.any(1));
+  EXPECT_EQ(s.tainted_bytes(), 1u);
+}
+
 TEST(PagedShadow, ClearResetsEverything) {
   ShadowMemory s;
   for (u32 i = 0; i < 4; ++i) s.set(0x1000 * i + i, i + 1);

@@ -173,7 +173,7 @@ TEST(Snapshot, BootFromSnapshotMatchesColdBoot) {
   os::KernelConfig cfg;
   auto snap = os::capture_snapshot(cfg);
   ASSERT_TRUE(snap.ok()) << snap.error().message;
-  EXPECT_EQ(snap.value()->ram_bytes, cfg.ram_bytes);
+  EXPECT_EQ(snap.value()->ram->size(), os::kRamBytes);
   EXPECT_GT(snap.value()->frames.free_count, 0u);
 
   os::KernelConfig warm_cfg = cfg;
@@ -207,7 +207,7 @@ TEST(Snapshot, CaptureOwnsOnlyTheFramesBootFilled) {
   auto snap = os::capture_snapshot(cfg);
   ASSERT_TRUE(snap.ok()) << snap.error().message;
   const vm::MemImage& img = *snap.value()->ram;
-  EXPECT_EQ(img.size(), cfg.ram_bytes);
+  EXPECT_EQ(img.size(), os::kRamBytes);
   EXPECT_GT(img.owned_frames(), 0u);
   EXPECT_LT(img.owned_frames(), 64u);
 }

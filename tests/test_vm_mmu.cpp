@@ -203,5 +203,99 @@ TEST(AddressSpace, TranslateDistinguishesOffsetsWithinPage) {
   EXPECT_EQ(*b - *a, 0xfffu);
 }
 
+// zero_frame is write(frame, 4096 zero bytes) done as one memset: on a
+// shared frame holding data, a private frame and a watched code frame, the
+// contents, copy-on-write statistics and observer calls match the write.
+TEST(PhysMemZeroFrame, MatchesWholeFrameWriteOfZeros) {
+  PhysMem seed(8 * kPageSize);
+  const Bytes junk(kPageSize, 0xab);
+  for (u32 f = 1; f <= 3; ++f) seed.write(f * kPageSize, junk);
+  const auto image = seed.freeze();
+
+  PhysMem zeroed(image), written(image);
+  using Calls = std::vector<std::pair<PAddr, u32>>;
+  Calls zeroed_calls, written_calls;
+  zeroed.set_code_write_observer(
+      [&](PAddr pa, u32 len) { zeroed_calls.emplace_back(pa, len); });
+  written.set_code_write_observer(
+      [&](PAddr pa, u32 len) { written_calls.emplace_back(pa, len); });
+  for (PhysMem* m : {&zeroed, &written}) {
+    m->write8(2 * kPageSize + 5, 0x11);          // frame 2 goes private
+    m->watch_frame(3 * kPageSize, 0x40, 0x48);   // frame 3 holds "code"
+    m->watch_frame(4 * kPageSize, 0x10, 0x18);   // frame 4: all-zero image
+  }
+  const Bytes zeros(kPageSize, 0);
+  for (PAddr frame : {1 * kPageSize, 2 * kPageSize, 3 * kPageSize,
+                      4 * kPageSize}) {
+    zeroed.zero_frame(frame);
+    written.write(frame, zeros);
+    EXPECT_EQ(zeroed.cow_stats().cow_faults, written.cow_stats().cow_faults);
+    EXPECT_EQ(zeroed.cow_stats().shared_frames,
+              written.cow_stats().shared_frames);
+  }
+  EXPECT_EQ(zeroed_calls, written_calls);
+  EXPECT_EQ(zeroed_calls.size(), 2u);  // the two watched frames
+  // Frames 1, 3 and 4 faulted here; frame 2 had faulted on its write8.
+  EXPECT_EQ(zeroed.cow_stats().cow_faults, 4u);
+  for (u32 f = 0; f < 8; ++f) {
+    Bytes a(kPageSize), b(kPageSize);
+    zeroed.read(f * kPageSize, a);
+    written.read(f * kPageSize, b);
+    EXPECT_EQ(a, b) << "frame " << f;
+    EXPECT_EQ(a, zeros) << "frame " << f;
+  }
+  // The shared image is never written through.
+  EXPECT_EQ(image->read8(kPageSize), 0xab);
+}
+
+// An address space hands back exactly the frames it took, and every
+// page-table operation moves the epoch interpreters flush their TLBs on.
+TEST(AddressSpace, CreateThenDestroyReturnsExactlyItsFramesAndMovesEpoch) {
+  MmuEnv env;
+  AddressSpace kernel = AddressSpace::create(env.mem, env.frames).value();
+  ASSERT_TRUE(kernel.ensure_table(kKernelBase).ok());
+  ASSERT_TRUE(kernel.map_alloc(kKernelBase, kPageSize, kPteUser).ok());
+  const FrameAllocator::State before = env.frames.state();
+  std::vector<PAddr> freed;
+  env.frames.set_free_observer([&](PAddr f) { freed.push_back(f); });
+
+  u64 epoch = env.mem.pt_epoch();
+  auto moved = [&] {
+    const bool m = env.mem.pt_epoch() != epoch;
+    epoch = env.mem.pt_epoch();
+    return m;
+  };
+  AddressSpace proc = AddressSpace::create(env.mem, env.frames).value();
+  EXPECT_TRUE(moved());
+  proc.share_directory_range(kernel, kKernelBase, 0xffffffffu);
+  EXPECT_TRUE(moved());
+  EXPECT_TRUE(proc.is_mapped(kKernelBase));
+  // Two user tables: an image-like range and a stack-like one.
+  ASSERT_TRUE(proc.map_alloc(0x400000, 3 * kPageSize, kPteUser).ok());
+  ASSERT_TRUE(proc.map_alloc(0x7ff00000, 2 * kPageSize, kPteUser).ok());
+  EXPECT_TRUE(moved());
+  const u32 taken = before.free_count - env.frames.free_frames();
+  EXPECT_EQ(taken, 1u + 2u + 3u + 2u);  // directory, tables, pages
+  const std::vector<bool> used_while_live = env.frames.state().used;
+  const PAddr cr3 = proc.cr3();
+
+  proc.destroy(/*free_user_frames=*/true);
+  EXPECT_TRUE(moved());
+  EXPECT_EQ(env.frames.state().used, before.used);
+  EXPECT_EQ(env.frames.free_frames(), before.free_count);
+  ASSERT_EQ(freed.size(), taken);
+  for (PAddr f : freed) {
+    EXPECT_TRUE(used_while_live[f >> kPageShift]);
+    EXPECT_FALSE(before.used[f >> kPageShift]);
+  }
+  EXPECT_TRUE(kernel.is_mapped(kKernelBase));
+  // A recycled directory starts empty: the next space reuses the lowest
+  // free frame and sees none of the old user mappings.
+  AddressSpace next = AddressSpace::create(env.mem, env.frames).value();
+  EXPECT_EQ(next.cr3(), cr3);
+  EXPECT_FALSE(next.is_mapped(0x400000));
+  EXPECT_FALSE(next.is_mapped(0x7ff00000));
+}
+
 }  // namespace
 }  // namespace faros::vm
