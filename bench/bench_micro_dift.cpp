@@ -24,15 +24,18 @@
 // shape), one process and three from one image; the divspin regime's hot
 // block divides by a constant. The gates require all three to run almost
 // entirely elided (divspin exactly: budget-cut prefixes elide too), the
-// idle loops to dispatch one block per scheduling round, and three
-// processes of one image to keep their own TLB entries.
+// idle loops to dispatch one block per scheduling round, on the block's
+// elision grant (no engine call; DESIGN.md §3g), and three processes of
+// one image to keep their own TLB entries. interp_bare_idle is the
+// one-idler workload without the engine, for the per-round engine cost.
 //
 // With FAROS_BENCH_JSON=<path> set, main() appends one JSONL record per
 // regime (median of wall-clock samples of equal work, each lasting at
 // least kMinSampleS, independent of google-benchmark's timing machinery) —
 // the format committed in BENCH_shadow.json. Bare, clean and image-tainted
 // are sampled in alternation, kGateRounds rounds in one process, so a
-// shift in host load hits all three alike. The proc_lifecycle record
+// shift in host load hits all three alike; so are the two one-idler
+// regimes, engine and bare. The proc_lifecycle record
 // times process spawn + exit (reported, not gated; BENCH_lifecycle.json).
 // With FAROS_BENCH_GATE set, the block-cache overhead ceiling (on the
 // median of the per-round ratios) and the elision coverage gates are
@@ -351,12 +354,6 @@ constexpr int kSamples = 5;
 constexpr int kGateRounds = 7;
 constexpr int kLifecycleSamples = 9;
 
-double median_of(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  const size_t n = v.size();
-  return n % 2 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
-}
-
 /// One regime's workload, booted and sized: every sample() runs the same
 /// `insns` instructions of its steady-state loop.
 struct PreparedRegime {
@@ -369,7 +366,7 @@ struct PreparedRegime {
   RegimeRun result(std::vector<double> samples) const {
     RegimeRun out;
     out.insns = insns;
-    out.seconds = median_of(std::move(samples));
+    out.seconds = bench::median_of(std::move(samples));
     if (a) out.metrics = a->metrics();
     return out;
   }
@@ -430,32 +427,47 @@ RegimeRun run_regime(const Regime& r) {
   return p.result(std::move(samples));
 }
 
-/// The ceiling's three regimes, sampled in alternation: one round times
-/// bare, clean and image-tainted once each, back to back. Returns their
-/// runs (median samples) and the per-round clean/bare and image/bare
-/// ratios.
-struct GateTrio {
+/// Regimes sampled in alternation: one round times each once, back to
+/// back, kGateRounds rounds, so a shift in host load hits all alike.
+/// Holds their runs (median samples) and each regime's seconds per
+/// instruction in every round.
+struct Interleaved {
   std::map<std::string, RegimeRun> runs;
-  std::vector<double> clean_x, image_x;
+  std::vector<std::vector<double>> per_insn;  // [regime][round]
+
+  /// Per-round cost of regime `i` over regime `j`.
+  std::vector<double> ratio(size_t i, size_t j) const {
+    std::vector<double> out;
+    for (size_t r = 0; r < per_insn[i].size(); ++r) {
+      out.push_back(per_insn[i][r] / per_insn[j][r]);
+    }
+    return out;
+  }
 };
 
-GateTrio run_gate_trio(const Regime (&trio)[3]) {
-  PreparedRegime p[3];
-  for (int i = 0; i < 3; ++i) p[i] = prepare_regime(trio[i]);
-  std::vector<double> secs[3];
-  auto per_insn = [&](int i) {
-    return secs[i].back() / static_cast<double>(p[i].insns);
-  };
-  GateTrio out;
+Interleaved run_interleaved(const std::vector<Regime>& regimes) {
+  std::vector<PreparedRegime> p;
+  for (const Regime& r : regimes) p.push_back(prepare_regime(r));
+  std::vector<std::vector<double>> secs(p.size());
+  Interleaved out;
+  out.per_insn.resize(p.size());
   for (int round = 0; round < kGateRounds; ++round) {
-    for (int i = 0; i < 3; ++i) secs[i].push_back(p[i].sample());
-    out.clean_x.push_back(per_insn(1) / per_insn(0));
-    out.image_x.push_back(per_insn(2) / per_insn(0));
+    for (size_t i = 0; i < p.size(); ++i) {
+      secs[i].push_back(p[i].sample());
+      out.per_insn[i].push_back(secs[i].back() /
+                                static_cast<double>(p[i].insns));
+    }
   }
-  for (int i = 0; i < 3; ++i) {
-    out.runs[trio[i].name] = p[i].result(std::move(secs[i]));
+  for (size_t i = 0; i < p.size(); ++i) {
+    out.runs[regimes[i].name] = p[i].result(std::move(secs[i]));
   }
   return out;
+}
+
+/// Smallest and largest of `v`.
+std::pair<double, double> spread(const std::vector<double>& v) {
+  const auto [lo, hi] = std::minmax_element(v.begin(), v.end());
+  return {*lo, *hi};
 }
 
 /// Process lifecycle: host microseconds per spawn + exit of a corpus image
@@ -568,20 +580,32 @@ bool emit_json_summary() {
        /*rules_json=*/nullptr, /*divspin=*/false, /*idlers=*/1},
       {"interp_faros_idle3_btc", true, false, false, /*metrics=*/true,
        /*rules_json=*/nullptr, /*divspin=*/false, /*idlers=*/3},
+      // The one-idler workload with no engine: the engine's cost per idle
+      // round is interp_faros_idle_dirty_btc over this (not gated).
+      {"interp_bare_idle", false, false, false, /*metrics=*/true,
+       /*rules_json=*/nullptr, /*divspin=*/false, /*idlers=*/1},
   };
   auto regime = [&regimes](std::string_view name) {
     return *std::find_if(std::begin(regimes), std::end(regimes),
                          [&](const Regime& r) { return name == r.name; });
   };
-  const Regime trio[3] = {regime("interp_bare_btc"),
-                          regime("interp_faros_clean_btc"),
-                          regime("interp_faros_image_tainted_btc")};
-  GateTrio gate_trio = run_gate_trio(trio);
+  // The ceiling's trio (bare, clean, image-tainted) and the idle pair
+  // (engine, bare) are each sampled in alternation.
+  const Interleaved trio = run_interleaved(
+      {regime("interp_bare_btc"), regime("interp_faros_clean_btc"),
+       regime("interp_faros_image_tainted_btc")});
+  const Interleaved idle = run_interleaved(
+      {regime("interp_faros_idle_dirty_btc"), regime("interp_bare_idle")});
   std::map<std::string, obs::MetricSnapshot> metrics_by_case;
   for (const Regime& r : regimes) {
-    auto trio_run = gate_trio.runs.find(r.name);
-    RegimeRun run = trio_run != gate_trio.runs.end() ? trio_run->second
-                                                     : run_regime(r);
+    RegimeRun run;
+    if (auto it = trio.runs.find(r.name); it != trio.runs.end()) {
+      run = it->second;
+    } else if (auto it2 = idle.runs.find(r.name); it2 != idle.runs.end()) {
+      run = it2->second;
+    } else {
+      run = run_regime(r);
+    }
     const double s = run.seconds;
     const double insns = static_cast<double>(run.insns);
     metrics_by_case[r.name] = run.metrics;
@@ -607,10 +631,18 @@ bool emit_json_summary() {
     bench::json_record("micro_dift", rec);
   }
 
+  // Both idle regimes retire the same three instructions per round, so
+  // the per-instruction ratio is the per-round one.
+  const std::vector<double> idle_x = idle.ratio(0, 1);
+  const auto [idle_lo, idle_hi] = spread(idle_x);
+  std::printf("idle round: engine %.2fx bare (rounds %.2f-%.2f), median of "
+              "%d interleaved rounds\n",
+              bench::median_of(idle_x), idle_lo, idle_hi, kGateRounds);
+
   const LifecycleRun life = run_lifecycle();
   const double life_q1 = life.us[life.us.size() / 4];
   const double life_q3 = life.us[life.us.size() * 3 / 4];
-  const double life_med = median_of(life.us);
+  const double life_med = bench::median_of(life.us);
   std::printf("proc_lifecycle: %.2f us per spawn+exit (IQR %.2f-%.2f, %zu "
               "samples of %llu)\n",
               life_med, life_q1, life_q3, life.us.size(),
@@ -627,15 +659,13 @@ bool emit_json_summary() {
   if (!gate) return true;
   // Gate on the median of the per-round ratios: each round's three samples
   // ran back to back, so host load common to a round cancels out.
-  const double clean_x = median_of(gate_trio.clean_x);
-  const double image_x = median_of(gate_trio.image_x);
+  const std::vector<double> clean_rounds = trio.ratio(1, 0);
+  const std::vector<double> image_rounds = trio.ratio(2, 0);
+  const double clean_x = bench::median_of(clean_rounds);
+  const double image_x = bench::median_of(image_rounds);
   constexpr double kCeiling = 1.6;
-  auto spread = [](std::vector<double> v) {
-    std::sort(v.begin(), v.end());
-    return std::pair(v.front(), v.back());
-  };
-  const auto [clean_lo, clean_hi] = spread(gate_trio.clean_x);
-  const auto [image_lo, image_hi] = spread(gate_trio.image_x);
+  const auto [clean_lo, clean_hi] = spread(clean_rounds);
+  const auto [image_lo, image_hi] = spread(image_rounds);
   std::printf(
       "block-cache gate: clean %.2fx (rounds %.2f-%.2f), image-tainted "
       "%.2fx (rounds %.2f-%.2f) of bare, median of %d interleaved rounds "
@@ -694,6 +724,10 @@ bool emit_json_summary() {
     const obs::MetricSnapshot& m = metrics_by_case[name];
     check("dispatch", name, m[Ctr::kBtHit], m[Ctr::kSchedRounds] + kSlack,
           false);
+    // Steady-state rounds run on the superblock's elision grant, with no
+    // engine call: only a block's first approval goes through the guard.
+    check("grant", (name + std::string(" bt_elided_blocks")).c_str(),
+          m[Ctr::kBtElidedBlocks], m[Ctr::kBtGranted] + kSlack, false);
   }
   // Three processes of one image at one virtual address keep their own
   // TLB slots: misses stay at about one per process, not one per round.

@@ -5,29 +5,10 @@
 // Exits 1 unless some non-whitelisted finding's fetch provenance renders
 // that chain in that order: the netflow from 169.254.26.161:4444, then the
 // injector process, then the victim.
-#include <initializer_list>
-#include <string>
-
 #include "bench_util.h"
 #include "core/report.h"
 
 using namespace faros;
-
-namespace {
-
-/// True when `chain` names each of `parts` in order.
-bool names_in_order(const std::string& chain,
-                    std::initializer_list<const char*> parts) {
-  size_t at = 0;
-  for (const char* p : parts) {
-    at = chain.find(p, at);
-    if (at == std::string::npos) return false;
-    at += std::char_traits<char>::length(p);
-  }
-  return true;
-}
-
-}  // namespace
 
 int main() {
   bench::heading(
@@ -45,9 +26,9 @@ int main() {
   size_t matching = 0;
   for (size_t i = 0; i < run.findings.size(); ++i) {
     if (run.findings[i].whitelisted) continue;
-    if (names_in_order(run.fetch_chains[i],
-                       {"NetFlow", "169.254.26.161:4444",
-                        "inject_client.exe", "notepad.exe"})) {
+    if (bench::names_in_order(run.fetch_chains[i],
+                              {"NetFlow", "169.254.26.161:4444",
+                               "inject_client.exe", "notepad.exe"})) {
       ++matching;
     }
   }

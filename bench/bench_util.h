@@ -3,9 +3,11 @@
 // comparable to the original.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -40,6 +42,36 @@ inline attacks::AnalyzedRun must_analyze(attacks::Scenario& sc,
     std::exit(1);
   }
   return std::move(run).take();
+}
+
+/// Median of `v` (the mean of the middle two for an even count).
+inline double median_of(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const size_t n = v.size();
+  return n % 2 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
+}
+
+/// True when `chain` (a core::render_chain rendering) names each of
+/// `parts` in order.
+inline bool names_in_order(const std::string& chain,
+                           std::initializer_list<const char*> parts) {
+  size_t at = 0;
+  for (const char* p : parts) {
+    at = chain.find(p, at);
+    if (at == std::string::npos) return false;
+    at += std::char_traits<char>::length(p);
+  }
+  return true;
+}
+
+/// Number of process tags in a rendered chain.
+inline size_t process_hops(const std::string& chain) {
+  size_t n = 0;
+  for (size_t at = chain.find("Process: "); at != std::string::npos;
+       at = chain.find("Process: ", at + 1)) {
+    ++n;
+  }
+  return n;
 }
 
 /// Machine-readable bench output: when FAROS_BENCH_JSON=<path> is set,

@@ -130,6 +130,8 @@ Result<AnalyzedRun> analyze(Scenario& sc, const core::Options& opts,
   for (const core::Finding& f : out.findings) {
     out.fetch_chains.push_back(
         core::render_chain(engine.store(), engine.maps(), f.fetch_prov));
+    out.target_chains.push_back(
+        core::render_chain(engine.store(), engine.maps(), f.target_prov));
   }
   out.flagged = engine.flagged();
   out.report = engine.report();

@@ -102,8 +102,10 @@ class Analysis {
 struct AnalyzedRun {
   RecordedRun recorded;
   std::vector<core::Finding> findings;       // all, including whitelisted
-  /// core::render_chain of each finding's fetch_prov, parallel to findings.
+  /// core::render_chain of each finding's fetch_prov and target_prov,
+  /// parallel to findings.
   std::vector<std::string> fetch_chains;
+  std::vector<std::string> target_chains;
   bool flagged = false;                      // any non-whitelisted finding
   std::string report;                        // Table II-style text
   core::EngineStats engine_stats;

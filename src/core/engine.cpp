@@ -45,6 +45,7 @@ u32 FarosEngine::add_rule_set(std::vector<RuleSpec> rules) {
   if (rules.empty()) rules = builtin_rules();
   RuleEngine& re = sets_.emplace_back().rules;
   re.configure(rules);
+  ++*shadow_.epoch();  // newly bound triggers can change a guard answer
   for (u32 i = 0; i < kTriggerCount; ++i) {
     const Trigger t = static_cast<Trigger>(i);
     needs_[i].bound |= re.has_rules(t);
@@ -84,7 +85,8 @@ ProvListId FarosEngine::with_process(ProvListId id, PAddr cr3,
 ShadowRegisters& FarosEngine::sregs_miss(PAddr cr3) {
   auto it = regs_.find(cr3);
   if (it == regs_.end()) {
-    it = regs_.emplace(cr3, ShadowRegisters(++bank_lives_)).first;
+    it = regs_.emplace(cr3, ShadowRegisters(++bank_lives_, shadow_.epoch()))
+             .first;
   }
   sregs_cr3_ = cr3;
   sregs_cached_ = &it->second;
@@ -497,10 +499,19 @@ void FarosEngine::on_block_elided(vm::TranslatedBlock& b, u32 retired) {
     }
     sr.clear_regs(writes);
   }
+  const u32 fetches = block_tainted_fetches(b, retired);
   stats_.insns_seen += retired;
-  stats_.tainted_fetches += block_tainted_fetches(b, retired);
+  stats_.tainted_fetches += fetches;
   stats_.elided_insns += retired;
   bt_elided_.inc();
+  if (retired == b.insns.size()) {
+    // Read after the fetch walk's writebacks: the grant holds while
+    // nothing moves the epoch again (DESIGN.md §3g).
+    // memo_count carries the granted delta: a valid memo already equals
+    // `fetches`, and a stale one is read only behind a matching stamp.
+    b.grant = *shadow_.epoch();
+    b.memo_count = fetches;
+  }
 }
 
 u32 FarosEngine::block_tainted_fetches(vm::TranslatedBlock& b, u32 count) {
@@ -860,18 +871,29 @@ ProvListId FarosEngine::prov_at(const vm::AddressSpace& as, VAddr va) const {
   return pa ? shadow_.get(*pa) : kEmptyProv;
 }
 
+EngineStats FarosEngine::stats() const {
+  EngineStats s = stats_;
+  s.insns_seen += granted_.insns;
+  s.elided_insns += granted_.insns;
+  s.tainted_fetches += granted_.fetches;
+  return s;
+}
+
 obs::MetricSnapshot FarosEngine::metrics_snapshot() const {
   if (!metrics_) return {};
   obs::MetricSnapshot s = metrics_->snapshot();
   auto put = [&s](obs::Ctr c, u64 v) {
     s.counters[static_cast<u32>(c)] = v;
   };
-  put(obs::Ctr::kInsnsRetired, stats_.insns_seen);
-  put(obs::Ctr::kLoads, stats_.loads);
-  put(obs::Ctr::kStores, stats_.stores);
-  put(obs::Ctr::kTaintedFetches, stats_.tainted_fetches);
-  put(obs::Ctr::kPolicyEvals, stats_.policy_evals);
-  put(obs::Ctr::kBtElidedInsns, stats_.elided_insns);
+  const EngineStats st = stats();
+  put(obs::Ctr::kInsnsRetired, st.insns_seen);
+  put(obs::Ctr::kLoads, st.loads);
+  put(obs::Ctr::kStores, st.stores);
+  put(obs::Ctr::kTaintedFetches, st.tainted_fetches);
+  put(obs::Ctr::kPolicyEvals, st.policy_evals);
+  put(obs::Ctr::kBtElidedInsns, st.elided_insns);
+  s.counters[static_cast<u32>(obs::Ctr::kBtElidedBlocks)] += granted_.blocks;
+  put(obs::Ctr::kBtGranted, granted_.blocks);
   return s;
 }
 

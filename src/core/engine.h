@@ -95,6 +95,10 @@ class FarosEngine : public vm::ExecHooks, public osi::GuestMonitor {
  public:
   /// `osi` resolves CR3 values to processes (PANDA OSI analogue).
   explicit FarosEngine(const os::OsiQuery& osi, Options opts = {});
+  // Register banks and the attached interpreter hold pointers to the
+  // elision epoch inside shadow_ and to granted_: the engine never moves.
+  FarosEngine(const FarosEngine&) = delete;
+  FarosEngine& operator=(const FarosEngine&) = delete;
 
   // --- attach both halves to a Machine ---
   // machine.attach_cpu_plugin(&engine); machine.add_monitor(&engine);
@@ -104,6 +108,9 @@ class FarosEngine : public vm::ExecHooks, public osi::GuestMonitor {
                        const vm::AddressSpace& as) override;
   bool try_elide_block(const vm::TranslatedBlock& block) override;
   void on_block_elided(vm::TranslatedBlock& block, u32 retired) override;
+  vm::ElisionGrants elision_grants() override {
+    return {shadow_.epoch(), &granted_};
+  }
 
   // osi::GuestMonitor
   void on_process_start(const osi::ProcessInfo& p) override;
@@ -160,7 +167,8 @@ class FarosEngine : public vm::ExecHooks, public osi::GuestMonitor {
   const ProvStore& store() const { return store_; }
   const TagMaps& maps() const { return maps_; }
   const ShadowMemory& shadow() const { return shadow_; }
-  const EngineStats& stats() const { return stats_; }
+  /// Totals, granted block dispatches (vm::ElisionTally) folded in.
+  EngineStats stats() const;
   const Options& options() const { return opts_; }
   /// A process's register-shadow bank; nullptr before its first
   /// instruction and after its exit.
@@ -278,6 +286,9 @@ class FarosEngine : public vm::ExecHooks, public osi::GuestMonitor {
   std::array<TriggerNeeds, kTriggerCount> needs_{};
   std::vector<u32> matched_;  // dispatch scratch (avoids per-site allocs)
   EngineStats stats_;
+  /// Deltas of granted dispatches, added by the interpreter; stats() and
+  /// metrics_snapshot() fold them in.
+  vm::ElisionTally granted_;
 
   std::unique_ptr<obs::MetricSink> metrics_;  // null = metrics off
   obs::Counter fetch_hit_;

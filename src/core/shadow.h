@@ -87,6 +87,7 @@ class ShadowMemory {
         // dies with the page; a recreated page draws a fresh, strictly
         // larger epoch, so the never-reused-stamp invariant holds.
         drop_page(frame);
+        ++epoch_;
         return;
       }
     }
@@ -185,16 +186,25 @@ class ShadowMemory {
       if (cache_key_ == f + 1) cache_page_ = nullptr;
       dir_.erase(it);
       page_drop_.inc();
+      ++epoch_;
     }
   }
 
   void clear() {
     page_drop_.inc(dir_.size());
+    if (!dir_.empty()) ++epoch_;
     dir_.clear();
     total_tainted_ = 0;
     cache_key_ = 0;
     cache_page_ = nullptr;
   }
+
+  /// The engine-wide elision epoch (DESIGN.md §3g): the mutation counter
+  /// behind the page stamps, which also moves at every page drop and, via
+  /// ShadowRegisters, whenever a register byte turns tainted. It starts at
+  /// 1, so a block grant of 0 never matches it. Two equal readings mean no
+  /// shadow byte changed and no register byte became tainted in between.
+  u64* epoch() { return &epoch_; }
 
   /// Binds the hot-path counters to `sink` (null unbinds). Counting sites:
   /// the frame-cache probe, page allocation/drop, and the global
@@ -277,7 +287,7 @@ class ShadowMemory {
   // frame cache survives inserts of other frames.
   std::unordered_map<u64, std::unique_ptr<Page>> dir_;
   u64 total_tainted_ = 0;
-  u64 epoch_ = 0;  // monotonic mutation counter; never reset (no ABA)
+  u64 epoch_ = 1;  // monotonic mutation counter; never reset (no ABA)
   u64 cache_key_ = 0;  // frame+1 of the cached probe; 0 = invalid
   Page* cache_page_ = nullptr;
 
@@ -295,13 +305,16 @@ class ShadowRegisters {
  public:
   /// `life` names this bank among every bank its engine ever made (the
   /// engine numbers them 1, 2, ...), so a cache keyed by it cannot confuse
-  /// a dead process with a later one on the same CR3.
-  explicit ShadowRegisters(u64 life = 0) : life_(life) {}
+  /// a dead process with a later one on the same CR3. `epoch` is the
+  /// engine's elision epoch (ShadowMemory::epoch()), moved whenever a byte
+  /// of this bank turns from empty to tainted.
+  ShadowRegisters(u64 life, u64* epoch) : life_(life), epoch_(epoch) {}
   u64 life() const { return life_; }
 
   ProvListId get(u8 reg, u8 byte) const { return regs_[reg][byte]; }
   void set(u8 reg, u8 byte, ProvListId id) {
     ProvListId& slot = regs_[reg][byte];
+    if (slot == kEmptyProv && id != kEmptyProv) ++*epoch_;
     tainted_ += static_cast<u32>(id != kEmptyProv) -
                 static_cast<u32>(slot != kEmptyProv);
     slot = id;
@@ -316,6 +329,7 @@ class ShadowRegisters {
 
   void set_all(u8 reg, ProvListId id) {
     for (auto& b : regs_[reg]) {
+      if (b == kEmptyProv && id != kEmptyProv) ++*epoch_;
       tainted_ += static_cast<u32>(id != kEmptyProv) -
                   static_cast<u32>(b != kEmptyProv);
       b = id;
@@ -359,6 +373,7 @@ class ShadowRegisters {
   ProvListId regs_[vm::kNumRegs][4] = {};
   u32 tainted_ = 0;  // nonzero entries in regs_
   u64 life_ = 0;
+  u64* epoch_ = nullptr;
 };
 
 /// Byte provenance of kernel-resident storage, keyed exactly by (object

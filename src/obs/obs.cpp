@@ -47,6 +47,7 @@ const char* ctr_name(Ctr c) {
     case Ctr::kBtDeclineSyscallArg: return "bt_decline_syscall_arg";
     case Ctr::kBtDeclineFetchRule: return "bt_decline_fetch_rule";
     case Ctr::kBtNotOffered: return "bt_not_offered";
+    case Ctr::kBtGranted: return "bt_granted";
     case Ctr::kSnapClone: return "snap_clone";
     case Ctr::kCowFault: return "cow_faults";
     case Ctr::kSnapSharedPages: return "snap_shared_pages";
@@ -104,6 +105,7 @@ CtrKind ctr_kind(Ctr c) {
     case Ctr::kBtDeclineSyscallArg:
     case Ctr::kBtDeclineFetchRule:
     case Ctr::kBtNotOffered:
+    case Ctr::kBtGranted:
     case Ctr::kTlbMiss:
       return CtrKind::kCacheStat;
     case Ctr::kSnapClone:

@@ -102,6 +102,8 @@ enum class Ctr : u32 {
   kBtDeclineFetchRule,    // tainted fetches with a tainted-fetch rule bound
   kBtNotOffered,    // full-length dispatches of blocks that are not
                     // elidable_ops (vm::BlockCacheStats::not_offered)
+  kBtGranted,       // elided blocks that ran on a grant, with no engine
+                    // call (vm::ElisionTally::blocks); in bt_elided_blocks
 
   // --- snapshot/COW guest cloning (os/snapshot.h; farm clone-per-job) ---
   kSnapClone,        // machines booted from the shared snapshot (1 per

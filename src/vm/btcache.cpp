@@ -101,6 +101,7 @@ void BlockCache::forget_plugin_state() {
     (void)key;
     b.memo_version = 0;
     b.memo_count = 0;
+    b.grant = 0;
   }
 }
 

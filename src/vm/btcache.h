@@ -27,7 +27,11 @@
 // in vm/cpu.h), deciding from the block's register footprint
 // (`reads`/`writes`). A kDivu may trap on a zero divisor, so the fast body
 // reports how many instructions it retired and the engine accounts for
-// exactly that prefix (ExecHooks::on_block_elided).
+// exactly that prefix (ExecHooks::on_block_elided). After accounting a
+// whole body the engine may stamp the block with a grant (`grant`, with
+// the body's tainted-fetch count in `memo_count`): while the engine's elision epoch equals it, the
+// interpreter runs the block's full-length dispatches with no engine call
+// and adds their counts to the engine's tally (ExecHooks::elision_grants).
 //
 // Superblocks (the analogue of QEMU's TB chaining, for elidable code only):
 // an elidable block that ends in a direct kJmp continues at the jump target
@@ -69,6 +73,12 @@ struct TranslatedBlock {
   /// plugin changes.
   u64 memo_version = 0;
   u32 memo_count = 0;
+  /// Elision grant, also owned by the plugin (ExecHooks::elision_grants):
+  /// the plugin's epoch when it last approved and accounted the whole
+  /// body; the plugin then leaves that body's tainted-fetch count in
+  /// `memo_count`. While the epoch still equals `grant`, full-length
+  /// dispatches skip the plugin. 0: none.
+  u64 grant = 0;
   /// Index of the first instruction of the chained segment, and its
   /// physical address; split == insns.size() when nothing is chained.
   u32 split = 0;
@@ -145,7 +155,7 @@ class BlockCache {
   const BlockCacheStats& stats() const { return stats_; }
   void count_not_offered() { ++stats_.not_offered; }
 
-  /// Drops what a plugin cached on the blocks (the memos): the
+  /// Drops what a plugin cached on the blocks (the memos and grants): the
   /// interpreter's hooks changed, and another plugin must start afresh.
   void forget_plugin_state();
 

@@ -116,6 +116,7 @@ Interpreter::~Interpreter() = default;
 void Interpreter::set_hooks(ExecHooks* hooks) {
   if (hooks != hooks_ && btc_) btc_->forget_plugin_state();
   hooks_ = hooks;
+  grants_ = hooks ? hooks->elision_grants() : ElisionGrants{};
 }
 
 void Interpreter::set_block_cache_enabled(bool on) {
@@ -232,7 +233,20 @@ StepInfo Interpreter::run_blocks(CpuState& cpu, const AddressSpace& as,
     const u32 n = static_cast<u32>(b->insns.size());
     const u32 take = static_cast<u32>(std::min<u64>(n, max_insns - executed));
     StepInfo one;
-    if (b->elidable_ops && (!hooks_ || hooks_->try_elide_block(*b))) {
+    if (take == n && grants_.epoch && b->grant == *grants_.epoch) {
+      // Granted (only elidable blocks are stamped): the plugin's guard and
+      // accounting would repeat what they did at the stamp, so a
+      // full-length body only adds its delta to the tally. A kDivu trap
+      // reports its prefix, exactly, since the guard's answer still holds.
+      one = exec_fast(cpu, as.cr3(), *b, n);
+      if (one.executed == n) {
+        ++grants_.tally->blocks;
+        grants_.tally->insns += n;
+        grants_.tally->fetches += b->memo_count;
+      } else {
+        hooks_->on_block_elided(*b, static_cast<u32>(one.executed));
+      }
+    } else if (b->elidable_ops && (!hooks_ || hooks_->try_elide_block(*b))) {
       // A register-only body cannot evict *b. It retires all `take`
       // instructions, a final kSyscall returning to the kernel, or stops
       // at a kDivu dividing by zero; the plugin accounts for the prefix

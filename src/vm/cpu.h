@@ -7,10 +7,12 @@
 // block-translation cache (vm/btcache.h): fetch-translate + decode happen
 // once per block instead of once per instruction, and a plugin may approve
 // running register-only blocks (optionally ending in a syscall) through an
-// uninstrumented fast body (ExecHooks::try_elide_block). The fast body is
-// one tight register-only loop: no InsnEvent, StepInfo or Fault per
-// instruction, only the exact instruction and dynamic-block counts; it
-// also runs every elidable block when no plugin is attached. The
+// uninstrumented fast body (ExecHooks::try_elide_block), and may grant a
+// block it approved and accounted, so that later full-length dispatches
+// skip the plugin while its epoch holds (ExecHooks::elision_grants). The
+// fast body is one tight register-only loop: no InsnEvent, StepInfo or
+// Fault per instruction, only the exact instruction and dynamic-block
+// counts; it also runs every elidable block when no plugin is attached. The
 // historical per-instruction loop is kept only as the test reference
 // (set_block_cache_enabled(false)); it retires bit-identical architectural
 // state and event streams.
@@ -87,6 +89,24 @@ struct InsnEvent {
   u32 rs2_val = 0;
 };
 
+/// Per-dispatch deltas of granted blocks (ExecHooks::elision_grants), owned
+/// by the plugin: each full-length dispatch of a granted block adds one
+/// block, its instruction count and its stamped tainted-fetch count. The
+/// plugin folds the sums into its totals wherever it reports them.
+struct ElisionTally {
+  u64 blocks = 0;
+  u64 insns = 0;
+  u64 fetches = 0;
+};
+
+/// What a plugin exposes for elision grants: the epoch a stamped block's
+/// grant must equal, and the tally the interpreter adds granted dispatches
+/// to. Both null (the default): no grants.
+struct ElisionGrants {
+  const u64* epoch = nullptr;
+  ElisionTally* tally = nullptr;
+};
+
 /// Plugin interface. Callbacks fire during replay/execution in retirement
 /// order; `as` is valid only for the duration of the call.
 class ExecHooks {
@@ -127,11 +147,23 @@ class ExecHooks {
   /// of them, the prefix the budget allowed, or the prefix before a
   /// trapping kDivu). The plugin accounts for exactly those, as the
   /// instrumented path would have. It may keep a memo in the block's
-  /// memo_* fields.
+  /// memo_* fields, and, after a full-length body, stamp a grant in
+  /// `grant`, with the body's tainted-fetch count in `memo_count` (see
+  /// elision_grants).
   virtual void on_block_elided(TranslatedBlock& block, u32 retired) {
     (void)block;
     (void)retired;
   }
+  /// Elision grants, read once by Interpreter::set_hooks. A plugin that
+  /// stamps `block.grant = *epoch` promises: while its epoch still equals
+  /// the grant, try_elide_block would approve the block again and a
+  /// full-length on_block_elided would change nothing but add (1 block, n
+  /// insns, `memo_count` fetches) to its totals. The interpreter then runs such
+  /// a block's full-length dispatches straight through the fast body, adds
+  /// those deltas to `*tally` and calls neither hook; a kDivu trap still
+  /// calls on_block_elided with the retired prefix, and a budget cut takes
+  /// the guard path. The default exposes none: every dispatch asks.
+  virtual ElisionGrants elision_grants() { return {}; }
 };
 
 /// Executes guest instructions. Holds the global instruction counter that
@@ -145,8 +177,9 @@ class Interpreter {
   explicit Interpreter(PhysMem& mem);
   ~Interpreter();
 
-  /// Attaches the analysis plugin. A different plugin than before drops
-  /// what the previous one cached on translated blocks.
+  /// Attaches the analysis plugin and reads its elision grants. A
+  /// different plugin than before drops what the previous one cached on
+  /// translated blocks (memos and grants).
   void set_hooks(ExecHooks* hooks);
   ExecHooks* hooks() const { return hooks_; }
 
@@ -225,6 +258,7 @@ class Interpreter {
 
   PhysMem* mem_;
   ExecHooks* hooks_ = nullptr;
+  ElisionGrants grants_;  // hooks_->elision_grants(), read at set_hooks
   std::unique_ptr<BlockCache> btc_;  // null when the cache is disabled
   u64 instr_count_ = 0;
   u64 block_count_ = 0;

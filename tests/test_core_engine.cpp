@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 
 #include "attacks/guest_common.h"
@@ -873,6 +874,61 @@ TEST_F(FindingTest, CodeWindowSnapshotsLiveBytesAtFindingTime) {
   ASSERT_TRUE(proc_->as.copy_out(kUserImageBase, after, false).ok());
   EXPECT_EQ(after, wiped);
   EXPECT_EQ(engine_->findings()[0].code_window, before);
+}
+
+// --- the elision epoch (DESIGN.md §3g) -------------------------------------
+
+TEST(ElisionEpoch, MovesOnEveryEventThatCanChangeAGrant) {
+  // A block grant holds while the epoch is unchanged, so the epoch must move
+  // on every shadow mutation (page drops included), on every register byte
+  // that turns tainted, and on every added rule set. It need not move when
+  // taint only goes away from a register or changes lists.
+  ProvStore store;
+  const ProvListId a = store.intern({ProvTag::netflow(1)});
+  const ProvListId b = store.intern({ProvTag::netflow(2)});
+  ShadowMemory sm;
+  u64* epoch = sm.epoch();
+  EXPECT_GE(*epoch, 1u);  // a block's grant of 0 never matches
+  auto moves = [&](const std::function<void()>& fn) {
+    const u64 before = *epoch;
+    fn();
+    return *epoch != before;
+  };
+  constexpr PAddr kPage = 0x5000;
+  EXPECT_TRUE(moves([&] { sm.set(kPage, a); }));
+  EXPECT_FALSE(moves([&] { sm.set(kPage, a); }));
+  EXPECT_TRUE(moves([&] { sm.set(kPage, b); }));
+  // The last tainted byte of a page cleared: the page drops.
+  EXPECT_TRUE(moves([&] { sm.set(kPage, kEmptyProv); }));
+  EXPECT_EQ(sm.pages(), 0u);
+  EXPECT_FALSE(moves([&] { sm.set(kPage, kEmptyProv); }));
+  EXPECT_TRUE(moves([&] { sm.fill(kPage + 8, 8, a); }));
+  EXPECT_TRUE(moves([&] { sm.clear_range(kPage + 8, 4); }));
+  EXPECT_TRUE(moves([&] { sm.clear_range(kPage + 12, 4); }));  // drop
+  EXPECT_EQ(sm.pages(), 0u);
+  sm.fill(kPage, 4, a);
+  EXPECT_TRUE(moves([&] { sm.clear_range(kPage, ShadowMemory::kPageBytes); }));
+  EXPECT_EQ(sm.pages(), 0u);
+  EXPECT_FALSE(moves([&] { sm.clear_range(kPage, 8); }));
+  sm.set(kPage, a);
+  EXPECT_TRUE(moves([&] { sm.clear(); }));
+  EXPECT_FALSE(moves([&] { sm.clear(); }));
+
+  ShadowRegisters regs(1, epoch);
+  EXPECT_TRUE(moves([&] { regs.set(vm::R3, 0, a); }));
+  EXPECT_FALSE(moves([&] { regs.set(vm::R3, 0, b); }));
+  EXPECT_FALSE(moves([&] { regs.clear_reg(vm::R3); }));
+  EXPECT_TRUE(moves([&] { regs.set_all(vm::R4, a); }));
+  EXPECT_FALSE(moves([&] { regs.set_all(vm::R4, b); }));
+  EXPECT_FALSE(moves([&] { regs.set_all(vm::R4, kEmptyProv); }));
+
+  os::Machine m;
+  FarosEngine engine(m.kernel(), Options{});
+  const u64* engine_epoch = engine.elision_grants().epoch;
+  ASSERT_NE(engine_epoch, nullptr);
+  const u64 before = *engine_epoch;
+  engine.add_rule_set({});
+  EXPECT_NE(*engine_epoch, before);
 }
 
 }  // namespace

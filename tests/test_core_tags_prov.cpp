@@ -218,7 +218,8 @@ TEST(ShadowMemory, SetGetClear) {
 
 TEST(ShadowRegisters, ByteGranularityAndUnion) {
   ProvStore store;
-  ShadowRegisters regs;
+  u64 epoch = 1;
+  ShadowRegisters regs(1, &epoch);
   auto a = store.intern({ProvTag::netflow(0)});
   auto b = store.intern({ProvTag::file(1)});
   regs.set(3, 0, a);

@@ -2,10 +2,12 @@
 // self-modifying code (guest stores into the executing block, host writes,
 // randomized write fuzzing against the uncached interpreter), CR3 recycling
 // across process lifetimes, engine elision accounting (also with extra
-// policy sets on one engine), and the footprint guard against the
-// uncached path on random blocks and random register taint. Detection
-// equivalence over the whole corpus with the cache on vs off is
-// test_live_replay_oracle's block-cache oracle.
+// policy sets on one engine), the footprint guard against the uncached
+// path on random blocks and random register taint, and elision grants:
+// every event that must revoke one, and kDivu traps and budget cuts
+// inside a granted block. Detection equivalence over the whole corpus
+// with the cache on vs off is test_live_replay_oracle's block-cache
+// oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -909,12 +911,18 @@ FootprintProgram random_footprint_program(u32 seed) {
 /// it one by one and the approved bodies that retired less than the whole
 /// block. `short_body` says whether the last hook call of a run() reported
 /// such a body: when run() then returns a trap, a kDivu cut that body
-/// short (a budget cut returns kBudget).
+/// short (a budget cut returns kBudget). With `grants` (set before
+/// attaching), the engine's elision grants are forwarded too, so granted
+/// blocks bypass every hook; `granted_reports` counts the on_block_elided
+/// calls no guard call preceded: kDivu traps inside granted bodies.
 struct CountingHooks : vm::ExecHooks {
   vm::ExecHooks* inner = nullptr;
+  bool grants = true;
   u64 instrumented = 0;
   u64 short_bodies = 0;
+  u64 granted_reports = 0;
   bool short_body = false;
+  bool asked = false;
 
   void on_block_begin(PAddr cr3, VAddr pc) override {
     short_body = false;
@@ -928,12 +936,18 @@ struct CountingHooks : vm::ExecHooks {
   }
   bool try_elide_block(const vm::TranslatedBlock& b) override {
     short_body = false;
-    return inner->try_elide_block(b);
+    asked = inner->try_elide_block(b);
+    return asked;
   }
   void on_block_elided(vm::TranslatedBlock& b, u32 retired) override {
     short_body = retired < b.insns.size();
     if (short_body) ++short_bodies;
+    if (!asked) ++granted_reports;
+    asked = false;
     inner->on_block_elided(b, retired);
+  }
+  vm::ElisionGrants elision_grants() override {
+    return grants ? inner->elision_grants() : vm::ElisionGrants{};
   }
 };
 
@@ -950,6 +964,8 @@ struct FootprintOutcome {
   std::vector<std::string> findings;
   std::vector<core::RuleStats> rule_stats;
   obs::MetricSnapshot metrics;
+  /// The counters when the late rule set was added (the end when none was).
+  obs::MetricSnapshot metrics_unbound;
   u64 instrumented = 0;    // instructions the engine saw one by one
   u64 trapped_bodies = 0;  // approved bodies stopped by a kDivu trap
   u64 traps = 0;           // divide-by-zero traps, resumed past
@@ -964,7 +980,8 @@ std::string tags_str(const core::ProvStore& store, core::ProvListId id) {
 }
 
 FootprintOutcome run_footprint(const FootprintProgram& p, u32 seed,
-                               bool block_cache, bool bind_rules) {
+                               bool block_cache, bool bind_rules,
+                               bool grants = true) {
   CpuEnv env(block_cache);
   env.load(p.code);
   OneProcessOsi osi;
@@ -979,11 +996,15 @@ FootprintOutcome run_footprint(const FootprintProgram& p, u32 seed,
   core::FarosEngine engine(osi, opts);
   CountingHooks hooks;
   hooks.inner = &engine;
+  hooks.grants = grants;
   env.interp.set_hooks(&hooks);
 
   const FlowTuple flows[3] = {{0x0a000001, 4444, 0x0a000002, 5000},
                               {0x0a000003, 4445, 0x0a000002, 5001},
                               {0x0a000004, 4446, 0x0a000002, 5002}};
+  auto blob = p.code.assemble(kCodeBase);
+  EXPECT_TRUE(blob.ok());
+  const u32 code_len = static_cast<u32>(blob.value().size());
   for (u32 i = 0; i < kTaintBufBytes; ++i) {
     if (p.buf_flow[i] == 0) continue;
     engine.on_packet_to_guest(
@@ -991,23 +1012,75 @@ FootprintOutcome run_footprint(const FootprintProgram& p, u32 seed,
         flows[p.buf_flow[i] - 1]);
   }
   if (p.code_taint != 0) {
-    auto blob = p.code.assemble(kCodeBase);
-    EXPECT_TRUE(blob.ok());
-    const u32 len = static_cast<u32>(blob.value().size());
     engine.on_packet_to_guest(
         osi::GuestXfer{osi.proc, &env.as, kCodeBase,
-                       p.code_taint == 1 ? len : len / 2},
+                       p.code_taint == 1 ? code_len : code_len / 2},
         flows[0]);
   }
 
-  // Three passes under one seeded sequence of budget slices, so blocks
-  // are also cut short and re-entered mid-way. A divide by zero resumes
-  // at the next instruction, as a kernel handler would.
+  // Host events between slices, one seeded sequence for every mode, so
+  // they land between approved (and granted) blocks: code bytes tainted
+  // or all cleared (the page drops), buffer bytes retainted for the next
+  // pass's loads, which re-taint registers from bytes that may already
+  // carry the process tag, and, while no fetch rule is bound, a late
+  // tainted-fetch rule set.
   FootprintOutcome out;
+  std::mt19937 events(seed * 104729u + 3);
+  auto event_pick = [&](u32 n) { return static_cast<u32>(events() % n); };
+  bool unbound = !bind_rules;
+  auto interleave = [&] {
+    switch (event_pick(16)) {
+      case 0: {
+        const u32 off = vm::kInsnSize * event_pick(code_len / vm::kInsnSize);
+        engine.on_packet_to_guest(
+            osi::GuestXfer{osi.proc, &env.as, kCodeBase + off,
+                           1 + event_pick(code_len - off)},
+            flows[1]);
+        break;
+      }
+      case 1:
+        engine.on_kernel_write(
+            osi::GuestXfer{osi.proc, &env.as, kCodeBase, code_len});
+        break;
+      case 2:
+        engine.on_packet_to_guest(
+            osi::GuestXfer{osi.proc, &env.as,
+                           kDataBase + event_pick(kTaintBufBytes), 1},
+            flows[event_pick(3)]);
+        break;
+      case 3:
+        if (!unbound) break;
+        unbound = false;
+        out.metrics_unbound = engine.metrics_snapshot();
+        engine.add_rule_set({rule("late-fetch", core::Trigger::kTaintedFetch,
+                                  {})});
+        break;
+      default: break;
+    }
+  };
+
+  // Ten passes under one seeded sequence of budget slices, so blocks
+  // are also cut short and re-entered mid-way. Passes 0 and 5 start at
+  // the entry block's loads; the others go straight to the elidable
+  // blocks, where register taint settles after a pass or two and grants
+  // then hold unless an event moved the epoch, with
+  // four register values reset (often to zero, so a kDivu that divided
+  // before may now trap inside a granted body). A divide by zero resumes
+  // at the next instruction, as a kernel handler would.
   std::mt19937 slices(seed * 7919u + 1);
-  for (int pass = 0; pass < 3; ++pass) {
-    env.cpu.set_pc(kCodeBase);
+  const VAddr b0 = kCodeBase + p.code.label_offset("b0").value();
+  for (int pass = 0; pass < 10; ++pass) {
+    if (pass % 5 == 0) {
+      env.cpu.set_pc(kCodeBase);
+    } else {
+      env.cpu.set_pc(b0);
+      for (int k = 0; k < 4; ++k) {
+        env.cpu.regs[event_pick(vm::LR + 1)] =
+            event_pick(2) == 0 ? 0 : event_pick(100);
+      }
+    }
     for (;;) {
+      interleave();
       hooks.short_body = false;
       StepInfo info = env.run(1 + slices() % 40);
       if (info.result == StepResult::kHalt) break;
@@ -1037,80 +1110,100 @@ FootprintOutcome run_footprint(const FootprintProgram& p, u32 seed,
             [](const auto& x, const auto& y) { return x.first < y.first; });
   out.store_size = engine.store().size();
   out.stats = engine.stats();
-  for (const core::Finding& f : engine.findings()) {
-    out.findings.push_back(f.policy + "@" + std::to_string(f.instr_index) +
-                           ":" + std::to_string(f.insn_va) + " fetch=" +
-                           tags_str(engine.store(), f.fetch_prov) +
-                           " target=" +
-                           tags_str(engine.store(), f.target_prov));
-  }
-  const core::RuleEngine& re = engine.rule_engine();
-  for (u32 i = 0; i < re.rule_count(); ++i) {
-    out.rule_stats.push_back(re.rule_stats(i));
+  for (u32 set = 0; set < engine.rule_set_count(); ++set) {
+    for (const core::Finding& f : engine.findings(set)) {
+      out.findings.push_back(
+          std::to_string(set) + "/" + f.policy + "@" +
+          std::to_string(f.instr_index) + ":" + std::to_string(f.insn_va) +
+          " fetch=" + tags_str(engine.store(), f.fetch_prov) +
+          " target=" + tags_str(engine.store(), f.target_prov));
+    }
+    const core::RuleEngine& re = engine.rule_engine(set);
+    for (u32 i = 0; i < re.rule_count(); ++i) {
+      out.rule_stats.push_back(re.rule_stats(i));
+    }
   }
   out.metrics = engine.metrics_snapshot();
+  if (unbound) out.metrics_unbound = out.metrics;
   out.instrumented = hooks.instrumented;
   return out;
 }
 
 TEST(BtCacheEngine, FootprintGuardMatchesUncachedPathOnRandomBlocks) {
-  // Block cache on (footprint-guarded elision) and off (every instruction
-  // through Table I) must end in the same analysis state, with the
-  // syscall-arg and tainted-fetch rules unbound and bound — also where a
-  // kDivu traps inside an approved body, on clean and tainted code pages.
+  // Block cache on (footprint-guarded elision, with and without elision
+  // grants) and off (every instruction through Table I) must end in the
+  // same analysis state, with the syscall-arg and tainted-fetch rules
+  // unbound and bound — also where a kDivu traps inside an approved or
+  // granted body, on clean and tainted code pages, and with host events
+  // (code taint laid and cleared, buffer retaint, a late fetch rule set)
+  // landing between blocks.
   constexpr u32 kSeeds = 48;
   for (bool bind : {false, true}) {
     u64 elided = 0, trapped = 0, trapped_on_tainted_code = 0;
-    obs::MetricSnapshot sum;
+    obs::MetricSnapshot sum, sum_unbound;
     for (u32 seed = 0; seed < kSeeds; ++seed) {
       SCOPED_TRACE(::testing::Message() << "seed " << seed << " bind "
                                         << bind);
       const FootprintProgram p = random_footprint_program(seed);
-      FootprintOutcome on = run_footprint(p, seed, true, bind);
-      FootprintOutcome off = run_footprint(p, seed, false, bind);
-      ASSERT_EQ(on.regs.size(), vm::kNumRegs * 4u);
-      ASSERT_EQ(on.regs.size(), off.regs.size());
-      for (size_t i = 0; i < on.regs.size(); ++i) {
-        EXPECT_EQ(on.regs[i], off.regs[i])
-            << "register r" << i / 4 << " byte " << i % 4;
-      }
-      EXPECT_EQ(on.mem, off.mem);
-      EXPECT_EQ(on.store_size, off.store_size);
-      EXPECT_EQ(on.traps, off.traps);
-      EXPECT_EQ(on.stats.insns_seen, off.stats.insns_seen);
-      EXPECT_EQ(on.stats.tainted_fetches, off.stats.tainted_fetches);
-      EXPECT_EQ(on.stats.policy_evals, off.stats.policy_evals);
-      EXPECT_EQ(on.findings, off.findings);
-      expect_same_rule_stats(on.rule_stats, off.rule_stats);
-      // Uncached, every instruction reaches the engine one by one; cached,
-      // the elided count is exactly what did not.
-      EXPECT_EQ(off.stats.elided_insns, 0u);
-      EXPECT_EQ(off.instrumented, off.stats.insns_seen);
-      EXPECT_EQ(on.stats.elided_insns, off.stats.insns_seen - on.instrumented);
-      elided += on.stats.elided_insns;
-      trapped += on.trapped_bodies;
-      if (p.code_taint != 0) trapped_on_tainted_code += on.trapped_bodies;
-      for (u32 c = 0; c < obs::kCtrCount; ++c) {
-        sum.counters[c] += on.metrics.counters[c];
+      const FootprintOutcome off = run_footprint(p, seed, false, bind);
+      for (bool grants : {true, false}) {
+        SCOPED_TRACE(::testing::Message() << "grants " << grants);
+        const FootprintOutcome on = run_footprint(p, seed, true, bind, grants);
+        ASSERT_EQ(on.regs.size(), vm::kNumRegs * 4u);
+        ASSERT_EQ(on.regs.size(), off.regs.size());
+        for (size_t i = 0; i < on.regs.size(); ++i) {
+          EXPECT_EQ(on.regs[i], off.regs[i])
+              << "register r" << i / 4 << " byte " << i % 4;
+        }
+        EXPECT_EQ(on.mem, off.mem);
+        EXPECT_EQ(on.store_size, off.store_size);
+        EXPECT_EQ(on.traps, off.traps);
+        EXPECT_EQ(on.stats.insns_seen, off.stats.insns_seen);
+        EXPECT_EQ(on.stats.tainted_fetches, off.stats.tainted_fetches);
+        EXPECT_EQ(on.stats.policy_evals, off.stats.policy_evals);
+        EXPECT_EQ(on.findings, off.findings);
+        expect_same_rule_stats(on.rule_stats, off.rule_stats);
+        // Uncached, every instruction reaches the engine one by one;
+        // cached, the elided count is exactly what did not.
+        EXPECT_EQ(off.stats.elided_insns, 0u);
+        EXPECT_EQ(off.instrumented, off.stats.insns_seen);
+        EXPECT_EQ(on.stats.elided_insns,
+                  off.stats.insns_seen - on.instrumented);
+        if (!grants) {
+          EXPECT_EQ(on.metrics[obs::Ctr::kBtGranted], 0u);
+          continue;
+        }
+        elided += on.stats.elided_insns;
+        trapped += on.trapped_bodies;
+        if (p.code_taint != 0) trapped_on_tainted_code += on.trapped_bodies;
+        for (u32 c = 0; c < obs::kCtrCount; ++c) {
+          sum.counters[c] += on.metrics.counters[c];
+          sum_unbound.counters[c] += on.metrics_unbound.counters[c];
+        }
       }
     }
     using obs::Ctr;
-    // The workload must exercise every guard outcome, and the decline
-    // reasons must add up to bt_guard_fail.
+    // The workload must exercise every guard outcome and the grants, and
+    // the decline reasons must add up to bt_guard_fail.
     EXPECT_GT(elided, 0u);
     EXPECT_GT(trapped, 0u);
+    EXPECT_GT(sum[Ctr::kBtGranted], 0u);
+    EXPECT_LE(sum[Ctr::kBtGranted], sum[Ctr::kBtElidedBlocks]);
     EXPECT_GT(sum[Ctr::kBtDeclineTaintedRead], 0u);
     EXPECT_EQ(sum[Ctr::kBtGuardFail], sum[Ctr::kBtDeclineTaintedRead] +
                                           sum[Ctr::kBtDeclineSyscallArg] +
                                           sum[Ctr::kBtDeclineFetchRule]);
+    EXPECT_GT(sum[Ctr::kBtDeclineFetchRule], 0u);
     if (bind) {
       EXPECT_GT(sum[Ctr::kBtDeclineSyscallArg], 0u);
-      EXPECT_GT(sum[Ctr::kBtDeclineFetchRule], 0u);
     } else {
-      // Unbound, tainted code pages still elide, prefix walk included.
+      // Unbound, tainted code pages still elide, prefix walk included,
+      // and nothing declines for a rule it does not bind: syscall-arg never
+      // (the late set binds only tainted-fetch), tainted-fetch not before
+      // the late set arrives.
       EXPECT_GT(trapped_on_tainted_code, 0u);
       EXPECT_EQ(sum[Ctr::kBtDeclineSyscallArg], 0u);
-      EXPECT_EQ(sum[Ctr::kBtDeclineFetchRule], 0u);
+      EXPECT_EQ(sum_unbound[Ctr::kBtDeclineFetchRule], 0u);
     }
   }
 }
@@ -1146,18 +1239,25 @@ core::EngineStats run_after_plugin_swap(bool block_cache) {
   env.interp.set_hooks(&first);
   env.run(4000);
   EXPECT_EQ(first.stats().insns_seen, 4000u);
+  if (block_cache) {
+    EXPECT_GT(first.metrics_snapshot()[obs::Ctr::kBtGranted], 400u);
+  }
 
   core::FarosEngine second(osi, core::Options{});
   taint(second, loop + 2 * vm::kInsnSize);
   env.interp.set_hooks(&second);
   env.run(4000);
+  if (block_cache) {
+    EXPECT_GT(second.metrics_snapshot()[obs::Ctr::kBtGranted], 400u);
+  }
   return second.stats();
 }
 
 TEST(BtCacheEngine, SwappingPluginsForgetsWhatTheOldOneCachedOnBlocks) {
-  // Fetch memos on a TranslatedBlock belong to the plugin that made them.
-  // A memo kept across the swap would match the second engine's page stamp
-  // and hand it the first engine's tainted-fetch count.
+  // Fetch memos and grants on a TranslatedBlock belong to the plugin that
+  // made them. A memo or grant kept across the swap would match the second
+  // engine's page stamp or epoch and hand it the first engine's
+  // tainted-fetch count.
   const core::EngineStats cached = run_after_plugin_swap(true);
   const core::EngineStats plain = run_after_plugin_swap(false);
   EXPECT_GT(cached.elided_insns, 3000u);
@@ -1367,6 +1467,234 @@ TEST(BtCacheEngine, BudgetCutInsideElidableSuperblockMatchesUncached) {
   // Budget-cut prefixes ran elided (the loop has no kDivu to trap).
   EXPECT_GT(on.short_bodies, 0u);
   EXPECT_GT(on.stats.elided_insns, on.stats.insns_seen / 2);
+}
+
+// --- elision grants: what must revoke them ---------------------------------
+
+/// One elidable 3-instruction block per iteration: `loop: addi r1, r1, 1;
+/// cmpi r1, kGrantLoopIters; bne loop`, then halt.
+constexpr i32 kGrantLoopIters = 300;
+Assembler grant_loop() {
+  Assembler a;
+  a.label("loop");
+  a.addi(R1, R1, 1);
+  a.cmpi(R1, kGrantLoopIters);
+  a.bne("loop");
+  a.halt();
+  return a;
+}
+
+struct GrantRun {
+  core::EngineStats stats;
+  obs::MetricSnapshot metrics;  // at the end
+  u64 granted_first_half = 0;   // bt_granted before `between`
+  std::vector<std::vector<core::ProvTag>> regs;  // 16 registers x 4 bytes
+  std::vector<std::string> findings;             // "set/policy@instr_index"
+  std::vector<core::RuleStats> rule_stats;       // every set's rules
+};
+
+/// Runs `prog` under one engine with the cache on or off: `before` places
+/// taint, the first `half` instructions run, `between` acts on the engine,
+/// and the rest runs to the halt.
+template <typename Before, typename Between>
+GrantRun run_grant_program(const Assembler& prog, bool block_cache, u64 half,
+                           Before before, Between between) {
+  CpuEnv env(block_cache);
+  env.load(prog);
+  OneProcessOsi osi;
+  osi.proc = {1, 0, env.as.cr3(), "grant.exe"};
+  core::FarosEngine engine(osi, core::Options{});
+  env.interp.set_hooks(&engine);
+  before(engine, env, osi.proc);
+  EXPECT_EQ(env.run(half).result, StepResult::kBudget);
+  GrantRun out;
+  out.granted_first_half = engine.metrics_snapshot()[obs::Ctr::kBtGranted];
+  between(engine, env, osi.proc);
+  EXPECT_EQ(env.run().result, StepResult::kHalt);
+  out.stats = engine.stats();
+  out.metrics = engine.metrics_snapshot();
+  const core::ShadowRegisters* sr = engine.registers(env.as.cr3());
+  EXPECT_NE(sr, nullptr);
+  for (u8 r = 0; r < vm::kNumRegs && sr; ++r) {
+    for (u8 b = 0; b < 4; ++b) {
+      out.regs.push_back(engine.store().get(sr->get(r, b)));
+    }
+  }
+  for (u32 set = 0; set < engine.rule_set_count(); ++set) {
+    for (const core::Finding& f : engine.findings(set)) {
+      out.findings.push_back(std::to_string(set) + "/" + f.policy + "@" +
+                             std::to_string(f.instr_index));
+    }
+    const core::RuleEngine& re = engine.rule_engine(set);
+    for (u32 i = 0; i < re.rule_count(); ++i) {
+      out.rule_stats.push_back(re.rule_stats(i));
+    }
+  }
+  return out;
+}
+
+void expect_same_grant_runs(const GrantRun& on, const GrantRun& off) {
+  EXPECT_EQ(on.stats.insns_seen, off.stats.insns_seen);
+  EXPECT_EQ(on.stats.tainted_fetches, off.stats.tainted_fetches);
+  EXPECT_EQ(on.stats.policy_evals, off.stats.policy_evals);
+  EXPECT_EQ(on.regs, off.regs);
+  EXPECT_EQ(on.findings, off.findings);
+  expect_same_rule_stats(on.rule_stats, off.rule_stats);
+  EXPECT_EQ(off.metrics[obs::Ctr::kBtGranted], 0u);
+}
+
+const FlowTuple kGrantFlow{0x0a000001, 4444, 0x0a000002, 5000};
+
+TEST(BtCacheGrant, ClearingTheLastTaintedCodeByteRevokesTheGrant) {
+  // One byte of the loop's addi carries netflow taint, so every iteration
+  // is a tainted fetch, answered by the grant after the first. Half-way
+  // the byte is cleared, by a kernel write (ShadowMemory::set drops the
+  // page) or a frame recycle (clear_range drops it whole): from then on no
+  // fetch is tainted. A page drop that left the epoch alone would keep
+  // the grant, and its count, alive.
+  for (bool recycle : {false, true}) {
+    SCOPED_TRACE(recycle ? "frame recycle" : "kernel write");
+    auto before = [](core::FarosEngine& e, CpuEnv& env,
+                     const osi::ProcessInfo& p) {
+      e.on_packet_to_guest(osi::GuestXfer{p, &env.as, kCodeBase + 1, 1},
+                           kGrantFlow);
+    };
+    auto between = [recycle](core::FarosEngine& e, CpuEnv& env,
+                             const osi::ProcessInfo& p) {
+      if (recycle) {
+        auto pa = env.as.translate(kCodeBase, vm::AccessType::kRead, false);
+        ASSERT_TRUE(pa.has_value());
+        e.on_frame_recycled(vm::page_floor(static_cast<u32>(*pa)));
+      } else {
+        e.on_kernel_write(osi::GuestXfer{p, &env.as, kCodeBase + 1, 1});
+      }
+      EXPECT_EQ(e.shadow().pages(), 0u);
+    };
+    constexpr u64 kHalf = 3 * kGrantLoopIters / 2;
+    const GrantRun on = run_grant_program(grant_loop(), true, kHalf, before,
+                                          between);
+    const GrantRun off = run_grant_program(grant_loop(), false, kHalf, before,
+                                           between);
+    expect_same_grant_runs(on, off);
+    EXPECT_EQ(on.stats.tainted_fetches, kGrantLoopIters / 2u);
+    EXPECT_GE(on.granted_first_half, kGrantLoopIters / 2u - 1);
+    EXPECT_GE(on.metrics[obs::Ctr::kBtGranted], kGrantLoopIters - 3u);
+  }
+}
+
+TEST(BtCacheGrant, RegisterTaintedWithoutAShadowWriteRevokesTheGrant) {
+  // `body` reads r5 and is granted while r5 is clean. Then r5 is loaded
+  // from bytes that already carry this process's tag (the first load
+  // appended it), so the load writes no shadow byte; only the register
+  // bank turning dirty moves the epoch. The next `body` must decline and
+  // run instrumented, tainting r6; a stale grant would leave r6 clean.
+  Assembler a;
+  a.movi(vm::R12, kDataBase);
+  a.ld32(R5, vm::R12);
+  a.movi(R5, 0);
+  a.movi(vm::R8, 0);
+  a.jmp("body");
+  a.label("body");
+  a.add(vm::R6, R5, R5);
+  a.addi(vm::R8, vm::R8, 1);
+  a.cmpi(vm::R8, 100);
+  a.blt("body");
+  a.ld32(R5, vm::R12);
+  a.cmpi(vm::R8, 200);
+  a.blt("body");
+  a.halt();
+  auto before = [](core::FarosEngine& e, CpuEnv& env,
+                   const osi::ProcessInfo& p) {
+    e.on_packet_to_guest(osi::GuestXfer{p, &env.as, kDataBase, 4},
+                         kGrantFlow);
+  };
+  auto nothing = [](core::FarosEngine&, CpuEnv&, const osi::ProcessInfo&) {};
+  const GrantRun on = run_grant_program(a, true, 300, before, nothing);
+  const GrantRun off = run_grant_program(a, false, 300, before, nothing);
+  expect_same_grant_runs(on, off);
+  EXPECT_FALSE(on.regs[vm::R6 * 4].empty());
+  EXPECT_GE(on.metrics[obs::Ctr::kBtGranted], 90u);
+  EXPECT_GE(on.metrics[obs::Ctr::kBtDeclineTaintedRead], 99u);
+}
+
+TEST(BtCacheGrant, FetchRuleSetAddedMidRunRevokesTheGrant) {
+  // The loop runs from netflow-tainted code with no fetch rule bound, so
+  // its block is granted. A tainted-fetch rule set added half-way must
+  // see every later fetch, exactly as with the cache off.
+  auto before = [](core::FarosEngine& e, CpuEnv& env,
+                   const osi::ProcessInfo& p) {
+    e.on_packet_to_guest(
+        osi::GuestXfer{p, &env.as, kCodeBase, 3 * vm::kInsnSize}, kGrantFlow);
+  };
+  auto add_set = [](core::FarosEngine& e, CpuEnv&, const osi::ProcessInfo&) {
+    e.add_rule_set({rule("late-fetch", core::Trigger::kTaintedFetch, {})});
+  };
+  constexpr u64 kHalf = 3 * kGrantLoopIters / 2;
+  const GrantRun on = run_grant_program(grant_loop(), true, kHalf, before,
+                                        add_set);
+  const GrantRun off = run_grant_program(grant_loop(), false, kHalf, before,
+                                         add_set);
+  expect_same_grant_runs(on, off);
+  EXPECT_GE(on.granted_first_half, kGrantLoopIters / 2u - 1);
+  ASSERT_FALSE(on.rule_stats.empty());
+  EXPECT_EQ(on.rule_stats.back().evals, kHalf);
+  EXPECT_EQ(on.findings.size(), 3u);  // one per instruction site, deduped
+}
+
+TEST(BtCacheGrant, KDivuTrapAndBudgetCutInsideAGrantedBlockStayExact) {
+  // The loop's block divides by r1 & 7, which is zero every eighth
+  // iteration: a granted body then traps at the kDivu and reports its
+  // prefix through on_block_elided, and the divide is skipped as a kernel
+  // handler would. Budget slices of 1..11 instructions also cut the block
+  // short, which takes the guard path. Code bytes are tainted, so the
+  // prefix and whole-block fetch counts both matter.
+  Assembler a;
+  a.movi(R4, 1000);
+  a.jmp("loop");
+  a.label("loop");
+  a.addi(R1, R1, 1);
+  a.andi(R2, R1, 7);
+  a.divu(R3, R4, R2);
+  a.cmpi(R1, 400);
+  a.bne("loop");
+  a.halt();
+  auto run = [&](bool block_cache) {
+    CpuEnv env(block_cache);
+    env.load(a);
+    OneProcessOsi osi;
+    osi.proc = {1, 0, env.as.cr3(), "divgrant.exe"};
+    core::FarosEngine engine(osi, core::Options{});
+    CountingHooks hooks;
+    hooks.inner = &engine;
+    env.interp.set_hooks(&hooks);
+    engine.on_packet_to_guest(
+        osi::GuestXfer{osi.proc, &env.as, kCodeBase, 4 * vm::kInsnSize},
+        kGrantFlow);
+    u32 slice = 0;
+    u64 traps = 0;
+    for (;;) {
+      StepInfo info = env.run(1 + slice++ % 11);
+      if (info.result == StepResult::kHalt) break;
+      if (info.result == StepResult::kTrap) {
+        EXPECT_EQ(info.trap, vm::TrapKind::kDivZero);
+        ++traps;
+        env.cpu.set_pc(info.pc + vm::kInsnSize);
+      }
+    }
+    EXPECT_EQ(traps, 50u);
+    return std::make_tuple(engine.stats(), engine.metrics_snapshot(),
+                           hooks.granted_reports, hooks.short_bodies);
+  };
+  const auto [on, on_m, granted_traps, short_bodies] = run(true);
+  const auto [off, off_m, off_granted, off_short] = run(false);
+  EXPECT_EQ(on.insns_seen, off.insns_seen);
+  EXPECT_EQ(on.tainted_fetches, off.tainted_fetches);
+  // movi and jmp once, then addi and andi in each of 400 iterations.
+  EXPECT_EQ(on.tainted_fetches, 802u);
+  EXPECT_GT(on_m[obs::Ctr::kBtGranted], 0u);
+  EXPECT_GT(granted_traps, 0u);                // kDivu traps on a grant
+  EXPECT_GT(short_bodies, granted_traps);      // ... and budget cuts
+  EXPECT_EQ(on.elided_insns, on_m[obs::Ctr::kBtElidedInsns]);
 }
 
 }  // namespace
