@@ -93,6 +93,44 @@ ShadowRegisters& FarosEngine::sregs_miss(PAddr cr3) {
   return it->second;
 }
 
+// The one fetch walk, shared by the instrumented path (per instruction) and
+// the elided path (per retired instruction of an approved block). Two fast
+// paths replace the eight per-byte lookups in the common cases:
+//  * untainted page: one page-summary probe (usually a single cached
+//    compare) — the entire fetch-side cost on clean memory;
+//  * tainted code page (every instruction of a mapped image, under
+//    taint_mapped_images): the result is a pure function of (pc_pa,
+//    process, page bytes), so a direct-mapped cache validated by the
+//    page's mutation stamp answers steady-state re-executions in O(1).
+//    A miss runs the walk (performing the one-time process-tag writebacks)
+//    and then caches against the post-writeback stamp, so a hit implies
+//    the walk would have no side effects. An 8-byte aligned fetch never
+//    crosses a page, and a tainted range implies the page exists, so its
+//    stamp is nonzero.
+ProvListId FarosEngine::fetch_prov(PAddr pc_pa, PAddr cr3,
+                                   const ShadowRegisters& sr) {
+  if (!shadow_.range_tainted(pc_pa, vm::kInsnSize)) return kEmptyProv;
+  FetchCacheEntry& entry =
+      fetch_cache_[(pc_pa / vm::kInsnSize) & kFetchCacheMask];
+  if (entry.pc_pa == pc_pa && entry.life == sr.life() &&
+      entry.version == shadow_.page_version(pc_pa)) {
+    fetch_hit_.inc();
+    return entry.result;
+  }
+  fetch_miss_.inc();
+  ProvListId fetch = kEmptyProv;
+  for (u32 i = 0; i < vm::kInsnSize; ++i) {
+    ProvListId id = shadow_.get(pc_pa + i);
+    if (id != kEmptyProv) {
+      ProvListId id2 = with_process(id, cr3, false);
+      if (id2 != id) shadow_.set(pc_pa + i, id2);
+      fetch = store_.merge(fetch, id2);
+    }
+  }
+  entry = {pc_pa, sr.life(), shadow_.page_version(pc_pa), fetch};
+  return fetch;
+}
+
 // ---------------------------------------------------------------------------
 // Instruction-level propagation (Table I).
 
@@ -106,47 +144,7 @@ void FarosEngine::on_insn_retired(const vm::InsnEvent& ev,
   // Instruction fetch is a memory access by this process: append its tag to
   // any tainted instruction bytes, and collect their provenance — the
   // "provenance list associated with this instruction" of Figures 7-10.
-  //
-  // Two fast paths replace the eight per-byte lookups in the common cases:
-  //  * untainted page: one page-summary probe (usually a single cached
-  //    compare) — the entire fetch-side cost on clean memory;
-  //  * tainted code page (every instruction of a mapped image, under
-  //    taint_mapped_images): the fetch result is a pure function of
-  //    (pc_pa, cr3, page bytes), so a direct-mapped cache validated by the
-  //    page's mutation stamp answers steady-state re-executions in O(1).
-  //    The first pass per site runs the loop (performing the one-time
-  //    process-tag writebacks) and then caches against the post-writeback
-  //    stamp, so a hit implies the loop would have no side effects.
-  ProvListId fetch = kEmptyProv;
-  if (shadow_.range_tainted(ev.pc_pa, vm::kInsnSize)) {
-    const bool cacheable =
-        (ev.pc_pa & ShadowMemory::kPageMask) + vm::kInsnSize <=
-        ShadowMemory::kPageBytes;
-    FetchCacheEntry& entry =
-        fetch_cache_[(ev.pc_pa / vm::kInsnSize) & kFetchCacheMask];
-    u64 version = cacheable ? shadow_.page_version(ev.pc_pa) : 0;
-    if (cacheable && entry.pc_pa == ev.pc_pa && entry.life == sr.life() &&
-        entry.version == version && version != 0) {
-      fetch = entry.result;
-      fetch_hit_.inc();
-    } else {
-      fetch_miss_.inc();
-      for (u32 i = 0; i < vm::kInsnSize; ++i) {
-        ProvListId id = shadow_.get(ev.pc_pa + i);
-        if (id != kEmptyProv) {
-          ProvListId id2 = with_process(id, ev.cr3, false);
-          if (id2 != id) shadow_.set(ev.pc_pa + i, id2);
-          fetch = store_.merge(fetch, id2);
-        }
-      }
-      if (cacheable) {
-        entry.pc_pa = ev.pc_pa;
-        entry.life = sr.life();
-        entry.version = shadow_.page_version(ev.pc_pa);  // post-writeback
-        entry.result = fetch;
-      }
-    }
-  }
+  const ProvListId fetch = fetch_prov(ev.pc_pa, ev.cr3, sr);
   if (fetch != kEmptyProv) {
     ++stats_.tainted_fetches;
     // Guarded by the empty-list check: the image-tainted regime reaches
@@ -421,10 +419,8 @@ void FarosEngine::on_insn_retired(const vm::InsnEvent& ev,
 //    prefix reads no register the whole block does not, so clearing the
 //    prefix's writes is exact too (a no-op on a clean bank);
 //  * fetch provenance — on a clean code page there is none; on a tainted
-//    page the per-insn walk is a pure function of (block bytes, cr3, page
-//    shadow), so on_block_elided replays it over the retired instructions,
-//    one-time writebacks included, and a memo on the block answers
-//    whole-block repeats;
+//    page on_block_elided runs fetch_prov, the per-insn walk and its cache,
+//    over the retired instructions, one-time writebacks included;
 //  * triggers — the body has no memory ops, so it can fire only
 //    tainted-fetch (declined when the block holds a tainted instruction
 //    byte and any rule set binds it) and, for a kSyscall tail,
@@ -455,17 +451,13 @@ bool FarosEngine::try_elide_block(const vm::TranslatedBlock& b) {
   if (needs(Trigger::kTaintedFetch).bound) {
     // Bound fetch rules need per-instruction events. A fetch carries
     // provenance exactly when one of its bytes does, so reading the shadow
-    // (or a still-valid memo) answers without the walk's writebacks.
+    // answers without the walk's writebacks.
     const u32 n = static_cast<u32>(b.insns.size());
     if (code_tainted(b, n)) {
-      if (b.memo_version == shadow_.page_version(b.start_pa)) {
-        if (b.memo_count != 0) return decline(bt_decline_fetch_);
-      } else {
-        for (u32 i = 0; i < n; ++i) {
-          for (u32 k = 0; k < vm::kInsnSize; ++k) {
-            if (shadow_.get(b.pa_of(i) + k) != kEmptyProv) {
-              return decline(bt_decline_fetch_);
-            }
+      for (u32 i = 0; i < n; ++i) {
+        for (u32 k = 0; k < vm::kInsnSize; ++k) {
+          if (shadow_.get(b.pa_of(i) + k) != kEmptyProv) {
+            return decline(bt_decline_fetch_);
           }
         }
       }
@@ -499,7 +491,7 @@ void FarosEngine::on_block_elided(vm::TranslatedBlock& b, u32 retired) {
     }
     sr.clear_regs(writes);
   }
-  const u32 fetches = block_tainted_fetches(b, retired);
+  const u32 fetches = block_tainted_fetches(b, retired, sr);
   stats_.insns_seen += retired;
   stats_.tainted_fetches += fetches;
   stats_.elided_insns += retired;
@@ -507,48 +499,17 @@ void FarosEngine::on_block_elided(vm::TranslatedBlock& b, u32 retired) {
   if (retired == b.insns.size()) {
     // Read after the fetch walk's writebacks: the grant holds while
     // nothing moves the epoch again (DESIGN.md §3g).
-    // memo_count carries the granted delta: a valid memo already equals
-    // `fetches`, and a stale one is read only behind a matching stamp.
     b.grant = *shadow_.epoch();
-    b.memo_count = fetches;
+    b.grant_fetches = fetches;
   }
 }
 
-u32 FarosEngine::block_tainted_fetches(vm::TranslatedBlock& b, u32 count) {
-  // The memo holds the whole block's count, stamped with its page's
-  // post-walk mutation stamp: nonzero (the page existed), and equal only
-  // while the page is unchanged. A block's cr3, code bytes and length are
-  // fixed for its lifetime: SMC and process exit evict it. Both segments
-  // of a superblock live on the one page the stamp covers. A valid memo
-  // also answers a prefix when it says none or all of the block is
-  // tainted.
-  const u32 n = static_cast<u32>(b.insns.size());
-  if (b.memo_version != 0 &&
-      b.memo_version == shadow_.page_version(b.start_pa)) {
-    if (count == n || b.memo_count == 0) return b.memo_count;
-    if (b.memo_count == n) return count;
-  }
+u32 FarosEngine::block_tainted_fetches(const vm::TranslatedBlock& b,
+                                       u32 count, const ShadowRegisters& sr) {
   if (!code_tainted(b, count)) return 0;
-  // Run exactly the fetch loop the instrumented path runs per instruction
-  // — including the one-time process-tag writebacks, which are idempotent
-  // — then memoize a whole-block result against the post-writeback stamp.
   u32 tainted = 0;
   for (u32 i = 0; i < count; ++i) {
-    const PAddr ipa = b.pa_of(i);
-    ProvListId fetch = kEmptyProv;
-    for (u32 k = 0; k < vm::kInsnSize; ++k) {
-      ProvListId id = shadow_.get(ipa + k);
-      if (id != kEmptyProv) {
-        ProvListId id2 = with_process(id, b.cr3, false);
-        if (id2 != id) shadow_.set(ipa + k, id2);
-        fetch = store_.merge(fetch, id2);
-      }
-    }
-    if (fetch != kEmptyProv) ++tainted;
-  }
-  if (count == n) {
-    b.memo_version = shadow_.page_version(b.start_pa);
-    b.memo_count = tainted;
+    if (fetch_prov(b.pa_of(i), b.cr3, sr) != kEmptyProv) ++tainted;
   }
   return tainted;
 }

@@ -239,11 +239,14 @@ class FarosEngine : public vm::ExecHooks, public osi::GuestMonitor {
   void record_finding(RuleSet& set, u32 rule_idx, const vm::InsnEvent& ev,
                       const vm::AddressSpace& as, const RuleInputs& in);
 
-  /// Block-level fetch walk behind on_block_elided: the count of
-  /// tainted-fetch instructions among the block's first `count`, with the
-  /// per-insn walk's one-time writebacks. A whole-block result is
-  /// memoized on the block.
-  u32 block_tainted_fetches(vm::TranslatedBlock& block, u32 count);
+  /// Fetch provenance of the instruction at `pc_pa` for the process `sr`
+  /// (CR3 `cr3`), with the one-time process-tag writebacks: the one fetch
+  /// walk, behind the range probe and fetch_cache_.
+  ProvListId fetch_prov(PAddr pc_pa, PAddr cr3, const ShadowRegisters& sr);
+  /// Count of tainted-fetch instructions among the block's first `count`,
+  /// through fetch_prov (behind on_block_elided).
+  u32 block_tainted_fetches(const vm::TranslatedBlock& block, u32 count,
+                            const ShadowRegisters& sr);
   /// Shadow probe over the code bytes of the block's first `count`
   /// instructions (both segments of a superblock): false means none of
   /// them carries provenance.
@@ -266,12 +269,13 @@ class FarosEngine : public vm::ExecHooks, public osi::GuestMonitor {
   u16 last_ptag_ = 0;
   bool last_ptag_valid_ = false;
 
-  /// Direct-mapped memo for the fetch-provenance of a (pc_pa, process)
-  /// site, valid while the containing shadow page's mutation stamp is
-  /// unchanged. Steady-state execution from tainted code pages (mapped
-  /// images) hits here instead of walking the eight instruction bytes. The
-  /// process is named by its register bank's life rather than its CR3, so
-  /// an exit needs no sweep: a recycled CR3 gets a new bank and a new life.
+  /// Direct-mapped cache behind fetch_prov for the fetch provenance of a
+  /// (pc_pa, process) site, valid while the containing shadow page's
+  /// mutation stamp is unchanged. Steady-state execution from tainted code
+  /// pages (mapped images), instrumented or elided, hits here instead of
+  /// walking the eight instruction bytes. The process is named by its
+  /// register bank's life rather than its CR3, so an exit needs no sweep:
+  /// a recycled CR3 gets a new bank and a new life.
   struct FetchCacheEntry {
     PAddr pc_pa = ~0ull;
     u64 life = 0;  // ShadowRegisters::life() of the filling process

@@ -99,8 +99,6 @@ TranslatedBlock* BlockCache::translate(PAddr cr3, VAddr va, PAddr pa) {
 void BlockCache::forget_plugin_state() {
   for (auto& [key, b] : map_) {
     (void)key;
-    b.memo_version = 0;
-    b.memo_count = 0;
     b.grant = 0;
   }
 }

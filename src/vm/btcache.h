@@ -29,9 +29,10 @@
 // reports how many instructions it retired and the engine accounts for
 // exactly that prefix (ExecHooks::on_block_elided). After accounting a
 // whole body the engine may stamp the block with a grant (`grant`, with
-// the body's tainted-fetch count in `memo_count`): while the engine's elision epoch equals it, the
-// interpreter runs the block's full-length dispatches with no engine call
-// and adds their counts to the engine's tally (ExecHooks::elision_grants).
+// the body's tainted-fetch count in `grant_fetches`): while the engine's
+// elision epoch equals it, the interpreter runs the block's full-length
+// dispatches with no engine call and adds their counts to the engine's
+// tally (ExecHooks::elision_grants).
 //
 // Superblocks (the analogue of QEMU's TB chaining, for elidable code only):
 // an elidable block that ends in a direct kJmp continues at the jump target
@@ -67,18 +68,14 @@ struct TranslatedBlock {
   /// writes them, `writes` every register some instruction overwrites.
   u16 reads = 0;
   u16 writes = 0;
-  /// Memo owned by the attached plugin (the engine's tainted-fetch count
-  /// for the whole block and the shadow page stamp it is valid for). A
-  /// fresh block starts unset; Interpreter::set_hooks clears it when the
-  /// plugin changes.
-  u64 memo_version = 0;
-  u32 memo_count = 0;
-  /// Elision grant, also owned by the plugin (ExecHooks::elision_grants):
+  /// Elision grant, owned by the attached plugin (ExecHooks::elision_grants):
   /// the plugin's epoch when it last approved and accounted the whole
-  /// body; the plugin then leaves that body's tainted-fetch count in
-  /// `memo_count`. While the epoch still equals `grant`, full-length
-  /// dispatches skip the plugin. 0: none.
+  /// body, and that body's tainted-fetch count. While the epoch still
+  /// equals `grant`, full-length dispatches skip the plugin. 0: none; a
+  /// fresh block starts without one, and Interpreter::set_hooks drops
+  /// every grant when the plugin changes.
   u64 grant = 0;
+  u32 grant_fetches = 0;
   /// Index of the first instruction of the chained segment, and its
   /// physical address; split == insns.size() when nothing is chained.
   u32 split = 0;
@@ -155,7 +152,7 @@ class BlockCache {
   const BlockCacheStats& stats() const { return stats_; }
   void count_not_offered() { ++stats_.not_offered; }
 
-  /// Drops what a plugin cached on the blocks (the memos and grants): the
+  /// Drops what a plugin cached on the blocks (their grants): the
   /// interpreter's hooks changed, and another plugin must start afresh.
   void forget_plugin_state();
 

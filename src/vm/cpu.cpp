@@ -242,7 +242,7 @@ StepInfo Interpreter::run_blocks(CpuState& cpu, const AddressSpace& as,
       if (one.executed == n) {
         ++grants_.tally->blocks;
         grants_.tally->insns += n;
-        grants_.tally->fetches += b->memo_count;
+        grants_.tally->fetches += b->grant_fetches;
       } else {
         hooks_->on_block_elided(*b, static_cast<u32>(one.executed));
       }

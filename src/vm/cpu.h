@@ -146,10 +146,9 @@ class ExecHooks {
   /// The approved body ran: its first `retired` instructions retired (all
   /// of them, the prefix the budget allowed, or the prefix before a
   /// trapping kDivu). The plugin accounts for exactly those, as the
-  /// instrumented path would have. It may keep a memo in the block's
-  /// memo_* fields, and, after a full-length body, stamp a grant in
-  /// `grant`, with the body's tainted-fetch count in `memo_count` (see
-  /// elision_grants).
+  /// instrumented path would have. After a full-length body it may stamp
+  /// a grant in `grant`, with the body's tainted-fetch count in
+  /// `grant_fetches` (see elision_grants).
   virtual void on_block_elided(TranslatedBlock& block, u32 retired) {
     (void)block;
     (void)retired;
@@ -158,11 +157,12 @@ class ExecHooks {
   /// stamps `block.grant = *epoch` promises: while its epoch still equals
   /// the grant, try_elide_block would approve the block again and a
   /// full-length on_block_elided would change nothing but add (1 block, n
-  /// insns, `memo_count` fetches) to its totals. The interpreter then runs such
-  /// a block's full-length dispatches straight through the fast body, adds
-  /// those deltas to `*tally` and calls neither hook; a kDivu trap still
-  /// calls on_block_elided with the retired prefix, and a budget cut takes
-  /// the guard path. The default exposes none: every dispatch asks.
+  /// insns, `grant_fetches` fetches) to its totals. The interpreter then
+  /// runs such a block's full-length dispatches straight through the fast
+  /// body, adds those deltas to `*tally` and calls neither hook; a kDivu
+  /// trap still calls on_block_elided with the retired prefix, and a
+  /// budget cut takes the guard path. The default exposes none: every
+  /// dispatch asks.
   virtual ElisionGrants elision_grants() { return {}; }
 };
 
@@ -179,7 +179,7 @@ class Interpreter {
 
   /// Attaches the analysis plugin and reads its elision grants. A
   /// different plugin than before drops what the previous one cached on
-  /// translated blocks (memos and grants).
+  /// translated blocks (their grants).
   void set_hooks(ExecHooks* hooks);
   ExecHooks* hooks() const { return hooks_; }
 

@@ -43,6 +43,10 @@ Result<ReplayLog> ReplayLog::deserialize(ByteSpan data) {
     ev.flow.dst_port = r.get_u16();
     ev.payload = r.get_blob();
     if (!r.ok()) return Err<ReplayLog>("replay: truncated log");
+    if (ev.kind != EventKind::kPacketIn &&
+        ev.kind != EventKind::kDeviceInput) {
+      return Err<ReplayLog>("replay: bad event kind");
+    }
     log.append(std::move(ev));
   }
   return log;

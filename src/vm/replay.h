@@ -41,6 +41,8 @@ class ReplayLog {
   void clear() { events_.clear(); }
 
   Bytes serialize() const;
+  /// Parses a serialized log; rejects a truncated log and any event kind
+  /// other than kPacketIn and kDeviceInput.
   static Result<ReplayLog> deserialize(ByteSpan data);
 
   bool operator==(const ReplayLog&) const = default;

@@ -421,8 +421,9 @@ TEST_F(EngineTest, ImageTaggingByPageMatchesPerByteReference) {
 // Sleep) walks the bytes again and appends its own process tag.
 TEST_F(EngineTest, RecycledCr3NeverReadsTheDeadProcessFetchProvenance) {
   init(quiet_options());
-  // Instrument every instruction: the fetch cache serves on_insn_retired,
-  // which an elided block does not call.
+  // Instrument every instruction, so each fetch reaches the fetch cache
+  // through on_insn_retired. The elided path shares that cache; the
+  // BtCacheEngine suite covers it with the block cache on.
   machine_->kernel().interp().set_block_cache_enabled(false);
   const std::string path = "C:/test/sleeper.exe";
   os::Pid first = spawn_suspended("sleeper.exe", [](ImageBuilder& ib) {

@@ -55,6 +55,10 @@ TEST(Robustness, MutatedReplayLogsNeverCrashDeserialization) {
     }
     auto log = vm::ReplayLog::deserialize(mutated);  // ok or error, no crash
     if (log.ok()) {
+      for (const vm::ReplayEvent& ev : log.value().events()) {
+        EXPECT_TRUE(ev.kind == vm::EventKind::kPacketIn ||
+                    ev.kind == vm::EventKind::kDeviceInput);
+      }
       // A mutated-but-parseable log must still replay without crashing the
       // machine (events may simply be dropped or misdelivered).
       auto rep = attacks::replay_run(sc, log.value(), nullptr, {});

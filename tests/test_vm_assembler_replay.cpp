@@ -146,6 +146,26 @@ TEST(ReplayLog, RejectsCorruptInput) {
   EXPECT_FALSE(ReplayLog::deserialize(wire).ok());
 }
 
+TEST(ReplayLog, RejectsUnknownEventKinds) {
+  // A log is outside input (analyze_malware reads one from disk); the
+  // machine has no delivery for any kind but the two it records.
+  ReplayLog log;
+  ReplayEvent ev;
+  ev.kind = EventKind::kDeviceInput;
+  ev.payload = Bytes{'k'};
+  log.append(ev);
+  const Bytes wire = log.serialize();
+  constexpr size_t kKindOffset = 12 + 8;  // header, then instr_index
+  ASSERT_EQ(wire[kKindOffset], static_cast<u8>(EventKind::kDeviceInput));
+  for (u8 kind : {u8{0}, u8{3}}) {
+    Bytes bad = wire;
+    bad[kKindOffset] = kind;
+    auto back = ReplayLog::deserialize(bad);
+    ASSERT_FALSE(back.ok()) << "kind " << int{kind};
+    EXPECT_EQ(back.error().message, "replay: bad event kind");
+  }
+}
+
 TEST(ReplayLog, RandomRoundTripProperty) {
   Rng rng(7);
   for (int iter = 0; iter < 20; ++iter) {

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cstring>
 #include <random>
+#include <set>
 
 #include "attacks/guest_common.h"
 #include "attacks/programs.h"
@@ -1254,10 +1255,9 @@ core::EngineStats run_after_plugin_swap(bool block_cache) {
 }
 
 TEST(BtCacheEngine, SwappingPluginsForgetsWhatTheOldOneCachedOnBlocks) {
-  // Fetch memos and grants on a TranslatedBlock belong to the plugin that
-  // made them. A memo or grant kept across the swap would match the second
-  // engine's page stamp or epoch and hand it the first engine's
-  // tainted-fetch count.
+  // Grants on a TranslatedBlock belong to the plugin that made them. A
+  // grant kept across the swap would match the second engine's epoch and
+  // hand it the first engine's tainted-fetch count.
   const core::EngineStats cached = run_after_plugin_swap(true);
   const core::EngineStats plain = run_after_plugin_swap(false);
   EXPECT_GT(cached.elided_insns, 3000u);
@@ -1270,8 +1270,8 @@ TEST(BtCacheEngine, TwoProcessesOfOneIdleImageBothElideInSteadyState) {
   // Two NtYield spinners from one image, each idling with a tainted r5 it
   // never reads (an injected payload's shape). Every steady-state block —
   // the `movi r0; syscall` tail block and the jmp — must be elided in both
-  // processes, with the tainted-fetch count answered from each block's own
-  // memo: no per-instruction fetch work at all.
+  // processes, with the tainted-fetch count answered by each block's grant
+  // or, for a budget-cut prefix, by the fetch cache: no fetch walk at all.
   os::Machine m;
   core::FarosEngine engine(m.kernel(), core::Options{});
   m.attach_cpu_plugin(&engine);
@@ -1303,8 +1303,115 @@ TEST(BtCacheEngine, TwoProcessesOfOneIdleImageBothElideInSteadyState) {
   EXPECT_GE(static_cast<double>(delta(Ctr::kBtElidedInsns)),
             0.99 * static_cast<double>(delta(Ctr::kInsnsRetired)));
   EXPECT_EQ(delta(Ctr::kBtGuardFail), 0u);
-  EXPECT_EQ(delta(Ctr::kFetchCacheHit) + delta(Ctr::kFetchCacheMiss), 0u);
+  EXPECT_EQ(delta(Ctr::kFetchCacheMiss), 0u);
   EXPECT_EQ(delta(Ctr::kAppendMemoHit) + delta(Ctr::kAppendMemoMiss), 0u);
+}
+
+/// Two processes of one file-tagged image call kernel32's Sleep(1) in a
+/// loop; Sleep's code lives in frames every process maps, and its bytes
+/// carry a netflow tag. Each round loads the image's tagged word into r5
+/// and zeroes it again, so the engine's elision epoch moves every round
+/// and Sleep's elidable blocks go back to on_block_elided instead of
+/// running on their grants. The second process starts once the first has
+/// idled long enough to fill the fetch cache for every Sleep instruction.
+struct SharedSleepRun {
+  core::EngineStats stats;
+  u64 engine_elided_blocks = 0;  // elided dispatches the engine accounted
+  std::vector<os::Pid> pids;
+  /// Pids of the process tags on each Sleep instruction's first byte.
+  std::vector<std::set<os::Pid>> code_pids;
+};
+
+SharedSleepRun run_shared_sleepers(bool block_cache) {
+  constexpr u32 kSleepInsns = 8;  // Sleep's body, `ret` included
+  os::Machine m;
+  m.kernel().interp().set_block_cache_enabled(block_cache);
+  core::FarosEngine engine(m.kernel(), core::Options{});
+  m.attach_cpu_plugin(&engine);
+  m.add_monitor(&engine);
+  EXPECT_TRUE(m.boot().ok());
+
+  os::ImageBuilder ib("sleeper.exe", os::kUserImageBase);
+  ib.import_symbol(os::sym::kKernel32, os::sym::kSleep, "slot");
+  Assembler& a = ib.asm_();
+  a.label("_start");
+  a.movi_label(vm::R6, "word");
+  a.movi_label(vm::R8, "slot");
+  a.ld32(vm::R8, vm::R8, 0);
+  a.label("loop");
+  a.ld32(R5, vm::R6, 0);  // r5 turns tainted: the epoch moves
+  a.xor_(R5, R5, R5);
+  a.movi(R1, 1);
+  a.callr(vm::R8);
+  a.jmp("loop");
+  a.align(8);
+  a.label("slot");
+  a.data_u32(0);
+  a.label("word");
+  a.data_u32(0x5eed);
+  auto img = ib.build();
+  EXPECT_TRUE(img.ok());
+  const os::Image& image = img.value();
+  m.kernel().vfs().create("C:/sleeper.exe", image.serialize());
+
+  SharedSleepRun out;
+  auto spawn = [&] {
+    auto pid = m.kernel().spawn("C:/sleeper.exe");
+    EXPECT_TRUE(pid.ok());
+    out.pids.push_back(pid.value());
+    return m.kernel().find(pid.value());
+  };
+  const os::Process* first = spawn();
+  const VAddr sleep_va =
+      first->as.read32_or(image.base_va + image.imports[0].slot_offset, 0);
+  EXPECT_NE(sleep_va, 0u);
+  const vm::AddressSpace& kas = m.kernel().kernel_as();
+  osi::ProcessInfo kernel_side;
+  kernel_side.cr3 = kas.cr3();
+  engine.on_packet_to_guest(
+      osi::GuestXfer{kernel_side, &kas, sleep_va, kSleepInsns * vm::kInsnSize},
+      FlowTuple{0xa9fe1aa1, 4444, 0xa9fe39a8, 49162});
+  m.run(20000);
+  spawn();
+  m.run(40000);
+
+  out.stats = engine.stats();
+  const obs::MetricSnapshot snap = engine.metrics_snapshot();
+  out.engine_elided_blocks =
+      snap[obs::Ctr::kBtElidedBlocks] - snap[obs::Ctr::kBtGranted];
+  for (u32 i = 0; i < kSleepInsns; ++i) {
+    std::set<os::Pid> pids;
+    const core::ProvListId id =
+        engine.prov_at(kas, sleep_va + i * vm::kInsnSize);
+    for (const core::ProvTag& t : engine.store().get(id)) {
+      if (t.type() == core::TagType::kProcess) {
+        pids.insert(engine.maps().process.get(t.index()).pid);
+      }
+    }
+    out.code_pids.push_back(pids);
+  }
+  return out;
+}
+
+TEST(BtCacheEngine, SharedCodeFetchedByTwoProcessesCarriesBothTags) {
+  // Elided and instrumented fetches share one fetch cache, keyed by the
+  // fetching process: the second process's first walk over Sleep must
+  // append its own tag, not reuse the first process's cached result.
+  const SharedSleepRun on = run_shared_sleepers(true);
+  const SharedSleepRun off = run_shared_sleepers(false);
+  ASSERT_EQ(on.pids.size(), 2u);
+  EXPECT_GT(on.stats.elided_insns, 10000u);
+  EXPECT_GT(on.engine_elided_blocks, 1000u);  // the grants keep failing
+  for (u32 i = 0; i < on.code_pids.size(); ++i) {
+    for (os::Pid pid : on.pids) {
+      EXPECT_EQ(on.code_pids[i].count(pid), 1u) << "insn " << i << " pid "
+                                                << pid;
+    }
+  }
+  EXPECT_EQ(on.code_pids, off.code_pids);
+  EXPECT_EQ(on.stats.insns_seen, off.stats.insns_seen);
+  EXPECT_GT(off.stats.tainted_fetches, 0u);
+  EXPECT_EQ(on.stats.tainted_fetches, off.stats.tainted_fetches);
 }
 
 /// A loop whose superblock is `loop: addi r6; jmp tail` chained with
