@@ -26,7 +26,9 @@
 // entirely elided (divspin exactly: budget-cut prefixes elide too), the
 // idle loops to dispatch one block per scheduling round, on the block's
 // elision grant (no engine call; DESIGN.md §3g), and three processes of
-// one image to keep their own TLB entries. interp_bare_idle is the
+// one image to keep their own TLB entries. The idle loops and the spinner
+// (interp_faros_clean_btc) must reach nearly every dispatch through a
+// successor link or an exit record (block chaining). interp_bare_idle is the
 // one-idler workload without the engine, for the per-round engine cost.
 //
 // With FAROS_BENCH_JSON=<path> set, main() appends one JSONL record per
@@ -728,6 +730,20 @@ bool emit_json_summary() {
     // engine call: only a block's first approval goes through the guard.
     check("grant", (name + std::string(" bt_elided_blocks")).c_str(),
           m[Ctr::kBtElidedBlocks], m[Ctr::kBtGranted] + kSlack, false);
+  }
+  // Block chaining: every steady-state dispatch of the idle loops (one per
+  // round, through the exit record) and of the spinner (within a quantum
+  // through its own link, and after each budget cut through the exit
+  // record's resume link) is chained, with no fetch translation or lookup.
+  for (const char* name :
+       {"interp_faros_idle_dirty_btc", "interp_faros_idle3_btc",
+        "interp_faros_clean_btc"}) {
+    const obs::MetricSnapshot& m = metrics_by_case[name];
+    std::printf("chain: %s bt_chained %llu of bt_hit %llu\n", name,
+                static_cast<unsigned long long>(m[Ctr::kBtChained]),
+                static_cast<unsigned long long>(m[Ctr::kBtHit]));
+    check("chain", (name + std::string(" bt_hit")).c_str(), m[Ctr::kBtHit],
+          m[Ctr::kBtChained] + kSlack, false);
   }
   // Three processes of one image at one virtual address keep their own
   // TLB slots: misses stay at about one per process, not one per round.

@@ -97,6 +97,7 @@ obs::MetricSnapshot Analysis::metrics() const {
     const vm::BlockCacheStats& bs = btc->stats();
     add(obs::Ctr::kBtTranslate, bs.translated);
     add(obs::Ctr::kBtHit, bs.hits);
+    add(obs::Ctr::kBtChained, bs.chained);
     add(obs::Ctr::kBtEvictSmc, bs.evict_smc);
     add(obs::Ctr::kBtEvictCr3, bs.evict_cr3);
     add(obs::Ctr::kBtNotOffered, bs.not_offered);

@@ -48,6 +48,7 @@ const char* ctr_name(Ctr c) {
     case Ctr::kBtDeclineFetchRule: return "bt_decline_fetch_rule";
     case Ctr::kBtNotOffered: return "bt_not_offered";
     case Ctr::kBtGranted: return "bt_granted";
+    case Ctr::kBtChained: return "bt_chained";
     case Ctr::kSnapClone: return "snap_clone";
     case Ctr::kCowFault: return "cow_faults";
     case Ctr::kSnapSharedPages: return "snap_shared_pages";
@@ -106,6 +107,7 @@ CtrKind ctr_kind(Ctr c) {
     case Ctr::kBtDeclineFetchRule:
     case Ctr::kBtNotOffered:
     case Ctr::kBtGranted:
+    case Ctr::kBtChained:
     case Ctr::kTlbMiss:
       return CtrKind::kCacheStat;
     case Ctr::kSnapClone:

@@ -104,6 +104,9 @@ enum class Ctr : u32 {
                     // elidable_ops (vm::BlockCacheStats::not_offered)
   kBtGranted,       // elided blocks that ran on a grant, with no engine
                     // call (vm::ElisionTally::blocks); in bt_elided_blocks
+  kBtChained,       // dispatches reached through a successor link, with no
+                    // translation or lookup (vm::BlockCacheStats::chained);
+                    // in bt_hit
 
   // --- snapshot/COW guest cloning (os/snapshot.h; farm clone-per-job) ---
   kSnapClone,        // machines booted from the shared snapshot (1 per

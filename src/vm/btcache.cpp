@@ -29,15 +29,8 @@ BlockCache::~BlockCache() {
 }
 
 TranslatedBlock* BlockCache::lookup(PAddr cr3, VAddr va) {
-  const u64 key = key_of(cr3, va);
-  Front& f = front_[(va / kInsnSize) & (kFrontSize - 1)];
-  if (f.key == key && f.epoch == evict_epoch_) {
-    ++stats_.hits;
-    return f.block;
-  }
-  auto it = map_.find(key);
+  auto it = map_.find(key_of(cr3, va));
   if (it == map_.end()) return nullptr;
-  f = Front{key, evict_epoch_, &it->second};
   ++stats_.hits;
   return &it->second;
 }

@@ -34,8 +34,9 @@
 // dispatches with no engine call and adds their counts to the engine's
 // tally (ExecHooks::elision_grants).
 //
-// Superblocks (the analogue of QEMU's TB chaining, for elidable code only):
-// an elidable block that ends in a direct kJmp continues at the jump target
+// Superblocks (elidable code only; one decoded body spans a jump, which is
+// not QEMU's TB chaining: that is the successor link below): an elidable
+// block that ends in a direct kJmp continues at the jump target
 // when the target is 8-byte aligned and on the block's own virtual page,
 // so the entry translation covers it too. One jump per block is chained,
 // and only while the whole body stays elidable: a tail that would make it
@@ -45,6 +46,19 @@
 // the frame watch covers both segments, and a code write evicts the block
 // when it overlaps either segment. An idle `movi r0; syscall | jmp` loop
 // thus dispatches one 3-instruction block per scheduling round.
+//
+// Block chaining (the analogue of QEMU's TB chaining): each block keeps one
+// successor link, {va, block, epoch}, which the interpreter sets when the
+// dispatch after the block starts on the block's own virtual page and
+// follows when the next pc equals `va` and `evict_epoch()` still equals
+// both the link's epoch and the epoch read before the block's body ran.
+// Every eviction moves the epoch, so a link never reaches a freed block,
+// and a block is never read through a link once the epoch moved (its body
+// or a flush may have freed it). A followed link skips the fetch
+// translation, the lookup and the start_pa revalidation: the link's target
+// lives on the page whose translation the chain's first block checked, and
+// page tables only change between Interpreter::run calls (vm/cpu.h has the
+// cross-run exit record).
 #pragma once
 
 #include <unordered_map>
@@ -55,6 +69,16 @@
 #include "vm/phys_mem.h"
 
 namespace faros::vm {
+
+struct TranslatedBlock;
+
+/// A block's successor link (see the header). `epoch` is the eviction
+/// epoch at which `block` was the live block at `va`; ~0: no link.
+struct BlockLink {
+  VAddr va = 0;
+  TranslatedBlock* block = nullptr;
+  u64 epoch = ~0ull;
+};
 
 struct TranslatedBlock {
   PAddr cr3 = 0;
@@ -80,6 +104,8 @@ struct TranslatedBlock {
   /// physical address; split == insns.size() when nothing is chained.
   u32 split = 0;
   PAddr split_pa = 0;
+  /// Owned by the interpreter's dispatch loop (Interpreter::run_blocks).
+  BlockLink link;
   std::vector<Instruction> insns;
 
   /// Physical address of instruction `i`'s bytes.
@@ -95,6 +121,7 @@ struct TranslatedBlock {
 struct BlockCacheStats {
   u64 translated = 0;   // blocks decoded into the cache
   u64 hits = 0;         // block dispatches served from the cache
+  u64 chained = 0;      // of those, reached through a successor link
   u64 evict_smc = 0;    // blocks evicted by a write into their code frame
   u64 evict_cr3 = 0;    // blocks evicted by process-exit / frame recycling
   /// Full-length dispatches, with a plugin attached, of blocks that are
@@ -120,7 +147,8 @@ class BlockCache {
   /// per-instruction path would); an elidable block ending in a same-page
   /// kJmp chains one segment at its target (see the header). Returns
   /// nullptr when the *first* slot is undecodable; nothing is cached in
-  /// that case.
+  /// that case. At kMaxBlocks it first flushes every block, moving the
+  /// epoch.
   TranslatedBlock* translate(PAddr cr3, VAddr va, PAddr pa);
 
   /// Evicts every block whose bytes live in `frame_base`. `smc` selects the
@@ -145,12 +173,19 @@ class BlockCache {
   /// Monotonic counter bumped by every eviction. The interpreter snapshots
   /// it at block entry and re-checks between instructions: a change means
   /// the predecoded body may be stale (self-modifying code) and execution
-  /// must re-enter the dispatch loop.
+  /// must re-enter the dispatch loop. Blocks are freed only by evictions,
+  /// so a block pointer read at one epoch stays valid while the epoch
+  /// holds (successor links, the interpreter's exit record).
   u64 evict_epoch() const { return evict_epoch_; }
 
   size_t size() const { return map_.size(); }
   const BlockCacheStats& stats() const { return stats_; }
   void count_not_offered() { ++stats_.not_offered; }
+  /// A dispatch served through a successor link, without lookup().
+  void count_chained() {
+    ++stats_.hits;
+    ++stats_.chained;
+  }
 
   /// Drops what a plugin cached on the blocks (their grants): the
   /// interpreter's hooks changed, and another plugin must start afresh.
@@ -170,16 +205,6 @@ class BlockCache {
   std::unordered_map<u64, std::vector<u64>> by_frame_;
   u64 evict_epoch_ = 0;
   BlockCacheStats stats_;
-
-  // Direct-mapped front cache over map_ lookups; entries are validated by
-  // key + epoch so evictions (which bump the epoch) invalidate it wholesale.
-  struct Front {
-    u64 key = ~0ull;
-    u64 epoch = ~0ull;
-    TranslatedBlock* block = nullptr;
-  };
-  static constexpr u32 kFrontSize = 2048;  // power of two
-  Front front_[kFrontSize];
 };
 
 }  // namespace faros::vm

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <type_traits>
 
-#include "vm/btcache.h"
-
 namespace faros::vm {
 
 namespace {
@@ -117,11 +115,18 @@ void Interpreter::set_hooks(ExecHooks* hooks) {
   if (hooks != hooks_ && btc_) btc_->forget_plugin_state();
   hooks_ = hooks;
   grants_ = hooks ? hooks->elision_grants() : ElisionGrants{};
+  observe_blocks_ = hooks && hooks->observes_blocks();
 }
 
 void Interpreter::set_block_cache_enabled(bool on) {
   if (on == (btc_ != nullptr)) return;
+  // A new cache restarts its epoch: records of the old one must not match.
+  clear_exits();
   btc_ = on ? std::make_unique<BlockCache>(*mem_) : nullptr;
+}
+
+void Interpreter::clear_exits() {
+  for (auto& x : exits_) x = ExitRecord{};
 }
 
 void Interpreter::invalidate_code_frame(PAddr frame_base) {
@@ -170,9 +175,11 @@ StepInfo Interpreter::run(CpuState& cpu, const AddressSpace& as,
   // Page tables only change in kernel context, between quanta, and every
   // change bumps the PhysMem page-table epoch. Entries are CR3-tagged, so a
   // process switch alone needs no flush: an idle NtYield loop keeps its
-  // code-page translation across scheduling rounds.
+  // code-page translation across scheduling rounds. The exit records go
+  // with the TLB: their links skip the translation the TLB would redo.
   if (mem_->pt_epoch() != tlb_epoch_) {
     flush_tlb();
+    clear_exits();
     tlb_epoch_ = mem_->pt_epoch();
   }
   if (btc_) return run_blocks(cpu, as, max_insns);
@@ -189,118 +196,13 @@ StepInfo Interpreter::run(CpuState& cpu, const AddressSpace& as,
   return info;
 }
 
-StepInfo Interpreter::run_blocks(CpuState& cpu, const AddressSpace& as,
-                                 u64 max_insns) {
-  StepInfo info;
-  u64 executed = 0;
-  auto stop = [&](StepInfo one) {
-    one.executed = executed;
-    return one;
-  };
-  auto entry_trap = [&](VAddr pc, TrapKind kind, const Fault* fault) {
-    StepInfo t;
-    t.pc = pc;
-    t.result = StepResult::kTrap;
-    t.trap = kind;
-    if (fault) t.fault = *fault;
-    at_block_start_ = true;
-    return stop(t);
-  };
-  while (executed < max_insns) {
-    const VAddr pc = cpu.pc();
-    // Entry checks mirror the per-instruction path: within a block the pc
-    // advances by kInsnSize or, into a chained segment, jumps to an aligned
-    // target, and the body stays on the start page (one fetch translation
-    // covers it), so checking here is checking every instruction.
-    if (pc % kInsnSize != 0) {
-      return entry_trap(pc, TrapKind::kPcMisaligned, nullptr);
-    }
-    Fault fault;
-    auto pc_pa = translate_cached(as, pc, AccessType::kExec, &fault);
-    if (!pc_pa) return entry_trap(pc, TrapKind::kMemFault, &fault);
-    TranslatedBlock* b = btc_->lookup(as.cr3(), pc);
-    if (b && b->start_pa != *pc_pa) {
-      // Same (cr3, va) now maps elsewhere — remapped since translation.
-      btc_->evict_block(as.cr3(), pc);
-      b = nullptr;
-    }
-    if (!b) b = btc_->translate(as.cr3(), pc, *pc_pa);
-    if (!b) {
-      // First slot undecodable: the same bad-opcode trap the per-insn
-      // path raises after a successful fetch.
-      return entry_trap(pc, TrapKind::kBadOpcode, nullptr);
-    }
-    const u32 n = static_cast<u32>(b->insns.size());
-    const u32 take = static_cast<u32>(std::min<u64>(n, max_insns - executed));
-    StepInfo one;
-    if (take == n && grants_.epoch && b->grant == *grants_.epoch) {
-      // Granted (only elidable blocks are stamped): the plugin's guard and
-      // accounting would repeat what they did at the stamp, so a
-      // full-length body only adds its delta to the tally. A kDivu trap
-      // reports its prefix, exactly, since the guard's answer still holds.
-      one = exec_fast(cpu, as.cr3(), *b, n);
-      if (one.executed == n) {
-        ++grants_.tally->blocks;
-        grants_.tally->insns += n;
-        grants_.tally->fetches += b->grant_fetches;
-      } else {
-        hooks_->on_block_elided(*b, static_cast<u32>(one.executed));
-      }
-    } else if (b->elidable_ops && (!hooks_ || hooks_->try_elide_block(*b))) {
-      // A register-only body cannot evict *b. It retires all `take`
-      // instructions, a final kSyscall returning to the kernel, or stops
-      // at a kDivu dividing by zero; the plugin accounts for the prefix
-      // that retired.
-      one = exec_fast(cpu, as.cr3(), *b, take);
-      if (hooks_) hooks_->on_block_elided(*b, static_cast<u32>(one.executed));
-    } else if (!hooks_) {
-      one = exec_cached<false>(cpu, as, *b, take);
-    } else {
-      if (take == n && !b->elidable_ops) btc_->count_not_offered();
-      one = exec_cached<true>(cpu, as, *b, take);
-    }
-    executed += one.executed;
-    if (one.result != StepResult::kBudget) return stop(one);
-  }
-  info.result = StepResult::kBudget;
-  info.executed = executed;
-  return info;
-}
-
-template <bool kInstrumented>
-StepInfo Interpreter::exec_cached(CpuState& cpu, const AddressSpace& as,
-                                  const TranslatedBlock& block, u32 count) {
-  StepInfo info;
-  const u64 epoch = btc_->evict_epoch();
-  const Instruction* insns = block.insns.data();
-  for (u32 i = 0; i < count; ++i) {
-    // Copy before executing: a self-modifying store inside the block may
-    // evict `block` (freeing insns) as a side effect of this instruction.
-    const Instruction insn = insns[i];
-    StepInfo one = exec_decoded<kInstrumented>(cpu, as, insn, block.pa_of(i));
-    info.executed += one.executed;
-    if (one.result != StepResult::kBudget) {
-      one.executed = info.executed;
-      return one;
-    }
-    if (btc_->evict_epoch() != epoch) {
-      // A write hit some translated code frame. The predecoded body may be
-      // stale from the next instruction on — re-enter the dispatch loop,
-      // which re-fetches from live memory (per-instruction semantics).
-      break;
-    }
-  }
-  info.result = StepResult::kBudget;
-  return info;
-}
-
-StepInfo Interpreter::exec_fast(CpuState& cpu, PAddr cr3,
-                                const TranslatedBlock& block, u32 count) {
+[[gnu::always_inline]] inline StepInfo Interpreter::exec_fast(
+    CpuState& cpu, PAddr cr3, const TranslatedBlock& block, u32 count) {
   StepInfo info;
   const Instruction* insns = block.insns.data();
   auto begin_block = [&] {
     ++block_count_;
-    if (hooks_) hooks_->on_block_begin(cr3, cpu.pc());
+    if (observe_blocks_) hooks_->on_block_begin(cr3, cpu.pc());
   };
   // Only the first instruction and the chained segment's first one can
   // begin a dynamic basic block: every other block-ending opcode is last.
@@ -329,6 +231,149 @@ StepInfo Interpreter::exec_fast(CpuState& cpu, PAddr cr3,
   if (i != 0 && ends_block(insns[i - 1].op)) at_block_start_ = true;
   instr_count_ += i;
   info.executed = i;
+  return info;
+}
+
+StepInfo Interpreter::run_blocks(CpuState& cpu, const AddressSpace& as,
+                                 u64 max_insns) {
+  const PAddr cr3 = as.cr3();
+  ExitRecord& rec = exits_[(cr3 >> kPageShift) & (kExitSlots - 1)];
+  if (rec.cr3 != cr3) {
+    rec = ExitRecord{};
+    rec.cr3 = cr3;
+  }
+  // The link the next dispatch follows or sets, readable only while the
+  // eviction epoch equals from_epoch (the block owning it may be freed
+  // once the epoch moves), and the virtual page of that block.
+  BlockLink* from = rec.from;
+  u64 from_epoch = rec.epoch;
+  VAddr from_page = rec.page;
+  u64 executed = 0;
+  auto stop = [&](StepInfo one) {
+    one.executed = executed;
+    rec.from = from;
+    rec.epoch = from_epoch;
+    rec.page = from_page;
+    return one;
+  };
+  auto entry_trap = [&](VAddr pc, TrapKind kind, const Fault* fault) {
+    StepInfo t;
+    t.pc = pc;
+    t.result = StepResult::kTrap;
+    t.trap = kind;
+    if (fault) t.fault = *fault;
+    at_block_start_ = true;
+    return stop(t);
+  };
+  while (executed < max_insns) {
+    const VAddr pc = cpu.pc();
+    const u64 epoch = btc_->evict_epoch();
+    TranslatedBlock* b;
+    if (from_epoch == epoch && from->va == pc && from->epoch == epoch) {
+      // Chained: no block was evicted since the link was set, and the
+      // target lives on the page whose translation the chain's first
+      // block checked (in this run() call, or in an earlier one under the
+      // same page tables: run() clears the exit records when they change).
+      b = from->block;
+      btc_->count_chained();
+    } else {
+      // Entry checks mirror the per-instruction path: within a block the
+      // pc advances by kInsnSize or, into a chained segment, jumps to an
+      // aligned target, and the body stays on the start page (one fetch
+      // translation covers it), so checking here is checking every
+      // instruction.
+      if (pc % kInsnSize != 0) {
+        return entry_trap(pc, TrapKind::kPcMisaligned, nullptr);
+      }
+      Fault fault;
+      auto pc_pa = translate_cached(as, pc, AccessType::kExec, &fault);
+      if (!pc_pa) return entry_trap(pc, TrapKind::kMemFault, &fault);
+      b = btc_->lookup(cr3, pc);
+      if (b && b->start_pa != *pc_pa) {
+        // Same (cr3, va) now maps elsewhere — remapped since translation.
+        btc_->evict_block(cr3, pc);
+        b = nullptr;
+      }
+      if (!b) b = btc_->translate(cr3, pc, *pc_pa);
+      if (!b) {
+        // First slot undecodable: the same bad-opcode trap the per-insn
+        // path raises after a successful fetch.
+        return entry_trap(pc, TrapKind::kBadOpcode, nullptr);
+      }
+      // Link the block left to this one when nothing was evicted since
+      // (an eviction or translate's flush may have freed it) and this one
+      // starts on its page.
+      if (from_epoch == btc_->evict_epoch() && page_floor(pc) == from_page) {
+        *from = BlockLink{pc, b, from_epoch};
+      }
+    }
+    const u32 n = static_cast<u32>(b->insns.size());
+    const u32 take = static_cast<u32>(std::min<u64>(n, max_insns - executed));
+    from = &b->link;
+    from_epoch = btc_->evict_epoch();
+    from_page = page_floor(b->start_va);
+    StepInfo one;
+    if (take == n && grants_.epoch && b->grant == *grants_.epoch) {
+      // Granted (only elidable blocks are stamped): the plugin's guard and
+      // accounting would repeat what they did at the stamp, so a
+      // full-length body only adds its delta to the tally. A kDivu trap
+      // reports its prefix, exactly, since the guard's answer still holds.
+      one = exec_fast(cpu, cr3, *b, n);
+      if (one.executed == n) {
+        ++grants_.tally->blocks;
+        grants_.tally->insns += n;
+        grants_.tally->fetches += b->grant_fetches;
+      } else {
+        hooks_->on_block_elided(*b, static_cast<u32>(one.executed));
+      }
+    } else if (b->elidable_ops && (!hooks_ || hooks_->try_elide_block(*b))) {
+      // A register-only body cannot evict *b. It retires all `take`
+      // instructions, a final kSyscall returning to the kernel, or stops
+      // at a kDivu dividing by zero; the plugin accounts for the prefix
+      // that retired.
+      one = exec_fast(cpu, cr3, *b, take);
+      if (hooks_) hooks_->on_block_elided(*b, static_cast<u32>(one.executed));
+    } else if (!hooks_) {
+      one = exec_cached<false>(cpu, as, *b, take);
+    } else {
+      if (take == n && !b->elidable_ops) btc_->count_not_offered();
+      one = exec_cached<true>(cpu, as, *b, take);
+    }
+    executed += one.executed;
+    if (one.result != StepResult::kBudget) return stop(one);
+    // A budget cut inside *b: the next run() resumes mid-block, through
+    // the record's own link.
+    if (take < n) from = &rec.resume;
+  }
+  StepInfo info;
+  info.result = StepResult::kBudget;
+  return stop(info);
+}
+
+template <bool kInstrumented>
+StepInfo Interpreter::exec_cached(CpuState& cpu, const AddressSpace& as,
+                                  const TranslatedBlock& block, u32 count) {
+  StepInfo info;
+  const u64 epoch = btc_->evict_epoch();
+  const Instruction* insns = block.insns.data();
+  for (u32 i = 0; i < count; ++i) {
+    // Copy before executing: a self-modifying store inside the block may
+    // evict `block` (freeing insns) as a side effect of this instruction.
+    const Instruction insn = insns[i];
+    StepInfo one = exec_decoded<kInstrumented>(cpu, as, insn, block.pa_of(i));
+    info.executed += one.executed;
+    if (one.result != StepResult::kBudget) {
+      one.executed = info.executed;
+      return one;
+    }
+    if (btc_->evict_epoch() != epoch) {
+      // A write hit some translated code frame. The predecoded body may be
+      // stale from the next instruction on — re-enter the dispatch loop,
+      // which re-fetches from live memory (per-instruction semantics).
+      break;
+    }
+  }
+  info.result = StepResult::kBudget;
   return info;
 }
 
@@ -403,7 +448,7 @@ StepInfo Interpreter::exec_decoded(CpuState& cpu, const AddressSpace& as,
   if (at_block_start_) {
     ++block_count_;
     at_block_start_ = false;
-    if (hooks_) hooks_->on_block_begin(as.cr3(), cpu.pc());
+    if (observe_blocks_) hooks_->on_block_begin(as.cr3(), cpu.pc());
   }
 
   std::conditional_t<kInstrumented, InsnEvent, NoEvent> ev;

@@ -5,31 +5,31 @@
 //
 // The run loop dispatches whole predecoded basic blocks through the
 // block-translation cache (vm/btcache.h): fetch-translate + decode happen
-// once per block instead of once per instruction, and a plugin may approve
-// running register-only blocks (optionally ending in a syscall) through an
-// uninstrumented fast body (ExecHooks::try_elide_block), and may grant a
-// block it approved and accounted, so that later full-length dispatches
-// skip the plugin while its epoch holds (ExecHooks::elision_grants). The
-// fast body is one tight register-only loop: no InsnEvent, StepInfo or
-// Fault per instruction, only the exact instruction and dynamic-block
-// counts; it also runs every elidable block when no plugin is attached. The
-// historical per-instruction loop is kept only as the test reference
-// (set_block_cache_enabled(false)); it retires bit-identical architectural
-// state and event streams.
+// once per block instead of once per instruction, a block jumps straight
+// to its linked successor with no translation or lookup at all (block
+// chaining, also across run() calls through the exit record), and a
+// plugin may approve running register-only blocks (optionally ending in a
+// syscall) through an uninstrumented fast body (ExecHooks::try_elide_block)
+// and may grant a block it approved and accounted, so that later
+// full-length dispatches skip the plugin while its epoch holds
+// (ExecHooks::elision_grants). The fast body is one tight register-only
+// loop: no InsnEvent, StepInfo or Fault per instruction, only the exact
+// instruction and dynamic-block counts; it also runs every elidable block
+// when no plugin is attached. The historical per-instruction loop is kept
+// only as the test reference (set_block_cache_enabled(false)); it retires
+// bit-identical architectural state and event streams.
 #pragma once
 
 #include <memory>
 #include <optional>
 
 #include "common/types.h"
+#include "vm/btcache.h"
 #include "vm/isa.h"
 #include "vm/mmu.h"
 #include "vm/phys_mem.h"
 
 namespace faros::vm {
-
-class BlockCache;
-struct TranslatedBlock;
 
 /// Architectural register state of one hardware thread.
 struct CpuState {
@@ -112,11 +112,18 @@ struct ElisionGrants {
 class ExecHooks {
  public:
   virtual ~ExecHooks() = default;
-  /// A new basic block begins at `pc` in the space identified by `cr3`.
+  /// A new dynamic basic block begins at `pc` in the space identified by
+  /// `cr3` (a superblock's chained segment begins one too). Called only
+  /// when observes_blocks() is true.
   virtual void on_block_begin(PAddr cr3, VAddr pc) {
     (void)cr3;
     (void)pc;
   }
+  /// Whether on_block_begin wants calls, read once by
+  /// Interpreter::set_hooks (like MonitorBus::observes_syscalls). A plugin
+  /// that ignores block boundaries answers false and saves a virtual call
+  /// per dispatch.
+  virtual bool observes_blocks() const { return true; }
   /// One instruction retired.
   virtual void on_insn_retired(const InsnEvent& ev, const AddressSpace& as) {
     (void)ev;
@@ -135,10 +142,10 @@ class ExecHooks {
   /// interpreter run the body through its register-only fast body, with no
   /// per-instruction callbacks or events, and then report what retired
   /// through on_block_elided; on_block_begin still fires once per dynamic
-  /// basic block (a chained segment begins one), and a final kSyscall
-  /// still returns to the kernel. The guard must leave the plugin's
-  /// analysis state untouched: the body has not run yet. The default keeps
-  /// every plugin on the instrumented path.
+  /// basic block (a chained segment begins one) for a plugin that observes
+  /// blocks, and a final kSyscall still returns to the kernel. The guard
+  /// must leave the plugin's analysis state untouched: the body has not
+  /// run yet. The default keeps every plugin on the instrumented path.
   virtual bool try_elide_block(const TranslatedBlock& block) {
     (void)block;
     return false;
@@ -177,15 +184,16 @@ class Interpreter {
   explicit Interpreter(PhysMem& mem);
   ~Interpreter();
 
-  /// Attaches the analysis plugin and reads its elision grants. A
-  /// different plugin than before drops what the previous one cached on
-  /// translated blocks (their grants).
+  /// Attaches the analysis plugin and reads its elision grants and
+  /// observes_blocks(). A different plugin than before drops what the
+  /// previous one cached on translated blocks (their grants).
   void set_hooks(ExecHooks* hooks);
   ExecHooks* hooks() const { return hooks_; }
 
   /// Toggles the block-translation cache (enabled by default). Disabling
   /// restores the historical per-instruction fetch/decode/execute loop,
-  /// the reference the tests compare the cache against.
+  /// the reference the tests compare the cache against. Replacing the
+  /// cache clears the exit records.
   void set_block_cache_enabled(bool on);
   /// The live cache, or nullptr when disabled (stats, tests).
   const BlockCache* block_cache() const { return btc_.get(); }
@@ -217,7 +225,8 @@ class Interpreter {
   StepInfo exec_decoded(CpuState& cpu, const AddressSpace& as,
                         const Instruction& insn, PAddr pc_pa);
 
-  /// Block-dispatch run loop (cache enabled).
+  /// Block-dispatch run loop (cache enabled): follows and sets successor
+  /// links (vm/btcache.h), starting from the space's exit record.
   StepInfo run_blocks(CpuState& cpu, const AddressSpace& as, u64 max_insns);
 
   /// Executes up to `count` predecoded instructions of a cached block,
@@ -229,9 +238,9 @@ class Interpreter {
 
   /// The register-only fast body: runs up to `count` instructions of an
   /// elidable block, stopping after a final kSyscall or at a kDivu
-  /// dividing by zero (which does not retire).
-  StepInfo exec_fast(CpuState& cpu, PAddr cr3, const TranslatedBlock& block,
-                     u32 count);
+  /// dividing by zero (which does not retire). Inlined into run_blocks.
+  inline StepInfo exec_fast(CpuState& cpu, PAddr cr3,
+                            const TranslatedBlock& block, u32 count);
 
   bool mem_read(const AddressSpace& as, VAddr va, unsigned size, u32* value,
                 PAddr* first_pa, Fault* fault);
@@ -246,6 +255,26 @@ class Interpreter {
                                         AccessType type, Fault* fault);
   void flush_tlb();
 
+  /// Where an address space left the cache at the end of its last run()
+  /// call, so that its next run() resumes through a successor link: `from`
+  /// is the link its next dispatch follows or sets, readable only while
+  /// the cache's eviction epoch equals `epoch` (the same rule as a link),
+  /// and `page` the virtual page of the block it leaves. `from` is that
+  /// block's own link or, after a budget cut inside the block, `resume`,
+  /// which the record owns: a cut block's link keeps its usual successor.
+  /// Direct mapped by cr3. run() clears every record whenever it flushes
+  /// the TLB (page tables changed), set_block_cache_enabled whenever it
+  /// replaces the cache.
+  struct ExitRecord {
+    PAddr cr3 = ~0ull;
+    BlockLink* from = nullptr;
+    u64 epoch = ~0ull;
+    VAddr page = 0;
+    BlockLink resume;
+  };
+  static constexpr u32 kExitSlots = 16;  // power of two
+  void clear_exits();
+
   struct TlbEntry {
     PAddr cr3 = ~0ull;
     u32 vpn = 0;
@@ -259,6 +288,7 @@ class Interpreter {
   PhysMem* mem_;
   ExecHooks* hooks_ = nullptr;
   ElisionGrants grants_;  // hooks_->elision_grants(), read at set_hooks
+  bool observe_blocks_ = false;  // hooks_->observes_blocks(), ditto
   std::unique_ptr<BlockCache> btc_;  // null when the cache is disabled
   u64 instr_count_ = 0;
   u64 block_count_ = 0;
@@ -267,6 +297,7 @@ class Interpreter {
   u64 tlb_epoch_ = 0;  // PhysMem::pt_epoch() the TLB contents reflect
   u64 tlb_hits_ = 0;
   u64 tlb_misses_ = 0;
+  ExitRecord exits_[kExitSlots];
 };
 
 }  // namespace faros::vm

@@ -127,26 +127,6 @@ unsigned mem_access_size(Opcode op) {
   }
 }
 
-bool ends_block(Opcode op) {
-  switch (op) {
-    case Opcode::kJmp:
-    case Opcode::kJr:
-    case Opcode::kBeq:
-    case Opcode::kBne:
-    case Opcode::kBlt:
-    case Opcode::kBge:
-    case Opcode::kBltu:
-    case Opcode::kBgeu:
-    case Opcode::kCall:
-    case Opcode::kCallr:
-    case Opcode::kRet:
-    case Opcode::kSyscall:
-    case Opcode::kHalt:
-    case Opcode::kBrk: return true;
-    default: return false;
-  }
-}
-
 bool taint_inert(Opcode op) {
   switch (op) {
     case Opcode::kLd8:

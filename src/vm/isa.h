@@ -128,7 +128,25 @@ bool is_store(Opcode op);
 unsigned mem_access_size(Opcode op);
 /// True for any opcode that ends a basic block (branches, calls, ret,
 /// syscall, halt, brk).
-bool ends_block(Opcode op);
+inline bool ends_block(Opcode op) {
+  switch (op) {
+    case Opcode::kJmp:
+    case Opcode::kJr:
+    case Opcode::kBeq:
+    case Opcode::kBne:
+    case Opcode::kBlt:
+    case Opcode::kBge:
+    case Opcode::kBltu:
+    case Opcode::kBgeu:
+    case Opcode::kCall:
+    case Opcode::kCallr:
+    case Opcode::kRet:
+    case Opcode::kSyscall:
+    case Opcode::kHalt:
+    case Opcode::kBrk: return true;
+    default: return false;
+  }
+}
 
 /// True when `op` touches no shadow memory, cannot trap and cannot leave
 /// user mode: no loads/stores/push/pop (shadow-memory traffic + memory

@@ -1,12 +1,16 @@
 // Robustness: hostile/garbage inputs must never crash the host — fuzz-ish
-// image parsing, random replay logs, and long-run shadow hygiene across
-// heavy process churn.
+// image parsing, random replay logs, mutated policy files, and long-run
+// shadow hygiene across heavy process churn.
 #include <gtest/gtest.h>
+
+#include <fstream>
+#include <sstream>
 
 #include "attacks/datasets.h"
 #include "attacks/scenarios.h"
 #include "common/rng.h"
 #include "core/engine.h"
+#include "core/rules.h"
 #include "os/machine.h"
 
 namespace faros {
@@ -66,6 +70,56 @@ TEST(Robustness, MutatedReplayLogsNeverCrashDeserialization) {
     }
   }
   SUCCEED();
+}
+
+TEST(Robustness, MutatedPolicyFilesNeverCrashParsing) {
+  // The shipped policy files, mutated by byte flips, inserts (biased to
+  // JSON punctuation and escapes) and truncations. Every mutant the parser
+  // accepts must survive a round trip through ruleset_json unchanged.
+  const char kInserts[] = "{}[]\",:\\ -=<>0123456789azu";
+  for (const char* name : {"default.json", "multistage.json"}) {
+    std::ifstream in(std::string(FAROS_POLICY_DIR) + "/" + name,
+                     std::ios::binary);
+    ASSERT_TRUE(in.good()) << name;
+    std::stringstream buf;
+    buf << in.rdbuf();
+    const std::string file = buf.str();
+    ASSERT_TRUE(core::parse_ruleset_json(file).ok()) << name;
+    Rng rng(2027);
+    u32 accepted = 0;
+    for (int i = 0; i < 3000; ++i) {
+      std::string text = file;
+      const u32 edits = 1 + static_cast<u32>(rng.below(4));
+      for (u32 e = 0; e < edits && !text.empty(); ++e) {
+        const size_t at = rng.below(text.size());
+        switch (rng.below(3)) {
+          case 0:
+            text[at] = static_cast<char>(text[at] ^ (1 + rng.below(255)));
+            break;
+          case 1:
+            text.insert(at, 1,
+                        rng.chance(0.5)
+                            ? kInserts[rng.below(sizeof(kInserts) - 1)]
+                            : static_cast<char>(rng.next_u32()));
+            break;
+          default:
+            text.resize(at);
+            break;
+        }
+      }
+      auto rules = core::parse_ruleset_json(text);  // ok or error, no crash
+      if (!rules.ok()) continue;
+      ++accepted;
+      const std::string round = core::ruleset_json(rules.value());
+      auto back = core::parse_ruleset_json(round);
+      ASSERT_TRUE(back.ok()) << name << " mutant " << i << ": "
+                             << back.error().message << "\n" << text;
+      EXPECT_EQ(back.value(), rules.value()) << name << " mutant " << i;
+      EXPECT_EQ(core::ruleset_json(back.value()), round) << name;
+    }
+    // Whitespace and string-content edits keep some mutants parseable.
+    EXPECT_GT(accepted, 0u) << name;
+  }
 }
 
 TEST(Robustness, SequentialBatteryOnOneMachineKeepsShadowClean) {

@@ -1804,5 +1804,268 @@ TEST(BtCacheGrant, KDivuTrapAndBudgetCutInsideAGrantedBlockStayExact) {
   EXPECT_EQ(on.elided_insns, on_m[obs::Ctr::kBtElidedInsns]);
 }
 
+// --- block chaining: successor links and exit records ----------------------
+
+/// Registers, the retired-instruction count and every run() outcome, for
+/// comparing a chained run with the cache-off reference.
+struct ChainOutcome {
+  u32 regs[vm::kNumRegs] = {};
+  u64 instr_count = 0;
+  std::vector<std::string> steps;  // result, trap, fault, pc per run()
+  u64 chained = 0;
+  u64 evict_smc = 0;
+  u64 evict_cr3 = 0;
+
+  void record(const StepInfo& info) {
+    steps.push_back(std::to_string(static_cast<int>(info.result)) + "/" +
+                    vm::trap_kind_name(info.trap) + "/" +
+                    std::to_string(static_cast<int>(info.fault.kind)) + "@" +
+                    std::to_string(info.fault.va) + "/" +
+                    std::to_string(info.executed));
+  }
+  void finish(const CpuState& cpu, const Interpreter& interp) {
+    std::copy(cpu.regs, cpu.regs + vm::kNumRegs, regs);
+    instr_count = interp.instr_count();
+    if (const vm::BlockCache* btc = interp.block_cache()) {
+      chained = btc->stats().chained;
+      evict_smc = btc->stats().evict_smc;
+      evict_cr3 = btc->stats().evict_cr3;
+    }
+  }
+};
+
+void expect_same_outcome(const ChainOutcome& on, const ChainOutcome& off) {
+  for (u32 r = 0; r < vm::kNumRegs; ++r) {
+    EXPECT_EQ(on.regs[r], off.regs[r]) << "r" << r;
+  }
+  EXPECT_EQ(on.instr_count, off.instr_count);
+  EXPECT_EQ(on.steps, off.steps);
+}
+
+/// `loop: movi r4, imm; movi r0, NtYield; syscall; jmp loop`. After the
+/// first round every round resumes at the jmp, one superblock dispatch.
+Assembler yield_loop(u32 imm) {
+  Assembler a;
+  a.label("loop");
+  a.movi(vm::R4, imm);
+  a.movi(vm::R0, 53);  // NtYield
+  a.syscall_();
+  a.jmp("loop");
+  return a;
+}
+constexpr VAddr kYieldResumePc = kCodeBase + 3 * vm::kInsnSize;
+
+TEST(BtCacheChain, StoreIntoLinkedSuccessorWithinOneQuantumMatchesUncached) {
+  // `tail` runs once on its own early on and links to `succ`. Later the
+  // instrumented `loop` block stores into succ's immediate: the store
+  // evicts succ and cuts loop's dispatch short, so `tail` runs on its own
+  // again, its link still naming the freed succ. Following that link
+  // without the epoch check would run the stale bytes (or freed memory).
+  Assembler a;
+  a.movi(R1, 0);
+  a.movi(R5, 0);
+  a.addpc_label(R2, "scratch");
+  a.movi(R3, 222);
+  a.cmp(R1, R1);
+  a.beq("tail");
+  a.label("loop");
+  a.st32(R2, 4, R3);
+  a.label("tail");
+  a.addi(R1, R1, 1);
+  a.cmpi(R1, 8);
+  a.beq("done");
+  a.label("succ");
+  a.movi(R4, 111);  // imm becomes 222 once R1 reaches 3
+  a.add(R5, R5, R4);
+  a.cmpi(R1, 3);
+  a.bne("loop");
+  a.addpc_label(R2, "succ");  // from now on the store hits succ
+  a.jmp("loop");
+  a.label("done");
+  a.halt();
+  a.label("scratch");
+  a.zeros(8);
+  for (bool instrumented : {false, true}) {
+    auto run = [&](bool cache) {
+      CpuEnv env(cache);
+      vm::ExecHooks plain;  // observes nothing, keeps blocks instrumented
+      if (instrumented) env.interp.set_hooks(&plain);
+      env.load(a);
+      ChainOutcome out;
+      out.record(env.run(10000));
+      out.finish(env.cpu, env.interp);
+      return out;
+    };
+    const ChainOutcome on = run(true);
+    const ChainOutcome off = run(false);
+    expect_same_outcome(on, off);
+    EXPECT_EQ(on.regs[R5], 3 * 111u + 4 * 222u) << instrumented;
+    EXPECT_GE(on.evict_smc, 4u) << instrumented;
+    EXPECT_GT(on.chained, 0u) << instrumented;
+  }
+}
+
+TEST(BtCacheChain, ProtectOrUnmapBetweenQuantaWithALiveExitRecordFaults) {
+  // The yield loop resumes through its exit record every round. Making
+  // the code page non-executable, or unmapping it, between two rounds
+  // changes no code byte and evicts nothing, so only the page-table epoch
+  // (which clears the records with the TLB) stops the next round from
+  // resuming through the old link.
+  constexpr int kRounds = 8;
+  for (bool unmap : {false, true}) {
+    auto run = [&](bool cache) {
+      CpuEnv env(cache);
+      env.load(yield_loop(7));
+      ChainOutcome out;
+      for (int i = 0; i < kRounds; ++i) out.record(env.run(256));
+      if (unmap) {
+        EXPECT_TRUE(env.as.unmap_range(kCodeBase, 0x1000, false).ok());
+      } else {
+        EXPECT_TRUE(
+            env.as.protect_range(kCodeBase, 0x1000, vm::kPteUser).ok());
+      }
+      out.record(env.run(256));
+      out.finish(env.cpu, env.interp);
+      return out;
+    };
+    const ChainOutcome on = run(true);
+    const ChainOutcome off = run(false);
+    expect_same_outcome(on, off);
+    EXPECT_EQ(on.steps.back(),
+              std::string("3/memory-fault/") +
+                  std::to_string(static_cast<int>(
+                      unmap ? vm::FaultKind::kNotMapped
+                            : vm::FaultKind::kProtExec)) +
+                  "@" + std::to_string(kYieldResumePc) + "/0")
+        << unmap;
+    // Every round after the first three resumed through a link.
+    EXPECT_EQ(on.chained, kRounds - 3u) << unmap;
+  }
+}
+
+TEST(BtCacheChain, RecycledCr3ResumingAtTheSamePcRunsItsOwnCode) {
+  // The first space leaves its exit record at the yield loop's jmp and
+  // dies without its blocks being evicted (no kernel here). The next space
+  // gets the same CR3, maps its own code at the same VA on other frames,
+  // and resumes at that very pc: it must run its own movi.
+  auto run = [](bool cache) {
+    CpuEnv env(cache);
+    auto blob1 = yield_loop(1).assemble(kCodeBase);
+    auto blob2 = yield_loop(2).assemble(kCodeBase);
+    EXPECT_TRUE(blob1.ok() && blob2.ok());
+    auto make_space = [&](const Bytes& code) {
+      AddressSpace s = AddressSpace::create(env.mem, env.frames).value();
+      EXPECT_TRUE(
+          s.map_alloc(kCodeBase, 0x1000, vm::kPteUser | vm::kPteExec).ok());
+      EXPECT_TRUE(s.copy_in(kCodeBase, code, false).ok());
+      return s;
+    };
+    ChainOutcome out;
+    AddressSpace first = make_space(blob1.value());
+    CpuState c1;
+    c1.set_pc(kCodeBase);
+    for (int i = 0; i < 6; ++i) out.record(env.interp.run(c1, first, 256));
+    const PAddr cr3 = first.cr3();
+    // Keep the user frames allocated so the successor cannot land on them.
+    first.destroy(/*free_user_frames=*/false);
+    AddressSpace second = make_space(blob2.value());
+    EXPECT_EQ(second.cr3(), cr3);
+    CpuState c2;
+    c2.set_pc(kYieldResumePc);
+    out.record(env.interp.run(c2, second, 256));
+    out.finish(c2, env.interp);
+    return out;
+  };
+  const ChainOutcome on = run(true);
+  const ChainOutcome off = run(false);
+  expect_same_outcome(on, off);
+  EXPECT_EQ(on.regs[vm::R4], 2u);
+  EXPECT_GT(on.chained, 0u);
+}
+
+TEST(BtCacheChain, FlushAllMidChainMatchesUncached) {
+  // A chained hot loop, then a sled of more one-instruction blocks than
+  // the cache holds: translate() flushes every block in the middle of a
+  // chain, freeing the block the loop just left, and the program returns
+  // to the hot loop afterwards. Run whole and in odd slices, so exit
+  // records straddle the flush too.
+  constexpr VAddr kBase = 0x100000;
+  constexpr u32 kSled = vm::BlockCache::kMaxBlocks + 64;
+  Assembler a;
+  a.movi(vm::R6, 0);
+  a.label("restart");
+  a.movi(R1, 0);
+  a.label("hot");
+  a.addi(R5, R5, 3);
+  a.addi(R1, R1, 1);
+  a.cmpi(R1, 50);
+  a.bltu("hot");
+  Bytes sled;
+  for (u32 i = 0; i < kSled; ++i) {
+    Instruction bne{};  // to the next instruction, taken or not
+    bne.op = Opcode::kBne;
+    vm::encode(bne, sled);
+  }
+  a.data(sled);
+  a.addi(vm::R6, vm::R6, 1);
+  a.cmpi(vm::R6, 2);
+  a.bltu("restart");
+  a.halt();
+  for (u64 slice : {u64{1} << 20, u64{997}}) {
+    auto run = [&](bool cache) {
+      CpuEnv env(cache);
+      env.load(a, kBase);
+      ChainOutcome out;
+      for (;;) {
+        const StepInfo info = env.run(slice);
+        out.record(info);
+        if (info.result != StepResult::kBudget) break;
+      }
+      out.finish(env.cpu, env.interp);
+      return out;
+    };
+    const ChainOutcome on = run(true);
+    const ChainOutcome off = run(false);
+    expect_same_outcome(on, off);
+    EXPECT_EQ(on.regs[R5], 2 * 50 * 3u) << slice;
+    EXPECT_GE(on.evict_cr3, vm::BlockCache::kMaxBlocks) << slice;
+    EXPECT_GE(on.chained, 2 * 45u) << slice;
+  }
+}
+
+TEST(BtCacheChain, TogglingTheCacheOffAndOnMatchesUncached) {
+  // The yield loop leaves an exit record; the cache is switched off, the
+  // loop's immediate patched and a round run uncached, then the cache is
+  // switched on again (a fresh cache, whose epoch starts over) and the
+  // immediate patched once more. The old record names a block of the
+  // destroyed cache at an epoch the new one reaches again.
+  auto patch = [](CpuEnv& env, u32 imm) {
+    Bytes word(4);
+    std::memcpy(word.data(), &imm, 4);
+    EXPECT_TRUE(env.as.copy_in(kCodeBase + 4, word, false).ok());
+  };
+  auto run = [&](bool cache) {
+    CpuEnv env(cache);
+    env.load(yield_loop(1));
+    ChainOutcome out;
+    for (int i = 0; i < 6; ++i) out.record(env.run(256));
+    out.steps.push_back("r4=" + std::to_string(env.cpu.regs[vm::R4]));
+    env.interp.set_block_cache_enabled(false);
+    patch(env, 2);
+    out.record(env.run(256));
+    out.steps.push_back("r4=" + std::to_string(env.cpu.regs[vm::R4]));
+    env.interp.set_block_cache_enabled(cache);
+    patch(env, 3);
+    for (int i = 0; i < 4; ++i) out.record(env.run(256));
+    out.finish(env.cpu, env.interp);
+    return out;
+  };
+  const ChainOutcome on = run(true);
+  const ChainOutcome off = run(false);
+  expect_same_outcome(on, off);
+  EXPECT_EQ(on.regs[vm::R4], 3u);
+  EXPECT_GT(on.chained, 0u);
+}
+
 }  // namespace
 }  // namespace faros
