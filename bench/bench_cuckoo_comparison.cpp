@@ -4,8 +4,10 @@
 //   * malfind finds *resident* injected regions in the dump but yields no
 //     provenance (no netflow, no injector linkage);
 //   * malfind misses the *transient* variant that wipes itself;
-//   * FAROS flags every case and provides the full provenance chain.
-#include <memory>
+//   * FAROS flags every case, and a flagged instruction's fetch chain names
+//     the source, the injector and the target in order (Table II for the
+//     reflective rows, Fig. 10 for hollowing).
+#include <initializer_list>
 
 #include "baselines/cuckoo.h"
 #include "bench_util.h"
@@ -15,16 +17,15 @@ using namespace faros;
 namespace {
 
 struct Row {
-  std::string name;
   bool cuckoo_event = false;
   bool cuckoo_malfind = false;
   bool faros = false;
-  bool faros_provenance = false;
+  bool faros_chain = false;  // a non-whitelisted finding has `chain`
 };
 
-Row evaluate(attacks::Scenario& sc) {
+Row evaluate(attacks::Scenario& sc,
+             std::initializer_list<const char*> chain) {
   Row row;
-  row.name = sc.name();
   // Cuckoo side: live run with the monitor, dump at the end.
   {
     os::Machine m;
@@ -39,11 +40,14 @@ Row evaluate(attacks::Scenario& sc) {
     row.cuckoo_event = cuckoo.behavioral_verdict();
     row.cuckoo_malfind = !baselines::malfind(dump).empty();
   }
-  // FAROS side: record + replay under the taint engine.
+  // FAROS side: the analyzed run under the taint engine.
   auto run = bench::must_analyze(sc);
   row.faros = run.flagged;
-  for (const auto& f : run.findings) {
-    if (f.fetch_prov != core::kEmptyProv) row.faros_provenance = true;
+  for (size_t i = 0; i < run.findings.size(); ++i) {
+    if (run.findings[i].whitelisted) continue;
+    if (bench::names_in_order(run.fetch_chains[i], chain)) {
+      row.faros_chain = true;
+    }
   }
   return row;
 }
@@ -53,41 +57,36 @@ Row evaluate(attacks::Scenario& sc) {
 int main() {
   bench::heading("Section VI-B — FAROS vs CuckooBox (+ malfind)");
 
-  std::vector<std::unique_ptr<attacks::Scenario>> scenarios;
-  scenarios.push_back(std::make_unique<attacks::ReflectiveDllScenario>(
-      attacks::ReflectiveVariant::kMeterpreter));
-  scenarios.push_back(std::make_unique<attacks::ReflectiveDllScenario>(
-      attacks::ReflectiveVariant::kMeterpreter, /*transient=*/true));
-  scenarios.push_back(std::make_unique<attacks::HollowingScenario>());
-  scenarios.push_back(
-      std::make_unique<attacks::RatInjectionScenario>("darkcomet"));
-
-  const char* labels[] = {
-      "reflective DLL inject (resident)",
-      "reflective DLL inject (transient)",
-      "process hollowing",
-      "code injection (RAT)",
-  };
-
   std::printf("%-36s %-14s %-16s %-8s %s\n", "attack", "cuckoo-events",
               "cuckoo+malfind", "FAROS", "FAROS provenance");
-  int i = 0;
   bool ok = true;
-  for (auto& sc : scenarios) {
-    Row row = evaluate(*sc);
-    std::printf("%-36s %-14s %-16s %-8s %s\n", labels[i],
-                row.cuckoo_event ? "detected" : "blind",
-                row.cuckoo_malfind ? "detected" : "MISSED",
-                row.faros ? "FLAGGED" : "missed",
-                row.faros_provenance ? "full chain" : "-");
-    // Expected shape per the paper:
-    ok &= !row.cuckoo_event;          // event-based always blind
-    ok &= row.faros;                  // FAROS always flags
-    ok &= row.faros_provenance;       // ...with provenance
-    if (i == 1) ok &= !row.cuckoo_malfind;  // transient evades the dump
-    if (i == 0 || i == 2) ok &= row.cuckoo_malfind;  // resident is found
-    ++i;
-  }
+  // One row of the EXPERIMENTS.md matrix. Expected shape per the paper:
+  // the event-based sandbox is always blind, malfind finds exactly the
+  // resident injections, and FAROS flags every row with its full chain.
+  auto row = [&](const char* label, attacks::Scenario&& sc, bool resident,
+                 std::initializer_list<const char*> chain) {
+    Row r = evaluate(sc, chain);
+    std::printf("%-36s %-14s %-16s %-8s %s\n", label,
+                r.cuckoo_event ? "detected" : "blind",
+                r.cuckoo_malfind ? "detected" : "MISSED",
+                r.faros ? "FLAGGED" : "missed",
+                r.faros_chain ? "full chain" : "-");
+    ok &= !r.cuckoo_event;
+    ok &= r.cuckoo_malfind == resident;
+    ok &= r.faros;
+    ok &= r.faros_chain;
+  };
+  row("reflective DLL inject (resident)",
+      attacks::ReflectiveDllScenario(attacks::ReflectiveVariant::kMeterpreter),
+      /*resident=*/true, {"NetFlow", "inject_client.exe", "notepad.exe"});
+  row("reflective DLL inject (transient)",
+      attacks::ReflectiveDllScenario(attacks::ReflectiveVariant::kMeterpreter,
+                                     /*transient=*/true),
+      /*resident=*/false, {"NetFlow", "inject_client.exe", "notepad.exe"});
+  row("process hollowing", attacks::HollowingScenario(), /*resident=*/true,
+      {"File: ", "invoice.exe", "process_hollowing.exe", "svchost.exe"});
+  row("code injection (RAT)", attacks::RatInjectionScenario("darkcomet"),
+      /*resident=*/true, {"NetFlow", "darkcomet.exe", "explorer.exe"});
 
   std::printf("\npaper shape: cuckoo alone cannot flag; malfind flags "
               "resident injections only (and knows nothing about their "

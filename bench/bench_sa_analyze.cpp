@@ -1,8 +1,8 @@
 // bench_sa_analyze — throughput of the static FV32 analyzer (src/sa) over
 // the full scenario corpus: images/sec and basic blocks/sec for the whole
-// pipeline (image extraction excluded; decode + CFG recovery + dataflow
-// fixpoint + rules included). faros_lint runs this pipeline over the
-// corpus; the CI gate catches an accidentally superlinear pass.
+// pipeline (image extraction excluded; decode + CFG recovery + call graph,
+// summaries and dataflow to the indirect-target fixpoint included). The CI
+// gate catches an accidentally superlinear pass.
 #include "attacks/corpus.h"
 #include "bench_util.h"
 #include "sa/analyzer.h"
@@ -36,15 +36,14 @@ int main() {
   }
 
   constexpr u32 kRounds = 20;
-  u64 blocks = 0, insns = 0, findings = 0;
+  u64 blocks = 0, insns = 0;
   double secs = bench::time_s([&] {
     for (u32 round = 0; round < kRounds; ++round) {
-      blocks = insns = findings = 0;
+      blocks = insns = 0;
       for (const auto& p : programs) {
         sa::ProgramReport rep = sa::analyze_images(p.name, p.images);
         blocks += rep.blocks;
         insns += rep.insns;
-        findings += rep.findings;
       }
     }
   });
@@ -58,16 +57,15 @@ int main() {
               static_cast<unsigned long long>(blocks),
               static_cast<unsigned long long>(insns));
   std::printf("%u rounds in %.3fs: %.0f programs/s, %.0f images/s, "
-              "%.0f blocks/s, %.2fM insns/s, %llu findings/round\n",
+              "%.0f blocks/s, %.2fM insns/s\n",
               kRounds, secs, analyses / secs, images_s, blocks_s,
-              insns_s / 1e6, static_cast<unsigned long long>(findings));
+              insns_s / 1e6);
 
   JsonWriter w;
   w.field("programs", static_cast<u64>(programs.size()))
       .field("images", total_images)
       .field("blocks", blocks)
       .field("insns", insns)
-      .field("findings", findings)
       .field("rounds", kRounds)
       .field("seconds", secs)
       .field("images_per_s", images_s)

@@ -111,7 +111,6 @@ class FarosEngine : public vm::ExecHooks, public osi::GuestMonitor {
   vm::ElisionGrants elision_grants() override {
     return {shadow_.epoch(), &granted_};
   }
-  bool observes_blocks() const override { return false; }
 
   // osi::GuestMonitor
   void on_process_start(const osi::ProcessInfo& p) override;

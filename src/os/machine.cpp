@@ -2,6 +2,22 @@
 
 namespace faros::os {
 
+namespace {
+
+/// Delivers one logged input to the guest, as the recorded run received it.
+void deliver(Kernel& kernel, const vm::ReplayEvent& ev) {
+  switch (ev.kind) {
+    case vm::EventKind::kPacketIn:
+      (void)kernel.deliver_packet(ev.flow, ev.payload);
+      break;
+    case vm::EventKind::kDeviceInput:
+      kernel.deliver_device(ev.channel, ev.payload);
+      break;
+  }
+}
+
+}  // namespace
+
 Machine::Machine(const MachineConfig& cfg) : kernel_(cfg.kernel) {}
 
 void Machine::load_replay(const vm::ReplayLog& log) {
@@ -43,15 +59,7 @@ void Machine::pump_events() {
     while (replay_pos_ < events.size() &&
            events[replay_pos_].instr_index <=
                kernel_.interp().instr_count()) {
-      const vm::ReplayEvent& ev = events[replay_pos_++];
-      switch (ev.kind) {
-        case vm::EventKind::kPacketIn:
-          (void)kernel_.deliver_packet(ev.flow, ev.payload);
-          break;
-        case vm::EventKind::kDeviceInput:
-          kernel_.deliver_device(ev.channel, ev.payload);
-          break;
-      }
+      deliver(kernel_, events[replay_pos_++]);
     }
   } else if (source_) {
     source_->poll(*this);
@@ -67,15 +75,7 @@ RunStats Machine::run(u64 max_instructions, RunGovernor* gov) {
       // Nothing runnable. In replay, fast-forward to the next logged event
       // (the recorded run was waiting on exactly this input).
       if (replay_mode_ && replay_pos_ < replay_.size()) {
-        const vm::ReplayEvent& ev = replay_.events()[replay_pos_++];
-        switch (ev.kind) {
-          case vm::EventKind::kPacketIn:
-            (void)kernel_.deliver_packet(ev.flow, ev.payload);
-            break;
-          case vm::EventKind::kDeviceInput:
-            kernel_.deliver_device(ev.channel, ev.payload);
-            break;
-        }
+        deliver(kernel_, replay_.events()[replay_pos_++]);
         continue;
       }
       stats.all_exited = kernel_.live_count() == 0;

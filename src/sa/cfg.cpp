@@ -5,16 +5,6 @@
 
 namespace faros::sa {
 
-const char* edge_kind_name(EdgeKind k) {
-  switch (k) {
-    case EdgeKind::kFall: return "fall";
-    case EdgeKind::kTaken: return "taken";
-    case EdgeKind::kCall: return "call";
-    case EdgeKind::kIndirect: return "indirect";
-  }
-  return "?";
-}
-
 const BasicBlock* Cfg::block_containing(u32 va) const {
   auto it = blocks.upper_bound(va);
   if (it == blocks.begin()) return nullptr;

@@ -26,8 +26,6 @@ enum class EdgeKind : u8 {
   kIndirect,  // resolved kJr target
 };
 
-const char* edge_kind_name(EdgeKind k);
-
 struct Edge {
   u32 target = 0;  // successor block start va
   EdgeKind kind = EdgeKind::kFall;
@@ -46,8 +44,8 @@ struct BasicBlock {
   const vm::Instruction& terminator() const { return insns.back(); }
 };
 
-/// One kJr/kCallr site. Unresolved sites are the static blind spot every
-/// injection-shaped rule keys on.
+/// One kJr/kCallr site. Unresolved sites are the static blind spot of the
+/// recovered CFG.
 struct IndirectSite {
   u32 va = 0;
   vm::Opcode op = vm::Opcode::kJr;
@@ -84,8 +82,6 @@ struct Cfg {
   bool contains(u32 va) const { return va >= base && va - base < size; }
   /// Block whose [start, end) covers `va`, or null.
   const BasicBlock* block_containing(u32 va) const;
-  /// True when `va` lies inside a recovered (reachable) block.
-  bool in_code(u32 va) const { return block_containing(va) != nullptr; }
 };
 
 /// Recovers the CFG. `resolved_indirects` maps a kJr/kCallr site va to its

@@ -123,8 +123,8 @@ void transfer(const vm::Instruction& insn, u32 va, RegState& st) {
     case Opcode::kCallr: r[vm::LR] = AbsVal::konst(next); break;
 
     // Syscall results (handles, alloc bases, recv lengths) are as
-    // runtime-derived as loaded bytes — both carry the from_load mark so
-    // the rules can spot control flow through kernel-produced values.
+    // runtime-derived as loaded bytes — both carry the from_load mark, so
+    // control flow through kernel-produced values stays recognisable.
     case Opcode::kSyscall: r[vm::R0] = AbsVal::varies(true, va); break;
 
     case Opcode::kNop:
@@ -196,26 +196,11 @@ DataflowResult run_dataflow(const Cfg& cfg, const CallModel* model) {
     u32 start = *worklist.begin();
     worklist.erase(worklist.begin());
     const BasicBlock& blk = cfg.blocks.at(start);
-    ++res.iterations;
 
     RegState st = res.block_in.at(start);
     for (size_t i = 0; i < blk.insns.size(); ++i) {
       const vm::Instruction& insn = blk.insns[i];
       u32 va = blk.insn_va(i);
-      if (vm::is_load(insn.op) || vm::is_store(insn.op)) {
-        u8 base = (insn.op == Opcode::kPush || insn.op == Opcode::kPop)
-                      ? static_cast<u8>(vm::SP)
-                      : insn.rs1;
-        res.mem_base_value[va] = st.regs[base];
-      }
-      if (vm::is_store(insn.op)) {
-        u8 src = insn.op == Opcode::kPush ? insn.rs1 : insn.rs2;
-        res.store_value[va] = st.regs[src];
-      }
-      if (insn.op == Opcode::kSyscall) {
-        auto& args = res.syscall_args[va];
-        for (u32 j = 0; j < 5; ++j) args[j] = st.regs[j];
-      }
       if (vm::is_indirect_branch(insn.op)) {
         res.indirect_value[va] = st.regs[insn.rs1];
       }

@@ -1,11 +1,10 @@
 // Forward dataflow over the recovered CFG: a per-register constant /
 // taint-shape lattice propagated by a worklist. Its one job is to prove
-// things about indirect control flow and store targets before any
-// instruction executes — resolve kMovi/kAddPc-fed kJr/kCallr sites, and
-// tell the rules whether a branch register or store address is a known
-// constant, an unknown, or something derived from memory or a syscall
-// result (the classic "loaded pointer" shape every injection loader
-// exhibits).
+// things about indirect control flow before any instruction executes:
+// resolve kMovi/kAddPc-fed kJr/kCallr sites, and tell whether a branch
+// register is a known constant, an unknown, or something derived from
+// memory or a syscall result (the classic "loaded pointer" shape every
+// injection loader exhibits).
 //
 // Lattice per register: kUnknown (bottom, never written on this path) ->
 // kConst(c) -> kVaries (top), plus a monotone from_load bit that survives
@@ -103,13 +102,6 @@ struct DataflowResult {
   std::map<u32, RegState> block_in;
   /// Abstract value of rs1 at each kJr/kCallr site, keyed by site va.
   std::map<u32, AbsVal> indirect_value;
-  /// Abstract base-register value at each load/store site, keyed by va.
-  std::map<u32, AbsVal> mem_base_value;
-  /// Abstract value being stored at each store site (st*: rs2, push: rs1).
-  std::map<u32, AbsVal> store_value;
-  /// Pre-state of R0..R4 (service number + args) at each kSyscall site.
-  std::map<u32, std::array<AbsVal, 5>> syscall_args;
-  u32 iterations = 0;  // block visits until the fixpoint
 };
 
 /// Worklist fixpoint over `cfg`. Roots (entry, exports, resolved indirect

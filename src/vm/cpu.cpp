@@ -115,7 +115,6 @@ void Interpreter::set_hooks(ExecHooks* hooks) {
   if (hooks != hooks_ && btc_) btc_->forget_plugin_state();
   hooks_ = hooks;
   grants_ = hooks ? hooks->elision_grants() : ElisionGrants{};
-  observe_blocks_ = hooks && hooks->observes_blocks();
 }
 
 void Interpreter::set_block_cache_enabled(bool on) {
@@ -197,20 +196,11 @@ StepInfo Interpreter::run(CpuState& cpu, const AddressSpace& as,
 }
 
 [[gnu::always_inline]] inline StepInfo Interpreter::exec_fast(
-    CpuState& cpu, PAddr cr3, const TranslatedBlock& block, u32 count) {
+    CpuState& cpu, const TranslatedBlock& block, u32 count) {
   StepInfo info;
   const Instruction* insns = block.insns.data();
-  auto begin_block = [&] {
-    ++block_count_;
-    if (observe_blocks_) hooks_->on_block_begin(cr3, cpu.pc());
-  };
-  // Only the first instruction and the chained segment's first one can
-  // begin a dynamic basic block: every other block-ending opcode is last.
-  if (at_block_start_) begin_block();
-  at_block_start_ = false;
   u32 i = 0;
   for (; i < count; ++i) {
-    if (i == block.split) begin_block();
     const Instruction& insn = insns[i];
     const u32 next_pc = cpu.pc() + kInsnSize;
     u32 new_pc = next_pc;
@@ -219,7 +209,6 @@ StepInfo Interpreter::run(CpuState& cpu, const AddressSpace& as,
       info.result = StepResult::kTrap;
       info.trap = TrapKind::kDivZero;
       info.pc = cpu.pc();
-      at_block_start_ = true;
       break;
     }
     if (op == RegOp::kOther) {  // the final kSyscall
@@ -228,7 +217,6 @@ StepInfo Interpreter::run(CpuState& cpu, const AddressSpace& as,
     }
     cpu.set_pc(new_pc);
   }
-  if (i != 0 && ends_block(insns[i - 1].op)) at_block_start_ = true;
   instr_count_ += i;
   info.executed = i;
   return info;
@@ -262,7 +250,6 @@ StepInfo Interpreter::run_blocks(CpuState& cpu, const AddressSpace& as,
     t.result = StepResult::kTrap;
     t.trap = kind;
     if (fault) t.fault = *fault;
-    at_block_start_ = true;
     return stop(t);
   };
   while (executed < max_insns) {
@@ -318,7 +305,7 @@ StepInfo Interpreter::run_blocks(CpuState& cpu, const AddressSpace& as,
       // accounting would repeat what they did at the stamp, so a
       // full-length body only adds its delta to the tally. A kDivu trap
       // reports its prefix, exactly, since the guard's answer still holds.
-      one = exec_fast(cpu, cr3, *b, n);
+      one = exec_fast(cpu, *b, n);
       if (one.executed == n) {
         ++grants_.tally->blocks;
         grants_.tally->insns += n;
@@ -331,7 +318,7 @@ StepInfo Interpreter::run_blocks(CpuState& cpu, const AddressSpace& as,
       // instructions, a final kSyscall returning to the kernel, or stops
       // at a kDivu dividing by zero; the plugin accounts for the prefix
       // that retired.
-      one = exec_fast(cpu, cr3, *b, take);
+      one = exec_fast(cpu, *b, take);
       if (hooks_) hooks_->on_block_elided(*b, static_cast<u32>(one.executed));
     } else if (!hooks_) {
       one = exec_cached<false>(cpu, as, *b, take);
@@ -413,7 +400,6 @@ StepInfo Interpreter::exec_one(CpuState& cpu, const AddressSpace& as) {
   auto trap = [&](TrapKind kind) {
     info.result = StepResult::kTrap;
     info.trap = kind;
-    at_block_start_ = true;
     return info;
   };
 
@@ -441,15 +427,8 @@ StepInfo Interpreter::exec_decoded(CpuState& cpu, const AddressSpace& as,
   auto trap = [&](TrapKind kind) {
     info.result = StepResult::kTrap;
     info.trap = kind;
-    at_block_start_ = true;
     return info;
   };
-
-  if (at_block_start_) {
-    ++block_count_;
-    at_block_start_ = false;
-    if (observe_blocks_) hooks_->on_block_begin(as.cr3(), cpu.pc());
-  }
 
   std::conditional_t<kInstrumented, InsnEvent, NoEvent> ev;
   if constexpr (kInstrumented) {
@@ -556,7 +535,6 @@ StepInfo Interpreter::exec_decoded(CpuState& cpu, const AddressSpace& as,
   ++instr_count_;
   info.executed = 1;
   if constexpr (kInstrumented) ev.instr_index = instr_count_;
-  if (ends_block(insn.op)) at_block_start_ = true;
   if constexpr (kInstrumented) {
     if (hooks_) hooks_->on_insn_retired(ev, as);
   }

@@ -112,18 +112,6 @@ struct ElisionGrants {
 class ExecHooks {
  public:
   virtual ~ExecHooks() = default;
-  /// A new dynamic basic block begins at `pc` in the space identified by
-  /// `cr3` (a superblock's chained segment begins one too). Called only
-  /// when observes_blocks() is true.
-  virtual void on_block_begin(PAddr cr3, VAddr pc) {
-    (void)cr3;
-    (void)pc;
-  }
-  /// Whether on_block_begin wants calls, read once by
-  /// Interpreter::set_hooks (like MonitorBus::observes_syscalls). A plugin
-  /// that ignores block boundaries answers false and saves a virtual call
-  /// per dispatch.
-  virtual bool observes_blocks() const { return true; }
   /// One instruction retired.
   virtual void on_insn_retired(const InsnEvent& ev, const AddressSpace& as) {
     (void)ev;
@@ -141,9 +129,8 @@ class ExecHooks {
   /// kJmp, whose bytes block.pa_of() locates. Returning true lets the
   /// interpreter run the body through its register-only fast body, with no
   /// per-instruction callbacks or events, and then report what retired
-  /// through on_block_elided; on_block_begin still fires once per dynamic
-  /// basic block (a chained segment begins one) for a plugin that observes
-  /// blocks, and a final kSyscall still returns to the kernel. The guard
+  /// through on_block_elided; a final kSyscall still returns to the
+  /// kernel. The guard
   /// must leave the plugin's analysis state untouched: the body has not
   /// run yet. The default keeps every plugin on the instrumented path.
   virtual bool try_elide_block(const TranslatedBlock& block) {
@@ -184,9 +171,9 @@ class Interpreter {
   explicit Interpreter(PhysMem& mem);
   ~Interpreter();
 
-  /// Attaches the analysis plugin and reads its elision grants and
-  /// observes_blocks(). A different plugin than before drops what the
-  /// previous one cached on translated blocks (their grants).
+  /// Attaches the analysis plugin and reads its elision grants. A
+  /// different plugin than before drops what the previous one cached on
+  /// translated blocks (their grants).
   void set_hooks(ExecHooks* hooks);
   ExecHooks* hooks() const { return hooks_; }
 
@@ -208,19 +195,16 @@ class Interpreter {
   /// Runs at most `max_insns` instructions of `cpu` inside `as`.
   StepInfo run(CpuState& cpu, const AddressSpace& as, u64 max_insns);
 
-  /// Number of basic blocks entered so far (for tests/stats).
-  u64 block_count() const { return block_count_; }
-
   u64 tlb_hits() const { return tlb_hits_; }
   u64 tlb_misses() const { return tlb_misses_; }
 
  private:
   StepInfo exec_one(CpuState& cpu, const AddressSpace& as);
 
-  /// Post-decode execution of one instruction (block-begin bookkeeping,
-  /// the opcode switch, retirement). kInstrumented selects whether the
-  /// InsnEvent is built and on_insn_retired fired; both variants retire
-  /// identical architectural state.
+  /// Post-decode execution of one instruction (the opcode switch,
+  /// retirement). kInstrumented selects whether the InsnEvent is built
+  /// and on_insn_retired fired; both variants retire identical
+  /// architectural state.
   template <bool kInstrumented>
   StepInfo exec_decoded(CpuState& cpu, const AddressSpace& as,
                         const Instruction& insn, PAddr pc_pa);
@@ -239,8 +223,8 @@ class Interpreter {
   /// The register-only fast body: runs up to `count` instructions of an
   /// elidable block, stopping after a final kSyscall or at a kDivu
   /// dividing by zero (which does not retire). Inlined into run_blocks.
-  inline StepInfo exec_fast(CpuState& cpu, PAddr cr3,
-                            const TranslatedBlock& block, u32 count);
+  inline StepInfo exec_fast(CpuState& cpu, const TranslatedBlock& block,
+                            u32 count);
 
   bool mem_read(const AddressSpace& as, VAddr va, unsigned size, u32* value,
                 PAddr* first_pa, Fault* fault);
@@ -288,11 +272,8 @@ class Interpreter {
   PhysMem* mem_;
   ExecHooks* hooks_ = nullptr;
   ElisionGrants grants_;  // hooks_->elision_grants(), read at set_hooks
-  bool observe_blocks_ = false;  // hooks_->observes_blocks(), ditto
   std::unique_ptr<BlockCache> btc_;  // null when the cache is disabled
   u64 instr_count_ = 0;
-  u64 block_count_ = 0;
-  bool at_block_start_ = true;
   TlbEntry tlb_[kTlbSize];
   u64 tlb_epoch_ = 0;  // PhysMem::pt_epoch() the TLB contents reflect
   u64 tlb_hits_ = 0;

@@ -29,11 +29,6 @@ class Tracer : public ExecHooks {
   /// Downstream plugin invoked after recording (e.g. the FAROS engine).
   void chain(ExecHooks* next) { next_ = next; }
 
-  void on_block_begin(PAddr cr3, VAddr pc) override {
-    ++blocks_;
-    if (next_) next_->on_block_begin(cr3, pc);
-  }
-
   void on_insn_retired(const InsnEvent& ev, const AddressSpace& as) override {
     Entry e;
     e.instr_index = ev.instr_index;
@@ -54,7 +49,6 @@ class Tracer : public ExecHooks {
 
   const std::deque<Entry>& entries() const { return ring_; }
   u64 total() const { return total_; }
-  u64 blocks() const { return blocks_; }
   size_t capacity() const { return capacity_; }
 
   /// Instructions retired in the address space identified by `cr3`.
@@ -70,7 +64,6 @@ class Tracer : public ExecHooks {
     ring_.clear();
     per_space_.clear();
     total_ = 0;
-    blocks_ = 0;
   }
 
  private:
@@ -79,7 +72,6 @@ class Tracer : public ExecHooks {
   std::deque<Entry> ring_;
   std::unordered_map<PAddr, u64> per_space_;
   u64 total_ = 0;
-  u64 blocks_ = 0;
 };
 
 }  // namespace faros::vm

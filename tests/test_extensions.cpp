@@ -254,9 +254,9 @@ TEST(EarlyWarning, TaintedCodeWritePolicyFiresAtStagingTime) {
 }
 
 TEST(IsaNames, EveryValidOpcodeHasADistinctNonNullName) {
-  // Disassembly, the static analyzer's findings, and the lint JSONL all
-  // key on opcode_name(); a missing or duplicated mnemonic would silently
-  // corrupt every one of them.
+  // Disassembly, and through it every finding's disasm field, keys on
+  // opcode_name(); a missing or duplicated mnemonic would silently corrupt
+  // it.
   std::set<std::string> seen;
   u32 valid = 0;
   for (u32 b = 0; b < 256; ++b) {

@@ -653,8 +653,8 @@ TEST(TriageCli, FlagsParseAndBadValuesAreRejected) {
 
   // Errors: unknown flags and missing values are reported, not swallowed.
   EXPECT_FALSE(parse_triage_cli({"--bogus"}).ok());
-  // The farm runs no static pass any more (faros_lint scores the
-  // analyzer), so the static verdict flag is an unknown option.
+  // The farm runs no static pass, so the static verdict flag is an
+  // unknown option.
   for (const char* no : {"", "no-"}) {
     const std::string gone = std::string("--") + no + "static-" + "prefilter";
     farm::TriageCliResult r = parse_triage_cli({gone});

@@ -1,16 +1,19 @@
 // Robustness: hostile/garbage inputs must never crash the host — fuzz-ish
-// image parsing, random replay logs, mutated policy files, and long-run
-// shadow hygiene across heavy process churn.
+// image parsing, random replay logs, mutated policy files, mutated
+// faros_triage argv, and long-run shadow hygiene across heavy process churn.
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <iterator>
 #include <sstream>
+#include <utility>
 
 #include "attacks/datasets.h"
 #include "attacks/scenarios.h"
 #include "common/rng.h"
 #include "core/engine.h"
 #include "core/rules.h"
+#include "farm/triage_cli.h"
 #include "os/machine.h"
 
 namespace faros {
@@ -120,6 +123,60 @@ TEST(Robustness, MutatedPolicyFilesNeverCrashParsing) {
     // Whitespace and string-content edits keep some mutants parseable.
     EXPECT_GT(accepted, 0u) << name;
   }
+}
+
+TEST(Robustness, MutatedTriageArgvNeverCrashParsing) {
+  // A valid faros_triage argv, mutated by dropped, duplicated and swapped
+  // tokens, flags used as values, and values that do not fit their option.
+  // The parser must neither crash nor throw, and a rejection must say why.
+  const std::vector<std::string> valid = {
+      "--workers", "4", "--jobs", "20", "--filter", "jit", "--category",
+      "injection", "--timeout-ms", "1234", "--budget", "99", "--out",
+      "r.jsonl", "--metrics", "m.jsonl", "--graph-out", "graphs",
+      "--policies", "a.json,b.json", "--quiet"};
+  ASSERT_TRUE(farm::parse_triage_cli(valid).ok());
+  const char* kFlags[] = {"--workers", "--jobs", "--timeout-ms", "--budget",
+                          "--filter", "--policies", "--out", "--quiet",
+                          "--list", "--help"};
+  const char* kValues[] = {"-1", "", "0x10", "18446744073709551616",
+                           "4294967296", "+3", " 7", "0", ",",
+                           "a/x.json,b/x.json"};
+  Rng rng(4099);
+  u32 accepted = 0, rejected = 0;
+  for (int i = 0; i < 4000; ++i) {
+    std::vector<std::string> args = valid;
+    const u32 edits = 1 + static_cast<u32>(rng.below(4));
+    for (u32 e = 0; e < edits && !args.empty(); ++e) {
+      const size_t at = rng.below(args.size());
+      switch (rng.below(5)) {
+        case 0: args.erase(args.begin() + static_cast<long>(at)); break;
+        case 1: {
+          std::string dup = args[at];
+          args.insert(args.begin() + static_cast<long>(at), std::move(dup));
+          break;
+        }
+        case 2: std::swap(args[at], args[rng.below(args.size())]); break;
+        case 3: args[at] = kFlags[rng.below(std::size(kFlags))]; break;
+        default: args[at] = kValues[rng.below(std::size(kValues))]; break;
+      }
+    }
+    std::string joined;
+    for (const std::string& a : args) joined += " '" + a + "'";
+    farm::TriageCliResult r;
+    EXPECT_NO_THROW(r = farm::parse_triage_cli(args)) << joined;
+    if (r.ok()) {
+      ++accepted;
+    } else {
+      ++rejected;
+      // The message names what it rejects: the option, or the token.
+      EXPECT_TRUE(r.error.rfind("--", 0) == 0 ||
+                  r.error.rfind("unknown option '", 0) == 0)
+          << r.error << " <-" << joined;
+    }
+  }
+  // Both outcomes occur: the mutants exercise the accept and reject paths.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 TEST(Robustness, SequentialBatteryOnOneMachineKeepsShadowClean) {

@@ -1,15 +1,13 @@
 // The static analyzer (src/sa): CFG recovery goldens (diamond, loop
 // splitting, dead regions, escaping branches), the constant/taint-shape
-// dataflow, indirect-target resolution via the analyzer fixpoint, the lint
-// rules, deterministic JSONL, and the corpus-wide decode property.
+// dataflow, indirect-target resolution via the analyzer fixpoint, and the
+// corpus-wide decode property.
 #include <gtest/gtest.h>
 
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "attacks/corpus.h"
-#include "os/syscalls.h"
 #include "sa/analyzer.h"
 
 namespace faros {
@@ -38,13 +36,6 @@ os::Image make_image(const std::function<void(vm::Assembler&)>& emit,
 bool has_edge(const sa::BasicBlock& blk, u32 target, EdgeKind kind) {
   for (const auto& e : blk.succs) {
     if (e.target == target && e.kind == kind) return true;
-  }
-  return false;
-}
-
-bool has_rule(const std::vector<sa::SaFinding>& fs, const std::string& rule) {
-  for (const auto& f : fs) {
-    if (f.rule == rule) return true;
   }
   return false;
 }
@@ -204,121 +195,6 @@ TEST(SaAnalyzer, ResolvesMoviFedIndirectJumpInASecondPass) {
   ASSERT_EQ(rep.cfg.indirects.size(), 1u);
   EXPECT_TRUE(rep.cfg.indirects[0].resolved);
   EXPECT_EQ(rep.cfg.indirects[0].target, kBase + 16);
-}
-
-// --- lint rules -------------------------------------------------------------
-
-TEST(SaRules, StoreIntoReachedCodeFiresSmcAlert) {
-  os::Image img = make_image([](vm::Assembler& a) {
-    a.movi(Reg::R1, kBase);      // address of this very instruction
-    a.st32(Reg::R1, 0, Reg::R2);
-    a.halt();
-  });
-  sa::ImageReport rep = sa::analyze_image(img);
-  EXPECT_TRUE(has_rule(rep.findings, "smc-write-to-code"));
-  EXPECT_GE(rep.risk, sa::kStaticRiskThreshold);
-}
-
-TEST(SaRules, LoaderShapeFiresStoreThenIndirect) {
-  // The self-injection silhouette: syscall result becomes a pointer that
-  // is stored through and then called.
-  os::Image img = make_image([](vm::Assembler& a) {
-    a.syscall_();                // alloc: r0 = runtime-derived pointer
-    a.mov(Reg::R6, Reg::R0);
-    a.st8(Reg::R6, 0, Reg::R2);  // computed store
-    a.callr(Reg::R6);            // control flow through it
-    a.halt();
-  });
-  sa::ImageReport rep = sa::analyze_image(img);
-  EXPECT_TRUE(has_rule(rep.findings, "store-then-indirect"));
-  EXPECT_GE(rep.risk, sa::kStaticRiskThreshold);
-}
-
-TEST(SaRules, ResolvedInjectionSyscallNumberFiresAlert) {
-  os::Image img = make_image([](vm::Assembler& a) {
-    a.movi(Reg::R0, static_cast<u32>(os::Sys::kNtWriteVirtualMemory));
-    a.syscall_();
-    a.halt();
-  });
-  sa::ImageReport rep = sa::analyze_image(img);
-  EXPECT_TRUE(has_rule(rep.findings, "injection-syscall"));
-  EXPECT_GE(rep.risk, sa::kStaticRiskThreshold);
-  // A benign syscall number must not fire it.
-  os::Image benign = make_image([](vm::Assembler& a) {
-    a.movi(Reg::R0, static_cast<u32>(os::Sys::kNtDebugPrint));
-    a.syscall_();
-    a.halt();
-  });
-  EXPECT_FALSE(
-      has_rule(sa::analyze_image(benign).findings, "injection-syscall"));
-}
-
-TEST(SaRules, UnreachableCodeShapedRegionFiresEmbeddedBlob) {
-  os::Image img = make_image([](vm::Assembler& a) {
-    a.halt();
-    a.movi(Reg::R1, 1);  // staged payload: never reached, ends in ret
-    a.movi(Reg::R2, 2);
-    a.add(Reg::R3, Reg::R1, Reg::R2);
-    a.st32(Reg::R6, 0, Reg::R3);
-    a.ret();
-  });
-  sa::ImageReport rep = sa::analyze_image(img);
-  EXPECT_TRUE(has_rule(rep.findings, "embedded-code-blob"));
-}
-
-TEST(SaRules, PopHeavyFunctionFiresStackImbalance) {
-  os::Image img = make_image([](vm::Assembler& a) {
-    a.call("f");
-    a.halt();
-    a.label("f");
-    a.pop(Reg::R1);  // consumes a frame it never created
-    a.ret();
-  });
-  sa::ImageReport rep = sa::analyze_image(img);
-  EXPECT_TRUE(has_rule(rep.findings, "stack-imbalance"));
-}
-
-TEST(SaRules, StraightLineComputeIsClean) {
-  os::Image img = make_image([](vm::Assembler& a) {
-    a.movi(Reg::R1, 6);
-    a.movi(Reg::R2, 7);
-    a.mul(Reg::R3, Reg::R1, Reg::R2);
-    a.halt();
-  });
-  sa::ImageReport rep = sa::analyze_image(img);
-  EXPECT_TRUE(rep.findings.empty());
-  EXPECT_EQ(rep.risk, 0u);
-}
-
-// --- report / JSONL ---------------------------------------------------------
-
-TEST(SaAnalyzer, ProgramReportAggregatesAndJsonlIsDeterministic) {
-  std::vector<os::Image> images;
-  images.push_back(make_image([](vm::Assembler& a) {
-    a.movi(Reg::R0, static_cast<u32>(os::Sys::kNtWriteVirtualMemory));
-    a.syscall_();
-    a.halt();
-  }));
-  images.push_back(make_image([](vm::Assembler& a) {
-    a.movi(Reg::R1, 1);
-    a.halt();
-  }));
-  sa::ProgramReport rep1 = sa::analyze_images("prog", images);
-  sa::ProgramReport rep2 = sa::analyze_images("prog", images);
-  EXPECT_EQ(rep1.images, 2u);
-  EXPECT_TRUE(rep1.flagged());
-  ASSERT_EQ(rep1.rules.size(), 1u);
-  EXPECT_EQ(rep1.rules[0], "injection-syscall");
-
-  EXPECT_EQ(sa::program_jsonl("test", rep1), sa::program_jsonl("test", rep2));
-  ASSERT_EQ(rep1.per_image.size(), rep2.per_image.size());
-  for (size_t i = 0; i < rep1.per_image.size(); ++i) {
-    EXPECT_EQ(sa::image_jsonl("prog", rep1.per_image[i]),
-              sa::image_jsonl("prog", rep2.per_image[i]));
-  }
-  std::string line = sa::program_jsonl("test", rep1);
-  EXPECT_NE(line.find("\"type\":\"program\""), std::string::npos);
-  EXPECT_NE(line.find("\"static_flagged\":true"), std::string::npos);
 }
 
 // --- corpus-wide properties -------------------------------------------------

@@ -2,16 +2,12 @@
 // ordering, bottom-up function summaries, the SummaryCallModel vs the
 // historical clobber-all call semantics, a soundness property test for
 // sa::transfer against the concrete interpreter, block splitting at
-// resolved indirect targets, multi-pass convergence, and the static
-// verdict's confusion matrix pinned over the full corpus (faros_lint's
-// lint_summary scores the same matrix).
+// resolved indirect targets, and multi-pass convergence.
 #include <gtest/gtest.h>
 
 #include <random>
-#include <string>
 #include <vector>
 
-#include "attacks/corpus.h"
 #include "sa/analyzer.h"
 #include "sa/callgraph.h"
 #include "sa/summary.h"
@@ -435,56 +431,6 @@ TEST(SaConvergence, PassBudgetExhaustionIsReportedNotMasked) {
   EXPECT_FALSE(two.converged) << "resolution still progressing on the "
                                  "final round must not report converged";
   EXPECT_EQ(two.passes, 2u);
-}
-
-// --- full-corpus pins: static verdict matrix -------------------------------
-
-TEST(SaCorpusPins, PrefilterMatrixAndPolicyAggregate) {
-  // One sweep over all 135 corpus programs pins the static verdict's
-  // confusion matrix: 11 TP / 0 FP / 122 TN / 2 FN, the two FNs being the
-  // known low-risk injectors.
-  u32 tp = 0, fp = 0, tn = 0, fn = 0;
-  std::vector<std::string> fn_names;
-  std::vector<os::Image> first_flagged;
-
-  for (const auto& e : attacks::full_corpus()) {
-    auto sc = e.make();
-    auto extracted = attacks::extract_images(*sc);
-    ASSERT_TRUE(extracted.ok()) << e.name << ": "
-                                << extracted.error().message;
-    std::vector<os::Image> images;
-    for (auto& x : extracted.value()) images.push_back(std::move(x.image));
-
-    sa::ProgramReport rep = sa::analyze_images(e.name, images);
-    EXPECT_EQ(rep.risk_threshold, sa::kStaticRiskThreshold);
-    if (rep.flagged() && first_flagged.empty()) first_flagged = images;
-    if (e.expect_flagged) {
-      if (rep.flagged()) ++tp;
-      else { ++fn; fn_names.push_back(e.name); }
-    } else {
-      if (rep.flagged()) ++fp;
-      else ++tn;
-    }
-  }
-
-  EXPECT_EQ(tp, 11u);
-  EXPECT_EQ(fp, 0u);
-  EXPECT_EQ(tn, 122u);
-  ASSERT_EQ(fn, 2u);
-  for (const auto& n : fn_names) {
-    EXPECT_TRUE(n.find("pulley") != std::string::npos ||
-                n.find("collision") != std::string::npos)
-        << "unexpected static FN: " << n;
-  }
-
-  // Satellite: the risk threshold is a real knob, not a constant.
-  ASSERT_FALSE(first_flagged.empty());
-  sa::SaOptions strict;
-  strict.risk_threshold = 1'000'000;
-  EXPECT_FALSE(sa::analyze_images("p", first_flagged, strict).flagged());
-  sa::SaOptions loose;
-  loose.risk_threshold = 1;
-  EXPECT_TRUE(sa::analyze_images("p", first_flagged, loose).flagged());
 }
 
 }  // namespace

@@ -413,9 +413,7 @@ TEST(CpuControl, AddPcComputesNextPcRelative) {
 
 struct CountingHooks : ExecHooks {
   u64 insns = 0;
-  u64 blocks = 0;
   u64 mem_accesses = 0;
-  void on_block_begin(PAddr, VAddr) override { ++blocks; }
   void on_insn_retired(const InsnEvent& ev, const AddressSpace&) override {
     ++insns;
     if (ev.mem) ++mem_accesses;
@@ -436,11 +434,12 @@ TEST(CpuHooks, BlockAndInsnCallbacks) {
   a.ld32(R3, R1, 0);
   a.halt();
   env.load(a);
-  env.run();
+  StepInfo info = env.run();
+  EXPECT_EQ(info.result, StepResult::kHalt);
+  EXPECT_EQ(info.executed, 6u);
   EXPECT_EQ(hooks.insns, 6u);
-  EXPECT_EQ(hooks.blocks, 2u);
   EXPECT_EQ(hooks.mem_accesses, 2u);
-  EXPECT_EQ(env.interp.block_count(), 2u);
+  EXPECT_EQ(env.interp.instr_count(), 6u);
 }
 
 TEST(CpuHooks, InsnEventCarriesOperandValuesAndMemInfo) {

@@ -35,7 +35,6 @@ TEST(TracerReplay, TwoReplaysOfOneRecordingSeeIdenticalStreams) {
   // The whole-stream summary must match exactly...
   EXPECT_GT(t1.total(), 0u);
   EXPECT_EQ(t1.total(), t2.total());
-  EXPECT_EQ(t1.blocks(), t2.blocks());
   EXPECT_EQ(r1.value().stats.instructions, r2.value().stats.instructions);
   for (const auto& e : t1.entries()) {
     EXPECT_EQ(t1.count_for(e.cr3), t2.count_for(e.cr3));
@@ -58,7 +57,6 @@ TEST(TracerReplay, ChainedDownstreamSeesTheSameStream) {
   ASSERT_TRUE(r.ok()) << r.error().message;
 
   EXPECT_EQ(upstream.total(), downstream.total());
-  EXPECT_EQ(upstream.blocks(), downstream.blocks());
   ASSERT_EQ(upstream.entries().size(), downstream.entries().size());
   for (size_t i = 0; i < upstream.entries().size(); ++i) {
     EXPECT_TRUE(same_entry(upstream.entries()[i], downstream.entries()[i]));
@@ -84,7 +82,6 @@ TEST(TracerReplay, CapacityBoundsRingAndDumpDisassembles) {
 
   t.clear();
   EXPECT_EQ(t.total(), 0u);
-  EXPECT_EQ(t.blocks(), 0u);
   EXPECT_TRUE(t.entries().empty());
 }
 
