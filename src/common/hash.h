@@ -29,16 +29,6 @@ constexpr u32 fnv1a32(std::string_view s) {
   return h;
 }
 
-/// 64-bit FNV-1a for host-side interning tables.
-constexpr u64 fnv1a64(ByteSpan data) {
-  u64 h = 0xcbf29ce484222325ull;
-  for (u8 b : data) {
-    h ^= b;
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
 /// Boost-style hash combiner.
 constexpr u64 hash_combine(u64 seed, u64 v) {
   return seed ^ (v + 0x9e3779b97f4a7c15ull + (seed << 12) + (seed >> 4));

@@ -3,7 +3,6 @@
 
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/types.h"
 
@@ -19,11 +18,6 @@ std::string hex64(u64 v);
 
 /// Render an IPv4 address stored in host byte order ("169.254.26.161").
 std::string ipv4_to_string(u32 ip);
-/// Parse "a.b.c.d" to host-order u32; returns 0 on malformed input.
-u32 parse_ipv4(std::string_view s);
-
-std::vector<std::string> split(std::string_view s, char sep);
-std::string join(const std::vector<std::string>& parts, std::string_view sep);
 
 /// Strict unsigned decimal: digits only, the whole of `s`. Rejects what
 /// strtoull would let through: empty input, a sign ("-1" wrapping to
@@ -33,10 +27,6 @@ std::string join(const std::vector<std::string>& parts, std::string_view sep);
 bool parse_u64(std::string_view s, u64* out);
 bool parse_u32(std::string_view s, u32* out);
 
-bool starts_with(std::string_view s, std::string_view prefix);
 bool ends_with(std::string_view s, std::string_view suffix);
-
-/// Hexdump of a byte span (for analyst reports and debugging).
-std::string hexdump(ByteSpan data, u64 base_addr = 0);
 
 }  // namespace faros

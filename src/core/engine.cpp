@@ -55,42 +55,36 @@ u32 FarosEngine::add_rule_set(std::vector<RuleSpec> rules) {
   return static_cast<u32>(sets_.size() - 1);
 }
 
-u16 FarosEngine::process_tag_index(PAddr cr3) {
-  if (last_ptag_valid_ && last_ptag_cr3_ == cr3) return last_ptag_;
-  u16 idx;
-  auto it = ptag_cache_.find(cr3);
-  if (it != ptag_cache_.end()) {
-    idx = it->second;
-  } else {
-    if (auto info = osi_.process_by_cr3(cr3)) {
-      idx = maps_.process.intern(cr3, info->pid, info->name);
+FarosEngine::Proc& FarosEngine::proc_miss(PAddr cr3) {
+  auto it = procs_.find(cr3);
+  if (it == procs_.end()) {
+    osi::ProcessInfo who;
+    if (auto live = osi_.process_by_cr3(cr3)) {
+      who = *live;
     } else {
-      idx = maps_.process.intern(cr3, 0, "<unknown>");
+      who.cr3 = cr3;
+      who.name = "<unknown>";
     }
-    ptag_cache_[cr3] = idx;
+    it = procs_.emplace(cr3, Proc(who, shadow_.epoch())).first;
   }
-  last_ptag_cr3_ = cr3;
-  last_ptag_ = idx;
-  last_ptag_valid_ = true;
-  return idx;
+  last_cr3_ = cr3;
+  last_proc_ = &it->second;
+  return it->second;
+}
+
+ProvTag FarosEngine::process_tag(Proc& p) {
+  if (!p.tag) {
+    p.tag = ProvTag::process(
+        maps_.process.add(p.info.cr3, p.info.pid, p.info.name));
+  }
+  return *p.tag;
 }
 
 ProvListId FarosEngine::with_process(ProvListId id, PAddr cr3,
                                      bool even_if_untainted) {
   if (!opts_.track_process) return id;
   if (id == kEmptyProv && !even_if_untainted) return id;
-  return store_.append(id, process_tag(cr3));
-}
-
-ShadowRegisters& FarosEngine::sregs_miss(PAddr cr3) {
-  auto it = regs_.find(cr3);
-  if (it == regs_.end()) {
-    it = regs_.emplace(cr3, ShadowRegisters(++bank_lives_, shadow_.epoch()))
-             .first;
-  }
-  sregs_cr3_ = cr3;
-  sregs_cached_ = &it->second;
-  return it->second;
+  return store_.append(id, process_tag(proc(cr3)));
 }
 
 // The one fetch walk, shared by the instrumented path (per instruction) and
@@ -100,20 +94,20 @@ ShadowRegisters& FarosEngine::sregs_miss(PAddr cr3) {
 //    compare) — the entire fetch-side cost on clean memory;
 //  * tainted code page (every instruction of a mapped image, under
 //    taint_mapped_images): the result is a pure function of (pc_pa,
-//    process, page bytes), so a direct-mapped cache validated by the
-//    page's mutation stamp answers steady-state re-executions in O(1).
+//    process, page bytes), so the process's direct-mapped cache, validated
+//    by the page's mutation stamp, answers steady-state re-executions in
+//    O(1).
 //    A miss runs the walk (performing the one-time process-tag writebacks)
 //    and then caches against the post-writeback stamp, so a hit implies
 //    the walk would have no side effects. An 8-byte aligned fetch never
 //    crosses a page, and a tainted range implies the page exists, so its
 //    stamp is nonzero.
-ProvListId FarosEngine::fetch_prov(PAddr pc_pa, PAddr cr3,
-                                   const ShadowRegisters& sr) {
+ProvListId FarosEngine::fetch_prov(PAddr pc_pa, Proc& p) {
   if (!shadow_.range_tainted(pc_pa, vm::kInsnSize)) return kEmptyProv;
-  FetchCacheEntry& entry =
-      fetch_cache_[(pc_pa / vm::kInsnSize) & kFetchCacheMask];
-  if (entry.pc_pa == pc_pa && entry.life == sr.life() &&
-      entry.version == shadow_.page_version(pc_pa)) {
+  if (p.fetches.empty()) p.fetches.resize(kFetchCacheSize);
+  Proc::FetchEntry& entry =
+      p.fetches[(pc_pa / vm::kInsnSize) & (kFetchCacheSize - 1)];
+  if (entry.pc_pa == pc_pa && entry.version == shadow_.page_version(pc_pa)) {
     fetch_hit_.inc();
     return entry.result;
   }
@@ -122,12 +116,12 @@ ProvListId FarosEngine::fetch_prov(PAddr pc_pa, PAddr cr3,
   for (u32 i = 0; i < vm::kInsnSize; ++i) {
     ProvListId id = shadow_.get(pc_pa + i);
     if (id != kEmptyProv) {
-      ProvListId id2 = with_process(id, cr3, false);
+      ProvListId id2 = with_process(id, p.info.cr3, false);
       if (id2 != id) shadow_.set(pc_pa + i, id2);
       fetch = store_.merge(fetch, id2);
     }
   }
-  entry = {pc_pa, sr.life(), shadow_.page_version(pc_pa), fetch};
+  entry = {pc_pa, shadow_.page_version(pc_pa), fetch};
   return fetch;
 }
 
@@ -139,12 +133,13 @@ void FarosEngine::on_insn_retired(const vm::InsnEvent& ev,
   ++stats_.insns_seen;
   const vm::Instruction& insn = ev.insn;
   const Opcode op = insn.op;
-  ShadowRegisters& sr = sregs(ev.cr3);
+  Proc& p = proc(ev.cr3);
+  ShadowRegisters& sr = p.regs;
 
   // Instruction fetch is a memory access by this process: append its tag to
   // any tainted instruction bytes, and collect their provenance — the
   // "provenance list associated with this instruction" of Figures 7-10.
-  const ProvListId fetch = fetch_prov(ev.pc_pa, ev.cr3, sr);
+  const ProvListId fetch = fetch_prov(ev.pc_pa, p);
   if (fetch != kEmptyProv) {
     ++stats_.tainted_fetches;
     // Guarded by the empty-list check: the image-tainted regime reaches
@@ -437,7 +432,7 @@ bool FarosEngine::try_elide_block(const vm::TranslatedBlock& b) {
     bt_guard_fail_.inc();
     return false;
   };
-  const ShadowRegisters& sr = sregs(b.cr3);
+  const ShadowRegisters& sr = proc(b.cr3).regs;
   constexpr u16 kSyscallArgs = (1u << vm::R1) | (1u << vm::R2) |
                                (1u << vm::R3) | (1u << vm::R4);
   if (!sr.clean()) {
@@ -480,7 +475,8 @@ bool FarosEngine::code_tainted(const vm::TranslatedBlock& b, u32 count) {
 }
 
 void FarosEngine::on_block_elided(vm::TranslatedBlock& b, u32 retired) {
-  ShadowRegisters& sr = sregs(b.cr3);
+  Proc& p = proc(b.cr3);
+  ShadowRegisters& sr = p.regs;
   if (!sr.clean()) {
     u16 writes = b.writes;
     if (retired < b.insns.size()) {
@@ -491,7 +487,7 @@ void FarosEngine::on_block_elided(vm::TranslatedBlock& b, u32 retired) {
     }
     sr.clear_regs(writes);
   }
-  const u32 fetches = block_tainted_fetches(b, retired, sr);
+  const u32 fetches = block_tainted_fetches(b, retired, p);
   stats_.insns_seen += retired;
   stats_.tainted_fetches += fetches;
   stats_.elided_insns += retired;
@@ -505,11 +501,11 @@ void FarosEngine::on_block_elided(vm::TranslatedBlock& b, u32 retired) {
 }
 
 u32 FarosEngine::block_tainted_fetches(const vm::TranslatedBlock& b,
-                                       u32 count, const ShadowRegisters& sr) {
+                                       u32 count, Proc& p) {
   if (!code_tainted(b, count)) return 0;
   u32 tainted = 0;
   for (u32 i = 0; i < count; ++i) {
-    if (fetch_prov(b.pa_of(i), b.cr3, sr) != kEmptyProv) ++tainted;
+    if (fetch_prov(b.pa_of(i), p) != kEmptyProv) ++tainted;
   }
   return tainted;
 }
@@ -538,12 +534,7 @@ void FarosEngine::record_finding(RuleSet& set, u32 rule_idx,
   Finding f;
   f.policy = set.rules.rule_id(rule_idx);
   f.instr_index = ev.instr_index;
-  if (auto info = osi_.process_by_cr3(ev.cr3)) {
-    f.proc = *info;
-  } else {
-    f.proc.cr3 = ev.cr3;
-    f.proc.name = "<unknown>";
-  }
+  f.proc = proc(ev.cr3).info;
   f.insn_va = ev.pc;
   f.insn_pa = ev.pc_pa;
   f.disasm = vm::disassemble(ev.insn);
@@ -587,20 +578,18 @@ void for_each_byte(const osi::GuestXfer& xfer, Fn&& fn) {
 }  // namespace
 
 void FarosEngine::on_process_start(const osi::ProcessInfo& p) {
-  ptag_cache_[p.cr3] = maps_.process.intern(p.cr3, p.pid, p.name);
-  if (last_ptag_cr3_ == p.cr3) last_ptag_valid_ = false;
+  // Assigning in place keeps a cached pointer to this CR3's node valid.
+  Proc& rec =
+      procs_.insert_or_assign(p.cr3, Proc(p, shadow_.epoch())).first->second;
+  rec.tag = ProvTag::process(maps_.process.add(p.cr3, p.pid, p.name));
 }
 
 void FarosEngine::on_process_exit(const osi::ProcessInfo& p, u32 exit_code) {
   (void)exit_code;
-  if (sregs_cached_ && sregs_cr3_ == p.cr3) sregs_cached_ = nullptr;
-  regs_.erase(p.cr3);
-  // CR3 values can be recycled by later processes; drop the cache bindings
-  // (ProcessMap keeps the historical entry for report rendering).
-  ptag_cache_.erase(p.cr3);
-  if (last_ptag_cr3_ == p.cr3) last_ptag_valid_ = false;
-  // No fetch-cache sweep: entries are keyed by the erased bank's life(),
-  // which no later process on this CR3 shares.
+  // CR3 values can be recycled by later processes; the record goes with
+  // its process (ProcessMap keeps the entry for report rendering).
+  if (last_proc_ && last_cr3_ == p.cr3) last_proc_ = nullptr;
+  procs_.erase(p.cr3);
 }
 
 void FarosEngine::on_module_loaded(const osi::ModuleInfo& mod,

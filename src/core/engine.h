@@ -24,6 +24,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <tuple>
@@ -170,11 +171,11 @@ class FarosEngine : public vm::ExecHooks, public osi::GuestMonitor {
   /// Totals, granted block dispatches (vm::ElisionTally) folded in.
   EngineStats stats() const;
   const Options& options() const { return opts_; }
-  /// A process's register-shadow bank; nullptr before its first
-  /// instruction and after its exit.
+  /// A process's register-shadow bank; non-null from its start event (or
+  /// first touch) until its exit.
   const ShadowRegisters* registers(PAddr cr3) const {
-    auto it = regs_.find(cr3);
-    return it == regs_.end() ? nullptr : &it->second;
+    auto it = procs_.find(cr3);
+    return it == procs_.end() ? nullptr : &it->second.regs;
   }
 
   /// The engine's metric sink (null when collect_metrics is off). Exposed
@@ -190,19 +191,44 @@ class FarosEngine : public vm::ExecHooks, public osi::GuestMonitor {
   ProvListId prov_at(const vm::AddressSpace& as, VAddr va) const;
 
  private:
-  u16 process_tag_index(PAddr cr3);
-  ProvTag process_tag(PAddr cr3) { return ProvTag::process(process_tag_index(cr3)); }
+  /// One live process, the paper's pair of a process-map entry and a
+  /// shadow register bank, plus its fetch-provenance cache. on_process_start
+  /// makes it; a CR3 no start event announced gets one at first touch, with
+  /// its identity from the OSI query. on_process_exit erases it, so a
+  /// recycled CR3 always starts from a fresh record.
+  struct Proc {
+    Proc(const osi::ProcessInfo& who, u64* epoch) : regs(epoch), info(who) {}
+    ShadowRegisters regs;
+    osi::ProcessInfo info;
+    /// The process tag: added to maps_.process at the start event, or at
+    /// an unannounced process's first process-tag append.
+    std::optional<ProvTag> tag;
+    /// Direct-mapped cache behind fetch_prov, allocated at the process's
+    /// first tainted fetch. An entry is valid while the containing shadow
+    /// page's mutation stamp is unchanged, so steady-state execution from
+    /// tainted code pages (mapped images), instrumented or elided, hits
+    /// here instead of walking the eight instruction bytes.
+    struct FetchEntry {
+      PAddr pc_pa = ~0ull;
+      u64 version = 0;
+      ProvListId result = kEmptyProv;
+    };
+    std::vector<FetchEntry> fetches;
+  };
+  static constexpr u32 kFetchCacheSize = 512;  // entries per process; 2^k
 
-  /// Register-shadow bank for a CR3, with a one-entry cache so the common
-  /// run of instructions from one process skips the hash lookup. regs_ is
+  /// The record of a CR3, with a one-entry cache so the common run of
+  /// instructions from one process skips the hash lookup. procs_ is
   /// node-based, so the cached pointer stays valid across inserts; process
   /// exit invalidates it explicitly.
-  ShadowRegisters& sregs(PAddr cr3) {
-    if (sregs_cached_ && sregs_cr3_ == cr3) return *sregs_cached_;
-    return sregs_miss(cr3);
+  Proc& proc(PAddr cr3) {
+    if (last_proc_ && last_cr3_ == cr3) return *last_proc_;
+    return proc_miss(cr3);
   }
-  /// sregs() behind a cache miss: finds or creates the bank and caches it.
-  ShadowRegisters& sregs_miss(PAddr cr3);
+  /// proc() behind a cache miss: finds or makes the record and caches it.
+  Proc& proc_miss(PAddr cr3);
+  /// The process's tag; adds its ProcessMap entry on first use.
+  ProvTag process_tag(Proc& p);
 
   /// Appends the process tag to a (tainted) list when process tracking is
   /// on; returns the list unchanged otherwise.
@@ -239,14 +265,14 @@ class FarosEngine : public vm::ExecHooks, public osi::GuestMonitor {
   void record_finding(RuleSet& set, u32 rule_idx, const vm::InsnEvent& ev,
                       const vm::AddressSpace& as, const RuleInputs& in);
 
-  /// Fetch provenance of the instruction at `pc_pa` for the process `sr`
-  /// (CR3 `cr3`), with the one-time process-tag writebacks: the one fetch
-  /// walk, behind the range probe and fetch_cache_.
-  ProvListId fetch_prov(PAddr pc_pa, PAddr cr3, const ShadowRegisters& sr);
+  /// Fetch provenance of the instruction at `pc_pa` for process `p`, with
+  /// the one-time process-tag writebacks: the one fetch walk, behind the
+  /// range probe and the process's fetch cache.
+  ProvListId fetch_prov(PAddr pc_pa, Proc& p);
   /// Count of tainted-fetch instructions among the block's first `count`,
   /// through fetch_prov (behind on_block_elided).
   u32 block_tainted_fetches(const vm::TranslatedBlock& block, u32 count,
-                            const ShadowRegisters& sr);
+                            Proc& p);
   /// Shadow probe over the code bytes of the block's first `count`
   /// instructions (both segments of a superblock): false means none of
   /// them carries provenance.
@@ -260,32 +286,9 @@ class FarosEngine : public vm::ExecHooks, public osi::GuestMonitor {
   StorageShadow file_shadow_;     // keyed by file id
   StorageShadow segment_shadow_;  // keyed by loopback segment id
   StorageShadow atom_shadow_;     // keyed by atom id
-  std::unordered_map<PAddr, ShadowRegisters> regs_;  // keyed by CR3
-  u64 bank_lives_ = 0;  // ShadowRegisters::life() of the newest bank
-  PAddr sregs_cr3_ = 0;                     // sregs() one-entry cache
-  ShadowRegisters* sregs_cached_ = nullptr;
-  std::unordered_map<PAddr, u16> ptag_cache_;
-  PAddr last_ptag_cr3_ = 0;  // one-entry front for ptag_cache_
-  u16 last_ptag_ = 0;
-  bool last_ptag_valid_ = false;
-
-  /// Direct-mapped cache behind fetch_prov for the fetch provenance of a
-  /// (pc_pa, process) site, valid while the containing shadow page's
-  /// mutation stamp is unchanged. Steady-state execution from tainted code
-  /// pages (mapped images), instrumented or elided, hits here instead of
-  /// walking the eight instruction bytes. The process is named by its
-  /// register bank's life rather than its CR3, so an exit needs no sweep:
-  /// a recycled CR3 gets a new bank and a new life.
-  struct FetchCacheEntry {
-    PAddr pc_pa = ~0ull;
-    u64 life = 0;  // ShadowRegisters::life() of the filling process
-    u64 version = 0;
-    ProvListId result = kEmptyProv;
-  };
-  static constexpr u32 kFetchCacheSize = 4096;  // power of two
-  static constexpr u32 kFetchCacheMask = kFetchCacheSize - 1;
-  std::vector<FetchCacheEntry> fetch_cache_ =
-      std::vector<FetchCacheEntry>(kFetchCacheSize);
+  std::unordered_map<PAddr, Proc> procs_;  // keyed by CR3
+  PAddr last_cr3_ = 0;                     // proc() one-entry cache
+  Proc* last_proc_ = nullptr;
   std::vector<RuleSet> sets_;  // [0] is the primary
   std::array<TriggerNeeds, kTriggerCount> needs_{};
   std::vector<u32> matched_;  // dispatch scratch (avoids per-site allocs)

@@ -141,10 +141,6 @@ class ShadowMemory {
   /// physical address space is clamped to it (no u64 wraparound).
   bool range_tainted(PAddr pa, u64 len) {
     if (len == 0) return false;
-    if (total_tainted_ == 0) {
-      clean_skip_.inc();
-      return false;
-    }
     u64 f0 = pa >> kPageShift;
     u64 f1 = last_byte(pa, len) >> kPageShift;
     for (u64 f = f0; f <= f1; ++f) {
@@ -155,7 +151,7 @@ class ShadowMemory {
   }
 
   void clear_range(PAddr pa, u64 len) {
-    if (len == 0 || total_tainted_ == 0) return;
+    if (len == 0) return;
     const PAddr last = last_byte(pa, len);
     u64 f0 = pa >> kPageShift;
     u64 f1 = last >> kPageShift;
@@ -207,14 +203,12 @@ class ShadowMemory {
   u64* epoch() { return &epoch_; }
 
   /// Binds the hot-path counters to `sink` (null unbinds). Counting sites:
-  /// the frame-cache probe, page allocation/drop, and the global
-  /// zero-taint skip in range_tainted().
+  /// the frame-cache probe and page allocation/drop.
   void bind_obs(obs::MetricSink* sink) {
     frame_hit_ = {sink, obs::Ctr::kShadowFrameCacheHit};
     frame_miss_ = {sink, obs::Ctr::kShadowFrameCacheMiss};
     page_alloc_ = {sink, obs::Ctr::kShadowPageAlloc};
     page_drop_ = {sink, obs::Ctr::kShadowPageDrop};
-    clean_skip_ = {sink, obs::Ctr::kShadowCleanSkip};
   }
 
   /// Number of tainted bytes (the overtainting metric of the ablation
@@ -297,19 +291,14 @@ class ShadowMemory {
   obs::Counter frame_miss_;
   obs::Counter page_alloc_;
   obs::Counter page_drop_;
-  obs::Counter clean_skip_;
 };
 
 /// Byte-granular register shadow for one CPU context (one process).
 class ShadowRegisters {
  public:
-  /// `life` names this bank among every bank its engine ever made (the
-  /// engine numbers them 1, 2, ...), so a cache keyed by it cannot confuse
-  /// a dead process with a later one on the same CR3. `epoch` is the
-  /// engine's elision epoch (ShadowMemory::epoch()), moved whenever a byte
-  /// of this bank turns from empty to tainted.
-  ShadowRegisters(u64 life, u64* epoch) : life_(life), epoch_(epoch) {}
-  u64 life() const { return life_; }
+  /// `epoch` is the engine's elision epoch (ShadowMemory::epoch()), moved
+  /// whenever a byte of this bank turns from empty to tainted.
+  explicit ShadowRegisters(u64* epoch) : epoch_(epoch) {}
 
   ProvListId get(u8 reg, u8 byte) const { return regs_[reg][byte]; }
   void set(u8 reg, u8 byte, ProvListId id) {
@@ -372,7 +361,6 @@ class ShadowRegisters {
  private:
   ProvListId regs_[vm::kNumRegs][4] = {};
   u32 tainted_ = 0;  // nonzero entries in regs_
-  u64 life_ = 0;
   u64* epoch_ = nullptr;
 };
 

@@ -41,31 +41,15 @@ const FlowTuple& NetflowMap::get(u16 index) const {
   return flows_[index];
 }
 
-u16 ProcessMap::intern(PAddr cr3, u32 pid, const std::string& name) {
-  auto it = by_cr3_.find(cr3);
-  // CR3 values are physical frame addresses and can be recycled by later
-  // processes: only reuse the entry when the pid also matches. The stale
-  // entry is kept (historical provenance still renders its name); the map
-  // now points at the newest holder of the CR3.
-  if (it != by_cr3_.end() && entries_[it->second].pid == pid) {
-    return it->second;
-  }
+u16 ProcessMap::add(PAddr cr3, u32 pid, const std::string& name) {
   assert(entries_.size() < 0x10000);
-  u16 index = static_cast<u16>(entries_.size());
   entries_.push_back(Entry{cr3, pid, name});
-  by_cr3_[cr3] = index;
-  return index;
+  return static_cast<u16>(entries_.size() - 1);
 }
 
 const ProcessMap::Entry& ProcessMap::get(u16 index) const {
   assert(index < entries_.size());
   return entries_[index];
-}
-
-std::optional<u16> ProcessMap::find_by_cr3(PAddr cr3) const {
-  auto it = by_cr3_.find(cr3);
-  if (it == by_cr3_.end()) return std::nullopt;
-  return it->second;
 }
 
 u16 FileMap::intern(u32 file_id, u32 version, const std::string& name) {

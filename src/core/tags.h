@@ -82,7 +82,9 @@ class NetflowMap {
   std::unordered_map<FlowTuple, u16, FlowHash> lookup_;
 };
 
-/// Process hash map: index <-> CR3 (plus the image name for reports).
+/// Process hash map: index -> CR3 (plus pid and image name for reports).
+/// Append-only: the engine adds one entry per process record, so a
+/// recycled CR3 gets a new entry and the old one still renders its name.
 class ProcessMap {
  public:
   struct Entry {
@@ -91,14 +93,12 @@ class ProcessMap {
     std::string name;
   };
 
-  u16 intern(PAddr cr3, u32 pid, const std::string& name);
+  u16 add(PAddr cr3, u32 pid, const std::string& name);
   const Entry& get(u16 index) const;
-  std::optional<u16> find_by_cr3(PAddr cr3) const;
   size_t size() const { return entries_.size(); }
 
  private:
   std::vector<Entry> entries_;
-  std::unordered_map<u64, u16> by_cr3_;
 };
 
 /// File hash map: index <-> (file id, name, access version). A new version

@@ -12,15 +12,16 @@ namespace faros::farm {
 
 namespace {
 
+/// Splits on ',' and keeps empty entries: "" is one empty entry, "a,,b"
+/// three.
 std::vector<std::string> split_csv(const std::string& s) {
   std::vector<std::string> out;
   size_t start = 0;
-  while (start <= s.size()) {
-    size_t comma = s.find(',', start);
-    if (comma == std::string::npos) comma = s.size();
-    if (comma > start) out.push_back(s.substr(start, comma - start));
-    start = comma + 1;
+  for (size_t comma; (comma = s.find(',', start)) != std::string::npos;
+       start = comma + 1) {
+    out.push_back(s.substr(start, comma - start));
   }
+  out.push_back(s.substr(start));
   return out;
 }
 
@@ -85,6 +86,12 @@ TriageCliResult parse_triage_cli(const std::vector<std::string>& args) {
       std::string csv;
       next_str(&csv);
       if (r.ok()) o.policy_paths = split_csv(csv);
+      for (const std::string& p : o.policy_paths) {
+        if (p.empty()) {
+          r.error = "--policies: empty entry in '" + csv + "'";
+          break;
+        }
+      }
       // Extra sets are named by stem, and policy_runs consumers key on it.
       std::map<std::string, std::string> paths_by_stem;
       for (size_t k = 1; k < o.policy_paths.size() && r.ok(); ++k) {

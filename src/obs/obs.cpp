@@ -10,7 +10,6 @@ const char* ctr_name(Ctr c) {
     case Ctr::kShadowFrameCacheMiss: return "shadow_frame_cache_miss";
     case Ctr::kShadowPageAlloc: return "shadow_page_alloc";
     case Ctr::kShadowPageDrop: return "shadow_page_drop";
-    case Ctr::kShadowCleanSkip: return "shadow_clean_skip";
     case Ctr::kFetchCacheHit: return "fetch_cache_hit";
     case Ctr::kFetchCacheMiss: return "fetch_cache_miss";
     case Ctr::kMergeMemoHit: return "merge_memo_hit";
@@ -87,8 +86,6 @@ CtrKind ctr_kind(Ctr c) {
       return CtrKind::kSemantic;
     case Ctr::kShadowFrameCacheHit:
     case Ctr::kShadowFrameCacheMiss:
-    // One probe per fetched instruction, but one per elided block.
-    case Ctr::kShadowCleanSkip:
     case Ctr::kFetchCacheHit:
     case Ctr::kFetchCacheMiss:
     case Ctr::kMergeMemoHit:

@@ -51,8 +51,6 @@ enum class Ctr : u32 {
   kShadowFrameCacheMiss,     // probe fell through to the hash directory
   kShadowPageAlloc,          // shadow page materialised
   kShadowPageDrop,           // shadow page freed (clear_range / zero-taint)
-  kShadowCleanSkip,          // range probe answered by the global zero-taint
-                             // count without touching any page
 
   // --- FarosEngine fetch-provenance cache (src/core/engine.cpp) ---
   kFetchCacheHit,   // fetch provenance served by the direct-mapped cache

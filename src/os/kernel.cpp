@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/log.h"
 #include "common/strings.h"
 #include "os/runtime.h"
 #include "os/snapshot.h"
@@ -33,7 +32,7 @@ Kernel::Kernel(const KernelConfig& cfg)
       frames_(mem_.num_frames()),
       interp_(mem_),
       net_(kGuestIp),
-      rng_(cfg.rng_seed) {
+      rng_(kRngSeed) {
   // Frame 0 stays reserved so a zero CR3/frame is never valid.
   frames_.reserve(0);
   frames_.set_free_observer([this](PAddr frame) {
@@ -85,11 +84,6 @@ Result<void> Kernel::boot() {
 }
 
 Result<void> Kernel::boot_from_snapshot(const Snapshot& snap) {
-  // The image is only valid for the exact config it was captured from; a
-  // mismatched clone would run against silently wrong memory contents.
-  if (snap.rng_seed != cfg_.rng_seed) {
-    return Err<void>("snapshot: config mismatch with captured image");
-  }
   frames_.restore(snap.frames);
   kernel_as_ = AddressSpace::adopt(mem_, frames_, snap.kernel_cr3);
   modules_ = snap.modules;
@@ -329,7 +323,6 @@ u64 Kernel::run_process(Process& p, u64 quantum) {
                     hex32(info.fault.va).c_str());
       }
       trap_log_.push_back(msg);
-      FAROS_DEBUG() << msg;
       terminate(p, 0xdead);
       break;
     }

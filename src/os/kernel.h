@@ -30,17 +30,17 @@ namespace faros::os {
 
 struct Snapshot;  // os/snapshot.h
 
-/// Guest RAM size and the guest's own IP address (169.254.57.168, paper
-/// Table II): the same in every machine.
+/// Guest RAM size, the guest's own IP address (169.254.57.168, paper
+/// Table II) and the seed of the NtGetRandom stream: the same in every
+/// machine.
 inline constexpr u32 kRamBytes = 64u << 20;
 inline constexpr u32 kGuestIp = 0xa9fe39a8;
+inline constexpr u64 kRngSeed = 1;
 
 struct KernelConfig {
-  u64 rng_seed = 1;     // NtGetRandom stream (deterministic)
   /// When set, boot() restores this frozen booted-guest image (COW over
   /// its RAM) instead of building the kernel state from scratch; see
-  /// os/snapshot.h for the determinism contract. The config must match
-  /// the one the snapshot was captured from.
+  /// os/snapshot.h for the determinism contract.
   std::shared_ptr<const Snapshot> snapshot;
 };
 

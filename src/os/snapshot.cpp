@@ -16,7 +16,6 @@ Result<SnapshotPtr> capture_snapshot(const KernelConfig& cfg) {
   s->frames = k.frame_alloc().state();
   s->kernel_cr3 = k.kernel_as().cr3();
   s->modules = k.modules();
-  s->rng_seed = base.rng_seed;
   return SnapshotPtr(std::move(s));
 }
 

@@ -47,10 +47,8 @@ struct Snapshot {
   vm::FrameAllocator::State frames;
   PAddr kernel_cr3 = 0;
   std::vector<osi::ModuleInfo> modules;
-  // Seed the image was built with; boot-from-snapshot refuses a clone
-  // whose seed diverges (the image would silently not match). RAM size and
-  // guest IP are constants (os::kRamBytes, os::kGuestIp).
-  u64 rng_seed = 0;
+  // No config to check at clone time: RAM size, guest IP and RNG seed are
+  // constants (os::kRamBytes, os::kGuestIp, os::kRngSeed).
 };
 
 using SnapshotPtr = std::shared_ptr<const Snapshot>;

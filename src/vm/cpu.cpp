@@ -154,8 +154,6 @@ std::optional<PAddr> Interpreter::translate_cached(const AddressSpace& as,
     auto pte = as.lookup_pte(va);
     if (!pte) return fail(FaultKind::kNotMapped);
     e = TlbEntry{as.cr3(), vpn, *pte};
-  } else {
-    ++tlb_hits_;
   }
   // Guest execution is always user mode: enforce the user protections
   // exactly as AddressSpace::translate does.

@@ -195,7 +195,6 @@ class Interpreter {
   /// Runs at most `max_insns` instructions of `cpu` inside `as`.
   StepInfo run(CpuState& cpu, const AddressSpace& as, u64 max_insns);
 
-  u64 tlb_hits() const { return tlb_hits_; }
   u64 tlb_misses() const { return tlb_misses_; }
 
  private:
@@ -276,7 +275,6 @@ class Interpreter {
   u64 instr_count_ = 0;
   TlbEntry tlb_[kTlbSize];
   u64 tlb_epoch_ = 0;  // PhysMem::pt_epoch() the TLB contents reflect
-  u64 tlb_hits_ = 0;
   u64 tlb_misses_ = 0;
   ExitRecord exits_[kExitSlots];
 };

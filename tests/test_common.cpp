@@ -1,11 +1,10 @@
 // Common utilities: strings, hashing, RNG determinism, byte IO, flow
-// rendering, logging sink.
+// rendering.
 #include <gtest/gtest.h>
 
 #include "common/bytesio.h"
 #include "common/flow.h"
 #include "common/hash.h"
-#include "common/log.h"
 #include "common/rng.h"
 #include "common/strings.h"
 
@@ -25,24 +24,11 @@ TEST(Strings, Hex) {
 
 TEST(Strings, Ipv4RoundTrip) {
   EXPECT_EQ(ipv4_to_string(0xa9fe1aa1), "169.254.26.161");
-  EXPECT_EQ(parse_ipv4("169.254.26.161"), 0xa9fe1aa1u);
-  EXPECT_EQ(parse_ipv4("0.0.0.0"), 0u);
-  EXPECT_EQ(parse_ipv4("garbage"), 0u);
-  EXPECT_EQ(parse_ipv4("300.1.1.1"), 0u);
-}
-
-TEST(Strings, SplitJoin) {
-  auto parts = split("a,b,,c", ',');
-  ASSERT_EQ(parts.size(), 4u);
-  EXPECT_EQ(parts[0], "a");
-  EXPECT_EQ(parts[2], "");
-  EXPECT_EQ(join(parts, "/"), "a/b//c");
-  EXPECT_EQ(split("", ',').size(), 1u);
+  EXPECT_EQ(ipv4_to_string(0), "0.0.0.0");
+  EXPECT_EQ(ipv4_to_string(0xffffffff), "255.255.255.255");
 }
 
 TEST(Strings, StartsEndsWith) {
-  EXPECT_TRUE(starts_with("C:/Temp/x.exe", "C:/"));
-  EXPECT_FALSE(starts_with("x", "xy"));
   EXPECT_TRUE(ends_with("payload.dll", ".dll"));
   EXPECT_FALSE(ends_with(".dll", "x.dll"));
 }
@@ -74,14 +60,6 @@ TEST(Strings, ParseU32RejectsValuesAboveU32Max) {
     EXPECT_FALSE(parse_u32(bad, &v)) << '"' << bad << '"';
   }
   EXPECT_EQ(v, 7u);
-}
-
-TEST(Strings, Hexdump) {
-  Bytes data{'H', 'i', 0x00, 0xff};
-  std::string dump = hexdump(data, 0x1000);
-  EXPECT_NE(dump.find("00001000"), std::string::npos);
-  EXPECT_NE(dump.find("48 69 00 ff"), std::string::npos);
-  EXPECT_NE(dump.find("|Hi..|"), std::string::npos);
 }
 
 TEST(Hash, Fnv1aKnownValuesAndStability) {
@@ -162,22 +140,6 @@ TEST(Flow, PaperStyleRendering) {
   EXPECT_EQ(f.to_string(),
             "{src ip,port: 169.254.26.161:4444, "
             "dest ip,port: 169.254.57.168:49162}");
-}
-
-TEST(Log, SinkCapturesAndLevelFilters) {
-  std::vector<std::string> captured;
-  auto prev = Log::set_sink(
-      [&](LogLevel, const std::string& msg) { captured.push_back(msg); });
-  LogLevel prev_level = Log::level();
-  Log::set_level(LogLevel::kWarn);
-
-  FAROS_DEBUG() << "hidden";
-  FAROS_WARN() << "visible " << 42;
-  ASSERT_EQ(captured.size(), 1u);
-  EXPECT_EQ(captured[0], "visible 42");
-
-  Log::set_level(prev_level);
-  Log::set_sink(prev);
 }
 
 }  // namespace

@@ -26,12 +26,27 @@ using vm::Reg;
 
 constexpr FlowTuple kFlow{0xa9fe1aa1, 4444, 0xa9fe39a8, 49162};
 
+/// The machine's OSI, counting the CR3 lookups the engine makes.
+class CountingOsi : public os::OsiQuery {
+ public:
+  std::optional<osi::ProcessInfo> process_by_cr3(PAddr cr3) const override {
+    ++by_cr3;
+    return real->process_by_cr3(cr3);
+  }
+  std::vector<osi::ProcessInfo> process_list() const override {
+    return real->process_list();
+  }
+  const os::OsiQuery* real = nullptr;
+  mutable u32 by_cr3 = 0;
+};
+
 class EngineTest : public ::testing::Test {
  protected:
   void init(Options opts) {
     // Most propagation tests want a quiet baseline: no image tainting.
     machine_ = std::make_unique<os::Machine>();
-    engine_ = std::make_unique<FarosEngine>(machine_->kernel(), opts);
+    osi_.real = &machine_->kernel();
+    engine_ = std::make_unique<FarosEngine>(osi_, opts);
     machine_->attach_cpu_plugin(engine_.get());
     machine_->add_monitor(engine_.get());
     auto r = machine_->boot();
@@ -83,6 +98,7 @@ class EngineTest : public ::testing::Test {
     return engine_->prov_at(p->as, va);
   }
 
+  CountingOsi osi_;
   std::unique_ptr<os::Machine> machine_;
   std::unique_ptr<FarosEngine> engine_;
 };
@@ -460,6 +476,34 @@ TEST_F(EngineTest, RecycledCr3NeverReadsTheDeadProcessFetchProvenance) {
             2u);
 }
 
+// A process's record lives from its start event to its exit: registers()
+// answers before the first instruction, and a recycled CR3 starts clean.
+TEST_F(EngineTest, RegistersLiveFromProcessStartUntilExit) {
+  init(quiet_options());
+  os::Pid pid = spawn_suspended("short.exe", [](ImageBuilder& ib) {
+    auto& a = ib.asm_();
+    a.label("_start");
+    a.movi(Reg::R1, 0);
+    emit_sys(a, Sys::kNtExit);
+  });
+  os::Process* p = machine_->kernel().find(pid);
+  const PAddr cr3 = p->as.cr3();
+  const ShadowRegisters* sr = engine_->registers(cr3);
+  ASSERT_NE(sr, nullptr);
+  EXPECT_TRUE(sr->clean());
+  resume_and_run(pid);
+  ASSERT_EQ(p->state, os::ProcState::kTerminated);
+  EXPECT_EQ(engine_->registers(cr3), nullptr);
+
+  auto again = machine_->kernel().spawn("C:/test/short.exe", true);
+  ASSERT_TRUE(again.ok());
+  ASSERT_EQ(machine_->kernel().find(again.value())->as.cr3(), cr3);
+  EXPECT_NE(engine_->registers(cr3), nullptr);
+  // Each start event adds its own process-map entry.
+  EXPECT_EQ(engine_->maps().process.size(), 2u);
+  EXPECT_EQ(osi_.by_cr3, 0u);
+}
+
 TEST_F(EngineTest, KernelWriteClearsStaleTaint) {
   init(quiet_options());
   os::Pid pid = spawn_suspended("stale.exe", [](ImageBuilder& ib) {
@@ -698,8 +742,10 @@ class FindingTest : public EngineTest {
     src_pa_ = proc_->as.translate(src_, vm::AccessType::kRead, true).value();
   }
 
-  /// A retired `ld32 r2, [r1+0]` of the tainted buffer at `pc` under `cr3`.
-  void retire_tainted_load(PAddr cr3, VAddr pc) {
+  /// A retired `ld32 r2, [r1+0]` of the tainted buffer at `pc` under `cr3`,
+  /// fed to `engine` (default: the attached one).
+  void retire_tainted_load(PAddr cr3, VAddr pc,
+                           FarosEngine* engine = nullptr) {
     vm::InsnEvent ev;
     ev.instr_index = ++instr_index_;
     ev.cr3 = cr3;
@@ -709,7 +755,7 @@ class FindingTest : public EngineTest {
     ev.insn.rd = 2;
     ev.insn.rs1 = 1;
     ev.mem = vm::MemAccess{src_, src_pa_, 4, false};
-    engine_->on_insn_retired(ev, proc_->as);
+    (engine ? engine : engine_.get())->on_insn_retired(ev, proc_->as);
   }
 
   static RuleSpec always_rule(const char* id) {
@@ -831,6 +877,53 @@ TEST_F(FindingTest, FindingResolvesEachProcessThroughOsi) {
   EXPECT_EQ(fs[1].proc.cr3, other_proc->as.cr3());
 }
 
+TEST_F(FindingTest, FindingCarriesTheStartEventIdentity) {
+  // A started process's finding reads pid, parent and name from its
+  // record, made at the start event: no OSI lookup.
+  Options opts = quiet_options();
+  opts.rules = {always_rule("strict")};
+  arm(opts);
+  auto child = machine_->kernel().spawn("C:/test/victim.exe", true, pid_);
+  ASSERT_TRUE(child.ok());
+  const PAddr child_cr3 = machine_->kernel().find(child.value())->as.cr3();
+  const u32 lookups = osi_.by_cr3;
+  retire_tainted_load(child_cr3, kUserImageBase);
+  ASSERT_EQ(engine_->findings().size(), 1u);
+  const osi::ProcessInfo& who = engine_->findings()[0].proc;
+  EXPECT_EQ(who.pid, child.value());
+  EXPECT_EQ(who.parent_pid, pid_);
+  EXPECT_EQ(who.name, "victim.exe");
+  EXPECT_EQ(who.cr3, child_cr3);
+  EXPECT_EQ(osi_.by_cr3, lookups);
+}
+
+TEST_F(FindingTest, UnannouncedCr3GetsOsiIdentityOrUnknown) {
+  // An engine that saw no start event (attached after the spawn) resolves
+  // a CR3 through the OSI once, at its first touch: a live process gets its
+  // identity, any other CR3 the <unknown> sentinel.
+  Options opts = quiet_options();
+  opts.rules = {always_rule("strict")};
+  arm(opts);
+  FarosEngine late(osi_, opts);
+  osi::GuestXfer xfer{proc_->info(), &proc_->as, src_, 4};
+  const u32 before = osi_.by_cr3;
+  late.on_packet_to_guest(xfer, kFlow);  // first touch of the CR3
+  EXPECT_EQ(osi_.by_cr3, before + 1);
+  retire_tainted_load(proc_->as.cr3(), kUserImageBase, &late);
+  retire_tainted_load(proc_->as.cr3() + 0x1000, kUserImageBase, &late);
+  ASSERT_EQ(late.findings().size(), 2u);
+  EXPECT_EQ(osi_.by_cr3, before + 2);
+  const osi::ProcessInfo& live = late.findings()[0].proc;
+  EXPECT_EQ(live.pid, pid_);
+  EXPECT_EQ(live.name, "victim.exe");
+  EXPECT_EQ(live.cr3, proc_->as.cr3());
+  const osi::ProcessInfo& unknown = late.findings()[1].proc;
+  EXPECT_EQ(unknown.pid, 0u);
+  EXPECT_EQ(unknown.name, "<unknown>");
+  EXPECT_EQ(unknown.cr3, proc_->as.cr3() + 0x1000);
+  EXPECT_TRUE(engine_->findings().empty());
+}
+
 TEST_F(FindingTest, FindingRecordsSiteAndProvenanceFromInsnEvent) {
   Options opts = quiet_options();
   opts.rules = {always_rule("strict")};
@@ -915,7 +1008,7 @@ TEST(ElisionEpoch, MovesOnEveryEventThatCanChangeAGrant) {
   EXPECT_TRUE(moves([&] { sm.clear(); }));
   EXPECT_FALSE(moves([&] { sm.clear(); }));
 
-  ShadowRegisters regs(1, epoch);
+  ShadowRegisters regs(epoch);
   EXPECT_TRUE(moves([&] { regs.set(vm::R3, 0, a); }));
   EXPECT_FALSE(moves([&] { regs.set(vm::R3, 0, b); }));
   EXPECT_FALSE(moves([&] { regs.clear_reg(vm::R3); }));

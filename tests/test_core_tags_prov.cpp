@@ -65,14 +65,15 @@ TEST(NetflowMap, TuplesWithCollidingHashesInternApart) {
 
 TEST(ProcessMap, ReusedCr3GetsFreshEntryForNewPid) {
   ProcessMap map;
-  u16 a = map.intern(0x1000, 100, "a.exe");
-  EXPECT_EQ(map.intern(0x1000, 100, "a.exe"), a);
+  u16 a = map.add(0x1000, 100, "a.exe");
   // The frame backing CR3 0x1000 got recycled into a new process.
-  u16 b = map.intern(0x1000, 200, "b.exe");
+  u16 b = map.add(0x1000, 200, "b.exe");
   EXPECT_NE(a, b);
-  EXPECT_EQ(map.get(a).name, "a.exe");   // history preserved
+  EXPECT_EQ(map.size(), 2u);
+  EXPECT_EQ(map.get(a).name, "a.exe");  // history preserved
+  EXPECT_EQ(map.get(a).pid, 100u);
   EXPECT_EQ(map.get(b).name, "b.exe");
-  EXPECT_EQ(map.find_by_cr3(0x1000).value_or(999), b);  // latest wins
+  EXPECT_EQ(map.get(b).cr3, 0x1000u);
 }
 
 TEST(FileMap, VersionsInternSeparately) {
@@ -88,7 +89,7 @@ TEST(TagMaps, DescribeRendersPaperStyle) {
   TagMaps maps;
   u16 nf = maps.netflow.intern(
       FlowTuple{0xa9fe1aa1, 4444, 0xa9fe39a8, 49162});
-  u16 proc = maps.process.intern(0x2000, 1, "inject_client.exe");
+  u16 proc = maps.process.add(0x2000, 1, "inject_client.exe");
   u16 file = maps.file.intern(1, 2, "C:/x.exe");
   EXPECT_EQ(maps.describe(ProvTag::netflow(nf)),
             "NetFlow: {src ip,port: 169.254.26.161:4444, "
@@ -219,7 +220,7 @@ TEST(ShadowMemory, SetGetClear) {
 TEST(ShadowRegisters, ByteGranularityAndUnion) {
   ProvStore store;
   u64 epoch = 1;
-  ShadowRegisters regs(1, &epoch);
+  ShadowRegisters regs(&epoch);
   auto a = store.intern({ProvTag::netflow(0)});
   auto b = store.intern({ProvTag::file(1)});
   regs.set(3, 0, a);

@@ -623,6 +623,20 @@ TEST(TriageCli, DuplicatePolicyStemsAreRejected) {
   EXPECT_EQ(ok.opts.policy_paths.size(), 3u);
 }
 
+TEST(TriageCli, EmptyPolicyEntriesAreRejected) {
+  // An empty entry names no file: running the built-ins instead, or
+  // dropping it from the list, would hide a typo.
+  using farm::parse_triage_cli;
+  for (const char* csv : {"", ",", "a.json,", ",a.json", "a.json,,b.json"}) {
+    farm::TriageCliResult r = parse_triage_cli({"--policies", csv});
+    EXPECT_FALSE(r.ok()) << "'" << csv << "'";
+    EXPECT_NE(r.error.find("--policies"), std::string::npos) << r.error;
+  }
+  farm::TriageCliResult ok = parse_triage_cli({"--policies", "a.json"});
+  ASSERT_TRUE(ok.ok()) << ok.error;
+  EXPECT_EQ(ok.opts.policy_paths, std::vector<std::string>{"a.json"});
+}
+
 TEST(TriageCli, FlagsParseAndBadValuesAreRejected) {
   using farm::parse_triage_cli;
 

@@ -95,9 +95,10 @@ TEST(ObsNames, UniqueNonEmptyAndStable) {
 }
 
 TEST(ObsKinds, CacheProbeCountersAreCacheStatistics) {
-  // shadow_clean_skip counts range probes, and elision changes how many
-  // probes a run makes: a cache statistic, not a fact of the analysis.
-  EXPECT_EQ(obs::ctr_kind(Ctr::kShadowCleanSkip), obs::CtrKind::kCacheStat);
+  // Elision changes how many probes a run makes: a cache statistic, not a
+  // fact of the analysis.
+  EXPECT_EQ(obs::ctr_kind(Ctr::kShadowFrameCacheHit),
+            obs::CtrKind::kCacheStat);
   EXPECT_EQ(obs::ctr_kind(Ctr::kBtHit), obs::CtrKind::kCacheStat);
   EXPECT_EQ(obs::ctr_kind(Ctr::kTlbMiss), obs::CtrKind::kCacheStat);
   EXPECT_EQ(obs::ctr_kind(Ctr::kInsnsRetired), obs::CtrKind::kSemantic);
@@ -147,11 +148,6 @@ TEST(ObsShadow, CountsCacheTrafficAndPageLifecycle) {
   // Clearing the last tainted byte drops the page.
   s.set(0x1000, core::kEmptyProv);
   EXPECT_EQ(sink.value(Ctr::kShadowPageDrop), 1u);
-
-  // With zero taint anywhere, range probes take the global skip.
-  u64 skip0 = sink.value(Ctr::kShadowCleanSkip);
-  EXPECT_FALSE(s.range_tainted(0x5000, 8));
-  EXPECT_EQ(sink.value(Ctr::kShadowCleanSkip), skip0 + 1);
 }
 
 TEST(ObsProvStore, CountsMemoHitsAndMisses) {

@@ -12,7 +12,7 @@ TEST(Report, ChainRendering) {
   ProvStore store;
   TagMaps maps;
   u16 nf = maps.netflow.intern(FlowTuple{0xa9fe1aa1, 4444, 0xa9fe39a8, 49162});
-  u16 pr = maps.process.intern(0x1000, 7, "evil.exe");
+  u16 pr = maps.process.add(0x1000, 7, "evil.exe");
   auto id = store.intern({ProvTag::netflow(nf), ProvTag::process(pr),
                           ProvTag::export_table()});
   std::string chain = render_chain(store, maps, id);
@@ -53,7 +53,7 @@ TEST(Report, CodeWindowMarksFlaggedInstruction) {
 TEST(Report, JsonExportIsWellFormedish) {
   ProvStore store;
   TagMaps maps;
-  u16 pr = maps.process.intern(0x1000, 7, "bad\"guy.exe");
+  u16 pr = maps.process.add(0x1000, 7, "bad\"guy.exe");
   Finding f;
   f.policy = "netflow-export-confluence";
   f.proc.name = "bad\"guy.exe";

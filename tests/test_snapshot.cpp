@@ -212,20 +212,6 @@ TEST(Snapshot, CaptureOwnsOnlyTheFramesBootFilled) {
   EXPECT_LT(img.owned_frames(), 64u);
 }
 
-TEST(Snapshot, ConfigMismatchIsRejectedAtBoot) {
-  os::KernelConfig cfg;
-  auto snap = os::capture_snapshot(cfg);
-  ASSERT_TRUE(snap.ok()) << snap.error().message;
-
-  os::KernelConfig wrong = cfg;
-  wrong.rng_seed = cfg.rng_seed + 1;
-  wrong.snapshot = snap.value();
-  os::Kernel k(wrong);
-  auto b = k.boot();
-  ASSERT_FALSE(b.ok());
-  EXPECT_NE(b.error().message.find("mismatch"), std::string::npos);
-}
-
 // --- clone determinism ------------------------------------------------------
 
 // Replays one recorded thread-hijack run on three coexisting snapshot
