@@ -66,18 +66,13 @@ int main() {
   // --- 3. a scripted remote peer answers the hello with 16 bytes ------
   class Peer : public os::EventSource {
    public:
-    void poll(os::Machine& m) override {
-      const auto& out = m.kernel().net().outbound();
-      while (cursor_ < out.size()) {
-        const auto& pkt = out[cursor_++];
-        FlowTuple reply{pkt.flow.dst_ip, pkt.flow.dst_port, pkt.flow.src_ip,
-                        pkt.flow.src_port};
-        Bytes secret(16);
-        for (int i = 0; i < 16; ++i) secret[i] = static_cast<u8>(0x41 + i);
-        m.inject_packet(reply, secret);
-      }
+    void on_outbound(os::Machine& m, const os::OutboundPacket& pkt) override {
+      FlowTuple reply{pkt.flow.dst_ip, pkt.flow.dst_port, pkt.flow.src_ip,
+                      pkt.flow.src_port};
+      Bytes secret(16);
+      for (int i = 0; i < 16; ++i) secret[i] = static_cast<u8>(0x41 + i);
+      m.inject_packet(reply, secret);
     }
-    size_t cursor_ = 0;
   } peer;
   machine.set_event_source(&peer);
   machine.run(100'000);

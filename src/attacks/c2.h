@@ -21,7 +21,7 @@ class C2Server : public os::EventSource {
   /// Queues a response; consumed one per guest packet addressed to us.
   void queue_response(Bytes data) { responses_.push_back(std::move(data)); }
 
-  void poll(os::Machine& m) override;
+  void on_outbound(os::Machine& m, const os::OutboundPacket& pkt) override;
 
   u32 requests_seen() const { return requests_seen_; }
   u32 responses_sent() const { return responses_sent_; }
@@ -32,24 +32,23 @@ class C2Server : public os::EventSource {
   u32 ip_;
   u16 port_;
   std::deque<Bytes> responses_;
-  size_t outbound_cursor_ = 0;
   std::vector<Bytes> received_;
   u32 requests_seen_ = 0;
   u32 responses_sent_ = 0;
 };
 
-/// Several scripted endpoints polled as one event source. Multi-stage
-/// malware pulls different artefacts (payload, key, config) from different
-/// servers; each stage keeps its own endpoint, response queue and outbound
-/// cursor, so the exchanges stay independent inside one recording.
+/// Several scripted endpoints as one event source. Multi-stage malware
+/// pulls different artefacts (payload, key, config) from different
+/// servers; each stage keeps its own endpoint and response queue, so the
+/// exchanges stay independent inside one recording.
 class MultiC2 final : public os::EventSource {
  public:
   void add(std::unique_ptr<C2Server> server) {
     servers_.push_back(std::move(server));
   }
 
-  void poll(os::Machine& m) override {
-    for (auto& s : servers_) s->poll(m);
+  void on_outbound(os::Machine& m, const os::OutboundPacket& pkt) override {
+    for (auto& s : servers_) s->on_outbound(m, pkt);
   }
 
  private:

@@ -272,7 +272,6 @@ void Kernel::terminate(Process& p, u32 exit_code) {
   p.state = ProcState::kTerminated;
   --live_count_;
   p.exit_code = exit_code;
-  p.wait = PendingWait{};
   net_.close_all_for(p.pid);
   p.handles.clear();
   monitors_.on_process_exit(p.info(), exit_code);
@@ -289,7 +288,8 @@ Process* Kernel::pick_next() {
     if (idx == n) idx = 0;
     Process* p = sched_order_[idx];
     if (p->state == ProcState::kBlocked) {
-      if (!try_complete_wait(*p)) continue;
+      if (!run_syscall(*p)) continue;
+      p->state = ProcState::kReady;
     }
     if (p->state == ProcState::kReady) {
       sched_cursor_ = idx + 1;
@@ -385,35 +385,34 @@ u32 Kernel::alloc_handle(Process& p, Handle h) {
 // Syscall dispatch.
 
 void Kernel::dispatch_syscall(Process& p) {
-  const u32 num = p.cpu.regs[vm::R0];
   ++syscall_count_;
-
   if (monitors_.observes_syscalls()) {
     osi::SyscallEvent ev;
     ev.proc = p.info();
-    ev.number = num;
-    ev.name = syscall_name(num);
+    ev.number = p.cpu.regs[vm::R0];
+    ev.name = syscall_name(ev.number);
     ev.args[0] = p.cpu.regs[vm::R1];
     ev.args[1] = p.cpu.regs[vm::R2];
     ev.args[2] = p.cpu.regs[vm::R3];
     ev.args[3] = p.cpu.regs[vm::R4];
     monitors_.on_syscall(ev);
   }
+  (void)run_syscall(p);
+}
 
-  const Sys sys = static_cast<Sys>(num);
-  if (num >= 1 && num <= 15) {
-    sys_file(p, sys);
-  } else if (num >= 20 && num <= 25) {
-    sys_memory(p, sys);
-  } else if (num >= 30 && num <= 38) {
-    sys_process(p, sys);
-  } else if (num >= 40 && num <= 46) {
-    sys_net(p, sys);
-  } else if (num >= 50 && num <= 59) {
-    sys_misc(p, sys);
-  } else {
-    p.cpu.regs[vm::R0] = kNtError;
+bool Kernel::run_syscall(Process& p) {
+  auto& r = p.cpu.regs;
+  const SyscallRow* row = find_syscall(r[vm::R0]);
+  const SysResult res =
+      row ? row->handler(*this, p, {r[vm::R1], r[vm::R2], r[vm::R3], r[vm::R4]})
+          : kNtError;
+  p.in_syscall = !res;
+  if (p.in_syscall) {
+    p.state = ProcState::kBlocked;
+    return false;
   }
+  r[vm::R0] = *res;
+  return true;
 }
 
 }  // namespace faros::os

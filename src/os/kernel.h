@@ -90,8 +90,9 @@ class Kernel : public OsiQuery {
   u32 live_count() const { return live_count_; }
 
   // --- scheduling (driven by Machine) ---
-  /// Next runnable process (round robin); completes satisfiable waits on
-  /// the way. Returns nullptr when nothing can run.
+  /// Next runnable process (round robin); on the way it reruns the syscall
+  /// of each blocked process, which wakes when the call completes. Returns
+  /// nullptr when nothing can run.
   Process* pick_next();
   /// Runs `p` for at most `quantum` instructions; handles syscalls, traps
   /// and halts. Returns the number of instructions retired.
@@ -123,9 +124,14 @@ class Kernel : public OsiQuery {
   Result<void> load_module(const Image& img);
   Result<void> map_and_copy(vm::AddressSpace& as, VAddr base, ByteSpan blob,
                             u32 final_flags);
+  friend struct SyscallHandlers;  // the syscall table's rows
+
+  /// A guest syscall: publishes it to syscall observers, counts it and runs
+  /// it.
   void dispatch_syscall(Process& p);
-  /// Attempts to complete a blocked process' pending wait.
-  bool try_complete_wait(Process& p);
+  /// Runs the row of the syscall in p's r0 on r1..r4 and writes its result
+  /// to r0. Returns false, with p blocked, when the handler blocks.
+  bool run_syscall(Process& p);
 
   // Taint-aware guest copies: perform the raw copy, then publish the event.
   Result<void> copy_to_guest(Process& p, VAddr dst, ByteSpan data);
@@ -133,13 +139,6 @@ class Kernel : public OsiQuery {
 
   Result<std::string> read_path_arg(Process& p, VAddr va);
   u32 alloc_handle(Process& p, Handle h);
-
-  // Individual syscall families (implemented in kernel.cpp).
-  void sys_file(Process& p, Sys num);
-  void sys_memory(Process& p, Sys num);
-  void sys_process(Process& p, Sys num);
-  void sys_net(Process& p, Sys num);
-  void sys_misc(Process& p, Sys num);
 
   KernelConfig cfg_;
   vm::PhysMem mem_;

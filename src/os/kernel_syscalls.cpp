@@ -1,7 +1,11 @@
-// Syscall family handlers. ABI: number in r0, args in r1..r4, result in r0
-// (kNtError on failure). Every byte moved between kernel objects and guest
-// memory is published on the MonitorBus so the taint engine stays sound
-// across the (native) kernel.
+// The syscall table: one row {Sys, name, handler} per syscall number.
+// ABI: number in r0, args in r1..r4, result in r0 (kNtError on failure).
+// Every byte moved between kernel objects and guest memory is published on
+// the MonitorBus so the taint engine stays sound across the (native)
+// kernel. A handler that returns kBlocked must not have changed anything:
+// the scheduler wakes the process by running the same handler again.
+#include <array>
+
 #include "common/strings.h"
 #include "os/kernel.h"
 #include "os/runtime.h"
@@ -31,569 +35,558 @@ Handle* get_handle(Process& p, u32 h, Handle::Kind kind) {
   return &it->second;
 }
 
+/// Whether [va, va + len) lies below the kernel half, whose page tables
+/// every process shares: no VM syscall may map, protect or free there.
+bool user_range(VAddr va, u32 len) {
+  return va < vm::kKernelBase && len <= vm::kKernelBase - va;
+}
+
+void erase_region(Process& t, VAddr base) {
+  std::erase_if(t.regions,
+                [&](const Region& reg) { return reg.base == base; });
+}
+
 }  // namespace
 
-void Kernel::sys_file(Process& p, Sys num) {
-  auto& r = p.cpu.regs;
-  u32& r0 = r[vm::R0];
-  const u32 a1 = r[vm::R1], a2 = r[vm::R2], a3 = r[vm::R3], a4 = r[vm::R4];
-  r0 = kNtError;
+struct SyscallHandlers {
+  // --- file system ---
 
-  auto do_read = [&](Handle* h, u32 offset, VAddr buf, u32 len,
-                     bool advance) {
-    if (!h || len > kMaxIoLen) return;
-    auto st = vfs_.stat(h->path);
-    if (!st.ok()) return;
+  static SysResult file_read(Kernel& k, Process& p, Handle* h, u32 offset,
+                             VAddr buf, u32 len, bool advance) {
+    if (!h || len > kMaxIoLen) return kNtError;
+    auto st = k.vfs_.stat(h->path);
+    if (!st.ok()) return kNtError;
     Bytes tmp(len);
-    auto n = vfs_.read_at(h->path, offset, tmp);
-    if (!n.ok()) return;
-    u32 got = n.value();
+    auto n = k.vfs_.read_at(h->path, offset, tmp);
+    if (!n.ok()) return kNtError;
+    const u32 got = n.value();
     if (got > 0) {
-      auto c = copy_to_guest(p, buf, ByteSpan(tmp.data(), got));
-      if (!c.ok()) return;
+      if (!k.copy_to_guest(p, buf, ByteSpan(tmp.data(), got)).ok()) {
+        return kNtError;
+      }
       osi::GuestXfer xfer{p.info(), &p.as, buf, got};
-      monitors_.on_file_read(xfer, st.value().file_id, h->path,
-                             st.value().version, offset);
+      k.monitors_.on_file_read(xfer, st.value().file_id, h->path,
+                               st.value().version, offset);
     }
     if (advance) h->pos = offset + got;
-    r0 = got;
-  };
+    return got;
+  }
 
-  auto do_write = [&](Handle* h, u32 offset, VAddr buf, u32 len,
-                      bool advance) {
-    if (!h || len > kMaxIoLen) return;
-    auto data = copy_from_guest(p, buf, len);
-    if (!data.ok()) return;
-    auto w = vfs_.write_at(h->path, offset, data.value());
-    if (!w.ok()) return;
-    auto st = vfs_.stat(h->path);
+  static SysResult file_write(Kernel& k, Process& p, Handle* h, u32 offset,
+                              VAddr buf, u32 len, bool advance) {
+    if (!h || len > kMaxIoLen) return kNtError;
+    auto data = k.copy_from_guest(p, buf, len);
+    if (!data.ok()) return kNtError;
+    if (!k.vfs_.write_at(h->path, offset, data.value()).ok()) return kNtError;
+    auto st = k.vfs_.stat(h->path);
     if (st.ok()) {
       osi::GuestXfer xfer{p.info(), &p.as, buf, len};
-      monitors_.on_file_write(xfer, st.value().file_id, h->path,
-                              st.value().version, offset);
+      k.monitors_.on_file_write(xfer, st.value().file_id, h->path,
+                                st.value().version, offset);
     }
     if (advance) h->pos = offset + len;
-    r0 = len;
-  };
-
-  switch (num) {
-    case Sys::kNtCreateFile:
-    case Sys::kNtOpenFile: {
-      auto path = read_path_arg(p, a1);
-      if (!path.ok()) return;
-      if (!vfs_.exists(path.value())) {
-        if (num == Sys::kNtOpenFile) return;
-        vfs_.create(path.value());
-      }
-      (void)vfs_.touch(path.value());
-      r0 = alloc_handle(p, Handle{Handle::Kind::kFile, path.value(), 0, 0});
-      return;
-    }
-    case Sys::kNtReadFile: {
-      Handle* h = get_handle(p, a1, Handle::Kind::kFile);
-      do_read(h, h ? h->pos : 0, a2, a3, /*advance=*/true);
-      return;
-    }
-    case Sys::kNtWriteFile: {
-      Handle* h = get_handle(p, a1, Handle::Kind::kFile);
-      do_write(h, h ? h->pos : 0, a2, a3, /*advance=*/true);
-      return;
-    }
-    case Sys::kNtReadFileAt: {
-      Handle* h = get_handle(p, a1, Handle::Kind::kFile);
-      do_read(h, a2, a3, a4, /*advance=*/false);
-      return;
-    }
-    case Sys::kNtWriteFileAt: {
-      Handle* h = get_handle(p, a1, Handle::Kind::kFile);
-      do_write(h, a2, a3, a4, /*advance=*/false);
-      return;
-    }
-    case Sys::kNtCloseHandle: {
-      auto it = p.handles.find(a1);
-      if (it == p.handles.end()) return;
-      if (it->second.kind == Handle::Kind::kSocket) {
-        (void)net_.close(it->second.sock_id);
-      }
-      p.handles.erase(it);
-      r0 = 0;
-      return;
-    }
-    case Sys::kNtDeleteFile: {
-      auto path = read_path_arg(p, a1);
-      if (!path.ok()) return;
-      if (vfs_.remove(path.value()).ok()) r0 = 0;
-      return;
-    }
-    case Sys::kNtSeekFile: {
-      Handle* h = get_handle(p, a1, Handle::Kind::kFile);
-      if (!h) return;
-      h->pos = a2;
-      r0 = a2;
-      return;
-    }
-    case Sys::kNtQueryFileSize: {
-      Handle* h = get_handle(p, a1, Handle::Kind::kFile);
-      if (!h) return;
-      auto st = vfs_.stat(h->path);
-      if (st.ok()) r0 = st.value().size;
-      return;
-    }
-    case Sys::kNtRenameFile: {
-      auto from = read_path_arg(p, a1);
-      auto to = read_path_arg(p, a2);
-      if (!from.ok() || !to.ok()) return;
-      if (vfs_.rename(from.value(), to.value()).ok()) r0 = 0;
-      return;
-    }
-    case Sys::kNtTruncateFile: {
-      Handle* h = get_handle(p, a1, Handle::Kind::kFile);
-      if (!h) return;
-      if (vfs_.truncate(h->path, a2).ok()) r0 = 0;
-      return;
-    }
-    case Sys::kNtFlushFile: {
-      if (get_handle(p, a1, Handle::Kind::kFile)) r0 = 0;
-      return;
-    }
-    case Sys::kNtQueryFileVersion: {
-      Handle* h = get_handle(p, a1, Handle::Kind::kFile);
-      if (!h) return;
-      auto st = vfs_.stat(h->path);
-      if (st.ok()) r0 = st.value().version;
-      return;
-    }
-    case Sys::kNtQueryFileExists: {
-      auto path = read_path_arg(p, a1);
-      if (path.ok()) r0 = vfs_.exists(path.value()) ? 1 : 0;
-      return;
-    }
-    default: return;
+    return len;
   }
-}
 
-void Kernel::sys_memory(Process& p, Sys num) {
-  auto& r = p.cpu.regs;
-  u32& r0 = r[vm::R0];
-  const u32 a1 = r[vm::R1], a2 = r[vm::R2], a3 = r[vm::R3], a4 = r[vm::R4];
-  r0 = kNtError;
+  static SysResult file_open(Kernel& k, Process& p, VAddr path_va,
+                             bool create) {
+    auto path = k.read_path_arg(p, path_va);
+    if (!path.ok()) return kNtError;
+    if (!k.vfs_.exists(path.value())) {
+      if (!create) return kNtError;
+      k.vfs_.create(path.value());
+    }
+    (void)k.vfs_.touch(path.value());
+    return k.alloc_handle(p, Handle{Handle::Kind::kFile, path.value(), 0, 0});
+  }
 
-  auto target = [&](u32 pid) -> Process* {
+  static SysResult create_file(Kernel& k, Process& p, SysArgs a) {
+    return file_open(k, p, a.a1, /*create=*/true);
+  }
+  static SysResult open_file(Kernel& k, Process& p, SysArgs a) {
+    return file_open(k, p, a.a1, /*create=*/false);
+  }
+  static SysResult read_file(Kernel& k, Process& p, SysArgs a) {
+    Handle* h = get_handle(p, a.a1, Handle::Kind::kFile);
+    return file_read(k, p, h, h ? h->pos : 0, a.a2, a.a3, /*advance=*/true);
+  }
+  static SysResult write_file(Kernel& k, Process& p, SysArgs a) {
+    Handle* h = get_handle(p, a.a1, Handle::Kind::kFile);
+    return file_write(k, p, h, h ? h->pos : 0, a.a2, a.a3,
+                      /*advance=*/true);
+  }
+  static SysResult read_file_at(Kernel& k, Process& p, SysArgs a) {
+    Handle* h = get_handle(p, a.a1, Handle::Kind::kFile);
+    return file_read(k, p, h, a.a2, a.a3, a.a4, /*advance=*/false);
+  }
+  static SysResult write_file_at(Kernel& k, Process& p, SysArgs a) {
+    Handle* h = get_handle(p, a.a1, Handle::Kind::kFile);
+    return file_write(k, p, h, a.a2, a.a3, a.a4, /*advance=*/false);
+  }
+
+  static SysResult close_handle(Kernel& k, Process& p, SysArgs a) {
+    auto it = p.handles.find(a.a1);
+    if (it == p.handles.end()) return kNtError;
+    if (it->second.kind == Handle::Kind::kSocket) {
+      (void)k.net_.close(it->second.sock_id);
+    }
+    p.handles.erase(it);
+    return 0;
+  }
+
+  static SysResult delete_file(Kernel& k, Process& p, SysArgs a) {
+    auto path = k.read_path_arg(p, a.a1);
+    if (!path.ok() || !k.vfs_.remove(path.value()).ok()) return kNtError;
+    return 0;
+  }
+
+  static SysResult seek_file(Kernel&, Process& p, SysArgs a) {
+    Handle* h = get_handle(p, a.a1, Handle::Kind::kFile);
+    if (!h) return kNtError;
+    h->pos = a.a2;
+    return a.a2;
+  }
+
+  static SysResult query_file_size(Kernel& k, Process& p, SysArgs a) {
+    Handle* h = get_handle(p, a.a1, Handle::Kind::kFile);
+    if (!h) return kNtError;
+    auto st = k.vfs_.stat(h->path);
+    return st.ok() ? st.value().size : kNtError;
+  }
+
+  static SysResult rename_file(Kernel& k, Process& p, SysArgs a) {
+    auto from = k.read_path_arg(p, a.a1);
+    auto to = k.read_path_arg(p, a.a2);
+    if (!from.ok() || !to.ok()) return kNtError;
+    return k.vfs_.rename(from.value(), to.value()).ok() ? 0 : kNtError;
+  }
+
+  static SysResult truncate_file(Kernel& k, Process& p, SysArgs a) {
+    Handle* h = get_handle(p, a.a1, Handle::Kind::kFile);
+    if (!h) return kNtError;
+    return k.vfs_.truncate(h->path, a.a2).ok() ? 0 : kNtError;
+  }
+
+  static SysResult flush_file(Kernel&, Process& p, SysArgs a) {
+    return get_handle(p, a.a1, Handle::Kind::kFile) ? 0 : kNtError;
+  }
+
+  static SysResult query_file_version(Kernel& k, Process& p, SysArgs a) {
+    Handle* h = get_handle(p, a.a1, Handle::Kind::kFile);
+    if (!h) return kNtError;
+    auto st = k.vfs_.stat(h->path);
+    return st.ok() ? st.value().version : kNtError;
+  }
+
+  static SysResult query_file_exists(Kernel& k, Process& p, SysArgs a) {
+    auto path = k.read_path_arg(p, a.a1);
+    if (!path.ok()) return kNtError;
+    return k.vfs_.exists(path.value()) ? 1 : 0;
+  }
+
+  // --- virtual memory (r1 = target pid, 0 = self) ---
+
+  static Process* target(Kernel& k, Process& p, u32 pid) {
     if (pid == 0 || pid == p.pid) return &p;
-    Process* t = find(pid);
+    Process* t = k.find(pid);
     return (t && t->alive()) ? t : nullptr;
-  };
-
-  switch (num) {
-    case Sys::kNtAllocateVirtualMemory: {
-      Process* t = target(a1);
-      const u32 len = a2, prot = a3;
-      if (!t || len == 0 || len > kMaxAllocLen) return;
-      VAddr va = t->alloc_cursor;
-      if (!t->as.map_alloc(va, len, prot_to_pte(prot)).ok()) return;
-      u32 span = vm::page_ceil(len);
-      t->alloc_cursor = va + span + vm::kPageSize;  // guard gap
-      t->regions.push_back(Region{Region::Kind::kAlloc, va, span, prot, ""});
-      r0 = va;
-      return;
-    }
-    case Sys::kNtProtectVirtualMemory: {
-      Process* t = target(a1);
-      if (!t) return;
-      if (!t->as.protect_range(a2, a3, prot_to_pte(a4)).ok()) return;
-      if (Region* reg = t->region_containing(a2)) reg->prot = a4;
-      r0 = 0;
-      return;
-    }
-    case Sys::kNtFreeVirtualMemory: {
-      Process* t = target(a1);
-      if (!t) return;
-      if (!t->as.unmap_range(a2, a3, /*free_frames=*/true).ok()) return;
-      auto& regs_list = t->regions;
-      regs_list.erase(std::remove_if(regs_list.begin(), regs_list.end(),
-                                     [&](const Region& reg) {
-                                       return reg.base == a2;
-                                     }),
-                      regs_list.end());
-      r0 = 0;
-      return;
-    }
-    case Sys::kNtReadVirtualMemory: {
-      Process* t = target(a1);
-      if (!t || t == &p || a4 > kMaxIoLen) return;
-      auto data = copy_from_guest(*t, a2, a4);
-      if (!data.ok()) return;
-      if (!copy_to_guest(p, a3, data.value()).ok()) return;
-      osi::GuestXfer src{t->info(), &t->as, a2, a4};
-      osi::GuestXfer dst{p.info(), &p.as, a3, a4};
-      monitors_.on_cross_process_write(src, dst);
-      r0 = a4;
-      return;
-    }
-    case Sys::kNtWriteVirtualMemory: {
-      Process* t = target(a1);
-      if (!t || t == &p || a4 > kMaxIoLen) return;
-      auto data = copy_from_guest(p, a3, a4);
-      if (!data.ok()) return;
-      if (!copy_to_guest(*t, a2, data.value()).ok()) return;
-      osi::GuestXfer src{p.info(), &p.as, a3, a4};
-      osi::GuestXfer dst{t->info(), &t->as, a2, a4};
-      monitors_.on_cross_process_write(src, dst);
-      r0 = a4;
-      return;
-    }
-    case Sys::kNtUnmapViewOfSection: {
-      Process* t = target(a1);
-      if (!t) return;
-      Region* reg = t->region_containing(a2);
-      if (!reg || reg->kind != Region::Kind::kImage) return;
-      if (!t->as.unmap_range(reg->base, reg->len, /*free_frames=*/true)
-               .ok()) {
-        return;
-      }
-      VAddr base = reg->base;
-      auto& regs_list = t->regions;
-      regs_list.erase(std::remove_if(regs_list.begin(), regs_list.end(),
-                                     [&](const Region& rr) {
-                                       return rr.base == base;
-                                     }),
-                      regs_list.end());
-      r0 = 0;
-      return;
-    }
-    default: return;
   }
+
+  static SysResult allocate_vm(Kernel& k, Process& p, SysArgs a) {
+    Process* t = target(k, p, a.a1);
+    const u32 len = a.a2, prot = a.a3;
+    if (!t || len == 0 || len > kMaxAllocLen) return kNtError;
+    const VAddr va = t->alloc_cursor;
+    if (!user_range(va, len) ||
+        !t->as.map_alloc(va, len, prot_to_pte(prot)).ok()) {
+      return kNtError;
+    }
+    const u32 span = vm::page_ceil(len);
+    t->alloc_cursor = va + span + vm::kPageSize;  // guard gap
+    t->regions.push_back(Region{Region::Kind::kAlloc, va, span, prot, ""});
+    return va;
+  }
+
+  static SysResult protect_vm(Kernel& k, Process& p, SysArgs a) {
+    Process* t = target(k, p, a.a1);
+    if (!t || !user_range(a.a2, a.a3) ||
+        !t->as.protect_range(a.a2, a.a3, prot_to_pte(a.a4)).ok()) {
+      return kNtError;
+    }
+    if (Region* reg = t->region_containing(a.a2)) reg->prot = a.a4;
+    return 0;
+  }
+
+  static SysResult free_vm(Kernel& k, Process& p, SysArgs a) {
+    Process* t = target(k, p, a.a1);
+    if (!t || !user_range(a.a2, a.a3) ||
+        !t->as.unmap_range(a.a2, a.a3, /*free_frames=*/true).ok()) {
+      return kNtError;
+    }
+    erase_region(*t, a.a2);
+    return 0;
+  }
+
+  /// Copies `len` bytes from `src` (at `src_va`) to `dst` (at `dst_va`);
+  /// exactly one of the two is the caller.
+  static SysResult cross_copy(Kernel& k, Process& src, VAddr src_va,
+                              Process& dst, VAddr dst_va, u32 len) {
+    if (&src == &dst || len > kMaxIoLen) return kNtError;
+    auto data = k.copy_from_guest(src, src_va, len);
+    if (!data.ok()) return kNtError;
+    if (!k.copy_to_guest(dst, dst_va, data.value()).ok()) return kNtError;
+    k.monitors_.on_cross_process_write(
+        osi::GuestXfer{src.info(), &src.as, src_va, len},
+        osi::GuestXfer{dst.info(), &dst.as, dst_va, len});
+    return len;
+  }
+
+  static SysResult read_vm(Kernel& k, Process& p, SysArgs a) {
+    Process* t = target(k, p, a.a1);
+    if (!t) return kNtError;
+    return cross_copy(k, *t, a.a2, p, a.a3, a.a4);
+  }
+
+  static SysResult write_vm(Kernel& k, Process& p, SysArgs a) {
+    Process* t = target(k, p, a.a1);
+    if (!t) return kNtError;
+    return cross_copy(k, p, a.a3, *t, a.a2, a.a4);
+  }
+
+  static SysResult unmap_view(Kernel& k, Process& p, SysArgs a) {
+    Process* t = target(k, p, a.a1);
+    if (!t) return kNtError;
+    Region* reg = t->region_containing(a.a2);
+    if (!reg || reg->kind != Region::Kind::kImage ||
+        !t->as.unmap_range(reg->base, reg->len, /*free_frames=*/true).ok()) {
+      return kNtError;
+    }
+    erase_region(*t, reg->base);
+    return 0;
+  }
+
+  // --- processes ---
+
+  static SysResult create_process(Kernel& k, Process& p, SysArgs a) {
+    auto path = k.read_path_arg(p, a.a1);
+    if (!path.ok()) return kNtError;
+    auto pid = k.spawn(path.value(), (a.a2 & 1) != 0, p.pid);
+    return pid.ok() ? pid.value() : kNtError;
+  }
+
+  static SysResult suspend_process(Kernel& k, Process&, SysArgs a) {
+    Process* t = k.find(a.a1);
+    if (!t || !t->alive()) return kNtError;
+    t->state = ProcState::kSuspended;
+    return 0;
+  }
+
+  static SysResult resume_process(Kernel& k, Process&, SysArgs a) {
+    Process* t = k.find(a.a1);
+    if (!t || t->state != ProcState::kSuspended) return kNtError;
+    t->state = t->in_syscall ? ProcState::kBlocked : ProcState::kReady;
+    return 0;
+  }
+
+  static SysResult terminate_process(Kernel& k, Process&, SysArgs a) {
+    Process* t = k.find(a.a1);
+    if (!t || !t->alive()) return kNtError;
+    k.terminate(*t, a.a2);
+    return 0;
+  }
+
+  static SysResult set_entry_point(Kernel& k, Process&, SysArgs a) {
+    Process* t = k.find(a.a1);
+    if (!t || !t->alive()) return kNtError;
+    t->cpu.set_pc(a.a2);
+    return 0;
+  }
+
+  static SysResult get_current_pid(Kernel&, Process& p, SysArgs) {
+    return p.pid;
+  }
+
+  static SysResult wait_process(Kernel& k, Process&, SysArgs a) {
+    const Process* t = k.find(a.a1);
+    if (!t) return kNtError;
+    if (t->alive()) return kBlocked;
+    return t->exit_code;
+  }
+
+  static SysResult open_process_by_name(Kernel& k, Process& p, SysArgs a) {
+    auto name = k.read_path_arg(p, a.a1);
+    if (!name.ok()) return kNtError;
+    const Process* t = k.find_by_name(name.value());
+    return t ? t->pid : kNtError;
+  }
+
+  /// r1 = u32 array, r2 = capacity in entries -> count written.
+  static SysResult query_process_list(Kernel& k, Process& p, SysArgs a) {
+    const u32 cap = std::min<u32>(a.a2, 256);
+    ByteWriter w;
+    u32 count = 0;
+    for (const auto& [pid, t] : k.procs_) {
+      if (count == cap) break;
+      if (!t.alive()) continue;
+      w.put_u32(pid);
+      ++count;
+    }
+    if (!k.copy_to_guest(p, a.a1, w.bytes()).ok()) return kNtError;
+    return count;
+  }
+
+  // --- network ---
+
+  static SysResult socket(Kernel& k, Process& p, SysArgs) {
+    const SocketId sid = k.net_.create(p.pid);
+    return k.alloc_handle(p, Handle{Handle::Kind::kSocket, "", sid, 0});
+  }
+
+  static SysResult connect(Kernel& k, Process& p, SysArgs a) {
+    Handle* h = get_handle(p, a.a1, Handle::Kind::kSocket);
+    if (!h) return kNtError;
+    return k.net_.connect(h->sock_id, a.a2, static_cast<u16>(a.a3)).ok()
+               ? 0
+               : kNtError;
+  }
+
+  static SysResult bind(Kernel& k, Process& p, SysArgs a) {
+    Handle* h = get_handle(p, a.a1, Handle::Kind::kSocket);
+    if (!h) return kNtError;
+    return k.net_.bind(h->sock_id, static_cast<u16>(a.a2)).ok() ? 0
+                                                                : kNtError;
+  }
+
+  static SysResult send(Kernel& k, Process& p, SysArgs a) {
+    Handle* h = get_handle(p, a.a1, Handle::Kind::kSocket);
+    if (!h || a.a3 > kMaxIoLen) return kNtError;
+    auto data = k.copy_from_guest(p, a.a2, a.a3);
+    if (!data.ok()) return kNtError;
+    auto pkt =
+        k.net_.send(h->sock_id, data.value(), k.interp_.instr_count());
+    if (!pkt.ok()) return kNtError;
+    osi::GuestXfer xfer{p.info(), &p.as, a.a2, a.a3};
+    osi::PacketMeta meta{pkt.value().segment_id, 0, pkt.value().loopback};
+    k.monitors_.on_guest_send(xfer, pkt.value().flow, meta);
+    return a.a3;
+  }
+
+  /// Blocks while the socket's queue is empty.
+  static SysResult recv(Kernel& k, Process& p, SysArgs a) {
+    Handle* h = get_handle(p, a.a1, Handle::Kind::kSocket);
+    if (!h || a.a3 > kMaxIoLen) return kNtError;
+    auto avail = k.net_.rx_available(h->sock_id);
+    if (!avail.ok()) return kNtError;
+    if (avail.value() == 0) return kBlocked;
+    Bytes tmp(a.a3);
+    FlowTuple flow;
+    u64 seg_id = 0;
+    u32 seg_off = 0;
+    auto n = k.net_.read_rx(h->sock_id, tmp, &flow, &seg_id, &seg_off);
+    if (!n.ok()) return kNtError;
+    const u32 got = n.value();
+    if (got > 0) {
+      if (!k.copy_to_guest(p, a.a2, ByteSpan(tmp.data(), got)).ok()) {
+        return kNtError;
+      }
+      osi::GuestXfer xfer{p.info(), &p.as, a.a2, got};
+      osi::PacketMeta meta{seg_id, seg_off,
+                           flow.src_ip == k.net_.guest_ip()};
+      k.monitors_.on_packet_to_guest(xfer, flow, meta);
+    }
+    return got;
+  }
+
+  static SysResult poll_recv(Kernel& k, Process& p, SysArgs a) {
+    Handle* h = get_handle(p, a.a1, Handle::Kind::kSocket);
+    if (!h) return kNtError;
+    auto avail = k.net_.rx_available(h->sock_id);
+    return avail.ok() ? avail.value() : kNtError;
+  }
+
+  static SysResult resolve_host(Kernel& k, Process& p, SysArgs a) {
+    auto host = k.read_path_arg(p, a.a1);
+    if (!host.ok()) return kNtError;
+    return k.resolve_host(host.value());
+  }
+
+  // --- devices & misc ---
+
+  /// Blocks while the device's queue is empty.
+  static SysResult read_device(Kernel& k, Process& p, SysArgs a) {
+    if (a.a3 > kMaxIoLen) return kNtError;
+    auto it = k.device_queues_.find(a.a1);
+    if (it == k.device_queues_.end() || it->second.empty()) return kBlocked;
+    Bytes& front = it->second.front();
+    const u32 n = std::min<u32>(a.a3, static_cast<u32>(front.size()));
+    if (n > 0) {
+      if (!k.copy_to_guest(p, a.a2, ByteSpan(front.data(), n)).ok()) {
+        return kNtError;
+      }
+      osi::GuestXfer xfer{p.info(), &p.as, a.a2, n};
+      k.monitors_.on_device_read(xfer, a.a1);
+    }
+    if (n == front.size()) {
+      it->second.pop_front();
+    } else {
+      front.erase(front.begin(), front.begin() + n);
+    }
+    return n;
+  }
+
+  static SysResult debug_print(Kernel& k, Process& p, SysArgs a) {
+    auto data = k.copy_from_guest(p, a.a1, std::min<u32>(a.a2, 1024));
+    if (!data.ok()) return kNtError;
+    std::string text(data.value().begin(), data.value().end());
+    if (k.console_.size() < kMaxConsoleLines) {
+      k.console_.push_back(p.name + ": " + text);
+    }
+    k.monitors_.on_debug_print(p.info(), text);
+    return 0;
+  }
+
+  static SysResult get_tick(Kernel& k, Process&, SysArgs) {
+    return static_cast<u32>(k.interp_.instr_count() & 0xffffffffu);
+  }
+
+  static SysResult yield(Kernel&, Process&, SysArgs) { return 0; }
+
+  static SysResult get_random(Kernel& k, Process& p, SysArgs a) {
+    const u32 len = std::min<u32>(a.a2, 4096);
+    if (!k.copy_to_guest(p, a.a1, k.rng_.bytes(len)).ok()) return kNtError;
+    return len;
+  }
+
+  static SysResult exit(Kernel& k, Process& p, SysArgs a) {
+    k.terminate(p, a.a1);
+    return kNtError;
+  }
+
+  static SysResult get_module_directory(Kernel&, Process&, SysArgs) {
+    return KernelLayout::kModuleDir;
+  }
+
+  static SysResult load_library(Kernel& k, Process& p, SysArgs a) {
+    auto name = k.read_path_arg(p, a.a1);
+    if (!name.ok()) return kNtError;
+    const u32 hash = fnv1a32(name.value());
+    for (const auto& m : k.modules_) {
+      if (m.name_hash == hash) return m.base;
+    }
+    return kNtError;
+  }
+
+  // --- global atom table ---
+
+  static SysResult add_atom(Kernel& k, Process& p, SysArgs a) {
+    if (a.a2 == 0 || a.a2 > 4096) return kNtError;
+    auto data = k.copy_from_guest(p, a.a1, a.a2);
+    if (!data.ok()) return kNtError;
+    const u32 atom = k.next_atom_++;
+    k.atoms_[atom] = std::move(data).take();
+    osi::GuestXfer xfer{p.info(), &p.as, a.a1, a.a2};
+    k.monitors_.on_atom_write(xfer, atom);
+    return atom;
+  }
+
+  static SysResult get_atom(Kernel& k, Process& p, SysArgs a) {
+    auto it = k.atoms_.find(a.a1);
+    if (it == k.atoms_.end() || a.a3 > kMaxIoLen) return kNtError;
+    const u32 n = std::min<u32>(a.a3, static_cast<u32>(it->second.size()));
+    if (n > 0) {
+      if (!k.copy_to_guest(p, a.a2, ByteSpan(it->second.data(), n)).ok()) {
+        return kNtError;
+      }
+      osi::GuestXfer xfer{p.info(), &p.as, a.a2, n};
+      k.monitors_.on_atom_read(xfer, a.a1);
+    }
+    return n;
+  }
+};
+
+namespace {
+
+using H = SyscallHandlers;
+
+constexpr SyscallRow kSyscalls[] = {
+    {Sys::kNtCreateFile, "NtCreateFile", &H::create_file},
+    {Sys::kNtOpenFile, "NtOpenFile", &H::open_file},
+    {Sys::kNtReadFile, "NtReadFile", &H::read_file},
+    {Sys::kNtWriteFile, "NtWriteFile", &H::write_file},
+    {Sys::kNtCloseHandle, "NtCloseHandle", &H::close_handle},
+    {Sys::kNtDeleteFile, "NtDeleteFile", &H::delete_file},
+    {Sys::kNtSeekFile, "NtSeekFile", &H::seek_file},
+    {Sys::kNtQueryFileSize, "NtQueryFileSize", &H::query_file_size},
+    {Sys::kNtRenameFile, "NtRenameFile", &H::rename_file},
+    {Sys::kNtTruncateFile, "NtTruncateFile", &H::truncate_file},
+    {Sys::kNtFlushFile, "NtFlushFile", &H::flush_file},
+    {Sys::kNtQueryFileVersion, "NtQueryFileVersion", &H::query_file_version},
+    {Sys::kNtReadFileAt, "NtReadFileAt", &H::read_file_at},
+    {Sys::kNtWriteFileAt, "NtWriteFileAt", &H::write_file_at},
+    {Sys::kNtQueryFileExists, "NtQueryFileExists", &H::query_file_exists},
+
+    {Sys::kNtAllocateVirtualMemory, "NtAllocateVirtualMemory",
+     &H::allocate_vm},
+    {Sys::kNtProtectVirtualMemory, "NtProtectVirtualMemory", &H::protect_vm},
+    {Sys::kNtFreeVirtualMemory, "NtFreeVirtualMemory", &H::free_vm},
+    {Sys::kNtReadVirtualMemory, "NtReadVirtualMemory", &H::read_vm},
+    {Sys::kNtWriteVirtualMemory, "NtWriteVirtualMemory", &H::write_vm},
+    {Sys::kNtUnmapViewOfSection, "NtUnmapViewOfSection", &H::unmap_view},
+
+    {Sys::kNtCreateProcess, "NtCreateProcess", &H::create_process},
+    {Sys::kNtSuspendProcess, "NtSuspendProcess", &H::suspend_process},
+    {Sys::kNtResumeProcess, "NtResumeProcess", &H::resume_process},
+    {Sys::kNtTerminateProcess, "NtTerminateProcess", &H::terminate_process},
+    {Sys::kNtSetEntryPoint, "NtSetEntryPoint", &H::set_entry_point},
+    {Sys::kNtGetCurrentPid, "NtGetCurrentPid", &H::get_current_pid},
+    {Sys::kNtWaitProcess, "NtWaitProcess", &H::wait_process},
+    {Sys::kNtOpenProcessByName, "NtOpenProcessByName",
+     &H::open_process_by_name},
+    {Sys::kNtQueryProcessList, "NtQueryProcessList", &H::query_process_list},
+
+    {Sys::kNtSocket, "NtSocket", &H::socket},
+    {Sys::kNtConnect, "NtConnect", &H::connect},
+    {Sys::kNtBind, "NtBind", &H::bind},
+    {Sys::kNtSend, "NtSend", &H::send},
+    {Sys::kNtRecv, "NtRecv", &H::recv},
+    {Sys::kNtPollRecv, "NtPollRecv", &H::poll_recv},
+    {Sys::kNtResolveHost, "NtResolveHost", &H::resolve_host},
+
+    {Sys::kNtReadDevice, "NtReadDevice", &H::read_device},
+    {Sys::kNtDebugPrint, "NtDebugPrint", &H::debug_print},
+    {Sys::kNtGetTick, "NtGetTick", &H::get_tick},
+    {Sys::kNtYield, "NtYield", &H::yield},
+    {Sys::kNtGetRandom, "NtGetRandom", &H::get_random},
+    {Sys::kNtExit, "NtExit", &H::exit},
+    {Sys::kNtGetModuleDirectory, "NtGetModuleDirectory",
+     &H::get_module_directory},
+    {Sys::kNtLoadLibrary, "NtLoadLibrary", &H::load_library},
+    {Sys::kNtAddAtom, "NtAddAtom", &H::add_atom},
+    {Sys::kNtGetAtom, "NtGetAtom", &H::get_atom},
+};
+
+/// Row by number: the dispatch lookup is one load.
+constexpr auto kByNumber = [] {
+  std::array<const SyscallRow*,
+             static_cast<u32>(std::end(kSyscalls)[-1].number) + 1>
+      index{};
+  for (const SyscallRow& row : kSyscalls) {
+    index[static_cast<u32>(row.number)] = &row;
+  }
+  return index;
+}();
+
+}  // namespace
+
+std::span<const SyscallRow> syscall_table() { return kSyscalls; }
+
+const SyscallRow* find_syscall(u32 number) {
+  return number < kByNumber.size() ? kByNumber[number] : nullptr;
 }
 
-void Kernel::sys_process(Process& p, Sys num) {
-  auto& r = p.cpu.regs;
-  u32& r0 = r[vm::R0];
-  const u32 a1 = r[vm::R1], a2 = r[vm::R2];
-  r0 = kNtError;
-
-  switch (num) {
-    case Sys::kNtCreateProcess: {
-      auto path = read_path_arg(p, a1);
-      if (!path.ok()) return;
-      auto pid = spawn(path.value(), (a2 & 1) != 0, p.pid);
-      if (pid.ok()) r0 = pid.value();
-      return;
-    }
-    case Sys::kNtSuspendProcess: {
-      Process* t = find(a1);
-      if (!t || !t->alive()) return;
-      t->state = ProcState::kSuspended;
-      r0 = 0;
-      return;
-    }
-    case Sys::kNtResumeProcess: {
-      Process* t = find(a1);
-      if (!t || t->state != ProcState::kSuspended) return;
-      t->state = t->wait.kind != PendingWait::Kind::kNone
-                     ? ProcState::kBlocked
-                     : ProcState::kReady;
-      r0 = 0;
-      return;
-    }
-    case Sys::kNtTerminateProcess: {
-      Process* t = find(a1);
-      if (!t || !t->alive()) return;
-      terminate(*t, a2);
-      r0 = 0;
-      return;
-    }
-    case Sys::kNtSetEntryPoint: {
-      Process* t = find(a1);
-      if (!t || !t->alive()) return;
-      t->cpu.set_pc(a2);
-      r0 = 0;
-      return;
-    }
-    case Sys::kNtGetCurrentPid: r0 = p.pid; return;
-    case Sys::kNtWaitProcess: {
-      Process* t = find(a1);
-      if (!t) return;
-      if (t->state == ProcState::kTerminated) {
-        r0 = t->exit_code;
-        return;
-      }
-      p.state = ProcState::kBlocked;
-      p.wait = PendingWait{PendingWait::Kind::kProcExit, a1, 0, 0};
-      return;
-    }
-    case Sys::kNtOpenProcessByName: {
-      auto name = read_path_arg(p, a1);
-      if (!name.ok()) return;
-      Process* t = find_by_name(name.value());
-      if (t) r0 = t->pid;
-      return;
-    }
-    case Sys::kNtQueryProcessList: {
-      // r1 = u32 array, r2 = capacity in entries -> count written.
-      u32 cap = std::min<u32>(r[vm::R2], 256);
-      ByteWriter w;
-      u32 count = 0;
-      for (const auto& info : process_list()) {
-        const Process* t = find(info.pid);
-        if (!t || !t->alive() || count >= cap) continue;
-        w.put_u32(info.pid);
-        ++count;
-      }
-      if (!copy_to_guest(p, a1, w.bytes()).ok()) return;
-      r0 = count;
-      return;
-    }
-    default: return;
-  }
-}
-
-void Kernel::sys_net(Process& p, Sys num) {
-  auto& r = p.cpu.regs;
-  u32& r0 = r[vm::R0];
-  const u32 a1 = r[vm::R1], a2 = r[vm::R2], a3 = r[vm::R3];
-  r0 = kNtError;
-
-  switch (num) {
-    case Sys::kNtSocket: {
-      SocketId sid = net_.create(p.pid);
-      r0 = alloc_handle(p, Handle{Handle::Kind::kSocket, "", sid, 0});
-      return;
-    }
-    case Sys::kNtConnect: {
-      Handle* h = get_handle(p, a1, Handle::Kind::kSocket);
-      if (!h) return;
-      if (net_.connect(h->sock_id, a2, static_cast<u16>(a3)).ok()) r0 = 0;
-      return;
-    }
-    case Sys::kNtBind: {
-      Handle* h = get_handle(p, a1, Handle::Kind::kSocket);
-      if (!h) return;
-      if (net_.bind(h->sock_id, static_cast<u16>(a2)).ok()) r0 = 0;
-      return;
-    }
-    case Sys::kNtSend: {
-      Handle* h = get_handle(p, a1, Handle::Kind::kSocket);
-      if (!h || a3 > kMaxIoLen) return;
-      auto data = copy_from_guest(p, a2, a3);
-      if (!data.ok()) return;
-      auto pkt = net_.send(h->sock_id, data.value(), interp_.instr_count());
-      if (!pkt.ok()) return;
-      osi::GuestXfer xfer{p.info(), &p.as, a2, a3};
-      osi::PacketMeta meta{pkt.value().segment_id, 0, pkt.value().loopback};
-      monitors_.on_guest_send(xfer, pkt.value().flow, meta);
-      r0 = a3;
-      return;
-    }
-    case Sys::kNtRecv: {
-      Handle* h = get_handle(p, a1, Handle::Kind::kSocket);
-      if (!h || a3 > kMaxIoLen) return;
-      auto avail = net_.rx_available(h->sock_id);
-      if (!avail.ok()) return;
-      if (avail.value() == 0) {
-        p.state = ProcState::kBlocked;
-        p.wait = PendingWait{PendingWait::Kind::kRecv, a1, a2, a3};
-        return;
-      }
-      Bytes tmp(a3);
-      FlowTuple flow;
-      u64 seg_id = 0;
-      u32 seg_off = 0;
-      auto n = net_.read_rx(h->sock_id, tmp, &flow, &seg_id, &seg_off);
-      if (!n.ok()) return;
-      u32 got = n.value();
-      if (got > 0) {
-        if (!copy_to_guest(p, a2, ByteSpan(tmp.data(), got)).ok()) return;
-        osi::GuestXfer xfer{p.info(), &p.as, a2, got};
-        osi::PacketMeta meta{seg_id, seg_off,
-                             flow.src_ip == net_.guest_ip()};
-        monitors_.on_packet_to_guest(xfer, flow, meta);
-      }
-      r0 = got;
-      return;
-    }
-    case Sys::kNtPollRecv: {
-      Handle* h = get_handle(p, a1, Handle::Kind::kSocket);
-      if (!h) return;
-      auto avail = net_.rx_available(h->sock_id);
-      if (avail.ok()) r0 = avail.value();
-      return;
-    }
-    case Sys::kNtResolveHost: {
-      auto host = read_path_arg(p, a1);
-      if (!host.ok()) return;
-      r0 = resolve_host(host.value());
-      return;
-    }
-    default: return;
-  }
-}
-
-void Kernel::sys_misc(Process& p, Sys num) {
-  auto& r = p.cpu.regs;
-  u32& r0 = r[vm::R0];
-  const u32 a1 = r[vm::R1], a2 = r[vm::R2], a3 = r[vm::R3];
-  r0 = kNtError;
-
-  switch (num) {
-    case Sys::kNtReadDevice: {
-      if (a3 > kMaxIoLen) return;
-      auto& q = device_queues_[a1];
-      if (q.empty()) {
-        p.state = ProcState::kBlocked;
-        p.wait = PendingWait{PendingWait::Kind::kDevice, a1, a2, a3};
-        return;
-      }
-      Bytes& front = q.front();
-      u32 n = std::min<u32>(a3, static_cast<u32>(front.size()));
-      if (n > 0) {
-        if (!copy_to_guest(p, a2, ByteSpan(front.data(), n)).ok()) return;
-        osi::GuestXfer xfer{p.info(), &p.as, a2, n};
-        monitors_.on_device_read(xfer, a1);
-      }
-      if (n == front.size()) {
-        q.pop_front();
-      } else {
-        front.erase(front.begin(), front.begin() + n);
-      }
-      r0 = n;
-      return;
-    }
-    case Sys::kNtDebugPrint: {
-      u32 len = std::min<u32>(a2, 1024);
-      auto data = copy_from_guest(p, a1, len);
-      if (!data.ok()) return;
-      std::string text(data.value().begin(), data.value().end());
-      p.debug_output.push_back(text);
-      if (console_.size() < kMaxConsoleLines) {
-        console_.push_back(p.name + ": " + text);
-      }
-      monitors_.on_debug_print(p.info(), text);
-      r0 = 0;
-      return;
-    }
-    case Sys::kNtGetTick:
-      r0 = static_cast<u32>(interp_.instr_count() & 0xffffffffu);
-      return;
-    case Sys::kNtYield: r0 = 0; return;
-    case Sys::kNtGetRandom: {
-      u32 len = std::min<u32>(a2, 4096);
-      Bytes data = rng_.bytes(len);
-      if (!copy_to_guest(p, a1, data).ok()) return;
-      r0 = len;
-      return;
-    }
-    case Sys::kNtExit: terminate(p, a1); return;
-    case Sys::kNtGetModuleDirectory: r0 = KernelLayout::kModuleDir; return;
-    case Sys::kNtLoadLibrary: {
-      auto name = read_path_arg(p, a1);
-      if (!name.ok()) return;
-      u32 hash = fnv1a32(name.value());
-      for (const auto& m : modules_) {
-        if (m.name_hash == hash) {
-          r0 = m.base;
-          return;
-        }
-      }
-      return;
-    }
-    case Sys::kNtAddAtom: {
-      if (a2 == 0 || a2 > 4096) return;
-      auto data = copy_from_guest(p, a1, a2);
-      if (!data.ok()) return;
-      u32 atom = next_atom_++;
-      atoms_[atom] = std::move(data).take();
-      osi::GuestXfer xfer{p.info(), &p.as, a1, a2};
-      monitors_.on_atom_write(xfer, atom);
-      r0 = atom;
-      return;
-    }
-    case Sys::kNtGetAtom: {
-      auto it = atoms_.find(a1);
-      if (it == atoms_.end() || a3 > kMaxIoLen) return;
-      u32 n = std::min<u32>(a3, static_cast<u32>(it->second.size()));
-      if (n > 0) {
-        if (!copy_to_guest(p, a2, ByteSpan(it->second.data(), n)).ok()) {
-          return;
-        }
-        osi::GuestXfer xfer{p.info(), &p.as, a2, n};
-        monitors_.on_atom_read(xfer, a1);
-      }
-      r0 = n;
-      return;
-    }
-    default: return;
-  }
-}
-
-bool Kernel::try_complete_wait(Process& p) {
-  switch (p.wait.kind) {
-    case PendingWait::Kind::kNone: return false;
-    case PendingWait::Kind::kRecv: {
-      Handle* h = get_handle(p, p.wait.id, Handle::Kind::kSocket);
-      if (!h) {
-        p.cpu.regs[vm::R0] = kNtError;
-        break;
-      }
-      auto avail = net_.rx_available(h->sock_id);
-      if (!avail.ok()) {
-        p.cpu.regs[vm::R0] = kNtError;
-        break;
-      }
-      if (avail.value() == 0) return false;
-      Bytes tmp(p.wait.len);
-      FlowTuple flow;
-      u64 seg_id = 0;
-      u32 seg_off = 0;
-      auto n = net_.read_rx(h->sock_id, tmp, &flow, &seg_id, &seg_off);
-      u32 got = n.ok() ? n.value() : 0;
-      if (got > 0) {
-        if (!copy_to_guest(p, p.wait.buf, ByteSpan(tmp.data(), got)).ok()) {
-          p.cpu.regs[vm::R0] = kNtError;
-          break;
-        }
-        osi::GuestXfer xfer{p.info(), &p.as, p.wait.buf, got};
-        osi::PacketMeta meta{seg_id, seg_off,
-                             flow.src_ip == net_.guest_ip()};
-        monitors_.on_packet_to_guest(xfer, flow, meta);
-      }
-      p.cpu.regs[vm::R0] = got;
-      break;
-    }
-    case PendingWait::Kind::kDevice: {
-      auto it = device_queues_.find(p.wait.id);
-      if (it == device_queues_.end() || it->second.empty()) return false;
-      Bytes& front = it->second.front();
-      u32 n = std::min<u32>(p.wait.len, static_cast<u32>(front.size()));
-      if (n > 0) {
-        if (!copy_to_guest(p, p.wait.buf, ByteSpan(front.data(), n)).ok()) {
-          p.cpu.regs[vm::R0] = kNtError;
-          break;
-        }
-        osi::GuestXfer xfer{p.info(), &p.as, p.wait.buf, n};
-        monitors_.on_device_read(xfer, p.wait.id);
-      }
-      if (n == front.size()) {
-        it->second.pop_front();
-      } else {
-        front.erase(front.begin(), front.begin() + n);
-      }
-      p.cpu.regs[vm::R0] = n;
-      break;
-    }
-    case PendingWait::Kind::kProcExit: {
-      Process* t = find(p.wait.id);
-      if (!t) {
-        p.cpu.regs[vm::R0] = kNtError;
-        break;
-      }
-      if (t->state != ProcState::kTerminated) return false;
-      p.cpu.regs[vm::R0] = t->exit_code;
-      break;
-    }
-  }
-  p.wait = PendingWait{};
-  p.state = ProcState::kReady;
-  return true;
+const char* syscall_name(u32 number) {
+  const SyscallRow* row = find_syscall(number);
+  return row ? row->name : "NtUnknown";
 }
 
 }  // namespace faros::os

@@ -62,7 +62,10 @@ void Machine::pump_events() {
       deliver(kernel_, events[replay_pos_++]);
     }
   } else if (source_) {
-    source_->poll(*this);
+    const auto& outbound = kernel_.net().outbound();
+    while (outbound_cursor_ < outbound.size()) {
+      source_->on_outbound(*this, outbound[outbound_cursor_++]);
+    }
   }
 }
 

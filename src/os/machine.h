@@ -2,11 +2,11 @@
 //
 // Two run modes, either one with or without plugins attached:
 //   * RECORD: boot a machine, attach an EventSource (the scripted attacker
-//      C2 / device input), run the workload. All nondeterministic inputs
-//      are captured in a ReplayLog. attacks::Analysis (the farm's job,
-//      the benches, the examples) attaches the FAROS plugin
-//      (vm::ExecHooks + osi::GuestMonitor) before boot, so the live run is
-//      analyzed while it records.
+//      C2, handed each outbound packet once), run the workload. All
+//      nondeterministic inputs are captured in a ReplayLog.
+//      attacks::Analysis (the farm's job, the benches, the examples)
+//      attaches the FAROS plugin (vm::ExecHooks + osi::GuestMonitor)
+//      before boot, so the live run is analyzed while it records.
 //   * REPLAY: boot an identical machine, load the log, run. Execution is
 //      bit-identical to the recorded run. The farm never replays; the
 //      paper's offline Section V-C workflow (record bare, analyze on
@@ -22,12 +22,15 @@ namespace faros::os {
 
 class Machine;
 
-/// Live input source for record mode (scripted remote peers, devices).
-/// Polled once per scheduling round; inject inputs via the Machine API.
+/// Live input source for record mode (scripted remote peers). Machine::run
+/// hands it each outbound guest packet once, in send order, at the top of
+/// the first scheduling round after the send; it answers through the
+/// Machine injection API. A round ends at its one syscall, so at most one
+/// packet is new per round.
 class EventSource {
  public:
   virtual ~EventSource() = default;
-  virtual void poll(Machine& m) = 0;
+  virtual void on_outbound(Machine& m, const OutboundPacket& pkt) = 0;
 };
 
 /// Instructions per scheduling slice.
@@ -96,6 +99,7 @@ class Machine {
 
   Kernel kernel_;
   EventSource* source_ = nullptr;
+  size_t outbound_cursor_ = 0;  // outbound packets handed to source_
 
   vm::ReplayLog recording_;
   vm::ReplayLog replay_;

@@ -25,16 +25,6 @@ enum class ProcState {
 
 const char* proc_state_name(ProcState s);
 
-/// What a blocked process is waiting for. The pending buffer describes the
-/// in-flight syscall that the kernel completes on wake-up.
-struct PendingWait {
-  enum class Kind { kNone, kRecv, kDevice, kProcExit };
-  Kind kind = Kind::kNone;
-  u32 id = 0;       // socket handle / device id / pid
-  VAddr buf = 0;
-  u32 len = 0;
-};
-
 /// Memory region bookkeeping (Windows VAD analogue). The CuckooBox/malfind
 /// baseline walks this plus the page tables to find suspicious regions.
 struct Region {
@@ -65,12 +55,13 @@ struct Process {
   vm::CpuState cpu;
   ProcState state = ProcState::kReady;
   u32 exit_code = 0;
-  PendingWait wait;
+  /// Blocked in a syscall, which still sits in r0..r4 and reruns on
+  /// wake-up; kept across suspend so resume puts the process back to wait.
+  bool in_syscall = false;
   std::map<u32, Handle> handles;
   u32 next_handle = 4;
   VAddr alloc_cursor = 0;  // bump allocator for NtAllocateVirtualMemory
   std::vector<Region> regions;
-  std::vector<std::string> debug_output;  // NtDebugPrint lines
   u64 instr_retired = 0;  // per-process CPU accounting
 
   osi::ProcessInfo info() const {

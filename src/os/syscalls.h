@@ -1,8 +1,13 @@
-// WinSim syscall numbers and ABI.
+// WinSim syscall numbers, ABI and the one syscall table.
 //
-// ABI: service number in r0, arguments in r1..r4, primary result in r0
-// (kNtError = 0xffffffff signals failure), secondary result in r1.
-// Pointer arguments are guest virtual addresses in the calling process.
+// ABI: service number in r0, arguments in r1..r4, result in r0
+// (kNtError = 0xffffffff signals failure). Pointer arguments are guest
+// virtual addresses in the calling process.
+//
+// Every number has one row in syscall_table() (kernel_syscalls.cpp): its
+// name and its handler. A handler returns the r0 result or kBlocked; a
+// handler that blocks has changed nothing, and the scheduler wakes the
+// process by running the same row again (DESIGN.md §3k).
 //
 // The file-system group deliberately mirrors the paper's observation that
 // FAROS hooks "26 filesystem-related system calls" — the semantic file
@@ -10,9 +15,15 @@
 // file) are emitted from these handlers.
 #pragma once
 
+#include <optional>
+#include <span>
+
 #include "common/types.h"
 
 namespace faros::os {
+
+class Kernel;
+struct Process;
 
 inline constexpr u32 kNtError = 0xffffffffu;
 
@@ -84,6 +95,26 @@ enum class DeviceId : u32 {
   kScreen = 3,
 };
 
+/// A syscall handler's outcome: the value for r0, or kBlocked.
+using SysResult = std::optional<u32>;
+inline constexpr std::nullopt_t kBlocked = std::nullopt;
+
+/// r1..r4 of the calling process.
+struct SysArgs {
+  u32 a1, a2, a3, a4;
+};
+
+struct SyscallRow {
+  Sys number;
+  const char* name;
+  SysResult (*handler)(Kernel& k, Process& p, SysArgs a);
+};
+
+/// One row per Sys enumerator, in ascending number order.
+std::span<const SyscallRow> syscall_table();
+/// The row of `number`, or nullptr for a number no row has.
+const SyscallRow* find_syscall(u32 number);
+/// The row's name, or "NtUnknown".
 const char* syscall_name(u32 number);
 
 /// Memory protection bits for the VM syscalls (translated to PTE flags).

@@ -125,13 +125,15 @@ TEST(C2Server, RespondsOncePerRequestInOrder) {
   auto& kernel = m.kernel();
   os::SocketId sid = kernel.net().create(1);
   ASSERT_TRUE(kernel.net().connect(sid, kAttackerIp, kAttackerPort).ok());
+  const auto& out = kernel.net().outbound();
   (void)kernel.net().send(sid, Bytes{'a'}, 1);
-  c2.poll(m);
+  c2.on_outbound(m, out[0]);
   EXPECT_EQ(c2.requests_seen(), 1u);
   EXPECT_EQ(c2.responses_sent(), 1u);
   (void)kernel.net().send(sid, Bytes{'b'}, 2);
   (void)kernel.net().send(sid, Bytes{'c'}, 3);  // no response left for this
-  c2.poll(m);
+  c2.on_outbound(m, out[1]);
+  c2.on_outbound(m, out[2]);
   EXPECT_EQ(c2.requests_seen(), 3u);
   EXPECT_EQ(c2.responses_sent(), 2u);
   ASSERT_EQ(c2.received().size(), 3u);
@@ -157,7 +159,7 @@ TEST(C2Server, IgnoresTrafficToOtherEndpoints) {
   os::SocketId sid = m.kernel().net().create(1);
   ASSERT_TRUE(m.kernel().net().connect(sid, 0x08080808, 53).ok());
   (void)m.kernel().net().send(sid, Bytes{'x'}, 1);
-  c2.poll(m);
+  c2.on_outbound(m, m.kernel().net().outbound()[0]);
   EXPECT_EQ(c2.requests_seen(), 0u);
   EXPECT_EQ(c2.responses_sent(), 0u);
 }

@@ -133,5 +133,101 @@ TEST(MachineEvents, DiskTouchingDropperIsVisibleToEventBaseline) {
   EXPECT_TRUE(cuckoo.behavioral_verdict());  // dropped .exe observed
 }
 
+TEST(MachineEvents, BlockedSyscallIsObservedAndCountedOnce) {
+  // The receiver waits in NtRecv while a spinner keeps rounds going; every
+  // round retries the call, but the trace and the counter see it once.
+  Machine m;
+  baselines::CuckooSandboxSim cuckoo;
+  m.add_monitor(&cuckoo);
+  ASSERT_TRUE(m.boot().ok());
+  ImageBuilder spin("spin.exe", kUserImageBase);
+  spin.asm_().label("_start");
+  emit_sys(spin.asm_(), Sys::kNtYield);
+  spin.asm_().jmp("_start");
+  m.kernel().vfs().create("C:/spin.exe", spin.build().value().serialize());
+  m.kernel().vfs().create("C:/recv.exe",
+                          make_recv_exit_program().serialize());
+  auto pid = m.kernel().spawn("C:/recv.exe");
+  ASSERT_TRUE(pid.ok());
+  ASSERT_TRUE(m.kernel().spawn("C:/spin.exe").ok());
+
+  auto recvs = [&] {
+    size_t n = 0;
+    for (const auto& s : cuckoo.syscalls()) n += s.name == "NtRecv" ? 1 : 0;
+    return n;
+  };
+  const RunStats waiting = m.run(30000);
+  ASSERT_EQ(m.kernel().find(pid.value())->state, ProcState::kBlocked);
+  EXPECT_GT(waiting.scheduling_rounds, 1000u);
+  EXPECT_EQ(recvs(), 1u);
+  EXPECT_EQ(m.kernel().syscall_count(), cuckoo.syscalls().size());
+
+  FlowTuple reply{attacks::kAttackerIp, attacks::kAttackerPort,
+                  m.kernel().net().guest_ip(), 49162};
+  ASSERT_TRUE(m.inject_packet(reply, Bytes{7, 7}));
+  m.run(30000);
+  EXPECT_EQ(m.kernel().find(pid.value())->exit_code, 2u);
+  EXPECT_EQ(recvs(), 1u);
+  EXPECT_EQ(m.kernel().syscall_count(), cuckoo.syscalls().size());
+}
+
+TEST(MachineEvents, SourceGetsEachOutboundPacketOnceInSendOrder) {
+  // Sends "a" and "b", blocks in NtRecv, then sends "c" and "d" and exits.
+  ImageBuilder ib("chatty.exe", kUserImageBase);
+  auto& a = ib.asm_();
+  a.label("_start");
+  attacks::emit_connect(a, attacks::kAttackerIp, attacks::kAttackerPort);
+  for (const char* label : {"a", "b"}) {
+    attacks::emit_send_label(a, label, 1);
+    emit_sys(a, Sys::kNtYield);
+  }
+  a.movi_label(Reg::R9, "buf");
+  attacks::emit_recv(a, Reg::R9, 4);
+  for (const char* label : {"c", "d"}) {
+    attacks::emit_send_label(a, label, 1);
+    emit_sys(a, Sys::kNtYield);
+  }
+  attacks::emit_exit(a, 0);
+  a.align(8);
+  for (const char* label : {"a", "b", "c", "d"}) {
+    a.label(label);
+    a.data_str(label, false);
+    a.align(8);
+  }
+  a.label("buf");
+  a.zeros(8);
+
+  /// Logs each packet it is handed and what the machine looked like then.
+  struct Tap : EventSource {
+    void on_outbound(Machine& m, const OutboundPacket& pkt) override {
+      const auto& out = m.kernel().net().outbound();
+      // The packet is the newest one, handed over at the top of the round
+      // right after the send.
+      EXPECT_EQ(&pkt, &out.back());
+      EXPECT_EQ(pkt.instr_index, m.kernel().interp().instr_count());
+      seen.push_back(std::string(pkt.data.begin(), pkt.data.end()));
+    }
+    std::vector<std::string> seen;
+  } tap;
+
+  Machine m;
+  ASSERT_TRUE(m.boot().ok());
+  m.kernel().vfs().create("C:/chatty.exe", ib.build().value().serialize());
+  auto pid = m.kernel().spawn("C:/chatty.exe");
+  ASSERT_TRUE(pid.ok());
+  m.set_event_source(&tap);
+  const RunStats first = m.run(50000);
+  ASSERT_TRUE(first.deadlocked);
+  EXPECT_EQ(tap.seen, (std::vector<std::string>{"a", "b"}));
+
+  FlowTuple reply{attacks::kAttackerIp, attacks::kAttackerPort,
+                  m.kernel().net().guest_ip(), 49162};
+  ASSERT_TRUE(m.inject_packet(reply, Bytes{1}));
+  const RunStats second = m.run(50000);
+  ASSERT_TRUE(second.all_exited);
+  EXPECT_EQ(tap.seen, (std::vector<std::string>{"a", "b", "c", "d"}));
+  EXPECT_EQ(m.kernel().net().outbound().size(), 4u);
+}
+
 }  // namespace
 }  // namespace faros::os

@@ -4,6 +4,7 @@
 
 #include "attacks/guest_common.h"
 #include "common/hash.h"
+#include "common/strings.h"
 #include "os/machine.h"
 #include "os/runtime.h"
 
@@ -434,6 +435,217 @@ TEST_F(KernelTest, DeviceReadBlocksAndCompletes) {
   EXPECT_EQ(kernel().find(pid)->exit_code, 3u);
 }
 
+/// The bytes of every kernel transfer into one process, in order.
+class XferLog : public osi::GuestMonitor {
+ public:
+  explicit XferLog(Pid pid) : pid_(pid) {}
+  void on_packet_to_guest(const osi::GuestXfer& x, const FlowTuple&,
+                          const osi::PacketMeta&) override {
+    add("packet", x);
+  }
+  void on_device_read(const osi::GuestXfer& x, u32 dev) override {
+    add("device" + std::to_string(dev), x);
+  }
+  void on_kernel_write(const osi::GuestXfer& x) override {
+    add("kernel_write", x);
+  }
+  std::vector<std::string> lines;
+
+ private:
+  void add(const std::string& kind, const osi::GuestXfer& x) {
+    if (x.proc.pid != pid_) return;
+    Bytes data(x.len);
+    EXPECT_TRUE(x.as->copy_out(x.va, data, /*user=*/true).ok());
+    lines.push_back(kind + " " + hex32(x.va) + " " +
+                    std::string(data.begin(), data.end()));
+  }
+  Pid pid_;
+};
+
+/// A blocking syscall: the guest code that issues it (result left in r0;
+/// the program may read and write its 16-byte "buf"), and the host input
+/// that completes it.
+struct BlockingCall {
+  Sys sys;
+  std::function<void(Assembler&)> emit;
+  std::function<void(Kernel&)> input;
+  u32 result;
+};
+
+std::vector<BlockingCall> blocking_calls() {
+  return {
+      {Sys::kNtRecv,
+       [](Assembler& a) {
+         attacks::emit_connect(a, attacks::kAttackerIp,
+                               attacks::kAttackerPort);
+         a.movi_label(Reg::R9, "buf");
+         attacks::emit_recv(a, Reg::R9, 16);
+       },
+       [](Kernel& k) {
+         FlowTuple reply{attacks::kAttackerIp, attacks::kAttackerPort,
+                         k.net().guest_ip(), 49162};
+         EXPECT_TRUE(k.deliver_packet(reply, Bytes{'h', 'e', 'l', 'l', 'o'}));
+       },
+       5},
+      {Sys::kNtReadDevice,
+       [](Assembler& a) {
+         a.movi(Reg::R1, static_cast<u32>(DeviceId::kKeyboard));
+         a.movi_label(Reg::R2, "buf");
+         a.movi(Reg::R3, 8);
+         emit_sys(a, Sys::kNtReadDevice);
+       },
+       [](Kernel& k) {
+         k.deliver_device(static_cast<u32>(DeviceId::kKeyboard),
+                          Bytes{'a', 'b', 'c'});
+       },
+       3},
+      // Waits for a child that exits with the length of a keyboard read.
+      {Sys::kNtWaitProcess,
+       [](Assembler& a) {
+         a.movi_label(Reg::R1, "childpath");
+         a.movi(Reg::R2, 0);
+         emit_sys(a, Sys::kNtCreateProcess);
+         a.mov(Reg::R1, Reg::R0);
+         emit_sys(a, Sys::kNtWaitProcess);
+       },
+       [](Kernel& k) {
+         k.deliver_device(static_cast<u32>(DeviceId::kKeyboard),
+                          Bytes{'x', 'y', 'z', 'w'});
+       },
+       4},
+  };
+}
+
+struct BlockedRun {
+  u32 r0 = 0;
+  Bytes buf;
+  std::vector<std::string> events;
+};
+
+/// Runs `call` in "waiter.exe" until it blocks, optionally has a second
+/// process suspend and resume the waiter while it is blocked, then delivers
+/// the input and runs the waiter to completion.
+BlockedRun run_blocking_call(const BlockingCall& call, bool suspend) {
+  Machine m;
+  EXPECT_TRUE(m.boot().ok());
+  Kernel& k = m.kernel();
+  auto install = [&](ImageBuilder& ib) {
+    auto img = ib.build();
+    EXPECT_TRUE(img.ok());
+    k.vfs().create("C:/test/" + img.value().name, img.value().serialize());
+    return img.value().name;
+  };
+
+  ImageBuilder child("child.exe", kUserImageBase);
+  {
+    auto& a = child.asm_();
+    a.label("_start");
+    a.movi(Reg::R1, static_cast<u32>(DeviceId::kKeyboard));
+    a.movi_label(Reg::R2, "buf");
+    a.movi(Reg::R3, 8);
+    emit_sys(a, Sys::kNtReadDevice);
+    a.mov(Reg::R1, Reg::R0);
+    emit_sys(a, Sys::kNtExit);
+    a.align(8);
+    a.label("buf");
+    a.zeros(8);
+  }
+  install(child);
+
+  ImageBuilder waiter("waiter.exe", kUserImageBase);
+  {
+    auto& a = waiter.asm_();
+    a.label("_start");
+    call.emit(a);
+    a.mov(Reg::R8, Reg::R0);
+    a.label("spin");
+    emit_sys(a, Sys::kNtYield);
+    a.jmp("spin");
+    a.align(8);
+    a.label("buf");
+    a.zeros(16);
+    a.label("childpath");
+    a.data_str("C:/test/child.exe");
+  }
+  auto pid = k.spawn("C:/test/" + install(waiter));
+  EXPECT_TRUE(pid.ok());
+  const VAddr buf_va =
+      kUserImageBase + waiter.asm_().label_offset("buf").value();
+
+  // Suspends the waiter at the first screen input, resumes it at the
+  // second.
+  ImageBuilder ctl("controller.exe", kUserImageBase);
+  {
+    auto& a = ctl.asm_();
+    a.label("_start");
+    a.movi_label(Reg::R1, "name");
+    emit_sys(a, Sys::kNtOpenProcessByName);
+    a.mov(Reg::R7, Reg::R0);
+    for (Sys step : {Sys::kNtSuspendProcess, Sys::kNtResumeProcess}) {
+      a.movi(Reg::R1, static_cast<u32>(DeviceId::kScreen));
+      a.movi_label(Reg::R2, "scratch");
+      a.movi(Reg::R3, 1);
+      emit_sys(a, Sys::kNtReadDevice);
+      a.mov(Reg::R1, Reg::R7);
+      emit_sys(a, step);
+    }
+    emit_exit(a, 0);
+    a.align(8);
+    a.label("name");
+    a.data_str("waiter.exe");
+    a.align(8);
+    a.label("scratch");
+    a.zeros(8);
+  }
+  if (suspend) {
+    EXPECT_TRUE(k.spawn("C:/test/" + install(ctl)).ok());
+  }
+
+  XferLog log(pid.value());
+  m.add_monitor(&log);
+  Process* p = k.find(pid.value());
+  const u32 num = static_cast<u32>(call.sys);
+  m.run(50000);
+  EXPECT_EQ(p->state, ProcState::kBlocked);
+  EXPECT_EQ(p->cpu.regs[Reg::R0], num);  // the call waits in r0..r4
+  if (suspend) {
+    k.deliver_device(static_cast<u32>(DeviceId::kScreen), Bytes{1});
+    m.run(50000);
+    EXPECT_EQ(p->state, ProcState::kSuspended);
+    EXPECT_TRUE(p->in_syscall);
+    EXPECT_EQ(p->cpu.regs[Reg::R0], num);
+    k.deliver_device(static_cast<u32>(DeviceId::kScreen), Bytes{1});
+    m.run(50000);
+    EXPECT_EQ(p->state, ProcState::kBlocked);  // resumed, still waiting
+    EXPECT_EQ(p->cpu.regs[Reg::R0], num);
+  }
+  call.input(k);
+  m.run(50000);
+  EXPECT_TRUE(p->alive());
+  EXPECT_FALSE(p->in_syscall);
+  BlockedRun out;
+  out.r0 = p->cpu.regs[Reg::R8];
+  out.buf.resize(16);
+  EXPECT_TRUE(p->as.copy_out(buf_va, out.buf, /*user=*/true).ok());
+  out.events = log.lines;
+  return out;
+}
+
+TEST(KernelBlocking, SuspendedWhileBlockedWaitsAgainAfterResume) {
+  for (const BlockingCall& call : blocking_calls()) {
+    SCOPED_TRACE(syscall_name(static_cast<u32>(call.sys)));
+    const BlockedRun plain = run_blocking_call(call, /*suspend=*/false);
+    const BlockedRun suspended = run_blocking_call(call, /*suspend=*/true);
+    EXPECT_EQ(plain.r0, call.result);
+    EXPECT_EQ(suspended.r0, plain.r0);
+    EXPECT_EQ(suspended.buf, plain.buf);
+    EXPECT_EQ(suspended.events, plain.events);
+    if (call.sys != Sys::kNtWaitProcess) {
+      EXPECT_FALSE(plain.events.empty());
+    }
+  }
+}
+
 TEST_F(KernelTest, MiscSyscalls) {
   Pid pid = spawn_program("misc.exe", [](ImageBuilder& ib) {
     auto& a = ib.asm_();
@@ -467,17 +679,99 @@ TEST_F(KernelTest, MiscSyscalls) {
 }
 
 TEST_F(KernelTest, UnknownSyscallReturnsError) {
-  Pid pid = spawn_program("weird.exe", [](ImageBuilder& ib) {
-    auto& a = ib.asm_();
-    a.label("_start");
-    a.movi(Reg::R0, 9999);
-    a.syscall_();
-    a.mov(Reg::R1, Reg::R0);
-    emit_sys(a, Sys::kNtExit);
-  });
-  ASSERT_NE(pid, 0u);
+  // Every gap in the numbering, both ends of the u32 range and a far value:
+  // no row, r0 = kNtError, and the process runs on.
+  const std::vector<u32> gaps{0,  16, 19, 26, 29, 39,
+                              47, 49, 60, 0xffffffffu, 9999};
+  std::vector<Pid> pids;
+  for (u32 num : gaps) {
+    EXPECT_EQ(find_syscall(num), nullptr) << num;
+    EXPECT_STREQ(syscall_name(num), "NtUnknown") << num;
+    pids.push_back(spawn_program(
+        "weird" + std::to_string(num) + ".exe", [num](ImageBuilder& ib) {
+          auto& a = ib.asm_();
+          a.label("_start");
+          a.movi(Reg::R0, num);
+          a.syscall_();
+          a.mov(Reg::R1, Reg::R0);
+          emit_sys(a, Sys::kNtExit);
+        }));
+  }
   run();
-  EXPECT_EQ(kernel().find(pid)->exit_code, kNtError);
+  for (size_t i = 0; i < gaps.size(); ++i) {
+    ASSERT_NE(pids[i], 0u);
+    EXPECT_EQ(kernel().find(pids[i])->exit_code, kNtError) << gaps[i];
+  }
+}
+
+TEST(SyscallTable, OneRowPerNumberNamedAsTheTraceNamesIt) {
+  // The Cuckoo trace and the baseline tests read these names.
+  const std::vector<std::pair<Sys, std::string>> expected{
+      {Sys::kNtCreateFile, "NtCreateFile"},
+      {Sys::kNtOpenFile, "NtOpenFile"},
+      {Sys::kNtReadFile, "NtReadFile"},
+      {Sys::kNtWriteFile, "NtWriteFile"},
+      {Sys::kNtCloseHandle, "NtCloseHandle"},
+      {Sys::kNtDeleteFile, "NtDeleteFile"},
+      {Sys::kNtSeekFile, "NtSeekFile"},
+      {Sys::kNtQueryFileSize, "NtQueryFileSize"},
+      {Sys::kNtRenameFile, "NtRenameFile"},
+      {Sys::kNtTruncateFile, "NtTruncateFile"},
+      {Sys::kNtFlushFile, "NtFlushFile"},
+      {Sys::kNtQueryFileVersion, "NtQueryFileVersion"},
+      {Sys::kNtReadFileAt, "NtReadFileAt"},
+      {Sys::kNtWriteFileAt, "NtWriteFileAt"},
+      {Sys::kNtQueryFileExists, "NtQueryFileExists"},
+      {Sys::kNtAllocateVirtualMemory, "NtAllocateVirtualMemory"},
+      {Sys::kNtProtectVirtualMemory, "NtProtectVirtualMemory"},
+      {Sys::kNtFreeVirtualMemory, "NtFreeVirtualMemory"},
+      {Sys::kNtReadVirtualMemory, "NtReadVirtualMemory"},
+      {Sys::kNtWriteVirtualMemory, "NtWriteVirtualMemory"},
+      {Sys::kNtUnmapViewOfSection, "NtUnmapViewOfSection"},
+      {Sys::kNtCreateProcess, "NtCreateProcess"},
+      {Sys::kNtSuspendProcess, "NtSuspendProcess"},
+      {Sys::kNtResumeProcess, "NtResumeProcess"},
+      {Sys::kNtTerminateProcess, "NtTerminateProcess"},
+      {Sys::kNtSetEntryPoint, "NtSetEntryPoint"},
+      {Sys::kNtGetCurrentPid, "NtGetCurrentPid"},
+      {Sys::kNtWaitProcess, "NtWaitProcess"},
+      {Sys::kNtOpenProcessByName, "NtOpenProcessByName"},
+      {Sys::kNtQueryProcessList, "NtQueryProcessList"},
+      {Sys::kNtSocket, "NtSocket"},
+      {Sys::kNtConnect, "NtConnect"},
+      {Sys::kNtBind, "NtBind"},
+      {Sys::kNtSend, "NtSend"},
+      {Sys::kNtRecv, "NtRecv"},
+      {Sys::kNtPollRecv, "NtPollRecv"},
+      {Sys::kNtResolveHost, "NtResolveHost"},
+      {Sys::kNtReadDevice, "NtReadDevice"},
+      {Sys::kNtDebugPrint, "NtDebugPrint"},
+      {Sys::kNtGetTick, "NtGetTick"},
+      {Sys::kNtYield, "NtYield"},
+      {Sys::kNtGetRandom, "NtGetRandom"},
+      {Sys::kNtExit, "NtExit"},
+      {Sys::kNtGetModuleDirectory, "NtGetModuleDirectory"},
+      {Sys::kNtLoadLibrary, "NtLoadLibrary"},
+      {Sys::kNtAddAtom, "NtAddAtom"},
+      {Sys::kNtGetAtom, "NtGetAtom"},
+  };
+  ASSERT_EQ(syscall_table().size(), expected.size());
+  for (const auto& [sys, name] : expected) {
+    const u32 num = static_cast<u32>(sys);
+    size_t rows = 0;
+    for (const SyscallRow& row : syscall_table()) {
+      if (row.number == sys) ++rows;
+    }
+    EXPECT_EQ(rows, 1u) << name;
+    ASSERT_NE(find_syscall(num), nullptr) << name;
+    EXPECT_EQ(find_syscall(num)->number, sys);
+    EXPECT_NE(find_syscall(num)->handler, nullptr) << name;
+    EXPECT_EQ(syscall_name(num), name);
+  }
+  for (size_t i = 1; i < syscall_table().size(); ++i) {
+    EXPECT_LT(static_cast<u32>(syscall_table()[i - 1].number),
+              static_cast<u32>(syscall_table()[i].number));
+  }
 }
 
 TEST_F(KernelTest, OsiQueriesResolveCr3) {

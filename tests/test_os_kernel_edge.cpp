@@ -240,6 +240,35 @@ TEST_F(KernelEdgeTest, OversizedRequestsAreRejected) {
   EXPECT_EQ(code, 1u);
 }
 
+TEST_F(KernelEdgeTest, VmSyscallsNeverTouchTheSharedKernelHalf) {
+  // Protect and free over the module directory (one page, and a user range
+  // running into it) fail, and every process still reads the directory.
+  u32 code = run_to_exit([](ImageBuilder& ib) {
+    auto& a = ib.asm_();
+    a.label("_start");
+    a.movi(Reg::R5, 0);
+    const std::pair<u32, u32> ranges[] = {
+        {KernelLayout::kModuleDir, 1},
+        {vm::kKernelBase - vm::kPageSize, 2 * vm::kPageSize}};
+    for (auto [va, len] : ranges) {
+      for (Sys sys :
+           {Sys::kNtProtectVirtualMemory, Sys::kNtFreeVirtualMemory}) {
+        a.movi(Reg::R1, 0);
+        a.movi(Reg::R2, va);
+        a.movi(Reg::R3, len);
+        a.movi(Reg::R4, kProtRead | kProtWrite);
+        emit_sys(a, sys);
+        a.add(Reg::R5, Reg::R5, Reg::R0);
+      }
+    }
+    a.mov(Reg::R1, Reg::R5);
+    emit_sys(a, Sys::kNtExit);
+  });
+  EXPECT_EQ(code, 4 * kNtError);
+  EXPECT_EQ(kernel().kernel_as().read32_or(KernelLayout::kModuleDir, 0),
+            kernel().modules().size());
+}
+
 TEST_F(KernelEdgeTest, SuspendedProcessIsNeverScheduled) {
   ImageBuilder ib("frozen.exe", kUserImageBase);
   auto& a = ib.asm_();

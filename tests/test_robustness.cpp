@@ -1,6 +1,7 @@
 // Robustness: hostile/garbage inputs must never crash the host — fuzz-ish
-// image parsing, random replay logs, mutated policy files, mutated
-// faros_triage argv, and long-run shadow hygiene across heavy process churn.
+// image parsing, random guest syscalls, random replay logs, mutated policy
+// files, mutated faros_triage argv, and long-run shadow hygiene across
+// heavy process churn.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -9,12 +10,14 @@
 #include <utility>
 
 #include "attacks/datasets.h"
+#include "attacks/guest_common.h"
 #include "attacks/scenarios.h"
 #include "common/rng.h"
 #include "core/engine.h"
 #include "core/rules.h"
 #include "farm/triage_cli.h"
 #include "os/machine.h"
+#include "os/runtime.h"
 
 namespace faros {
 namespace {
@@ -45,6 +48,82 @@ TEST(Robustness, RandomBlobsNeverCrashImageParsingOrSpawn) {
   // Random bytes essentially never form a valid image.
   EXPECT_EQ(spawned_ok, 0);
   EXPECT_EQ(m.kernel().live_count(), 0u);
+}
+
+TEST(Robustness, RandomSyscallsNeverCrashKernel) {
+  // Hostile arguments: null, unmapped user pages, kernel-half pages (the
+  // module directory, ntdll, the top page), the u32 limit as a length, and
+  // small values that name a handle (4) and the two fuzzing processes
+  // (pids 100, 101). None points at an image path, so NtCreateProcess
+  // never starts a process.
+  const std::vector<u32> args{0,
+                              0x1000,
+                              os::kUserStackTop,
+                              os::KernelLayout::kModuleDir,
+                              os::KernelLayout::kNtdllBase,
+                              0xfffff000,
+                              0xffffffff,
+                              4,
+                              100,
+                              101};
+  // Every row of the table, and every gap in the numbering.
+  std::vector<u32> numbers{0, 16, 19, 26, 29, 39, 47, 49, 60, 0xffffffff};
+  for (const os::SyscallRow& row : os::syscall_table()) {
+    numbers.push_back(static_cast<u32>(row.number));
+  }
+  // Reads the module count through the user mapping of the kernel half.
+  os::ImageBuilder probe("probe.exe", os::kUserImageBase);
+  {
+    auto& a = probe.asm_();
+    a.label("_start");
+    attacks::emit_sys(a, os::Sys::kNtGetModuleDirectory);
+    a.ld32(vm::Reg::R1, vm::Reg::R0, 0);
+    attacks::emit_sys(a, os::Sys::kNtExit);
+  }
+  const Bytes probe_img = probe.build().value().serialize();
+
+  for (u64 seed = 1; seed <= 64; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    os::ImageBuilder ib("fuzz.exe", os::kUserImageBase);
+    auto& a = ib.asm_();
+    a.label("_start");
+    for (int i = 0; i < 48; ++i) {
+      for (vm::Reg r : {vm::Reg::R1, vm::Reg::R2, vm::Reg::R3, vm::Reg::R4}) {
+        a.movi(r, args[rng.below(args.size())]);
+      }
+      a.movi(vm::Reg::R0, numbers[rng.below(numbers.size())]);
+      a.syscall_();
+    }
+    a.jmp("_start");
+    auto img = ib.build();
+    ASSERT_TRUE(img.ok());
+
+    os::Machine m;
+    ASSERT_TRUE(m.boot().ok());
+    os::Kernel& k = m.kernel();
+    k.vfs().create("C:/fuzz.exe", img.value().serialize());
+    ASSERT_TRUE(k.spawn("C:/fuzz.exe").ok());
+    ASSERT_TRUE(k.spawn("C:/fuzz.exe").ok());
+    m.run(20000);
+
+    u32 live = 0;
+    for (const osi::ProcessInfo& info : k.process_list()) {
+      live += k.find(info.pid)->alive() ? 1 : 0;
+    }
+    EXPECT_EQ(k.live_count(), live);
+
+    // The kernel still serves a fresh process.
+    for (const osi::ProcessInfo& info : k.process_list()) {
+      k.terminate(*k.find(info.pid), 0);
+    }
+    k.vfs().create("C:/probe.exe", probe_img);
+    auto pid = k.spawn("C:/probe.exe");
+    ASSERT_TRUE(pid.ok());
+    m.run(1000);
+    EXPECT_EQ(k.find(pid.value())->exit_code, k.modules().size());
+    EXPECT_EQ(k.live_count(), 0u);
+  }
 }
 
 TEST(Robustness, MutatedReplayLogsNeverCrashDeserialization) {
@@ -218,17 +297,13 @@ TEST(Robustness, SequentialBatteryOnOneMachineKeepsShadowClean) {
     // Answer network requests as they appear.
     class Responder : public os::EventSource {
      public:
-      void poll(os::Machine& mm) override {
-        const auto& out = mm.kernel().net().outbound();
-        while (cursor_ < out.size()) {
-          const auto& pkt = out[cursor_++];
-          if (pkt.loopback) continue;
-          FlowTuple reply{pkt.flow.dst_ip, pkt.flow.dst_port,
-                          pkt.flow.src_ip, pkt.flow.src_port};
-          mm.inject_packet(reply, Bytes(64, 0x5a));
-        }
+      void on_outbound(os::Machine& mm,
+                       const os::OutboundPacket& pkt) override {
+        if (pkt.loopback) return;
+        FlowTuple reply{pkt.flow.dst_ip, pkt.flow.dst_port, pkt.flow.src_ip,
+                        pkt.flow.src_port};
+        mm.inject_packet(reply, Bytes(64, 0x5a));
       }
-      size_t cursor_ = 0;
     };
     static Responder responder;
     m.set_event_source(&responder);
