@@ -132,7 +132,6 @@ void FarosEngine::on_insn_retired(const vm::InsnEvent& ev,
                                   const vm::AddressSpace& as) {
   ++stats_.insns_seen;
   const vm::Instruction& insn = ev.insn;
-  const Opcode op = insn.op;
   Proc& p = proc(ev.cr3);
   ShadowRegisters& sr = p.regs;
 
@@ -150,19 +149,6 @@ void FarosEngine::on_insn_retired(const vm::InsnEvent& ev,
       run_trigger(Trigger::kTaintedFetch, ev, as, in);
     }
   }
-
-  auto alu3 = [&]() {
-    if ((op == Opcode::kXor || op == Opcode::kSub) && insn.rs1 == insn.rs2) {
-      sr.clear_reg(insn.rd);  // zero idiom: delete rule
-      return;
-    }
-    ProvListId u = store_.merge(sr.reg_union(insn.rs1, store_),
-                                sr.reg_union(insn.rs2, store_));
-    sr.set_all(insn.rd, u);
-  };
-  auto alu_imm = [&]() {
-    sr.set_all(insn.rd, sr.reg_union(insn.rs1, store_));
-  };
 
   // The access, if any. One that straddles a page resolves the second
   // page's base once: offsets survive translation, so every byte on the
@@ -318,62 +304,37 @@ void FarosEngine::on_insn_retired(const vm::InsnEvent& ev,
     }
   };
 
-  switch (op) {
-    case Opcode::kMovi:
-    case Opcode::kAddPc:
-      sr.clear_reg(insn.rd);  // constants carry no provenance (delete rule)
+  // Table I, as the opcode's row states it (vm/isa.h).
+  const vm::OpRow& row = vm::op_row(insn.op);
+  const u8 dst = vm::operand(row.dst, insn);
+  const u8 src = vm::operand(row.src, insn);
+  switch (row.rule) {
+    case vm::Rule::kNoFlow: break;  // control dependencies do not flow
+    case vm::Rule::kDelete: sr.clear_reg(dst); break;
+    case vm::Rule::kCopy:
+      for (u8 b = 0; b < 4; ++b) sr.set(dst, b, sr.get(src, b));
       break;
-    case Opcode::kMov:
-      for (u8 b = 0; b < 4; ++b) sr.set(insn.rd, b, sr.get(insn.rs1, b));
+    case vm::Rule::kUnionZero:
+      if (vm::zero_idiom(row, insn)) {
+        sr.clear_reg(dst);
+        break;
+      }
+      [[fallthrough]];
+    case vm::Rule::kUnion: {
+      const u8 src2 = vm::operand(row.src2, insn);
+      sr.set_all(dst, row.src2 == vm::Role::kNoReg
+                          ? sr.reg_union(src, store_)
+                          : store_.merge(sr.reg_union(src, store_),
+                                         sr.reg_union(src2, store_)));
       break;
-
-    case Opcode::kAdd:
-    case Opcode::kSub:
-    case Opcode::kMul:
-    case Opcode::kDivu:
-    case Opcode::kAnd:
-    case Opcode::kOr:
-    case Opcode::kXor:
-    case Opcode::kShl:
-    case Opcode::kShr:
-      alu3();
+    }
+    case vm::Rule::kLoad:
+      handle_load(dst, vm::operand(row.base, insn));
       break;
-
-    case Opcode::kAddi:
-    case Opcode::kSubi:
-    case Opcode::kMuli:
-    case Opcode::kAndi:
-    case Opcode::kOri:
-    case Opcode::kXori:
-    case Opcode::kShli:
-    case Opcode::kShri:
-      alu_imm();
+    case vm::Rule::kStore:
+      handle_store(src, vm::operand(row.base, insn));
       break;
-
-    case Opcode::kLd8:
-    case Opcode::kLd16:
-    case Opcode::kLd32:
-      handle_load(insn.rd, insn.rs1);
-      break;
-    case Opcode::kPop:
-      handle_load(insn.rd, vm::SP);
-      break;
-
-    case Opcode::kSt8:
-    case Opcode::kSt16:
-    case Opcode::kSt32:
-      handle_store(insn.rs2, insn.rs1);
-      break;
-    case Opcode::kPush:
-      handle_store(insn.rs1, vm::SP);
-      break;
-
-    case Opcode::kCall:
-    case Opcode::kCallr:
-      sr.clear_reg(vm::LR);  // return address is a constant
-      break;
-
-    case Opcode::kSyscall:
+    case vm::Rule::kSyscall:
       // syscall-arg trigger: the ABI passes arguments in r1..r4; a bound
       // rule sees their combined provenance (e.g. tainted bytes handed to
       // the kernel). Unbound (the default), the cost is one branch.
@@ -390,17 +351,13 @@ void FarosEngine::on_insn_retired(const vm::InsnEvent& ev,
           run_trigger(Trigger::kSyscallArg, ev, as, in);
         }
       }
-      sr.clear_reg(vm::R0);  // result produced by the (native) kernel
+      sr.clear_reg(dst);  // the (native) kernel produces the result
       break;
-
-    // Compares and branches do not move data; control dependencies are
-    // deliberately not propagated (Section IV).
-    default: break;
   }
 }
 
 // Block elision (vm/btcache.h). The interpreter offers a cached block whose
-// opcodes are all taint-inert or kDivu, save a final kSyscall; approving
+// opcodes are all elidable (vm::OpRow::elidable); approving
 // means skipping the per-instruction path above for the instructions the
 // body retires: all of them, or the prefix before a kDivu that divides by
 // zero (a trapping instruction never reaches on_insn_retired). That is

@@ -21,6 +21,10 @@ constexpr u32 kMaxIoLen = 1u << 20;
 constexpr u32 kMaxAllocLen = 16u << 20;
 /// Kernel::console() keeps the first this many NtDebugPrint lines.
 constexpr u32 kMaxConsoleLines = 4096;
+/// NtAddAtom stores at most this many bytes per atom, and fails once the
+/// global table holds kMaxAtoms atoms: at most 16 MiB of atom data.
+constexpr u32 kMaxAtomLen = 4096;
+constexpr u32 kMaxAtoms = 4096;
 
 u32 prot_to_pte(u32 prot) {
   u32 flags = kPteUser;
@@ -479,7 +483,9 @@ struct SyscallHandlers {
   // --- global atom table ---
 
   static SysResult add_atom(Kernel& k, Process& p, SysArgs a) {
-    if (a.a2 == 0 || a.a2 > 4096) return kNtError;
+    if (a.a2 == 0 || a.a2 > kMaxAtomLen || k.atoms_.size() >= kMaxAtoms) {
+      return kNtError;
+    }
     auto data = k.copy_from_guest(p, a.a1, a.a2);
     if (!data.ok()) return kNtError;
     const u32 atom = k.next_atom_++;

@@ -51,10 +51,7 @@ TranslatedBlock* BlockCache::translate(PAddr cr3, VAddr va, PAddr pa) {
       if (!d) break;  // truncate: the fall-through traps like per-insn
       b.insns.push_back(*d);
       // kSyscall ends the block, so passing here makes it the final insn.
-      if (!taint_inert(d->op) && d->op != Opcode::kDivu &&
-          d->op != Opcode::kSyscall) {
-        b.elidable_ops = false;
-      }
+      if (!op_row(d->op).elidable()) b.elidable_ops = false;
       const RegFootprint f = taint_footprint(*d);
       b.reads |= f.reads & ~b.writes;
       b.writes |= f.writes;

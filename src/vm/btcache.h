@@ -21,18 +21,18 @@
 //    never execute stale code. The kernel additionally evicts a process's
 //    blocks at exit (evict_cr3) and on frame recycling (evict_frame).
 //
-// Blocks whose every opcode is taint_inert() or kDivu, save a final
-// kSyscall, are marked `elidable_ops`; the DIFT engine may approve running
-// those through an uninstrumented fast body (see ExecHooks::try_elide_block
-// in vm/cpu.h), deciding from the block's register footprint
-// (`reads`/`writes`). A kDivu may trap on a zero divisor, so the fast body
-// reports how many instructions it retired and the engine accounts for
-// exactly that prefix (ExecHooks::on_block_elided). After accounting a
-// whole body the engine may stamp the block with a grant (`grant`, with
-// the body's tainted-fetch count in `grant_fetches`): while the engine's
-// elision epoch equals it, the interpreter runs the block's full-length
-// dispatches with no engine call and adds their counts to the engine's
-// tally (ExecHooks::elision_grants).
+// Blocks whose every opcode's row is elidable (OpRow::elidable in
+// vm/isa.h; a kSyscall ends the block) are marked `elidable_ops`; the DIFT
+// engine may approve running those through an uninstrumented fast body
+// (see ExecHooks::try_elide_block in vm/cpu.h), deciding from the block's
+// register footprint (`reads`/`writes`). A kDivu may trap on a zero
+// divisor, so the fast body reports how many instructions it retired and
+// the engine accounts for exactly that prefix (ExecHooks::on_block_elided).
+// After accounting a whole body the engine may stamp the block with a
+// grant (`grant`, with the body's tainted-fetch count in
+// `grant_fetches`): while the engine's elision epoch equals it, the
+// interpreter runs the block's full-length dispatches with no engine call
+// and adds their counts to the engine's tally (ExecHooks::elision_grants).
 //
 // Superblocks (elidable code only; one decoded body spans a jump, which is
 // not QEMU's TB chaining: that is the successor link below): an elidable
@@ -84,8 +84,8 @@ struct TranslatedBlock {
   PAddr cr3 = 0;
   VAddr start_va = 0;
   PAddr start_pa = 0;
-  /// Every instruction satisfies taint_inert() or is a kDivu, except
-  /// possibly a final kSyscall: offered for elision.
+  /// Every instruction's row is elidable (OpRow::elidable): offered for
+  /// elision.
   bool elidable_ops = false;
   /// Block register footprint, the composition of every instruction's
   /// taint_footprint(): `reads` holds the registers read before the block

@@ -12,7 +12,7 @@ struct NoEvent {};
 
 enum class RegOp : u8 { kRetired, kDivZero, kOther };
 
-/// Semantics of every register-only opcode (taint_inert() ones and kDivu),
+/// Semantics of every register-only opcode (the elidable rows but kSyscall),
 /// shared by exec_decoded and the fast body. `new_pc` enters as next_pc.
 /// kDivZero: a zero divisor, nothing changed. kOther: not a register-only
 /// opcode; the caller executes it.

@@ -118,9 +118,9 @@ class ExecHooks {
     (void)as;
   }
   /// Asked once per dispatch of a cached block whose opcodes are all
-  /// elidable: taint_inert() ones, kDivu, and at most one kSyscall, always
-  /// last. Such a body has no memory ops; its register effect is summed up
-  /// by `block.reads`/`block.writes`, and it can stop early only at a kDivu
+  /// elidable (OpRow::elidable in vm/isa.h; a kSyscall only last). Such a
+  /// body has no memory ops; its register effect is summed up by
+  /// `block.reads`/`block.writes`, and it can stop early only at a kDivu
   /// dividing by zero. The dispatch may cover only a prefix of the block
   /// when the instruction budget ends inside it; `reads`, the syscall
   /// tail and the block's code bytes all cover the whole block, so a guard

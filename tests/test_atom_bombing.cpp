@@ -98,6 +98,85 @@ TEST(AtomTable, BadRequestsFail) {
             2 * os::kNtError);
 }
 
+// The table holds 4096 atoms: a guest adding in a loop is refused from the
+// 4097th on, and the atoms it already added stay readable.
+TEST(AtomTable, FullTableRefusesAddsAndKeepsItsAtoms) {
+  constexpr u32 kCapacity = 4096;
+  os::Machine m;
+  ASSERT_TRUE(m.boot().ok());
+  ImageBuilder ib("filler.exe", os::kUserImageBase);
+  auto& a = ib.asm_();
+  a.label("_start");
+  a.movi(Reg::R10, 0);  // atoms added; each one's payload is its index
+  a.label("add");
+  a.movi_label(Reg::R1, "data");
+  a.st32(Reg::R1, 0, Reg::R10);
+  a.movi(Reg::R2, 4);
+  emit_sys(a, Sys::kNtAddAtom);
+  a.cmpi(Reg::R0, static_cast<i32>(os::kNtError));
+  a.beq("full");
+  a.mov(Reg::R9, Reg::R0);  // the last atom added
+  a.addi(Reg::R10, Reg::R10, 1);
+  a.cmpi(Reg::R10, 2 * kCapacity);
+  a.blt("add");
+  a.label("full");
+  a.movi_label(Reg::R1, "data");  // one more add, refused as well
+  a.movi(Reg::R2, 4);
+  emit_sys(a, Sys::kNtAddAtom);
+  a.mov(Reg::R8, Reg::R0);
+  a.movi(Reg::R1, 0xc000);  // the first atom
+  a.movi_label(Reg::R2, "first");
+  a.movi(Reg::R3, 4);
+  emit_sys(a, Sys::kNtGetAtom);
+  a.mov(Reg::R7, Reg::R0);
+  a.mov(Reg::R1, Reg::R9);
+  a.movi_label(Reg::R2, "last");
+  a.movi(Reg::R3, 4);
+  emit_sys(a, Sys::kNtGetAtom);
+  a.movi_label(Reg::R1, "res");
+  a.st32(Reg::R1, 0, Reg::R10);
+  a.st32(Reg::R1, 4, Reg::R8);
+  a.st32(Reg::R1, 8, Reg::R7);
+  a.st32(Reg::R1, 12, Reg::R0);
+  a.st32(Reg::R1, 16, Reg::R9);
+  a.label("spin");
+  emit_sys(a, Sys::kNtYield);
+  a.jmp("spin");
+  a.align(8);
+  a.label("data");
+  a.zeros(4);
+  a.label("first");
+  a.zeros(4);
+  a.label("last");
+  a.zeros(4);
+  a.label("res");
+  a.zeros(20);
+  auto img = ib.build();
+  ASSERT_TRUE(img.ok());
+  m.kernel().vfs().create("C:/filler.exe", img.value().serialize());
+  auto pid = m.kernel().spawn("C:/filler.exe");
+  ASSERT_TRUE(pid.ok());
+  m.run(200000);
+
+  os::Process* p = m.kernel().find(pid.value());
+  ASSERT_NE(p, nullptr);
+  auto word = [&](const char* label, u32 off) {
+    const VAddr va =
+        os::kUserImageBase + ib.asm_().label_offset(label).value() + off;
+    u8 b[4] = {};
+    EXPECT_TRUE(p->as.copy_out(va, b, false).ok());
+    return static_cast<u32>(b[0]) | (static_cast<u32>(b[1]) << 8) |
+           (static_cast<u32>(b[2]) << 16) | (static_cast<u32>(b[3]) << 24);
+  };
+  EXPECT_EQ(word("res", 0), kCapacity);              // adds that succeeded
+  EXPECT_EQ(word("res", 4), os::kNtError);           // the add past them
+  EXPECT_EQ(word("res", 8), 4u);                     // first atom: read
+  EXPECT_EQ(word("first", 0), 0u);                   // ... its payload
+  EXPECT_EQ(word("res", 16), 0xc000u + kCapacity - 1);
+  EXPECT_EQ(word("res", 12), 4u);                    // last atom: read
+  EXPECT_EQ(word("last", 0), kCapacity - 1);         // ... its payload
+}
+
 TEST(AtomBombing, FlaggedWithFullChainAndNoCrossProcessWrite) {
   attacks::AtomBombingScenario sc;
   auto run = attacks::analyze(sc);

@@ -13,6 +13,8 @@
 #include "core/engine.h"
 #include "os/machine.h"
 #include "os/runtime.h"
+#include "vm/mmu.h"
+#include "vm/phys_mem.h"
 
 namespace faros::core {
 namespace {
@@ -1023,6 +1025,255 @@ TEST(ElisionEpoch, MovesOnEveryEventThatCanChangeAGrant) {
   const u64 before = *engine_epoch;
   engine.add_rule_set({});
   EXPECT_NE(*engine_epoch, before);
+}
+
+// ---------------------------------------------------------------------------
+// Table I, exhaustively: every defined opcode under every (rd, rs1, rs2)
+// triple, retired one instruction at a time by the interpreter into the
+// engine. Every register byte and every memory byte the instruction can
+// touch carries its own netflow tag, so the tags a written register or
+// memory byte ends up holding name exactly the registers whose provenance
+// reached it. Block elision trusts vm::taint_footprint to say which
+// registers an instruction reads and writes; this checks it against what
+// the engine does. Address dependencies are on, so the footprint's
+// loads and stores (which count their address register) are exact too.
+
+/// OSI stand-in for an engine driven without a kernel: one process.
+struct SoloOsi : os::OsiQuery {
+  osi::ProcessInfo proc;
+  std::optional<osi::ProcessInfo> process_by_cr3(PAddr cr3) const override {
+    if (cr3 == proc.cr3) return proc;
+    return std::nullopt;
+  }
+  std::vector<osi::ProcessInfo> process_list() const override {
+    return {proc};
+  }
+};
+
+class TableIHarness {
+ public:
+  static constexpr VAddr kCode = 0x10000;
+  static constexpr VAddr kData = 0x40000;
+  static constexpr VAddr kTags = 0x41000;  // per register byte: one tag
+  static constexpr VAddr kPtr = kData + 0x800;  // every register holds it
+  // Memory the instruction can touch: push writes [ptr-4, ptr), loads,
+  // stores and pop use [ptr, ptr+4), and an operand of pc addresses code.
+  static constexpr VAddr kWindow = kPtr - 4;
+  static constexpr u32 kWindowBytes = 8;
+  static constexpr u32 kRegLanes = vm::kNumRegs * 4;
+
+  TableIHarness() : frames_(mem_.num_frames()) {
+    frames_.reserve(0);
+    as_ = vm::AddressSpace::create(mem_, frames_).value();
+    const u32 rw = vm::kPteUser | vm::kPteWrite;
+    EXPECT_TRUE(as_.map_alloc(kCode, vm::kPageSize, rw | vm::kPteExec).ok());
+    EXPECT_TRUE(as_.map_alloc(kData, vm::kPageSize, rw).ok());
+    EXPECT_TRUE(as_.map_alloc(kTags, vm::kPageSize, rw).ok());
+    code_pa_ = pa(kCode);
+    osi_.proc = {1, 0, as_.cr3(), "tablei.exe"};
+
+    Options opts;
+    opts.track_process = false;  // tags name sources only
+    opts.propagate_address_deps = true;
+    RuleSpec fetch_only;  // replaces the built-ins; code stays clean
+    fetch_only.id = "fetch";
+    fetch_only.trigger = Trigger::kTaintedFetch;
+    opts.rules = {fetch_only};
+    engine_ = std::make_unique<FarosEngine>(osi_, opts);
+    interp_.set_block_cache_enabled(false);
+    interp_.set_hooks(engine_.get());
+
+    for (u32 lane = 0; lane < kRegLanes; ++lane) taint(kTags + lane, lane);
+    for (u32 i = 0; i < kWindowBytes; ++i) taint(kWindow + i, kRegLanes + i);
+    for (u32 lane = 0; lane < kRegLanes + kWindowBytes; ++lane) {
+      const VAddr va = lane < kRegLanes ? kTags + lane
+                                        : kWindow + (lane - kRegLanes);
+      const auto tags = engine_->store().get(shadow(va));
+      EXPECT_EQ(tags.size(), 1u);
+      if (!tags.empty()) source_of_[tags[0].key()] = lane;
+    }
+    for (u8 r = 0; r < vm::kNumRegs; ++r) seed_reg(r);
+    snapshot_window();
+  }
+
+  struct Observed {
+    u16 reads = 0;          // registers whose tags reached a written byte
+    u16 writes = 0;         // registers whose shadow changed
+    bool mem_written = false;
+    bool shadow_moved = false;  // the shadow epoch or tainted count moved
+    ProvListId bank[vm::kNumRegs][4] = {};  // the registers after it
+  };
+
+  /// Retires `insn` from a freshly seeded state and reports what moved.
+  Observed retire(const vm::Instruction& insn) {
+    Bytes code;
+    vm::encode(insn, code);
+    EXPECT_TRUE(as_.copy_in(kCode, code, false).ok());
+    vm::CpuState cpu;
+    for (u32& r : cpu.regs) r = kPtr;  // nonzero: divu never traps
+    cpu.set_pc(kCode);
+    const u64 epoch = *engine_->elision_grants().epoch;
+    const u64 tainted = engine_->shadow().tainted_bytes();
+    interp_.run(cpu, as_, 1);
+
+    Observed o;
+    o.shadow_moved = *engine_->elision_grants().epoch != epoch ||
+                     engine_->shadow().tainted_bytes() != tainted;
+    const ShadowRegisters& sr = regs();
+    for (u8 r = 0; r < vm::kNumRegs; ++r) {
+      bool changed = false;
+      for (u8 b = 0; b < 4; ++b) {
+        o.bank[r][b] = sr.get(r, b);
+        changed |= o.bank[r][b] != seed_[r][b];
+      }
+      if (!changed) continue;
+      o.writes |= static_cast<u16>(1u << r);
+      for (u8 b = 0; b < 4; ++b) o.reads |= reg_sources(sr.get(r, b));
+    }
+    for (u32 i = 0; i < kWindowBytes; ++i) {
+      const ProvListId id = shadow(kWindow + i);
+      if (id == window_[i]) continue;
+      o.mem_written = true;
+      o.reads |= reg_sources(id);
+    }
+    for (u32 i = 0; i < vm::kInsnSize; ++i) {
+      const ProvListId id = shadow(kCode + i);
+      if (id == kEmptyProv) continue;
+      o.mem_written = true;
+      o.reads |= reg_sources(id);
+    }
+    restore(o);
+    return o;
+  }
+
+  ProvListId seed(u8 reg, u8 byte) const { return seed_[reg][byte]; }
+
+ private:
+  const ShadowRegisters& regs() const {
+    return *engine_->registers(as_.cr3());
+  }
+  PAddr pa(VAddr va) const {
+    return as_.translate(va, vm::AccessType::kRead, false).value();
+  }
+  ProvListId shadow(VAddr va) const { return engine_->shadow().get(pa(va)); }
+
+  void taint(VAddr va, u32 lane) {
+    const FlowTuple flow{0x0a000000 + lane, 1000, 0x0a0000ff, 2000};
+    engine_->on_packet_to_guest({osi_.proc, &as_, va, 1}, flow);
+  }
+
+  /// Registers whose lane tags appear in `id`.
+  u16 reg_sources(ProvListId id) const {
+    u16 m = 0;
+    for (const ProvTag& t : engine_->store().get(id)) {
+      auto it = source_of_.find(t.key());
+      if (it != source_of_.end() && it->second < kRegLanes) {
+        m |= static_cast<u16>(1u << (it->second / 4));
+      }
+    }
+    return m;
+  }
+
+  /// `movi r` then `ld32 r, [r]` of r's tag slot: r's byte b carries lane
+  /// 4r+b alone (the cleared base adds no address dependency).
+  void seed_reg(u8 r) {
+    vm::InsnEvent ev;
+    ev.cr3 = as_.cr3();
+    ev.pc = kCode;
+    ev.pc_pa = code_pa_;
+    ev.insn = vm::Instruction{vm::Opcode::kMovi, r, 0, 0, 0};
+    engine_->on_insn_retired(ev, as_);
+    ev.insn = vm::Instruction{vm::Opcode::kLd32, r, r, 0, 0};
+    const VAddr slot = kTags + 4u * r;
+    ev.mem = vm::MemAccess{slot, pa(slot), 4, false};
+    engine_->on_insn_retired(ev, as_);
+    for (u8 b = 0; b < 4; ++b) seed_[r][b] = regs().get(r, b);
+  }
+
+  void restore(const Observed& o) {
+    for (u8 r = 0; r < vm::kNumRegs; ++r) {
+      if (o.writes & (1u << r)) seed_reg(r);
+    }
+    if (!o.mem_written) return;
+    for (u32 i = 0; i < kWindowBytes; ++i) taint(kWindow + i, kRegLanes + i);
+    engine_->on_kernel_write({osi_.proc, &as_, kCode, vm::kInsnSize});
+    snapshot_window();
+  }
+
+  void snapshot_window() {
+    for (u32 i = 0; i < kWindowBytes; ++i) window_[i] = shadow(kWindow + i);
+  }
+
+  vm::PhysMem mem_{1u << 20};
+  vm::FrameAllocator frames_;
+  vm::AddressSpace as_;
+  vm::Interpreter interp_{mem_};
+  PAddr code_pa_ = 0;
+  SoloOsi osi_;
+  std::unique_ptr<FarosEngine> engine_;
+  std::map<u32, u32> source_of_;  // tag key -> lane
+  ProvListId seed_[vm::kNumRegs][4] = {};
+  ProvListId window_[kWindowBytes] = {};
+};
+
+TEST(TableI, EveryOpcodeAndRegisterTripleMatchesTheFootprint) {
+  TableIHarness h;
+  u32 opcodes = 0;
+  for (u32 byte = 0; byte < 256; ++byte) {
+    if (!vm::opcode_valid(static_cast<u8>(byte))) continue;
+    ++opcodes;
+    const auto op = static_cast<vm::Opcode>(byte);
+    const bool zero_idiom_op =
+        op == vm::Opcode::kXor || op == vm::Opcode::kSub;
+    u32 failures = 0;
+    for (u8 rd = 0; rd < vm::kNumRegs; ++rd) {
+      for (u8 rs1 = 0; rs1 < vm::kNumRegs; ++rs1) {
+        for (u8 rs2 = 0; rs2 < vm::kNumRegs; ++rs2) {
+          const vm::Instruction insn{op, rd, rs1, rs2, 0};
+          const vm::RegFootprint fp = vm::taint_footprint(insn);
+          const TableIHarness::Observed o = h.retire(insn);
+          u16 want_reads = fp.reads;
+          u16 want_writes = fp.writes;
+          if (op == vm::Opcode::kMov && rd == rs1) {
+            // A self-copy leaves the bank as it was: the write it makes
+            // cannot be told from no write.
+            EXPECT_EQ(fp.reads, 1u << rd) << vm::disassemble(insn);
+            EXPECT_EQ(fp.writes, 1u << rd) << vm::disassemble(insn);
+            want_reads = want_writes = 0;
+          }
+          bool ok = o.reads == want_reads && o.writes == want_writes;
+          if (vm::taint_inert(op)) {
+            ok = ok && !o.mem_written && !o.shadow_moved;
+          }
+          // Table I's own word on two shapes, independent of the
+          // footprint: xor/sub of a register with itself deletes rd, and
+          // mov copies byte by byte.
+          if (zero_idiom_op && rs1 == rs2) {
+            ok = ok && o.writes == (1u << rd) && o.reads == 0;
+            for (u8 b = 0; b < 4; ++b) {
+              ok = ok && o.bank[rd][b] == kEmptyProv;
+            }
+          }
+          if (op == vm::Opcode::kMov) {
+            for (u8 b = 0; b < 4; ++b) {
+              ok = ok && o.bank[rd][b] == h.seed(rs1, b);
+            }
+          }
+          if (!ok && ++failures <= 8) {
+            ADD_FAILURE() << vm::disassemble(insn) << ": reads " << o.reads
+                          << " (footprint " << fp.reads << "), writes "
+                          << o.writes << " (footprint " << fp.writes
+                          << "), memory "
+                          << (o.mem_written ? "written" : "untouched")
+                          << ", shadow "
+                          << (o.shadow_moved ? "moved" : "still");
+          }
+        }
+      }
+    }
+    EXPECT_EQ(failures, 0u) << vm::opcode_name(op);
+  }
+  EXPECT_EQ(opcodes, 45u);
 }
 
 }  // namespace

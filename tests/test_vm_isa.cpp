@@ -1,7 +1,12 @@
-// FV32 ISA: encoding, decoding, classification and disassembly.
+// FV32 ISA: encoding, decoding, classification and disassembly, and the
+// opcode table's rows against the interpreter and the block cache.
 #include <gtest/gtest.h>
 
+#include "vm/btcache.h"
+#include "vm/cpu.h"
 #include "vm/isa.h"
+#include "vm/mmu.h"
+#include "vm/phys_mem.h"
 
 namespace faros::vm {
 namespace {
@@ -91,41 +96,85 @@ TEST(IsaDecode, ImmediateIsLittleEndian) {
   EXPECT_EQ(decoded->imm, 0x12345678u);
 }
 
-TEST(IsaClassify, LoadsAndStores) {
-  EXPECT_TRUE(is_load(Opcode::kLd8));
-  EXPECT_TRUE(is_load(Opcode::kLd16));
-  EXPECT_TRUE(is_load(Opcode::kLd32));
-  EXPECT_TRUE(is_load(Opcode::kPop));
-  EXPECT_FALSE(is_load(Opcode::kSt8));
-  EXPECT_TRUE(is_store(Opcode::kSt8));
-  EXPECT_TRUE(is_store(Opcode::kSt16));
-  EXPECT_TRUE(is_store(Opcode::kSt32));
-  EXPECT_TRUE(is_store(Opcode::kPush));
-  EXPECT_FALSE(is_store(Opcode::kLd32));
-}
+/// Records the memory access of every retired instruction.
+struct AccessLog : ExecHooks {
+  u32 retired = 0;
+  std::optional<MemAccess> mem;
+  void on_insn_retired(const InsnEvent& ev, const AddressSpace&) override {
+    ++retired;
+    mem = ev.mem;
+  }
+};
 
-TEST(IsaClassify, MemAccessSizes) {
-  EXPECT_EQ(mem_access_size(Opcode::kLd8), 1u);
-  EXPECT_EQ(mem_access_size(Opcode::kLd16), 2u);
-  EXPECT_EQ(mem_access_size(Opcode::kLd32), 4u);
-  EXPECT_EQ(mem_access_size(Opcode::kSt8), 1u);
-  EXPECT_EQ(mem_access_size(Opcode::kSt16), 2u);
-  EXPECT_EQ(mem_access_size(Opcode::kSt32), 4u);
-  EXPECT_EQ(mem_access_size(Opcode::kPush), 4u);
-  EXPECT_EQ(mem_access_size(Opcode::kPop), 4u);
-  EXPECT_EQ(mem_access_size(Opcode::kAdd), 0u);
-}
+// Each row's memory size, direction and address base against the access
+// the interpreter reports when it retires the opcode, and each row's
+// ends_block against where BlockCache::translate stops.
+TEST(IsaTable, RowsMatchInterpreterAccessesAndBlockEnds) {
+  constexpr VAddr kCode = 0x10000;
+  constexpr VAddr kData = 0x40000;
+  u32 rows = 0;
+  for (u32 byte = 0; byte < 256; ++byte) {
+    if (!opcode_valid(static_cast<u8>(byte))) continue;
+    ++rows;
+    const Opcode op = static_cast<Opcode>(byte);
+    const OpRow& row = op_row(op);
+    SCOPED_TRACE(row.name);
+    PhysMem mem(1u << 20);
+    FrameAllocator frames(mem.num_frames());
+    frames.reserve(0);
+    AddressSpace as = AddressSpace::create(mem, frames).value();
+    ASSERT_TRUE(as.map_alloc(kCode, kPageSize,
+                             kPteUser | kPteWrite | kPteExec).ok());
+    ASSERT_TRUE(as.map_alloc(kData, kPageSize, kPteUser | kPteWrite).ok());
+    // The instruction, then a syscall: an elidable block ender.
+    const Instruction insn{op, R3, R5, R7, 0};
+    Bytes code;
+    encode(insn, code);
+    encode(Instruction{Opcode::kSyscall}, code);
+    ASSERT_TRUE(as.copy_in(kCode, code, false).ok());
 
-TEST(IsaClassify, BlockEnders) {
-  EXPECT_TRUE(ends_block(Opcode::kJmp));
-  EXPECT_TRUE(ends_block(Opcode::kBeq));
-  EXPECT_TRUE(ends_block(Opcode::kCall));
-  EXPECT_TRUE(ends_block(Opcode::kRet));
-  EXPECT_TRUE(ends_block(Opcode::kSyscall));
-  EXPECT_TRUE(ends_block(Opcode::kHalt));
-  EXPECT_FALSE(ends_block(Opcode::kAdd));
-  EXPECT_FALSE(ends_block(Opcode::kLd32));
-  EXPECT_FALSE(ends_block(Opcode::kCmp));
+    // Every register points at its own slot of the data page; none is
+    // zero, so divu retires.
+    CpuState cpu;
+    for (u32 r = 0; r < kNumRegs; ++r) cpu.regs[r] = kData + 0x100 + 0x40 * r;
+    cpu.set_pc(kCode);
+    Interpreter interp(mem);
+    interp.set_block_cache_enabled(false);
+    AccessLog log;
+    interp.set_hooks(&log);
+    const StepInfo step = interp.run(cpu, as, 1);
+    if (row.ctl == Ctl::kBrk) {
+      EXPECT_EQ(step.trap, TrapKind::kBreak);
+      EXPECT_EQ(log.retired, 0u);  // traps before it retires
+    } else {
+      EXPECT_EQ(log.retired, 1u);
+    }
+    if (row.ctl == Ctl::kNext) {
+      EXPECT_EQ(cpu.pc(), kCode + kInsnSize);
+    }
+    EXPECT_EQ(is_load(op), row.mem == Mem::kRead);
+    EXPECT_EQ(is_store(op), row.mem == Mem::kWrite);
+    EXPECT_EQ(mem_access_size(op), row.mem_size);
+    if (row.mem == Mem::kNoMem) {
+      EXPECT_FALSE(log.mem.has_value());
+    } else {
+      ASSERT_TRUE(log.mem.has_value());
+      EXPECT_EQ(log.mem->size, row.mem_size);
+      EXPECT_EQ(log.mem->is_write, row.mem == Mem::kWrite);
+      // The base role holds the address: [base+imm], or push's [sp-4].
+      const u32 base = kData + 0x100 + 0x40 * operand(row.base, insn);
+      EXPECT_TRUE(log.mem->va == base || log.mem->va == base - 4)
+          << std::hex << log.mem->va << " vs base " << base;
+    }
+
+    BlockCache btc(mem);
+    const TranslatedBlock* b = btc.translate(
+        as.cr3(), kCode, as.translate(kCode, AccessType::kExec, true).value());
+    ASSERT_NE(b, nullptr);
+    EXPECT_EQ(b->split, ends_block(op) ? 1u : 2u);
+    EXPECT_EQ(b->elidable_ops, row.elidable());
+  }
+  EXPECT_EQ(rows, kOpTable.size() - 1);
 }
 
 TEST(IsaClassify, TaintFootprintFollowsTableI) {
