@@ -96,6 +96,43 @@ TEST(IsaDecode, ImmediateIsLittleEndian) {
   EXPECT_EQ(decoded->imm, 0x12345678u);
 }
 
+TEST(IsaClassify, LoadsAndStores) {
+  EXPECT_TRUE(is_load(Opcode::kLd8));
+  EXPECT_TRUE(is_load(Opcode::kLd16));
+  EXPECT_TRUE(is_load(Opcode::kLd32));
+  EXPECT_TRUE(is_load(Opcode::kPop));
+  EXPECT_FALSE(is_load(Opcode::kSt8));
+  EXPECT_TRUE(is_store(Opcode::kSt8));
+  EXPECT_TRUE(is_store(Opcode::kSt16));
+  EXPECT_TRUE(is_store(Opcode::kSt32));
+  EXPECT_TRUE(is_store(Opcode::kPush));
+  EXPECT_FALSE(is_store(Opcode::kLd32));
+}
+
+TEST(IsaClassify, MemAccessSizes) {
+  EXPECT_EQ(mem_access_size(Opcode::kLd8), 1u);
+  EXPECT_EQ(mem_access_size(Opcode::kLd16), 2u);
+  EXPECT_EQ(mem_access_size(Opcode::kLd32), 4u);
+  EXPECT_EQ(mem_access_size(Opcode::kSt8), 1u);
+  EXPECT_EQ(mem_access_size(Opcode::kSt16), 2u);
+  EXPECT_EQ(mem_access_size(Opcode::kSt32), 4u);
+  EXPECT_EQ(mem_access_size(Opcode::kPush), 4u);
+  EXPECT_EQ(mem_access_size(Opcode::kPop), 4u);
+  EXPECT_EQ(mem_access_size(Opcode::kAdd), 0u);
+}
+
+TEST(IsaClassify, BlockEnders) {
+  EXPECT_TRUE(ends_block(Opcode::kJmp));
+  EXPECT_TRUE(ends_block(Opcode::kBeq));
+  EXPECT_TRUE(ends_block(Opcode::kCall));
+  EXPECT_TRUE(ends_block(Opcode::kRet));
+  EXPECT_TRUE(ends_block(Opcode::kSyscall));
+  EXPECT_TRUE(ends_block(Opcode::kHalt));
+  EXPECT_FALSE(ends_block(Opcode::kAdd));
+  EXPECT_FALSE(ends_block(Opcode::kLd32));
+  EXPECT_FALSE(ends_block(Opcode::kCmp));
+}
+
 /// Records the memory access of every retired instruction.
 struct AccessLog : ExecHooks {
   u32 retired = 0;
