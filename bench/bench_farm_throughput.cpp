@@ -16,8 +16,16 @@
 //    job is mostly interpretation, so the farm's jobs/s speedup over the
 //    cold arm stays small, and its sweep points are too short to time.
 //
-// With FAROS_BENCH_JSON=<path> each sweep point and the boot comparison
-// also land as JSONL records, so the trajectory is machine-readable.
+// It also reports (ungated) what os::capture_snapshot costs, in two
+// regimes: the median of the process's first kFreshCaptures captures,
+// taken before anything else runs (how triagebench samples setup_s: a
+// fresh process, whose first touches of the heap fault), and the steady
+// state on fixed work, median and quartiles of kBootRounds samples of at
+// least 100 ms each.
+//
+// With FAROS_BENCH_JSON=<path> each sweep point, the boot comparison and
+// the capture costs also land as JSONL records, so the trajectory is
+// machine-readable.
 #include <algorithm>
 #include <thread>
 #include <vector>
@@ -122,8 +130,8 @@ struct BootRun {
 constexpr double kMinSampleS = 0.1;
 constexpr int kBootRounds = 7;
 /// Clone boots must be this many times cheaper than cold ones. On a
-/// 4-thread host they cost about 12.5 us against 30.6 us in Release
-/// (2.4x) and 16 us against 43 us in RelWithDebInfo (2.6x); a clone that
+/// 4-thread host they cost about 0.45 us against 13 us in Release (about
+/// 28x) and 0.8 us against 18 us in RelWithDebInfo (25x); a clone that
 /// did a cold boot reads about 1.1x.
 constexpr double kBootBound = 1.5;
 
@@ -167,6 +175,52 @@ BootRun run_boots() {
   return out;
 }
 
+constexpr int kFreshCaptures = 5;
+
+double capture_s(const os::KernelConfig& cfg) {
+  return bench::time_s([&] {
+    if (!os::capture_snapshot(cfg).ok()) {
+      std::fprintf(stderr, "FATAL: snapshot capture failed\n");
+      std::exit(1);
+    }
+  });
+}
+
+/// Microseconds of each of the process's first kFreshCaptures captures.
+std::vector<double> fresh_captures_us() {
+  const os::KernelConfig cfg{};
+  std::vector<double> us;
+  for (int i = 0; i < kFreshCaptures; ++i) us.push_back(capture_s(cfg) * 1e6);
+  return us;
+}
+
+/// Steady-state capture: per-capture microseconds of kBootRounds samples,
+/// each the same number of captures and at least kMinSampleS long; sorted.
+struct CaptureRun {
+  std::vector<double> us;
+  u64 captures_per_sample = 0;
+};
+
+CaptureRun run_captures() {
+  const os::KernelConfig cfg{};
+  auto sample = [&](u64 n) {
+    return bench::time_s([&] {
+      for (u64 i = 0; i < n; ++i) (void)capture_s(cfg);
+    });
+  };
+  CaptureRun out;
+  out.captures_per_sample = 64;
+  while (sample(out.captures_per_sample) < kMinSampleS) {
+    out.captures_per_sample *= 2;
+  }
+  const double n = static_cast<double>(out.captures_per_sample);
+  for (int round = 0; round < kBootRounds; ++round) {
+    out.us.push_back(sample(out.captures_per_sample) / n * 1e6);
+  }
+  std::sort(out.us.begin(), out.us.end());
+  return out;
+}
+
 void print_row(const char* label, u32 w, const farm::FarmMetrics& m) {
   std::printf("%-10s %6u %10.2f %10.1f %13.1fM %10.1f %10.1f %9u\n", label, w,
               m.wall_s, m.jobs_per_s, m.insns_per_s / 1e6, m.p50_ms, m.p95_ms,
@@ -192,6 +246,8 @@ void emit_record(const char* mode, u32 w, const farm::FarmMetrics& m,
 }  // namespace
 
 int main() {
+  // First, while the process is fresh.
+  const std::vector<double> fresh_us = fresh_captures_us();
   bench::heading(
       "Farm throughput — Table IV corpus, cold boot vs snapshot/COW");
 
@@ -260,6 +316,27 @@ int main() {
       .field("rounds", static_cast<u64>(kBootRounds))
       .field("boots_per_sample", boots.boots_per_sample);
   bench::json_record("farm_throughput", rec);
+
+  const CaptureRun captures = run_captures();
+  const double steady_q1 = captures.us[captures.us.size() / 4];
+  const double steady_q3 = captures.us[captures.us.size() * 3 / 4];
+  std::printf("capture: first %d in a fresh process %.1f us (median); "
+              "steady state %.1f us (IQR %.1f-%.1f, %zu samples of %llu)\n",
+              kFreshCaptures, bench::median_of(fresh_us),
+              bench::median_of(captures.us), steady_q1, steady_q3,
+              captures.us.size(),
+              static_cast<unsigned long long>(captures.captures_per_sample));
+  JsonWriter cap;
+  cap.field("mode", "capture")
+      .field("fresh_median_us", bench::median_of(fresh_us))
+      .field("fresh_captures", static_cast<u64>(kFreshCaptures))
+      .field("steady_median_us", bench::median_of(captures.us))
+      .field("steady_q1_us", steady_q1)
+      .field("steady_q3_us", steady_q3)
+      .field("samples", static_cast<u64>(captures.us.size()))
+      .field("captures_per_sample", captures.captures_per_sample);
+  bench::json_record("farm_throughput", cap);
+
   const bool ok = ratio >= kBootBound;
   std::printf("result: %s\n",
               ok ? "CLONE BOOT REPRODUCED" : "CLONE BOOT FAILURE");

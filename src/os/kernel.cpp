@@ -18,7 +18,7 @@ using vm::kPteWrite;
 namespace {
 /// Guest RAM is always copy-on-write: a snapshot clone runs over the
 /// frozen post-boot image, a cold kernel over the all-zero image, so fresh
-/// RAM is a pointer table rather than 64 MiB of zeroing (guaranteed copy
+/// RAM is 64 leaf pointers rather than 64 MiB of zeroing (guaranteed copy
 /// elision constructs mem_ in place either way).
 vm::PhysMem make_phys(const KernelConfig& cfg) {
   if (cfg.snapshot) return vm::PhysMem(cfg.snapshot->ram);

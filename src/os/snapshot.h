@@ -14,9 +14,11 @@
 // Cost: guest RAM is copy-on-write in every machine (a cold kernel clones
 // the all-zero image), so neither a cold boot nor a capture touches the
 // 64 MiB guest beyond the frames boot writes. Capture is one cold boot
-// plus a freeze that copies only the handful of frames holding a non-zero
-// byte, well under a millisecond; a clone costs a copy of the per-frame
-// pointer table.
+// plus a freeze that walks only the frame-table leaves boot wrote and
+// copies only the handful of frames holding a non-zero byte, well under a
+// millisecond. A clone costs a copy of the image's 64 leaf pointers; its
+// first write or watch in a 1 MiB leaf copies that leaf's read pointers
+// (see vm/phys_mem.h).
 //
 // Determinism contract: boot executes no guest instructions and the only
 // monitor events it publishes are one on_module_loaded per runtime module,
@@ -24,8 +26,11 @@
 // an engine attached before boot() (how the farm sets up its analyzed live
 // run and every extra-policy replay) reconstructs the identical
 // shadow/provenance base state — export-table tags and all — and every
-// downstream verdict is byte-identical to a cold boot. The CI
-// snapshot-equivalence gate pins this over the full corpus.
+// downstream verdict is byte-identical to a cold boot. Two checks pin
+// this: SnapshotFarm.ClonedJobsMatchColdBootAnalysis (tests/
+// test_snapshot.cpp) on the injection corpus, and bench_farm_throughput's
+// verdict check, which fails unless every job of the Table IV corpus gets
+// the same verdict fields at every farm sweep point as on a cold boot.
 #pragma once
 
 #include <memory>

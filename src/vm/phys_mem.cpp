@@ -8,15 +8,24 @@
 namespace faros::vm {
 
 namespace {
-// The one frame every all-zero frame of every image aliases. Never written
-// through: a frame aliasing it has a null wtab_ entry until its COW fault.
+// The one frame every all-zero frame of every image aliases, and the one
+// leaf every leaf without a non-zero frame is. Never written through: a
+// frame aliasing the zero frame has a null write pointer until its COW
+// fault, and a leaf gets a private block before any of its entries change.
 alignas(kPageSize) constexpr u8 kZeroFrame[kPageSize] = {};
+constexpr MemImage::Leaf kZeroLeaf = [] {
+  MemImage::Leaf leaf{};
+  leaf.fill(kZeroFrame);
+  return leaf;
+}();
 }  // namespace
 
 std::shared_ptr<const MemImage> MemImage::zeros(u32 size_bytes) {
   assert(size_bytes > 0);
   auto img = std::make_shared<MemImage>();
-  img->frames_.assign(page_ceil(size_bytes) >> kPageShift, kZeroFrame);
+  img->num_frames_ = page_ceil(size_bytes) >> kPageShift;
+  img->leaves_.assign((img->num_frames_ + kLeafMask) >> kLeafShift,
+                      &kZeroLeaf);
   return img;
 }
 
@@ -28,12 +37,19 @@ PhysMem::PhysMem(std::shared_ptr<const MemImage> base)
     : base_(std::move(base)) {
   assert(base_ && base_->num_frames() > 0);
   size_ = base_->size();
-  const u32 nf = num_frames();
-  rtab_ = base_->frames_;
-  wtab_.assign(nf, nullptr);
-  watched_.assign(nf, 0);
+  rleaf_ = base_->leaves_;
+  own_.resize(rleaf_.size());
   stats_.cow = true;
-  stats_.shared_frames = nf;
+  stats_.shared_frames = num_frames();
+}
+
+PhysMem::LeafBlock& PhysMem::own_leaf(u64 leaf) {
+  std::unique_ptr<LeafBlock>& b = own_[leaf];
+  if (!b) {
+    b = std::make_unique<LeafBlock>(*rleaf_[leaf]);
+    rleaf_[leaf] = &b->r;
+  }
+  return *b;
 }
 
 u8* PhysMem::arena_alloc() {
@@ -48,10 +64,12 @@ u8* PhysMem::arena_alloc() {
 }
 
 u8* PhysMem::cow_fault(u64 frame, bool copy) {
+  LeafBlock& b = own_leaf(frame >> kLeafShift);
+  const u64 i = frame & kLeafMask;
   u8* p = arena_alloc();
-  if (copy) std::memcpy(p, rtab_[frame], kPageSize);
-  rtab_[frame] = p;
-  wtab_[frame] = p;
+  if (copy) std::memcpy(p, b.r[i], kPageSize);
+  b.r[i] = p;
+  b.w[i] = p;
   ++stats_.cow_faults;
   --stats_.shared_frames;
   return p;
@@ -62,7 +80,7 @@ void PhysMem::notify_code_write(PAddr pa, u32 len) {
   const u64 first = pa >> kPageShift;
   const u64 last = (pa + len - 1) >> kPageShift;
   for (u64 f = first; f <= last; ++f) {
-    const u32 w = watched_[f];
+    const u32 w = watch_word(f);
     if (!w) continue;
     // Clip the write to this frame and test against the watched range
     // (hi is stored biased by +1; see watch_frame).
@@ -81,14 +99,14 @@ void PhysMem::notify_code_write(PAddr pa, u32 len) {
 
 u8 PhysMem::read8(PAddr pa) const {
   assert(contains(pa, 1));
-  return rtab_[pa >> kPageShift][page_offset(static_cast<u32>(pa))];
+  return rframe(pa >> kPageShift)[page_offset(static_cast<u32>(pa))];
 }
 
 u16 PhysMem::read16(PAddr pa) const {
   assert(contains(pa, 2));
   const u32 off = page_offset(static_cast<u32>(pa));
   if (off <= kPageSize - 2) {
-    const u8* p = rtab_[pa >> kPageShift] + off;
+    const u8* p = rframe(pa >> kPageShift) + off;
     return static_cast<u16>(p[0]) | (static_cast<u16>(p[1]) << 8);
   }
   return static_cast<u16>(read8(pa)) |
@@ -99,7 +117,7 @@ u32 PhysMem::read32(PAddr pa) const {
   assert(contains(pa, 4));
   const u32 off = page_offset(static_cast<u32>(pa));
   if (off <= kPageSize - 4) {
-    const u8* p = rtab_[pa >> kPageShift] + off;
+    const u8* p = rframe(pa >> kPageShift) + off;
     return static_cast<u32>(p[0]) | (static_cast<u32>(p[1]) << 8) |
            (static_cast<u32>(p[2]) << 16) | (static_cast<u32>(p[3]) << 24);
   }
@@ -111,13 +129,13 @@ u32 PhysMem::read32(PAddr pa) const {
 
 void PhysMem::write8(PAddr pa, u8 v) {
   assert(contains(pa, 1));
-  if (watched_[pa >> kPageShift]) notify_code_write(pa, 1);
+  if (watch_word(pa >> kPageShift)) notify_code_write(pa, 1);
   store8(pa, v);
 }
 
 void PhysMem::write16(PAddr pa, u16 v) {
   assert(contains(pa, 2));
-  if (watched_[pa >> kPageShift] | watched_[(pa + 1) >> kPageShift]) {
+  if (watch_word(pa >> kPageShift) | watch_word((pa + 1) >> kPageShift)) {
     notify_code_write(pa, 2);
   }
   store8(pa, static_cast<u8>(v & 0xff));
@@ -126,7 +144,7 @@ void PhysMem::write16(PAddr pa, u16 v) {
 
 void PhysMem::write32(PAddr pa, u32 v) {
   assert(contains(pa, 4));
-  if (watched_[pa >> kPageShift] | watched_[(pa + 3) >> kPageShift]) {
+  if (watch_word(pa >> kPageShift) | watch_word((pa + 3) >> kPageShift)) {
     notify_code_write(pa, 4);
   }
   store8(pa, static_cast<u8>(v & 0xff));
@@ -142,7 +160,7 @@ void PhysMem::read(PAddr pa, MutByteSpan out) const {
     const PAddr cur = pa + done;
     const u32 off = page_offset(static_cast<u32>(cur));
     const size_t n = std::min<size_t>(out.size() - done, kPageSize - off);
-    std::memcpy(out.data() + done, rtab_[cur >> kPageShift] + off, n);
+    std::memcpy(out.data() + done, rframe(cur >> kPageShift) + off, n);
     done += n;
   }
 }
@@ -153,12 +171,9 @@ void PhysMem::write(PAddr pa, ByteSpan data) {
   size_t done = 0;
   while (done < data.size()) {
     const PAddr cur = pa + done;
-    const u64 f = cur >> kPageShift;
     const u32 off = page_offset(static_cast<u32>(cur));
     const size_t n = std::min<size_t>(data.size() - done, kPageSize - off);
-    u8* p = wtab_[f];
-    if (!p) p = cow_fault(f);
-    std::memcpy(p + off, data.data() + done, n);
+    std::memcpy(wframe(cur >> kPageShift) + off, data.data() + done, n);
     done += n;
   }
 }
@@ -167,39 +182,49 @@ void PhysMem::zero_frame(PAddr frame_base) {
   assert(page_offset(static_cast<u32>(frame_base)) == 0 &&
          contains(frame_base, kPageSize));
   notify_code_write(frame_base, kPageSize);
-  const u64 f = frame_base >> kPageShift;
-  u8* p = wtab_[f];
-  if (!p) p = cow_fault(f, /*copy=*/false);
-  std::memset(p, 0, kPageSize);
+  std::memset(wframe(frame_base >> kPageShift, /*copy=*/false), 0, kPageSize);
 }
 
 ByteSpan PhysMem::span(PAddr pa, u32 len) const {
   assert(contains(pa, len));
   const u64 f = pa >> kPageShift;
   assert(len == 0 || ((pa + len - 1) >> kPageShift) == f);
-  return ByteSpan(rtab_[f] + page_offset(static_cast<u32>(pa)), len);
+  return ByteSpan(rframe(f) + page_offset(static_cast<u32>(pa)), len);
 }
 
 std::shared_ptr<const MemImage> PhysMem::freeze() const {
-  // Frames still aliasing the zero frame were never written. Written
+  // Leaves still at the zero leaf were never written or watched. Written
   // frames that hold only zeros (fresh page tables, zeroed allocations)
   // rejoin the zero frame too, so the image owns non-zero frames only.
+  const u32 nf = num_frames();
   std::vector<u32> live;
-  for (u32 f = 0; f < num_frames(); ++f) {
-    if (rtab_[f] != kZeroFrame &&
-        std::memcmp(rtab_[f], kZeroFrame, kPageSize) != 0) {
-      live.push_back(f);
+  for (u32 l = 0; l < rleaf_.size(); ++l) {
+    if (rleaf_[l] == &kZeroLeaf) continue;
+    for (u32 f = l << kLeafShift; f < std::min(nf, (l + 1) << kLeafShift);
+         ++f) {
+      const u8* p = rframe(f);
+      if (p != kZeroFrame && std::memcmp(p, kZeroFrame, kPageSize) != 0) {
+        live.push_back(f);
+      }
     }
   }
   auto img = std::make_shared<MemImage>();
-  img->frames_.assign(num_frames(), kZeroFrame);
+  img->num_frames_ = nf;
+  img->leaves_.assign(rleaf_.size(), &kZeroLeaf);
   img->storage_ = std::make_unique_for_overwrite<u8[]>(
       live.size() * static_cast<size_t>(kPageSize));
   img->owned_frames_ = static_cast<u32>(live.size());
   for (size_t i = 0; i < live.size(); ++i) {
+    // `live` ascends, so a frame's leaf is the last one made.
+    const u32 l = live[i] >> kLeafShift;
+    if (img->leaves_[l] == &kZeroLeaf) {
+      img->owned_leaves_.push_back(
+          std::make_unique<MemImage::Leaf>(kZeroLeaf));
+      img->leaves_[l] = img->owned_leaves_.back().get();
+    }
     u8* dst = img->storage_.get() + i * kPageSize;
-    std::memcpy(dst, rtab_[live[i]], kPageSize);
-    img->frames_[live[i]] = dst;
+    std::memcpy(dst, rframe(live[i]), kPageSize);
+    (*img->owned_leaves_.back())[live[i] & kLeafMask] = dst;
   }
   return img;
 }

@@ -5,14 +5,23 @@
 // One backing mode: copy-on-write over an immutable, sparse MemImage.
 // Every frame initially aliases the image, and the first write to a frame
 // faults it into private arena storage. A cold-booted machine is a clone
-// of the all-zero image (every frame aliases one shared zero frame), so
-// fresh RAM costs a pointer table, not a zero-filled buffer; a snapshot
-// clone is a clone of a frozen post-boot image (see os/snapshot.h).
-// Clones never touch the shared image, so any number of farm jobs can run
-// against one booted-guest snapshot concurrently.
+// of the all-zero image (every frame aliases one shared zero frame); a
+// snapshot clone is a clone of a frozen post-boot image (see
+// os/snapshot.h). Clones never touch the shared image, so any number of
+// farm jobs can run against one booted-guest snapshot concurrently.
+//
+// The per-frame tables are two-level, so their cost follows the frames a
+// machine touches, not the size of its RAM. A leaf covers kFramesPerLeaf
+// frames (1 MiB of guest); 64 MiB needs 64 leaf pointers. An image owns
+// the leaves that hold a non-zero frame, and every other leaf is one
+// static leaf whose entries all point at the zero frame, so a clone
+// starts as a copy of the image's leaf pointers. The first write or watch
+// in a leaf gives the machine a private block for it: a copy of the
+// leaf's read pointers, plus its write pointers and watch words.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -31,28 +40,41 @@ constexpr u32 page_ceil(u32 addr) {
   return (addr + kPageSize - 1) & ~(kPageSize - 1);
 }
 
+/// Frames per leaf of the two-level frame tables (256 frames, 1 MiB).
+inline constexpr u32 kLeafShift = 8;
+inline constexpr u32 kFramesPerLeaf = 1u << kLeafShift;
+inline constexpr u32 kLeafMask = kFramesPerLeaf - 1;
+
 /// Immutable frozen RAM image, shared read-only between the snapshot and
-/// every clone built over it. Sparse: a per-frame pointer table plus owned
-/// storage for the frames holding a non-zero byte only; every all-zero
-/// frame aliases one shared, read-only zero frame. Held alive by
+/// every clone built over it. Sparse: leaves of per-frame pointers plus
+/// owned storage for the frames holding a non-zero byte only; every
+/// all-zero frame aliases one shared, read-only zero frame, and every leaf
+/// without a non-zero frame is the one static zero leaf. Held alive by
 /// shared_ptr for as long as any clone exists.
 class MemImage {
  public:
+  /// Read pointers of one leaf's frames.
+  using Leaf = std::array<const u8*, kFramesPerLeaf>;
+
   /// The all-zero image of `size_bytes` (rounded up to whole frames): what
   /// a cold-booted machine's RAM starts as.
   static std::shared_ptr<const MemImage> zeros(u32 size_bytes);
 
-  u32 size() const { return num_frames() << kPageShift; }
-  u32 num_frames() const { return static_cast<u32>(frames_.size()); }
+  u32 size() const { return num_frames_ << kPageShift; }
+  u32 num_frames() const { return num_frames_; }
   u8 read8(PAddr pa) const {
-    return frames_[pa >> kPageShift][page_offset(static_cast<u32>(pa))];
+    const u64 f = pa >> kPageShift;
+    return (*leaves_[f >> kLeafShift])[f & kLeafMask]
+                                      [page_offset(static_cast<u32>(pa))];
   }
   /// Frames with storage of their own (the rest alias the zero frame).
   u32 owned_frames() const { return owned_frames_; }
 
  private:
   friend class PhysMem;
-  std::vector<const u8*> frames_;
+  u32 num_frames_ = 0;
+  std::vector<const Leaf*> leaves_;  // the zero leaf or an owned leaf
+  std::vector<std::unique_ptr<Leaf>> owned_leaves_;
   std::unique_ptr<u8[]> storage_;  // owned_frames_ contiguous frames
   u32 owned_frames_ = 0;
 };
@@ -84,9 +106,9 @@ class PhysMem {
   /// Snapshot clone: every frame aliases `base` until first write.
   explicit PhysMem(std::shared_ptr<const MemImage> base);
 
-  // rtab_/wtab_ hold raw pointers into the image / the arena; a copy
-  // would alias another instance's storage. Moves are fine (vector and
-  // chunk buffers are stable across moves).
+  // The frame tables hold raw pointers into the image / the arena; a copy
+  // would alias another instance's storage. Moves are fine (leaf blocks
+  // and chunk buffers are heap-allocated and stable across moves).
   PhysMem(const PhysMem&) = delete;
   PhysMem& operator=(const PhysMem&) = delete;
   PhysMem(PhysMem&&) = default;
@@ -123,9 +145,10 @@ class PhysMem {
   /// a copy-on-write fault of its frame (the fault copies away from it).
   ByteSpan span(PAddr pa, u32 len) const;
 
-  /// Freezes the RAM contents as an immutable sparse image. Copies only the
-  /// frames that no longer alias the zero frame and hold a non-zero byte,
-  /// so the cost is O(written frames); os::capture_snapshot uses it to
+  /// Freezes the RAM contents as an immutable sparse image. Walks only the
+  /// leaves that are not the zero leaf and copies only the frames there
+  /// that no longer alias the zero frame and hold a non-zero byte, so the
+  /// cost follows the written leaves; os::capture_snapshot uses it to
   /// freeze a freshly booted guest.
   std::shared_ptr<const MemImage> freeze() const;
 
@@ -140,7 +163,8 @@ class PhysMem {
   /// unwatch_frame. Writes outside the range never fire the observer, so
   /// data sharing a page with translated code costs one compare per store.
   void watch_frame(PAddr frame_base, u32 lo, u32 hi) {
-    u32& w = watched_[frame_base >> kPageShift];
+    const u64 f = frame_base >> kPageShift;
+    u32& w = own_leaf(f >> kLeafShift).watched[f & kLeafMask];
     if (w) {
       lo = std::min(lo, w >> 16);
       hi = std::max(hi, (w & 0xffffu) - 1);
@@ -152,10 +176,13 @@ class PhysMem {
     w = (lo << 16) | (hi + 1);
   }
   void unwatch_frame(PAddr frame_base) {
-    watched_[frame_base >> kPageShift] = 0;
+    const u64 f = frame_base >> kPageShift;
+    if (LeafBlock* b = own_[f >> kLeafShift].get()) {
+      b->watched[f & kLeafMask] = 0;
+    }
   }
   bool frame_watched(PAddr frame_base) const {
-    return watched_[frame_base >> kPageShift] != 0;
+    return watch_word(frame_base >> kPageShift) != 0;
   }
 
   /// Machine-wide page-table epoch: AddressSpace bumps it at least once per
@@ -168,41 +195,63 @@ class PhysMem {
   void bump_pt_epoch() { ++pt_epoch_; }
 
  private:
+  /// A machine's own part of one leaf, made by the first write or watch in
+  /// it. `r` starts as a copy of the image leaf; `w` is null while a frame
+  /// is still shared — a write through a null entry takes the COW fault,
+  /// so the shared image and the zero frame are never written through.
+  struct LeafBlock {
+    MemImage::Leaf r;
+    std::array<u8*, kFramesPerLeaf> w{};
+    // One packed watch range per frame: 0 = unwatched, else
+    // (lo << 16) | (hi + 1) byte offsets (hi exclusive, <= kPageSize; the
+    // +1 bias keeps every real range distinct from the sentinel).
+    std::array<u32, kFramesPerLeaf> watched{};
+  };
+
+  /// Where reads of frame `f` resolve: the image, the zero frame or a
+  /// private copy.
+  const u8* rframe(u64 f) const {
+    return (*rleaf_[f >> kLeafShift])[f & kLeafMask];
+  }
+  /// Writable storage of frame `f`, taking its COW fault on first write
+  /// (copied from the shared frame unless the caller overwrites all of it).
+  u8* wframe(u64 f, bool copy = true) {
+    const LeafBlock* b = own_[f >> kLeafShift].get();
+    u8* p = b ? b->w[f & kLeafMask] : nullptr;
+    return p ? p : cow_fault(f, copy);
+  }
+  u32 watch_word(u64 f) const {
+    const LeafBlock* b = own_[f >> kLeafShift].get();
+    return b ? b->watched[f & kLeafMask] : 0;
+  }
+  LeafBlock& own_leaf(u64 leaf);
+
   /// Out-of-line slow path: fires the observer once with [pa, pa+len) when
   /// the write overlaps at least one frame's watched byte range.
   void notify_code_write(PAddr pa, u32 len);
 
   /// First write to a shared frame: give it private arena storage, copied
   /// from the shared frame unless the caller overwrites all of it.
-  u8* cow_fault(u64 frame, bool copy = true);
+  u8* cow_fault(u64 frame, bool copy);
   u8* arena_alloc();
 
   /// Store one byte without the watch check (callers notify once for the
   /// whole access, matching the observer's [pa, pa+len) contract).
   void store8(PAddr pa, u8 v) {
-    const u64 f = pa >> kPageShift;
-    u8* p = wtab_[f];
-    if (!p) p = cow_fault(f);
-    p[page_offset(static_cast<u32>(pa))] = v;
+    wframe(pa >> kPageShift)[page_offset(static_cast<u32>(pa))] = v;
   }
 
   u32 size_ = 0;
   std::shared_ptr<const MemImage> base_;  // the image unwritten frames alias
-  // Per-frame pointers: rtab_ is where reads resolve (shared image, zero
-  // frame or private copy); wtab_ is null while the frame is still shared
-  // — a write through a null entry takes the COW fault, so the shared
-  // image and the zero frame are never written through.
-  std::vector<const u8*> rtab_;
-  std::vector<u8*> wtab_;
+  // Per leaf: where its read pointers live (the image's leaf until the
+  // leaf gets a block, then the block's `r`), and the block, if any.
+  std::vector<const MemImage::Leaf*> rleaf_;
+  std::vector<std::unique_ptr<LeafBlock>> own_;
   // Private frame storage for COW faults, bump-allocated in chunks.
   static constexpr u32 kFramesPerChunk = 64;
   std::vector<std::unique_ptr<u8[]>> arena_;
   u32 arena_used_ = kFramesPerChunk;
   CowStats stats_;
-  // One packed watch range per frame: 0 = unwatched, else
-  // (lo << 16) | (hi + 1) byte offsets (hi exclusive, <= kPageSize; the +1
-  // bias keeps every real range distinct from the sentinel).
-  std::vector<u32> watched_;
   CodeWriteObserver on_code_write_;
   u64 pt_epoch_ = 0;
 };
