@@ -1,7 +1,11 @@
 // Attack-library builders: payload PIC property, program builders, C2
-// scripting, dataset catalogues, and the exhaustion guard.
+// scripting, dataset catalogues, the exhaustion guard, and the guest-byte
+// fingerprint of the whole corpus.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
+#include "attacks/corpus.h"
 #include "attacks/datasets.h"
 #include "attacks/payloads.h"
 #include "attacks/programs.h"
@@ -190,6 +194,67 @@ TEST(Scenarios, NamesAreStable) {
   EXPECT_EQ(HollowingScenario().name(), "process_hollowing");
   EXPECT_EQ(RatInjectionScenario("njrat").name(), "njrat-injection");
   EXPECT_EQ(DropperChainScenario().name(), "dropper_chain");
+}
+
+// 64-bit FNV-1a, folded over successive spans.
+u64 fnv1a64(u64 h, ByteSpan data) {
+  for (u8 b : data) {
+    h ^= b;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+u64 fnv1a64(u64 h, std::string_view s) {
+  return fnv1a64(h, ByteSpan(reinterpret_cast<const u8*>(s.data()), s.size()));
+}
+
+// Every guest byte a corpus job puts in play: each VFS file that setup()
+// leaves behind (path and bytes, in Vfs::list() order), then the recorded
+// ReplayLog, which holds every C2 response and device input together with
+// the retired-instruction position it was delivered at.
+u64 job_fingerprint(const CorpusEntry& e) {
+  u64 h = 0xcbf29ce484222325ull;
+  auto sc = e.make();
+  os::Machine m;
+  EXPECT_TRUE(m.boot().ok()) << e.name;
+  EXPECT_TRUE(sc->setup(m).ok()) << e.name;
+  for (const std::string& path : m.kernel().vfs().list()) {
+    auto data = m.kernel().vfs().read_all(path);
+    EXPECT_TRUE(data.ok()) << e.name << " " << path;
+    if (!data.ok()) continue;
+    h = fnv1a64(h, path);
+    h = fnv1a64(h, ByteSpan(data.value().data(), data.value().size()));
+  }
+  auto sc2 = e.make();
+  auto rec = record_run(*sc2);
+  EXPECT_TRUE(rec.ok()) << e.name;
+  if (rec.ok()) {
+    const Bytes log = rec.value().log.serialize();
+    h = fnv1a64(h, ByteSpan(log.data(), log.size()));
+  }
+  return h;
+}
+
+// A refactor of the guest-code builders must leave every image, every C2
+// response, every device input and every ReplayLog position unchanged.
+// On a mismatch the per-job hashes name the jobs that moved.
+TEST(CorpusFingerprint, GuestBytesAreUnchanged) {
+  constexpr u64 kExpected = 0x652545769796afe8ull;
+  std::vector<CorpusEntry> jobs = full_corpus();
+  for (auto& e : policy_corpus()) jobs.push_back(std::move(e));
+  u64 combined = 0;
+  std::string per_job;
+  for (const CorpusEntry& e : jobs) {
+    const u64 h = job_fingerprint(e);
+    combined = hash_combine(combined, h);
+    char line[96];
+    std::snprintf(line, sizeof line, "  %016llx %s\n",
+                  static_cast<unsigned long long>(h), e.name.c_str());
+    per_job += line;
+  }
+  EXPECT_EQ(combined, kExpected) << "combined 0x" << std::hex << combined
+                                 << "; per job:\n" << per_job;
 }
 
 }  // namespace
