@@ -34,10 +34,11 @@
 // With FAROS_BENCH_JSON=<path> set, main() appends one JSONL record per
 // regime (median of wall-clock samples of equal work, each lasting at
 // least kMinSampleS, independent of google-benchmark's timing machinery) —
-// the format committed in BENCH_shadow.json. Bare, clean and image-tainted
-// are sampled in alternation, kGateRounds rounds in one process, so a
-// shift in host load hits all three alike; so are the two one-idler
-// regimes, engine and bare. The proc_lifecycle record
+// the format committed in BENCH_shadow.json, with the quartiles of the
+// per-sample ns/insn beside the median. Bare, clean, image-tainted and
+// tainted-copy are sampled in alternation, kGateRounds rounds in one
+// process, so a shift in host load hits all four alike; so are the two
+// one-idler regimes, engine and bare. The proc_lifecycle record
 // times process spawn + exit (reported, not gated; BENCH_lifecycle.json).
 // With FAROS_BENCH_GATE set, the block-cache overhead ceiling (on the
 // median of the per-round ratios) and the elision coverage gates are
@@ -345,12 +346,13 @@ constexpr const char* kDispatchRules = R"({"rules":[
 struct RegimeRun {
   u64 insns = 0;  // per sample
   double seconds = 0;  // median sample
+  std::vector<double> ns_per_insn;  // one figure per sample, sorted
   obs::MetricSnapshot metrics;  // collected=false for bare / _noobs runs
 };
 
 /// Shortest timed sample: shorter ones sit inside the host's noise.
 constexpr double kMinSampleS = 0.1;
-/// Samples per regime, rounds of the interleaved gate trio, and samples
+/// Samples per regime, rounds of the interleaved gate regimes, and samples
 /// of the lifecycle record.
 constexpr int kSamples = 5;
 constexpr int kGateRounds = 7;
@@ -368,6 +370,10 @@ struct PreparedRegime {
   RegimeRun result(std::vector<double> samples) const {
     RegimeRun out;
     out.insns = insns;
+    for (double s : samples) {
+      out.ns_per_insn.push_back(s / static_cast<double>(insns) * 1e9);
+    }
+    std::sort(out.ns_per_insn.begin(), out.ns_per_insn.end());
     out.seconds = bench::median_of(std::move(samples));
     if (a) out.metrics = a->metrics();
     return out;
@@ -591,11 +597,13 @@ bool emit_json_summary() {
     return *std::find_if(std::begin(regimes), std::end(regimes),
                          [&](const Regime& r) { return name == r.name; });
   };
-  // The ceiling's trio (bare, clean, image-tainted) and the idle pair
-  // (engine, bare) are each sampled in alternation.
+  // The ceiling's trio (bare, clean, image-tainted) with the ungated
+  // tainted copy, and the idle pair (engine, bare), are each sampled in
+  // alternation.
   const Interleaved trio = run_interleaved(
       {regime("interp_bare_btc"), regime("interp_faros_clean_btc"),
-       regime("interp_faros_image_tainted_btc")});
+       regime("interp_faros_image_tainted_btc"),
+       regime("interp_faros_tainted_copy_btc")});
   const Interleaved idle = run_interleaved(
       {regime("interp_faros_idle_dirty_btc"), regime("interp_bare_idle")});
   std::map<std::string, obs::MetricSnapshot> metrics_by_case;
@@ -610,11 +618,15 @@ bool emit_json_summary() {
     }
     const double s = run.seconds;
     const double insns = static_cast<double>(run.insns);
+    const std::vector<double>& ns = run.ns_per_insn;
     metrics_by_case[r.name] = run.metrics;
     JsonWriter rec;
     rec.field("case", r.name)
         .field("insns", run.insns)
         .field("ns_per_insn", s / insns * 1e9)
+        .field("q1_ns_per_insn", ns[ns.size() / 4])
+        .field("q3_ns_per_insn", ns[ns.size() * 3 / 4])
+        .field("samples", static_cast<u64>(ns.size()))
         .field("minsn_per_s", insns / s / 1e6);
     if (run.metrics.collected) {
       const obs::MetricSnapshot& m = run.metrics;
@@ -640,6 +652,15 @@ bool emit_json_summary() {
   std::printf("idle round: engine %.2fx bare (rounds %.2f-%.2f), median of "
               "%d interleaved rounds\n",
               bench::median_of(idle_x), idle_lo, idle_hi, kGateRounds);
+
+  // The one timed regime whose loads and stores all go through PhysMem and
+  // propagate(); reported with its spread, not gated.
+  const RegimeRun& copy = trio.runs.at("interp_faros_tainted_copy_btc");
+  std::printf("tainted copy: %.1f ns/insn (IQR %.1f-%.1f), median of %d "
+              "interleaved rounds\n",
+              bench::median_of(copy.ns_per_insn),
+              copy.ns_per_insn[copy.ns_per_insn.size() / 4],
+              copy.ns_per_insn[copy.ns_per_insn.size() * 3 / 4], kGateRounds);
 
   const LifecycleRun life = run_lifecycle();
   const double life_q1 = life.us[life.us.size() / 4];

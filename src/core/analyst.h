@@ -27,6 +27,20 @@ std::vector<TaintedRegion> tainted_regions(const FarosEngine& engine,
                                            VAddr lo, VAddr hi,
                                            size_t max_regions = 256);
 
+/// One live process and the tainted ranges of its known regions, each
+/// with the kind of region it lies in.
+struct ProcessTaint {
+  osi::ProcessInfo info;
+  std::vector<std::pair<os::Region::Kind, TaintedRegion>> ranges;
+};
+
+/// The walk that numbers tainted ranges: every live process in
+/// process_list() order, its regions in order, each region's ranges in
+/// tainted_regions() order. Flattened, the k-th range is "region:<k>" in
+/// taint_map and region node k in graph::build_graph.
+std::vector<ProcessTaint> tainted_ranges(const FarosEngine& engine,
+                                         const os::Kernel& kernel);
+
 /// Full per-process taint map over every live process' known regions:
 /// one line per tainted range, with the rendered provenance chain. Each
 /// range is labelled "region:<k>" where k counts ranges in walk order —

@@ -1,7 +1,6 @@
 #include "farm/triage_cli.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <map>
 
@@ -40,9 +39,6 @@ std::string path_stem(const std::string& path) {
 TriageCliResult parse_triage_cli(const std::vector<std::string>& args) {
   TriageCliResult r;
   TriageCliOptions& o = r.opts;
-  if (const char* env = std::getenv("FAROS_METRICS_JSON")) {
-    o.metrics_path = env;
-  }
 
   u64 workers = 0;
   for (size_t i = 0; i < args.size() && r.ok(); ++i) {
@@ -140,7 +136,6 @@ std::string triage_usage() {
          "output:\n"
          "  --out PATH       write JSONL records + summary to PATH\n"
          "  --metrics PATH   write per-job obs counter JSONL to PATH\n"
-         "                   (or set FAROS_METRICS_JSON)\n"
          "  --graph-out DIR  write one provenance-graph artifact per job to\n"
          "                   DIR/<job>.fpg (src/graph format; byte-identical\n"
          "                   for any --workers)\n"

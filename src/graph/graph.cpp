@@ -275,31 +275,24 @@ struct Builder {
   }
 
   void build_region_nodes() {
-    // Exactly core::taint_map's walk, so region node k is the range the
-    // taint map labels "region:k" — the cross-link contract.
-    for (const auto& info : kernel.process_list()) {
-      const os::Process* p = kernel.find(info.pid);
-      if (!p || !p->alive()) continue;
-      for (const auto& region : p->regions) {
-        auto ranges = core::tainted_regions(engine, p->as, region.base,
-                                            region.base + region.len);
-        for (const auto& r : ranges) {
-          Node n;
-          n.type = NodeType::kRegion;
-          n.index = static_cast<u32>(g.count(NodeType::kRegion));
-          n.name = strf("%s %s", info.name.c_str(), hex32(r.start).c_str());
-          n.detail = strf("+%u [%s] %s", r.len,
-                          os::region_kind_name(region.kind),
-                          core::render_chain(engine.store(), engine.maps(),
-                                             r.prov)
-                              .c_str());
-          n.a = r.start;
-          n.b = (static_cast<u64>(info.pid) << 32) | r.len;
-          n.c = r.prov;
-          u32 id = static_cast<u32>(g.nodes.size());
-          g.nodes.push_back(std::move(n));
-          add_prov_edges(id, r.prov);
-        }
+    // core::tainted_ranges numbers the ranges, so region node k is the
+    // range the taint map labels "region:k" — the cross-link contract.
+    for (const core::ProcessTaint& pt : core::tainted_ranges(engine, kernel)) {
+      for (const auto& [kind, r] : pt.ranges) {
+        Node n;
+        n.type = NodeType::kRegion;
+        n.index = static_cast<u32>(g.count(NodeType::kRegion));
+        n.name = strf("%s %s", pt.info.name.c_str(), hex32(r.start).c_str());
+        n.detail = strf("+%u [%s] %s", r.len, os::region_kind_name(kind),
+                        core::render_chain(engine.store(), engine.maps(),
+                                           r.prov)
+                            .c_str());
+        n.a = r.start;
+        n.b = (static_cast<u64>(pt.info.pid) << 32) | r.len;
+        n.c = r.prov;
+        u32 id = static_cast<u32>(g.nodes.size());
+        g.nodes.push_back(std::move(n));
+        add_prov_edges(id, r.prov);
       }
     }
   }

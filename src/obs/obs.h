@@ -44,7 +44,7 @@ class JsonWriter;
 namespace faros::obs {
 
 /// Counter taxonomy. Grouped by the subsystem that owns the increment;
-/// keep ctr_name() in obs.cpp in sync.
+/// each counter has one row (name, kind) in obs.cpp's kCtrTable.
 enum class Ctr : u32 {
   // --- ShadowMemory (src/core/shadow.h) ---
   kShadowFrameCacheHit = 0,  // directory probe answered by the 1-entry cache

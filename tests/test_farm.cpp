@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <thread>
 
 #include "attacks/corpus.h"
@@ -635,6 +636,21 @@ TEST(TriageCli, EmptyPolicyEntriesAreRejected) {
   farm::TriageCliResult ok = parse_triage_cli({"--policies", "a.json"});
   ASSERT_TRUE(ok.ok()) << ok.error;
   EXPECT_EQ(ok.opts.policy_paths, std::vector<std::string>{"a.json"});
+}
+
+TEST(TriageCli, MetricsPathComesOnlyFromTheFlag) {
+  // The environment variable the parser once read as a fallback for
+  // --metrics no longer sets the path, and the usage text does not name it.
+  ASSERT_EQ(setenv("FAROS_METRICS_JSON", "env.jsonl", 1), 0);
+  farm::TriageCliResult none = farm::parse_triage_cli({});
+  farm::TriageCliResult flag = farm::parse_triage_cli({"--metrics", "m.jsonl"});
+  unsetenv("FAROS_METRICS_JSON");
+  ASSERT_TRUE(none.ok()) << none.error;
+  EXPECT_TRUE(none.opts.metrics_path.empty());
+  ASSERT_TRUE(flag.ok()) << flag.error;
+  EXPECT_EQ(flag.opts.metrics_path, "m.jsonl");
+  EXPECT_EQ(farm::triage_usage().find("FAROS_METRICS_JSON"),
+            std::string::npos);
 }
 
 TEST(TriageCli, FlagsParseAndBadValuesAreRejected) {

@@ -25,10 +25,6 @@
 // depends on the loaded ruleset, kept out of the default catalogue so the
 // built-in-rule scoring stays byte-stable.
 //
-// FAROS_METRICS_JSON=<path> in the environment is a fallback for --metrics
-// (mirroring FAROS_BENCH_JSON for the benches); the flag wins when both
-// are given.
-//
 // Exit code: 0 when every job completed (flagged or clean), 1 on harness
 // errors / timeouts / bad usage.
 #include <cstdio>
